@@ -32,13 +32,17 @@
 //!   replay wall (lower better). Both absolute timings, so they run in
 //!   the widened [`DRIFT_SCALE`] band; the blocking 10M-record budget
 //!   check is the separate `tib_scale` bin.
+//! * `evict_flow_64k_over_1k` — `TrajectoryMemory::evict_flow` ns/FIN at
+//!   64 k live records over the same at 1 k (`memory_scale`; lower
+//!   better). A same-run ratio with no baseline: held under the absolute
+//!   [`EVICT_RATIO_CEILING`], so a FIN that walks the whole memory again
+//!   (≈ 150×) fails on any machine.
 //! * `ingest_events_per_sec` — the sharded host-agent ingest rate at the
 //!   recorded multi-worker point (higher better). **Skipped when the
-//!   runner has one CPU**: without parallelism the curve only reflects
-//!   shard-locality and replay-batching effects minus spawn/join
-//!   overhead, so a 1-CPU box records the honest curve in
-//!   `BENCH_tib.json` but does not gate on it (same policy as the simnet
-//!   threaded numbers).
+//!   runner has one CPU**: without parallelism the curve only shows the
+//!   partition and spawn/join overhead, so a 1-CPU box records the
+//!   honest curve in `BENCH_tib.json` but does not gate on it (same
+//!   policy as the simnet threaded numbers).
 //!
 //! Usage: `cargo run --release -p pathdump_bench --bin bench_gate
 //! [-- --baseline PATH] [--tolerance F] [--runs N] [--handicap F]`.
@@ -58,6 +62,7 @@
 //! `--tolerance` widens every band proportionally for a one-off run.
 
 use pathdump_bench::ingest_scale::{build_stream, run_ingest, IngestParams};
+use pathdump_bench::memory_scale::{evict_ratio, run_memory_curve, EVICT_RATIO_CEILING};
 use pathdump_bench::report::{
     failing_checks, json_number, recorded_events_per_sec, recorded_ingest_events_per_sec,
     recorded_median_ns, recorded_tib_scale_number, run_cargo_bench, strip_path_min_speedup,
@@ -336,6 +341,9 @@ fn main() {
         );
     }
 
+    eprintln!("bench_gate: measuring trajectory-memory FIN cost (1k/8k/64k live records)...");
+    let cur_evict_ratio = evict_ratio(&run_memory_curve(args.runs)) * args.handicap;
+
     println!(
         "bench_gate vs {} (tolerance {:.0}%{}):",
         args.baseline,
@@ -375,6 +383,17 @@ fn main() {
         eprintln!(
             "FAIL: pathdump/vanilla 512B gap {cur_gap:.3}x exceeds the acceptance \
              ceiling {GAP_512_CEILING}x"
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "  {:<28} ceiling  {:>14.1}  current {:>14.3}",
+        "evict_flow_64k_over_1k", EVICT_RATIO_CEILING, cur_evict_ratio
+    );
+    if cur_evict_ratio > EVICT_RATIO_CEILING {
+        eprintln!(
+            "FAIL: evict_flow costs {cur_evict_ratio:.2}x more at 64k live records than at 1k \
+             (ceiling {EVICT_RATIO_CEILING}x): a FIN must not scale with the memory"
         );
         std::process::exit(1);
     }

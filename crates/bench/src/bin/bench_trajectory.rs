@@ -8,7 +8,10 @@
 //! sequential speedup and the CPU count, so multicore runners report
 //! parallel headroom honestly), an `ingest` section (the sharded
 //! host-agent per-worker-count scaling curve vs the single-threaded
-//! reference — see `ingest_scale`), `dpswitch`/`reconstruct`
+//! reference — see `ingest_scale`), a `memory` section (trajectory-memory
+//! `evict_flow` ns/FIN and `update_wire` ns/packet at 1 k / 8 k / 64 k
+//! live records — see `memory_scale`; `bench_gate` holds the 64 k / 1 k
+//! FIN ratio under a fixed ceiling), `dpswitch`/`reconstruct`
 //! before-vs-after sections, a `standing` section (per-record overhead
 //! of the incremental standing-query engine at 0/4/16 registered
 //! watches — trend-watching only, see `standing_scale`), a `tib_scale`
@@ -25,6 +28,7 @@
 //! [-- --out PATH]` (default `BENCH_tib.json` in the working directory).
 
 use pathdump_bench::ingest_scale::{build_stream, run_ingest, IngestParams, IngestResult};
+use pathdump_bench::memory_scale::{evict_ratio, run_memory_curve};
 use pathdump_bench::report::{
     baseline_of, json_escape, median_of, run_cargo_bench, strip_path_min_speedup, Entry,
     DPSWITCH_BASELINE_NS, RECONSTRUCT_BASELINE_NS,
@@ -158,10 +162,14 @@ fn ingest_section(runs: usize) -> String {
             r.events_per_sec / reference.max(1e-9)
         );
     }
-    let note = "workers=0 is the single-threaded HostAgent reference; on a \
-                1-cpu box any speedup in the curve comes from smaller \
-                per-shard memories and batched replay, not parallelism, so \
-                bench_gate skips the ingest gate there.";
+    let note = "workers=0 is the single-threaded HostAgent reference and \
+                workers=1 runs the same shard body inline on the calling \
+                thread, so the two should agree; workers>=2 pay a partition \
+                pass plus a scoped-thread spawn and join per window, which \
+                only parallel cores can buy back (a FIN costs the same \
+                whatever the shard holds, so smaller shards no longer help); \
+                read the curve against cpus, and bench_gate gates it only \
+                when cpus > 1.";
     let rows: Vec<String> = results
         .iter()
         .map(|r| {
@@ -182,6 +190,33 @@ fn ingest_section(runs: usize) -> String {
         p.pkts_per_flow,
         p.window,
         json_escape(note),
+        rows.join(",\n")
+    )
+}
+
+/// The `memory` section: what a FIN and a hit-path packet cost the
+/// trajectory memory as its live-record count grows (see `memory_scale`).
+fn memory_section(runs: usize) -> String {
+    let cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let curve = run_memory_curve(runs);
+    let rows: Vec<String> = curve
+        .iter()
+        .map(|r| {
+            eprintln!(
+                "memory {} live: evict_flow {:.0} ns/FIN, update_wire {:.1} ns/pkt",
+                r.live_records, r.evict_flow_ns_per_fin, r.update_wire_ns_per_pkt
+            );
+            format!(
+                "    {{\"live_records\": {}, \"evict_flow_ns_per_fin\": {:.1}, \"update_wire_ns_per_pkt\": {:.1}}}",
+                r.live_records, r.evict_flow_ns_per_fin, r.update_wire_ns_per_pkt
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"cpus\": {cpus},\n  \"evict_flow_64k_over_1k\": {:.3},\n  \"cases\": [\n{}\n    ]\n  }}",
+        evict_ratio(&curve),
         rows.join(",\n")
     )
 }
@@ -402,6 +437,9 @@ fn main() {
     eprintln!("running host-agent ingest scaling curve...");
     let ingest = ingest_section(3);
 
+    eprintln!("running trajectory-memory FIN/update curve...");
+    let memory = memory_section(5);
+
     eprintln!("running static verifier timing (k=16 + VL2)...");
     let verifier = verifier_section();
 
@@ -430,6 +468,8 @@ fn main() {
     json.push_str(&simnet);
     json.push_str(",\n  \"ingest\": ");
     json.push_str(&ingest);
+    json.push_str(",\n  \"memory\": ");
+    json.push_str(&memory);
     json.push_str(",\n  \"standing\": ");
     json.push_str(&standing);
     json.push_str(",\n  \"tib_scale\": ");

@@ -11,11 +11,13 @@
 //! coarse bit-identity smoke; the fine-grained pin lives in
 //! `crates/core/tests/sharded_equivalence.rs`.
 //!
-//! On a 1-CPU box the per-worker curve cannot measure parallelism: any
-//! speedup it shows comes from smaller per-shard memories (better cache
-//! locality per probe) and the batched event replay, minus thread
-//! spawn/join overhead. The recorded `cpus` field lets readers and the
-//! gate interpret the curve; `bench_gate` only gates it when `cpus > 1`.
+//! `workers = 1` runs the shard body inline on the calling thread, so it
+//! should match the `workers = 0` reference. `workers >= 2` add a
+//! partition pass and a scoped-thread spawn + join per window, which only
+//! parallel cores can buy back: a FIN costs the same whatever a shard
+//! holds, so smaller shards by themselves gain nothing. The recorded
+//! `cpus` field lets readers and the gate interpret the curve;
+//! `bench_gate` only gates it when `cpus > 1`.
 
 use pathdump_cherrypick::{FatTreeCherryPick, FatTreeReconstructor};
 use pathdump_core::{AgentConfig, Fabric, HostAgent, ShardedAgent};

@@ -11,6 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 pub mod ingest_scale;
+pub mod memory_scale;
 pub mod report;
 pub mod simnet_scale;
 pub mod standing_scale;

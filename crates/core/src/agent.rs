@@ -22,7 +22,7 @@ use pathdump_cherrypick::{
 };
 use pathdump_simnet::{Packet, TcpFlags};
 use pathdump_tib::{MemKey, PendingRecord, Tib, TibRead, TibRecord, TieredTib, TrajectoryMemory};
-use pathdump_topology::{HostId, LinkPattern, Nanos, Path, SwitchId, Topology};
+use pathdump_topology::{FlowId, HostId, LinkPattern, Nanos, Path, SwitchId, Topology};
 use pathdump_verifier::IntentModel;
 use std::sync::Arc;
 
@@ -345,8 +345,8 @@ impl HostAgent {
 
         // Real-time invariant checks on first sight of a (flow, path) pair.
         if is_new_path && !self.invariants.is_empty() {
-            let key = self.scratch.clone(); // cold path: once per flow-path
-            self.on_new_path(fabric, &key, now);
+            let h = &pkt.headers;
+            self.on_new_path(fabric, &pkt.flow, h.dscp_sample(), &h.tags, now);
         }
 
         if pkt.flags.contains(TcpFlags::FIN) || pkt.flags.contains(TcpFlags::RST) {
@@ -371,15 +371,21 @@ impl HostAgent {
     /// real-time half of §2.3). Shared verbatim between the inline
     /// per-packet path above and the sharded agent's ordered replay, so
     /// both produce the same alarms from the same construct sequence.
-    pub(crate) fn on_new_path(&mut self, fabric: &Fabric, key: &MemKey, now: Nanos) {
-        let flow = key.flow;
+    pub(crate) fn on_new_path(
+        &mut self,
+        fabric: &Fabric,
+        flow: &FlowId,
+        dscp_sample: Option<u8>,
+        tags: &[u16],
+        now: Nanos,
+    ) {
         let topo = fabric.topology();
-        match self.construct(fabric, key) {
+        match self.construct(fabric, flow, dscp_sample, tags) {
             Ok(path) => {
                 let violations: Vec<&Invariant> = self
                     .invariants
                     .iter()
-                    .filter(|inv| inv.violated(topo, &flow, &path))
+                    .filter(|inv| inv.violated(topo, flow, &path))
                     .collect();
                 if !violations.is_empty() {
                     // When an intent-derived invariant fired, attach the
@@ -387,7 +393,7 @@ impl HostAgent {
                     // the alarm shows where the trajectory diverged.
                     let nearest = violations.iter().find_map(|inv| {
                         let im = inv.intent.as_ref()?;
-                        let (st, dt) = Invariant::endpoint_tors(topo, &flow)?;
+                        let (st, dt) = Invariant::endpoint_tors(topo, flow)?;
                         im.nearest_intended(st, dt, &path)
                     });
                     let mut paths = vec![path];
@@ -397,7 +403,7 @@ impl HostAgent {
                         }
                     }
                     self.raise(Alarm {
-                        flow,
+                        flow: *flow,
                         reason: Reason::PcFail,
                         paths,
                         host: self.host,
@@ -405,7 +411,7 @@ impl HostAgent {
                     });
                 }
             }
-            Err(_) => self.note_infeasible(flow, now),
+            Err(_) => self.note_infeasible(*flow, now),
         }
     }
 
@@ -421,19 +427,14 @@ impl HostAgent {
         batch: Vec<PendingRecord>,
         now: Nanos,
     ) {
-        for rec in batch {
+        for rec in &batch {
             self.finalize(fabric, rec, now);
         }
     }
 
     /// Trajectory construction for one evicted record (Figure 2).
-    fn finalize(&mut self, fabric: &Fabric, rec: PendingRecord, now: Nanos) {
-        let key = MemKey {
-            flow: rec.flow,
-            dscp_sample: rec.dscp_sample,
-            tags: rec.tags.clone(),
-        };
-        match self.construct(fabric, &key) {
+    fn finalize(&mut self, fabric: &Fabric, rec: &PendingRecord, now: Nanos) {
+        match self.construct(fabric, &rec.flow, rec.dscp_sample, &rec.tags) {
             Ok(path) => {
                 let record = TibRecord {
                     flow: rec.flow,
@@ -468,24 +469,30 @@ impl HostAgent {
     /// shapes where the case analysis is cheaper than any memo probe.
     /// Cache probes reuse a scratch key; paths are cloned only to return
     /// an owned record.
-    fn construct(&mut self, fabric: &Fabric, key: &MemKey) -> Result<Path, ReconstructError> {
+    fn construct(
+        &mut self,
+        fabric: &Fabric,
+        flow: &FlowId,
+        dscp_sample: Option<u8>,
+        tags: &[u16],
+    ) -> Result<Path, ReconstructError> {
         let topo = fabric.topology();
         let src = topo
-            .host_by_ip(key.flow.src_ip)
+            .host_by_ip(flow.src_ip)
             .ok_or(ReconstructError::Inconsistent("unknown source IP"))?;
-        self.cache_scratch.src_ip = key.flow.src_ip;
-        self.cache_scratch.dscp_sample = key.dscp_sample;
+        self.cache_scratch.src_ip = flow.src_ip;
+        self.cache_scratch.dscp_sample = dscp_sample;
         self.cache_scratch.tags.clear();
-        self.cache_scratch.tags.extend_from_slice(&key.tags);
+        self.cache_scratch.tags.extend_from_slice(tags);
         if let Some(p) = self.cache.probe(&self.cache_scratch) {
             return Ok(p.clone());
         }
-        let path = if fabric.decode_uses_search(key.dscp_sample, &key.tags) {
+        let path = if fabric.decode_uses_search(dscp_sample, tags) {
             fabric
-                .reconstruct_memo(&mut self.memo, src, self.host, key.dscp_sample, &key.tags)?
+                .reconstruct_memo(&mut self.memo, src, self.host, dscp_sample, tags)?
                 .clone()
         } else {
-            fabric.reconstruct(src, self.host, key.dscp_sample, &key.tags)?
+            fabric.reconstruct(src, self.host, dscp_sample, tags)?
         };
         self.cache.insert(self.cache_scratch.clone(), path.clone());
         Ok(path)
@@ -525,27 +532,23 @@ impl HostAgent {
     /// insertion-order-sensitive queries on it) is deterministic — the
     /// sharded agent's merged live view lines up with this bit-for-bit.
     fn live_tib(&mut self, fabric: &Fabric) -> Tib {
-        let keys: Vec<(PendingRecord, MemKey)> = self
+        let live = self
             .memory
             .live_keys()
-            .filter_map(|k| self.memory.snapshot(&k).map(|s| (s, k)))
+            .filter_map(|k| self.memory.snapshot(&k))
             .collect();
-        self.live_tib_from(fabric, keys)
+        self.live_tib_from(fabric, live)
     }
 
     /// Sorts live-record snapshots into canonical order and constructs a
     /// transient TIB from them. The sharded agent feeds the union of its
     /// shards' snapshots through the same path, so both live views insert
     /// the same records in the same order.
-    pub(crate) fn live_tib_from(
-        &mut self,
-        fabric: &Fabric,
-        mut keys: Vec<(PendingRecord, MemKey)>,
-    ) -> Tib {
-        keys.sort_unstable_by(|a, b| pathdump_tib::canonical_order(&a.0, &b.0));
+    pub(crate) fn live_tib_from(&mut self, fabric: &Fabric, mut live: Vec<PendingRecord>) -> Tib {
+        live.sort_unstable_by(pathdump_tib::canonical_order);
         let mut tib = Tib::new();
-        for (snap, key) in keys {
-            if let Ok(path) = self.construct(fabric, &key) {
+        for snap in live {
+            if let Ok(path) = self.construct(fabric, &snap.flow, snap.dscp_sample, &snap.tags) {
                 tib.insert(TibRecord {
                     flow: snap.flow,
                     path,

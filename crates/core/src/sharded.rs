@@ -66,6 +66,42 @@ impl Event {
     }
 }
 
+/// The body of one ingest worker: runs the packets at `idxs` (arrival
+/// indices into `pkts`, ascending) through `shard` and returns what the
+/// ordered replay needs, in arrival order.
+fn ingest_shard(
+    shard: &mut TrajectoryMemory,
+    pkts: &[(Packet, Nanos)],
+    idxs: impl Iterator<Item = u32>,
+) -> Vec<Event> {
+    let mut out: Vec<Event> = Vec::new();
+    let mut scratch = MemKey {
+        flow: pkts[0].0.flow,
+        dscp_sample: None,
+        tags: Vec::with_capacity(4),
+    };
+    for i in idxs {
+        let (pkt, now) = &pkts[i as usize];
+        scratch.flow = pkt.flow;
+        scratch.dscp_sample = pkt.headers.dscp_sample();
+        scratch.tags.clear();
+        scratch.tags.extend_from_slice(&pkt.headers.tags);
+        if shard.update_borrowed(&scratch, pkt.wire_size(), *now) {
+            out.push(Event::FirstSight {
+                idx: i,
+                key: scratch.clone(),
+            });
+        }
+        if pkt.flags.contains(TcpFlags::FIN) || pkt.flags.contains(TcpFlags::RST) {
+            let batch = shard.evict_flow(&pkt.flow, *now);
+            if !batch.is_empty() {
+                out.push(Event::Evicted { idx: i, batch });
+            }
+        }
+    }
+    out
+}
+
 /// A [`HostAgent`] whose trajectory memory is split into per-worker
 /// shards, ingesting packet windows on scoped threads. Construction,
 /// queries, alarms and the TIB keep the exact single-threaded behavior
@@ -178,67 +214,44 @@ impl ShardedAgent {
     }
 
     /// Ingests one window of arriving packets, sharded across worker
-    /// threads, then replays the workers' events in arrival order (see
-    /// module docs). Equivalent to calling [`HostAgent::on_packet`] on
-    /// each `(packet, now)` in sequence.
+    /// threads (a single shard runs on the calling thread), then replays
+    /// the workers' events in arrival order (see module docs). Equivalent
+    /// to calling [`HostAgent::on_packet`] on each `(packet, now)` in
+    /// sequence.
     pub fn ingest(&mut self, fabric: &Fabric, pkts: &[(Packet, Nanos)]) {
         if pkts.is_empty() {
             return;
         }
         self.inner.packets_seen += pkts.len() as u64;
 
-        // Partition arrival indices by flow hash.
-        let nshards = self.shards.len();
-        let mut work: Vec<Vec<u32>> = vec![Vec::new(); nshards];
-        for (i, (pkt, _)) in pkts.iter().enumerate() {
-            work[shard_of(&pkt.flow, nshards)].push(i as u32);
-        }
-
-        // Phase 1: per-shard ingest on scoped threads. Each worker owns
-        // one shard exclusively and only reads the packet window.
-        let mut events: Vec<Event> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(work.iter())
-                .map(|(shard, idxs)| {
-                    s.spawn(move || {
-                        let mut out: Vec<Event> = Vec::new();
-                        let mut scratch = MemKey {
-                            flow: pkts[0].0.flow,
-                            dscp_sample: None,
-                            tags: Vec::with_capacity(4),
-                        };
-                        for &i in idxs {
-                            let (pkt, now) = &pkts[i as usize];
-                            scratch.flow = pkt.flow;
-                            scratch.dscp_sample = pkt.headers.dscp_sample();
-                            scratch.tags.clear();
-                            scratch.tags.extend_from_slice(&pkt.headers.tags);
-                            if shard.update_borrowed(&scratch, pkt.wire_size(), *now) {
-                                out.push(Event::FirstSight {
-                                    idx: i,
-                                    key: scratch.clone(),
-                                });
-                            }
-                            if pkt.flags.contains(TcpFlags::FIN)
-                                || pkt.flags.contains(TcpFlags::RST)
-                            {
-                                let batch = shard.evict_flow(&pkt.flow, *now);
-                                if !batch.is_empty() {
-                                    out.push(Event::Evicted { idx: i, batch });
-                                }
-                            }
-                        }
-                        out
+        // Phase 1: per-shard ingest. Each worker owns one shard exclusively
+        // and only reads the packet window. A lone shard takes the whole
+        // window on the calling thread: there is nothing to partition and
+        // a spawn + join per window costs more than it could overlap.
+        let mut events: Vec<Event> = if let [shard] = self.shards.as_mut_slice() {
+            ingest_shard(shard, pkts, 0..pkts.len() as u32)
+        } else {
+            // Partition arrival indices by flow hash.
+            let nshards = self.shards.len();
+            let mut work: Vec<Vec<u32>> = vec![Vec::new(); nshards];
+            for (i, (pkt, _)) in pkts.iter().enumerate() {
+                work[shard_of(&pkt.flow, nshards)].push(i as u32);
+            }
+            std::thread::scope(|s| {
+                let handles: Vec<_> = self
+                    .shards
+                    .iter_mut()
+                    .zip(work.iter())
+                    .map(|(shard, idxs)| {
+                        s.spawn(move || ingest_shard(shard, pkts, idxs.iter().copied()))
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("ingest worker panicked"))
-                .collect()
-        });
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("ingest worker panicked"))
+                    .collect()
+            })
+        };
 
         // Phase 2: ordered replay through the single-writer merge half.
         // (idx, phase) keys are unique: a packet lives on one shard.
@@ -249,7 +262,8 @@ impl ShardedAgent {
                 Event::FirstSight { idx, key } => {
                     if check {
                         let now = pkts[idx as usize].1;
-                        self.inner.on_new_path(fabric, &key, now);
+                        self.inner
+                            .on_new_path(fabric, &key.flow, key.dscp_sample, &key.tags, now);
                     }
                 }
                 Event::Evicted { idx, batch } => {
@@ -287,16 +301,12 @@ impl ShardedAgent {
     pub fn execute(&mut self, fabric: &Fabric, q: &Query, include_live: bool) -> Response {
         let mut resp = execute_on_tib(&self.inner.tib, q);
         if include_live {
-            let keys: Vec<(PendingRecord, MemKey)> = self
+            let snaps = self
                 .shards
                 .iter()
-                .flat_map(|m| {
-                    m.live_keys()
-                        .filter_map(|k| m.snapshot(&k).map(|s| (s, k)))
-                        .collect::<Vec<_>>()
-                })
+                .flat_map(|m| m.live_keys().filter_map(|k| m.snapshot(&k)))
                 .collect();
-            let live = self.inner.live_tib_from(fabric, keys);
+            let live = self.inner.live_tib_from(fabric, snaps);
             resp.merge(execute_on_tib(&live, q));
         }
         resp

@@ -9,19 +9,30 @@
 //!
 //! # Internal representation
 //!
+//! The map is keyed by **flow**, and an entry holds that flow's per-path
+//! records: a single path sits inline in the entry; a flow that sprays
+//! over several paths moves them to a `Vec` allocated when its second
+//! path shows up. One map, no side index — so a FIN is one `remove` plus
+//! a sort of that flow's few records instead of a walk over every live
+//! record, and a single-path flow's entry is no larger than a flat
+//! per-record entry was.
+//!
 //! The public key type, [`MemKey`], carries its tag stack in a `Vec<u16>`
-//! — convenient at the edges, but poison on the per-packet path: hashing
-//! and comparing a stored key then chases a heap pointer per probe (a
-//! cache miss that profiling shows dominates the whole PathDump datapath
-//! overhead). Internally the map therefore stores a `StoreKey` that
-//! inlines up to [`INLINE_TAGS`] tags into the entry itself and hashes by
-//! packing the entire key into a handful of `u64` words (one FNV mix per
-//! word instead of one per field). Keys with deeper stacks — beyond
-//! anything the bounded parser emits — spill the remainder to a boxed
-//! slice. A resident probe scratch makes `update`/`update_borrowed`
+//! — convenient at the edges, but poison on the per-packet path: comparing
+//! a stored key would chase a heap pointer per probe (a cache miss that
+//! profiling shows dominates the whole PathDump datapath overhead). A
+//! stored path therefore keeps up to [`INLINE_TAGS`] tags next to its
+//! counters; only deeper stacks — beyond anything the bounded parser
+//! emits — live in a boxed slice. The per-packet hit path hashes the flow
+//! as two packed `u64` words (one FNV mix per word instead of one per
+//! field), then compares `(dscp_sample, tags)` against the entry's paths
+//! in place. A resident probe scratch makes `update`/`update_borrowed`
 //! allocation-free on the hit path; [`TrajectoryMemory::update_wire`]
 //! goes one step further and builds the probe straight from the parse
 //! products, with the 0/1-tag shapes specialized.
+//!
+//! `evict_idle` and `flush` still visit every flow; they run at tick
+//! rate, not per packet.
 //!
 //! # Eviction order
 //!
@@ -33,7 +44,7 @@
 //! map would have produced.
 
 use crate::record::PendingRecord;
-use pathdump_topology::{FlowId, Ip, Nanos, Protocol, SECONDS};
+use pathdump_topology::{FlowId, Nanos, Protocol, SECONDS};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -54,164 +65,151 @@ pub struct MemKey {
     pub tags: Vec<u16>,
 }
 
-/// Tags stored inline in a [`StoreKey`] before spilling to the heap.
-/// Double the parser's `MAX_TAGS`, so wire-parsed keys never spill.
+/// Tags a stored path keeps inline before moving to the heap. Double the
+/// parser's `MAX_TAGS`, so wire-parsed keys never allocate.
 const INLINE_TAGS: usize = 8;
 
-/// Internal storage key: a [`MemKey`] with the tag stack flattened into
-/// the entry. Invariants:
-///
-/// - inline slots at index `>= tag_len` are zero (so the derived `Eq`
-///   over the whole array agrees with logical tag equality);
-/// - `spill` is empty unless `tag_len > INLINE_TAGS`.
-#[derive(Clone, Debug)]
-struct StoreKey {
-    flow: FlowId,
-    dscp_sample: Option<u8>,
-    tag_len: u32,
-    tags: [u16; INLINE_TAGS],
-    spill: Box<[u16]>,
-}
+/// Map key: the flow, hashed as two packed words.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct FlowKey(FlowId);
 
-impl PartialEq for StoreKey {
-    /// Equality is written by hand so the per-packet probe compiles to
-    /// straight-line compares: the spill slice (a `bcmp` call in the
-    /// derived impl, a serializing stall in the middle of the hashbrown
-    /// probe loop) is only consulted for tag stacks deep enough to have
-    /// one. Unused inline slots are zero on both sides (invariant above),
-    /// so the whole-array compare is exact.
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.flow == other.flow
-            && self.dscp_sample == other.dscp_sample
-            && self.tag_len == other.tag_len
-            && self.tags == other.tags
-            && (self.tag_len as usize <= INLINE_TAGS || self.spill == other.spill)
-    }
-}
-
-impl Eq for StoreKey {}
-
-impl StoreKey {
-    fn empty() -> Self {
-        StoreKey {
-            flow: FlowId::tcp(Ip(0), 0, Ip(0), 0),
-            dscp_sample: None,
-            tag_len: 0,
-            tags: [0; INLINE_TAGS],
-            spill: Box::default(),
-        }
-    }
-
-    /// Loads `key` into this scratch without allocating (unless the tag
-    /// stack spills past the inline capacity).
-    fn assign(&mut self, key: &MemKey) {
-        self.flow = key.flow;
-        self.dscp_sample = key.dscp_sample;
-        self.set_tags(key.tags.iter().copied());
-    }
-
-    /// Fills the tag slots from an iterator already in push order.
-    fn set_tags(&mut self, tags: impl ExactSizeIterator<Item = u16>) {
-        let n = tags.len();
-        self.tag_len = n as u32;
-        self.tags = [0; INLINE_TAGS];
-        let mut it = tags;
-        for slot in self.tags.iter_mut().take(n) {
-            *slot = it.next().unwrap_or(0);
-        }
-        if n > INLINE_TAGS {
-            self.spill = it.collect();
-        } else if !self.spill.is_empty() {
-            self.spill = Box::default();
-        }
-    }
-
-    fn from_mem_key(key: &MemKey) -> Self {
-        let mut s = StoreKey::empty();
-        s.assign(key);
-        s
-    }
-
-    /// Reassembles the logical tag stack (push order).
-    fn tags_vec(&self) -> Vec<u16> {
-        let n = self.tag_len as usize;
-        let used = n.min(INLINE_TAGS);
-        let mut v = Vec::with_capacity(n);
-        v.extend_from_slice(&self.tags[..used]);
-        v.extend_from_slice(&self.spill);
-        v
-    }
-
-    fn to_mem_key(&self) -> MemKey {
-        MemKey {
-            flow: self.flow,
-            dscp_sample: self.dscp_sample,
-            tags: self.tags_vec(),
-        }
-    }
-}
-
-impl Hash for StoreKey {
+impl Hash for FlowKey {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let f = &self.flow;
+        let f = &self.0;
         state.write_u64(((f.src_ip.0 as u64) << 32) | f.dst_ip.0 as u64);
-        // Pack ports, protocol (discriminant-tagged: `Tcp` and `Other(6)`
-        // are distinct keys), DSCP sample presence+value and the tag
-        // count into one word.
+        // Discriminant-tagged: `Tcp` and `Other(6)` are distinct flows.
         let proto = match f.proto {
             Protocol::Tcp => 0u64,
             Protocol::Udp => 1,
             Protocol::Other(n) => 0x100 | n as u64,
         };
-        let dscp = match self.dscp_sample {
-            None => 0x100u64,
-            Some(v) => v as u64,
-        };
-        state.write_u64(
-            ((f.src_port as u64) << 48)
-                | ((f.dst_port as u64) << 32)
-                | (proto << 20)
-                | (dscp << 8)
-                | (self.tag_len as u64 & 0xFF),
-        );
-        let used = (self.tag_len as usize).min(INLINE_TAGS);
-        for chunk in self.tags[..used].chunks(4) {
-            let mut w = 0u64;
-            for &t in chunk {
-                w = (w << 16) | t as u64;
-            }
-            state.write_u64(w);
+        state.write_u64(((f.src_port as u64) << 48) | ((f.dst_port as u64) << 32) | proto);
+    }
+}
+
+/// A tag stack in push order. `Inline` slots at index `>= len` are zero,
+/// so the derived whole-array compare agrees with logical equality and the
+/// per-packet probe is straight-line compares (the slice compare of
+/// `Deep`, a `bcmp` call, is only reached by stacks that deep).
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Tags {
+    Inline { len: u8, tags: [u16; INLINE_TAGS] },
+    Deep(Box<[u16]>),
+}
+
+impl Tags {
+    const EMPTY: Tags = Tags::Inline {
+        len: 0,
+        tags: [0; INLINE_TAGS],
+    };
+
+    /// Collects an iterator already in push order.
+    fn collect(mut it: impl ExactSizeIterator<Item = u16>) -> Self {
+        let len = it.len();
+        if len > INLINE_TAGS {
+            return Tags::Deep(it.collect());
         }
-        for chunk in self.spill.chunks(4) {
-            let mut w = 0u64;
-            for &t in chunk {
-                w = (w << 16) | t as u64;
-            }
-            state.write_u64(w);
+        let mut tags = [0; INLINE_TAGS];
+        for slot in tags.iter_mut().take(len) {
+            *slot = it.next().unwrap_or(0);
+        }
+        let len = len as u8;
+        Tags::Inline { len, tags }
+    }
+
+    fn as_slice(&self) -> &[u16] {
+        match self {
+            Tags::Inline { len, tags } => &tags[..*len as usize],
+            Tags::Deep(tags) => tags,
         }
     }
 }
 
+/// What tells the paths of one flow apart: the `(dscp_sample, tags)` half
+/// of a [`MemKey`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct PathTags {
+    dscp_sample: Option<u8>,
+    tags: Tags,
+}
+
+impl PathTags {
+    fn of(key: &MemKey) -> Self {
+        PathTags {
+            dscp_sample: key.dscp_sample,
+            tags: Tags::collect(key.tags.iter().copied()),
+        }
+    }
+}
+
+/// One live per-path flow record.
 #[derive(Clone, Debug)]
-struct MemValue {
+struct PathRecord {
+    path: PathTags,
     stime: Nanos,
     etime: Nanos,
     bytes: u64,
     pkts: u64,
 }
 
-/// Builds the exported record for an evicted (key, value) pair.
-fn pending(k: &StoreKey, v: &MemValue, closed: bool) -> PendingRecord {
+/// `approx_bytes` charge for a record's counters (two times, two counts).
+const COUNTER_BYTES: usize = 2 * std::mem::size_of::<Nanos>() + 2 * std::mem::size_of::<u64>();
+
+impl PathRecord {
+    fn new(path: PathTags, bytes: u32, now: Nanos) -> Self {
+        PathRecord {
+            path,
+            stime: now,
+            etime: now,
+            bytes: bytes as u64,
+            pkts: 1,
+        }
+    }
+}
+
+/// The live records of one flow: never empty, in no particular order.
+#[derive(Clone, Debug)]
+enum FlowPaths {
+    One(PathRecord),
+    Many(Vec<PathRecord>),
+}
+
+impl FlowPaths {
+    fn records(&self) -> &[PathRecord] {
+        match self {
+            FlowPaths::One(r) => std::slice::from_ref(r),
+            FlowPaths::Many(v) => v,
+        }
+    }
+
+    #[inline(always)]
+    fn find_mut(&mut self, path: &PathTags) -> Option<&mut PathRecord> {
+        match self {
+            FlowPaths::One(r) => (r.path == *path).then_some(r),
+            FlowPaths::Many(v) => v.iter_mut().find(|r| r.path == *path),
+        }
+    }
+
+    /// Adds a path the flow was not seen on before.
+    fn push(&mut self, r: PathRecord) {
+        match self {
+            FlowPaths::One(first) => *self = FlowPaths::Many(vec![first.clone(), r]),
+            FlowPaths::Many(v) => v.push(r),
+        }
+    }
+}
+
+/// Builds the exported record for an evicted path of `flow`.
+fn pending(flow: &FlowId, r: &PathRecord, closed: bool) -> PendingRecord {
     PendingRecord {
-        flow: k.flow,
-        dscp_sample: k.dscp_sample,
-        tags: k.tags_vec(),
-        stime: v.stime,
-        etime: v.etime,
-        bytes: v.bytes,
-        pkts: v.pkts,
+        flow: *flow,
+        dscp_sample: r.path.dscp_sample,
+        tags: r.path.tags.as_slice().to_vec(),
+        stime: r.stime,
+        etime: r.etime,
+        bytes: r.bytes,
+        pkts: r.pkts,
         closed,
     }
 }
@@ -228,12 +226,13 @@ pub fn canonical_order(a: &PendingRecord, b: &PendingRecord) -> Ordering {
 /// The active per-path flow records of one edge device.
 #[derive(Clone, Debug)]
 pub struct TrajectoryMemory {
-    records: HashMap<StoreKey, MemValue, FnvBuild>,
-    /// Resident probe key, so lookups never build a key on the heap.
-    probe: StoreKey,
+    flows: HashMap<FlowKey, FlowPaths, FnvBuild>,
+    /// Live records across all flows (`flows.len()` counts flows).
+    live: usize,
+    /// Resident probe, so lookups never build a tag stack on the heap.
+    probe: PathTags,
     idle_timeout: Nanos,
     updates: u64,
-    lookups: u64,
 }
 
 impl Default for TrajectoryMemory {
@@ -247,18 +246,20 @@ impl TrajectoryMemory {
     /// (the paper uses 5 seconds).
     pub fn new(idle_timeout: Nanos) -> Self {
         TrajectoryMemory {
-            records: HashMap::default(),
-            probe: StoreKey::empty(),
+            flows: HashMap::default(),
+            live: 0,
+            probe: PathTags {
+                dscp_sample: None,
+                tags: Tags::EMPTY,
+            },
             idle_timeout,
             updates: 0,
-            lookups: 0,
         }
     }
 
     /// Records one packet: creates or updates the per-path flow record.
     pub fn update(&mut self, key: MemKey, bytes: u32, now: Nanos) {
-        self.probe.assign(&key);
-        self.touch_probe(bytes, now);
+        self.update_borrowed(&key, bytes, now);
     }
 
     /// Allocation-free probe-and-update for the edge fast paths (datapath
@@ -269,8 +270,8 @@ impl TrajectoryMemory {
     /// pair — the signal the agent's real-time invariant checks key on.
     #[inline]
     pub fn update_borrowed(&mut self, key: &MemKey, bytes: u32, now: Nanos) -> bool {
-        self.probe.assign(key);
-        self.touch_probe(bytes, now)
+        self.probe = PathTags::of(key);
+        self.touch_probe(&key.flow, bytes, now)
     }
 
     /// Hot-path update taking the parse products directly: the tag stack
@@ -288,37 +289,21 @@ impl TrajectoryMemory {
         bytes: u32,
         now: Nanos,
     ) -> bool {
-        self.probe.flow = *flow;
         self.probe.dscp_sample = dscp_sample;
-        let n = tags_outermost_first.len();
-        if n <= INLINE_TAGS {
-            self.probe.tag_len = n as u32;
-            self.probe.tags = [0; INLINE_TAGS];
-            match tags_outermost_first {
-                [] => {}
-                [t] => self.probe.tags[0] = *t,
-                _ => {
-                    for (slot, &t) in self
-                        .probe
-                        .tags
-                        .iter_mut()
-                        .zip(tags_outermost_first.iter().rev())
-                    {
-                        *slot = t;
-                    }
-                }
+        self.probe.tags = match tags_outermost_first {
+            [] => Tags::EMPTY,
+            [t] => {
+                let mut tags = [0; INLINE_TAGS];
+                tags[0] = *t;
+                Tags::Inline { len: 1, tags }
             }
-            if !self.probe.spill.is_empty() {
-                self.probe.spill = Box::default();
-            }
-        } else {
-            self.probe
-                .set_tags(tags_outermost_first.iter().rev().copied());
-        }
-        self.touch_probe(bytes, now)
+            _ => Tags::collect(tags_outermost_first.iter().rev().copied()),
+        };
+        self.touch_probe(flow, bytes, now)
     }
 
-    /// Probes with the resident scratch key and creates/bumps the record.
+    /// Finds `flow`'s entry, then the probe's path within it, and
+    /// creates/bumps the record.
     ///
     /// Force-inlined: when this lookup stays a standalone function the
     /// out-of-order window can't overlap the table loads of consecutive
@@ -326,40 +311,41 @@ impl TrajectoryMemory {
     /// on the bench box). Flattened into the caller's per-packet loop the
     /// misses pipeline.
     #[inline(always)]
-    fn touch_probe(&mut self, bytes: u32, now: Nanos) -> bool {
+    fn touch_probe(&mut self, flow: &FlowId, bytes: u32, now: Nanos) -> bool {
         self.updates += 1;
-        self.lookups += 1;
-        if let Some(v) = self.records.get_mut(&self.probe) {
-            v.etime = now;
-            v.bytes += bytes as u64;
-            v.pkts += 1;
-            false
-        } else {
-            self.records.insert(
-                self.probe.clone(),
-                MemValue {
-                    stime: now,
-                    etime: now,
-                    bytes: bytes as u64,
-                    pkts: 1,
-                },
-            );
-            true
+        match self.flows.get_mut(&FlowKey(*flow)) {
+            Some(paths) => {
+                if let Some(r) = paths.find_mut(&self.probe) {
+                    r.etime = now;
+                    r.bytes += bytes as u64;
+                    r.pkts += 1;
+                    return false;
+                }
+                paths.push(PathRecord::new(self.probe.clone(), bytes, now));
+            }
+            None => {
+                self.flows.insert(
+                    FlowKey(*flow),
+                    FlowPaths::One(PathRecord::new(self.probe.clone(), bytes, now)),
+                );
+            }
         }
+        self.live += 1;
+        true
     }
 
     /// Evicts every record of `flow` (FIN or RST observed), in
-    /// [`canonical_order`].
+    /// [`canonical_order`]: one map removal, whatever else is live.
     pub fn evict_flow(&mut self, flow: &FlowId, _now: Nanos) -> Vec<PendingRecord> {
-        let mut out = Vec::new();
-        self.records.retain(|k, v| {
-            if k.flow == *flow {
-                out.push(pending(k, v, true));
-                false
-            } else {
-                true
-            }
-        });
+        let Some(paths) = self.flows.remove(&FlowKey(*flow)) else {
+            return Vec::new();
+        };
+        let mut out: Vec<PendingRecord> = paths
+            .records()
+            .iter()
+            .map(|r| pending(flow, r, true))
+            .collect();
+        self.live -= out.len();
         out.sort_unstable_by(canonical_order);
         out
     }
@@ -368,14 +354,22 @@ impl TrajectoryMemory {
     pub fn evict_idle(&mut self, now: Nanos) -> Vec<PendingRecord> {
         let cutoff = now.saturating_sub(self.idle_timeout);
         let mut out = Vec::new();
-        self.records.retain(|k, v| {
-            if v.etime <= cutoff {
-                out.push(pending(k, v, false));
-                false
-            } else {
-                true
+        self.flows.retain(|k, paths| {
+            let mut keep = |r: &PathRecord| {
+                if r.etime <= cutoff {
+                    out.push(pending(&k.0, r, false));
+                }
+                r.etime > cutoff
+            };
+            match paths {
+                FlowPaths::One(r) => keep(r),
+                FlowPaths::Many(v) => {
+                    v.retain(&mut keep);
+                    !v.is_empty()
+                }
             }
         });
+        self.live -= out.len();
         out.sort_unstable_by(canonical_order);
         out
     }
@@ -383,23 +377,23 @@ impl TrajectoryMemory {
     /// Evicts everything (end of run / shutdown flush), in
     /// [`canonical_order`].
     pub fn flush(&mut self, _now: Nanos) -> Vec<PendingRecord> {
-        let mut out: Vec<PendingRecord> = self
-            .records
-            .drain()
-            .map(|(k, v)| pending(&k, &v, false))
-            .collect();
+        let mut out = Vec::with_capacity(self.live);
+        for (k, paths) in self.flows.drain() {
+            out.extend(paths.records().iter().map(|r| pending(&k.0, r, false)));
+        }
+        self.live = 0;
         out.sort_unstable_by(canonical_order);
         out
     }
 
     /// Live records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.live
     }
 
     /// Returns true when no records are active.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.live == 0
     }
 
     /// Total updates performed (the lookups/updates rate of §5.3).
@@ -411,21 +405,27 @@ impl TrajectoryMemory {
     /// terms of the logical `MemKey` so the figure stays comparable
     /// across internal representations.
     pub fn approx_bytes(&self) -> usize {
-        self.records
-            .keys()
-            .map(|k| {
-                std::mem::size_of::<MemKey>()
-                    + k.tag_len as usize * 2
-                    + std::mem::size_of::<MemValue>()
+        self.flows
+            .values()
+            .flat_map(FlowPaths::records)
+            .map(|r| {
+                std::mem::size_of::<MemKey>() + r.path.tags.as_slice().len() * 2 + COUNTER_BYTES
             })
             .sum()
     }
 
+    fn get(&self, key: &MemKey) -> Option<&PathRecord> {
+        let path = PathTags::of(key);
+        self.flows
+            .get(&FlowKey(key.flow))?
+            .records()
+            .iter()
+            .find(|r| r.path == path)
+    }
+
     /// Peek at a live record's (bytes, pkts) for monitors.
     pub fn peek(&self, key: &MemKey) -> Option<(u64, u64)> {
-        self.records
-            .get(&StoreKey::from_mem_key(key))
-            .map(|v| (v.bytes, v.pkts))
+        self.get(key).map(|r| (r.bytes, r.pkts))
     }
 
     /// Iterates over live record keys (the agent uses this to answer
@@ -434,23 +434,18 @@ impl TrajectoryMemory {
     /// materialized from the inline storage form, so the iterator yields
     /// them by value.
     pub fn live_keys(&self) -> impl Iterator<Item = MemKey> + '_ {
-        self.records.keys().map(StoreKey::to_mem_key)
+        self.flows.iter().flat_map(|(k, paths)| {
+            paths.records().iter().map(move |r| MemKey {
+                flow: k.0,
+                dscp_sample: r.path.dscp_sample,
+                tags: r.path.tags.as_slice().to_vec(),
+            })
+        })
     }
 
     /// Snapshot of a live record as a pending record (not evicted).
     pub fn snapshot(&self, key: &MemKey) -> Option<PendingRecord> {
-        self.records
-            .get(&StoreKey::from_mem_key(key))
-            .map(|v| PendingRecord {
-                flow: key.flow,
-                dscp_sample: key.dscp_sample,
-                tags: key.tags.clone(),
-                stime: v.stime,
-                etime: v.etime,
-                bytes: v.bytes,
-                pkts: v.pkts,
-                closed: false,
-            })
+        self.get(key).map(|r| pending(&key.flow, r, false))
     }
 }
 
@@ -504,6 +499,51 @@ mod tests {
         assert_eq!(evicted[0].flow, flow(1));
         assert!(!evicted[0].closed);
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn idle_eviction_thins_a_sprayed_flow_from_any_position() {
+        // Three paths of one flow in first-seen order; every subset of
+        // them idle in turn (bit i of `mask` = path i idle): only the
+        // first-seen path, only a later one, ..., all three.
+        let paths = [[5u16], [6], [7]];
+        for mask in 0u8..8 {
+            let idle = |i: usize| mask & (1 << i) != 0;
+            let mut m = TrajectoryMemory::new(Nanos::from_secs(5));
+            for (i, p) in paths.iter().enumerate() {
+                let last = if idle(i) { 1 } else { 4 };
+                m.update(key(1, p), 10, Nanos::from_secs(last));
+            }
+            m.update(key(2, &[5]), 10, Nanos::from_secs(4));
+
+            let out = m.evict_idle(Nanos::from_secs(7));
+            let evicted: Vec<&[u16]> = out.iter().map(|r| &r.tags[..]).collect();
+            let expect: Vec<&[u16]> = (0..3).filter(|&i| idle(i)).map(|i| &paths[i][..]).collect();
+            assert_eq!(evicted, expect, "mask {mask:03b}");
+            assert!(out.iter().all(|r| !r.closed && r.flow == flow(1)));
+            assert_eq!(m.len(), 4 - out.len(), "mask {mask:03b}");
+            assert!(!m.is_empty(), "flow 2 is live");
+
+            // Survivors are found and bumped; evicted paths are new again.
+            for (i, p) in paths.iter().enumerate() {
+                let first_sight = m.update_borrowed(&key(1, p), 1, Nanos::from_secs(8));
+                assert_eq!(first_sight, idle(i), "mask {mask:03b} path {i}");
+                let expect = if idle(i) { (1, 1) } else { (11, 2) };
+                assert_eq!(m.peek(&key(1, p)), Some(expect));
+            }
+            assert_eq!(m.len(), 4);
+
+            // The FIN takes all three whatever their history, and the
+            // flow starts over.
+            assert_eq!(m.evict_flow(&flow(1), Nanos::from_secs(9)).len(), 3);
+            assert_eq!(m.len(), 1);
+            assert!(m.update_borrowed(&key(1, &[6]), 1, Nanos::from_secs(9)));
+            assert_eq!(m.evict_flow(&flow(1), Nanos::from_secs(9)).len(), 1);
+            assert_eq!(m.evict_flow(&flow(2), Nanos::from_secs(9)).len(), 1);
+            assert!(m.is_empty());
+            assert_eq!(m.len(), 0);
+            assert!(m.evict_flow(&flow(2), Nanos::from_secs(9)).is_empty());
+        }
     }
 
     #[test]
