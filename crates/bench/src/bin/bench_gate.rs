@@ -37,12 +37,9 @@
 //!   better). A same-run ratio with no baseline: held under the absolute
 //!   [`EVICT_RATIO_CEILING`], so a FIN that walks the whole memory again
 //!   (≈ 150×) fails on any machine.
-//! * `ingest_events_per_sec` — the sharded host-agent ingest rate at the
-//!   recorded multi-worker point (higher better). **Skipped when the
-//!   runner has one CPU**: without parallelism the curve only shows the
-//!   partition and spawn/join overhead, so a 1-CPU box records the
-//!   honest curve in `BENCH_tib.json` but does not gate on it (same
-//!   policy as the simnet threaded numbers).
+//! * `ingest_events_per_sec` — the host agent's per-packet ingest rate
+//!   (`ingest_scale`; higher better). An absolute timing, so it runs in
+//!   the widened [`DRIFT_SCALE`] band, on every runner.
 //!
 //! Usage: `cargo run --release -p pathdump_bench --bin bench_gate
 //! [-- --baseline PATH] [--tolerance F] [--runs N] [--handicap F]`.
@@ -179,20 +176,10 @@ fn main() {
         recorded_ratio("dpswitch/pathdump/512", "dpswitch/vanilla/512"),
         "dpswitch pathdump/512 + vanilla/512 medians",
     );
-    // The ingest gate only engages on multicore runners (see module docs);
-    // its worker count matches a point the trajectory always records.
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let ingest_workers = cpus.clamp(2, 4);
-    let base_ingest = if cpus > 1 {
-        need(
-            recorded_ingest_events_per_sec(&doc, ingest_workers),
-            "ingest events_per_sec",
-        )
-    } else {
-        f64::NAN
-    };
+    let base_ingest = need(
+        recorded_ingest_events_per_sec(&doc),
+        "ingest events_per_sec",
+    );
     let base_tib_ingest = need(
         recorded_tib_scale_number(&doc, "ingest_events_per_sec"),
         "tib_scale ingest_events_per_sec",
@@ -317,29 +304,22 @@ fn main() {
         tolerance_scale: DRIFT_SCALE,
     });
 
-    if cpus > 1 {
-        eprintln!(
-            "bench_gate: measuring sharded ingest ({} workers, {} runs)...",
-            ingest_workers, args.runs
-        );
-        let stream = build_stream(IngestParams::default_shape());
-        let mut rates: Vec<f64> = (0..args.runs.max(1))
-            .map(|_| run_ingest(&stream, ingest_workers).events_per_sec)
-            .collect();
-        rates.sort_by(f64::total_cmp);
-        checks.push(GateCheck {
-            metric: "ingest_events_per_sec",
-            baseline: base_ingest,
-            current: rates[rates.len() / 2] / args.handicap,
-            direction: Direction::HigherIsBetter,
-            tolerance_scale: DRIFT_SCALE,
-        });
-    } else {
-        println!(
-            "bench_gate: 1 cpu — ingest scaling recorded in the trajectory but not gated \
-             (the curve measures no parallelism on this box)"
-        );
-    }
+    eprintln!(
+        "bench_gate: measuring host-agent ingest ({} runs)...",
+        args.runs
+    );
+    let stream = build_stream(IngestParams::default_shape());
+    let mut rates: Vec<f64> = (0..args.runs.max(1))
+        .map(|_| run_ingest(&stream).events_per_sec)
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    checks.push(GateCheck {
+        metric: "ingest_events_per_sec",
+        baseline: base_ingest,
+        current: rates[rates.len() / 2] / args.handicap,
+        direction: Direction::HigherIsBetter,
+        tolerance_scale: DRIFT_SCALE,
+    });
 
     eprintln!("bench_gate: measuring trajectory-memory FIN cost (1k/8k/64k live records)...");
     let cur_evict_ratio = evict_ratio(&run_memory_curve(args.runs)) * args.handicap;

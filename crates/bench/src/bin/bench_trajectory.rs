@@ -6,9 +6,9 @@
 //! the `simnet_scale` module), and writes one `BENCH_tib.json` with a
 //! `benchmarks` array, a `simnet` section (including the threaded-vs-
 //! sequential speedup and the CPU count, so multicore runners report
-//! parallel headroom honestly), an `ingest` section (the sharded
-//! host-agent per-worker-count scaling curve vs the single-threaded
-//! reference — see `ingest_scale`), a `memory` section (trajectory-memory
+//! parallel headroom honestly), an `ingest` section (the host agent's
+//! per-packet ingest rate — see `ingest_scale`; drift-banded by
+//! `bench_gate`), a `memory` section (trajectory-memory
 //! `evict_flow` ns/FIN and `update_wire` ns/packet at 1 k / 8 k / 64 k
 //! live records — see `memory_scale`; `bench_gate` holds the 64 k / 1 k
 //! FIN ratio under a fixed ceiling), `dpswitch`/`reconstruct`
@@ -119,78 +119,31 @@ fn reconstruct_section(entries: &[Entry]) -> String {
     )
 }
 
-/// Runs the host-agent ingest scaling curve (median of `runs` per worker
-/// count, single-threaded reference as `workers = 0`) and returns the
-/// `ingest` JSON object. Non-gated on 1-CPU boxes — the recorded `cpus`
-/// field is how `bench_gate` (and readers) know whether the curve can
-/// slope upward at all.
+/// Runs the host-agent ingest workload (median of `runs`) and returns the
+/// `ingest` JSON object: one `HostAgent` case, drift-banded by
+/// `bench_gate` on every runner.
 fn ingest_section(runs: usize) -> String {
     let p = IngestParams::default_shape();
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let stream = build_stream(p);
-    let median = |mut rs: Vec<IngestResult>| -> IngestResult {
-        rs.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
-        rs.swap_remove(rs.len() / 2)
-    };
-    let mut worker_counts = vec![0usize, 1, 2, 4];
-    if cpus > 4 && !worker_counts.contains(&cpus) {
-        worker_counts.push(cpus);
-    }
-    let results: Vec<IngestResult> = worker_counts
-        .iter()
-        .map(|&w| median((0..runs).map(|_| run_ingest(&stream, w)).collect()))
-        .collect();
-    for r in &results {
-        assert_eq!(
-            r.tib_records, results[0].tib_records,
-            "ingest runs must file identical TIBs (workers={})",
-            r.workers
-        );
-    }
-    let reference = results[0].events_per_sec;
-    for r in &results {
-        eprintln!(
-            "ingest {}: {:.2}M events/s ({:.2}x vs single-threaded, {cpus} cpu(s))",
-            if r.workers == 0 {
-                "single-threaded".to_string()
-            } else {
-                format!("{} worker(s)", r.workers)
-            },
-            r.events_per_sec / 1e6,
-            r.events_per_sec / reference.max(1e-9)
-        );
-    }
-    let note = "workers=0 is the single-threaded HostAgent reference and \
-                workers=1 runs the same shard body inline on the calling \
-                thread, so the two should agree; workers>=2 pay a partition \
-                pass plus a scoped-thread spawn and join per window, which \
-                only parallel cores can buy back (a FIN costs the same \
-                whatever the shard holds, so smaller shards no longer help); \
-                read the curve against cpus, and bench_gate gates it only \
-                when cpus > 1.";
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"workers\": {}, \"events\": {}, \"tib_records\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"speedup_vs_single\": {:.3}}}",
-                r.workers,
-                r.events,
-                r.tib_records,
-                r.wall_secs * 1e3,
-                r.events_per_sec,
-                r.events_per_sec / reference.max(1e-9)
-            )
-        })
-        .collect();
+    let mut rs: Vec<IngestResult> = (0..runs.max(1)).map(|_| run_ingest(&stream)).collect();
+    rs.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
+    let r = rs.swap_remove(rs.len() / 2);
+    eprintln!(
+        "ingest: {:.2}M events/s, {} TIB records ({cpus} cpu(s))",
+        r.events_per_sec / 1e6,
+        r.tib_records
+    );
     format!(
-        "{{\n  \"flows\": {},\n  \"pkts_per_flow\": {},\n  \"window\": {},\n  \"cpus\": {cpus},\n  \"note\": \"{}\",\n  \"cases\": [\n{}\n    ]\n  }}",
+        "{{\n  \"flows\": {},\n  \"pkts_per_flow\": {},\n  \"cpus\": {cpus},\n  \"cases\": [\n    {{\"agent\": \"HostAgent\", \"events\": {}, \"tib_records\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}}}\n    ]\n  }}",
         p.flows,
         p.pkts_per_flow,
-        p.window,
-        json_escape(note),
-        rows.join(",\n")
+        r.events,
+        r.tib_records,
+        r.wall_secs * 1e3,
+        r.events_per_sec
     )
 }
 
@@ -434,7 +387,7 @@ fn main() {
     eprintln!("running simnet engine comparison (k=8)...");
     let simnet = simnet_section(3);
 
-    eprintln!("running host-agent ingest scaling curve...");
+    eprintln!("running host-agent ingest workload...");
     let ingest = ingest_section(3);
 
     eprintln!("running trajectory-memory FIN/update curve...");

@@ -160,21 +160,20 @@ pub fn recorded_events_per_sec(doc: &str, engine: &str) -> Option<f64> {
     number_after(doc, "events_per_sec", at).map(|(v, _)| v)
 }
 
-/// The `events_per_sec` recorded in the `ingest` section for a worker
-/// count (`0` = the single-threaded reference case). Anchored past the
-/// `"ingest":` key so the simnet cases' `workers` fields cannot match.
-pub fn recorded_ingest_events_per_sec(doc: &str, workers: usize) -> Option<f64> {
-    let section = doc.find("\"ingest\":")?;
-    let anchor = format!("\"workers\": {workers},");
-    let at = doc[section..].find(&anchor)? + section;
-    number_after(doc, "events_per_sec", at).map(|(v, _)| v)
+/// The first `"key": <number>` past `"section":` (earlier sections ignored).
+fn section_number(doc: &str, section: &str, key: &str) -> Option<f64> {
+    let at = doc.find(&format!("\"{section}\":"))?;
+    number_after(doc, key, at).map(|(v, _)| v)
 }
 
-/// A number recorded in the `tib_scale` section (anchored past the
-/// `"tib_scale":` key so same-named fields elsewhere cannot match).
+/// The `events_per_sec` of the `ingest` section's one `HostAgent` case.
+pub fn recorded_ingest_events_per_sec(doc: &str) -> Option<f64> {
+    section_number(doc, "ingest", "events_per_sec")
+}
+
+/// A number recorded in the `tib_scale` section.
 pub fn recorded_tib_scale_number(doc: &str, key: &str) -> Option<f64> {
-    let section = doc.find("\"tib_scale\":")?;
-    number_after(doc, key, section).map(|(v, _)| v)
+    section_number(doc, "tib_scale", key)
 }
 
 // ---------------------------------------------------------------------------
@@ -277,8 +276,7 @@ mod tests {
   "ingest": {
   "cpus": 1,
   "cases": [
-    {"workers": 0, "events": 32768, "tib_records": 2048, "wall_ms": 9.830, "events_per_sec": 3333469, "speedup_vs_single": 1.000},
-    {"workers": 2, "events": 32768, "tib_records": 2048, "wall_ms": 13.170, "events_per_sec": 2488078, "speedup_vs_single": 0.746}
+    {"agent": "HostAgent", "events": 32768, "tib_records": 2048, "wall_ms": 9.830, "events_per_sec": 3333469}
     ]
   }
 }"#;
@@ -298,12 +296,10 @@ mod tests {
         assert_eq!(recorded_events_per_sec(DOC, "sequential"), Some(3523996.0));
         assert_eq!(recorded_events_per_sec(DOC, "sharded"), Some(4975404.0));
         assert_eq!(recorded_events_per_sec(DOC, "warp"), None);
-        // Ingest lookups anchor inside the ingest section: workers=0
-        // resolves to the ingest reference case, not the simnet rows that
-        // also carry "workers": 0.
-        assert_eq!(recorded_ingest_events_per_sec(DOC, 0), Some(3333469.0));
-        assert_eq!(recorded_ingest_events_per_sec(DOC, 2), Some(2488078.0));
-        assert_eq!(recorded_ingest_events_per_sec(DOC, 7), None);
+        // The ingest lookup anchors inside the ingest section, past the
+        // simnet rows that also carry "events_per_sec".
+        assert_eq!(recorded_ingest_events_per_sec(DOC), Some(3333469.0));
+        assert_eq!(recorded_ingest_events_per_sec("{}"), None);
     }
 
     /// The acceptance demonstration: an injected 2× slowdown must trip the

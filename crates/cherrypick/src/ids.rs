@@ -24,7 +24,6 @@
 //! is `1922 + 1922 = 3844 ≤ 4096`.
 
 use pathdump_topology::{FatTree, SwitchId, Tier, Vl2};
-use serde::{Deserialize, Serialize};
 
 /// A decoded fat-tree link tag.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -44,7 +43,7 @@ pub enum FtTag {
 }
 
 /// Fat-tree link-ID codec.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FatTreeIds {
     half: usize,
 }
@@ -135,7 +134,7 @@ pub enum Vl2Tag {
 }
 
 /// VL2 link-ID codec.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Vl2Ids {
     nt: usize,
     na: usize,

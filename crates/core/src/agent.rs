@@ -8,11 +8,10 @@
 //! Installed invariants (path conformance, §2.3/§4.1) are checked the
 //! moment a new path appears, raising alarms in real time.
 //!
-//! This module is the single-threaded reference; the [`crate::sharded`]
-//! module layers a per-core flow-sharded ingest mode on top of it
-//! (N workers, one [`TrajectoryMemory`] shard each, ordered event replay
-//! into this agent's construct/alarm/TIB half) that stays bit-identical
-//! to calling [`HostAgent::on_packet`] per packet.
+//! One agent is one datapath thread feeding one [`TrajectoryMemory`], as
+//! in the paper. Flow-sharding the memory update across cores does not
+//! pay: it is under a sixth of the agent's per-packet cost, and the
+//! decode, TIB insert and WAL append behind it are ordered and serial.
 
 use crate::alarm::{Alarm, Reason};
 use crate::query::{Query, Response};
@@ -314,9 +313,7 @@ impl HostAgent {
     }
 
     /// Pushes an alarm unless an identical (flow, reason) alarm was
-    /// already raised within the suppression epoch. Purely a function of
-    /// the alarm stream, so the sharded agent's ordered replay dedups
-    /// bit-identically.
+    /// already raised within the suppression epoch.
     fn raise(&mut self, alarm: Alarm) {
         let key = (alarm.flow, alarm.reason.code());
         let now = alarm.at;
@@ -368,10 +365,8 @@ impl HostAgent {
     }
 
     /// Invariant checks for a record seen for the first time (the
-    /// real-time half of §2.3). Shared verbatim between the inline
-    /// per-packet path above and the sharded agent's ordered replay, so
-    /// both produce the same alarms from the same construct sequence.
-    pub(crate) fn on_new_path(
+    /// real-time half of §2.3).
+    fn on_new_path(
         &mut self,
         fabric: &Fabric,
         flow: &FlowId,
@@ -415,18 +410,7 @@ impl HostAgent {
         }
     }
 
-    /// True when at least one invariant is installed (first-sight records
-    /// only run trajectory construction in that case).
-    pub(crate) fn has_invariants(&self) -> bool {
-        !self.invariants.is_empty()
-    }
-
-    pub(crate) fn finalize_batch(
-        &mut self,
-        fabric: &Fabric,
-        batch: Vec<PendingRecord>,
-        now: Nanos,
-    ) {
+    fn finalize_batch(&mut self, fabric: &Fabric, batch: Vec<PendingRecord>, now: Nanos) {
         for rec in &batch {
             self.finalize(fabric, rec, now);
         }
@@ -529,22 +513,13 @@ impl HostAgent {
 
     /// Builds a transient TIB view of the live trajectory memory. Records
     /// are inserted in the canonical eviction order so the view (and the
-    /// insertion-order-sensitive queries on it) is deterministic — the
-    /// sharded agent's merged live view lines up with this bit-for-bit.
+    /// insertion-order-sensitive queries on it) is deterministic.
     fn live_tib(&mut self, fabric: &Fabric) -> Tib {
-        let live = self
+        let mut live: Vec<PendingRecord> = self
             .memory
             .live_keys()
             .filter_map(|k| self.memory.snapshot(&k))
             .collect();
-        self.live_tib_from(fabric, live)
-    }
-
-    /// Sorts live-record snapshots into canonical order and constructs a
-    /// transient TIB from them. The sharded agent feeds the union of its
-    /// shards' snapshots through the same path, so both live views insert
-    /// the same records in the same order.
-    pub(crate) fn live_tib_from(&mut self, fabric: &Fabric, mut live: Vec<PendingRecord>) -> Tib {
         live.sort_unstable_by(pathdump_tib::canonical_order);
         let mut tib = Tib::new();
         for snap in live {

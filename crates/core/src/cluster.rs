@@ -100,8 +100,12 @@ impl TreeNode {
 /// Builds the aggregation tree over `hosts` with per-level fan-outs
 /// (the paper's 112-host tree uses `[7, 4, 4]`: 7 level-1 aggregators,
 /// 4 children each at level 2, 4 each at level 3 — all of them end-hosts
-/// executing the query too).
+/// executing the query too). A host listed more than once gets one node,
+/// at its first position: two nodes with one address would each wait for
+/// the other's reply.
 pub fn build_tree(hosts: &[usize], fanouts: &[usize]) -> Vec<TreeNode> {
+    let mut seen = std::collections::HashSet::new();
+    let hosts: Vec<usize> = hosts.iter().copied().filter(|&h| seen.insert(h)).collect();
     if hosts.is_empty() {
         return Vec::new();
     }
@@ -261,42 +265,10 @@ impl Cluster {
     }
 
     /// Executes `q` on `hosts` with the **direct** mechanism: controller →
-    /// every host, all responses merged at the controller.
+    /// every host, all responses merged at the controller in arrival
+    /// order — the tree with every host a root.
     pub fn direct_query(&self, hosts: &[usize], q: &Query) -> QueryOutcome {
-        let q_bytes = Self::query_frame_bytes(q);
-        let mut arrivals: Vec<(Nanos, Response, usize)> = Vec::with_capacity(hosts.len());
-        let mut exec_compute = Nanos::ZERO;
-        let mut wire_bytes = (hosts.len() * q_bytes) as u64;
-        for &h in hosts {
-            let t0 = Instant::now();
-            let resp = execute_on_tib(&self.tibs[h], q);
-            let exec = Nanos(t0.elapsed().as_nanos() as u64);
-            exec_compute += exec;
-            let rb = Self::response_frame_bytes(&resp);
-            wire_bytes += rb as u64;
-            let arrival = self.net.transfer(q_bytes) + exec + self.net.transfer(rb);
-            arrivals.push((arrival, resp, rb));
-        }
-        // The controller merges responses in arrival order, serially.
-        arrivals.sort_by_key(|(t, _, _)| *t);
-        let mut merged = Response::empty_for(q);
-        let mut clock = Nanos::ZERO;
-        let mut merge_compute = Nanos::ZERO;
-        for (arrival, resp, _) in arrivals {
-            let start = clock.max(arrival);
-            let t0 = Instant::now();
-            merged.merge(resp);
-            let m = Nanos(t0.elapsed().as_nanos() as u64);
-            merge_compute += m;
-            clock = start + m;
-        }
-        QueryOutcome {
-            response: merged,
-            elapsed: clock,
-            wire_bytes,
-            exec_compute,
-            merge_compute,
-        }
+        self.multilevel_query(hosts, q, &[hosts.len()])
     }
 
     /// Executes `q` over `hosts` with the **multi-level** mechanism using
@@ -471,23 +443,35 @@ mod tests {
                 range: TimeRange::ANY,
             },
         ];
+        // Order-insensitive comparison for list-shaped responses.
+        let canon = |r: &Response| match r {
+            Response::Flows(f) => {
+                let mut f = f.clone();
+                f.sort();
+                Response::Flows(f)
+            }
+            other => other.clone(),
+        };
         for q in &queries {
             let d = c.direct_query(&hosts, q);
             let m = c.multilevel_query(&hosts, q, &[7, 4, 4]);
-            // Order-insensitive comparison for list-shaped responses.
-            match (&d.response, &m.response) {
-                (Response::Flows(a), Response::Flows(b)) => {
-                    let mut a = a.clone();
-                    let mut b = b.clone();
-                    a.sort();
-                    b.sort();
-                    assert_eq!(a, b);
-                }
-                (x, y) => assert_eq!(x, y, "query {q:?}"),
-            }
+            assert_eq!(canon(&d.response), canon(&m.response), "query {q:?}");
             assert!(d.elapsed > Nanos::ZERO);
             assert!(m.elapsed > Nanos::ZERO);
-            assert!(d.wire_bytes > 0 && m.wire_bytes > 0);
+            assert!(m.wire_bytes > 0);
+            // Direct is the flat fan-out: one query frame down and one
+            // response frame up per host, nothing else on the wire.
+            let flat = c.multilevel_query(&hosts, q, &[hosts.len()]);
+            assert_eq!(canon(&d.response), canon(&flat.response), "query {q:?}");
+            assert_eq!(d.wire_bytes, flat.wire_bytes, "query {q:?}");
+            let per_host: u64 = hosts
+                .iter()
+                .map(|&h| {
+                    let resp = execute_on_tib(&c.tibs[h], q);
+                    (Cluster::query_frame_bytes(q) + Cluster::response_frame_bytes(&resp)) as u64
+                })
+                .sum();
+            assert_eq!(d.wire_bytes, per_host, "query {q:?}");
         }
     }
 

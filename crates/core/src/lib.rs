@@ -5,8 +5,6 @@
 //!   checks and the Host API of Table 1;
 //! - [`query`]/[`cluster`]: serializable queries with merge semantics, and
 //!   the direct vs multi-level distributed execution engines of §3.2/§5.2;
-//! - [`sharded`]: the per-core flow-sharded ingest mode of the agent,
-//!   bit-identical to the single-threaded path by ordered replay;
 //! - [`world`]: the full simulation world (agents + TCP + active monitor +
 //!   controller trap handler) used by every §4 experiment;
 //! - [`standing`]: the standing-query/alarm engine — registered
@@ -17,7 +15,6 @@ pub mod agent;
 pub mod alarm;
 pub mod cluster;
 pub mod query;
-pub mod sharded;
 pub mod standing;
 pub mod world;
 
@@ -27,6 +24,5 @@ pub use alarm::{Alarm, Reason};
 pub use cluster::{build_tree, Cluster, MgmtNet, QueryOutcome, TreeNode};
 pub use pathdump_tib::{TibRead, TieredTib};
 pub use query::{Query, Response};
-pub use sharded::{shard_of, ShardedAgent};
 pub use standing::{StandingEvent, StandingPredicate, StandingQuery, StandingQueryEngine, WatchId};
 pub use world::{InstalledResult, LoopDetection, PathDumpWorld, WorldConfig};

@@ -1,20 +1,19 @@
 //! Agent-layer coverage for the tiered store: sealing must be invisible
 //! to everything above it.
 //!
-//! Differentials here pin that a `HostAgent` (and a `ShardedAgent`)
-//! whose TIB auto-seals every few records behaves **bit-identically** to
-//! one that never seals — TIB contents, query responses, alarms, and
-//! standing-query events. The standing engine is the sharpest edge: its
-//! incremental `on_record` feed must observe every record exactly once
-//! even when the insert that carried it also sealed the head out from
-//! under the store.
+//! Differentials here pin that a `HostAgent` whose TIB auto-seals every
+//! few records behaves **bit-identically** to one that never seals — TIB
+//! contents, query responses, alarms, and standing-query events. The
+//! standing engine is the sharpest edge: its incremental `on_record` feed
+//! must observe every record exactly once even when the insert that
+//! carried it also sealed the head out from under the store.
 //!
 //! The thread test drives real packet ingest on the writer while reader
 //! threads query published views through [`TibReader`] — the lock-free
 //! read path exercised end-to-end from the agent layer.
 
 use pathdump_cherrypick::{FatTreeCherryPick, FatTreeReconstructor};
-use pathdump_core::{execute_on_tib, AgentConfig, Fabric, HostAgent, Query, ShardedAgent, TibRead};
+use pathdump_core::{execute_on_tib, AgentConfig, Fabric, HostAgent, Query, TibRead};
 use pathdump_core::{StandingPredicate, StandingQuery};
 use pathdump_simnet::{Packet, TagPolicy, TcpFlags};
 use pathdump_topology::{
@@ -184,39 +183,6 @@ fn sealing_agent_matches_non_sealing_agent() {
             );
         }
     }
-}
-
-/// The sharded ingest path over a sealing store: worker fan-in and the
-/// deterministic replay into the TIB must be unaffected by seals.
-#[test]
-fn sharded_agent_with_sealing_matches_host_agent() {
-    let (ft, fab, policy) = fabric();
-    let pkts = stream(&ft, &policy, 40);
-    let dst = ft.host(1, 0, 0);
-
-    let mut single = HostAgent::new(dst, AgentConfig::default());
-    let mut sharded = ShardedAgent::new(dst, AgentConfig::default(), 3);
-    sharded.tib_mut().set_seal_after(Some(4));
-
-    for (pkt, now) in &pkts {
-        single.on_packet(&fab, pkt, *now);
-    }
-    sharded.ingest(&fab, &pkts);
-    let end = Nanos::from_millis(10_000);
-    single.flush(&fab, end);
-    sharded.flush(&fab, end);
-
-    assert!(sharded.tib().num_sealed() > 0);
-    assert_eq!(single.tib.records_vec(), sharded.tib().records_vec());
-    assert_eq!(single.tib.len(), sharded.tib().len());
-    let q = Query::TopK {
-        k: 16,
-        range: TimeRange::ANY,
-    };
-    assert_eq!(
-        single.execute(&fab, &q, false),
-        sharded.execute(&fab, &q, false)
-    );
 }
 
 /// Reader threads run `execute_on_tib` over published views while the

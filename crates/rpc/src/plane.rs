@@ -9,7 +9,7 @@ use crate::channel::{Channel, Delivery, NodeId, CONTROLLER};
 use crate::coverage::Coverage;
 use crate::msg::{AckMsg, ReplyMsg, RequestMsg, FRAME_RPC_ACK, FRAME_RPC_REPLY, FRAME_RPC_REQUEST};
 use pathdump_core::{build_tree, execute_on_tib, Query, Response, TreeNode};
-use pathdump_tib::Tib;
+use pathdump_tib::{Tib, TibRead};
 use pathdump_topology::Nanos;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -179,11 +179,13 @@ enum TimerKind {
 }
 
 /// The fan-out/fan-in aggregation-tree driver: all agent state machines,
-/// the controller, and the virtual clock.
-pub struct TreePlane<C: Channel> {
+/// the controller, and the virtual clock. Each agent answers from its own
+/// `T` — the flat [`Tib`] or any other [`TibRead`] store, such as the
+/// agents' `TieredTib`.
+pub struct TreePlane<C: Channel, T: TibRead = Tib> {
     cfg: RpcConfig,
     channel: C,
-    tibs: Vec<Tib>,
+    tibs: Vec<T>,
     agents: Vec<Node>,
     controller: Node,
     meta: BTreeMap<u64, PendingSubmit>,
@@ -210,9 +212,9 @@ fn same_variant(a: &Response, b: &Response) -> bool {
     std::mem::discriminant(a) == std::mem::discriminant(b)
 }
 
-impl<C: Channel> TreePlane<C> {
+impl<C: Channel, T: TibRead> TreePlane<C, T> {
     /// A plane over per-host TIBs (index = host = channel address).
-    pub fn new(channel: C, cfg: RpcConfig, tibs: Vec<Tib>) -> Self {
+    pub fn new(channel: C, cfg: RpcConfig, tibs: Vec<T>) -> Self {
         let agents = (0..tibs.len()).map(|_| Node::default()).collect();
         TreePlane {
             cfg: cfg.sanitized(),
@@ -254,7 +256,7 @@ impl<C: Channel> TreePlane<C> {
     /// Submits `query` over `hosts` with the given tree fan-outs. The
     /// query is admitted immediately if an in-flight slot is free,
     /// otherwise it queues (bounded pipelining). Invalid host indexes are
-    /// ignored.
+    /// ignored, and a repeated index is queried once.
     pub fn submit(&mut self, query: &Query, hosts: &[usize], fanouts: &[usize]) -> QueryId {
         let hosts: Vec<usize> = hosts
             .iter()

@@ -1,10 +1,9 @@
 //! Simulation configuration.
 
 use pathdump_topology::{Nanos, MICROS, MILLIS};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one link class (switch-to-switch or host NIC).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LinkConfig {
     /// Line rate in bits per second.
     pub rate_bps: u64,
@@ -28,7 +27,7 @@ impl LinkConfig {
 /// per-packet trajectories, world observations) — the choice only affects
 /// how the event schedule is executed. See `sim.rs` module docs for the
 /// design and `tests/prop_shard_equivalence.rs` for the differential proof.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
     /// One global `(time, key)` scan over all shard queues, single thread.
     #[default]
@@ -48,7 +47,7 @@ pub enum EngineKind {
 /// packet-level simulation of multi-minute experiments stays tractable;
 /// load *fractions* and protocol timing constants are preserved, which is
 /// what the reproduced figures depend on (see DESIGN.md §3).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
     /// Switch-to-switch links.
     pub fabric_link: LinkConfig,

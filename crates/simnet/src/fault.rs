@@ -6,10 +6,9 @@
 //! create routing loops (Fig. 9).
 
 use pathdump_topology::{FlowId, PortNo, RouteTables, SwitchId};
-use serde::{Deserialize, Serialize};
 
 /// Fault state of one *directed* link egress (switch port or host NIC).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FaultState {
     /// Link administratively/physically down. Routing avoids it; packets
     /// already queued are dropped (visible to counters).
@@ -37,7 +36,7 @@ impl FaultState {
 }
 
 /// How a switch picks one egress among equal-cost candidates.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub enum LoadBalance {
     /// Flow-level ECMP: FNV hash of the 5-tuple with a per-switch salt.
     #[default]
@@ -51,7 +50,7 @@ pub enum LoadBalance {
 }
 
 /// A forwarding misbehavior installed on one switch.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Quirk {
     /// Force packets of a specific flow out of a fixed port — the building
     /// block for routing-loop scenarios (Fig. 9) and targeted reroutes.
@@ -90,7 +89,7 @@ pub enum Quirk {
 /// state or drop accounting: a packet misrouted by a bad rule that then
 /// dies on a faulty link is staged in the drop log exactly once, by the
 /// fault machinery.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Misconfig {
     /// Replace the rule at `sw` toward `dst_tor` with the single `port` —
     /// e.g. a host-facing port (misdelivery) or a wrong uplink.
@@ -166,7 +165,7 @@ impl Misconfig {
 }
 
 /// The set of quirks installed on one switch.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SwitchQuirks {
     quirks: Vec<Quirk>,
 }

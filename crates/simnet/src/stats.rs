@@ -7,10 +7,9 @@
 //! verification and are never consulted by PathDump components.
 
 use pathdump_topology::{FlowId, Nanos, PortNo, SwitchId};
-use serde::{Deserialize, Serialize};
 
 /// Counters for one egress (switch port or host NIC).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkCounters {
     /// Packets transmitted.
     pub tx_pkts: u64,
@@ -39,7 +38,7 @@ impl LinkCounters {
 }
 
 /// Per-switch counters not tied to one port.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SwitchCounters {
     /// Packets received (all ports).
     pub rx_pkts: u64,
@@ -52,7 +51,7 @@ pub struct SwitchCounters {
 }
 
 /// Why a packet was dropped (drop-log entries).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DropReason {
     /// Egress queue overflow (tail drop).
     QueueFull,

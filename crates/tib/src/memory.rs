@@ -39,9 +39,8 @@
 //! `evict_flow`, `evict_idle` and `flush` emit pending records in the
 //! canonical `(stime, flow, dscp_sample, tags)` order ([`canonical_order`])
 //! rather than hash-map iteration order. That makes eviction output a pure
-//! function of the record *set*, so a flow-sharded memory (see
-//! `pathdump_core`'s sharded agent) merges to exactly the bytes a single
-//! map would have produced.
+//! function of the record *set*: what reaches the TIB does not depend on
+//! the map's hasher, capacity or insertion history.
 
 use crate::record::PendingRecord;
 use pathdump_topology::{FlowId, Nanos, Protocol, SECONDS};
@@ -216,9 +215,7 @@ fn pending(flow: &FlowId, r: &PathRecord, closed: bool) -> PendingRecord {
 
 /// Canonical deterministic order of eviction/flush output:
 /// `(stime, flow, dscp_sample, tags)`. Record keys are unique within one
-/// memory (and across flow-partitioned shards), so this is a total order
-/// — merging per-shard eviction batches under it reproduces exactly what
-/// one unsharded memory emits.
+/// memory, so this is a total order.
 pub fn canonical_order(a: &PendingRecord, b: &PendingRecord) -> Ordering {
     (a.stime, a.flow, a.dscp_sample, &a.tags).cmp(&(b.stime, b.flow, b.dscp_sample, &b.tags))
 }

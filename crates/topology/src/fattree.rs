@@ -16,10 +16,9 @@ use crate::graph::{Tier, Topology};
 use crate::ids::{HostId, Ip, PortNo, SwitchId};
 use crate::path::Path;
 use crate::routing::UpDownRouting;
-use serde::{Deserialize, Serialize};
 
 /// Fat-tree build parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FatTreeParams {
     /// Switch port count `k`. Must be even, `4 <= k <= 90` (the upper bound
     /// keeps CherryPick's pod-shared link IDs within the 12-bit VLAN space,
@@ -41,7 +40,7 @@ impl FatTreeParams {
 }
 
 /// A built k-ary fat-tree.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FatTree {
     params: FatTreeParams,
     topo: Topology,

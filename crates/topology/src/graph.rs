@@ -7,7 +7,6 @@
 //! and by trajectory reconstruction.
 
 use crate::ids::{HostId, Ip, LinkDir, PortNo, SwitchId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The tier a switch belongs to.
@@ -16,7 +15,7 @@ use std::collections::HashMap;
 /// aggregate, and intermediate — intermediates are represented as
 /// [`Tier::Core`] since they play the same role (the turning point of
 /// up–down routing).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Tier {
     /// Top-of-rack (edge) switch; hosts attach here.
     Tor,
@@ -27,7 +26,7 @@ pub enum Tier {
 }
 
 /// What sits at the far end of a switch port.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Peer {
     /// Another switch, reached through its `port`.
     Switch {
@@ -43,7 +42,7 @@ pub enum Peer {
 }
 
 /// Static description of one switch.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SwitchMeta {
     /// Unique switch ID (also the index into [`Topology::switches`]).
     pub id: SwitchId,
@@ -84,7 +83,7 @@ impl SwitchMeta {
 }
 
 /// Static description of one end-host.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HostMeta {
     /// Unique host ID (also the index into [`Topology::hosts`]).
     pub id: HostId,
@@ -97,7 +96,7 @@ pub struct HostMeta {
 }
 
 /// The static topology: switches, hosts, and adjacency.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     /// All switches, indexed by [`SwitchId`].
     pub switches: Vec<SwitchMeta>,

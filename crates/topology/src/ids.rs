@@ -4,14 +4,13 @@
 //! `linkID` is a pair of adjacent switch IDs, and a `flowID` is the usual
 //! 5-tuple. These are the exact types exposed by the Host API of Table 1.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of a switch.
 ///
 /// Switch IDs are dense indices assigned by the topology builder; they double
 /// as indices into [`crate::Topology`] tables.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u16);
 
 impl SwitchId {
@@ -35,7 +34,7 @@ impl fmt::Display for SwitchId {
 }
 
 /// Unique identifier of an end-host (edge device).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u32);
 
 impl HostId {
@@ -59,7 +58,7 @@ impl fmt::Display for HostId {
 }
 
 /// Port number local to one switch or host NIC.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortNo(pub u8);
 
 impl PortNo {
@@ -86,7 +85,7 @@ impl fmt::Display for PortNo {
 ///
 /// A dedicated newtype (rather than `std::net::Ipv4Addr`) keeps wire encoding
 /// trivially compact and lets the topology builders do address arithmetic.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ip(pub u32);
 
 impl Ip {
@@ -120,7 +119,7 @@ impl fmt::Display for Ip {
 }
 
 /// Transport protocol of a flow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Protocol {
     /// TCP (IP protocol number 6).
     Tcp,
@@ -162,7 +161,7 @@ impl fmt::Debug for Protocol {
 
 /// The usual 5-tuple flow identifier (§2.1):
 /// `<srcIP, dstIP, srcPort, dstPort, protocol>`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId {
     /// Source IPv4 address.
     pub src_ip: Ip,
@@ -229,7 +228,7 @@ impl fmt::Display for FlowId {
 
 /// A directed link between two adjacent switches: the paper's `linkID`
 /// `<Si, Sj>` where the packet travels from `Si` to `Sj`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkDir {
     /// Upstream switch (the packet leaves this switch...).
     pub from: SwitchId,
@@ -276,7 +275,7 @@ impl fmt::Display for LinkDir {
 /// A link pattern with optional wildcards, as accepted by the Host API:
 /// `<?, Sj>` means "all incoming links of `Sj`", `<*, *>` means "any link"
 /// (§2.1: "PathDump supports wildcard entries for switchIDs").
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct LinkPattern {
     /// Upstream switch; `None` is the wildcard `?`.
     pub from: Option<SwitchId>,

@@ -1,14 +1,13 @@
 //! Switch-level paths and the `Flow` (flowID, Path) pair of §2.1.
 
 use crate::ids::{FlowId, LinkDir, SwitchId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `Path` is a list of switch IDs `<Si, Sj, ...>` (§2.1).
 ///
 /// Host endpoints are implicit: the first switch is the source ToR and the
 /// last is the destination ToR.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Path(pub Vec<SwitchId>);
 
 impl Path {
@@ -111,7 +110,7 @@ impl From<Vec<SwitchId>> for Path {
 /// A `Flow` is a `(flowID, Path)` pair; "this will be useful for cases when
 /// packets from the same flowID may traverse along multiple Paths" (§2.1),
 /// e.g. under packet spraying.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Flow {
     /// The 5-tuple.
     pub id: FlowId,

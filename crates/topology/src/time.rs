@@ -1,6 +1,5 @@
 //! Simulated time: nanosecond clock values and the paper's `timeRange`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -12,7 +11,7 @@ pub const MILLIS: u64 = 1_000_000;
 pub const SECONDS: u64 = 1_000_000_000;
 
 /// A point in simulated time, in nanoseconds since simulation start.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(pub u64);
 
 impl Nanos {
@@ -103,7 +102,7 @@ impl fmt::Display for Nanos {
 
 /// The paper's `timeRange`: a pair of timestamps `<ti, tj>` with wildcard
 /// support — `<ti, ?>` is interpreted as "since time ti" (§2.1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct TimeRange {
     /// Inclusive start; `None` means "since the beginning".
     pub start: Option<Nanos>,

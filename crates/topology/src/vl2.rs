@@ -15,10 +15,9 @@ use crate::graph::{Tier, Topology};
 use crate::ids::{HostId, Ip, PortNo, SwitchId};
 use crate::path::Path;
 use crate::routing::UpDownRouting;
-use serde::{Deserialize, Serialize};
 
 /// VL2 build parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Vl2Params {
     /// Aggregate switch port count `DA` (even, >= 4).
     pub da: u16,
@@ -71,7 +70,7 @@ impl Vl2Params {
 }
 
 /// A built VL2 network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Vl2 {
     params: Vl2Params,
     topo: Topology,

@@ -11,11 +11,10 @@
 //! them to raise `POOR_PERF` alarms (§3.2).
 
 use pathdump_topology::{FlowId, HostId, Nanos, MILLIS};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Static description of one flow to run.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FlowSpec {
     /// The 5-tuple (data direction).
     pub flow: FlowId,
@@ -30,7 +29,7 @@ pub struct FlowSpec {
 }
 
 /// Transport configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
     /// Maximum segment size in bytes.
     pub mss: u32,

@@ -9,10 +9,9 @@
 //!   `crates/dpswitch/src/**` (the batched parser included),
 //!   `crates/simnet/src/driver.rs`, `crates/simnet/src/pool.rs`,
 //!   `crates/tib/src/tib.rs`, `crates/tib/src/memory.rs` (the per-packet
-//!   map), `crates/core/src/sharded.rs` (the shard ingest workers), and
-//!   the `crates/rpc` plane/channel/fault/codec modules (a panic there
-//!   kills every in-flight query on the node). A panic in any of these
-//!   takes down the datapath, a pool worker, or the query plane.
+//!   map), and the `crates/rpc` plane/channel/fault/codec modules (a panic
+//!   there kills every in-flight query on the node). A panic in any of
+//!   these takes down the datapath, a pool worker, or the query plane.
 //! - `println!` is banned in all library code (benches and bins own stdout;
 //!   libraries must not pollute it — `BENCH_tib.json` is parsed from files,
 //!   and dpswitch pipelines stdout).
@@ -22,8 +21,14 @@
 //! allowed when its file matches `path` and its source line contains
 //! `needle`.
 //!
-//! Usage: `lint_gate [--root DIR] [--allow FILE]` (defaults: `crates`,
-//! `lint_allow.txt`), run from the repository root as in CI.
+//! `--loc` runs the other check instead: it prints library lines of code
+//! per crate — ROADMAP's tracked number: every line of `crates/*/src` and
+//! the facade's `src/`, `bin/` directories excluded — and fails when the
+//! total exceeds the ceiling committed in `lint_loc_ceiling.txt`. Lower
+//! the ceiling in the change that lowers the count.
+//!
+//! Usage: `lint_gate [--root DIR] [--allow FILE] [--loc]` (defaults:
+//! `crates`, `lint_allow.txt`), run from the repository root as in CI.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -41,7 +46,6 @@ const HOT_PATHS: &[&str] = &[
     // records on the floor.
     "crates/tib/src/segment.rs",
     "crates/tib/src/wal.rs",
-    "crates/core/src/sharded.rs",
     "crates/core/src/standing.rs",
     // The rpc plane: a panic in a state machine, channel or fault hook
     // kills every in-flight query on the node.
@@ -185,19 +189,84 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The committed library-LoC ceiling, next to the allowlist.
+const LOC_CEILING_FILE: &str = "lint_loc_ceiling.txt";
+
+/// Lines (as `wc -l` counts them) of the library sources under one `src`
+/// directory.
+fn loc_of(src: &Path) -> usize {
+    let mut files = Vec::new();
+    collect_rs(src, &mut files);
+    files
+        .iter()
+        .filter_map(|p| std::fs::read(p).ok())
+        .map(|bytes| bytes.iter().filter(|&&b| b == b'\n').count())
+        .sum()
+}
+
+/// The first number in the ceiling file (`#` comments skipped).
+fn parse_ceiling(text: &str) -> Option<usize> {
+    text.lines()
+        .map(str::trim)
+        .find(|l| !l.is_empty() && !l.starts_with('#'))?
+        .parse()
+        .ok()
+}
+
+/// `--loc`: per-crate library LoC, the facade's `src/`, and the total
+/// against the committed ceiling.
+fn loc_report(root: &Path) -> ExitCode {
+    let ceiling = std::fs::read_to_string(LOC_CEILING_FILE)
+        .ok()
+        .and_then(|t| parse_ceiling(&t));
+    let Some(ceiling) = ceiling else {
+        eprintln!("lint_gate: {LOC_CEILING_FILE} must hold the library LoC ceiling");
+        return ExitCode::FAILURE;
+    };
+    let mut rows: Vec<(String, usize)> = std::fs::read_dir(root)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.join("src").is_dir())
+        .map(|p| (p.display().to_string(), loc_of(&p.join("src"))))
+        .collect();
+    rows.sort();
+    rows.push(("src (facade)".to_string(), loc_of(Path::new("src"))));
+    let total: usize = rows.iter().map(|(_, n)| n).sum();
+    for (name, n) in &rows {
+        println!("{n:>7}  {name}");
+    }
+    println!("{total:>7}  library LoC (ceiling {ceiling})");
+    if total > ceiling {
+        eprintln!(
+            "lint_gate: library LoC {total} exceeds the committed ceiling {ceiling} \
+             ({LOC_CEILING_FILE}): delete before adding, or raise it with a reason"
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let mut root = PathBuf::from("crates");
     let mut allow_path = PathBuf::from("lint_allow.txt");
+    let mut loc = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = PathBuf::from(args.next().unwrap_or_default()),
             "--allow" => allow_path = PathBuf::from(args.next().unwrap_or_default()),
+            "--loc" => loc = true,
             other => {
                 eprintln!("lint_gate: unknown argument `{other}`");
                 return ExitCode::FAILURE;
             }
         }
+    }
+
+    if loc {
+        return loc_report(&root);
     }
 
     let allow = match std::fs::read_to_string(&allow_path) {
@@ -276,6 +345,13 @@ mod tests {
     fn comments_and_test_tail_are_skipped() {
         let src = "fn f() {}\n// println! in a comment\n#[cfg(test)]\nmod tests {\n    fn g() { x.unwrap(); println!(\"t\"); }\n}\n";
         assert!(scan_source("crates/simnet/src/driver.rs", src).is_empty());
+    }
+
+    #[test]
+    fn ceiling_file_is_one_number_after_comments() {
+        assert_eq!(parse_ceiling("# why\n\n26932\n"), Some(26932));
+        assert_eq!(parse_ceiling("# only a comment\n"), None);
+        assert_eq!(parse_ceiling("lots\n"), None);
     }
 
     #[test]

@@ -1,21 +1,24 @@
-//! End-to-end: a distributed top-k over the **rpc plane**, against
-//! per-host TIBs produced by a real k=4 simnet run (CherryPick tagging,
-//! TCP web traffic, trajectory flush) — not synthetic records.
+//! End-to-end: a distributed top-k over the **rpc plane**, serving each
+//! agent's own `TieredTib` as a real k=4 simnet run left it (CherryPick
+//! tagging, TCP web traffic, trajectory flush) — not synthetic records,
+//! and not a flattened copy of the store.
 //!
 //! Pins three things at once:
-//! - the rpc plane agrees bit-for-bit with the in-process
-//!   `Cluster::multilevel_query` oracle on real TIB contents;
+//! - the rpc plane agrees bit-for-bit with the flat fold of every host's
+//!   local answer (`execute_on_tib` + `Response::merge`) on real TIB
+//!   contents;
 //! - the whole pipeline (simnet → agents → TIBs → rpc plane) is
 //!   bit-identical whether the fabric ran on the sequential or the
 //!   pooled-sharded engine;
 //! - a degraded query over the same TIBs (one dead agent) still returns
 //!   within deadline, accounts the dead host exactly, and its partial
-//!   answer equals the oracle over the covered hosts.
+//!   answer equals the fold over the covered hosts.
 
+use pathdump::core::execute_on_tib;
 use pathdump::prelude::*;
 use pathdump::simnet::EngineKind;
 
-fn harvest_tibs(engine: EngineKind) -> Vec<Tib> {
+fn harvest_tibs(engine: EngineKind) -> Vec<TieredTib> {
     let mut cfg = SimConfig::for_tests().with_engine(engine);
     if engine == EngineKind::Sharded {
         cfg.shard_workers = 2;
@@ -29,20 +32,13 @@ fn harvest_tibs(engine: EngineKind) -> Vec<Tib> {
     let specs = tb.add_web_traffic(0.25, Nanos::from_secs(2), 4242);
     assert!(!specs.is_empty());
     tb.run_and_flush(Nanos::from_secs(6));
-    // The rpc plane holds flat per-host stores; flatten each agent's
-    // tiered TIB (same records, same insertion order).
-    let tibs: Vec<Tib> = tb
+    // The plane serves the agents' stores themselves.
+    let tibs: Vec<TieredTib> = tb
         .sim
         .world
         .agents
-        .iter()
-        .map(|a| {
-            let mut t = Tib::with_bucket_width(a.tib.bucket_width());
-            for rec in a.tib.records_vec() {
-                t.insert(rec);
-            }
-            t
-        })
+        .iter_mut()
+        .map(|a| std::mem::take(&mut a.tib))
         .collect();
     assert_eq!(tibs.len(), 16, "k=4 fat-tree has 16 hosts");
     assert!(
@@ -52,14 +48,29 @@ fn harvest_tibs(engine: EngineKind) -> Vec<Tib> {
     tibs
 }
 
-fn plane_over(tibs: &[Tib], q: &Query, fanouts: &[usize]) -> QueryOutcome {
-    let hosts: Vec<usize> = (0..tibs.len()).collect();
-    let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs.to_vec());
+/// Each host's local answer, indexed by host.
+fn local_answers(tibs: &[TieredTib], q: &Query) -> Vec<Response> {
+    tibs.iter().map(|t| execute_on_tib(t, q)).collect()
+}
+
+/// The oracle: the flat fold of the given hosts' local answers (the merge
+/// is canonical, so order is irrelevant).
+fn fold(q: &Query, local: &[Response], hosts: impl IntoIterator<Item = usize>) -> Response {
+    let mut acc = Response::empty_for(q);
+    for h in hosts {
+        acc.merge(local[h].clone());
+    }
+    acc
+}
+
+fn run_on<C: Channel>(
+    plane: &mut TreePlane<C, TieredTib>,
+    q: &Query,
+    fanouts: &[usize],
+) -> QueryOutcome {
+    let hosts: Vec<usize> = (0..16).collect();
     let id = plane.submit(q, &hosts, fanouts);
-    let out = plane.run(id).expect("lossless plane completes");
-    assert_eq!(plane.stats().decode_failures, 0);
-    assert_eq!(plane.stats().protocol_errors, 0);
-    out
+    plane.run(id).expect("deadlines guarantee completion")
 }
 
 #[test]
@@ -67,7 +78,6 @@ fn distributed_topk_over_rpc_plane_matches_oracle_across_engines() {
     let seq_tibs = harvest_tibs(EngineKind::Sequential);
     let sha_tibs = harvest_tibs(EngineKind::Sharded);
 
-    let hosts: Vec<usize> = (0..16).collect();
     let fanouts = [4usize, 2, 2];
     let queries = [
         Query::TopK {
@@ -82,38 +92,45 @@ fn distributed_topk_over_rpc_plane_matches_oracle_across_engines() {
             range: TimeRange::ANY,
         },
     ];
+    let oracles: Vec<Response> = queries
+        .iter()
+        .map(|q| fold(q, &local_answers(&seq_tibs, q), 0..16))
+        .collect();
 
-    for q in &queries {
-        let seq_out = plane_over(&seq_tibs, q, &fanouts);
-        let sha_out = plane_over(&sha_tibs, q, &fanouts);
+    let mut seq_plane = TreePlane::new(Loopback::default(), RpcConfig::default(), seq_tibs);
+    let mut sha_plane = TreePlane::new(Loopback::default(), RpcConfig::default(), sha_tibs);
+    for (q, oracle) in queries.iter().zip(&oracles) {
+        let seq_out = run_on(&mut seq_plane, q, &fanouts);
+        let sha_out = run_on(&mut sha_plane, q, &fanouts);
 
-        // Plane == in-process oracle, on real TIBs.
-        let oracle = Cluster::new(seq_tibs.clone(), MgmtNet::default())
-            .multilevel_query(&hosts, q, &fanouts);
-        assert_eq!(seq_out.response, oracle.response, "plane vs oracle: {q:?}");
+        // Plane == flat fold, on the agents' real stores.
+        assert_eq!(&seq_out.response, oracle, "plane vs oracle: {q:?}");
         assert!(seq_out.coverage.is_complete());
         assert!(seq_out.deadline_met);
 
         // Sequential fabric == sharded fabric, all the way through the
-        // rpc plane (the TIBs themselves are pinned identical by the
-        // sharded_equivalence suite; this extends the pin end-to-end).
+        // rpc plane.
         assert_eq!(
             seq_out.response, sha_out.response,
             "engine divergence surfaced through the rpc plane: {q:?}"
         );
         assert_eq!(seq_out.coverage, sha_out.coverage);
     }
+    for plane in [&seq_plane, &sha_plane] {
+        assert_eq!(plane.stats().decode_failures, 0);
+        assert_eq!(plane.stats().protocol_errors, 0);
+    }
 }
 
 #[test]
 fn degraded_topk_over_real_tibs_accounts_exactly() {
     let tibs = harvest_tibs(EngineKind::Sequential);
-    let hosts: Vec<usize> = (0..16).collect();
     let fanouts = [4usize, 2, 2];
     let q = Query::TopK {
         k: 25,
         range: TimeRange::ANY,
     };
+    let local = local_answers(&tibs, &q);
 
     // Kill one leaf agent (host 15 is a leaf under [4,2,2] over 16 hosts).
     let dead_host: u32 = 15;
@@ -122,10 +139,9 @@ fn degraded_topk_over_real_tibs_accounts_exactly() {
     let mut plane = TreePlane::new(
         FaultyChannel::new(MgmtNet::default(), plan),
         RpcConfig::default(),
-        tibs.clone(),
+        tibs,
     );
-    let id = plane.submit(&q, &hosts, &fanouts);
-    let out = plane.run(id).expect("deadline guarantees completion");
+    let out = run_on(&mut plane, &q, &fanouts);
 
     assert!(out.elapsed <= plane.config().deadline);
     assert!(out.coverage.missed.contains(&dead_host));
@@ -133,8 +149,7 @@ fn degraded_topk_over_real_tibs_accounts_exactly() {
     let all: Vec<u32> = (0..16).collect();
     assert!(out.coverage.partitions(&all));
 
-    // The partial answer equals the oracle over exactly the covered hosts.
-    let covered: Vec<usize> = out.coverage.answered.iter().map(|&h| h as usize).collect();
-    let oracle = Cluster::new(tibs, MgmtNet::default()).multilevel_query(&covered, &q, &fanouts);
-    assert_eq!(out.response, oracle.response);
+    // The partial answer equals the fold over exactly the covered hosts.
+    let covered = out.coverage.answered.iter().map(|&h| h as usize);
+    assert_eq!(out.response, fold(&q, &local, covered));
 }
