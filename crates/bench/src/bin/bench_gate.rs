@@ -6,7 +6,7 @@
 //!
 //! Gated metrics (see `pathdump_bench::report` for the comparison logic):
 //!
-//! * `events_per_sec` — the k=8 simnet workload on the sharded-inline
+//! * `events_per_sec` — the k=8 simnet workload on the sharded
 //!   engine, measured in-process (median of `--runs` runs; higher better).
 //! * `strip_path_min_speedup` — the dpswitch zero-copy strip-path speedup
 //!   vs the fixed pre-PR-4 medians, re-derived from a fresh
@@ -123,11 +123,11 @@ fn parse_args() -> GateArgs {
     g
 }
 
-/// Median events/sec of the k=8 workload on the sharded-inline engine.
+/// Median events/sec of the k=8 workload on the sharded engine.
 fn measure_simnet_events_per_sec(runs: usize) -> f64 {
     let p = ScaleParams::k8_default();
     let mut rates: Vec<f64> = (0..runs.max(1))
-        .map(|_| run_scale_with(p, EngineKind::Sharded, 0).events_per_sec)
+        .map(|_| run_scale_with(p, EngineKind::Sharded).events_per_sec)
         .collect();
     rates.sort_by(f64::total_cmp);
     rates[rates.len() / 2]
@@ -195,7 +195,7 @@ fn main() {
 
     // Fresh measurements.
     eprintln!(
-        "bench_gate: measuring simnet k=8 (sharded-inline, {} runs)...",
+        "bench_gate: measuring simnet k=8 (sharded, {} runs)...",
         args.runs
     );
     let cur_eps = measure_simnet_events_per_sec(args.runs) / args.handicap;

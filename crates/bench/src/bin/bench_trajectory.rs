@@ -2,11 +2,10 @@
 //! (`tib_queries`, `wire_codec`, `reconstruct`, `dpswitch_throughput`)
 //! via nested `cargo bench` invocations (parsing shared with `bench_gate`
 //! through `pathdump_bench::report`), runs the in-process simnet engine
-//! comparison (k=8 sequential vs sharded-inline vs pooled-threaded, see
-//! the `simnet_scale` module), and writes one `BENCH_tib.json` with a
-//! `benchmarks` array, a `simnet` section (including the threaded-vs-
-//! sequential speedup and the CPU count, so multicore runners report
-//! parallel headroom honestly), an `ingest` section (the host agent's
+//! comparison (k=8 sequential vs sharded, see the `simnet_scale` module),
+//! and writes one `BENCH_tib.json` with a `benchmarks` array, a `simnet`
+//! section (both engines' events/sec, their ratio and the CPU count of
+//! the box that measured them), an `ingest` section (the host agent's
 //! per-packet ingest rate — see `ingest_scale`; drift-banded by
 //! `bench_gate`), a `memory` section (trajectory-memory
 //! `evict_flow` ns/FIN and `update_wire` ns/packet at 1 k / 8 k / 64 k
@@ -175,62 +174,43 @@ fn memory_section(runs: usize) -> String {
 }
 
 /// Runs the k=8 engine comparison (median of `runs` wall-clocks per
-/// engine/mode) and returns the `simnet` JSON object. Three cases:
-/// the sequential reference, the sharded-inline driver (`workers == 0`,
-/// the single-thread mode), and the pooled-threaded driver (workers =
-/// min(cpus, switch shards), floored at 2 so the parallel machinery is
-/// always measured — honest on a 1-CPU box, where it records < 1×).
+/// engine) and returns the `simnet` JSON object: the sequential reference
+/// and the sharded engine's windowed rounds.
 fn simnet_section(runs: usize) -> String {
     let p = ScaleParams::k8_default();
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // k=8 has 9 switch shards (8 pods + core).
-    let threaded_workers = cpus.clamp(2, 9);
-    let median = |mut rs: Vec<ScaleResult>| -> ScaleResult {
+    let run_median = |engine: EngineKind| {
+        let mut rs: Vec<ScaleResult> = (0..runs).map(|_| run_scale_with(p, engine)).collect();
         rs.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
         rs.swap_remove(rs.len() / 2)
     };
-    let run_median = |engine: EngineKind, workers: usize| {
-        median(
-            (0..runs)
-                .map(|_| run_scale_with(p, engine, workers))
-                .collect(),
-        )
-    };
-    let seq = run_median(EngineKind::Sequential, 0);
-    let sha = run_median(EngineKind::Sharded, 0);
-    let thr = run_median(EngineKind::Sharded, threaded_workers);
-    for r in [&sha, &thr] {
-        assert_eq!(
-            seq.events, r.events,
-            "engines must process identical schedules"
-        );
-    }
+    let seq = run_median(EngineKind::Sequential);
+    let sha = run_median(EngineKind::Sharded);
+    assert_eq!(
+        seq.events, sha.events,
+        "engines must process identical schedules"
+    );
     let speedup = seq.wall_secs / sha.wall_secs.max(1e-12);
-    let speedup_thr = seq.wall_secs / thr.wall_secs.max(1e-12);
     eprintln!(
-        "simnet k=8: sequential {:.2}M ev/s, sharded-inline {:.2}M ev/s ({speedup:.2}x), \
-         pooled x{threaded_workers} {:.2}M ev/s ({speedup_thr:.2}x, {cpus} cpu(s))",
+        "simnet k=8: sequential {:.2}M ev/s, sharded {:.2}M ev/s ({speedup:.2}x, {cpus} cpu(s))",
         seq.events_per_sec / 1e6,
-        sha.events_per_sec / 1e6,
-        thr.events_per_sec / 1e6
+        sha.events_per_sec / 1e6
     );
     let case = |r: &ScaleResult, name: &str| {
         format!(
-            "    {{\"engine\": \"{name}\", \"workers\": {}, \"events\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}}}",
-            r.workers, r.events, r.wall_secs * 1e3, r.events_per_sec
+            "    {{\"engine\": \"{name}\", \"events\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}}}",
+            r.events, r.wall_secs * 1e3, r.events_per_sec
         )
     };
     format!(
-        "{{\n  \"k\": {},\n  \"pkts_per_host\": {},\n  \"cpus\": {cpus},\n  \"speedup_sharded_vs_sequential\": {:.3},\n  \"speedup_threaded_vs_sequential\": {:.3},\n  \"cases\": [\n{},\n{},\n{}\n    ]\n  }}",
+        "{{\n  \"k\": {},\n  \"pkts_per_host\": {},\n  \"cpus\": {cpus},\n  \"speedup_sharded_vs_sequential\": {:.3},\n  \"cases\": [\n{},\n{}\n    ]\n  }}",
         p.k,
         p.pkts_per_host,
         speedup,
-        speedup_thr,
         case(&seq, "sequential"),
-        case(&sha, "sharded"),
-        case(&thr, "sharded_threaded")
+        case(&sha, "sharded")
     )
 }
 

@@ -1,9 +1,8 @@
 //! k=16 scale smoke: drives the paper-scale fat-tree (1024 hosts, 320
 //! switches, 17 switch shards) end-to-end on the **sharded** simnet
-//! engine and checks the conservation invariants. CI runs this as a
-//! non-blocking canary so scale regressions (deadlocks, horizon bugs,
-//! blow-ups in the shard synchronization) surface before anyone needs a
-//! k=16 experiment.
+//! engine and checks the conservation invariants, so scale regressions
+//! (non-terminating rounds, horizon bugs, blow-ups in the per-round
+//! horizon computation) surface before anyone needs a k=16 experiment.
 //!
 //! Usage: `cargo run --release -p pathdump_bench --bin fig_k16_scale
 //! [-- --runs N] [--max-secs S]` (N = packets per host, default 100;
@@ -26,29 +25,19 @@ fn main() {
     banner(
         "k16-scale",
         "sharded engine smoke at paper scale (k=16 fat-tree)",
-        "§5 'datacenter-scale fabrics'; unlocked by pod-sharded conservative PDES",
+        "§5 'datacenter-scale fabrics'; unlocked by pod-sharded windowed rounds",
     );
     let p = ScaleParams {
         k: 16,
         pkts_per_host: pkts,
         ..ScaleParams::k8_default()
     };
-    // Exercise the *pooled* driver at paper scale (one worker per CPU,
-    // clamped to the 17 switch shards): on multicore CI this smoke is the
-    // only blocking coverage of real thread interleavings at k=16. The
-    // inline mode is covered too — it is strictly a subset of the same
-    // windowed-round driver with a trivial executor.
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = cpus.min(17);
-    let r = run_scale_with(p, EngineKind::Sharded, workers);
+    let r = run_scale_with(p, EngineKind::Sharded);
     println!(
-        "k=16: {} events in {:.3}s ({:.2}M events/sec, {} pool worker(s)), delivered {}/{} packets",
+        "k=16: {} events in {:.3}s ({:.2}M events/sec), delivered {}/{} packets",
         r.events,
         r.wall_secs,
         r.events_per_sec / 1e6,
-        r.workers,
         r.delivered,
         r.injected
     );

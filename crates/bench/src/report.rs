@@ -269,8 +269,8 @@ mod tests {
   "cpus": 1,
   "speedup_sharded_vs_sequential": 1.412,
   "cases": [
-    {"engine": "sequential", "workers": 0, "events": 499200, "wall_ms": 141.657, "events_per_sec": 3523996},
-    {"engine": "sharded", "workers": 0, "events": 499200, "wall_ms": 100.334, "events_per_sec": 4975404}
+    {"engine": "sequential", "events": 499200, "wall_ms": 141.657, "events_per_sec": 3523996},
+    {"engine": "sharded", "events": 499200, "wall_ms": 100.334, "events_per_sec": 4975404}
     ]
   },
   "ingest": {

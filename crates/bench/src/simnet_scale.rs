@@ -82,10 +82,8 @@ impl ScaleParams {
 }
 
 /// The scaled-up configuration for one parameter set (see module docs).
-/// `workers` is [`SimConfig::shard_workers`]: `0` = inline windowed
-/// rounds on the calling thread, `n ≥ 1` = the persistent worker pool.
-pub fn scale_config(p: ScaleParams, engine: EngineKind, workers: usize) -> SimConfig {
-    let mut cfg = SimConfig {
+pub fn scale_config(p: ScaleParams, engine: EngineKind) -> SimConfig {
+    SimConfig {
         fabric_link: LinkConfig {
             rate_bps: p.rate_bps,
             prop_delay: Nanos(p.fab_prop_us * MICROS),
@@ -99,18 +97,15 @@ pub fn scale_config(p: ScaleParams, engine: EngineKind, workers: usize) -> SimCo
         record_ground_truth: false,
         collect_drop_log: false,
         seed: 0xBEEF_0001,
+        engine,
         ..SimConfig::default()
-    };
-    cfg.engine = engine;
-    cfg.shard_workers = workers;
-    cfg
+    }
 }
 
 /// Result of one engine run.
 #[derive(Clone, Debug)]
 pub struct ScaleResult {
     pub engine: EngineKind,
-    pub workers: usize,
     pub k: u16,
     pub injected: u64,
     pub delivered: u64,
@@ -121,7 +116,7 @@ pub struct ScaleResult {
 
 /// Builds the workload and drives it to completion on `engine`,
 /// measuring only the run (not construction).
-pub fn run_scale_with(p: ScaleParams, engine: EngineKind, workers: usize) -> ScaleResult {
+pub fn run_scale_with(p: ScaleParams, engine: EngineKind) -> ScaleResult {
     let ft = FatTree::build(FatTreeParams { k: p.k });
     let topo = ft.topology();
     let n = topo.num_hosts() as u32;
@@ -149,12 +144,7 @@ pub fn run_scale_with(p: ScaleParams, engine: EngineKind, workers: usize) -> Sca
         senders,
         delivered: 0,
     };
-    let mut sim = Simulator::new(
-        &ft,
-        scale_config(p, engine, workers),
-        Box::new(NoTagging),
-        world,
-    );
+    let mut sim = Simulator::new(&ft, scale_config(p, engine), Box::new(NoTagging), world);
     sim.set_lb_all(LoadBalance::Spray);
     for i in 0..sim.world.senders.len() {
         let host = sim.world.senders[i].host;
@@ -166,7 +156,6 @@ pub fn run_scale_with(p: ScaleParams, engine: EngineKind, workers: usize) -> Sca
     let wall = start.elapsed().as_secs_f64();
     ScaleResult {
         engine,
-        workers,
         k: p.k,
         injected: sim.stats.injected_pkts,
         delivered: sim.world.delivered,
@@ -177,13 +166,13 @@ pub fn run_scale_with(p: ScaleParams, engine: EngineKind, workers: usize) -> Sca
 }
 
 /// [`run_scale_with`] at the default parameter shape for arity `k`.
-pub fn run_scale(k: u16, pkts_per_host: u32, engine: EngineKind, workers: usize) -> ScaleResult {
+pub fn run_scale(k: u16, pkts_per_host: u32, engine: EngineKind) -> ScaleResult {
     let p = ScaleParams {
         k,
         pkts_per_host,
         ..ScaleParams::k8_default()
     };
-    run_scale_with(p, engine, workers)
+    run_scale_with(p, engine)
 }
 
 #[cfg(test)]
@@ -191,16 +180,14 @@ mod tests {
     use super::*;
 
     /// The bench workload itself must be engine-invariant (tiny instance):
-    /// sequential, sharded-inline, and pooled all process one schedule.
+    /// both engines process one schedule.
     #[test]
     fn scale_workload_engine_invariant() {
-        let a = run_scale(4, 20, EngineKind::Sequential, 0);
-        for workers in [0usize, 2] {
-            let b = run_scale(4, 20, EngineKind::Sharded, workers);
-            assert_eq!(a.injected, b.injected, "workers={workers}");
-            assert_eq!(a.delivered, b.delivered, "workers={workers}");
-            assert_eq!(a.events, b.events, "workers={workers}");
-        }
+        let a = run_scale(4, 20, EngineKind::Sequential);
+        let b = run_scale(4, 20, EngineKind::Sharded);
+        assert_eq!(a.injected, b.injected);
+        assert_eq!(a.delivered, b.delivered);
+        assert_eq!(a.events, b.events);
         assert!(a.delivered > 0);
     }
 }

@@ -356,6 +356,11 @@ impl HostAgent {
     pub fn tick(&mut self, fabric: &Fabric, now: Nanos) {
         let evicted = self.memory.evict_idle(now);
         self.finalize_batch(fabric, evicted, now);
+        // An entry older than the epoch suppresses nothing (`raise` would
+        // ignore it), so it only costs memory.
+        let epoch = self.cfg.alarm_epoch;
+        self.raised_epochs
+            .retain(|_, last| now.saturating_sub(*last) < epoch);
     }
 
     /// Flushes everything from trajectory memory into the TIB.
@@ -896,6 +901,45 @@ mod tests {
         let alarms = agent.drain_alarms();
         assert_eq!(alarms.len(), 1, "distinct flow raises its own alarm");
         assert_eq!(alarms[0].flow, other);
+    }
+
+    #[test]
+    fn alarm_epoch_dedup_state_is_pruned_by_tick() {
+        let (ft, fabric, policy) = fabric();
+        let (src, dst) = (ft.host(0, 0, 0), ft.host(1, 0, 0));
+        let mut agent = HostAgent::new(dst, AgentConfig::default());
+        let forbidden = ft.core(0);
+        agent.install_invariant(Invariant {
+            forbidden: vec![forbidden],
+            ..Invariant::default()
+        });
+        let bad = ft
+            .all_paths(src, dst)
+            .into_iter()
+            .find(|p| p.contains(forbidden))
+            .unwrap();
+        let flows: Vec<FlowId> = (0..16).map(|i| flow_of(&ft, src, dst, 6000 + i)).collect();
+        for flow in &flows {
+            let pkt = pkt_on_path(&ft, &policy, *flow, &bad, 300, true);
+            agent.on_packet(&fabric, &pkt, Nanos::from_millis(1));
+        }
+        assert_eq!(agent.drain_alarms().len(), flows.len());
+        assert_eq!(agent.raised_epochs.len(), flows.len());
+        // Inside the epoch a tick keeps every entry: they still suppress.
+        agent.tick(&fabric, Nanos::from_secs(1));
+        assert_eq!(agent.raised_epochs.len(), flows.len());
+        // Past the epoch (default 5 s) none can suppress anything.
+        agent.tick(&fabric, Nanos::from_secs(6));
+        assert!(agent.raised_epochs.is_empty(), "expired entries are pruned");
+        // A re-trip after the prune raises exactly once, as before it.
+        for t in [7u64, 8] {
+            let pkt = pkt_on_path(&ft, &policy, flows[0], &bad, 300, true);
+            agent.on_packet(&fabric, &pkt, Nanos::from_secs(t));
+        }
+        let alarms = agent.drain_alarms();
+        assert_eq!(alarms.len(), 1);
+        assert_eq!(alarms[0].at, Nanos::from_secs(7));
+        assert_eq!(agent.raised_epochs.len(), 1);
     }
 
     #[test]

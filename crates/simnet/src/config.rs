@@ -29,14 +29,16 @@ impl LinkConfig {
 /// design and `tests/prop_shard_equivalence.rs` for the differential proof.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
-    /// One global `(time, key)` scan over all shard queues, single thread.
+    /// One global `(time, key)` order over all shard queues: the reference
+    /// every differential suite compares against.
     #[default]
     Sequential,
-    /// Conservative parallel discrete-event simulation: one shard per
+    /// Conservative windowed rounds on the calling thread: one shard per
     /// fat-tree pod plus a core shard and the host/controller edge shard,
-    /// synchronized on lookahead windows bounded by the minimum cross-shard
-    /// latency. Falls back to the sequential driver when the topology or
-    /// the configured latencies leave no usable lookahead.
+    /// each draining its own queue up to a lookahead horizon bounded by the
+    /// minimum cross-shard latency. Falls back to the sequential driver
+    /// when the topology or the configured latencies leave no usable
+    /// lookahead.
     Sharded,
 }
 
@@ -73,27 +75,6 @@ pub struct SimConfig {
     pub record_ground_truth: bool,
     /// Which event-loop engine executes the schedule (results identical).
     pub engine: EngineKind,
-    /// Worker threads for the sharded engine: `0` = inline windowed rounds
-    /// on the calling thread (no threads, deterministic cost — the right
-    /// mode for single-core boxes and stepping harnesses), `n >= 1` = a
-    /// **persistent pool** of `min(n, switch shards)` worker threads
-    /// driving the switch shards while the calling thread drives the
-    /// host/controller edge shard. The mapping is normalized in one place
-    /// ([`SimConfig::worker_mode`]); results are bit-identical either way.
-    pub shard_workers: usize,
-}
-
-/// Normalized execution mode of the sharded engine — the single source of
-/// truth for what [`SimConfig::shard_workers`] means, so engine refactors
-/// cannot silently change its interpretation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkerMode {
-    /// Every shard runs windowed rounds on the calling thread.
-    Inline,
-    /// This many persistent pool workers (≥ 1, already clamped to the
-    /// switch-shard count) drive the switch shards; the calling thread
-    /// drives the edge shard.
-    Pool(usize),
 }
 
 impl Default for SimConfig {
@@ -117,7 +98,6 @@ impl Default for SimConfig {
             collect_drop_log: false,
             record_ground_truth: true,
             engine: EngineKind::Sequential,
-            shard_workers: 0,
         }
     }
 }
@@ -136,17 +116,6 @@ impl SimConfig {
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// Validates and normalizes `shard_workers` for a topology with
-    /// `switch_shards` switch shards: `0` → [`WorkerMode::Inline`], `n ≥ 1`
-    /// → [`WorkerMode::Pool`] of `min(n, switch_shards)` workers (more
-    /// workers than shards would idle every round).
-    pub fn worker_mode(&self, switch_shards: usize) -> WorkerMode {
-        match self.shard_workers {
-            0 => WorkerMode::Inline,
-            n => WorkerMode::Pool(n.min(switch_shards.max(1))),
-        }
     }
 }
 
@@ -172,26 +141,5 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.asic_tag_limit, 2);
         assert!(c.punt_latency > c.packet_out_latency);
-    }
-
-    /// The normalization contract the pool refactor must not change:
-    /// `0` means inline, `n ≥ 1` means a pool clamped to the shard count.
-    #[test]
-    fn worker_mode_normalization() {
-        let mut c = SimConfig {
-            shard_workers: 0,
-            ..SimConfig::default()
-        };
-        assert_eq!(c.worker_mode(5), WorkerMode::Inline);
-        c.shard_workers = 1;
-        assert_eq!(c.worker_mode(5), WorkerMode::Pool(1));
-        c.shard_workers = 3;
-        assert_eq!(c.worker_mode(5), WorkerMode::Pool(3));
-        // More workers than switch shards clamp down: extras would idle.
-        c.shard_workers = 64;
-        assert_eq!(c.worker_mode(5), WorkerMode::Pool(5));
-        // Degenerate plans still resolve to at least one worker.
-        c.shard_workers = 2;
-        assert_eq!(c.worker_mode(0), WorkerMode::Pool(1));
     }
 }

@@ -1,36 +1,25 @@
-//! The execution drivers: one generic **windowed-round driver** shared by
-//! every sharded mode, and the tournament-indexed **sequential** reference.
+//! The two execution drivers: the **windowed rounds** of the sharded
+//! engine and the tournament-indexed **sequential** reference. Both run on
+//! the calling thread over the same lanes — `lanes[s]` drives shard `s`
+//! (switch shards in shard order, the edge shard last) — and the same
+//! handlers, so they differ only in the order events of *different* shards
+//! interleave, which no handler can observe (see `sim.rs` module docs).
 //!
-//! # The windowed-round contract
+//! # The windowed rounds
 //!
-//! Before this module existed, the inline driver, the spawned-worker loop,
-//! and the edge loop were three hand-written copies of the same round
-//! shape that had to stay barrier-for-barrier identical by inspection.
-//! [`drive_windowed_rounds`] is now the single implementation; the modes
-//! differ only in the [`RoundSync`] executor plugged into it:
+//! Each round of [`drive_windowed_rounds`]:
 //!
-//! 1. **Integrate & publish** — for each local lane (shard), drain
-//!    cross-round messages into its queue ([`RoundSync::integrate`]) and
-//!    publish its earliest pending event time ([`RoundSync::publish`]).
-//! 2. **Freeze** — [`RoundSync::freeze`] produces the frozen global
-//!    `t_next` snapshot (a two-phase barrier under the threaded executor);
-//!    if the global minimum exceeds the run horizon, the drive ends.
-//! 3. **Process** — each local lane pops and dispatches events strictly
-//!    below its horizon (`ShardPlan::horizon` over the frozen snapshot).
-//!    Derived events routed to *local* lanes are pushed directly — they
-//!    land at or beyond the destination's horizon by the lookahead
-//!    argument, so they cannot be processed until the next round — and
-//!    events for remote shards are buffered per destination
-//!    ([`RoundSync::post`]).
-//! 4. **Exchange** — [`RoundSync::round_end`] flushes the per-destination
-//!    buffers (one lock + one splice per shard per window, not one lock
-//!    per message) and waits the end-of-round barrier, making every
-//!    message visible before the next round's integrate.
+//! 1. **Snapshot** — record every lane's earliest pending event time; if
+//!    the global minimum exceeds the run horizon, the drive ends.
+//! 2. **Process** — each lane in turn pops and dispatches its events
+//!    strictly below its horizon (`ShardPlan::horizon` over the snapshot).
+//!    Derived events are pushed straight into the destination lane: by the
+//!    lookahead argument they land at or beyond that lane's horizon, so it
+//!    cannot see them before the next round's snapshot.
 //!
-//! [`InlineSync`] (all lanes on the calling thread) makes steps 2 and 4
-//! trivial; [`ExchangeSync`] implements them over the shared
-//! [`Exchange`]. Any conservative schedule yields bit-identical results
-//! (see `sim.rs` module docs), so the executor choice is invisible.
+//! A lane therefore drains a whole window from its own heap before the
+//! next lane runs, where the sequential driver re-seats the tournament
+//! after every event.
 //!
 //! # The sequential driver
 //!
@@ -42,11 +31,11 @@
 
 use crate::config::SimConfig;
 use crate::event::{EventEntry, EventQueue};
-use crate::shard::{AbortGuard, Exchange, Outgoing, ShardPlan};
+use crate::shard::{Outgoing, ShardPlan};
 use crate::traits::TagPolicy;
 use pathdump_topology::{Nanos, RouteTables, Topology};
 
-/// Read-only state shared by every shard and every driver.
+/// Read-only state shared by every shard and both drivers.
 pub(crate) struct Net<'a> {
     pub cfg: &'a SimConfig,
     pub topo: &'a Topology,
@@ -59,184 +48,38 @@ pub(crate) struct Net<'a> {
 /// mutates the shard's state. Implemented by the switch-shard and edge
 /// contexts in `sim.rs`; the drivers only see this surface.
 pub(crate) trait LaneCtx {
-    /// The shard this lane drives.
-    fn shard(&self) -> usize;
     /// The lane's event queue.
     fn queue_mut(&mut self) -> &mut EventQueue;
     /// Dispatches one event, appending derived cross-shard events to `out`.
     fn dispatch_event(&mut self, net: &Net, ev: EventEntry, out: &mut Vec<Outgoing>);
 }
 
-/// The synchronization half of the windowed-round driver (see module
-/// docs for the four-step contract).
-pub(crate) trait RoundSync {
-    /// Drains messages that arrived for `shard` since the last round.
-    fn integrate(&mut self, shard: usize, queue: &mut EventQueue);
-    /// Publishes `shard`'s earliest pending event time for this round.
-    fn publish(&mut self, shard: usize, t: u64);
-    /// Freezes the global `t_next` snapshot (threaded: barrier first).
-    fn freeze(&mut self, snap: &mut Vec<u64>);
-    /// Buffers one event for a shard no local lane drives.
-    fn post(&mut self, m: Outgoing);
-    /// Flushes buffered events and ends the round (threaded: barrier).
-    fn round_end(&mut self);
-}
-
-/// Executor for the single-thread sharded mode: every lane is local, so
-/// there is nothing to exchange and no barrier to wait.
-pub(crate) struct InlineSync {
-    t_next: Vec<u64>,
-}
-
-impl InlineSync {
-    pub fn new(total_shards: usize) -> Self {
-        InlineSync {
-            t_next: vec![u64::MAX; total_shards],
-        }
-    }
-}
-
-impl RoundSync for InlineSync {
-    fn integrate(&mut self, _shard: usize, _queue: &mut EventQueue) {}
-
-    fn publish(&mut self, shard: usize, t: u64) {
-        self.t_next[shard] = t;
-    }
-
-    fn freeze(&mut self, snap: &mut Vec<u64>) {
-        snap.clear();
-        snap.extend_from_slice(&self.t_next);
-    }
-
-    fn post(&mut self, _m: Outgoing) {
-        unreachable!("the inline driver holds every lane locally");
-    }
-
-    fn round_end(&mut self) {}
-}
-
-/// Executor for one participant of the threaded mode (a pool worker's
-/// shard group, or the calling thread's edge shard): mailbox integrate,
-/// barrier-frozen snapshots, and **per-destination batched** posting —
-/// one inbox lock and one splice per shard per window.
-pub(crate) struct ExchangeSync<'a> {
-    exch: &'a Exchange,
-    /// Outgoing events buffered per destination shard within one round.
-    pending: Vec<Vec<Outgoing>>,
-    /// Reusable drain buffer; rotates capacity with the inboxes.
-    scratch: Vec<Outgoing>,
-    /// Aborts the barrier if this participant unwinds mid-round.
-    _abort: AbortGuard<'a>,
-}
-
-impl<'a> ExchangeSync<'a> {
-    pub fn new(exch: &'a Exchange) -> Self {
-        ExchangeSync {
-            pending: (0..exch.inboxes.len()).map(|_| Vec::new()).collect(),
-            scratch: Vec::new(),
-            _abort: AbortGuard(exch),
-            exch,
-        }
-    }
-}
-
-impl RoundSync for ExchangeSync<'_> {
-    fn integrate(&mut self, shard: usize, queue: &mut EventQueue) {
-        {
-            let mut inbox = self.exch.inboxes[shard].lock().expect("inbox poisoned");
-            std::mem::swap(&mut *inbox, &mut self.scratch);
-        }
-        for m in self.scratch.drain(..) {
-            queue.push_keyed(m.at, m.key, m.kind);
-        }
-    }
-
-    fn publish(&mut self, shard: usize, t: u64) {
-        self.exch.publish(shard, t);
-    }
-
-    fn freeze(&mut self, snap: &mut Vec<u64>) {
-        self.exch.barrier.wait();
-        self.exch.snapshot(snap);
-    }
-
-    fn post(&mut self, m: Outgoing) {
-        self.pending[m.shard].push(m);
-    }
-
-    fn round_end(&mut self) {
-        for (shard, msgs) in self.pending.iter_mut().enumerate() {
-            self.exch.post_batch(shard, msgs);
-        }
-        self.exch.barrier.wait();
-    }
-}
-
-/// Builds the shard → local-lane-index map used to route derived events.
-fn lane_index(total_shards: usize, lanes: &[&mut dyn LaneCtx]) -> Vec<usize> {
-    let mut lane_of = vec![usize::MAX; total_shards];
-    for (i, l) in lanes.iter().enumerate() {
-        lane_of[l.shard()] = i;
-    }
-    lane_of
-}
-
-/// Routes the events produced by one dispatch: local lanes are pushed
-/// directly (sound — see module docs), the rest buffered in the executor.
-fn route_out(
-    out: &mut Vec<Outgoing>,
-    lanes: &mut [&mut dyn LaneCtx],
-    lane_of: &[usize],
-    sync: &mut impl RoundSync,
-) {
-    for m in out.drain(..) {
-        let li = lane_of[m.shard];
-        if li != usize::MAX {
-            lanes[li].queue_mut().push_keyed(m.at, m.key, m.kind);
-        } else {
-            sync.post(m);
-        }
-    }
-}
-
-/// The one windowed-round driver (see module docs for the contract all
-/// sharded modes share). `lanes` is whatever subset of shards this
-/// participant drives; `sync` supplies integration, snapshots, and
-/// cross-participant exchange.
-pub(crate) fn drive_windowed_rounds(
-    net: &Net,
-    lanes: &mut [&mut dyn LaneCtx],
-    sync: &mut impl RoundSync,
-    t: Nanos,
-) {
-    let total = net.plan.total_shards();
-    let lane_of = lane_index(total, lanes);
-    let mut snap: Vec<u64> = Vec::with_capacity(total);
+/// The sharded engine (see module docs): rounds of per-lane windows bounded
+/// by the lookahead horizons, until no event at or before `t` is pending.
+pub(crate) fn drive_windowed_rounds(net: &Net, lanes: &mut [&mut dyn LaneCtx], t: Nanos) {
+    let mut t_next: Vec<u64> = vec![u64::MAX; lanes.len()];
     let mut out: Vec<Outgoing> = Vec::new();
     loop {
-        for l in lanes.iter_mut() {
-            let s = l.shard();
-            sync.integrate(s, l.queue_mut());
-            let t_next = l.queue_mut().peek_time().map_or(u64::MAX, |n| n.0);
-            sync.publish(s, t_next);
+        for (tn, l) in t_next.iter_mut().zip(lanes.iter_mut()) {
+            *tn = l.queue_mut().peek_time().map_or(u64::MAX, |n| n.0);
         }
-        sync.freeze(&mut snap);
-        let gmin = snap.iter().copied().min().unwrap_or(u64::MAX);
+        let gmin = t_next.iter().copied().min().unwrap_or(u64::MAX);
         if gmin == u64::MAX || gmin > t.0 {
             break;
         }
         for i in 0..lanes.len() {
-            let h = net.plan.horizon(lanes[i].shard(), &snap);
+            let h = net.plan.horizon(i, &t_next);
             while let Some((at, _)) = lanes[i].queue_mut().peek_time_key() {
                 if at.0 >= h || at > t {
                     break;
                 }
                 let ev = lanes[i].queue_mut().pop().expect("peeked event must pop");
                 lanes[i].dispatch_event(net, ev, &mut out);
-                route_out(&mut out, lanes, &lane_of, sync);
+                for m in out.drain(..) {
+                    lanes[m.shard].queue_mut().push_keyed(m.at, m.key, m.kind);
+                }
             }
         }
-        sync.round_end();
     }
 }
 
@@ -245,10 +88,9 @@ pub(crate) fn drive_windowed_rounds(
 /// over the per-lane queue heads.
 ///
 /// Events stamped exactly `Nanos::MAX` are the saturated "never" sentinel
-/// and do not fire (the windowed drivers cannot distinguish them from
+/// and do not fire (the windowed rounds cannot distinguish them from
 /// empty queues, so neither engine runs them).
 pub(crate) fn seq_drive(net: &Net, lanes: &mut [&mut dyn LaneCtx], t: Nanos) {
-    let lane_of = lane_index(net.plan.total_shards(), lanes);
     let mut tree = TournamentTree::new(lanes.len());
     for (i, l) in lanes.iter_mut().enumerate() {
         tree.set(i, l.queue_mut().peek_time_key());
@@ -261,10 +103,10 @@ pub(crate) fn seq_drive(net: &Net, lanes: &mut [&mut dyn LaneCtx], t: Nanos) {
         let ev = lanes[i].queue_mut().pop().expect("tree head must pop");
         lanes[i].dispatch_event(net, ev, &mut out);
         for m in out.drain(..) {
-            let li = lane_of[m.shard];
-            lanes[li].queue_mut().push_keyed(m.at, m.key, m.kind);
-            if li != i {
-                tree.set(li, lanes[li].queue_mut().peek_time_key());
+            let dest = m.shard;
+            lanes[dest].queue_mut().push_keyed(m.at, m.key, m.kind);
+            if dest != i {
+                tree.set(dest, lanes[dest].queue_mut().peek_time_key());
             }
         }
         // The popped lane re-seats last: it covers both the pop and any

@@ -11,47 +11,40 @@
 //!
 //! Determinism: per-shard event queues ordered by `(time, causal key)`
 //! plus partitioned seeded RNG streams make every run exactly reproducible
-//! — on every engine. The simulation can run on one global event loop
-//! ([`config::EngineKind::Sequential`]) or sharded per fat-tree pod as a
-//! conservative parallel DES ([`config::EngineKind::Sharded`]); all modes
+//! — on either engine. Both engines run on the calling thread: one global
+//! event order ([`config::EngineKind::Sequential`]) or windowed rounds over
+//! one shard per fat-tree pod ([`config::EngineKind::Sharded`]); they
 //! produce bit-identical results (see `sim` module docs and
 //! `tests/prop_shard_equivalence.rs`).
 //!
 //! # Engine selection matrix
 //!
-//! | `engine` | `shard_workers` | Execution | Use when |
-//! |---|---|---|---|
-//! | `Sequential` | (ignored) | Global `(time, key)` scan via a tournament tree, single thread | Reference semantics; smallest constant factor for tiny fabrics |
-//! | `Sharded` | `0` | [`WorkerMode::Inline`]: windowed rounds, all shards on the calling thread | Single-core boxes and fine-grained stepping harnesses — faster than sequential at k ≥ 8 (smaller per-shard heaps), zero threads |
-//! | `Sharded` | `n ≥ 1` | [`WorkerMode::Pool`]: a **persistent pool** of `min(n, switch shards)` workers plus the calling thread on the edge shard | Multicore parallel headroom; threads spawn once and park between `run_until` calls |
+//! Measured on 2 vCPUs with the `simnet_scale` workload (medians of 9–11
+//! alternating runs, M events/s, sequential / sharded): k=4 4.25 / 5.02,
+//! k=6 3.61 / 4.91, k=8 3.27 / 4.63, k=16 2.38 / 3.26.
+//!
+//! | `engine` | Execution | Use when |
+//! |---|---|---|
+//! | `Sequential` (default) | Global `(time, key)` order via a tournament tree over the shard queue heads | The reference every differential suite compares against; equal or faster at the figure bins' paper link rates (`fig05` 3.48 vs 4.32 s, `fig06` 0.19 vs 0.28 s, `fig10` 0.28 vs 0.34 s) |
+//! | `Sharded` | Windowed rounds: each shard drains its own queue up to its lookahead horizon, then the next shard runs | Dense-link scale runs: 1.2–1.4× sequential at k=4…16 above (`fig_k16_scale`, `bench_trajectory`'s `simnet` section) |
 //!
 //! `Sharded` falls back to the sequential driver when the topology has
 //! fewer than two switch shards or any cross-shard channel has zero
 //! lookahead ([`sim::Simulator::effective_engine`]).
-//!
-//! Whatever the mode, every sharded run executes the **one** windowed-round
-//! driver (`driver::drive_windowed_rounds`): integrate mailboxes → publish
-//! earliest pending times → freeze the round snapshot → process strictly
-//! below per-shard horizons (derived events routed directly to local
-//! shards, batched per destination otherwise) → flush and end the round.
-//! The executor trait is the only thing that differs between inline and
-//! pooled execution, so the barrier discipline cannot drift between them.
 
 pub mod config;
 mod driver;
 pub mod event;
 pub mod fault;
 pub mod packet;
-mod pool;
 mod shard;
 pub mod sim;
 pub mod stats;
 pub mod traits;
 
-pub use config::{EngineKind, LinkConfig, SimConfig, WorkerMode};
+pub use config::{EngineKind, LinkConfig, SimConfig};
 pub use fault::{FaultState, LoadBalance, Misconfig, Quirk, SwitchQuirks};
 pub use packet::{Packet, TagHeaders, TcpFlags, HEADER_BYTES, VLAN_TAG_BYTES};
-pub use pool::PoolStats;
 pub use sim::Simulator;
 pub use stats::{DropReason, DropRecord, LinkCounters, SimStats, SwitchCounters};
 pub use traits::{CtrlApi, HostApi, NoTagging, Punt, SinkWorld, TagPolicy, World};

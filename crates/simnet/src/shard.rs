@@ -1,16 +1,15 @@
 //! Pod sharding: the partition of the fabric into conservatively
-//! synchronized event-loop shards, and the synchronization primitives
-//! (round barrier, mailbox exchange) the windowed-round driver in
-//! [`crate::driver`] runs on.
+//! synchronized event-loop shards, and the lookahead horizons the windowed
+//! rounds in [`crate::driver`] process up to.
 //!
 //! # Partition
 //!
 //! Every switch with a `pod` coordinate joins its pod's shard; switches
 //! without one (fat-tree cores) form one extra shard. Hosts, NICs, timers,
 //! the [`crate::traits::World`] and the controller live on the **edge
-//! shard**, driven by the calling thread — the world is a single `&mut`
-//! object, and routing every host/controller callback through one shard is
-//! what keeps its observation order identical to the sequential engine's.
+//! shard** — the world is a single `&mut` object, and routing every
+//! host/controller callback through one shard is what keeps its
+//! observation order identical to the sequential engine's.
 //!
 //! # Lookahead
 //!
@@ -24,7 +23,7 @@
 //! no direct messages (fat-tree pods only meet at cores), so two pods can
 //! run up to two fabric hops apart.
 //!
-//! The window barriers are also the granularity at which the facade's
+//! The round boundaries are also the granularity at which the facade's
 //! merged view (`now()`, `pending_events()`, stats, drop log) is defined:
 //! inside `run_until` the shards are mid-window and unobservable; at every
 //! `run_until` return the engines have converged on the identical state.
@@ -32,8 +31,6 @@
 use crate::config::SimConfig;
 use crate::event::EventKind;
 use pathdump_topology::{Nanos, Peer, Topology};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// A cross-shard event in flight.
 pub(crate) struct Outgoing {
@@ -197,14 +194,14 @@ impl ShardPlan {
         }
     }
 
-    /// True when the sharded drivers can run this plan: at least two
+    /// True when the windowed rounds can run this plan: at least two
     /// switch shards and strictly positive lookahead on every channel.
     pub fn shardable(&self) -> bool {
         self.switch_shards >= 2 && self.lookahead > Nanos::ZERO
     }
 
     /// The horizon (exclusive) up to which shard `s` may process events,
-    /// given the frozen per-shard earliest-pending-event snapshot. Every
+    /// given the round's per-shard earliest-pending-event snapshot. Every
     /// shard — including `s` itself, whose events can round-trip through
     /// the core — contributes `its earliest pending time + the cheapest
     /// causal chain from it to s`; nothing can appear at `s` below that.
@@ -218,123 +215,6 @@ impl ShardPlan {
             h = h.min(tn.saturating_add(l));
         }
         h
-    }
-}
-
-/// A reusable round barrier that can be *aborted*: unlike
-/// `std::sync::Barrier`, a participant that unwinds (see [`AbortGuard`])
-/// wakes every blocked peer with a panic instead of deadlocking the run —
-/// a worker crash must surface as a diagnostic, not a hang.
-pub(crate) struct RoundBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-    parties: usize,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    aborted: bool,
-}
-
-impl RoundBarrier {
-    fn new(parties: usize) -> Self {
-        RoundBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                aborted: false,
-            }),
-            cv: Condvar::new(),
-            parties,
-        }
-    }
-
-    /// Blocks until all parties arrive (or the barrier is aborted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any participant aborted the barrier.
-    pub fn wait(&self) {
-        let mut st = self.state.lock().expect("barrier poisoned");
-        assert!(!st.aborted, "a shard worker panicked; aborting the run");
-        st.arrived += 1;
-        if st.arrived == self.parties {
-            st.arrived = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-            return;
-        }
-        let gen = st.generation;
-        while st.generation == gen && !st.aborted {
-            st = self.cv.wait(st).expect("barrier poisoned");
-        }
-        assert!(!st.aborted, "a shard worker panicked; aborting the run");
-    }
-
-    /// Marks the barrier aborted and wakes every waiter.
-    pub fn abort(&self) {
-        if let Ok(mut st) = self.state.lock() {
-            st.aborted = true;
-        }
-        self.cv.notify_all();
-    }
-}
-
-/// Aborts the exchange's barrier if the holder unwinds, so one panicking
-/// round participant takes the whole run down loudly.
-pub(crate) struct AbortGuard<'a>(pub &'a Exchange);
-
-impl Drop for AbortGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.barrier.abort();
-        }
-    }
-}
-
-/// One round-synchronized mailbox set: per-shard inboxes plus the frozen
-/// `t_next` snapshot the horizon computation reads.
-pub(crate) struct Exchange {
-    pub inboxes: Vec<Mutex<Vec<Outgoing>>>,
-    pub t_next: Vec<AtomicU64>,
-    pub barrier: RoundBarrier,
-}
-
-impl Exchange {
-    pub fn new(total_shards: usize, parties: usize) -> Self {
-        Exchange {
-            inboxes: (0..total_shards).map(|_| Mutex::new(Vec::new())).collect(),
-            t_next: (0..total_shards)
-                .map(|_| AtomicU64::new(u64::MAX))
-                .collect(),
-            barrier: RoundBarrier::new(parties),
-        }
-    }
-
-    /// Splices one participant's whole per-destination batch into `shard`'s
-    /// inbox: one lock and one append per shard per window, instead of a
-    /// lock per message. `msgs` is drained and keeps its capacity for the
-    /// next round.
-    pub fn post_batch(&self, shard: usize, msgs: &mut Vec<Outgoing>) {
-        if msgs.is_empty() {
-            return;
-        }
-        self.inboxes[shard]
-            .lock()
-            .expect("inbox poisoned")
-            .append(msgs);
-    }
-
-    /// Publishes shard `s`'s earliest pending time.
-    pub fn publish(&self, s: usize, t: u64) {
-        self.t_next[s].store(t, Ordering::Release);
-    }
-
-    /// Reads the full frozen snapshot (call between the two barriers).
-    pub fn snapshot(&self, into: &mut Vec<u64>) {
-        into.clear();
-        into.extend(self.t_next.iter().map(|a| a.load(Ordering::Acquire)));
     }
 }
 
@@ -396,31 +276,6 @@ mod tests {
         assert_eq!(plan.reach[0][plan.edge_shard()], fab);
         // Core -> edge: no hosts on cores; cheapest is core -> pod -> edge.
         assert_eq!(plan.reach[4][plan.edge_shard()], 2 * fab);
-    }
-
-    #[test]
-    fn aborted_barrier_unblocks_waiters_with_panic() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::Arc;
-        let exch = Arc::new(Exchange::new(1, 2));
-        let e2 = Arc::clone(&exch);
-        let waiter = std::thread::spawn(move || {
-            catch_unwind(AssertUnwindSafe(|| e2.barrier.wait())).is_err()
-        });
-        // Simulate a peer that panics before arriving: its AbortGuard
-        // fires abort() during unwinding.
-        let e3 = Arc::clone(&exch);
-        let _ = std::thread::spawn(move || {
-            let _guard = AbortGuard(&e3);
-            panic!("worker died");
-        })
-        .join();
-        assert!(
-            waiter.join().expect("waiter thread itself must not die"),
-            "a blocked participant must panic on abort, not hang"
-        );
-        // Late arrivals also fail fast instead of blocking forever.
-        assert!(catch_unwind(AssertUnwindSafe(|| exch.barrier.wait())).is_err());
     }
 
     #[test]

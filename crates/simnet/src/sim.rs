@@ -5,35 +5,25 @@
 //! # Engine architecture: pod sharding with conservative lookahead
 //!
 //! [`Simulator`] is a facade over two interchangeable event-loop engines
-//! selected by [`SimConfig::engine`]:
+//! selected by [`SimConfig::engine`], both running on the calling thread:
 //!
-//! * **Sequential** — one thread pops the globally earliest event across
-//!   all shard queues (the reference engine), ordered by a tournament
-//!   tree over the per-shard queue heads.
-//! * **Sharded** — conservative parallel DES: the fabric is partitioned
-//!   into one shard per fat-tree pod plus a core shard (see
+//! * **Sequential** — pops the globally earliest event across all shard
+//!   queues (the reference engine), ordered by a tournament tree over the
+//!   per-shard queue heads.
+//! * **Sharded** — a conservative discrete-event schedule: the fabric is
+//!   partitioned into one shard per fat-tree pod plus a core shard (see
 //!   [`crate::shard::ShardPlan`]), while hosts, NICs, timers, the
-//!   [`World`] and the controller form the *edge shard* driven by the
-//!   calling thread. Shards run windowed rounds: each round every shard
-//!   publishes the time of its earliest pending event, and then safely
-//!   processes everything strictly below its *horizon* — the minimum over
-//!   other shards of `their earliest event + the minimum latency of any
-//!   message they could send here`. Cross-shard packets travel through
-//!   mailboxes, spliced per destination shard once per window and drained
-//!   at the next window barrier. The minimum cross-shard latency
-//!   (fabric/host propagation, punt and packet-out latency) is the
-//!   lookahead bound; if any is zero the facade silently falls back to the
-//!   sequential driver.
-//!
-//! The sharded engine executes in one of two modes, normalized from
-//! [`SimConfig::shard_workers`] by [`SimConfig::worker_mode`]: **inline**
-//! (`0` — every shard's rounds run on the calling thread) or **pooled**
-//! (`n ≥ 1` — a persistent worker pool, spawned once and parked between
-//! runs, drives the switch shards while the calling thread drives the
-//! edge shard). All three execution paths are the *same* round loop,
-//! `driver::drive_windowed_rounds`, parameterized over a synchronization
-//! executor — the barrier structure is enforced by the type, not by
-//! keeping hand-written loops in sync.
+//!   [`World`] and the controller form the *edge shard*. Shards run
+//!   windowed rounds (`driver::drive_windowed_rounds`): each round records
+//!   the time of every shard's earliest pending event, and then each shard
+//!   in turn processes everything strictly below its *horizon* — the
+//!   minimum over all shards of `their earliest event + the minimum
+//!   latency of any causal chain from them to here`. Cross-shard events
+//!   are pushed straight onto the destination shard's queue; they land at
+//!   or beyond its horizon, so it sees them in the next round. The minimum
+//!   cross-shard latency (fabric/host propagation, punt and packet-out
+//!   latency) is the lookahead bound; if any is zero the facade silently
+//!   falls back to the sequential driver.
 //!
 //! # Determinism: both engines are bit-identical
 //!
@@ -63,18 +53,17 @@
 //! [`Simulator::now`] and [`Simulator::pending_events`] report the merged
 //! global view: the clock is the maximum processed event time (clamped up
 //! to the `run_until` horizon) and pending counts sum all shard queues.
-//! Both are exact whenever `run_until` has returned — the window barrier
-//! guarantees no event at or before the horizon is still buffered — so
+//! Both are exact whenever `run_until` has returned — the rounds end only
+//! when no event at or before the horizon is pending on any shard — so
 //! harnesses stepping the simulation observe identical values on either
 //! engine even when a step boundary lands mid-flight ("mid-window").
 
-use crate::config::{EngineKind, SimConfig, WorkerMode};
-use crate::driver::{drive_windowed_rounds, seq_drive, ExchangeSync, InlineSync, LaneCtx, Net};
+use crate::config::{EngineKind, SimConfig};
+use crate::driver::{drive_windowed_rounds, seq_drive, LaneCtx, Net};
 use crate::event::{mix64, EventEntry, EventKind, EventQueue, KeyGen};
 use crate::fault::{FaultState, LoadBalance, Misconfig, Quirk, SwitchQuirks};
 use crate::packet::Packet;
-use crate::pool::{Job, PoolStats, WorkerPool};
-use crate::shard::{Exchange, Outgoing, ShardPlan};
+use crate::shard::{Outgoing, ShardPlan};
 use crate::stats::{DropReason, DropRecord, SimStats, DROP_LOG_CAP};
 use crate::stats::{LinkCounters, SwitchCounters};
 use crate::traits::{CtrlAction, CtrlApi, HostAction, HostApi, Punt, TagPolicy, World};
@@ -558,10 +547,6 @@ impl SwitchCtx<'_> {
 }
 
 impl LaneCtx for SwitchCtx<'_> {
-    fn shard(&self) -> usize {
-        self.shard
-    }
-
     fn queue_mut(&mut self) -> &mut EventQueue {
         self.queue
     }
@@ -851,10 +836,6 @@ impl<W: World> EdgeCtx<'_, W> {
 }
 
 impl<W: World> LaneCtx for EdgeCtx<'_, W> {
-    fn shard(&self) -> usize {
-        self.shard
-    }
-
     fn queue_mut(&mut self) -> &mut EventQueue {
         self.queue
     }
@@ -896,9 +877,6 @@ pub struct Simulator<W: World> {
     /// Counters (see [`SimStats`]).
     pub stats: SimStats,
     drop_stage: Vec<Vec<KeyedDrop>>,
-    /// Persistent shard workers (empty until the first pooled run; parked
-    /// between runs; joined on drop).
-    pool: WorkerPool,
 }
 
 impl<W: World> Simulator<W> {
@@ -950,14 +928,13 @@ impl<W: World> Simulator<W> {
             drop_stage,
             plan,
             topo,
-            pool: WorkerPool::default(),
         }
     }
 
     /// Current simulated time: the latest processed event time, clamped up
     /// to the last `run_until` horizon. Under sharding this is the global
-    /// maximum across shards — exact at every `run_until` return (the
-    /// window barrier has merged all shards by then).
+    /// maximum across shards — exact at every `run_until` return (every
+    /// shard has processed everything up to the horizon by then).
     pub fn now(&self) -> Nanos {
         self.clock
     }
@@ -1246,81 +1223,17 @@ impl<W: World> Simulator<W> {
     /// either engine.
     pub fn run_until(&mut self, t: Nanos) {
         let engine = self.effective_engine();
-        let mode = self.cfg.worker_mode(self.plan.switch_shards);
-        // The pool steps out of `self` for the duration of the run so the
-        // context decomposition can borrow everything else; it is restored
-        // even when the run unwinds (a caught world panic must not cost
-        // the parked threads).
-        let mut pool = std::mem::take(&mut self.pool);
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.drive(engine, mode, &mut pool, t)
-        }));
-        self.pool = pool;
-        if let Err(p) = run {
-            std::panic::resume_unwind(p);
-        }
+        self.with_ctxs(true, |net, sctxs, ectx| {
+            let mut lanes = all_lanes(sctxs, ectx);
+            match engine {
+                EngineKind::Sequential => seq_drive(net, &mut lanes, t),
+                EngineKind::Sharded => drive_windowed_rounds(net, &mut lanes, t),
+            }
+        });
         if t > self.clock && t != Nanos::MAX {
             self.clock = t;
         }
         self.merge_staged();
-    }
-
-    /// The engine dispatch of one `run_until` call (split out so the
-    /// caller can restore the pool around an unwinding run).
-    fn drive(&mut self, engine: EngineKind, mode: WorkerMode, pool: &mut WorkerPool, t: Nanos) {
-        self.with_ctxs(true, |net, sctxs, ectx| {
-            match (engine, mode) {
-                (EngineKind::Sequential, _) => {
-                    let mut lanes = all_lanes(sctxs, ectx);
-                    seq_drive(net, &mut lanes, t);
-                }
-                (EngineKind::Sharded, WorkerMode::Inline) => {
-                    let mut lanes = all_lanes(sctxs, ectx);
-                    let mut sync = InlineSync::new(net.plan.total_shards());
-                    drive_windowed_rounds(net, &mut lanes, &mut sync, t);
-                }
-                (EngineKind::Sharded, WorkerMode::Pool(workers)) => {
-                    let exch = Exchange::new(net.plan.total_shards(), workers + 1);
-                    // Round-robin shards over workers.
-                    let mut groups: Vec<Vec<&mut SwitchCtx>> =
-                        (0..workers).map(|_| Vec::new()).collect();
-                    for (i, c) in sctxs.iter_mut().enumerate() {
-                        groups[i % workers].push(c);
-                    }
-                    let exchr = &exch;
-                    let jobs: Vec<Job<'_>> = groups
-                        .into_iter()
-                        .map(|mut group| {
-                            Box::new(move || {
-                                let mut lanes: Vec<&mut dyn LaneCtx> = group
-                                    .iter_mut()
-                                    .map(|c| &mut **c as &mut dyn LaneCtx)
-                                    .collect();
-                                let mut sync = ExchangeSync::new(exchr);
-                                drive_windowed_rounds(net, &mut lanes, &mut sync, t);
-                            }) as Job<'_>
-                        })
-                        .collect();
-                    // Parked pool workers drive the switch groups; this
-                    // thread drives the edge shard through the identical
-                    // round loop; the batch guard joins the round trip.
-                    let batch = pool.dispatch(jobs);
-                    {
-                        let mut lanes: Vec<&mut dyn LaneCtx> = vec![ectx];
-                        let mut sync = ExchangeSync::new(exchr);
-                        drive_windowed_rounds(net, &mut lanes, &mut sync, t);
-                    }
-                    batch.finish();
-                }
-            }
-        });
-    }
-
-    /// Pool lifecycle counters (tests pin the thread-reuse contract on
-    /// these; see [`PoolStats`]). All zero until the first run under
-    /// [`WorkerMode::Pool`].
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// Runs until the event queue drains (or `hard_cap` is reached).
@@ -1329,8 +1242,8 @@ impl<W: World> Simulator<W> {
     }
 
     /// Number of pending events across all shards (diagnostics). Exact at
-    /// every `run_until` return: the window barrier leaves no cross-shard
-    /// message in flight.
+    /// every `run_until` return: derived events go straight onto their
+    /// destination shard's queue, so none is in flight between shards.
     pub fn pending_events(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
     }
@@ -1357,9 +1270,9 @@ impl<W: World> Simulator<W> {
     }
 }
 
-/// Collects every shard context into the lane list the drivers consume:
-/// switch shards in shard order, the edge shard last (lane order is also
-/// the sequential tie-scan order).
+/// Collects every shard context into the lane list the drivers consume,
+/// indexed by shard id: switch shards in shard order, the edge shard last
+/// (lane order is also the sequential tie-break order).
 fn all_lanes<'c, W: World>(
     sctxs: &'c mut [SwitchCtx<'_>],
     ectx: &'c mut EdgeCtx<'_, W>,
@@ -1865,10 +1778,8 @@ mod tests {
 
     // --- engine equivalence & sharding semantics --------------------------
 
-    fn sharded_cfg(workers: usize) -> SimConfig {
-        let mut cfg = SimConfig::for_tests().with_engine(EngineKind::Sharded);
-        cfg.shard_workers = workers;
-        cfg
+    fn sharded_cfg() -> SimConfig {
+        SimConfig::for_tests().with_engine(EngineKind::Sharded)
     }
 
     /// Drives a mixed workload (ECMP + spray + silent drops + a downed
@@ -1913,112 +1824,17 @@ mod tests {
         (s.stats.clone(), traj)
     }
 
-    /// The sharded engine — inline (`workers == 0`) and pooled — must be
-    /// bit-identical to the sequential reference on stats and per-packet
-    /// trajectories.
+    /// The sharded engine must be bit-identical to the sequential
+    /// reference on stats and per-packet trajectories.
     #[test]
     fn sharded_engine_matches_sequential() {
         let ft = ft4();
         let t = Nanos::from_millis(500);
         let (seq_stats, seq_traj) = mixed_run(&ft, SimConfig::for_tests(), t);
         assert!(!seq_traj.is_empty(), "workload must deliver packets");
-        for workers in [0usize, 1, 2, 3] {
-            let (st, tr) = mixed_run(&ft, sharded_cfg(workers), t);
-            assert_eq!(tr, seq_traj, "trajectories diverged at workers={workers}");
-            assert_eq!(st, seq_stats, "stats diverged at workers={workers}");
-        }
-    }
-
-    /// The pool-reuse contract: repeated fine-grained `run_until` steps
-    /// dispatch batches to the *same* threads — the spawn counter (pool
-    /// generation) stays at the worker count, however many steps run.
-    #[test]
-    fn pool_reuses_threads_across_run_until_steps() {
-        let ft = ft4();
-        let mut s = Simulator::new(
-            &ft,
-            sharded_cfg(2),
-            Box::new(NoTagging),
-            TestWorld::default(),
-        );
-        assert_eq!(s.pool_stats(), crate::pool::PoolStats::default());
-        let (a, b) = (ft.host(0, 0, 0), ft.host(2, 1, 1));
-        for sport in 0..30u16 {
-            one_packet(&mut s, flow(&ft, a, b, 5500 + sport), a);
-        }
-        let steps = 40u64;
-        for i in 1..=steps {
-            s.run_until(Nanos(i * 100_000));
-        }
-        let st = s.pool_stats();
-        assert_eq!(st.threads, 2);
-        assert_eq!(
-            st.spawned_total, 2,
-            "stepping must reuse the persistent workers, not respawn"
-        );
-        assert_eq!(st.batches, steps, "one dispatched batch per run_until");
-        assert_eq!(s.world.delivered.len(), 30);
-        // Dropping the simulator parks nothing: the pool joins its threads.
-        drop(s);
-    }
-
-    /// `shard_workers == 0` is the inline mode: windowed rounds on the
-    /// calling thread, no pool threads ever spawned.
-    #[test]
-    fn inline_mode_spawns_no_threads() {
-        let ft = ft4();
-        let mut s = Simulator::new(
-            &ft,
-            sharded_cfg(0),
-            Box::new(NoTagging),
-            TestWorld::default(),
-        );
-        let (a, b) = (ft.host(0, 0, 0), ft.host(1, 0, 0));
-        one_packet(&mut s, flow(&ft, a, b, 1), a);
-        s.run_until(Nanos::from_millis(10));
-        assert_eq!(s.world.delivered.len(), 1);
-        assert_eq!(s.pool_stats(), crate::pool::PoolStats::default());
-    }
-
-    /// A panicking world takes the pooled run down loudly — and the pool
-    /// survives: the same simulator config can run again afterwards.
-    #[test]
-    fn pooled_run_survives_world_panic() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        struct BombWorld {
-            armed: bool,
-        }
-        impl World for BombWorld {
-            fn on_packet(&mut self, _api: &mut HostApi<'_>, _pkt: Packet) {
-                if self.armed {
-                    panic!("world exploded");
-                }
-            }
-            fn on_timer(&mut self, _api: &mut HostApi<'_>, _token: u64) {}
-        }
-        let ft = ft4();
-        let mut s = Simulator::new(
-            &ft,
-            sharded_cfg(2),
-            Box::new(NoTagging),
-            BombWorld { armed: true },
-        );
-        let (a, b) = (ft.host(0, 0, 0), ft.host(1, 0, 0));
-        let send = |s: &mut Simulator<BombWorld>, sport: u16| {
-            let pkt = Packet::data(0, flow(&ft, a, b, sport), 0, 1000, s.now());
-            s.send_from(a, pkt);
-        };
-        send(&mut s, 7);
-        let err = catch_unwind(AssertUnwindSafe(|| s.run_until(Nanos::from_millis(10))));
-        assert!(err.is_err(), "the edge panic must propagate");
-        // The workers were unblocked (barrier abort) and are parked again;
-        // a fresh run reuses the same pool — no respawn even across the
-        // caught panic.
-        s.world.armed = false;
-        send(&mut s, 8);
-        s.run_until(Nanos::from_millis(20));
-        assert_eq!(s.pool_stats().threads, 2);
-        assert_eq!(s.pool_stats().spawned_total, 2);
+        let (st, tr) = mixed_run(&ft, sharded_cfg(), t);
+        assert_eq!(tr, seq_traj, "trajectories diverged");
+        assert_eq!(st, seq_stats, "stats diverged");
     }
 
     /// `now()` and `pending_events()` observed at a `run_until` boundary
@@ -2037,7 +1853,7 @@ mod tests {
         let mut se = sim(&ft);
         let mut sh = Simulator::new(
             &ft,
-            sharded_cfg(2),
+            sharded_cfg(),
             Box::new(NoTagging),
             TestWorld::default(),
         );
@@ -2067,7 +1883,7 @@ mod tests {
     #[test]
     fn zero_lookahead_falls_back_to_sequential() {
         let ft = ft4();
-        let mut cfg = sharded_cfg(0);
+        let mut cfg = sharded_cfg();
         cfg.packet_out_latency = Nanos::ZERO;
         let mut s = Simulator::new(&ft, cfg, Box::new(NoTagging), TestWorld::default());
         assert_eq!(s.effective_engine(), EngineKind::Sequential);
@@ -2078,7 +1894,7 @@ mod tests {
         // With positive lookahead the same config shards.
         let s2 = Simulator::new(
             &ft,
-            sharded_cfg(0),
+            sharded_cfg(),
             Box::new(NoTagging),
             TestWorld::default(),
         );
@@ -2102,32 +1918,28 @@ mod tests {
         let seq = run(SimConfig::for_tests());
         assert_eq!(seq.0, 1, "the real packet is delivered");
         assert_eq!(seq.1, 1, "the saturated timer stays pending forever");
-        for workers in [1usize, 2] {
-            assert_eq!(run(sharded_cfg(workers)), seq, "workers={workers}");
-        }
+        assert_eq!(run(sharded_cfg()), seq);
     }
 
-    /// `run_to_completion(Nanos::MAX)` must terminate on every driver
-    /// once the queues drain (regression: the threaded rounds once spun
+    /// `run_to_completion(Nanos::MAX)` must terminate on the windowed
+    /// rounds once the queues drain (regression: the rounds once spun
     /// forever because `gmin > MAX` is unsatisfiable).
     #[test]
     fn run_to_completion_drains_on_all_drivers() {
         let ft = ft4();
-        for workers in [1usize, 2] {
-            let mut s = Simulator::new(
-                &ft,
-                sharded_cfg(workers),
-                Box::new(NoTagging),
-                TestWorld::default(),
-            );
-            let (a, b) = (ft.host(0, 0, 0), ft.host(2, 0, 1));
-            for sport in 0..10u16 {
-                one_packet(&mut s, flow(&ft, a, b, 100 + sport), a);
-            }
-            s.run_to_completion(Nanos::MAX);
-            assert_eq!(s.pending_events(), 0, "workers={workers}");
-            assert_eq!(s.world.delivered.len(), 10, "workers={workers}");
+        let mut s = Simulator::new(
+            &ft,
+            sharded_cfg(),
+            Box::new(NoTagging),
+            TestWorld::default(),
+        );
+        let (a, b) = (ft.host(0, 0, 0), ft.host(2, 0, 1));
+        for sport in 0..10u16 {
+            one_packet(&mut s, flow(&ft, a, b, 100 + sport), a);
         }
+        s.run_to_completion(Nanos::MAX);
+        assert_eq!(s.pending_events(), 0);
+        assert_eq!(s.world.delivered.len(), 10);
     }
 
     /// Determinism also holds run-to-run on the sharded engine.
@@ -2135,8 +1947,8 @@ mod tests {
     fn sharded_determinism_under_fixed_seed() {
         let ft = ft4();
         let t = Nanos::from_millis(400);
-        let (s1, t1) = mixed_run(&ft, sharded_cfg(2), t);
-        let (s2, t2) = mixed_run(&ft, sharded_cfg(2), t);
+        let (s1, t1) = mixed_run(&ft, sharded_cfg(), t);
+        let (s2, t2) = mixed_run(&ft, sharded_cfg(), t);
         assert_eq!(s1, s2);
         assert_eq!(t1, t2);
     }
@@ -2170,7 +1982,6 @@ mod tests {
         };
         let seq = run(SimConfig::for_tests());
         assert!(seq.1 > 0, "tags must punt");
-        assert_eq!(run(sharded_cfg(1)), seq);
-        assert_eq!(run(sharded_cfg(2)), seq);
+        assert_eq!(run(sharded_cfg()), seq);
     }
 }

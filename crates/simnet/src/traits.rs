@@ -12,11 +12,7 @@ use rand::rngs::SmallRng;
 /// implementation in `pathdump-cherrypick` pushes ingress-link IDs per the
 /// sampling rules of §3.1; [`NoTagging`] turns the fabric into a vanilla
 /// network (the baseline of Figure 13).
-///
-/// `Send + Sync` because the sharded engine invokes the policy from
-/// per-pod worker threads concurrently; policies are stateless rule sets,
-/// so this is a formality.
-pub trait TagPolicy: Send + Sync {
+pub trait TagPolicy {
     /// Applies tagging actions for a packet forwarded by `sw` from
     /// `in_port` (`None` = received from an attached host) to `out_port`.
     fn on_forward(

@@ -96,13 +96,6 @@ struct Scenario {
     tagged: bool,
     faults: Vec<(u8, u8, u8)>, // (kind, selector a, selector b)
     flows: Vec<FlowSel>,
-    /// `shard_workers`: 0 = inline windowed rounds, n ≥ 1 = persistent
-    /// pool of n workers.
-    workers: usize,
-    /// `run_until` steps: 0 = the default coarse two-step run; n ≥ 2 =
-    /// fine-grained stepping (n equal slices), exercising pool handoff
-    /// and mid-window merges once per slice.
-    steps: u8,
 }
 
 type Trajectories = Vec<(HostId, u64, Vec<SwitchId>, Nanos)>;
@@ -113,11 +106,13 @@ type Observed = (
     Vec<u64>,
 );
 
-fn run(sc: &Scenario, engine: EngineKind) -> Observed {
+/// Runs one scenario on `engine`. `steps`: 0 = the default coarse
+/// two-step run; n ≥ 2 = fine-grained stepping (n equal `run_until`
+/// slices), exercising the mid-window merge once per slice.
+fn run(sc: &Scenario, engine: EngineKind, steps: u8) -> Observed {
     let ft = FatTree::build(FatTreeParams { k: sc.k });
     let mut cfg = SimConfig::for_tests().with_engine(engine);
     cfg.seed = sc.seed;
-    cfg.shard_workers = sc.workers;
     let tag: Box<dyn TagPolicy> = if sc.tagged {
         Box::new(TagEveryHop)
     } else {
@@ -185,32 +180,24 @@ fn run(sc: &Scenario, engine: EngineKind) -> Observed {
         sport += 1;
     }
     let end = Nanos::from_millis(200);
-    if sc.steps < 2 {
+    if steps < 2 {
         // Two-step run: exercises the mid-stream boundary merge as well.
         sim.run_until(Nanos::from_millis(3));
         sim.run_until(end);
     } else {
-        // Fine-grained stepping: every slice boundary is a full
-        // park/dispatch round trip on the pooled engine.
-        for i in 1..=sc.steps as u64 {
-            sim.run_until(Nanos(end.0 * i / sc.steps as u64));
-        }
-        if sc.workers >= 1 && engine == EngineKind::Sharded {
-            let st = sim.pool_stats();
-            assert_eq!(
-                st.spawned_total, st.threads as u64,
-                "stepping must never respawn pool workers: {st:?}"
-            );
-            assert_eq!(st.batches, sc.steps as u64);
+        for i in 1..=steps as u64 {
+            sim.run_until(Nanos(end.0 * i / steps as u64));
         }
     }
     let w = sim.world;
     (sim.stats, w.delivered, w.punts, w.rng_draws)
 }
 
-fn assert_equivalent(sc: &Scenario) -> Result<(), proptest::test_runner::TestCaseError> {
-    let seq = run(sc, EngineKind::Sequential);
-    let sha = run(sc, EngineKind::Sharded);
+/// The sharded engine run in `steps` slices must observe exactly what one
+/// coarse sequential run observes.
+fn assert_equivalent(sc: &Scenario, steps: u8) -> Result<(), proptest::test_runner::TestCaseError> {
+    let seq = run(sc, EngineKind::Sequential, 0);
+    let sha = run(sc, EngineKind::Sharded, steps);
     prop_assert_eq!(&sha.1, &seq.1, "trajectories diverged: {:?}", sc);
     prop_assert_eq!(&sha.2, &seq.2, "punts diverged: {:?}", sc);
     prop_assert_eq!(&sha.3, &seq.3, "world rng draws diverged: {:?}", sc);
@@ -221,7 +208,7 @@ fn assert_equivalent(sc: &Scenario) -> Result<(), proptest::test_runner::TestCas
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// k=4: densest coverage of fault/LB/tagging mixes (inline driver).
+    /// k=4: densest coverage of fault/LB/tagging mixes.
     #[test]
     fn shard_equivalence_k4(
         seed in any::<u64>(),
@@ -233,8 +220,8 @@ proptest! {
             1..5,
         ),
     ) {
-        let sc = Scenario { k: 4, seed, lb, tagged, faults, flows, workers: 0, steps: 0 };
-        assert_equivalent(&sc)?;
+        let sc = Scenario { k: 4, seed, lb, tagged, faults, flows };
+        assert_equivalent(&sc, 0)?;
     }
 }
 
@@ -261,48 +248,22 @@ proptest! {
             tagged,
             faults,
             flows,
-            workers: 0,
-            steps: 0,
         };
-        assert_equivalent(&sc)?;
+        assert_equivalent(&sc, 0)?;
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Pooled-worker path (persistent threads + mailboxes + barriers) on
-    /// k=4.
+    /// Fine-grained stepping on the windowed rounds: many small
+    /// `run_until` slices, each ending mid-window, must still be
+    /// bit-identical to one sequential run.
     #[test]
-    fn shard_equivalence_threaded(
+    fn shard_equivalence_stepping(
         seed in any::<u64>(),
         lb in 0u8..3,
         tagged in any::<bool>(),
-        workers in 2usize..4,
-        faults in proptest::collection::vec((0u8..4, 0u8..=255, 0u8..=255), 0..3),
-        flows in proptest::collection::vec(
-            ((0u8..=255, 0u8..=255, 0u8..=255), (0u8..=255, 0u8..=255, 0u8..=255), 0u8..=255),
-            1..4,
-        ),
-    ) {
-        let sc = Scenario { k: 4, seed, lb, tagged, faults, flows, workers, steps: 0 };
-        assert_equivalent(&sc)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Fine-grained stepping on the pooled engine (≥ 2 workers): many
-    /// small `run_until` slices must reuse the same pool threads (the
-    /// per-step spawn/join this suite used to pay is gone) and still be
-    /// bit-identical to the sequential reference stepped the same way.
-    #[test]
-    fn shard_equivalence_pooled_stepping(
-        seed in any::<u64>(),
-        lb in 0u8..3,
-        tagged in any::<bool>(),
-        workers in 2usize..4,
         steps in 5u8..12,
         faults in proptest::collection::vec((0u8..4, 0u8..=255, 0u8..=255), 0..3),
         flows in proptest::collection::vec(
@@ -310,7 +271,7 @@ proptest! {
             1..4,
         ),
     ) {
-        let sc = Scenario { k: 4, seed, lb, tagged, faults, flows, workers, steps };
-        assert_equivalent(&sc)?;
+        let sc = Scenario { k: 4, seed, lb, tagged, faults, flows };
+        assert_equivalent(&sc, steps)?;
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Every [`TieredTib::insert`](crate::segment::TieredTib::insert) with a
 //! WAL attached appends one frame *before* the record becomes queryable,
-//! so a crash loses at most the unflushed tail: recovery loads the last
+//! so a *process* crash loses at most the frame being appended (see
+//! [`FileWal`] for what a power loss can take): recovery loads the last
 //! snapshot and replays the WAL over it
 //! ([`TieredTib::recover`](crate::segment::TieredTib::recover)). After a
 //! successful snapshot ([`checkpoint`](crate::segment::TieredTib::checkpoint))
@@ -141,7 +142,12 @@ impl WalStore for VecWal {
     }
 }
 
-/// A file-backed WAL. Appends are written and flushed immediately; reset
+/// A file-backed WAL. Each append is one `write_all` straight to the file
+/// descriptor (no user-space buffer; the `flush` after it is a no-op on
+/// `File`), so once `append` returns the frame is in the OS page cache: it
+/// **survives a kill of this process, not a power loss or kernel crash** —
+/// nothing calls `sync_data`, and whatever the kernel had not written back
+/// is gone, possibly more than the torn tail [`replay`] tolerates. Reset
 /// truncates in place. The file is created (or truncated) on open — pass
 /// its prior contents through [`replay`] *before* reopening when
 /// recovering.

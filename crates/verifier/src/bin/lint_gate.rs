@@ -7,11 +7,11 @@
 //!
 //! - `unwrap()` / `expect(` are banned in the forwarding/query hot paths:
 //!   `crates/dpswitch/src/**` (the batched parser included),
-//!   `crates/simnet/src/driver.rs`, `crates/simnet/src/pool.rs`,
-//!   `crates/tib/src/tib.rs`, `crates/tib/src/memory.rs` (the per-packet
-//!   map), and the `crates/rpc` plane/channel/fault/codec modules (a panic
-//!   there kills every in-flight query on the node). A panic in any of
-//!   these takes down the datapath, a pool worker, or the query plane.
+//!   `crates/simnet/src/driver.rs`, `crates/tib/src/tib.rs`,
+//!   `crates/tib/src/memory.rs` (the per-packet map), and the
+//!   `crates/rpc` plane/channel/fault/codec modules (a panic there kills
+//!   every in-flight query on the node). A panic in any of these takes
+//!   down the datapath, the simulation, or the query plane.
 //! - `println!` is banned in all library code (benches and bins own stdout;
 //!   libraries must not pollute it — `BENCH_tib.json` is parsed from files,
 //!   and dpswitch pipelines stdout).
@@ -19,7 +19,8 @@
 //! Justified sites live in the allowlist file (`lint_allow.txt` at the repo
 //! root): one `path needle` pair per line, `#` comments. A finding is
 //! allowed when its file matches `path` and its source line contains
-//! `needle`.
+//! `needle`. An entry that tolerated no finding in the run is stale and
+//! fails the gate, so the list cannot outlive the code it excuses.
 //!
 //! `--loc` runs the other check instead: it prints library lines of code
 //! per crate — ROADMAP's tracked number: every line of `crates/*/src` and
@@ -38,7 +39,6 @@ use std::process::ExitCode;
 const HOT_PATHS: &[&str] = &[
     "crates/dpswitch/src/",
     "crates/simnet/src/driver.rs",
-    "crates/simnet/src/pool.rs",
     "crates/tib/src/tib.rs",
     "crates/tib/src/memory.rs",
     // The tiered storage engine: insert/seal/evict and the WAL append
@@ -145,10 +145,27 @@ fn parse_allowlist(text: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-fn is_allowed(f: &Finding, allow: &[(String, String)]) -> bool {
+/// Does any allowlist entry tolerate `f`? Every entry that does is
+/// marked in `used`.
+fn is_allowed(f: &Finding, allow: &[(String, String)], used: &mut [bool]) -> bool {
+    let mut any = false;
+    for ((path, needle), u) in allow.iter().zip(used.iter_mut()) {
+        if f.file == *path && f.line.contains(needle) {
+            *u = true;
+            any = true;
+        }
+    }
+    any
+}
+
+/// The allowlist lines that tolerated no finding in this run.
+fn stale_entries(allow: &[(String, String)], used: &[bool]) -> Vec<String> {
     allow
         .iter()
-        .any(|(path, needle)| f.file == *path && f.line.contains(needle))
+        .zip(used)
+        .filter(|(_, &u)| !u)
+        .map(|((path, needle), _)| format!("{path} {needle}"))
+        .collect()
 }
 
 /// Library sources under `root`: every `crates/*/src/**/*.rs` except
@@ -288,6 +305,7 @@ fn main() -> ExitCode {
 
     let mut bad = 0usize;
     let mut scanned = 0usize;
+    let mut used = vec![false; allow.len()];
     for path in files {
         let Ok(source) = std::fs::read_to_string(&path) else {
             eprintln!("lint_gate: unreadable {}", path.display());
@@ -297,11 +315,18 @@ fn main() -> ExitCode {
         scanned += 1;
         let file = path.to_string_lossy().replace('\\', "/");
         for f in scan_source(&file, &source) {
-            if !is_allowed(&f, &allow) {
+            if !is_allowed(&f, &allow, &mut used) {
                 eprintln!("{f}");
                 bad += 1;
             }
         }
+    }
+    for line in stale_entries(&allow, &used) {
+        eprintln!(
+            "{}: stale entry (tolerated no finding): {line}",
+            allow_path.display()
+        );
+        bad += 1;
     }
 
     if bad > 0 {
@@ -365,11 +390,30 @@ mod tests {
             "fn f() { y.expect(\"overlap checked\"); }\n",
         );
         assert_eq!(f.len(), 1);
-        assert!(is_allowed(&f[0], &allow));
+        let mut used = vec![false; allow.len()];
+        assert!(is_allowed(&f[0], &allow, &mut used));
         let g = scan_source(
             "crates/tib/src/tib.rs",
             "fn f() { y.expect(\"something else\"); }\n",
         );
-        assert!(!is_allowed(&g[0], &allow));
+        assert!(!is_allowed(&g[0], &allow, &mut used));
+    }
+
+    #[test]
+    fn allowlist_entry_without_a_finding_is_stale() {
+        let allow = parse_allowlist(
+            "crates/tib/src/tib.rs expect(\"overlap checked\")\ncrates/simnet/src/pool.rs expect(\"spawn shard worker\")\n",
+        );
+        let mut used = vec![false; allow.len()];
+        assert_eq!(stale_entries(&allow, &used).len(), 2, "nothing scanned yet");
+        let f = scan_source(
+            "crates/tib/src/tib.rs",
+            "fn f() { y.expect(\"overlap checked\"); }\n",
+        );
+        assert!(is_allowed(&f[0], &allow, &mut used));
+        assert_eq!(
+            stale_entries(&allow, &used),
+            ["crates/simnet/src/pool.rs expect(\"spawn shard worker\")"]
+        );
     }
 }

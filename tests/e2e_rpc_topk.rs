@@ -9,7 +9,7 @@
 //!   contents;
 //! - the whole pipeline (simnet → agents → TIBs → rpc plane) is
 //!   bit-identical whether the fabric ran on the sequential or the
-//!   pooled-sharded engine;
+//!   sharded engine;
 //! - a degraded query over the same TIBs (one dead agent) still returns
 //!   within deadline, accounts the dead host exactly, and its partial
 //!   answer equals the fold over the covered hosts.
@@ -19,10 +19,7 @@ use pathdump::prelude::*;
 use pathdump::simnet::EngineKind;
 
 fn harvest_tibs(engine: EngineKind) -> Vec<TieredTib> {
-    let mut cfg = SimConfig::for_tests().with_engine(engine);
-    if engine == EngineKind::Sharded {
-        cfg.shard_workers = 2;
-    }
+    let cfg = SimConfig::for_tests().with_engine(engine);
     let mut tb = Testbed::fattree(4, cfg, WorldConfig::default());
     assert_eq!(
         tb.sim.effective_engine(),

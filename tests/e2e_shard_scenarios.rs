@@ -28,14 +28,6 @@ fn k8(engine: EngineKind) -> Testbed {
     )
 }
 
-/// Like [`k8`], but the sharded engine runs on the persistent worker
-/// pool (`shard_workers` = 2) instead of inline.
-fn k8_pooled(engine: EngineKind) -> Testbed {
-    let mut cfg = SimConfig::for_tests().with_engine(engine);
-    cfg.shard_workers = 2;
-    Testbed::fattree(8, cfg, WorldConfig::default())
-}
-
 const ENGINES: [EngineKind; 2] = [EngineKind::Sequential, EngineKind::Sharded];
 
 /// §4.3 at k=8: MAX-COVERAGE localization of a silently dropping
@@ -101,14 +93,13 @@ fn silent_drop_localization_k8_sharded_matches_sequential() {
 
 /// §4.5 at k=8: a 4-switch loop across two pods and the core, trapped by
 /// the controller in punt time. Verdicts (switch, repeated link, visit
-/// count, detection time) must be identical across engines — here the
-/// sharded side runs on the **pooled** driver, so the thread/mailbox/
-/// barrier machinery gets blocking e2e coverage at 9 switch shards.
+/// count, detection time) must be identical across engines (9 switch
+/// shards; punt and packet-out cross the edge shard in both directions).
 #[test]
-fn routing_loop_detection_k8_pooled_matches_sequential() {
+fn routing_loop_detection_k8_sharded_matches_sequential() {
     let mut results = Vec::new();
     for engine in ENGINES {
-        let mut tb = k8_pooled(engine);
+        let mut tb = k8(engine);
         let (src, dst) = (tb.ft.host(0, 0, 0), tb.ft.host(1, 0, 0));
         let flow = tb.flow(src, dst, 8800);
         let cycle = [
@@ -267,15 +258,12 @@ fn host_agent_tib_queries_k8_sharded_matches_sequential() {
 
 /// Scale check: a k=16 fat-tree (320 switches, 1024 hosts, 17 switch
 /// shards) completes an all-pods workload end-to-end on the sharded
-/// engine — on the **pooled** driver, so worker handoff and the batched
-/// exchange run at paper scale — delivering every packet that a healthy
-/// fabric should.
+/// engine, delivering every packet that a healthy fabric should.
 #[test]
 fn k16_fabric_completes_on_sharded_engine() {
     let ft = FatTree::build(FatTreeParams { k: 16 });
     let mut cfg = SimConfig::for_tests().with_engine(EngineKind::Sharded);
     cfg.collect_drop_log = false;
-    cfg.shard_workers = 2;
     let mut sim = Simulator::new(&ft, cfg, Box::new(NoTagging), SinkWorld);
     assert_eq!(sim.effective_engine(), EngineKind::Sharded);
     let topo = ft.topology().clone();

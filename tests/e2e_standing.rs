@@ -9,8 +9,7 @@
 //! - and surface the raise (and only the raise) on the world alarm bus.
 //!
 //! The whole flip-event stream, timestamps and alarm payloads included,
-//! must be bit-identical across the sequential and sharded-pooled simnet
-//! engines.
+//! must be bit-identical across the sequential and sharded simnet engines.
 
 use pathdump_apps::Testbed;
 use pathdump_core::standing::{StandingEvent, StandingPredicate, StandingQuery};
@@ -18,14 +17,13 @@ use pathdump_core::{Reason, WorldConfig};
 use pathdump_simnet::{EngineKind, SimConfig};
 use pathdump_topology::{HostId, Nanos};
 
-const ENGINES: [(EngineKind, usize); 2] = [(EngineKind::Sequential, 0), (EngineKind::Sharded, 2)];
+const ENGINES: [EngineKind; 2] = [EngineKind::Sequential, EngineKind::Sharded];
 
 #[test]
 fn incast_rate_watch_fires_once_and_clears_on_both_engines() {
     let mut batches: Vec<(Vec<(HostId, StandingEvent)>, usize)> = Vec::new();
-    for (engine, workers) in ENGINES {
-        let mut cfg = SimConfig::for_tests().with_engine(engine);
-        cfg.shard_workers = workers;
+    for engine in ENGINES {
+        let cfg = SimConfig::for_tests().with_engine(engine);
         let mut tb = Testbed::fattree(4, cfg, WorldConfig::default());
         let dst = tb.ft.host(1, 0, 0);
         let watched = tb.flow(tb.ft.host(0, 0, 0), dst, 7000);

@@ -11,8 +11,7 @@
 //!     (`ConformancePolicy::from_intent`) catches the flows that actually
 //!     traverse the bad rule, raising `PC_FAIL` with the observed
 //!     trajectory first and the nearest intended path second — with
-//!     bit-identical alarm batches on both simnet engines (sequential and
-//!     sharded-pooled).
+//!     bit-identical alarm batches on both simnet engines.
 //!
 //! Fat-tree scenarios that deliver 7-switch deviating walks raise
 //! `asic_tag_limit` to 3: with the default budget of 2 the destination ToR
@@ -36,13 +35,12 @@ use pathdump_topology::{
 use pathdump_transport::{install_flows, FlowSpec, TcpConfig};
 use pathdump_verifier::{verify, verify_with_intent, IntentModel, Verdict, ViolationKind};
 
-/// Engine configurations under differential test: the sequential reference
-/// and the sharded engine on the persistent worker pool.
-const ENGINES: [(EngineKind, usize); 2] = [(EngineKind::Sequential, 0), (EngineKind::Sharded, 2)];
+/// Engines under differential test: the sequential reference and the
+/// sharded engine.
+const ENGINES: [EngineKind; 2] = [EngineKind::Sequential, EngineKind::Sharded];
 
-fn ft_testbed(k: u16, engine: EngineKind, workers: usize, asic_tag_limit: usize) -> Testbed {
+fn ft_testbed(k: u16, engine: EngineKind, asic_tag_limit: usize) -> Testbed {
     let mut cfg = SimConfig::for_tests().with_engine(engine);
-    cfg.shard_workers = workers;
     cfg.asic_tag_limit = asic_tag_limit;
     Testbed::fattree(k, cfg, WorldConfig::default())
 }
@@ -95,8 +93,8 @@ fn run_ft_engines(
     setup: impl Fn(&mut Testbed),
 ) -> (Vec<Alarm>, usize) {
     let mut batches: Vec<(Vec<Alarm>, usize)> = Vec::new();
-    for (engine, workers) in ENGINES {
-        let mut tb = ft_testbed(k, engine, workers, asic_tag_limit);
+    for engine in ENGINES {
+        let mut tb = ft_testbed(k, engine, asic_tag_limit);
         let intent = Arc::new(IntentModel::from_routing(&tb.ft).expect("healthy intent"));
         let hosts = all_hosts(&tb);
         ConformancePolicy::from_intent(intent).install(&mut tb.sim.world, &hosts);
@@ -373,10 +371,9 @@ struct Vl2Bed {
 /// (VL2 switches carry no pod labels, so the sharded engine transparently
 /// falls back to sequential — the engine loop still pins that both
 /// configurations agree.)
-fn vl2_testbed(engine: EngineKind, workers: usize) -> Vl2Bed {
+fn vl2_testbed(engine: EngineKind) -> Vl2Bed {
     let v = vl2_small();
-    let mut cfg = SimConfig::for_tests().with_engine(engine);
-    cfg.shard_workers = workers;
+    let cfg = SimConfig::for_tests().with_engine(engine);
     let world = PathDumpWorld::new(
         Fabric::Vl2(Vl2Reconstructor::new(v.clone())),
         TcpConfig::default(),
@@ -410,8 +407,8 @@ fn vl2_add_flows(bed: &mut Vl2Bed, src: HostId, dst: HostId, sports: std::ops::R
 
 fn run_vl2_engines(setup: impl Fn(&mut Vl2Bed)) -> Vec<Alarm> {
     let mut batches: Vec<Vec<Alarm>> = Vec::new();
-    for (engine, workers) in ENGINES {
-        let mut bed = vl2_testbed(engine, workers);
+    for engine in ENGINES {
+        let mut bed = vl2_testbed(engine);
         setup(&mut bed);
         bed.sim.run_until(Nanos::from_secs(5));
         batches.push(bed.sim.world.drain_alarms());
@@ -600,7 +597,7 @@ fn healthy_fabrics_verify_clean_and_stay_silent() {
 /// fault machinery, and the hidden counter agrees with the log.
 #[test]
 fn misconfig_composes_with_silent_drops_without_double_staging() {
-    let mut tb = ft_testbed(4, EngineKind::Sequential, 0, 2);
+    let mut tb = ft_testbed(4, EngineKind::Sequential, 2);
     let (t00, a00, t10) = (tb.ft.tor(0, 0), tb.ft.agg(0, 0), tb.ft.tor(1, 0));
     let up = tb.sim.link_port(t00, a00);
     // Rule rewrite: all of rack (0,0)'s traffic toward rack (1,0) takes the
