@@ -165,6 +165,13 @@ pub fn build_tree(hosts: &[usize], fanouts: &[usize]) -> Vec<TreeNode> {
 // both sides, so a corrupt frame can drive the decoder into an error but
 // never into unbounded recursion, and sibling order survives exactly
 // (child lists are rebuilt in appearance order).
+
+/// Deepest subtree the decoder accepts. `size`, `depth` and the drop of
+/// nested `Vec<TreeNode>` recurse once per level, so an unbounded chain
+/// from the wire would overflow the stack after a clean decode;
+/// `build_tree` yields at most `fanouts.len() + 1` levels.
+pub const MAX_TREE_DEPTH: usize = 64;
+
 impl pathdump_wire::Encode for TreeNode {
     fn encode(&self, enc: &mut pathdump_wire::Encoder) {
         enc.put_varint(self.size() as u64);
@@ -193,6 +200,7 @@ impl pathdump_wire::Decode for TreeNode {
         }
         let mut hosts: Vec<usize> = Vec::with_capacity(n.min(4096));
         let mut child_ids: Vec<Vec<usize>> = Vec::with_capacity(n.min(4096));
+        let mut depth: Vec<usize> = Vec::with_capacity(n.min(4096));
         for i in 0..n {
             let host = dec.get_varint()?;
             let host = usize::try_from(host).map_err(|_| WireError::VarintOverflow)?;
@@ -201,12 +209,20 @@ impl pathdump_wire::Decode for TreeNode {
                 if parent_plus_one != 0 {
                     return Err(WireError::InvalidTag(parent_plus_one as u32));
                 }
+                depth.push(1);
             } else {
                 // Parents must appear strictly earlier: acyclic by
                 // construction, and exactly one root.
                 if parent_plus_one == 0 || parent_plus_one > i {
                     return Err(WireError::InvalidTag(parent_plus_one as u32));
                 }
+                // Checked before any node exists: an over-deep chain never
+                // reaches the recursive `size` or drop.
+                let d = depth[parent_plus_one - 1] + 1;
+                if d > MAX_TREE_DEPTH {
+                    return Err(WireError::InvalidTag(d as u32));
+                }
+                depth.push(d);
                 child_ids[parent_plus_one - 1].push(i);
             }
             hosts.push(host);
@@ -628,6 +644,27 @@ mod tests {
             pathdump_wire::from_bytes::<TreeNode>(&e.into_bytes()),
             Err(WireError::InvalidTag(0))
         );
+        // A chain of MAX_TREE_DEPTH round-trips; one level deeper is an
+        // error (a decoded 20 000-chain would overflow the stack in `size`
+        // and in drop).
+        let chain = |n: usize| {
+            let mut e = Encoder::new();
+            e.put_varint(n as u64);
+            for i in 0..n as u64 {
+                e.put_varint(i); // host i, parent = node i-1
+                e.put_varint(i);
+            }
+            e.into_bytes()
+        };
+        let ok: TreeNode = pathdump_wire::from_bytes(&chain(MAX_TREE_DEPTH)).unwrap();
+        assert_eq!((ok.size(), ok.depth()), (MAX_TREE_DEPTH, MAX_TREE_DEPTH));
+        assert_eq!(pathdump_wire::to_bytes(&ok), chain(MAX_TREE_DEPTH));
+        for n in [MAX_TREE_DEPTH + 1, 20_000] {
+            assert_eq!(
+                pathdump_wire::from_bytes::<TreeNode>(&chain(n)),
+                Err(WireError::InvalidTag(MAX_TREE_DEPTH as u32 + 1))
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod world;
 pub use agent::{execute_on_tib, AgentConfig, Fabric, HostAgent, Invariant};
 // The storage engine types downstream crates need to talk to `HostAgent::tib`.
 pub use alarm::{Alarm, Reason};
-pub use cluster::{build_tree, Cluster, MgmtNet, QueryOutcome, TreeNode};
+pub use cluster::{build_tree, Cluster, MgmtNet, QueryOutcome, TreeNode, MAX_TREE_DEPTH};
 pub use pathdump_tib::{TibRead, TieredTib};
 pub use query::{Query, Response};
 pub use standing::{StandingEvent, StandingPredicate, StandingQuery, StandingQueryEngine, WatchId};

@@ -43,26 +43,29 @@
 //! drop/duplicate/reorder/delay/corrupt/dead-peer injection — every
 //! degradation path is a first-class test target).
 //!
-//! # Timeout, retry and hedging semantics
+//! # Timeout and retry semantics
 //!
-//! Each parent→child call runs per-hop timers, all configured in
+//! Each parent→child call has one liveness rule — request, then ack or
+//! reply, else retransmit, until the deadline — configured in
 //! [`RpcConfig`]:
 //!
 //! - **Accept-ack**: a non-leaf child acks a request the moment it starts
 //!   aggregating (a leaf's immediate reply doubles as its ack). The ack
-//!   parks the parent's retransmit and hedge timers for that child — a
-//!   parent's RTO cannot tell a dead child from a live one whose subtree
-//!   legitimately needs many RTOs (e.g. it is burning retries on a dead
-//!   grandchild of its own), so unacked silence means "presumed dead"
-//!   while acked silence means "still working; wait for the deadline".
+//!   parks the parent's retransmit timer for that child — a parent's RTO
+//!   cannot tell a dead child from a live one whose subtree legitimately
+//!   needs many RTOs (e.g. it is burning retries on a dead grandchild of
+//!   its own), so unacked silence means "presumed dead" while acked
+//!   silence means "still working; wait for the deadline".
 //! - **Retransmit**: an unacked, unanswered call retries at `rto`, backing
 //!   off by `backoff_mult` per attempt, at most `max_retries` resends.
 //!   Exhaustion marks the child's whole subtree **missed** (peer presumed
 //!   dead). A live agent receiving a duplicate request re-acks, so a lost
 //!   ack costs a retransmit, never a false write-off of a live peer.
-//! - **Hedging**: if `hedge_after` is set and no ack or reply has arrived
-//!   by then, one extra copy of the request is sent immediately (straggler
-//!   insurance against a dropped frame) without touching the retry clock.
+//!   There is no hedge: a second request pays when another replica can
+//!   answer, but every host's TIB is unique and the subtree is
+//!   source-routed, so a hedge could only re-ask the same host — an
+//!   earlier retransmit outside `max_retries` and backoff, which on a
+//!   lossless channel doubled every reply slower than the hedge timer.
 //! - **Deadline**: every query carries an absolute deadline; each level
 //!   grants its children `hop_slack` less than its own budget, so leaves
 //!   time out first and partial merges have time to climb back up. When a

@@ -17,7 +17,7 @@ pub const FRAME_RPC_REPLY: u16 = 0x11;
 pub const FRAME_RPC_ACK: u16 = 0x12;
 
 /// An accept-ack: the child has the request and is aggregating. The parent
-/// parks its retry/hedge timers for this child — from here on, only the
+/// parks its retry timer for this child — from here on, only the
 /// deadline limits the wait. Without this, a parent's RTO cannot tell a
 /// dead child from a live one whose own subtree legitimately needs longer
 /// than a few RTOs (e.g. it is burning retries on a dead grandchild).

@@ -157,7 +157,6 @@ fn straggler_beyond_deadline_times_out_exactly() {
 
     let cfg = RpcConfig {
         max_retries: 1_000,
-        hedge_after: None,
         ..RpcConfig::default()
     };
     let mut plan = FaultPlan::none(0);

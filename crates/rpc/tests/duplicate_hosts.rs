@@ -59,6 +59,6 @@ fn repeated_host_is_queried_once() {
         assert!(out.coverage.is_complete(), "{:?}", out.coverage);
         assert!(out.deadline_met);
         assert_eq!(plane.stats().retries, 0, "fanouts {fanouts:?}");
-        assert_eq!(plane.stats().hedges, 0, "fanouts {fanouts:?}");
+        assert_eq!(plane.stats().cache_replies, 0, "fanouts {fanouts:?}");
     }
 }

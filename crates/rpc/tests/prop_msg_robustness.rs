@@ -8,11 +8,58 @@
 //! droppable datagram: the codec layer guarantees corruption cannot
 //! poison protocol state.
 
-use pathdump_core::{build_tree, TreeNode};
-use pathdump_rpc::{AckMsg, Coverage, ReplyMsg, RequestMsg, FRAME_RPC_REQUEST};
+use pathdump_core::{build_tree, Query, TreeNode, MAX_TREE_DEPTH};
+use pathdump_rpc::{
+    AckMsg, Channel, Coverage, Loopback, ReplyMsg, RequestMsg, RpcConfig, TreePlane, CONTROLLER,
+    FRAME_RPC_REQUEST,
+};
+use pathdump_tib::Tib;
 use pathdump_topology::{Nanos, TimeRange};
-use pathdump_wire::{from_bytes, to_bytes, Frame};
+use pathdump_wire::{from_bytes, to_bytes, Encode, Encoder, Frame};
 use proptest::prelude::*;
+
+/// A request whose subtree is a chain of `depth` nodes, encoded by hand:
+/// `TreeNode::encode` itself recurses (`size`), so a hostile peer is the
+/// only source of a deep one.
+fn chain_request(depth: usize) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put_varint(7); // req_id
+    Nanos::from_millis(100).encode(&mut e);
+    Query::TrafficMatrix {
+        range: TimeRange::ANY,
+    }
+    .encode(&mut e);
+    e.put_varint(depth as u64);
+    for i in 0..depth as u64 {
+        e.put_varint(i); // host i, child of node i-1 (0 = root)
+        e.put_varint(i);
+    }
+    e.into_bytes()
+}
+
+/// A CRC-valid request with an over-deep subtree is a counted decode
+/// failure at the agent, never a panic: a decoded 20 000-chain would
+/// overflow the stack in `TreeNode::size` as soon as the agent forwarded
+/// it, and again when it was dropped.
+#[test]
+fn over_deep_subtree_is_a_counted_decode_failure() {
+    assert!(from_bytes::<RequestMsg>(&chain_request(MAX_TREE_DEPTH)).is_ok());
+    for depth in [MAX_TREE_DEPTH + 1, 20_000] {
+        let payload = chain_request(depth);
+        assert!(from_bytes::<RequestMsg>(&payload).is_err(), "depth {depth}");
+        let mut channel = Loopback::default();
+        channel.send(
+            CONTROLLER,
+            0,
+            Frame::new(FRAME_RPC_REQUEST, payload).to_wire(),
+            Nanos::ZERO,
+        );
+        let mut plane = TreePlane::new(channel, RpcConfig::default(), vec![Tib::new()]);
+        plane.run_until_idle();
+        assert_eq!(plane.stats().decode_failures, 1, "depth {depth}");
+        assert_eq!(plane.channel().frames_sent(), 1, "nothing forwarded");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]

@@ -8,11 +8,15 @@
 //! plane's merge logic: once the lossless plane is pinned to the oracle,
 //! a fault test only has to reason about *which hosts* contributed.
 //!
+//! Every lossless run must also be **quiet on the wire**: no retry, no
+//! duplicate, no cached reply (`PlaneStats::default()`), and exactly one
+//! request and one reply per host plus one accept-ack per interior node.
+//!
 //! Inputs are kept deliberately small: the vendored proptest stub does not
 //! shrink failures.
 
-use pathdump_core::{Cluster, MgmtNet, Query};
-use pathdump_rpc::{Loopback, RpcConfig, TreePlane};
+use pathdump_core::{build_tree, Cluster, MgmtNet, Query, TreeNode};
+use pathdump_rpc::{Channel, Loopback, PlaneStats, RpcConfig, TreePlane};
 use pathdump_tib::{Tib, TibRecord};
 use pathdump_topology::{FlowId, Ip, LinkPattern, Nanos, Path, SwitchId, TimeRange};
 use proptest::prelude::*;
@@ -133,6 +137,18 @@ fn host_subset(selectors: &[u8], n_hosts: usize) -> Vec<usize> {
     out
 }
 
+/// Frames of one lossless query: a request and a reply per host, and an
+/// accept-ack per interior node (a leaf's reply doubles as its ack).
+fn lossless_frames(hosts: &[usize], fanouts: &[usize]) -> u64 {
+    fn interior(n: &TreeNode) -> u64 {
+        u64::from(!n.children.is_empty()) + n.children.iter().map(interior).sum::<u64>()
+    }
+    build_tree(hosts, fanouts)
+        .iter()
+        .map(|root| 2 * root.size() as u64 + interior(root))
+        .sum()
+}
+
 fn check_equivalence(
     tib_seed: u64,
     n_hosts: usize,
@@ -177,10 +193,66 @@ fn check_equivalence(
         want
     );
     prop_assert!(out.deadline_met);
-    prop_assert_eq!(plane.stats().retries, 0);
-    prop_assert_eq!(plane.stats().decode_failures, 0);
-    prop_assert_eq!(plane.stats().protocol_errors, 0);
+    prop_assert_eq!(plane.stats(), PlaneStats::default());
+    prop_assert_eq!(
+        plane.channel().frames_sent(),
+        lossless_frames(&hosts, fanouts)
+    );
     Ok(())
+}
+
+/// Fig 12's size: 28 hosts under fan-outs `[7, 4]` (6 interior nodes, 22
+/// leaves), every host answering `TopK { k: 10_000 }` from 10 000 flows,
+/// so each reply is ≈ 160 KB and needs 1.3 ms of the modelled 1 Gb/s link
+/// — more than half an `rto`. A reply that is merely large must not look
+/// like a lost one.
+#[test]
+fn fig12_size_topk_is_quiet_on_the_wire() {
+    const FLOWS: usize = 10_000;
+    let hosts: Vec<usize> = (0..28).collect();
+    let fanouts = [7, 4];
+    let tibs: Vec<Tib> = hosts
+        .iter()
+        .map(|&h| {
+            let mut t = Tib::new();
+            for i in 0..FLOWS {
+                t.insert(TibRecord {
+                    flow: FlowId::tcp(
+                        Ip::new(10, h as u8, 0, 2),
+                        1000 + i as u16,
+                        Ip::new(10, 99, 1, 2),
+                        80,
+                    ),
+                    path: Path::new(vec![SwitchId(0), SwitchId(8), SwitchId(4)]),
+                    stime: Nanos(i as u64),
+                    etime: Nanos(i as u64 + 10),
+                    bytes: (1 + h * FLOWS + i * 29 % FLOWS) as u64,
+                    pkts: 1,
+                });
+            }
+            t
+        })
+        .collect();
+    let q = Query::TopK {
+        k: FLOWS as u32,
+        range: TimeRange::ANY,
+    };
+    let oracle =
+        Cluster::new(tibs.clone(), MgmtNet::default()).multilevel_query(&hosts, &q, &fanouts);
+
+    let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs);
+    let id = plane.submit(&q, &hosts, &fanouts);
+    let out = plane.run(id).expect("completes");
+    assert_eq!(out.response, oracle.response);
+    assert!(out.coverage.is_complete() && out.deadline_met);
+    assert_eq!(plane.stats(), PlaneStats::default());
+    assert_eq!(lossless_frames(&hosts, &fanouts), 62);
+    assert_eq!(plane.channel().frames_sent(), 62);
+    let reply_bytes = plane.channel().bytes_sent() / hosts.len() as u64;
+    assert!(
+        reply_bytes > 150_000,
+        "replies of {reply_bytes} bytes are not Fig 12's size"
+    );
 }
 
 proptest! {
@@ -238,5 +310,10 @@ proptest! {
             prop_assert!(out.coverage.is_complete());
             prop_assert!(out.deadline_met);
         }
+        prop_assert_eq!(plane.stats(), PlaneStats::default());
+        prop_assert_eq!(
+            plane.channel().frames_sent(),
+            queries.len() as u64 * lossless_frames(&hosts, fanouts)
+        );
     }
 }

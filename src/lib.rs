@@ -15,7 +15,7 @@
 //!   distributed queries;
 //! - [`rpc`]: the distributed query plane — agent servers answering
 //!   queries over a pluggable channel through a fan-out/fan-in
-//!   aggregation tree, with timeouts, retries, hedging and exact per-host
+//!   aggregation tree, with timeouts, retries and exact per-host
 //!   coverage for degraded queries;
 //! - [`apps`]: the §4 debugging applications;
 //! - [`verifier`]: static dataplane verification (loops, blackholes,
