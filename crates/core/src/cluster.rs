@@ -20,13 +20,8 @@ use crate::agent::execute_on_tib;
 use crate::query::{Query, Response};
 use pathdump_tib::Tib;
 use pathdump_topology::{Nanos, MICROS};
-use pathdump_wire::Frame;
+use pathdump_wire::{encoded_len, Encode, FRAME_OVERHEAD};
 use std::time::Instant;
-
-/// Frame type tags on the management channel.
-pub const FRAME_QUERY: u16 = 1;
-/// Response frame tag.
-pub const FRAME_RESPONSE: u16 = 2;
 
 /// The modeled management network.
 #[derive(Clone, Copy, Debug)]
@@ -272,12 +267,9 @@ impl Cluster {
         self.tibs.len()
     }
 
-    fn query_frame_bytes(q: &Query) -> usize {
-        Frame::new(FRAME_QUERY, pathdump_wire::to_bytes(q)).wire_len()
-    }
-
-    fn response_frame_bytes(r: &Response) -> usize {
-        Frame::new(FRAME_RESPONSE, pathdump_wire::to_bytes(r)).wire_len()
+    /// Bytes one message occupies on the management channel.
+    fn frame_bytes<T: Encode>(msg: &T) -> usize {
+        FRAME_OVERHEAD + encoded_len(msg)
     }
 
     /// Executes `q` on `hosts` with the **direct** mechanism: controller →
@@ -291,7 +283,7 @@ impl Cluster {
     /// the given per-level fan-outs.
     pub fn multilevel_query(&self, hosts: &[usize], q: &Query, fanouts: &[usize]) -> QueryOutcome {
         let roots = build_tree(hosts, fanouts);
-        let q_bytes = Self::query_frame_bytes(q);
+        let q_bytes = Self::frame_bytes(q);
         let mut arrivals: Vec<(Nanos, Response, usize)> = Vec::new();
         let mut wire_bytes = 0u64;
         let mut exec_compute = Nanos::ZERO;
@@ -361,7 +353,7 @@ impl Cluster {
             merge_compute += m;
             clock = start + m;
         }
-        let resp_bytes = Self::response_frame_bytes(&merged);
+        let resp_bytes = Self::frame_bytes(&merged);
         SubtreeOutcome {
             finish: clock,
             response: merged,
@@ -484,7 +476,7 @@ mod tests {
                 .iter()
                 .map(|&h| {
                     let resp = execute_on_tib(&c.tibs[h], q);
-                    (Cluster::query_frame_bytes(q) + Cluster::response_frame_bytes(&resp)) as u64
+                    (Cluster::frame_bytes(q) + Cluster::frame_bytes(&resp)) as u64
                 })
                 .sum();
             assert_eq!(d.wire_bytes, per_host, "query {q:?}");

@@ -5,9 +5,9 @@
 //! `pathdump-wire` codec, so the Figure 11/12 traffic numbers come from
 //! real encoded frames.
 
-use pathdump_topology::{FlowId, Ip, LinkPattern, Nanos, Path, TimeRange};
+use pathdump_topology::{FlowId, FnvBuild, Ip, LinkPattern, Nanos, Path, TimeRange};
 use pathdump_wire::{Decode, Decoder, Encode, Encoder, WireError, WireResult};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// A query executable on a host agent (the Host API of Table 1 plus the
 /// composite traffic-measurement queries of §2.3).
@@ -103,7 +103,8 @@ pub enum Response {
     Hist {
         /// Bin width in bytes.
         bin_bytes: u64,
-        /// bin → count.
+        /// bin → count, strictly ascending by bin; `merge` restores the
+        /// order if a caller breaks it.
         bins: Vec<(u64, u64)>,
     },
     /// Top-k (merged and re-truncated to `k`; "(n−1)·k key-value pairs are
@@ -111,10 +112,12 @@ pub enum Response {
     TopK {
         /// k.
         k: u32,
-        /// (bytes, flow), descending.
+        /// Descending by `(bytes, flow)`, one entry per flow; `merge`
+        /// restores the order if a caller breaks it.
         entries: Vec<(u64, FlowId)>,
     },
-    /// (srcIP, dstIP) → bytes (summed on merge).
+    /// (srcIP, dstIP) → bytes (summed on merge), strictly ascending by
+    /// address pair; `merge` restores the order if a caller breaks it.
     Matrix(Vec<((Ip, Ip), u64)>),
 }
 
@@ -167,42 +170,13 @@ impl Response {
                 },
             ) => {
                 debug_assert_eq!(*bin_bytes, bb2, "histogram bin widths must agree");
-                let mut map: HashMap<u64, u64> = bins.iter().copied().collect();
-                for (bin, count) in bins2 {
-                    *map.entry(bin).or_insert(0) += count;
-                }
-                let mut v: Vec<(u64, u64)> = map.into_iter().collect();
-                v.sort_unstable();
-                *bins = v;
+                merge_sums(bins, bins2);
             }
             (Response::TopK { k, entries }, Response::TopK { k: k2, entries: e2 }) => {
                 debug_assert_eq!(*k, k2, "k must agree across hosts");
-                // Max-dedup top-k under the same total order as
-                // `Tib::top_k_flows` — `(bytes, flow)` descending, so
-                // equal-byte ties break by flow id. Sorting first means the
-                // first occurrence of a flow is its max entry; the dedup
-                // must be *global* (a set), not adjacent-only, or a flow
-                // reported with different byte counts by different hosts
-                // occupies two of the k slots and `multilevel_query` (which
-                // merges the duplicates while adjacent, deeper in the tree)
-                // disagrees with `direct_query` on the k-th entry. Keeping
-                // the per-flow max makes the merge associative, commutative
-                // and idempotent, so any merge tree yields the same top-k.
-                entries.extend(e2);
-                entries.sort_unstable_by(|a, b| b.cmp(a));
-                let mut seen = std::collections::HashSet::with_capacity(entries.len());
-                entries.retain(|e| seen.insert(e.1));
-                entries.truncate(*k as usize);
+                merge_top_k(*k as usize, entries, e2);
             }
-            (Response::Matrix(a), Response::Matrix(b)) => {
-                let mut map: HashMap<(Ip, Ip), u64> = a.iter().copied().collect();
-                for (kx, v) in b {
-                    *map.entry(kx).or_insert(0) += v;
-                }
-                let mut v: Vec<((Ip, Ip), u64)> = map.into_iter().collect();
-                v.sort_unstable();
-                *a = v;
-            }
+            (Response::Matrix(a), Response::Matrix(b)) => merge_sums(a, b),
             (s, o) => panic!("cannot merge {s:?} with {o:?}"),
         }
     }
@@ -227,6 +201,74 @@ impl Response {
             Query::TrafficMatrix { .. } => Response::Matrix(Vec::new()),
         }
     }
+}
+
+/// Max-dedup top-k of two entry lists into `a`, under the total order of
+/// `Tib::top_k_flows`: `(bytes, flow)` descending, so equal-byte ties break
+/// by flow id. Both sides arrive in that order (`select_top_k` and every
+/// earlier merge emit it), so a two-way merge that stops at `k` outputs
+/// does it; a side that is out of order is sorted first, so that on any
+/// input the result is that of concatenate, sort, keep each flow's first
+/// entry, truncate. A flow's first entry in merged order is its max. The
+/// dedup must be *global* (a set), not adjacent-only, or a flow that hosts
+/// report with different byte counts occupies two of the k slots and
+/// `multilevel_query` (which merges the duplicates while adjacent, deeper
+/// in the tree) disagrees with `direct_query` on the k-th entry. The
+/// per-flow max makes the merge associative, commutative and idempotent,
+/// so any merge tree yields the same top-k.
+fn merge_top_k(k: usize, a: &mut Vec<(u64, FlowId)>, mut b: Vec<(u64, FlowId)>) {
+    for side in [&mut *a, &mut b] {
+        if !side.is_sorted_by(|x, y| x >= y) {
+            side.sort_unstable_by(|x, y| y.cmp(x));
+        }
+    }
+    let cap = k.min(a.len() + b.len());
+    let mut seen = HashSet::with_capacity_and_hasher(cap, FnvBuild::default());
+    let mut out = Vec::with_capacity(cap);
+    let (mut i, mut j) = (0, 0);
+    while out.len() < k {
+        let (e, own) = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) if x < y => (*y, false),
+            (Some(x), _) => (*x, true),
+            (None, Some(y)) => (*y, false),
+            (None, None) => break,
+        };
+        *(if own { &mut i } else { &mut j }) += 1;
+        if seen.insert(e.1) {
+            out.push(e);
+        }
+    }
+    *a = out;
+}
+
+/// Per-key sums of two lists into `a` (`Hist` bins, `Matrix` cells). Both
+/// sides arrive ascending by key (`execute_on_tib` and every earlier merge
+/// emit that), so a two-way merge that folds equal adjacent keys does it;
+/// a side that is out of order is stably sorted first, so that on any
+/// input the result is that of the `HashMap` fold this replaces — where a
+/// key repeated inside `a` kept its last value and inside `b` was summed.
+fn merge_sums<K: Ord + Copy>(a: &mut Vec<(K, u64)>, mut b: Vec<(K, u64)>) {
+    for side in [&mut *a, &mut b] {
+        if !side.is_sorted_by(|x, y| x.0 <= y.0) {
+            side.sort_by_key(|e| e.0);
+        }
+    }
+    let mut out: Vec<(K, u64)> = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (e, own) = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) if y.0 < x.0 => (*y, false),
+            (Some(x), _) => (*x, true),
+            (None, Some(y)) => (*y, false),
+            (None, None) => break,
+        };
+        *(if own { &mut i } else { &mut j }) += 1;
+        match out.last_mut() {
+            Some(last) if last.0 == e.0 => last.1 = if own { e.1 } else { last.1 + e.1 },
+            _ => out.push(e),
+        }
+    }
+    *a = out;
 }
 
 // --- wire encoding ---------------------------------------------------------
@@ -312,7 +354,7 @@ impl Decode for Query {
                 range: TimeRange::decode(dec)?,
             },
             4 => Query::GetPoorTcp {
-                threshold: dec.get_varint()? as u32,
+                threshold: u32::decode(dec)?,
             },
             5 => Query::FlowSizeDist {
                 link: LinkPattern::decode(dec)?,
@@ -320,7 +362,7 @@ impl Decode for Query {
                 bin_bytes: dec.get_varint()?,
             },
             6 => Query::TopK {
-                k: dec.get_varint()? as u32,
+                k: u32::decode(dec)?,
                 range: TimeRange::decode(dec)?,
             },
             7 => Query::TrafficMatrix {
@@ -362,21 +404,12 @@ impl Encode for Response {
             }
             Response::TopK { k, entries } => {
                 enc.put_u8(5);
-                enc.put_varint(*k as u64);
-                enc.put_varint(entries.len() as u64);
-                for (bytes, flow) in entries {
-                    enc.put_varint(*bytes);
-                    flow.encode(enc);
-                }
+                k.encode(enc);
+                entries.encode(enc);
             }
             Response::Matrix(v) => {
                 enc.put_u8(6);
-                enc.put_varint(v.len() as u64);
-                for ((s, d), b) in v {
-                    s.encode(enc);
-                    d.encode(enc);
-                    enc.put_varint(*b);
-                }
+                v.encode(enc);
             }
         }
     }
@@ -397,27 +430,16 @@ impl Decode for Response {
                 bins: Vec::<(u64, u64)>::decode(dec)?,
             },
             5 => {
-                let k = dec.get_varint()? as u32;
+                let k = u32::decode(dec)?;
                 let n = dec.get_len()?;
-                let mut entries = Vec::with_capacity(n.min(4096));
+                // An entry is a varint and a 13-byte flow id: 14 bytes or more.
+                let mut entries = Vec::with_capacity(n.min(dec.remaining() / 14));
                 for _ in 0..n {
-                    let bytes = dec.get_varint()?;
-                    let flow = FlowId::decode(dec)?;
-                    entries.push((bytes, flow));
+                    entries.push(<(u64, FlowId)>::decode(dec)?);
                 }
                 Response::TopK { k, entries }
             }
-            6 => {
-                let n = dec.get_len()?;
-                let mut v = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let s = Ip::decode(dec)?;
-                    let d = Ip::decode(dec)?;
-                    let b = dec.get_varint()?;
-                    v.push(((s, d), b));
-                }
-                Response::Matrix(v)
-            }
+            6 => Response::Matrix(Vec::<((Ip, Ip), u64)>::decode(dec)?),
             t => return Err(WireError::InvalidTag(t as u32)),
         })
     }

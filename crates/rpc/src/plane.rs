@@ -11,6 +11,7 @@ use crate::msg::{AckMsg, ReplyMsg, RequestMsg, FRAME_RPC_ACK, FRAME_RPC_REPLY, F
 use pathdump_core::{build_tree, execute_on_tib, Query, Response, TreeNode};
 use pathdump_tib::{Tib, TibRead};
 use pathdump_topology::Nanos;
+use pathdump_wire::{from_bytes, Frame, WireError, WireResult};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Identifies one submitted query (also the on-wire `req_id` shared by
@@ -390,15 +391,14 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
             query: agg.query.clone(),
             subtree: child.clone(),
         };
-        let frame = pathdump_wire::Frame::new(FRAME_RPC_REQUEST, pathdump_wire::to_bytes(&msg));
+        let wire = Frame::build(FRAME_RPC_REQUEST, &msg);
         self.channel
-            .send(owner, child.host as NodeId, frame.to_wire(), self.now);
+            .send(owner, child.host as NodeId, wire, self.now);
     }
 
     fn send_ack(&mut self, owner: NodeId, parent: NodeId, req_id: u64) {
-        let frame =
-            pathdump_wire::Frame::new(FRAME_RPC_ACK, pathdump_wire::to_bytes(&AckMsg { req_id }));
-        self.channel.send(owner, parent, frame.to_wire(), self.now);
+        let wire = Frame::build(FRAME_RPC_ACK, &AckMsg { req_id });
+        self.channel.send(owner, parent, wire, self.now);
     }
 
     /// Starts queued child calls while in-flight slots are free.
@@ -429,43 +429,32 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
     // --- receiving -------------------------------------------------------
 
     fn on_frame(&mut self, d: Delivery) {
-        let parsed = pathdump_wire::Frame::from_wire(&d.bytes);
-        let Ok((frame, used)) = parsed else {
+        if self.dispatch(&d).is_err() {
             self.stats.decode_failures += 1;
-            return;
-        };
-        if used != d.bytes.len() {
-            self.stats.decode_failures += 1;
-            return;
         }
-        match frame.typ {
+    }
+
+    /// Routes one frame to its handler; `Err` is a frame that failed its
+    /// CRC or did not decode, and is dropped.
+    fn dispatch(&mut self, d: &Delivery) -> WireResult<()> {
+        let (typ, payload, used) = Frame::parse(&d.bytes)?;
+        if used != d.bytes.len() {
+            return Err(WireError::TrailingBytes(d.bytes.len() - used));
+        }
+        match typ {
             FRAME_RPC_REQUEST => {
-                let Ok(msg) = pathdump_wire::from_bytes::<RequestMsg>(&frame.payload) else {
-                    self.stats.decode_failures += 1;
-                    return;
-                };
+                let msg = from_bytes::<RequestMsg>(payload)?;
                 if d.to == CONTROLLER || (d.to as usize) >= self.agents.len() {
                     self.stats.protocol_errors += 1;
-                    return;
+                } else {
+                    self.on_request(d.to, d.from, msg);
                 }
-                self.on_request(d.to, d.from, msg);
             }
-            FRAME_RPC_REPLY => {
-                let Ok(msg) = pathdump_wire::from_bytes::<ReplyMsg>(&frame.payload) else {
-                    self.stats.decode_failures += 1;
-                    return;
-                };
-                self.on_reply(d.to, d.from, msg);
-            }
-            FRAME_RPC_ACK => {
-                let Ok(msg) = pathdump_wire::from_bytes::<AckMsg>(&frame.payload) else {
-                    self.stats.decode_failures += 1;
-                    return;
-                };
-                self.on_ack(d.to, d.from, msg);
-            }
+            FRAME_RPC_REPLY => self.on_reply(d.to, d.from, from_bytes(payload)?),
+            FRAME_RPC_ACK => self.on_ack(d.to, d.from, from_bytes(payload)?),
             _ => self.stats.protocol_errors += 1,
         }
+        Ok(())
     }
 
     fn on_request(&mut self, to: NodeId, from: NodeId, msg: RequestMsg) {
@@ -725,8 +714,7 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
             response: agg.acc,
             coverage: agg.cov,
         };
-        let frame = pathdump_wire::Frame::new(FRAME_RPC_REPLY, pathdump_wire::to_bytes(&msg));
-        let wire = frame.to_wire();
+        let wire = Frame::build(FRAME_RPC_REPLY, &msg);
         let me = owner as usize;
         let cache = &mut self.agents[me].reply_cache;
         if cache.len() >= self.cfg.reply_cache_cap {

@@ -8,14 +8,14 @@
 //! droppable datagram: the codec layer guarantees corruption cannot
 //! poison protocol state.
 
-use pathdump_core::{build_tree, Query, TreeNode, MAX_TREE_DEPTH};
+use pathdump_core::{build_tree, Query, Response, TreeNode, MAX_TREE_DEPTH};
 use pathdump_rpc::{
     AckMsg, Channel, Coverage, Loopback, ReplyMsg, RequestMsg, RpcConfig, TreePlane, CONTROLLER,
     FRAME_RPC_REQUEST,
 };
 use pathdump_tib::Tib;
 use pathdump_topology::{Nanos, TimeRange};
-use pathdump_wire::{from_bytes, to_bytes, Encode, Encoder, Frame};
+use pathdump_wire::{from_bytes, to_bytes, Encode, Encoder, Frame, WireError};
 use proptest::prelude::*;
 
 /// A request whose subtree is a chain of `depth` nodes, encoded by hand:
@@ -59,6 +59,37 @@ fn over_deep_subtree_is_a_counted_decode_failure() {
         assert_eq!(plane.stats().decode_failures, 1, "depth {depth}");
         assert_eq!(plane.channel().frames_sent(), 1, "nothing forwarded");
     }
+}
+
+/// A `k` or `threshold` that does not fit its `u32` is a decode error,
+/// not the low 32 bits of it: `k = 2³² + 5` used to decode as `k = 5`, and
+/// the reply carrying it then merged under the wrong bound.
+#[test]
+fn oversized_u32_fields_are_rejected_not_truncated() {
+    let too_big = (1u64 << 32) + 5;
+    let with_first_field = |tag: u8, tail: &dyn Fn(&mut Encoder)| {
+        let mut e = Encoder::new();
+        e.put_u8(tag);
+        e.put_varint(too_big);
+        tail(&mut e);
+        e.into_bytes()
+    };
+    let overflow = Some(WireError::VarintOverflow);
+    let top_k_reply = with_first_field(5, &|e| e.put_varint(0)); // no entries
+    assert_eq!(from_bytes::<Response>(&top_k_reply).err(), overflow);
+    let top_k = with_first_field(6, &|e| TimeRange::ANY.encode(e));
+    assert_eq!(from_bytes::<Query>(&top_k).err(), overflow);
+    let poor_tcp = with_first_field(4, &|_| {});
+    assert_eq!(from_bytes::<Query>(&poor_tcp).err(), overflow);
+    // The same bytes with a value that fits decode, so it is the range
+    // check that rejected them and not their shape.
+    let mut fits = top_k_reply.clone();
+    fits[5] = 0x0F; // the varint's last byte: 2³² + 5 becomes 0xF000_0005
+    let k = 0xF000_0005;
+    assert_eq!(
+        from_bytes::<Response>(&fits),
+        Ok(Response::TopK { k, entries: vec![] })
+    );
 }
 
 proptest! {

@@ -29,7 +29,7 @@
 //! crash-recovery suite pins the distinction.
 
 use crate::record::TibRecord;
-use pathdump_wire::{from_bytes, to_bytes, Frame, WireError, WireResult};
+use pathdump_wire::{from_bytes, Frame, WireError, WireResult};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -38,7 +38,7 @@ pub const WAL_FRAME_RECORD: u16 = 0x0A17;
 
 /// Encodes one record as a WAL frame (the bytes an append writes).
 pub fn frame_record(rec: &TibRecord) -> Vec<u8> {
-    Frame::new(WAL_FRAME_RECORD, to_bytes(rec)).to_wire()
+    Frame::build(WAL_FRAME_RECORD, rec)
 }
 
 /// The outcome of a successful WAL replay.
@@ -59,28 +59,21 @@ pub fn replay(bytes: &[u8]) -> WireResult<WalReplay> {
     let mut rest = bytes;
     let mut records = Vec::new();
     while !rest.is_empty() {
-        match Frame::from_wire(rest) {
-            Ok((frame, used)) => {
-                if frame.typ != WAL_FRAME_RECORD {
-                    return Err(WireError::InvalidTag(u32::from(frame.typ)));
-                }
-                records.push(from_bytes::<TibRecord>(&frame.payload)?);
-                rest = &rest[used..];
-            }
+        let (typ, payload, used) = match Frame::parse(rest) {
             // The torn tail: a crash cut the final append short. The CRC
             // was checked on every complete frame before this point.
-            Err(WireError::UnexpectedEof) => {
-                return Ok(WalReplay {
-                    records,
-                    dropped_tail: rest.len(),
-                })
-            }
-            Err(e) => return Err(e),
+            Err(WireError::UnexpectedEof) => break,
+            parsed => parsed?,
+        };
+        if typ != WAL_FRAME_RECORD {
+            return Err(WireError::InvalidTag(u32::from(typ)));
         }
+        records.push(from_bytes::<TibRecord>(payload)?);
+        rest = &rest[used..];
     }
     Ok(WalReplay {
         records,
-        dropped_tail: 0,
+        dropped_tail: rest.len(),
     })
 }
 
@@ -207,6 +200,7 @@ impl WalStore for FileWal {
 mod tests {
     use super::*;
     use pathdump_topology::{FlowId, Ip, Nanos, Path as TPath, SwitchId};
+    use pathdump_wire::to_bytes;
 
     fn rec(sport: u16, t0: u64) -> TibRecord {
         TibRecord {

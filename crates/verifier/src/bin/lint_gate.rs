@@ -8,10 +8,12 @@
 //! - `unwrap()` / `expect(` are banned in the forwarding/query hot paths:
 //!   `crates/dpswitch/src/**` (the batched parser included),
 //!   `crates/simnet/src/driver.rs`, `crates/tib/src/tib.rs`,
-//!   `crates/tib/src/memory.rs` (the per-packet map), and the
+//!   `crates/tib/src/memory.rs` (the per-packet map), the
 //!   `crates/rpc` plane/channel/fault/codec modules (a panic there kills
-//!   every in-flight query on the node). A panic in any of these takes
-//!   down the datapath, the simulation, or the query plane.
+//!   every in-flight query on the node), and the codec they all parse
+//!   outside input with: `crates/wire/src/**` and
+//!   `crates/core/src/query.rs`. A panic in any of these takes down the
+//!   datapath, the simulation, or the query plane.
 //! - `println!` is banned in all library code (benches and bins own stdout;
 //!   libraries must not pollute it — `BENCH_tib.json` is parsed from files,
 //!   and dpswitch pipelines stdout).
@@ -54,6 +56,11 @@ const HOT_PATHS: &[&str] = &[
     "crates/rpc/src/fault.rs",
     "crates/rpc/src/msg.rs",
     "crates/rpc/src/coverage.rs",
+    // The codec under all of them: every frame from the management
+    // network and every WAL byte read back is parsed here, and every
+    // reply is merged by `query.rs`.
+    "crates/wire/src/",
+    "crates/core/src/query.rs",
 ];
 
 /// One banned-pattern hit.

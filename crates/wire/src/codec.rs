@@ -182,6 +182,13 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array, for the fixed-width reads.
+    fn take_array<const N: usize>(&mut self) -> WireResult<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self) -> WireResult<u8> {
         Ok(self.take(1)?[0])
@@ -189,22 +196,22 @@ impl<'a> Decoder<'a> {
 
     /// Reads a little-endian u16.
     pub fn get_u16(&mut self) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian u32.
     pub fn get_u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian u64.
     pub fn get_u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads an IEEE-754 f64.
     pub fn get_f64(&mut self) -> WireResult<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a LEB128 varint.

@@ -12,8 +12,14 @@
 //! of `len`/`typ`/`crc` are [`FRAME_OVERHEAD`], counted in the traffic
 //! accounting of Figures 11/12 the same way the paper's HTTP framing would
 //! have been.
+//!
+//! The layout is written down in two places in this file and nowhere
+//! else: forwards in the private `seal`, which [`Frame::build`] (a value
+//! encoded straight into the frame's one buffer) and `to_wire` go through,
+//! and backwards in [`Frame::parse`], which hands the payload out as a
+//! slice of its input and which `from_wire` copies from.
 
-use crate::codec::{WireError, WireResult};
+use crate::codec::{Encode, Encoder, WireError, WireResult};
 use crate::crc::crc32;
 
 /// Fixed per-frame byte overhead (length, type, checksum).
@@ -26,6 +32,21 @@ pub struct Frame {
     pub typ: u16,
     /// Encoded payload.
     pub payload: Vec<u8>,
+}
+
+/// One frame in one buffer: a length placeholder, `typ`, whatever
+/// `payload` writes, then the length patched in and the CRC appended.
+fn seal(typ: u16, payload_hint: usize, payload: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut enc = Encoder::with_capacity(FRAME_OVERHEAD + payload_hint);
+    enc.put_u32(0);
+    enc.put_u16(typ);
+    payload(&mut enc);
+    let mut out = enc.into_bytes();
+    let body_len = out.len() - 4;
+    out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    let crc = crc32(&out[4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
 }
 
 impl Frame {
@@ -41,43 +62,43 @@ impl Frame {
 
     /// Serializes the frame.
     pub fn to_wire(&self) -> Vec<u8> {
-        let body_len = 2 + self.payload.len();
-        let mut out = Vec::with_capacity(4 + body_len + 4);
-        out.extend_from_slice(&(body_len as u32).to_le_bytes());
-        out.extend_from_slice(&self.typ.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let crc = crc32(&out[4..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        seal(self.typ, self.payload.len(), |enc| {
+            enc.put_raw(&self.payload)
+        })
+    }
+
+    /// The wire bytes of a frame carrying `value`, encoded in place: byte
+    /// for byte `Frame::new(typ, to_bytes(value)).to_wire()`, without the
+    /// payload vector in between.
+    pub fn build<T: Encode + ?Sized>(typ: u16, value: &T) -> Vec<u8> {
+        seal(typ, 0, |enc| value.encode(enc))
+    }
+
+    /// Parses one frame from the front of `input` without copying it:
+    /// its type, its payload as a slice of `input`, and the number of
+    /// bytes consumed.
+    pub fn parse(input: &[u8]) -> WireResult<(u16, &[u8], usize)> {
+        let eof = WireError::UnexpectedEof;
+        let (len, rest) = input.split_first_chunk::<4>().ok_or(eof)?;
+        let body_len = u32::from_le_bytes(*len) as usize;
+        if body_len < 2 {
+            return Err(WireError::LengthOverrun);
+        }
+        let (body, rest) = rest.split_at_checked(body_len).ok_or(eof)?;
+        let crc_stored = rest.first_chunk::<4>().ok_or(eof)?;
+        if crc32(body) != u32::from_le_bytes(*crc_stored) {
+            return Err(WireError::BadChecksum);
+        }
+        // Cannot fail: `body_len >= 2` was checked above.
+        let (typ, payload) = body.split_first_chunk::<2>().ok_or(eof)?;
+        Ok((u16::from_le_bytes(*typ), payload, 4 + body_len + 4))
     }
 
     /// Parses one frame from the front of `input`, returning it together
     /// with the number of bytes consumed.
     pub fn from_wire(input: &[u8]) -> WireResult<(Frame, usize)> {
-        if input.len() < 4 {
-            return Err(WireError::UnexpectedEof);
-        }
-        let body_len = u32::from_le_bytes(input[..4].try_into().unwrap()) as usize;
-        if body_len < 2 {
-            return Err(WireError::LengthOverrun);
-        }
-        let total = 4 + body_len + 4;
-        if input.len() < total {
-            return Err(WireError::UnexpectedEof);
-        }
-        let body = &input[4..4 + body_len];
-        let crc_stored = u32::from_le_bytes(input[4 + body_len..total].try_into().unwrap());
-        if crc32(body) != crc_stored {
-            return Err(WireError::BadChecksum);
-        }
-        let typ = u16::from_le_bytes(body[..2].try_into().unwrap());
-        Ok((
-            Frame {
-                typ,
-                payload: body[2..].to_vec(),
-            },
-            total,
-        ))
+        let (typ, payload, used) = Frame::parse(input)?;
+        Ok((Frame::new(typ, payload.to_vec()), used))
     }
 }
 
