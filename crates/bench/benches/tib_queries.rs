@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pathdump_bench::synth_tib;
+use pathdump_core::{execute_on_tib, Query};
 use pathdump_topology::{
     FatTree, FatTreeParams, HostId, LinkDir, LinkPattern, Nanos, TimeRange, UpDownRouting,
 };
@@ -23,10 +24,23 @@ fn bench_tib(c: &mut Criterion) {
     group.bench_function("get_flows_wildcard_into_tor", |b| {
         b.iter(|| tib.get_flows(LinkPattern::into(tor), TimeRange::ANY))
     });
+    // Ranged wildcards: one pass over the switch's posting list and the
+    // time column; a record is fetched only when it overlaps the range.
+    let minute = TimeRange::between(Nanos::from_secs(600), Nanos::from_secs(660));
     group.bench_function("get_flows_wildcard_into_tor_1min", |b| {
-        // Ranged wildcard: posting list intersected with the time index.
-        let r = TimeRange::between(Nanos::from_secs(600), Nanos::from_secs(660));
-        b.iter(|| tib.get_flows(LinkPattern::into(tor), r))
+        b.iter(|| tib.get_flows(LinkPattern::into(tor), minute))
+    });
+    group.bench_function("link_flow_counts_into_tor_1min", |b| {
+        b.iter(|| tib.link_flow_counts(LinkPattern::into(tor), minute))
+    });
+    group.bench_function("fsd_into_agg_10min", |b| {
+        // One host's share of the `query_fsd` workload (Fig 11).
+        let q = Query::FlowSizeDist {
+            link: LinkPattern::into(ft.agg(0, 0)),
+            range: TimeRange::between(Nanos::from_secs(600), Nanos::from_secs(1200)),
+            bin_bytes: 10_000,
+        };
+        b.iter(|| execute_on_tib(&tib, &q))
     });
     group.bench_function("get_paths", |b| {
         b.iter(|| tib.get_paths(flow, LinkPattern::ANY, TimeRange::ANY))

@@ -21,8 +21,11 @@ use pathdump_cherrypick::{
 };
 use pathdump_simnet::{Packet, TcpFlags};
 use pathdump_tib::{MemKey, PendingRecord, Tib, TibRead, TibRecord, TieredTib, TrajectoryMemory};
-use pathdump_topology::{FlowId, HostId, LinkPattern, Nanos, Path, SwitchId, Topology};
+use pathdump_topology::{
+    FlowId, FnvBuild, HostId, LinkPattern, Nanos, Path, SwitchId, TimeRange, Topology,
+};
 use pathdump_verifier::IntentModel;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The reconstruction backend: which structured topology the fabric runs.
@@ -570,17 +573,18 @@ pub fn execute_on_tib<T: TibRead + ?Sized>(tib: &T, q: &Query) -> Response {
             range,
             bin_bytes,
         } => {
-            let counts = tib.link_flow_counts(*link, *range);
             let bin = (*bin_bytes).max(1);
-            let mut bins: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-            for (_, (bytes, _)) in counts {
-                *bins.entry(bytes / bin).or_insert(0) += 1;
-            }
-            let mut v: Vec<(u64, u64)> = bins.into_iter().collect();
-            v.sort_unstable();
+            let mut sizes: Vec<u64> = bytes_by(tib, *link, *range, |flow| flow)
+                .into_values()
+                .map(|bytes| bytes / bin)
+                .collect();
+            sizes.sort_unstable();
             Response::Hist {
                 bin_bytes: *bin_bytes,
-                bins: v,
+                bins: sizes
+                    .chunk_by(|a, b| a == b)
+                    .map(|run| (run[0], run.len() as u64))
+                    .collect(),
             }
         }
         Query::TopK { k, range } => Response::TopK {
@@ -588,29 +592,45 @@ pub fn execute_on_tib<T: TibRead + ?Sized>(tib: &T, q: &Query) -> Response {
             entries: tib.top_k_flows(*k as usize, *range),
         },
         Query::TrafficMatrix { range } => {
-            let counts = tib.link_flow_counts(LinkPattern::ANY, *range);
-            let mut map: std::collections::HashMap<
-                (pathdump_topology::Ip, pathdump_topology::Ip),
-                u64,
-            > = std::collections::HashMap::new();
-            for (flow, (bytes, _)) in counts {
-                *map.entry((flow.src_ip, flow.dst_ip)).or_insert(0) += bytes;
-            }
-            let mut v: Vec<_> = map.into_iter().collect();
+            let pair = |flow: FlowId| (flow.src_ip, flow.dst_ip);
+            let mut v: Vec<_> = bytes_by(tib, LinkPattern::ANY, *range, pair)
+                .into_iter()
+                .collect();
             v.sort_unstable();
             Response::Matrix(v)
         }
         Query::HeavyHitters { min_bytes, range } => {
-            let counts = tib.link_flow_counts(LinkPattern::ANY, *range);
-            let mut flows: Vec<(u64, pathdump_topology::FlowId)> = counts
-                .into_iter()
-                .filter(|(_, (b, _))| b >= min_bytes)
-                .map(|(f, (b, _))| (b, f))
-                .collect();
-            flows.sort_by(|a, b| b.cmp(a));
+            let mut flows: Vec<(u64, FlowId)> =
+                bytes_by(tib, LinkPattern::ANY, *range, |flow| flow)
+                    .into_iter()
+                    .filter(|(_, b)| b >= min_bytes)
+                    .map(|(f, b)| (b, f))
+                    .collect();
+            flows.sort_unstable_by(|a, b| b.cmp(a));
             Response::Flows(flows.into_iter().map(|(_, f)| f).collect())
         }
     }
+}
+
+/// Byte totals of the flows matching `(link, range)`, grouped by `key`. The
+/// traversal only pushes — a hash insert per visit would sit between the
+/// scan's independent record loads — and the sums go through one map
+/// presized to the visit count.
+fn bytes_by<T: TibRead + ?Sized, K: Eq + std::hash::Hash>(
+    tib: &T,
+    link: LinkPattern,
+    range: TimeRange,
+    key: impl Fn(FlowId) -> K,
+) -> HashMap<K, u64, FnvBuild> {
+    let mut visits: Vec<(FlowId, u64)> = Vec::new();
+    tib.for_each_flow_count(link, range, &mut |flow, bytes, _| {
+        visits.push((flow, bytes))
+    });
+    let mut sums = HashMap::with_capacity_and_hasher(visits.len(), FnvBuild::default());
+    for (flow, bytes) in visits {
+        *sums.entry(key(flow)).or_insert(0) += bytes;
+    }
+    sums
 }
 
 #[cfg(test)]

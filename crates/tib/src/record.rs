@@ -1,7 +1,7 @@
 //! TIB records: `<flow ID, path, stime, etime, #bytes, #pkts>` (Figure 2).
 
 use pathdump_topology::{FlowId, Nanos, Path, TimeRange};
-use pathdump_wire::{Decode, Decoder, Encode, Encoder, WireResult};
+use pathdump_wire::{Decode, Decoder, Encode, Encoder, WireError, WireResult};
 
 /// One per-path flow record, the unit the TIB stores.
 ///
@@ -57,11 +57,18 @@ impl Decode for TibRecord {
         let delta = dec.get_varint()?;
         let bytes = dec.get_varint()?;
         let pkts = dec.get_varint()?;
+        // These are stored bytes: a delta that carries etime past 64 bits
+        // would wrap it below stime, the ill-formed record whole-bucket
+        // aggregation double-counts.
+        let etime = stime
+            .0
+            .checked_add(delta)
+            .ok_or(WireError::VarintOverflow)?;
         Ok(TibRecord {
             flow,
             path,
             stime,
-            etime: Nanos(stime.0 + delta),
+            etime: Nanos(etime),
             bytes,
             pkts,
         })
@@ -119,6 +126,27 @@ mod tests {
         let bytes = to_bytes(&r);
         let back: TibRecord = from_bytes(&bytes).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn etime_past_64_bits_is_rejected() {
+        // The largest delta that fits decodes; one more is an error, not a
+        // wrapped etime. The delta is the fifth byte from the end (before
+        // three bytes of `bytes` and one of `pkts`).
+        let edge = TibRecord {
+            stime: Nanos(u64::MAX - 1),
+            etime: Nanos(u64::MAX),
+            ..rec()
+        };
+        let mut bytes = to_bytes(&edge);
+        assert_eq!(from_bytes::<TibRecord>(&bytes), Ok(edge));
+        let delta = bytes.len() - 5;
+        assert_eq!(bytes[delta], 1);
+        bytes[delta] = 2;
+        assert_eq!(
+            from_bytes::<TibRecord>(&bytes),
+            Err(WireError::VarintOverflow)
+        );
     }
 
     #[test]

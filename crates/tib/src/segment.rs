@@ -55,7 +55,7 @@
 //! continues with degraded durability.
 
 use crate::record::TibRecord;
-use crate::tib::{select_top_k, FlowSet, Tib, TibRead};
+use crate::tib::{select_top_k, sum_flow_counts, FlowSet, Tib, TibRead};
 use crate::wal::{self, WalStore};
 use pathdump_topology::{FlowId, LinkPattern, Nanos, Path, TimeRange};
 use pathdump_wire::{from_bytes, to_bytes, WireError, WireResult};
@@ -619,62 +619,37 @@ impl TieredTib {
 // `TieredTib` (segments + head) and `SealedView` (segments only).
 // ---------------------------------------------------------------------
 
-fn fold_flows(
+/// Calls `f` on each tier a query over `range` reads, in insertion order:
+/// the sealed segments whose hull overlaps the range (one that fails to
+/// load is counted and skipped), then the head.
+fn each_tib(
     segs: &[Arc<SealedSegment>],
     head: Option<&Tib>,
-    link: LinkPattern,
-    range: TimeRange,
-) -> Vec<FlowId> {
-    let mut seen: HashSet<FlowId> = HashSet::new();
-    let mut out = Vec::new();
-    let mut take = |flows: Vec<FlowId>| {
-        for f in flows {
-            if seen.insert(f) {
-                out.push(f);
-            }
-        }
-    };
-    for seg in segs {
-        if !seg.overlaps(&range) {
-            continue;
-        }
+    range: &TimeRange,
+    f: &mut dyn FnMut(&Tib),
+) {
+    for seg in segs.iter().filter(|s| s.overlaps(range)) {
         if let Some(t) = seg.tib_or_skip() {
-            take(t.get_flows(link, range));
+            f(&t);
         }
     }
     if let Some(h) = head {
-        take(h.get_flows(link, range));
+        f(h);
     }
-    out
 }
 
-fn fold_paths(
+/// Insertion-order lists concatenate with global dedup.
+fn fold_dedup<T: Clone + Eq + std::hash::Hash>(
     segs: &[Arc<SealedSegment>],
     head: Option<&Tib>,
-    flow: FlowId,
-    link: LinkPattern,
-    range: TimeRange,
-) -> Vec<Path> {
-    let mut seen: HashSet<Path> = HashSet::new();
+    range: &TimeRange,
+    list: impl Fn(&Tib) -> Vec<T>,
+) -> Vec<T> {
+    let mut seen: HashSet<T> = HashSet::new();
     let mut out = Vec::new();
-    let mut take = |paths: Vec<Path>| {
-        for p in paths {
-            if seen.insert(p.clone()) {
-                out.push(p);
-            }
-        }
-    };
-    for seg in segs {
-        if !seg.overlaps(&range) {
-            continue;
-        }
-        if let Some(t) = seg.tib_or_skip() {
-            take(t.get_paths(flow, link, range));
-        }
-    }
-    if let Some(h) = head {
-        take(h.get_paths(flow, link, range));
-    }
+    each_tib(segs, head, range, &mut |t| {
+        out.extend(list(t).into_iter().filter(|x| seen.insert(x.clone())));
+    });
     out
 }
 
@@ -685,24 +660,13 @@ fn fold_count(
     path: Option<&Path>,
     range: TimeRange,
 ) -> (u64, u64) {
-    let mut bytes = 0;
-    let mut pkts = 0;
-    for seg in segs {
-        if !seg.overlaps(&range) {
-            continue;
-        }
-        if let Some(t) = seg.tib_or_skip() {
-            let (b, p) = t.get_count(flow, path, range);
-            bytes += b;
-            pkts += p;
-        }
-    }
-    if let Some(h) = head {
-        let (b, p) = h.get_count(flow, path, range);
-        bytes += b;
-        pkts += p;
-    }
-    (bytes, pkts)
+    let mut sum = (0, 0);
+    each_tib(segs, head, &range, &mut |t| {
+        let (b, p) = t.get_count(flow, path, range);
+        sum.0 += b;
+        sum.1 += p;
+    });
+    sum
 }
 
 fn fold_duration(
@@ -713,71 +677,17 @@ fn fold_duration(
     range: TimeRange,
 ) -> Nanos {
     let mut bounds: Option<(Nanos, Nanos)> = None;
-    let mut merge = |b: Option<(Nanos, Nanos)>| {
-        if let Some((s, e)) = b {
+    each_tib(segs, head, &range, &mut |t| {
+        if let Some((s, e)) = t.duration_bounds(flow, path, range) {
             bounds = Some(match bounds {
                 Some((lo, hi)) => (lo.min(s), hi.max(e)),
                 None => (s, e),
             });
         }
-    };
-    for seg in segs {
-        if !seg.overlaps(&range) {
-            continue;
-        }
-        if let Some(t) = seg.tib_or_skip() {
-            merge(t.duration_bounds(flow, path, range));
-        }
-    }
-    if let Some(h) = head {
-        merge(h.duration_bounds(flow, path, range));
-    }
+    });
     match bounds {
         Some((lo, hi)) if lo < hi => hi - lo,
         _ => Nanos::ZERO,
-    }
-}
-
-fn fold_counts_map(
-    segs: &[Arc<SealedSegment>],
-    head: Option<&Tib>,
-    link: LinkPattern,
-    range: TimeRange,
-) -> HashMap<FlowId, (u64, u64)> {
-    let mut out: HashMap<FlowId, (u64, u64)> = HashMap::new();
-    let mut merge = |m: HashMap<FlowId, (u64, u64)>| {
-        for (flow, (b, p)) in m {
-            let e = out.entry(flow).or_insert((0, 0));
-            e.0 += b;
-            e.1 += p;
-        }
-    };
-    for seg in segs {
-        if !seg.overlaps(&range) {
-            continue;
-        }
-        if let Some(t) = seg.tib_or_skip() {
-            merge(t.link_flow_counts(link, range));
-        }
-    }
-    if let Some(h) = head {
-        merge(h.link_flow_counts(link, range));
-    }
-    out
-}
-
-fn fold_each(segs: &[Arc<SealedSegment>], head: Option<&Tib>, f: &mut dyn FnMut(&TibRecord)) {
-    for seg in segs {
-        if let Some(t) = seg.tib_or_skip() {
-            for rec in t.records() {
-                f(rec);
-            }
-        }
-    }
-    if let Some(h) = head {
-        for rec in h.records() {
-            f(rec);
-        }
     }
 }
 
@@ -787,7 +697,8 @@ impl TibRead for TieredTib {
     }
 
     fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
-        fold_each(&self.sealed, Some(&self.head), f);
+        let each = &mut |t: &Tib| t.records().iter().for_each(&mut *f);
+        each_tib(&self.sealed, Some(&self.head), &TimeRange::ANY, each);
     }
 
     fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
@@ -795,11 +706,13 @@ impl TibRead for TieredTib {
             // Global aggregate: no segment access, no cold reloads.
             return self.flows_any.order.clone();
         }
-        fold_flows(&self.sealed, Some(&self.head), link, range)
+        let flows = |t: &Tib| t.get_flows(link, range);
+        fold_dedup(&self.sealed, Some(&self.head), &range, flows)
     }
 
     fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
-        fold_paths(&self.sealed, Some(&self.head), flow, link, range)
+        let paths = |t: &Tib| t.get_paths(flow, link, range);
+        fold_dedup(&self.sealed, Some(&self.head), &range, paths)
     }
 
     fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
@@ -813,26 +726,35 @@ impl TibRead for TieredTib {
         fold_duration(&self.sealed, Some(&self.head), flow, path, range)
     }
 
+    fn for_each_flow_count(
+        &self,
+        link: LinkPattern,
+        range: TimeRange,
+        f: &mut dyn FnMut(FlowId, u64, u64),
+    ) {
+        if link.is_any() && range == TimeRange::ANY {
+            // Global aggregate: no segment access, no cold reloads.
+            for (flow, &(bytes, pkts)) in &self.flow_totals {
+                f(*flow, bytes, pkts);
+            }
+            return;
+        }
+        let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
+        each_tib(&self.sealed, Some(&self.head), &range, each);
+    }
+
     fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {
         if link.is_any() && range == TimeRange::ANY {
             return self.flow_totals.clone();
         }
-        fold_counts_map(&self.sealed, Some(&self.head), link, range)
+        sum_flow_counts(|f| self.for_each_flow_count(link, range, f))
     }
 
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        let v: Vec<(u64, FlowId)> = if range == TimeRange::ANY {
-            self.flow_totals
-                .iter()
-                .map(|(flow, &(bytes, _))| (bytes, *flow))
-                .collect()
-        } else {
-            fold_counts_map(&self.sealed, Some(&self.head), LinkPattern::ANY, range)
-                .into_iter()
-                .map(|(flow, (bytes, _))| (bytes, flow))
-                .collect()
-        };
-        select_top_k(v, k)
+        if range == TimeRange::ANY {
+            return select_top_k(&self.flow_totals, k);
+        }
+        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 }
 
@@ -842,15 +764,18 @@ impl TibRead for SealedView {
     }
 
     fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
-        fold_each(&self.segments, None, f);
+        let each = &mut |t: &Tib| t.records().iter().for_each(&mut *f);
+        each_tib(&self.segments, None, &TimeRange::ANY, each);
     }
 
     fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
-        fold_flows(&self.segments, None, link, range)
+        fold_dedup(&self.segments, None, &range, |t| t.get_flows(link, range))
     }
 
     fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
-        fold_paths(&self.segments, None, flow, link, range)
+        fold_dedup(&self.segments, None, &range, |t| {
+            t.get_paths(flow, link, range)
+        })
     }
 
     fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
@@ -861,16 +786,22 @@ impl TibRead for SealedView {
         fold_duration(&self.segments, None, flow, path, range)
     }
 
+    fn for_each_flow_count(
+        &self,
+        link: LinkPattern,
+        range: TimeRange,
+        f: &mut dyn FnMut(FlowId, u64, u64),
+    ) {
+        let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
+        each_tib(&self.segments, None, &range, each);
+    }
+
     fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {
-        fold_counts_map(&self.segments, None, link, range)
+        sum_flow_counts(|f| self.for_each_flow_count(link, range, f))
     }
 
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        let v = fold_counts_map(&self.segments, None, LinkPattern::ANY, range)
-            .into_iter()
-            .map(|(flow, (bytes, _))| (bytes, flow))
-            .collect();
-        select_top_k(v, k)
+        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 }
 

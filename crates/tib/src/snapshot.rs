@@ -396,6 +396,31 @@ mod tests {
     }
 
     #[test]
+    fn record_with_wrapping_etime_rejected() {
+        // A record whose `stime + delta` just fits, as the last record of a
+        // TIB2 body, of a TIB3 head and of a TIB3 sealed block; then the
+        // same bytes with the delta one larger. The record ends `delta,
+        // bytes = 0, pkts = 0`, and the sealed layout with an empty head.
+        let mut rec = populate(1).records()[0].clone();
+        (rec.stime, rec.etime) = (Nanos(u64::MAX - 1), Nanos(u64::MAX));
+        let mut flat = Tib::new();
+        flat.insert(rec.clone());
+        let mut tiered = TieredTib::new();
+        tiered.insert(rec);
+        let head = save_tiered(&tiered).unwrap();
+        tiered.seal();
+        let sealed = save_tiered(&tiered).unwrap();
+        for (mut bytes, delta_from_end) in [(save(&flat), 3), (head, 3), (sealed, 4)] {
+            assert!(load(&bytes).is_ok() && load_tiered(&bytes).is_ok());
+            let delta = bytes.len() - delta_from_end;
+            assert_eq!(bytes[delta], 1);
+            bytes[delta] = 2;
+            assert_eq!(load(&bytes).unwrap_err(), WireError::VarintOverflow);
+            assert_eq!(load_tiered(&bytes).unwrap_err(), WireError::VarintOverflow);
+        }
+    }
+
+    #[test]
     fn per_record_footprint_is_compact() {
         let t = populate(1000);
         let per_record = snapshot_size(&t) as f64 / 1000.0;

@@ -4,7 +4,11 @@
 //! # Storage layout
 //!
 //! Records are kept in one insertion-ordered arena (`records`, ids are
-//! arena offsets) with four families of indexes maintained on `insert`:
+//! arena offsets). Beside it sits the **time column** `times`: each
+//! record's `(stime, etime)` again, 16 bytes per id. Every walk of an id
+//! list tests the range there and fetches the 72-byte record only when it
+//! overlaps, so a ranged query touches the records it counts and no
+//! others. Four families of indexes are maintained on `insert`:
 //!
 //! - **Posting lists** — `by_flow` (flow → ids) and `by_link`
 //!   (directed link → ids) serve the exact-match Host API lookups
@@ -42,9 +46,9 @@
 //! The translation happens in exactly two places: `bucket_contained`
 //! converts bucket `k`'s half-open span to its inclusive last stime
 //! (`k·w + w − 1`) before comparing against the closed range, and
-//! `range_ids` maps the inclusive range end to the *inclusive* last
-//! bucket index `end / w`. Everything else re-checks candidates with
-//! `rec.overlaps`, so bucket pruning only ever has to be a superset.
+//! `live_buckets` maps the inclusive range end to the *inclusive* last
+//! bucket index `end / w`. Everything else re-checks candidates against
+//! their own span, so bucket pruning only ever has to be a superset.
 //! `prop_equivalence`'s boundary-aligned case pins these edges (records
 //! and range endpoints exactly on width multiples) against the
 //! linear-scan reference.
@@ -58,9 +62,9 @@
 //! | query                          | cost                                |
 //! |--------------------------------|-------------------------------------|
 //! | `get_paths/get_count/get_duration` | O(records of the flow)          |
-//! | `get_flows(exact, range)`      | O(posting list of the link)         |
+//! | `get_flows(exact, ANY)`        | O(posting list of the link)         |
 //! | `get_flows(wildcard, ANY)`     | O(distinct flows at the switch) — a memcpy |
-//! | `get_flows(wildcard, range)`   | O(ids at the switch)                |
+//! | `get_flows(pattern, range)`, `link_flow_counts(pattern, range)` | O(posting list), one sequential pass over the ids and their 16-byte spans; records fetched = matches |
 //! | `get_flows(ANY, ANY)`          | O(f) — a memcpy of `flows_any`      |
 //! | `link_flow_counts(ANY, ANY)`   | O(f) — a clone of `flow_totals`     |
 //! | `link_flow_counts(ANY, range)` | O(b + flows in buckets overlapping the range) |
@@ -105,20 +109,35 @@ impl FlowSet {
     }
 }
 
-/// Keeps the top `k` entries of `v` by `(bytes, flow)` descending — the
+/// The top `k` of per-flow totals by `(bytes, flow)` descending — the
 /// documented [`Tib::top_k_flows`] tie-break — using O(f) selection, then
-/// sorts only those `k`. Shared by the single-arena and tiered engines so
+/// sorting only those `k`. Shared by the single-arena and tiered engines so
 /// both produce bit-identical rankings.
-pub(crate) fn select_top_k(mut v: Vec<(u64, FlowId)>, k: usize) -> Vec<(u64, FlowId)> {
+pub(crate) fn select_top_k(totals: &HashMap<FlowId, (u64, u64)>, k: usize) -> Vec<(u64, FlowId)> {
     if k == 0 {
         return Vec::new();
     }
+    let mut v: Vec<(u64, FlowId)> = totals.iter().map(|(f, &(bytes, _))| (bytes, *f)).collect();
     if v.len() > k {
         v.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
         v.truncate(k);
     }
     v.sort_unstable_by(|a, b| b.cmp(a));
     v
+}
+
+/// Per-flow totals of one [`TibRead::for_each_flow_count`] traversal —
+/// what every engine's `link_flow_counts` is, past its all-time shortcut.
+pub(crate) fn sum_flow_counts(
+    visit: impl FnOnce(&mut dyn FnMut(FlowId, u64, u64)),
+) -> HashMap<FlowId, (u64, u64)> {
+    let mut out: HashMap<FlowId, (u64, u64)> = HashMap::new();
+    visit(&mut |flow, bytes, pkts| {
+        let e = out.entry(flow).or_insert((0, 0));
+        e.0 += bytes;
+        e.1 += pkts;
+    });
+    out
 }
 
 /// Per-switch secondary index: every record whose path enters (or
@@ -148,6 +167,9 @@ struct Bucket {
 #[derive(Clone, Debug)]
 pub struct Tib {
     records: Vec<TibRecord>,
+    /// `(stime, etime)` of `records[id]`: the dense column an index walk
+    /// tests, so that an id outside the range costs no record fetch.
+    times: Vec<(Nanos, Nanos)>,
     by_flow: HashMap<FlowId, Vec<u32>>,
     by_link: HashMap<LinkDir, Vec<u32>>,
     by_switch_in: HashMap<SwitchId, SwitchIndex>,
@@ -182,6 +204,7 @@ impl Tib {
         assert!(width.0 > 0, "bucket width must be positive");
         Tib {
             records: Vec::new(),
+            times: Vec::new(),
             by_flow: HashMap::new(),
             by_link: HashMap::new(),
             by_switch_in: HashMap::new(),
@@ -254,6 +277,7 @@ impl Tib {
         bt.0 += rec.bytes;
         bt.1 += rec.pkts;
         bucket.max_etime = bucket.max_etime.max(rec.etime);
+        self.times.push((rec.stime, rec.etime));
         self.records.push(rec);
     }
 
@@ -305,6 +329,34 @@ impl Tib {
         }
     }
 
+    /// `records[id]` when its span overlaps `range`, decided on the time
+    /// column alone.
+    fn overlapping(&self, id: u32, range: &TimeRange) -> Option<&TibRecord> {
+        let (stime, etime) = self.times[id as usize];
+        range
+            .overlaps(stime, etime)
+            .then(|| &self.records[id as usize])
+    }
+
+    /// Visits, in insertion order and once each, the records that match a
+    /// non-ANY pattern and overlap `range`: one sequential pass over the
+    /// posting list and the 16-byte spans of its ids. An exact posting
+    /// list repeats an id when a loopy path repeats the link; `insert`
+    /// pushes a record's repeats back to back, so an id equal to the one
+    /// before it is skipped.
+    fn for_each_match(&self, link: LinkPattern, range: TimeRange, mut f: impl FnMut(&TibRecord)) {
+        let mut prev = None;
+        for &id in self.pattern_ids(link) {
+            if prev == Some(id) {
+                continue;
+            }
+            prev = Some(id);
+            if let Some(rec) = self.overlapping(id, &range) {
+                f(rec);
+            }
+        }
+    }
+
     /// `getFlows(linkID, timeRange)`: flows that traversed a matching link
     /// during the range (deduplicated, insertion order).
     pub fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
@@ -316,96 +368,50 @@ impl Tib {
         }
         let mut seen = HashSet::new();
         let mut out = Vec::new();
-        let mut push = |rec: &TibRecord| {
-            if rec.overlaps(&range) && seen.insert(rec.flow) {
+        let push = |rec: &TibRecord| {
+            if seen.insert(rec.flow) {
                 out.push(rec.flow);
             }
         };
-        if link.is_any() {
-            match self.range_ids(range, self.records.len()) {
-                // Record ids are insertion order, so a sorted candidate-id
-                // walk preserves the documented ordering.
-                Some(ids) => {
-                    for id in ids {
-                        push(&self.records[id as usize]);
-                    }
-                }
-                // Broad range: one pass over the arena beats collecting
-                // and sorting nearly every id.
-                None => {
-                    for rec in &self.records {
-                        push(rec);
-                    }
-                }
-            }
+        if !link.is_any() {
+            self.for_each_match(link, range, push);
+        } else if let Some(ids) = self.range_ids(range) {
+            // Record ids are insertion order, so a sorted candidate-id
+            // walk preserves the documented ordering.
+            let recs = ids.iter().filter_map(|&id| self.overlapping(id, &range));
+            recs.for_each(push);
         } else {
-            for &id in &self.pattern_range_ids(link, range) {
-                push(&self.records[id as usize]);
-            }
+            // Broad range: one pass over the arena beats collecting and
+            // sorting nearly every id.
+            let recs = self.records.iter().filter(|r| r.overlaps(&range));
+            recs.for_each(push);
         }
         out
     }
 
-    /// Record ids matching a non-ANY pattern, pruned by the time index
-    /// when the range is narrow: the sorted posting list is intersected
-    /// with the bucket candidate set, so a ranged wildcard query visits
-    /// only records that can overlap instead of every record at the
-    /// switch. Falls back to the raw posting list for broad ranges.
-    fn pattern_range_ids(&self, link: LinkPattern, range: TimeRange) -> Vec<u32> {
-        let pattern = self.pattern_ids(link);
-        if range == TimeRange::ANY {
-            return pattern.to_vec();
-        }
-        // Budget the candidate collection by the posting-list size: when
-        // the pattern matches few records, a direct overlaps-scan of the
-        // posting list beats building the candidate set at all.
-        match self.range_ids(range, pattern.len()) {
-            Some(candidates) => {
-                // Both lists ascend (ids are insertion order); duplicates
-                // in exact posting lists (loopy paths) are preserved.
-                let mut out = Vec::new();
-                let mut j = 0;
-                for &id in pattern {
-                    while j < candidates.len() && candidates[j] < id {
-                        j += 1;
-                    }
-                    if j == candidates.len() {
-                        break;
-                    }
-                    if candidates[j] == id {
-                        out.push(id);
-                    }
-                }
-                out
-            }
-            None => pattern.to_vec(),
-        }
-    }
-
-    /// Candidate record ids for a time range, ascending: whole buckets
-    /// inside the range plus clamp-checked boundary/lookback buckets.
-    /// Returns `None` when the candidates are not meaningfully fewer
-    /// than `budget` (the records the caller would otherwise visit) —
-    /// the caller should then scan directly instead of paying for an id
-    /// copy and sort that selects almost nothing out.
-    fn range_ids(&self, range: TimeRange, budget: usize) -> Option<Vec<u32>> {
+    /// The buckets that can hold a record overlapping `range`, with their
+    /// indexes: those that start no later than the range ends and, when
+    /// they start before it does, still have a record alive at its start
+    /// (the `max_etime` lookback).
+    fn live_buckets(&self, range: &TimeRange) -> impl Iterator<Item = (u64, &Bucket)> {
         let hi = range.end.map_or(u64::MAX, |e| e.0 / self.bucket_width);
         let lo = range.start.unwrap_or(Nanos::ZERO);
-        // Buckets entirely left of the range contribute only if a record
-        // in them is still alive at the range start (max_etime lookback).
-        let live = |b: &&Bucket| b.max_etime >= lo;
-        let candidates: usize = self
-            .buckets
-            .range(..=hi)
-            .map(|(_, b)| b)
-            .filter(live)
-            .map(|b| b.ids.len())
-            .sum();
-        if candidates * 2 > budget {
+        let upto = self.buckets.range(..=hi).map(|(&k, b)| (k, b));
+        upto.filter(move |(_, b)| b.max_etime >= lo)
+    }
+
+    /// Candidate record ids for a time range, ascending: every id of its
+    /// live buckets. Returns `None` when the candidates are not
+    /// meaningfully fewer than the arena — the caller should then scan it
+    /// directly instead of paying for an id copy and sort that selects
+    /// almost nothing out.
+    fn range_ids(&self, range: TimeRange) -> Option<Vec<u32>> {
+        let candidates: usize = self.live_buckets(&range).map(|(_, b)| b.ids.len()).sum();
+        if candidates * 2 > self.records.len() {
             return None;
         }
         let mut ids: Vec<u32> = Vec::with_capacity(candidates);
-        for bucket in self.buckets.range(..=hi).map(|(_, b)| b).filter(live) {
+        for (_, bucket) in self.live_buckets(&range) {
             ids.extend_from_slice(&bucket.ids);
         }
         ids.sort_unstable();
@@ -507,14 +513,8 @@ impl Tib {
     /// overlaps this hull, so the tiered engine prunes whole sealed
     /// segments (avoiding cold reloads) with one comparison.
     pub fn span(&self) -> Option<(Nanos, Nanos)> {
-        let mut it = self.records.iter();
-        let first = it.next()?;
-        let mut lo = first.stime;
-        let mut hi = first.etime;
-        for rec in it {
-            lo = lo.min(rec.stime);
-            hi = hi.max(rec.etime);
-        }
+        let lo = self.times.iter().map(|t| t.0).min()?;
+        let hi = self.times.iter().map(|t| t.1).max()?;
         Some((lo, hi))
     }
 
@@ -535,60 +535,11 @@ impl Tib {
         link: LinkPattern,
         range: TimeRange,
     ) -> HashMap<FlowId, (u64, u64)> {
-        if link.is_any() {
-            if range == TimeRange::ANY {
-                // The live aggregate IS the answer.
-                return self.flow_totals.clone();
-            }
-            return self.range_flow_counts(range);
+        if link.is_any() && range == TimeRange::ANY {
+            // The live aggregate IS the answer.
+            return self.flow_totals.clone();
         }
-        let mut out: HashMap<FlowId, (u64, u64)> = HashMap::new();
-        let exact = link.from.is_some() && link.to.is_some();
-        // Exact posting lists may repeat an id when a loopy path repeats
-        // the link; switch indexes are pre-deduplicated per record.
-        let mut seen = HashSet::new();
-        for &id in &self.pattern_range_ids(link, range) {
-            if exact && !seen.insert(id) {
-                continue;
-            }
-            let rec = &self.records[id as usize];
-            if rec.overlaps(&range) {
-                let e = out.entry(rec.flow).or_insert((0, 0));
-                e.0 += rec.bytes;
-                e.1 += rec.pkts;
-            }
-        }
-        out
-    }
-
-    /// Range-restricted all-links totals: whole-bucket sums for buckets
-    /// inside the range, clamp-scans for boundary/lookback buckets.
-    fn range_flow_counts(&self, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {
-        let hi = range.end.map_or(u64::MAX, |e| e.0 / self.bucket_width);
-        let lo = range.start.unwrap_or(Nanos::ZERO);
-        let mut out: HashMap<FlowId, (u64, u64)> = HashMap::new();
-        for (&k, bucket) in self.buckets.range(..=hi) {
-            if bucket.max_etime < lo {
-                continue;
-            }
-            if self.bucket_contained(k, &range) {
-                for (flow, &(b, p)) in &bucket.flow_totals {
-                    let e = out.entry(*flow).or_insert((0, 0));
-                    e.0 += b;
-                    e.1 += p;
-                }
-            } else {
-                for &id in &bucket.ids {
-                    let rec = &self.records[id as usize];
-                    if rec.overlaps(&range) {
-                        let e = out.entry(rec.flow).or_insert((0, 0));
-                        e.0 += rec.bytes;
-                        e.1 += rec.pkts;
-                    }
-                }
-            }
-        }
-        out
+        sum_flow_counts(|f| TibRead::for_each_flow_count(self, link, range, f))
     }
 
     /// Top-`k` flows by byte count within a range (§2.3's top-k example).
@@ -596,19 +547,11 @@ impl Tib {
     /// Ties are broken by flow id (descending), making the result
     /// deterministic regardless of construction order.
     pub fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        let v: Vec<(u64, FlowId)> = if range == TimeRange::ANY {
+        if range == TimeRange::ANY {
             // Served from the live aggregate: no per-record work at all.
-            self.flow_totals
-                .iter()
-                .map(|(flow, &(bytes, _))| (bytes, *flow))
-                .collect()
-        } else {
-            self.range_flow_counts(range)
-                .into_iter()
-                .map(|(flow, (bytes, _))| (bytes, flow))
-                .collect()
-        };
-        select_top_k(v, k)
+            return select_top_k(&self.flow_totals, k);
+        }
+        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 
     /// Approximate resident bytes of records + indexes (§5.3).
@@ -618,6 +561,7 @@ impl Tib {
             .iter()
             .map(|r| std::mem::size_of::<TibRecord>() + r.path.len() * 2)
             .sum();
+        let times = self.times.len() * std::mem::size_of::<(Nanos, Nanos)>();
         let flows = self.by_flow.len() * (std::mem::size_of::<FlowId>() + 16);
         let links: usize = self
             .by_link
@@ -643,7 +587,7 @@ impl Tib {
                     + b.flow_totals.len() * (std::mem::size_of::<FlowId>() + 16 + 16)
             })
             .sum();
-        recs + flows + links + switches + aggregates + buckets
+        recs + times + flows + links + switches + aggregates + buckets
     }
 }
 
@@ -678,6 +622,24 @@ pub trait TibRead {
 
     /// See [`Tib::get_duration`].
     fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos;
+
+    /// The traversal the aggregate queries share: calls `f(flow, bytes,
+    /// pkts)` with **partial sums** whose per-flow totals are, by
+    /// definition, [`link_flow_counts`](Self::link_flow_counts) — one visit
+    /// per record that matches `link` and overlaps `range`, or one per flow
+    /// of a pre-summed aggregate (a time bucket inside the range, the
+    /// running totals) that stands in for its records. A flow may therefore
+    /// be visited any number of times, in no particular order, and the
+    /// caller sums. Keep `f` cheap — ideally a push: the walk reads each
+    /// matching record through an index, loads that do not depend on one
+    /// another and that the CPU overlaps, and a hash insert between two of
+    /// them serialises the cache misses the walk exists to overlap.
+    fn for_each_flow_count(
+        &self,
+        link: LinkPattern,
+        range: TimeRange,
+        f: &mut dyn FnMut(FlowId, u64, u64),
+    );
 
     /// See [`Tib::link_flow_counts`].
     fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)>;
@@ -719,6 +681,39 @@ impl TibRead for Tib {
 
     fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
         Tib::get_duration(self, flow, path, range)
+    }
+
+    fn for_each_flow_count(
+        &self,
+        link: LinkPattern,
+        range: TimeRange,
+        f: &mut dyn FnMut(FlowId, u64, u64),
+    ) {
+        if !link.is_any() {
+            self.for_each_match(link, range, |rec| f(rec.flow, rec.bytes, rec.pkts));
+            return;
+        }
+        if range == TimeRange::ANY {
+            for (flow, &(bytes, pkts)) in &self.flow_totals {
+                f(*flow, bytes, pkts);
+            }
+            return;
+        }
+        // All links, ranged: whole-bucket sums for buckets inside the
+        // range, clamp-scans for boundary/lookback buckets.
+        for (k, bucket) in self.live_buckets(&range) {
+            if self.bucket_contained(k, &range) {
+                for (flow, &(bytes, pkts)) in &bucket.flow_totals {
+                    f(*flow, bytes, pkts);
+                }
+            } else {
+                for &id in &bucket.ids {
+                    if let Some(rec) = self.overlapping(id, &range) {
+                        f(rec.flow, rec.bytes, rec.pkts);
+                    }
+                }
+            }
+        }
     }
 
     fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {

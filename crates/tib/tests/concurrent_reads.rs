@@ -16,6 +16,7 @@ use pathdump_topology::{FlowId, Ip, LinkPattern, Nanos, Path, SwitchId, TimeRang
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn flow(sport: u16) -> FlowId {
     FlowId::tcp(Ip::new(10, 0, 0, 2), sport, Ip::new(10, 1, 0, 2), 80)
@@ -108,7 +109,7 @@ fn readers_race_ingest_across_seals_and_eviction() {
             });
         }
 
-        let (start, done, expected) = (&start, &done, &expected);
+        let (start, done, taken, expected) = (&start, &done, &snapshots_taken, &expected);
         let all = &all;
         let dir = &dir;
         s.spawn(move || {
@@ -122,6 +123,18 @@ fn readers_race_ingest_across_seals_and_eviction() {
                 }
                 store.seal();
                 held.push((store.reader().snapshot(), (p + 1) * PER_PHASE));
+                // Readers and ingest overlap by construction, whatever the
+                // scheduler does: the rest of the ingest waits until the
+                // readers have checked `READERS` views between them. The
+                // deadline only keeps a reader that died of a failed check
+                // from hanging the writer; the scope reports its panic.
+                let waiting = Instant::now();
+                while p == 0
+                    && taken.load(Ordering::Relaxed) < READERS
+                    && waiting.elapsed() < Duration::from_secs(30)
+                {
+                    std::thread::yield_now();
+                }
                 // Push older segments cold while readers are live: lazy
                 // reload must serve them transparently.
                 if p % 3 == 2 {

@@ -13,9 +13,10 @@
 //! truncated *snapshot* — or any WAL damage other than the tail — is
 //! corruption and must be rejected loudly.
 
-use pathdump_tib::wal::frame_record;
+use pathdump_tib::wal::{frame_record, replay, WAL_FRAME_RECORD};
 use pathdump_tib::{FileWal, Tib, TibRead, TibRecord, TieredTib, VecWal};
 use pathdump_topology::{FlowId, Ip, LinkPattern, Nanos, Path, SwitchId, TimeRange};
+use pathdump_wire::{Encode, Encoder, Frame, WireError};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -209,6 +210,32 @@ fn torn_wal_tolerated_truncated_snapshot_rejected() {
     let mut corrupt = wal.clone();
     corrupt[8] ^= 0xFF;
     assert!(TieredTib::recover(&snapshot, &corrupt).is_err());
+}
+
+/// A record whose `stime + delta` does not fit 64 bits is corruption even
+/// inside a well-framed, CRC-valid WAL frame: decoding it used to wrap
+/// `etime` below `stime` (or panic a debug build). Replay and recovery
+/// return the error; no store ever holds such a record.
+#[test]
+fn wal_record_with_wrapping_etime_is_rejected() {
+    let good = record_of(&(1, 0, 10, 5, 100, 0), &path_pool());
+    let mut enc = Encoder::new();
+    good.flow.encode(&mut enc);
+    good.path.encode(&mut enc);
+    Nanos(u64::MAX - 1).encode(&mut enc);
+    enc.put_varint(5);
+    enc.put_varint(good.bytes);
+    enc.put_varint(good.pkts);
+    let mut wal = frame_record(&good);
+    wal.extend_from_slice(&Frame::new(WAL_FRAME_RECORD, enc.into_bytes()).to_wire());
+    wal.extend_from_slice(&frame_record(&good));
+
+    assert_eq!(replay(&wal).unwrap_err(), WireError::VarintOverflow);
+    let mut snapshot = Vec::new();
+    TieredTib::new()
+        .checkpoint(&mut snapshot)
+        .expect("checkpoint");
+    assert!(TieredTib::recover(&snapshot, &wal).is_err());
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);

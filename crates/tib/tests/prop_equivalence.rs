@@ -258,6 +258,20 @@ fn assert_all_queries_match<T: TibRead>(
             range,
             width
         );
+        let mut folded: HashMap<FlowId, (u64, u64)> = HashMap::new();
+        tib.for_each_flow_count(link, range, &mut |f, bytes, pkts| {
+            let e = folded.entry(f).or_insert((0, 0));
+            e.0 += bytes;
+            e.1 += pkts;
+        });
+        prop_assert_eq!(
+            folded,
+            tib.link_flow_counts(link, range),
+            "fold of for_each_flow_count({:?}, {:?}) width={}",
+            link,
+            range,
+            width
+        );
     }
     for sport in 1..=4u16 {
         let f = flow(sport);

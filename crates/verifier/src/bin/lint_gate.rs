@@ -8,10 +8,12 @@
 //! - `unwrap()` / `expect(` are banned in the forwarding/query hot paths:
 //!   `crates/dpswitch/src/**` (the batched parser included),
 //!   `crates/simnet/src/driver.rs`, `crates/tib/src/tib.rs`,
-//!   `crates/tib/src/memory.rs` (the per-packet map), the
-//!   `crates/rpc` plane/channel/fault/codec modules (a panic there kills
-//!   every in-flight query on the node), and the codec they all parse
-//!   outside input with: `crates/wire/src/**` and
+//!   `crates/tib/src/memory.rs` (the per-packet map), the store's
+//!   `segment.rs`, `wal.rs`, `record.rs` and `snapshot.rs` (recovery and
+//!   cold reloads decode stored bytes there), `crates/core/src/agent.rs`
+//!   and `standing.rs`, the `crates/rpc` plane/channel/fault/codec modules
+//!   (a panic there kills every in-flight query on the node), and the codec
+//!   they all parse outside input with: `crates/wire/src/**` and
 //!   `crates/core/src/query.rs`. A panic in any of these takes down the
 //!   datapath, the simulation, or the query plane.
 //! - `println!` is banned in all library code (benches and bins own stdout;
@@ -48,7 +50,12 @@ const HOT_PATHS: &[&str] = &[
     // records on the floor.
     "crates/tib/src/segment.rs",
     "crates/tib/src/wal.rs",
+    // What recovery and every cold reload decode stored bytes with.
+    "crates/tib/src/record.rs",
+    "crates/tib/src/snapshot.rs",
     "crates/core/src/standing.rs",
+    // The per-packet agent and the query evaluator every plane calls.
+    "crates/core/src/agent.rs",
     // The rpc plane: a panic in a state machine, channel or fault hook
     // kills every in-flight query on the node.
     "crates/rpc/src/plane.rs",
