@@ -17,8 +17,10 @@ use pathdump_simnet::{
     EngineKind, FaultState, NoTagging, Packet, SimConfig, SimStats, Simulator, SinkWorld,
 };
 use pathdump_topology::{
-    FatTree, FatTreeParams, FlowId, HostId, LinkDir, LinkPattern, Nanos, TimeRange, UpDownRouting,
+    FatTree, FatTreeParams, FlowId, FnvHasher, HostId, LinkDir, LinkPattern, Nanos, TimeRange,
+    UpDownRouting,
 };
+use std::hash::Hasher;
 
 fn k8(engine: EngineKind) -> Testbed {
     Testbed::fattree(
@@ -29,6 +31,25 @@ fn k8(engine: EngineKind) -> Testbed {
 }
 
 const ENGINES: [EngineKind; 2] = [EngineKind::Sequential, EngineKind::Sharded];
+
+/// Checks a scenario's whole verdict against the `k8.` line recorded in
+/// the simulator's golden file (its header says who wrote it): a 64-bit
+/// FNV digest of the verdict's `Debug` rendering. A deliberate change
+/// pastes the computed digest from the failure message into the file.
+fn assert_golden(key: &str, verdict: &impl std::fmt::Debug) {
+    let golden = include_str!("../crates/simnet/tests/data/golden_digests.txt");
+    let recorded = golden
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(' '));
+    let mut h = FnvHasher::default();
+    h.write(format!("{verdict:?}").as_bytes());
+    let computed = format!("{:016x}", h.finish());
+    assert_eq!(
+        Some(computed.as_str()),
+        recorded,
+        "{key}: verdict differs from the recorded one"
+    );
+}
 
 /// §4.3 at k=8: MAX-COVERAGE localization of a silently dropping
 /// interface from edge alarms. Both engines must produce the same failure
@@ -89,6 +110,7 @@ fn silent_drop_localization_k8_sharded_matches_sequential() {
     assert_eq!(sha.0, seq.0, "localization hypotheses diverged");
     assert_eq!(sha.1, seq.1, "signature counts diverged");
     assert_eq!(sha.2, seq.2, "fabric stats diverged");
+    assert_golden("k8.silent_drop", seq);
 }
 
 /// §4.5 at k=8: a 4-switch loop across two pods and the core, trapped by
@@ -125,6 +147,7 @@ fn routing_loop_detection_k8_sharded_matches_sequential() {
         ));
     }
     assert_eq!(results[0], results[1], "loop verdicts diverged");
+    assert_golden("k8.routing_loop", &results[0]);
 }
 
 /// §4.2 at k=8: the size-based ECMP misconfiguration splits flows at the
@@ -179,6 +202,7 @@ fn load_imbalance_fsd_k8_sharded_matches_sequential() {
     }
     assert_eq!(results[0].0, results[1].0, "FSD verdicts diverged");
     assert_eq!(results[0].1, results[1].1, "fabric stats diverged");
+    assert_golden("k8.load_imbalance", &results[0]);
 }
 
 /// The zero-copy ingest pin: `HostAgent`s fed by both engines at k=8
@@ -254,6 +278,7 @@ fn host_agent_tib_queries_k8_sharded_matches_sequential() {
         results[0], results[1],
         "per-host TIB query results diverged across engines"
     );
+    assert_golden("k8.host_agent_tib", &results[0]);
 }
 
 /// Scale check: a k=16 fat-tree (320 switches, 1024 hosts, 17 switch
