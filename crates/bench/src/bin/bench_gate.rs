@@ -6,8 +6,8 @@
 //!
 //! Gated metrics (see `pathdump_bench::report` for the comparison logic):
 //!
-//! * `events_per_sec` — the k=8 simnet workload on the sharded
-//!   engine, measured in-process (median of `--runs` runs; higher better).
+//! * `events_per_sec` — the k=8 simnet workload, measured in-process
+//!   (median of `--runs` runs; higher better).
 //! * `strip_path_min_speedup` — the dpswitch zero-copy strip-path speedup
 //!   vs the fixed pre-PR-4 medians, re-derived from a fresh
 //!   `dpswitch_throughput` bench run (higher better). The committed
@@ -61,13 +61,12 @@
 use pathdump_bench::ingest_scale::{build_stream, run_ingest, IngestParams};
 use pathdump_bench::memory_scale::{evict_ratio, run_memory_curve, EVICT_RATIO_CEILING};
 use pathdump_bench::report::{
-    failing_checks, json_number, recorded_events_per_sec, recorded_ingest_events_per_sec,
-    recorded_median_ns, recorded_tib_scale_number, run_cargo_bench, strip_path_min_speedup,
-    Direction, GateCheck,
+    failing_checks, json_number, recorded_ingest_events_per_sec, recorded_median_ns,
+    recorded_simnet_events_per_sec, recorded_tib_scale_number, run_cargo_bench,
+    strip_path_min_speedup, Direction, GateCheck,
 };
 use pathdump_bench::simnet_scale::{run_scale_with, ScaleParams};
 use pathdump_bench::tib_scale::{run_tib_scale, TibScaleParams, TibScaleResult};
-use pathdump_simnet::EngineKind;
 
 /// Hard ceiling on the PathDump-vs-vanilla 512 B gap — the PR-7
 /// acceptance criterion (was ~5.8× before the batched pipeline, ~3.1×
@@ -123,11 +122,11 @@ fn parse_args() -> GateArgs {
     g
 }
 
-/// Median events/sec of the k=8 workload on the sharded engine.
+/// Median events/sec of the k=8 workload.
 fn measure_simnet_events_per_sec(runs: usize) -> f64 {
     let p = ScaleParams::k8_default();
     let mut rates: Vec<f64> = (0..runs.max(1))
-        .map(|_| run_scale_with(p, EngineKind::Sharded).events_per_sec)
+        .map(|_| run_scale_with(p).events_per_sec)
         .collect();
     rates.sort_by(f64::total_cmp);
     rates[rates.len() / 2]
@@ -151,8 +150,8 @@ fn main() {
         v.unwrap_or(f64::NAN)
     };
     let base_eps = need(
-        recorded_events_per_sec(&doc, "sharded"),
-        "simnet sharded events_per_sec",
+        recorded_simnet_events_per_sec(&doc),
+        "simnet events_per_sec",
     );
     let base_strip = need(
         json_number(&doc, "strip_path_min_speedup"),
@@ -194,10 +193,7 @@ fn main() {
     }
 
     // Fresh measurements.
-    eprintln!(
-        "bench_gate: measuring simnet k=8 (sharded, {} runs)...",
-        args.runs
-    );
+    eprintln!("bench_gate: measuring simnet k=8 ({} runs)...", args.runs);
     let cur_eps = measure_simnet_events_per_sec(args.runs) / args.handicap;
 
     eprintln!("bench_gate: running dpswitch_throughput...");

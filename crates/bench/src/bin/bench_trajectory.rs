@@ -1,11 +1,11 @@
 //! Perf-trajectory capture: runs the four Criterion benches
 //! (`tib_queries`, `wire_codec`, `reconstruct`, `dpswitch_throughput`)
 //! via nested `cargo bench` invocations (parsing shared with `bench_gate`
-//! through `pathdump_bench::report`), runs the in-process simnet engine
-//! comparison (k=8 sequential vs sharded, see the `simnet_scale` module),
+//! through `pathdump_bench::report`), runs the in-process simnet scale
+//! workload (k=8, see the `simnet_scale` module),
 //! and writes one `BENCH_tib.json` with a `benchmarks` array, a `simnet`
-//! section (both engines' events/sec, their ratio and the CPU count of
-//! the box that measured them), an `ingest` section (the host agent's
+//! section (events/sec and the CPU count of the box that measured
+//! them), an `ingest` section (the host agent's
 //! per-packet ingest rate — see `ingest_scale`; drift-banded by
 //! `bench_gate`), a `memory` section (trajectory-memory
 //! `evict_flow` ns/FIN and `update_wire` ns/packet at 1 k / 8 k / 64 k
@@ -35,7 +35,6 @@ use pathdump_bench::report::{
 use pathdump_bench::simnet_scale::{run_scale_with, ScaleParams, ScaleResult};
 use pathdump_bench::standing_scale::{self, StandingParams, StandingResult};
 use pathdump_bench::tib_scale::{run_tib_scale, TibScaleParams, TibScaleResult};
-use pathdump_simnet::EngineKind;
 use pathdump_topology::{FatTree, FatTreeParams, RouteTables, UpDownRouting, Vl2, Vl2Params};
 use pathdump_verifier::{verify, IntentModel};
 
@@ -173,44 +172,27 @@ fn memory_section(runs: usize) -> String {
     )
 }
 
-/// Runs the k=8 engine comparison (median of `runs` wall-clocks per
-/// engine) and returns the `simnet` JSON object: the sequential reference
-/// and the sharded engine's windowed rounds.
+/// Runs the k=8 scale workload `runs` times and returns the `simnet`
+/// JSON object: the median-wall run.
 fn simnet_section(runs: usize) -> String {
     let p = ScaleParams::k8_default();
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let run_median = |engine: EngineKind| {
-        let mut rs: Vec<ScaleResult> = (0..runs).map(|_| run_scale_with(p, engine)).collect();
-        rs.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
-        rs.swap_remove(rs.len() / 2)
-    };
-    let seq = run_median(EngineKind::Sequential);
-    let sha = run_median(EngineKind::Sharded);
-    assert_eq!(
-        seq.events, sha.events,
-        "engines must process identical schedules"
-    );
-    let speedup = seq.wall_secs / sha.wall_secs.max(1e-12);
+    let mut rs: Vec<ScaleResult> = (0..runs).map(|_| run_scale_with(p)).collect();
+    rs.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
+    let r = &rs[rs.len() / 2];
     eprintln!(
-        "simnet k=8: sequential {:.2}M ev/s, sharded {:.2}M ev/s ({speedup:.2}x, {cpus} cpu(s))",
-        seq.events_per_sec / 1e6,
-        sha.events_per_sec / 1e6
+        "simnet k=8: {:.2}M ev/s ({cpus} cpu(s))",
+        r.events_per_sec / 1e6
     );
-    let case = |r: &ScaleResult, name: &str| {
-        format!(
-            "    {{\"engine\": \"{name}\", \"events\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}}}",
-            r.events, r.wall_secs * 1e3, r.events_per_sec
-        )
-    };
     format!(
-        "{{\n  \"k\": {},\n  \"pkts_per_host\": {},\n  \"cpus\": {cpus},\n  \"speedup_sharded_vs_sequential\": {:.3},\n  \"cases\": [\n{},\n{}\n    ]\n  }}",
+        "{{\n  \"k\": {},\n  \"pkts_per_host\": {},\n  \"cpus\": {cpus},\n  \"events\": {},\n  \"wall_ms\": {:.3},\n  \"events_per_sec\": {:.0}\n  }}",
         p.k,
         p.pkts_per_host,
-        speedup,
-        case(&seq, "sequential"),
-        case(&sha, "sharded")
+        r.events,
+        r.wall_secs * 1e3,
+        r.events_per_sec
     )
 }
 
@@ -364,7 +346,7 @@ fn main() {
         }
     }
 
-    eprintln!("running simnet engine comparison (k=8)...");
+    eprintln!("running simnet scale workload (k=8)...");
     let simnet = simnet_section(3);
 
     eprintln!("running host-agent ingest workload...");

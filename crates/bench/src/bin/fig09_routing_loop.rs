@@ -2,8 +2,9 @@
 //!
 //! Paper: ~47 ms to detect a 4-hop loop (one controller visit), ~115 ms
 //! for a 6-hop loop (two visits: store tags, strip, re-inject, compare).
-//! Our uniform sampling rules need one extra visit for the smallest loops
-//! (DESIGN.md §5.1), so both cases take two visits here; detection time
+//! Our uniform hop-parity sampling rules (the paper hand-tunes them per
+//! switch position) need one extra visit for the smallest loops, so both
+//! cases take two visits here; detection time
 //! stays controller-punt bound and loops of any size are caught.
 
 use pathdump_apps::routing_loop::{install_loop, run_loop_experiment};

@@ -1,19 +1,18 @@
 //! k=16 scale smoke: drives the paper-scale fat-tree (1024 hosts, 320
-//! switches, 17 switch shards) end-to-end on the **sharded** simnet
-//! engine and checks the conservation invariants, so scale regressions
-//! (non-terminating rounds, horizon bugs, blow-ups in the per-round
-//! horizon computation) surface before anyone needs a k=16 experiment.
+//! switches) end-to-end on the simnet event loop and checks the
+//! conservation invariants, so scale regressions (a run that does not
+//! terminate, per-event costs that grow with the fabric) surface before
+//! anyone needs a k=16 experiment.
 //!
 //! Usage: `cargo run --release -p pathdump_bench --bin fig_k16_scale
 //! [-- --runs N] [--max-secs S]` (N = packets per host, default 100;
 //! S = wall-clock budget for the measured run, 0 = unlimited). With a
 //! budget, overrunning it exits nonzero — CI runs this as a *blocking*
-//! scale gate, so an engine change that tanks k=16 throughput fails the
+//! scale gate, so a simulator change that tanks k=16 throughput fails the
 //! pipeline instead of merely looking slow in a log.
 
 use pathdump_bench::simnet_scale::{run_scale_with, ScaleParams};
 use pathdump_bench::{banner, Args};
-use pathdump_simnet::EngineKind;
 
 fn main() {
     let args = Args::parse();
@@ -24,15 +23,15 @@ fn main() {
     };
     banner(
         "k16-scale",
-        "sharded engine smoke at paper scale (k=16 fat-tree)",
-        "§5 'datacenter-scale fabrics'; unlocked by pod-sharded windowed rounds",
+        "simnet smoke at paper scale (k=16 fat-tree)",
+        "§5 'datacenter-scale fabrics'",
     );
     let p = ScaleParams {
         k: 16,
         pkts_per_host: pkts,
         ..ScaleParams::k8_default()
     };
-    let r = run_scale_with(p, EngineKind::Sharded);
+    let r = run_scale_with(p);
     println!(
         "k=16: {} events in {:.3}s ({:.2}M events/sec), delivered {}/{} packets",
         r.events,
@@ -73,5 +72,5 @@ fn main() {
     if !ok {
         std::process::exit(1);
     }
-    println!("ok: k=16 fabric completes on the sharded engine");
+    println!("ok: k=16 fabric completes");
 }

@@ -2,8 +2,8 @@
 //! the Criterion micro-benchmarks.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index) and prints the same rows/series the
-//! paper reports, plus a `paper:` reference line for EXPERIMENTS.md.
+//! (the file name says which) and prints the same rows/series the paper
+//! reports, plus a `paper:` reference line with the paper's own number.
 
 use pathdump_tib::{Tib, TibRecord};
 use pathdump_topology::{FatTree, FlowId, HostId, Nanos, UpDownRouting};

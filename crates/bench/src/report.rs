@@ -153,17 +153,15 @@ pub fn recorded_median_ns(doc: &str, name: &str) -> Option<f64> {
     number_after(doc, "median_ns", at).map(|(v, _)| v)
 }
 
-/// The `events_per_sec` of the simnet case run on `engine`.
-pub fn recorded_events_per_sec(doc: &str, engine: &str) -> Option<f64> {
-    let anchor = format!("\"engine\": \"{engine}\"");
-    let at = doc.find(&anchor)?;
-    number_after(doc, "events_per_sec", at).map(|(v, _)| v)
-}
-
 /// The first `"key": <number>` past `"section":` (earlier sections ignored).
 fn section_number(doc: &str, section: &str, key: &str) -> Option<f64> {
     let at = doc.find(&format!("\"{section}\":"))?;
     number_after(doc, key, at).map(|(v, _)| v)
+}
+
+/// The `events_per_sec` of the `simnet` section's one k=8 case.
+pub fn recorded_simnet_events_per_sec(doc: &str) -> Option<f64> {
+    section_number(doc, "simnet", "events_per_sec")
 }
 
 /// The `events_per_sec` of the `ingest` section's one `HostAgent` case.
@@ -266,12 +264,11 @@ mod tests {
   "cases": []
   },
   "simnet": {
+  "k": 8,
   "cpus": 1,
-  "speedup_sharded_vs_sequential": 1.412,
-  "cases": [
-    {"engine": "sequential", "events": 499200, "wall_ms": 141.657, "events_per_sec": 3523996},
-    {"engine": "sharded", "events": 499200, "wall_ms": 100.334, "events_per_sec": 4975404}
-    ]
+  "events": 499200,
+  "wall_ms": 141.657,
+  "events_per_sec": 3523996
   },
   "ingest": {
   "cpus": 1,
@@ -293,11 +290,10 @@ mod tests {
         );
         assert_eq!(recorded_median_ns(DOC, "missing/case"), None);
         assert_eq!(json_number(DOC, "strip_path_min_speedup"), Some(2.035));
-        assert_eq!(recorded_events_per_sec(DOC, "sequential"), Some(3523996.0));
-        assert_eq!(recorded_events_per_sec(DOC, "sharded"), Some(4975404.0));
-        assert_eq!(recorded_events_per_sec(DOC, "warp"), None);
+        assert_eq!(recorded_simnet_events_per_sec(DOC), Some(3523996.0));
+        assert_eq!(recorded_simnet_events_per_sec("{}"), None);
         // The ingest lookup anchors inside the ingest section, past the
-        // simnet rows that also carry "events_per_sec".
+        // simnet case that also carries "events_per_sec".
         assert_eq!(recorded_ingest_events_per_sec(DOC), Some(3333469.0));
         assert_eq!(recorded_ingest_events_per_sec("{}"), None);
     }

@@ -1,16 +1,16 @@
-//! Simnet engine scale benchmark: a dataplane-heavy fat-tree workload
+//! Simnet scale benchmark: a dataplane-heavy fat-tree workload
 //! (timer-driven periodic senders on every host, per-packet spraying)
-//! driven to completion on a chosen engine, reporting events/sec and
-//! wall-clock — the `simnet` section of `BENCH_tib.json` and the k=16
-//! smoke bin both build on this.
+//! driven to completion, reporting events/sec and wall-clock — the
+//! `simnet` section of `BENCH_tib.json` and the k=16 smoke bin both build
+//! on this.
 //!
 //! The link rates are scaled up to 10 Gb/s (vs the figure-reproduction
-//! default of 100 Mb/s) so that lookahead windows hold real work: at
-//! paper-figure rates a 2 µs propagation window sees ~0.02 packets per
-//! port, which benchmarks the synchronization rather than the engine.
+//! default of 100 Mb/s) so the event queue stays deep: at paper-figure
+//! rates a 2 µs propagation delay sees ~0.02 packets per port, and the
+//! figure bins' cost is their world (agents, TCP), not the event loop.
 
 use pathdump_simnet::{
-    EngineKind, HostApi, LinkConfig, LoadBalance, NoTagging, Packet, SimConfig, Simulator, World,
+    HostApi, LinkConfig, LoadBalance, NoTagging, Packet, SimConfig, Simulator, World,
 };
 use pathdump_topology::{FatTree, FatTreeParams, FlowId, HostId, Nanos, UpDownRouting, MICROS};
 use std::time::Instant;
@@ -59,16 +59,16 @@ pub struct ScaleParams {
     pub pkts_per_host: u32,
     /// Link rate for both link classes.
     pub rate_bps: u64,
-    /// Fabric propagation delay (µs) — the pod↔core lookahead.
+    /// Fabric propagation delay (µs).
     pub fab_prop_us: u64,
-    /// Host NIC propagation delay (µs) — the edge lookahead.
+    /// Host NIC propagation delay (µs).
     pub host_prop_us: u64,
     /// Per-host send period (ns).
     pub period_ns: u64,
 }
 
 impl ScaleParams {
-    /// The default k=8 comparison point recorded in `BENCH_tib.json`.
+    /// The default k=8 point recorded in `BENCH_tib.json`.
     pub fn k8_default() -> Self {
         ScaleParams {
             k: 8,
@@ -82,7 +82,7 @@ impl ScaleParams {
 }
 
 /// The scaled-up configuration for one parameter set (see module docs).
-pub fn scale_config(p: ScaleParams, engine: EngineKind) -> SimConfig {
+pub fn scale_config(p: ScaleParams) -> SimConfig {
     SimConfig {
         fabric_link: LinkConfig {
             rate_bps: p.rate_bps,
@@ -97,15 +97,13 @@ pub fn scale_config(p: ScaleParams, engine: EngineKind) -> SimConfig {
         record_ground_truth: false,
         collect_drop_log: false,
         seed: 0xBEEF_0001,
-        engine,
         ..SimConfig::default()
     }
 }
 
-/// Result of one engine run.
+/// Result of one run.
 #[derive(Clone, Debug)]
 pub struct ScaleResult {
-    pub engine: EngineKind,
     pub k: u16,
     pub injected: u64,
     pub delivered: u64,
@@ -114,9 +112,9 @@ pub struct ScaleResult {
     pub events_per_sec: f64,
 }
 
-/// Builds the workload and drives it to completion on `engine`,
-/// measuring only the run (not construction).
-pub fn run_scale_with(p: ScaleParams, engine: EngineKind) -> ScaleResult {
+/// Builds the workload and drives it to completion, measuring only the
+/// run (not construction).
+pub fn run_scale_with(p: ScaleParams) -> ScaleResult {
     let ft = FatTree::build(FatTreeParams { k: p.k });
     let topo = ft.topology();
     let n = topo.num_hosts() as u32;
@@ -144,7 +142,7 @@ pub fn run_scale_with(p: ScaleParams, engine: EngineKind) -> ScaleResult {
         senders,
         delivered: 0,
     };
-    let mut sim = Simulator::new(&ft, scale_config(p, engine), Box::new(NoTagging), world);
+    let mut sim = Simulator::new(&ft, scale_config(p), Box::new(NoTagging), world);
     sim.set_lb_all(LoadBalance::Spray);
     for i in 0..sim.world.senders.len() {
         let host = sim.world.senders[i].host;
@@ -155,7 +153,6 @@ pub fn run_scale_with(p: ScaleParams, engine: EngineKind) -> ScaleResult {
     sim.run_to_completion(Nanos::MAX);
     let wall = start.elapsed().as_secs_f64();
     ScaleResult {
-        engine,
         k: p.k,
         injected: sim.stats.injected_pkts,
         delivered: sim.world.delivered,
@@ -166,25 +163,25 @@ pub fn run_scale_with(p: ScaleParams, engine: EngineKind) -> ScaleResult {
 }
 
 /// [`run_scale_with`] at the default parameter shape for arity `k`.
-pub fn run_scale(k: u16, pkts_per_host: u32, engine: EngineKind) -> ScaleResult {
+pub fn run_scale(k: u16, pkts_per_host: u32) -> ScaleResult {
     let p = ScaleParams {
         k,
         pkts_per_host,
         ..ScaleParams::k8_default()
     };
-    run_scale_with(p, engine)
+    run_scale_with(p)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The bench workload itself must be engine-invariant (tiny instance):
-    /// both engines process one schedule.
+    /// The bench workload is one fixed schedule (tiny instance): two runs
+    /// process the same events, and a healthy fabric delivers.
     #[test]
-    fn scale_workload_engine_invariant() {
-        let a = run_scale(4, 20, EngineKind::Sequential);
-        let b = run_scale(4, 20, EngineKind::Sharded);
+    fn scale_workload_is_deterministic() {
+        let a = run_scale(4, 20);
+        let b = run_scale(4, 20);
         assert_eq!(a.injected, b.injected);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.events, b.events);

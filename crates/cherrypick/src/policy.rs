@@ -20,8 +20,10 @@
 //! - each 2-hop detour adds one tag; a third tag makes the next switch punt
 //!   the packet to the controller — the "instant trap" used for routing
 //!   loops, and the slow path that still recovers paths the 2-tag budget
-//!   cannot carry in-band (deviation from the paper's hand-tuned fat-tree
-//!   rules documented in DESIGN.md §5.1).
+//!   cannot carry in-band. This is a deviation: the paper hand-tunes its
+//!   fat-tree rules per switch position, these sample uniformly on hop
+//!   parity, which costs the smallest loops one extra controller visit
+//!   (Figure 9).
 //!
 //! On VL2 the first sample (always the source ToR→aggregate uplink) rides
 //! in the DSCP field; later samples use VLAN tags.

@@ -21,34 +21,13 @@ impl LinkConfig {
     }
 }
 
-/// Which event-loop engine drives the simulation.
-///
-/// Both engines produce **bit-identical** results (stats, drop logs,
-/// per-packet trajectories, world observations) — the choice only affects
-/// how the event schedule is executed. See `sim.rs` module docs for the
-/// design and `tests/prop_shard_equivalence.rs` for the differential proof.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineKind {
-    /// One global `(time, key)` order over all shard queues: the reference
-    /// every differential suite compares against.
-    #[default]
-    Sequential,
-    /// Conservative windowed rounds on the calling thread: one shard per
-    /// fat-tree pod plus a core shard and the host/controller edge shard,
-    /// each draining its own queue up to a lookahead horizon bounded by the
-    /// minimum cross-shard latency. Falls back to the sequential driver
-    /// when the topology or the configured latencies leave no usable
-    /// lookahead.
-    Sharded,
-}
-
 /// Global simulator configuration.
 ///
 /// Defaults model the paper's commodity testbed with one deliberate
 /// substitution: link rates are scaled from 1 GbE to 100 Mb/s so that
 /// packet-level simulation of multi-minute experiments stays tractable;
 /// load *fractions* and protocol timing constants are preserved, which is
-/// what the reproduced figures depend on (see DESIGN.md §3).
+/// what the reproduced figures depend on.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
     /// Switch-to-switch links.
@@ -73,8 +52,6 @@ pub struct SimConfig {
     /// Record ground-truth trajectories on packets (verification; small
     /// per-packet cost).
     pub record_ground_truth: bool,
-    /// Which event-loop engine executes the schedule (results identical).
-    pub engine: EngineKind,
 }
 
 impl Default for SimConfig {
@@ -97,7 +74,6 @@ impl Default for SimConfig {
             seed: 0xDEB6_0001,
             collect_drop_log: false,
             record_ground_truth: true,
-            engine: EngineKind::Sequential,
         }
     }
 }
@@ -110,12 +86,6 @@ impl SimConfig {
             collect_drop_log: true,
             ..SimConfig::default()
         }
-    }
-
-    /// The same configuration running on the given engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
     }
 }
 

@@ -1,20 +1,20 @@
 //! The discrete-event queue: a binary min-heap keyed on `(time, key)`.
 //!
-//! Historically the tie-break key was a per-queue monotone insertion
-//! counter, which makes runs reproducible but ties the schedule to *which
-//! queue* an event was pushed into and *when* — an ordering the sharded
-//! engine cannot reproduce, because shards push concurrently. The engine
-//! therefore assigns every event a **causal key**: root events (harness
+//! Same-time events need a tie-break, and a per-queue insertion counter —
+//! the obvious one — makes the schedule a function of *when each push
+//! happened to reach the heap*: reorder two independent handlers, batch an
+//! injection, restructure the loop, and every later tie can flip. So each
+//! event carries a **causal key** instead: root events (harness
 //! injections) take keys from a facade-level counter, and every event
 //! created while dispatching event `E` derives its key from `E`'s key plus
 //! a per-dispatch birth index (see [`KeyGen`]). Causal keys are a pure
-//! function of the simulation's causal history, so the sequential and
-//! sharded engines — which dispatch the same events with the same handlers
-//! — assign identical keys and sort ties identically, no matter how the
-//! work is scheduled across shards.
+//! function of the simulation's causal history, not of push order, which
+//! is what lets `tests/golden.rs` pin results across refactors of the loop
+//! — the recorded digests come from a simulator that scheduled the same
+//! events in a different order.
 //!
-//! Key collisions between *distinct same-timestamp* events would make the
-//! tie-break engine-dependent; keys are 64-bit SplitMix64 outputs, so for
+//! Key collisions between *distinct same-timestamp* events would leave
+//! their order to the heap; keys are 64-bit SplitMix64 outputs, so for
 //! the handful of events sharing one timestamp the collision probability
 //! is ~2⁻⁶⁴ per pair — negligible even across millions of runs.
 
@@ -22,7 +22,7 @@ use crate::packet::Packet;
 use crate::traits::Punt;
 use pathdump_topology::{HostId, Nanos, PortNo, SwitchId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// SplitMix64 finalizer: a fast, well-distributed 64-bit mixer.
 #[inline]
@@ -35,8 +35,7 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 
 /// Derives causal keys for events created by one dispatch (or one facade
 /// call): child `i` of the event keyed `parent` gets
-/// `mix64(parent ^ mix64(i+1))`, identical in both engines because the
-/// handler code — and therefore the birth order — is shared.
+/// `mix64(parent ^ mix64(i+1))`.
 #[derive(Debug)]
 pub(crate) struct KeyGen {
     parent: u64,
@@ -55,17 +54,10 @@ impl KeyGen {
         mix64(self.parent ^ mix64(self.births))
     }
 
-    /// The parent key this generator derives from.
-    pub fn parent(&self) -> u64 {
-        self.parent
-    }
-
-    /// Consumes and returns the next birth index (drop-log merge keys
-    /// share the counter with event keys, so staged records sort in
-    /// creation order within a dispatch).
-    pub fn next_birth(&mut self) -> u64 {
+    /// Consumes a birth index without making a key: a logged drop is a
+    /// child of its dispatch too (see `Ctx::log_drop` in `sim.rs`).
+    pub fn skip_birth(&mut self) {
         self.births += 1;
-        self.births
     }
 }
 
@@ -123,7 +115,6 @@ impl Ord for EventEntry {
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<EventEntry>,
-    seq: u64,
 }
 
 impl EventQueue {
@@ -131,50 +122,25 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Schedules `kind` at absolute time `at` with an auto-assigned
-    /// insertion-order key (legacy behavior; the engine uses
-    /// [`EventQueue::push_keyed`] exclusively so ties sort the same way in
-    /// both engines).
-    #[allow(dead_code)] // exercised by tests; engine pushes keyed events
-    pub fn push(&mut self, at: Nanos, kind: EventKind) {
-        self.seq += 1;
-        self.heap.push(EventEntry {
-            at,
-            seq: self.seq,
-            kind,
-        });
-    }
-
-    /// Schedules `kind` at `at` with an explicit causal key.
+    /// Schedules `kind` at absolute time `at` under causal key `key`.
     pub fn push_keyed(&mut self, at: Nanos, key: u64, kind: EventKind) {
         self.heap.push(EventEntry { at, seq: key, kind });
     }
 
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<EventEntry> {
-        self.heap.pop()
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// `(time, key)` of the earliest pending event — the global-minimum
-    /// scan of the sequential driver compares these across shards.
-    pub fn peek_time_key(&self) -> Option<(Nanos, u64)> {
-        self.heap.peek().map(|e| (e.at, e.seq))
+    /// Pops the earliest event if it is due by `t` (inclusive). An event
+    /// stamped exactly `Nanos::MAX` — a saturated timestamp, e.g. an
+    /// overflowing timer delay — means "never" and is not due at any `t`.
+    pub fn pop_due(&mut self, t: Nanos) -> Option<EventEntry> {
+        let head = self.heap.peek_mut()?;
+        if head.at > t || head.at == Nanos::MAX {
+            return None;
+        }
+        Some(PeekMut::pop(head))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// True when no events are pending.
-    #[allow(dead_code)] // used by tests and kept for API symmetry
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -185,35 +151,26 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(Nanos(30), EventKind::HostTx { host: HostId(3) });
-        q.push(Nanos(10), EventKind::HostTx { host: HostId(1) });
-        q.push(Nanos(20), EventKind::HostTx { host: HostId(2) });
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
+        q.push_keyed(Nanos(30), 1, EventKind::HostTx { host: HostId(3) });
+        q.push_keyed(Nanos(10), 2, EventKind::HostTx { host: HostId(1) });
+        q.push_keyed(Nanos(20), 3, EventKind::HostTx { host: HostId(2) });
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop_due(Nanos(30)))
+            .map(|e| e.at.0)
+            .collect();
         assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
-    fn ties_break_by_insertion_order() {
+    fn due_is_inclusive_and_max_is_never() {
         let mut q = EventQueue::new();
-        for host in 0..10u32 {
-            q.push(Nanos(5), EventKind::HostTx { host: HostId(host) });
-        }
-        let hosts: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::HostTx { host } => host.0,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(hosts, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(Nanos(42), EventKind::HostTx { host: HostId(0) });
-        assert_eq!(q.peek_time(), Some(Nanos(42)));
+        assert_eq!(q.len(), 0);
+        assert!(q.pop_due(Nanos::MAX).is_none());
+        q.push_keyed(Nanos(42), 0, EventKind::HostTx { host: HostId(0) });
+        q.push_keyed(Nanos::MAX, 1, EventKind::HostTx { host: HostId(1) });
+        assert_eq!(q.len(), 2);
+        assert!(q.pop_due(Nanos(41)).is_none());
+        assert_eq!(q.pop_due(Nanos(42)).map(|e| e.at), Some(Nanos(42)));
+        assert!(q.pop_due(Nanos::MAX).is_none(), "MAX is never due");
         assert_eq!(q.len(), 1);
     }
 
@@ -223,7 +180,7 @@ mod tests {
         q.push_keyed(Nanos(5), 9, EventKind::HostTx { host: HostId(9) });
         q.push_keyed(Nanos(5), 3, EventKind::HostTx { host: HostId(3) });
         q.push_keyed(Nanos(5), 7, EventKind::HostTx { host: HostId(7) });
-        let hosts: Vec<u32> = std::iter::from_fn(|| q.pop())
+        let hosts: Vec<u32> = std::iter::from_fn(|| q.pop_due(Nanos(5)))
             .map(|e| match e.kind {
                 EventKind::HostTx { host } => host.0,
                 _ => unreachable!(),

@@ -87,8 +87,7 @@ pub enum Quirk {
 /// the differential tests: the verifier must flag the same rule the
 /// dataplane then misbehaves on. They deliberately do *not* touch fault
 /// state or drop accounting: a packet misrouted by a bad rule that then
-/// dies on a faulty link is staged in the drop log exactly once, by the
-/// fault machinery.
+/// dies on a faulty link is logged exactly once, by the fault machinery.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Misconfig {
     /// Replace the rule at `sw` toward `dst_tor` with the single `port` —

@@ -89,8 +89,8 @@ pub const DROP_LOG_CAP: usize = 100_000;
 
 /// All simulation statistics.
 ///
-/// `PartialEq` so the differential harness can assert whole-run equality
-/// between the sequential and sharded engines.
+/// `PartialEq` so a harness can assert whole-run equality between two
+/// runs (sliced against coarse, one seed against itself).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// `ports[sw][port]` egress counters.
@@ -151,7 +151,10 @@ impl SimStats {
         self.switches.iter().map(|c| c.punts).sum()
     }
 
-    #[allow(dead_code)] // engine drops go through the staged merge; kept for tests/API symmetry
+    /// The one place a drop is recorded, in processing order. The cap
+    /// bounds the log and nothing else: a drop past it is still counted,
+    /// and still takes its birth index in the caller (`sim.rs`), so no
+    /// event key depends on how full the log is.
     pub(crate) fn log_drop(&mut self, enabled: bool, rec: DropRecord) {
         if enabled && self.drop_log.len() < DROP_LOG_CAP {
             self.drop_log.push(rec);

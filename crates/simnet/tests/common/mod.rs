@@ -1,5 +1,5 @@
 //! The scenario space shared by the simulator's two result gates
-//! (`golden.rs`, `prop_shard_equivalence.rs`): k = 4/6/8 fat-trees ×
+//! (`golden.rs`, `prop_stepping.rs`): k = 4/6/8 fat-trees ×
 //! ECMP / spray / weighted spray × tag-every-hop punts × link-down /
 //! silent / blackhole / NIC faults, under a world that reacts to what it
 //! observes, run in one coarse or 2–12 fine `run_until` slices.
@@ -8,8 +8,8 @@
 //! not shrink failures.
 
 use pathdump_simnet::{
-    CtrlApi, EngineKind, FaultState, HostApi, LoadBalance, NoTagging, Packet, Punt, SimConfig,
-    SimStats, Simulator, TagHeaders, TagPolicy, World,
+    CtrlApi, FaultState, HostApi, LoadBalance, NoTagging, Packet, Punt, SimConfig, SimStats,
+    Simulator, TagHeaders, TagPolicy, World,
 };
 use pathdump_topology::{
     FatTree, FatTreeParams, FlowId, HostId, Nanos, PortNo, SwitchId, UpDownRouting,
@@ -116,12 +116,12 @@ pub struct Observed {
     pub boundaries: Vec<(Nanos, usize)>,
 }
 
-/// Runs one scenario on `engine`. `steps`: 0 = the default coarse
+/// Runs one scenario. `steps`: 0 = the default coarse
 /// two-step run; n ≥ 2 = fine-grained stepping (n equal `run_until`
 /// slices), each boundary landing mid-flight.
-pub fn run(sc: &Scenario, engine: EngineKind, steps: u8) -> Observed {
+pub fn run(sc: &Scenario, steps: u8) -> Observed {
     let ft = FatTree::build(FatTreeParams { k: sc.k });
-    let mut cfg = SimConfig::for_tests().with_engine(engine);
+    let mut cfg = SimConfig::for_tests();
     cfg.seed = sc.seed;
     let tag: Box<dyn TagPolicy> = if sc.tagged {
         Box::new(TagEveryHop)
@@ -129,7 +129,6 @@ pub fn run(sc: &Scenario, engine: EngineKind, steps: u8) -> Observed {
         Box::new(NoTagging)
     };
     let mut sim = Simulator::new(&ft, cfg, tag, EchoWorld::default());
-    assert_eq!(sim.effective_engine(), engine, "engine must not fall back");
 
     let half = ft.half();
     // Load-balance policy mix.

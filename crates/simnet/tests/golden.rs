@@ -15,7 +15,7 @@
 mod common;
 
 use common::{run, Observed, Scenario};
-use pathdump_simnet::{EngineKind, LinkCounters};
+use pathdump_simnet::LinkCounters;
 use pathdump_topology::FnvHasher;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +24,7 @@ use std::hash::{Hash, Hasher};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden_digests.txt");
 /// Key prefix of this suite's lines; the file also holds the `k8.` lines
-/// of the facade's `tests/e2e_shard_scenarios.rs`.
+/// of the facade's `tests/e2e_k8_scenarios.rs`.
 const PREFIX: &str = "scenario.";
 const GOLDEN_SEED: u64 = 0x601D_E20A_C1E5;
 const SCENARIOS: usize = 600;
@@ -126,7 +126,8 @@ fn read_golden() -> BTreeMap<String, u64> {
         .collect()
 }
 
-fn check(engine: EngineKind) {
+#[test]
+fn results_match_golden() {
     let golden = read_golden();
     let cases = scenarios();
     assert_eq!(
@@ -137,26 +138,16 @@ fn check(engine: EngineKind) {
     let wrong: Vec<String> = cases
         .iter()
         .enumerate()
-        .filter(|(i, (sc, steps))| golden.get(&key(*i)) != Some(&digest(&run(sc, engine, *steps))))
+        .filter(|(i, (sc, steps))| golden.get(&key(*i)) != Some(&digest(&run(sc, *steps))))
         .map(|(i, (sc, steps))| format!("{} steps={steps} {sc:?}", key(i)))
         .collect();
     assert!(
         wrong.is_empty(),
-        "[{engine:?}] {} of {} scenarios differ from the recorded results, first: {}",
+        "{} of {} scenarios differ from the recorded results, first: {}",
         wrong.len(),
         cases.len(),
         wrong[0]
     );
-}
-
-#[test]
-fn sequential_matches_golden() {
-    check(EngineKind::Sequential);
-}
-
-#[test]
-fn sharded_matches_golden() {
-    check(EngineKind::Sharded);
 }
 
 /// The scenario list must actually reach what the digest claims to pin.
@@ -164,7 +155,7 @@ fn sharded_matches_golden() {
 fn scenarios_cover_the_space() {
     let (mut delivered, mut punts, mut drops, mut sliced) = (0, 0, 0, 0);
     for (sc, steps) in &scenarios() {
-        let o = run(sc, EngineKind::Sequential, *steps);
+        let o = run(sc, *steps);
         delivered += o.delivered.len();
         punts += o.punts.len();
         drops += o.stats.drop_log.len();
@@ -189,7 +180,7 @@ fn regenerate() {
         .map(|l| format!("{l}\n"))
         .collect();
     for (i, (sc, steps)) in scenarios().iter().enumerate() {
-        let d = digest(&run(sc, EngineKind::Sequential, *steps));
+        let d = digest(&run(sc, *steps));
         out.push_str(&format!("{} {d:016x}\n", key(i)));
     }
     std::fs::write(GOLDEN_PATH, out).expect("write golden file");

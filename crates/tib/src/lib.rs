@@ -21,7 +21,7 @@
 //! directory for delta checkpoints; TIB2 files still load everywhere.
 //!
 //! The paper stores TIB records in MongoDB; this crate substitutes an
-//! in-memory indexed store with binary snapshots (DESIGN.md §3).
+//! in-memory indexed store with binary snapshots.
 
 pub mod diff;
 pub mod memory;

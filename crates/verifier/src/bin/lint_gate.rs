@@ -7,7 +7,7 @@
 //!
 //! - `unwrap()` / `expect(` are banned in the forwarding/query hot paths:
 //!   `crates/dpswitch/src/**` (the batched parser included),
-//!   `crates/simnet/src/driver.rs`, `crates/tib/src/tib.rs`,
+//!   `crates/simnet/src/event.rs`, `crates/tib/src/tib.rs`,
 //!   `crates/tib/src/memory.rs` (the per-packet map), the store's
 //!   `segment.rs`, `wal.rs`, `record.rs` and `snapshot.rs` (recovery and
 //!   cold reloads decode stored bytes there), `crates/core/src/agent.rs`
@@ -42,7 +42,7 @@ use std::process::ExitCode;
 /// Files where a panic is a datapath outage: no `unwrap()` / `expect(`.
 const HOT_PATHS: &[&str] = &[
     "crates/dpswitch/src/",
-    "crates/simnet/src/driver.rs",
+    "crates/simnet/src/event.rs",
     "crates/tib/src/tib.rs",
     "crates/tib/src/memory.rs",
     // The tiered storage engine: insert/seal/evict and the WAL append
@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn comments_and_test_tail_are_skipped() {
         let src = "fn f() {}\n// println! in a comment\n#[cfg(test)]\nmod tests {\n    fn g() { x.unwrap(); println!(\"t\"); }\n}\n";
-        assert!(scan_source("crates/simnet/src/driver.rs", src).is_empty());
+        assert!(scan_source("crates/simnet/src/event.rs", src).is_empty());
     }
 
     #[test]

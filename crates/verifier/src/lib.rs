@@ -58,7 +58,7 @@
 //! nothing, with the nearest intended path attached as the second alarm
 //! path. The differential tests in `tests/verifier_differential.rs` inject
 //! route-table misconfigurations and assert the static and runtime verdicts
-//! agree on both simnet engines.
+//! agree.
 
 pub mod intent;
 pub mod verify;

@@ -20,7 +20,9 @@ use pathdump_core::standing::{StandingPredicate, StandingQuery, StandingQueryEng
 use pathdump_core::{execute_on_tib, Query, Response, WorldConfig};
 use pathdump_simnet::SimConfig;
 use pathdump_tib::{diff_snapshots, load, save_tiered, TibDiff, TibRead, TieredTib};
-use pathdump_topology::{FlowId, HostId, Ip, LinkPattern, Nanos, Path, SwitchId, TimeRange};
+use pathdump_topology::{
+    FlowId, HostId, Ip, LinkPattern, Nanos, Path, SwitchId, TimeRange, MILLIS, SECONDS,
+};
 
 const HELP: &str = "\
 commands (times in ms, ranges half-open [t0 t1)):
@@ -68,6 +70,16 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad {what} `{s}`"))
 }
 
+/// A user-typed time in `unit`s ([`MILLIS`], [`SECONDS`]). Checked:
+/// `Nanos::from_millis` multiplies unchecked, so a large enough number
+/// would panic a debug build and wrap a release one into some other time.
+fn parse_time(s: &str, what: &str, unit: u64) -> Result<Nanos, String> {
+    parse_num::<u64>(s, what)?
+        .checked_mul(unit)
+        .map(Nanos)
+        .ok_or_else(|| "time out of range".into())
+}
+
 fn parse_flow(src: &str, dst: &str, sport: &str) -> Result<FlowId, String> {
     Ok(FlowId::tcp(
         parse_ip(src)?,
@@ -95,8 +107,8 @@ fn parse_range(args: &[&str]) -> Result<TimeRange, String> {
     match args {
         [] => Ok(TimeRange::ANY),
         [t0, t1] => {
-            let lo = Nanos::from_millis(parse_num(t0, "t0")?);
-            let hi = Nanos::from_millis(parse_num(t1, "t1")?);
+            let lo = parse_time(t0, "t0", MILLIS)?;
+            let hi = parse_time(t1, "t1", MILLIS)?;
             if hi <= lo {
                 return Err(format!("empty range [{t0} {t1})"));
             }
@@ -151,10 +163,16 @@ impl Cli {
         self.eng.on_record(&self.tib, &rec, rec.etime);
     }
 
-    fn replay(&mut self, load: f64, secs: u64, seed: u64) -> String {
+    fn replay(&mut self, load: f64, traffic: Nanos, seed: u64) -> Result<String, String> {
+        // Four more seconds for the last flows to finish and flush.
+        let end = traffic
+            .0
+            .checked_add(4 * SECONDS)
+            .map(Nanos)
+            .ok_or("time out of range")?;
         let mut tb = Testbed::fattree(4, SimConfig::for_tests(), WorldConfig::default());
-        let specs = tb.add_web_traffic(load, Nanos::from_secs(secs), seed);
-        tb.run_and_flush(Nanos::from_secs(secs + 4));
+        let specs = tb.add_web_traffic(load, traffic, seed);
+        tb.run_and_flush(end);
         let mut merged = 0usize;
         let records: Vec<_> = tb
             .sim
@@ -167,18 +185,18 @@ impl Cli {
             self.insert(rec);
             merged += 1;
         }
-        format!(
+        Ok(format!(
             "replayed {} flows -> merged {merged} records ({} total in store)",
             specs.len(),
             self.tib.len()
-        )
+        ))
     }
 
     fn watch(&mut self, args: &[&str]) -> Result<String, String> {
         let pred = match args {
             ["rate", src, dst, sport, win, min] => StandingPredicate::RateAbove {
                 flow: parse_flow(src, dst, sport)?,
-                window: Nanos::from_millis(parse_num(win, "window")?),
+                window: parse_time(win, "window", MILLIS)?,
                 min_bytes: parse_num(min, "min_bytes")?,
                 min_pkts: 1,
             },
@@ -208,26 +226,26 @@ impl Cli {
                     .split(',')
                     .map(|s| Ok(SwitchId(parse_num(s, "switch")?)))
                     .collect();
-                let (t0ms, t1ms) = (parse_num(t0, "t0")?, parse_num::<u64>(t1, "t1")?);
-                if t1ms < t0ms {
+                let (stime, etime) = (parse_time(t0, "t0", MILLIS)?, parse_time(t1, "t1", MILLIS)?);
+                if etime < stime {
                     return Err("t1 must be >= t0".into());
                 }
                 let bytes: u64 = parse_num(bytes, "bytes")?;
                 self.insert(pathdump_tib::TibRecord {
                     flow: parse_flow(src, dst, sport)?,
                     path: Path::new(sw?),
-                    stime: Nanos::from_millis(t0ms),
-                    etime: Nanos::from_millis(t1ms),
+                    stime,
+                    etime,
                     bytes,
                     pkts: 1 + bytes / 1460,
                 });
                 Ok(format!("ok ({} records)", self.tib.len()))
             }
-            ["replay", load, secs, seed] => Ok(self.replay(
+            ["replay", load, secs, seed] => self.replay(
                 parse_num(load, "load")?,
-                parse_num(secs, "secs")?,
+                parse_time(secs, "secs", SECONDS)?,
                 parse_num(seed, "seed")?,
-            )),
+            ),
             ["paths", src, dst, sport, rest @ ..] => {
                 let q = Query::GetPaths {
                     flow: parse_flow(src, dst, sport)?,
@@ -334,7 +352,7 @@ impl Cli {
             }
             ["diff", src, dst, sport, t] => {
                 let flow = parse_flow(src, dst, sport)?;
-                let t = Nanos::from_millis(parse_num(t, "t")?);
+                let t = parse_time(t, "t", MILLIS)?;
                 let d = self.tib.diff_at(t);
                 match d.for_flow(flow) {
                     None => Ok(format!("flow {flow}: unchanged across {t:?}")),

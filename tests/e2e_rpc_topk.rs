@@ -3,29 +3,19 @@
 //! tagging, TCP web traffic, trajectory flush) — not synthetic records,
 //! and not a flattened copy of the store.
 //!
-//! Pins three things at once:
+//! Pins two things at once:
 //! - the rpc plane agrees bit-for-bit with the flat fold of every host's
 //!   local answer (`execute_on_tib` + `Response::merge`) on real TIB
 //!   contents;
-//! - the whole pipeline (simnet → agents → TIBs → rpc plane) is
-//!   bit-identical whether the fabric ran on the sequential or the
-//!   sharded engine;
 //! - a degraded query over the same TIBs (one dead agent) still returns
 //!   within deadline, accounts the dead host exactly, and its partial
 //!   answer equals the fold over the covered hosts.
 
 use pathdump::core::execute_on_tib;
 use pathdump::prelude::*;
-use pathdump::simnet::EngineKind;
 
-fn harvest_tibs(engine: EngineKind) -> Vec<TieredTib> {
-    let cfg = SimConfig::for_tests().with_engine(engine);
-    let mut tb = Testbed::fattree(4, cfg, WorldConfig::default());
-    assert_eq!(
-        tb.sim.effective_engine(),
-        engine,
-        "engine must not fall back"
-    );
+fn harvest_tibs() -> Vec<TieredTib> {
+    let mut tb = Testbed::fattree(4, SimConfig::for_tests(), WorldConfig::default());
     let specs = tb.add_web_traffic(0.25, Nanos::from_secs(2), 4242);
     assert!(!specs.is_empty());
     tb.run_and_flush(Nanos::from_secs(6));
@@ -70,10 +60,11 @@ fn run_on<C: Channel>(
     plane.run(id).expect("deadlines guarantee completion")
 }
 
+// The name is pinned by the driver's test-floor list; there is one
+// simnet event loop now, and this is one harvest from it.
 #[test]
 fn distributed_topk_over_rpc_plane_matches_oracle_across_engines() {
-    let seq_tibs = harvest_tibs(EngineKind::Sequential);
-    let sha_tibs = harvest_tibs(EngineKind::Sharded);
+    let tibs = harvest_tibs();
 
     let fanouts = [4usize, 2, 2];
     let queries = [
@@ -91,37 +82,25 @@ fn distributed_topk_over_rpc_plane_matches_oracle_across_engines() {
     ];
     let oracles: Vec<Response> = queries
         .iter()
-        .map(|q| fold(q, &local_answers(&seq_tibs, q), 0..16))
+        .map(|q| fold(q, &local_answers(&tibs, q), 0..16))
         .collect();
 
-    let mut seq_plane = TreePlane::new(Loopback::default(), RpcConfig::default(), seq_tibs);
-    let mut sha_plane = TreePlane::new(Loopback::default(), RpcConfig::default(), sha_tibs);
+    let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs);
     for (q, oracle) in queries.iter().zip(&oracles) {
-        let seq_out = run_on(&mut seq_plane, q, &fanouts);
-        let sha_out = run_on(&mut sha_plane, q, &fanouts);
+        let out = run_on(&mut plane, q, &fanouts);
 
         // Plane == flat fold, on the agents' real stores.
-        assert_eq!(&seq_out.response, oracle, "plane vs oracle: {q:?}");
-        assert!(seq_out.coverage.is_complete());
-        assert!(seq_out.deadline_met);
-
-        // Sequential fabric == sharded fabric, all the way through the
-        // rpc plane.
-        assert_eq!(
-            seq_out.response, sha_out.response,
-            "engine divergence surfaced through the rpc plane: {q:?}"
-        );
-        assert_eq!(seq_out.coverage, sha_out.coverage);
+        assert_eq!(&out.response, oracle, "plane vs oracle: {q:?}");
+        assert!(out.coverage.is_complete());
+        assert!(out.deadline_met);
     }
-    for plane in [&seq_plane, &sha_plane] {
-        assert_eq!(plane.stats().decode_failures, 0);
-        assert_eq!(plane.stats().protocol_errors, 0);
-    }
+    assert_eq!(plane.stats().decode_failures, 0);
+    assert_eq!(plane.stats().protocol_errors, 0);
 }
 
 #[test]
 fn degraded_topk_over_real_tibs_accounts_exactly() {
-    let tibs = harvest_tibs(EngineKind::Sequential);
+    let tibs = harvest_tibs();
     let fanouts = [4usize, 2, 2];
     let q = Query::TopK {
         k: 25,

@@ -61,6 +61,8 @@ fn cli_smoke_script() {
         // unwatch is idempotent-checked
         "watch 0 removed",
         "error: no watch 0",
+        // the refused `rec` stored nothing: the next one is the 6th record
+        "ok (6 records)",
         // a replayed simnet run merges into the working store
         "replayed ",
     ] {
@@ -69,6 +71,8 @@ fn cli_smoke_script() {
             "missing `{expected}` in CLI output:\n{stdout}"
         );
     }
+    // Both commands with an out-of-range time are answered, not panicked on.
+    assert_eq!(stdout.matches("error: time out of range").count(), 2);
     // The dud rate watch (watch 1) must never fire, in particular not
     // during the replay merge.
     assert!(

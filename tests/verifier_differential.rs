@@ -10,8 +10,7 @@
 //! (b) the **runtime** intent-derived conformance check
 //!     (`ConformancePolicy::from_intent`) catches the flows that actually
 //!     traverse the bad rule, raising `PC_FAIL` with the observed
-//!     trajectory first and the nearest intended path second — with
-//!     bit-identical alarm batches on both simnet engines.
+//!     trajectory first and the nearest intended path second.
 //!
 //! Fat-tree scenarios that deliver 7-switch deviating walks raise
 //! `asic_tag_limit` to 3: with the default budget of 2 the destination ToR
@@ -26,7 +25,7 @@ use pathdump_apps::conformance::{infeasible, violations, ConformancePolicy};
 use pathdump_apps::Testbed;
 use pathdump_cherrypick::{Vl2CherryPick, Vl2Reconstructor};
 use pathdump_core::{Alarm, Fabric, PathDumpWorld, WorldConfig};
-use pathdump_simnet::{DropReason, EngineKind, FaultState, Misconfig, Quirk, SimConfig, Simulator};
+use pathdump_simnet::{DropReason, FaultState, Misconfig, Quirk, SimConfig, Simulator};
 use pathdump_topology::routing::is_contiguous_walk;
 use pathdump_topology::{
     FatTree, FatTreeParams, FlowId, HostId, Nanos, PortNo, RouteTables, SwitchId, UpDownRouting,
@@ -35,12 +34,8 @@ use pathdump_topology::{
 use pathdump_transport::{install_flows, FlowSpec, TcpConfig};
 use pathdump_verifier::{verify, verify_with_intent, IntentModel, Verdict, ViolationKind};
 
-/// Engines under differential test: the sequential reference and the
-/// sharded engine.
-const ENGINES: [EngineKind; 2] = [EngineKind::Sequential, EngineKind::Sharded];
-
-fn ft_testbed(k: u16, engine: EngineKind, asic_tag_limit: usize) -> Testbed {
-    let mut cfg = SimConfig::for_tests().with_engine(engine);
+fn ft_testbed(k: u16, asic_tag_limit: usize) -> Testbed {
+    let mut cfg = SimConfig::for_tests();
     cfg.asic_tag_limit = asic_tag_limit;
     Testbed::fattree(k, cfg, WorldConfig::default())
 }
@@ -83,31 +78,17 @@ fn assert_witnessed(
     }
 }
 
-/// Runs one fat-tree runtime scenario on every engine and asserts the
-/// alarm batches are bit-identical (and the controller's routing-loop
-/// detections agree); returns the alarms and the loop-detection count for
-/// scenario-specific checks.
-fn run_ft_engines(
-    k: u16,
-    asic_tag_limit: usize,
-    setup: impl Fn(&mut Testbed),
-) -> (Vec<Alarm>, usize) {
-    let mut batches: Vec<(Vec<Alarm>, usize)> = Vec::new();
-    for engine in ENGINES {
-        let mut tb = ft_testbed(k, engine, asic_tag_limit);
-        let intent = Arc::new(IntentModel::from_routing(&tb.ft).expect("healthy intent"));
-        let hosts = all_hosts(&tb);
-        ConformancePolicy::from_intent(intent).install(&mut tb.sim.world, &hosts);
-        setup(&mut tb);
-        tb.sim.run_until(Nanos::from_secs(5));
-        let detections = tb.sim.world.loop_detections.len();
-        batches.push((tb.sim.world.drain_alarms(), detections));
-    }
-    assert_eq!(
-        batches[0], batches[1],
-        "engines must raise bit-identical alarm batches"
-    );
-    batches.pop().expect("two engines ran")
+/// Runs one fat-tree runtime scenario; returns the alarms and the
+/// controller's loop-detection count for scenario-specific checks.
+fn run_ft(k: u16, asic_tag_limit: usize, setup: impl Fn(&mut Testbed)) -> (Vec<Alarm>, usize) {
+    let mut tb = ft_testbed(k, asic_tag_limit);
+    let intent = Arc::new(IntentModel::from_routing(&tb.ft).expect("healthy intent"));
+    let hosts = all_hosts(&tb);
+    ConformancePolicy::from_intent(intent).install(&mut tb.sim.world, &hosts);
+    setup(&mut tb);
+    tb.sim.run_until(Nanos::from_secs(5));
+    let detections = tb.sim.world.loop_detections.len();
+    (tb.sim.world.drain_alarms(), detections)
 }
 
 // --- fat-tree: wrong port (misdelivery) ---------------------------------
@@ -128,7 +109,7 @@ fn wrong_port_fattree() {
     assert_witnessed(&ft, &verdict, ViolationKind::Misdelivery, ft.tor(0, 0));
 
     let wrong_host = ft.host(0, 0, 0);
-    let (alarms, _) = run_ft_engines(4, 2, |tb| {
+    let (alarms, _) = run_ft(4, 2, |tb| {
         tb.sim.install_misconfig(&m);
         let (src, dst) = (tb.ft.host(0, 0, 1), tb.ft.host(1, 0, 0));
         for sport in 9300..9304u16 {
@@ -169,7 +150,7 @@ fn pruned_candidate_fattree_partial_prune_is_silent() {
     assert_eq!(devs[0].offending_switch(), ft.tor(0, 0));
     assert_eq!(devs[0].dst_tor(), ft.tor(1, 0));
 
-    let (alarms, _) = run_ft_engines(4, 2, |tb| {
+    let (alarms, _) = run_ft(4, 2, |tb| {
         tb.sim.install_misconfig(&m);
         let (src, dst) = (tb.ft.host(0, 0, 0), tb.ft.host(1, 0, 0));
         for sport in 9400..9406u16 {
@@ -200,7 +181,7 @@ fn pruned_candidate_fattree_empty_rule_blackhole() {
     let verdict = static_verdict(&ft, &m);
     assert_witnessed(&ft, &verdict, ViolationKind::Blackhole, a10);
 
-    let (alarms, _) = run_ft_engines(6, 2, |tb| {
+    let (alarms, _) = run_ft(6, 2, |tb| {
         tb.sim.install_misconfig(&m);
         // Intra-pod flows from the second rack, pinned through the pruned
         // aggregate so every flow hits the empty rule.
@@ -249,7 +230,7 @@ fn swapped_rules_fattree_loop() {
         assert!(w.contains(a10), "cycle runs through the swapped agg: {w}");
     }
 
-    let (alarms, trapped) = run_ft_engines(6, 2, |tb| {
+    let (alarms, trapped) = run_ft(6, 2, |tb| {
         tb.sim.install_misconfig(&m);
         let (src, dst) = (tb.ft.host(1, 2, 0), tb.ft.host(1, 0, 0));
         let port = tb.sim.link_port(t12, a10);
@@ -316,7 +297,7 @@ fn cross_pod_loop_fattree() {
     );
 
     let dst_host = ft.host(0, 0, 0);
-    let (alarms, trapped) = run_ft_engines(4, 3, |tb| {
+    let (alarms, trapped) = run_ft(4, 3, |tb| {
         tb.sim.install_misconfig(&m);
         let (src, dst) = (tb.ft.host(2, 0, 0), tb.ft.host(0, 0, 0));
         let up = tb.sim.link_port(t20, a20);
@@ -368,12 +349,9 @@ struct Vl2Bed {
 }
 
 /// VL2 testbed with the intent-derived conformance policy on every host.
-/// (VL2 switches carry no pod labels, so the sharded engine transparently
-/// falls back to sequential — the engine loop still pins that both
-/// configurations agree.)
-fn vl2_testbed(engine: EngineKind) -> Vl2Bed {
+fn vl2_testbed() -> Vl2Bed {
     let v = vl2_small();
-    let cfg = SimConfig::for_tests().with_engine(engine);
+    let cfg = SimConfig::for_tests();
     let world = PathDumpWorld::new(
         Fabric::Vl2(Vl2Reconstructor::new(v.clone())),
         TcpConfig::default(),
@@ -405,16 +383,11 @@ fn vl2_add_flows(bed: &mut Vl2Bed, src: HostId, dst: HostId, sports: std::ops::R
     install_flows(&mut bed.sim, &specs, |w| &mut w.tcp);
 }
 
-fn run_vl2_engines(setup: impl Fn(&mut Vl2Bed)) -> Vec<Alarm> {
-    let mut batches: Vec<Vec<Alarm>> = Vec::new();
-    for engine in ENGINES {
-        let mut bed = vl2_testbed(engine);
-        setup(&mut bed);
-        bed.sim.run_until(Nanos::from_secs(5));
-        batches.push(bed.sim.world.drain_alarms());
-    }
-    assert_eq!(batches[0], batches[1], "engine configs must agree");
-    batches.pop().expect("two engines ran")
+fn run_vl2(setup: impl Fn(&mut Vl2Bed)) -> Vec<Alarm> {
+    let mut bed = vl2_testbed();
+    setup(&mut bed);
+    bed.sim.run_until(Nanos::from_secs(5));
+    bed.sim.world.drain_alarms()
 }
 
 /// VL2 wrong port: ToR(0)'s rule for ToR(1) rewritten to a host port.
@@ -430,7 +403,7 @@ fn wrong_port_vl2() {
     assert_witnessed(&v, &verdict, ViolationKind::Misdelivery, v.tor(0));
 
     let wrong_host = v.host(0, 0);
-    let alarms = run_vl2_engines(|bed| {
+    let alarms = run_vl2(|bed| {
         bed.sim.install_misconfig(&m);
         vl2_add_flows(bed, bed.v.host(0, 1), bed.v.host(1, 0), 9800..9804);
     });
@@ -465,7 +438,7 @@ fn pruned_candidate_vl2_empty_rule_blackhole() {
     let verdict = static_verdict(&v, &m);
     assert_witnessed(&v, &verdict, ViolationKind::Blackhole, a2);
 
-    let alarms = run_vl2_engines(|bed| {
+    let alarms = run_vl2(|bed| {
         bed.sim.install_misconfig(&m);
         vl2_add_flows(bed, bed.v.host(0, 0), bed.v.host(1, 0), 9820..9836);
     });
@@ -499,7 +472,7 @@ fn swapped_rules_vl2_loop() {
         assert!(w.has_repeated_link());
     }
 
-    let alarms = run_vl2_engines(|bed| {
+    let alarms = run_vl2(|bed| {
         bed.sim.install_misconfig(&m);
         vl2_add_flows(bed, bed.v.host(0, 0), bed.v.host(1, 0), 9840..9856);
     });
@@ -536,7 +509,7 @@ fn cross_pod_loop_vl2() {
         "cycle runs through the rewritten intermediate: {loops:?}"
     );
 
-    let alarms = run_vl2_engines(|bed| {
+    let alarms = run_vl2(|bed| {
         bed.sim.install_misconfig(&m);
         vl2_add_flows(bed, bed.v.host(0, 0), bed.v.host(3, 0), 9860..9876);
     });
@@ -554,8 +527,7 @@ fn cross_pod_loop_vl2() {
 // --- healthy state stays clean end-to-end -------------------------------
 
 /// With no misconfiguration, the intent-derived policy must stay silent on
-/// live traffic — on both engines — and healthy tables of every evaluated
-/// scale verify clean.
+/// live traffic, and healthy tables of every evaluated scale verify clean.
 #[test]
 fn healthy_fabrics_verify_clean_and_stay_silent() {
     for k in [4u16, 6, 8, 16] {
@@ -573,7 +545,7 @@ fn healthy_fabrics_verify_clean_and_stay_silent() {
         assert!(verify(v.topology(), &rt).is_clean(), "da={da} di={di}");
     }
 
-    let (alarms, detections) = run_ft_engines(4, 2, |tb| {
+    let (alarms, detections) = run_ft(4, 2, |tb| {
         let (src, dst) = (tb.ft.host(0, 0, 0), tb.ft.host(3, 1, 1));
         for sport in 9900..9906u16 {
             tb.add_flow(src, dst, sport, 4_000, Nanos::ZERO);
@@ -583,7 +555,7 @@ fn healthy_fabrics_verify_clean_and_stay_silent() {
     assert!(infeasible(&alarms).is_empty(), "healthy fabric: {alarms:?}");
     assert_eq!(detections, 0, "healthy fabric has no loops");
 
-    let alarms = run_vl2_engines(|bed| {
+    let alarms = run_vl2(|bed| {
         vl2_add_flows(bed, bed.v.host(0, 0), bed.v.host(1, 0), 9910..9916);
     });
     assert!(violations(&alarms).is_empty(), "healthy VL2: {alarms:?}");
@@ -597,7 +569,7 @@ fn healthy_fabrics_verify_clean_and_stay_silent() {
 /// fault machinery, and the hidden counter agrees with the log.
 #[test]
 fn misconfig_composes_with_silent_drops_without_double_staging() {
-    let mut tb = ft_testbed(4, EngineKind::Sequential, 2);
+    let mut tb = ft_testbed(4, 2);
     let (t00, a00, t10) = (tb.ft.tor(0, 0), tb.ft.agg(0, 0), tb.ft.tor(1, 0));
     let up = tb.sim.link_port(t00, a00);
     // Rule rewrite: all of rack (0,0)'s traffic toward rack (1,0) takes the
