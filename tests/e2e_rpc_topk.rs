@@ -60,8 +60,8 @@ fn run_on<C: Channel>(
     plane.run(id).expect("deadlines guarantee completion")
 }
 
-// The name is pinned by the driver's test-floor list; there is one
-// simnet event loop now, and this is one harvest from it.
+// The name predates the single simnet event loop (this is one harvest now);
+// it stays because tooling outside the repository tracks tests by name.
 #[test]
 fn distributed_topk_over_rpc_plane_matches_oracle_across_engines() {
     let tibs = harvest_tibs();

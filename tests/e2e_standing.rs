@@ -14,8 +14,8 @@ use pathdump_core::{Reason, WorldConfig};
 use pathdump_simnet::SimConfig;
 use pathdump_topology::Nanos;
 
-// The name is pinned by the driver's test-floor list; there is one
-// simnet event loop now, and this is one run on it.
+// The name predates the single simnet event loop (this is one run now);
+// it stays because tooling outside the repository tracks tests by name.
 #[test]
 fn incast_rate_watch_fires_once_and_clears_on_both_engines() {
     let cfg = SimConfig::for_tests();
