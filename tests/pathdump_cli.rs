@@ -65,6 +65,10 @@ fn cli_smoke_script() {
         "ok (6 records)",
         // a replayed simnet run merges into the working store
         "replayed ",
+        // `load` swaps the store for the saved one: its 4 records, and
+        // flow 7004 (recorded after that save) is gone
+        "loaded 4 records from target/tmp_cli_smoke_a.tib2",
+        "0 bytes 0 pkts",
     ] {
         assert!(
             stdout.contains(expected),
