@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pathdump_bench::synth_tib;
 use pathdump_core::{execute_on_tib, Query};
+use pathdump_tib::TibRead;
 use pathdump_topology::{
     FatTree, FatTreeParams, HostId, LinkDir, LinkPattern, Nanos, TimeRange, UpDownRouting,
 };

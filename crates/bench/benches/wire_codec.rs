@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pathdump_bench::synth_tib;
 use pathdump_core::Response;
-use pathdump_tib::TibRecord;
+use pathdump_tib::{TibRead, TibRecord};
 use pathdump_topology::{FatTree, FatTreeParams, HostId, TimeRange};
 
 fn bench_codec(c: &mut Criterion) {

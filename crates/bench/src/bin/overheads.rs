@@ -4,7 +4,7 @@
 
 use pathdump_bench::{banner, fmt_bytes, row, synth_tib, Args};
 use pathdump_cherrypick::{fattree_rule_counts, TrajectoryCache};
-use pathdump_tib::{snapshot_size, MemKey, TrajectoryMemory};
+use pathdump_tib::{MemKey, TrajectoryMemory};
 use pathdump_topology::{FatTree, FatTreeParams, FlowId, HostId, Ip, Nanos};
 use std::time::Instant;
 
@@ -22,7 +22,7 @@ fn main() {
     // --- storage: TIB snapshot (disk) ---
     let ft = FatTree::build(FatTreeParams { k: 8 });
     let tib = synth_tib(&ft, HostId(0), records, args.seed);
-    let snap = snapshot_size(&tib);
+    let snap = pathdump_wire::encoded_len(tib.records());
     println!("\nTIB disk footprint ({records} records, binary snapshot):");
     row(&[
         "records".into(),

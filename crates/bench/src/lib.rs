@@ -89,11 +89,6 @@ pub fn row(cells: &[String]) {
     println!("{line}");
 }
 
-/// Formats a nanosecond value as engineering time.
-pub fn fmt_time(ns: Nanos) -> String {
-    format!("{ns}")
-}
-
 /// Formats a byte count with units.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 10_000_000 {

@@ -87,20 +87,6 @@ impl TrajectoryCache {
         }
     }
 
-    /// Looks up or computes-and-caches a path.
-    pub fn get_or_insert_with<E>(
-        &mut self,
-        key: CacheKey,
-        compute: impl FnOnce() -> Result<Path, E>,
-    ) -> Result<Path, E> {
-        if let Some(p) = self.lookup(&key) {
-            return Ok(p);
-        }
-        let p = compute()?;
-        self.insert(key, p.clone());
-        Ok(p)
-    }
-
     /// Entries currently cached.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -175,28 +161,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.lookup(&key(1, &[])), None, "oldest entry evicted");
         assert!(c.lookup(&key(3, &[])).is_some());
-    }
-
-    #[test]
-    fn get_or_insert_computes_once() {
-        let mut c = TrajectoryCache::new(4);
-        let mut calls = 0;
-        for _ in 0..3 {
-            let p: Result<Path, ()> = c.get_or_insert_with(key(9, &[1, 2]), || {
-                calls += 1;
-                Ok(path(&[9, 8, 7]))
-            });
-            assert_eq!(p.unwrap(), path(&[9, 8, 7]));
-        }
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn compute_errors_not_cached() {
-        let mut c = TrajectoryCache::new(4);
-        let r: Result<Path, &str> = c.get_or_insert_with(key(9, &[]), || Err("nope"));
-        assert!(r.is_err());
-        assert!(c.is_empty());
     }
 
     #[test]

@@ -267,11 +267,6 @@ impl HostAgent {
         self.invariants.push(inv);
     }
 
-    /// Removes all invariants.
-    pub fn clear_invariants(&mut self) {
-        self.invariants.clear();
-    }
-
     /// Drains raised alarms.
     pub fn drain_alarms(&mut self) -> Vec<Alarm> {
         std::mem::take(&mut self.alarms)
@@ -503,20 +498,22 @@ impl HostAgent {
         }
     }
 
-    /// Executes a TIB query locally; `include_live` additionally folds in
-    /// the not-yet-exported trajectory-memory records (§3.2: alarm-driven
+    /// Executes a TIB query locally; `include_live` additionally reads the
+    /// not-yet-exported trajectory-memory records (§3.2: alarm-driven
     /// debugging "trigger[s] the access to the memory for debugging at even
-    /// finer-grained time scales").
+    /// finer-grained time scales") as one more tier of the store: the
+    /// answer is what the TIB would say had they been exported just now.
+    /// (`Response::merge` joins answers of *different hosts* — per-flow max,
+    /// added bins — and would split a flow into its exported and live halves.)
     ///
     /// `GetPoorTcp` is answered empty here — that signal lives in the
     /// transport engine and is supplied by the world wrapper.
     pub fn execute(&mut self, fabric: &Fabric, q: &Query, include_live: bool) -> Response {
-        let mut resp = execute_on_tib(&self.tib, q);
-        if include_live {
-            let live = self.live_tib(fabric);
-            resp.merge(execute_on_tib(&live, q));
+        if !include_live {
+            return execute_on_tib(&self.tib, q);
         }
-        resp
+        let live = self.live_tib(fabric);
+        execute_on_tib(&self.tib.with_live(&live), q)
     }
 
     /// Builds a transient TIB view of the live trajectory memory. Records
@@ -878,6 +875,71 @@ mod tests {
         assert_eq!(
             agent.execute(&fabric, &q, true),
             Response::Paths(vec![path])
+        );
+    }
+
+    #[test]
+    fn live_view_answers_as_one_store() {
+        // One flow, three equal packets: two exported by an idle eviction,
+        // the third still in trajectory memory.
+        let (ft, fabric, policy) = fabric();
+        let (src, dst) = (ft.host(0, 0, 0), ft.host(2, 0, 0));
+        let mut agent = HostAgent::new(dst, AgentConfig::default());
+        let flow = flow_of(&ft, src, dst, 1007);
+        let path = ft.all_paths(src, dst).remove(0);
+        let pkt = pkt_on_path(&ft, &policy, flow, &path, 900, false);
+        agent.on_packet(&fabric, &pkt, Nanos::from_millis(1));
+        agent.on_packet(&fabric, &pkt, Nanos::from_millis(3));
+        agent.tick(&fabric, Nanos::from_secs(7));
+        agent.on_packet(&fabric, &pkt, Nanos::from_secs(8));
+        let exported = agent.tib.records_vec();
+        assert_eq!((exported.len(), exported[0].pkts), (1, 2));
+        let per_pkt = exported[0].bytes / 2;
+
+        // The reference: a store that was handed the live record too.
+        let mut whole = TieredTib::new();
+        whole.insert(exported[0].clone());
+        whole.insert(TibRecord {
+            stime: Nanos::from_secs(8),
+            etime: Nanos::from_secs(8),
+            bytes: per_pkt,
+            pkts: 1,
+            ..exported[0].clone()
+        });
+        let range = TimeRange::ANY;
+        for q in [
+            Query::GetCount {
+                flow,
+                path: None,
+                range,
+            },
+            Query::GetDuration {
+                flow,
+                path: None,
+                range,
+            },
+            Query::TopK { k: 5, range },
+            Query::FlowSizeDist {
+                link: LinkPattern::ANY,
+                range,
+                bin_bytes: 1000,
+            },
+            Query::HeavyHitters {
+                min_bytes: 3 * per_pkt,
+                range,
+            },
+        ] {
+            let got = agent.execute(&fabric, &q, true);
+            assert_eq!(got, execute_on_tib(&whole, &q), "{q:?}");
+        }
+        // One flow of three packets — not two flows, not the larger half.
+        let top = Query::TopK { k: 5, range };
+        assert_eq!(
+            agent.execute(&fabric, &top, true),
+            Response::TopK {
+                k: 5,
+                entries: vec![(3 * per_pkt, flow)]
+            }
         );
     }
 

@@ -204,8 +204,8 @@ impl Response {
 }
 
 /// Max-dedup top-k of two entry lists into `a`, under the total order of
-/// `Tib::top_k_flows`: `(bytes, flow)` descending, so equal-byte ties break
-/// by flow id. Both sides arrive in that order (`select_top_k` and every
+/// `TibRead::top_k_flows`: `(bytes, flow)` descending, so equal-byte ties
+/// break by flow id. Both sides arrive in that order (`select_top_k` and every
 /// earlier merge emit it), so a two-way merge that stops at `k` outputs
 /// does it; a side that is out of order is sorted first, so that on any
 /// input the result is that of concatenate, sort, keep each flow's first
@@ -655,7 +655,7 @@ mod tests {
     #[test]
     fn merge_topk_breaks_byte_ties_by_flow_id() {
         // Equal-byte entries must rank by flow id descending — the same
-        // order `Tib::top_k_flows` uses — so a host-level answer and a
+        // order `TibRead::top_k_flows` uses — so a host-level answer and a
         // merged answer agree on the k-th entry.
         let mut t = Response::TopK {
             k: 2,

@@ -43,7 +43,7 @@ pub struct WatchId(pub u64);
 #[derive(Clone, Debug, PartialEq)]
 pub enum StandingPredicate {
     /// True while `flow` is among the top `k` flows by all-time bytes
-    /// (ties broken like [`Tib::top_k_flows`]: flow id descending).
+    /// (ties broken like [`TibRead::top_k_flows`]: flow id descending).
     TopKMember {
         /// The flow whose membership is watched.
         flow: FlowId,
@@ -183,12 +183,6 @@ impl StandingQueryEngine {
     /// The current value of a watch's predicate.
     pub fn active(&self, id: WatchId) -> Option<bool> {
         self.watches.iter().find(|w| w.id == id).map(|w| w.active)
-    }
-
-    /// Registered watches with their current predicate values, in
-    /// registration (= evaluation) order.
-    pub fn watch_states(&self) -> impl Iterator<Item = (WatchId, &StandingQuery, bool)> {
-        self.watches.iter().map(|w| (w.id, &w.query, w.active))
     }
 
     /// Drains accumulated flip events (raises and clears, in flip order).

@@ -746,25 +746,12 @@ impl<W: World> Simulator<W> {
         self.switches[from.index()].ports[port.index()].fault = fault;
     }
 
-    /// Reads the fault state of the directed link `from -> to`.
-    pub fn directed_fault(&self, from: SwitchId, to: SwitchId) -> FaultState {
-        let port = self.link_port(from, to);
-        self.switches[from.index()].ports[port.index()].fault
-    }
-
     /// Takes the undirected link `a <-> b` down (both directions).
     pub fn set_link_down(&mut self, a: SwitchId, b: SwitchId, down: bool) {
         for (x, y) in [(a, b), (b, a)] {
             let port = self.link_port(x, y);
             self.switches[x.index()].ports[port.index()].fault.down = down;
         }
-    }
-
-    /// Sets the fault state of a host-facing ToR egress (the "interface
-    /// toward host" direction used for drops-on-server scenarios).
-    pub fn set_host_downlink_fault(&mut self, host: HostId, fault: FaultState) {
-        let hm = self.topo.host(host).clone();
-        self.switches[hm.tor.index()].ports[hm.tor_port.index()].fault = fault;
     }
 
     /// Sets the fault state of a host NIC (uplink direction).
@@ -787,11 +774,6 @@ impl<W: World> Simulator<W> {
     /// Installs a forwarding quirk on a switch.
     pub fn install_quirk(&mut self, sw: SwitchId, quirk: Quirk) {
         self.switches[sw.index()].quirks.install(quirk);
-    }
-
-    /// Removes all quirks from a switch.
-    pub fn clear_quirks(&mut self, sw: SwitchId) {
-        self.switches[sw.index()].quirks.clear();
     }
 
     /// Applies a route-table misconfiguration: a persistent rewrite of the

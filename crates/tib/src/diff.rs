@@ -1,17 +1,16 @@
 //! Ranged TIB diffing: the time-travel primitive behind the operator
 //! question "what changed about flow F's path before vs after time T?"
-//! (the §4.1 path-change debugging workflow, made a first-class `Tib`
+//! (the §4.1 path-change debugging workflow, made a first-class store
 //! operation instead of two ad-hoc queries glued together).
 //!
-//! A diff compares two *views* — each a `(Tib, TimeRange)` pair — by the
-//! distinct path set every flow took within the view's range. The two
-//! views may be the same store with two ranges (time travel within one
-//! TIB), or two different stores (e.g. two TIB2 snapshots loaded with
-//! [`crate::snapshot::load`], diffed via [`diff_snapshots`]).
+//! A diff compares two *views* — each a `(store, TimeRange)` pair, the
+//! store being anything that is [`TibRead`] — by the distinct path set
+//! every flow took within the view's range. [`TibDiff::between`] is the
+//! one entry point; [`TibDiff::at`] is it with one store split at an
+//! instant (time travel within one TIB) and [`diff_snapshots`] is it over
+//! two snapshots loaded with [`crate::snapshot::load_tiered`].
 
-use crate::record::TibRecord;
-use crate::segment::TieredTib;
-use crate::tib::{Tib, TibRead};
+use crate::tib::TibRead;
 use pathdump_topology::{FlowId, LinkPattern, Nanos, Path, TimeRange};
 use pathdump_wire::WireResult;
 use std::collections::HashSet;
@@ -104,49 +103,36 @@ impl TibDiff {
         }
     }
 
+    /// Time-travel diff within one store: path sets of every flow up to
+    /// and including `t` vs from `t` onward. A record spanning `t` is
+    /// active in both eras and contributes to both sides (`TimeRange` is
+    /// closed on both ends — see the convention note in [`crate::tib`]).
+    pub fn at<T: TibRead + ?Sized>(tib: &T, t: Nanos) -> TibDiff {
+        TibDiff::between(tib, TimeRange::until(t), tib, TimeRange::since(t))
+    }
+
     /// The delta for one flow, if it changed.
     pub fn for_flow(&self, flow: FlowId) -> Option<&PathDelta> {
         self.deltas.iter().find(|d| d.flow == flow)
     }
 }
 
-impl Tib {
-    /// Time-travel diff within one store: path sets of every flow up to
-    /// and including `t` vs from `t` onward. A record spanning `t` is
-    /// active in both eras and contributes to both sides (`TimeRange` is
-    /// closed on both ends — see the convention note in [`crate::tib`]).
-    pub fn diff_at(&self, t: Nanos) -> TibDiff {
-        TibDiff::between(self, TimeRange::until(t), self, TimeRange::since(t))
-    }
-}
-
-impl TieredTib {
-    /// Time-travel diff within one tiered store; see [`Tib::diff_at`].
-    pub fn diff_at(&self, t: Nanos) -> TibDiff {
-        TibDiff::between(self, TimeRange::until(t), self, TimeRange::since(t))
-    }
-}
-
-/// Diffs two TIB2 snapshots (whole stores, `TimeRange::ANY` on both
-/// sides) — "what changed between yesterday's snapshot and today's?".
+/// Diffs two snapshots of either envelope (whole stores, `TimeRange::ANY`
+/// on both sides) — "what changed between yesterday's snapshot and
+/// today's?".
 pub fn diff_snapshots(before: &[u8], after: &[u8]) -> WireResult<TibDiff> {
-    let b = crate::snapshot::load(before)?;
-    let a = crate::snapshot::load(after)?;
+    let b = crate::snapshot::load_tiered(before)?;
+    let a = crate::snapshot::load_tiered(after)?;
     Ok(TibDiff::between(&b, TimeRange::ANY, &a, TimeRange::ANY))
-}
-
-/// Convenience used by tests and the CLI: records overlapping a range.
-pub fn records_in(tib: &Tib, range: TimeRange) -> Vec<&TibRecord> {
-    tib.records()
-        .iter()
-        .filter(|r| r.overlaps(&range))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::save;
+    use crate::record::TibRecord;
+    use crate::segment::TieredTib;
+    use crate::snapshot::save_tiered;
+    use crate::tib::Tib;
     use pathdump_topology::{Ip, SwitchId};
 
     fn flow(sport: u16) -> FlowId {
@@ -174,7 +160,7 @@ mod tests {
         t.insert(rec(1, &[0, 8, 4], 0, 100)); // before: via 8
         t.insert(rec(1, &[0, 9, 4], 200, 300)); // after: via 9
         t.insert(rec(2, &[1, 8, 5], 0, 300)); // spans the split: no delta
-        let d = t.diff_at(Nanos(150));
+        let d = TibDiff::at(&t, Nanos(150));
         assert_eq!(d.deltas.len(), 1);
         let delta = d.for_flow(flow(1)).expect("flow 1 changed");
         assert_eq!(delta.before, vec![path(&[0, 8, 4])]);
@@ -192,12 +178,12 @@ mod tests {
         t.insert(rec(1, &[0, 8, 4], 0, 100));
         // Diff exactly at the record's etime: closed ranges put it in
         // both eras, so the path set is identical and the diff is empty.
-        let d = t.diff_at(Nanos(100));
+        let d = TibDiff::at(&t, Nanos(100));
         assert!(d.is_empty());
         assert_eq!(d.before_records, 1);
         assert_eq!(d.after_records, 1);
         // One past the etime: the record exists only before the split.
-        let d = t.diff_at(Nanos(101));
+        let d = TibDiff::at(&t, Nanos(101));
         assert_eq!(d.deltas.len(), 1);
         let delta = &d.deltas[0];
         assert_eq!(delta.before, vec![path(&[0, 8, 4])]);
@@ -206,13 +192,14 @@ mod tests {
 
     #[test]
     fn snapshot_diff_reports_new_and_lost_flows() {
-        let mut old = Tib::new();
+        let mut old = TieredTib::new();
         old.insert(rec(1, &[0, 8, 4], 0, 100));
         old.insert(rec(3, &[1, 9, 5], 0, 50));
-        let mut new = Tib::new();
+        let mut new = TieredTib::new();
         new.insert(rec(1, &[0, 8, 4], 0, 100)); // unchanged
         new.insert(rec(2, &[0, 9, 4], 200, 250)); // new flow
-        let d = diff_snapshots(&save(&old), &save(&new)).expect("valid snapshots");
+        let (old, new) = (save_tiered(&old).unwrap(), save_tiered(&new).unwrap());
+        let d = diff_snapshots(&old, &new).expect("valid snapshots");
         assert_eq!(d.deltas.len(), 2);
         assert!(d.for_flow(flow(1)).is_none());
         let lost = d.for_flow(flow(3)).expect("flow 3 disappeared");

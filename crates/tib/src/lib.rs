@@ -12,13 +12,17 @@
 //! [`Tib`] arena seals into immutable time-partitioned segments, cold
 //! segments evict to disk with lazy reload, a per-host WAL (`wal.rs`)
 //! bounds crash loss to the unflushed tail, and readers query published
-//! sealed prefixes concurrently with ingest ([`TibReader`]). Everything
-//! answers the same eight queries through the [`TibRead`] trait, pinned
-//! bit-identical across engines by `tests/prop_equivalence.rs`.
+//! sealed prefixes concurrently with ingest ([`TibReader`]). All three
+//! engines ([`Tib`], [`TieredTib`], [`SealedView`]) and the agent's
+//! [`LiveView`] of a store plus its trajectory memory answer the same eight
+//! queries through the [`TibRead`] trait and through nothing else, pinned
+//! bit-identical across engines by `tests/prop_equivalence.rs`;
+//! [`TibDiff::between`] compares any two of them.
 //!
-//! Persistence is the TIB2/TIB3 snapshot envelope (`snapshot.rs`): TIB2
-//! is the flat whole-store format, TIB3 adds a versioned segment
-//! directory for delta checkpoints; TIB2 files still load everywhere.
+//! Persistence is the snapshot envelope of `snapshot.rs`: one writer
+//! ([`save_tiered`], TIB3 — a versioned segment directory for delta
+//! checkpoints) and one loader ([`load_tiered`]), which also reads the
+//! flat TIB2 files older stores wrote.
 //!
 //! The paper stores TIB records in MongoDB; this crate substitutes an
 //! in-memory indexed store with binary snapshots.
@@ -35,11 +39,9 @@ pub use diff::{diff_snapshots, PathDelta, TibDiff};
 pub use memory::{canonical_order, MemKey, TrajectoryMemory};
 pub use record::{PendingRecord, TibRecord};
 pub use segment::{
-    RecoveryReport, SealedSegment, SealedView, StoreError, StoreResult, TibReader, TieredTib,
+    LiveView, RecoveryReport, SealedSegment, SealedView, StoreError, StoreResult, TibReader,
+    TieredTib,
 };
-pub use snapshot::{
-    load, load_tiered, save, save_into, save_tiered, save_tiered_into, snapshot_size,
-    SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V3,
-};
+pub use snapshot::{load_tiered, save_tiered, save_tiered_into, SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V3};
 pub use tib::{Tib, TibRead, DEFAULT_BUCKET_WIDTH};
 pub use wal::{FileWal, VecWal, WalReplay, WalStore, WAL_FRAME_RECORD};

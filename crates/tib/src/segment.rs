@@ -117,8 +117,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct SegState {
     /// The queryable index, when hot.
     tib: Option<Arc<Tib>>,
-    /// The compact record block (`varint count + records`, the exact
-    /// bytes `save_into` streams), cached at first save/evict/reload.
+    /// The compact record block (`varint count + records`, a snapshot's
+    /// per-segment block), cached at first save/evict/reload.
     encoded: Option<Arc<Vec<u8>>>,
     /// The on-disk block, once evicted cold.
     file: Option<PathBuf>,
@@ -220,8 +220,9 @@ impl SealedSegment {
         } else if let Some(path) = &st.file {
             Arc::new(std::fs::read(path)?)
         } else {
-            // Unreachable by construction; treat as an empty block.
-            Arc::new(to_bytes(&[] as &[TibRecord]))
+            // As `tib()`: the records are gone, and an empty block here
+            // would be written over them by `evict`.
+            return Err(StoreError::Wire(WireError::UnexpectedEof));
         };
         st.encoded = Some(Arc::clone(&enc));
         Ok(enc)
@@ -315,6 +316,19 @@ impl SealedView {
     }
 }
 
+/// A [`TieredTib`] and, behind it, a borrowed arena of records that are
+/// not in the store yet — the host agent's trajectory memory, for the
+/// alarm-time queries of §3.2. Built by [`TieredTib::with_live`]. Every
+/// answer is the union's: the store's all-time running aggregates do not
+/// cover the extra tier, so no query takes their shortcut.
+#[derive(Debug)]
+pub struct LiveView<'a> {
+    sealed: &'a [Arc<SealedSegment>],
+    /// The store's head, then the borrowed arena.
+    open: [&'a Tib; 2],
+    len: usize,
+}
+
 /// A cloneable, `Send + Sync` handle for querying the sealed prefix
 /// concurrently with ingest. [`snapshot`](Self::snapshot) costs one
 /// brief lock + `Arc` clone; everything after is on immutable data.
@@ -353,8 +367,6 @@ pub struct TieredTib {
     bucket_width: Nanos,
     /// Auto-seal the head when it reaches this many records.
     seal_after: Option<usize>,
-    /// Monotonic segment sequence (names eviction files).
-    next_seq: u64,
     /// Global insertion-ordered distinct flows (never touched by
     /// seal/evict — serves `get_flows(ANY, ANY)` with no segment access).
     flows_any: FlowSet,
@@ -393,7 +405,6 @@ impl TieredTib {
             sealed_len: 0,
             bucket_width: width,
             seal_after: None,
-            next_seq: 0,
             flows_any: FlowSet::default(),
             flow_totals: HashMap::new(),
             wal: None,
@@ -510,7 +521,6 @@ impl TieredTib {
         let head = std::mem::replace(&mut self.head, Tib::with_bucket_width(self.bucket_width));
         self.sealed_len += head.len();
         self.sealed.push(Arc::new(SealedSegment::from_tib(head)));
-        self.next_seq += 1;
         self.publish();
     }
 
@@ -521,6 +531,16 @@ impl TieredTib {
             len: self.sealed_len,
         });
         *lock(&self.published) = view;
+    }
+
+    /// This store with `live` read as one more tier after the head: what
+    /// the store would answer had `live`'s records been inserted last.
+    pub fn with_live<'a>(&'a self, live: &'a Tib) -> LiveView<'a> {
+        LiveView {
+            sealed: &self.sealed,
+            open: [&self.head, live],
+            len: self.len() + live.len(),
+        }
     }
 
     /// A concurrent-read handle over the sealed prefix. Clones of it
@@ -597,7 +617,6 @@ impl TieredTib {
             records,
             self.bucket_width,
         )));
-        self.next_seq += 1;
         self.publish();
     }
 
@@ -615,16 +634,17 @@ impl TieredTib {
 }
 
 // ---------------------------------------------------------------------
-// The query fold: segments in seal order, then the head. Shared between
-// `TieredTib` (segments + head) and `SealedView` (segments only).
+// The query fold: segments in seal order, then the open (unsealed) arenas.
+// Shared between `SealedView` (segments only), `TieredTib` (segments +
+// head) and `LiveView` (segments + head + the agent's live records).
 // ---------------------------------------------------------------------
 
 /// Calls `f` on each tier a query over `range` reads, in insertion order:
 /// the sealed segments whose hull overlaps the range (one that fails to
-/// load is counted and skipped), then the head.
+/// load is counted and skipped), then every open arena.
 fn each_tib(
     segs: &[Arc<SealedSegment>],
-    head: Option<&Tib>,
+    open: &[&Tib],
     range: &TimeRange,
     f: &mut dyn FnMut(&Tib),
 ) {
@@ -633,21 +653,19 @@ fn each_tib(
             f(&t);
         }
     }
-    if let Some(h) = head {
-        f(h);
-    }
+    open.iter().for_each(|t| f(t));
 }
 
 /// Insertion-order lists concatenate with global dedup.
 fn fold_dedup<T: Clone + Eq + std::hash::Hash>(
     segs: &[Arc<SealedSegment>],
-    head: Option<&Tib>,
+    open: &[&Tib],
     range: &TimeRange,
     list: impl Fn(&Tib) -> Vec<T>,
 ) -> Vec<T> {
     let mut seen: HashSet<T> = HashSet::new();
     let mut out = Vec::new();
-    each_tib(segs, head, range, &mut |t| {
+    each_tib(segs, open, range, &mut |t| {
         out.extend(list(t).into_iter().filter(|x| seen.insert(x.clone())));
     });
     out
@@ -655,13 +673,13 @@ fn fold_dedup<T: Clone + Eq + std::hash::Hash>(
 
 fn fold_count(
     segs: &[Arc<SealedSegment>],
-    head: Option<&Tib>,
+    open: &[&Tib],
     flow: FlowId,
     path: Option<&Path>,
     range: TimeRange,
 ) -> (u64, u64) {
     let mut sum = (0, 0);
-    each_tib(segs, head, &range, &mut |t| {
+    each_tib(segs, open, &range, &mut |t| {
         let (b, p) = t.get_count(flow, path, range);
         sum.0 += b;
         sum.1 += p;
@@ -671,13 +689,13 @@ fn fold_count(
 
 fn fold_duration(
     segs: &[Arc<SealedSegment>],
-    head: Option<&Tib>,
+    open: &[&Tib],
     flow: FlowId,
     path: Option<&Path>,
     range: TimeRange,
 ) -> Nanos {
     let mut bounds: Option<(Nanos, Nanos)> = None;
-    each_tib(segs, head, &range, &mut |t| {
+    each_tib(segs, open, &range, &mut |t| {
         if let Some((s, e)) = t.duration_bounds(flow, path, range) {
             bounds = Some(match bounds {
                 Some((lo, hi)) => (lo.min(s), hi.max(e)),
@@ -698,7 +716,7 @@ impl TibRead for TieredTib {
 
     fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
         let each = &mut |t: &Tib| t.records().iter().for_each(&mut *f);
-        each_tib(&self.sealed, Some(&self.head), &TimeRange::ANY, each);
+        each_tib(&self.sealed, &[&self.head], &TimeRange::ANY, each);
     }
 
     fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
@@ -707,23 +725,23 @@ impl TibRead for TieredTib {
             return self.flows_any.order.clone();
         }
         let flows = |t: &Tib| t.get_flows(link, range);
-        fold_dedup(&self.sealed, Some(&self.head), &range, flows)
+        fold_dedup(&self.sealed, &[&self.head], &range, flows)
     }
 
     fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
         let paths = |t: &Tib| t.get_paths(flow, link, range);
-        fold_dedup(&self.sealed, Some(&self.head), &range, paths)
+        fold_dedup(&self.sealed, &[&self.head], &range, paths)
     }
 
     fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
         if path.is_none() && range == TimeRange::ANY {
             return self.flow_totals.get(&flow).copied().unwrap_or((0, 0));
         }
-        fold_count(&self.sealed, Some(&self.head), flow, path, range)
+        fold_count(&self.sealed, &[&self.head], flow, path, range)
     }
 
     fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
-        fold_duration(&self.sealed, Some(&self.head), flow, path, range)
+        fold_duration(&self.sealed, &[&self.head], flow, path, range)
     }
 
     fn for_each_flow_count(
@@ -740,7 +758,7 @@ impl TibRead for TieredTib {
             return;
         }
         let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
-        each_tib(&self.sealed, Some(&self.head), &range, each);
+        each_tib(&self.sealed, &[&self.head], &range, each);
     }
 
     fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {
@@ -765,25 +783,25 @@ impl TibRead for SealedView {
 
     fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
         let each = &mut |t: &Tib| t.records().iter().for_each(&mut *f);
-        each_tib(&self.segments, None, &TimeRange::ANY, each);
+        each_tib(&self.segments, &[], &TimeRange::ANY, each);
     }
 
     fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
-        fold_dedup(&self.segments, None, &range, |t| t.get_flows(link, range))
+        fold_dedup(&self.segments, &[], &range, |t| t.get_flows(link, range))
     }
 
     fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
-        fold_dedup(&self.segments, None, &range, |t| {
+        fold_dedup(&self.segments, &[], &range, |t| {
             t.get_paths(flow, link, range)
         })
     }
 
     fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
-        fold_count(&self.segments, None, flow, path, range)
+        fold_count(&self.segments, &[], flow, path, range)
     }
 
     fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
-        fold_duration(&self.segments, None, flow, path, range)
+        fold_duration(&self.segments, &[], flow, path, range)
     }
 
     fn for_each_flow_count(
@@ -793,15 +811,46 @@ impl TibRead for SealedView {
         f: &mut dyn FnMut(FlowId, u64, u64),
     ) {
         let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
-        each_tib(&self.segments, None, &range, each);
+        each_tib(&self.segments, &[], &range, each);
+    }
+}
+
+impl TibRead for LiveView<'_> {
+    fn num_records(&self) -> usize {
+        self.len
     }
 
-    fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {
-        sum_flow_counts(|f| self.for_each_flow_count(link, range, f))
+    fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
+        let each = &mut |t: &Tib| t.records().iter().for_each(&mut *f);
+        each_tib(self.sealed, &self.open, &TimeRange::ANY, each);
     }
 
-    fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
+    fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
+        let flows = |t: &Tib| t.get_flows(link, range);
+        fold_dedup(self.sealed, &self.open, &range, flows)
+    }
+
+    fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
+        let paths = |t: &Tib| t.get_paths(flow, link, range);
+        fold_dedup(self.sealed, &self.open, &range, paths)
+    }
+
+    fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
+        fold_count(self.sealed, &self.open, flow, path, range)
+    }
+
+    fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
+        fold_duration(self.sealed, &self.open, flow, path, range)
+    }
+
+    fn for_each_flow_count(
+        &self,
+        link: LinkPattern,
+        range: TimeRange,
+        f: &mut dyn FnMut(FlowId, u64, u64),
+    ) {
+        let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
+        each_tib(self.sealed, &self.open, &range, each);
     }
 }
 
@@ -859,7 +908,7 @@ mod tests {
         t
     }
 
-    fn assert_matches_flat(t: &TieredTib, flat: &Tib) {
+    fn assert_matches_flat(t: &impl TibRead, flat: &Tib) {
         let ranges = [
             TimeRange::ANY,
             TimeRange::between(Nanos(60), Nanos(220)),
@@ -928,6 +977,9 @@ mod tests {
             let t = tiered(&recs, every);
             assert!(t.num_sealed() >= 1, "seal_after={every}");
             assert_matches_flat(&t, &flat(&recs));
+            // The same store with its last two records read as a live tier.
+            let t = tiered(&recs[..4], every);
+            assert_matches_flat(&t.with_live(&flat(&recs[4..])), &flat(&recs));
         }
     }
 
@@ -984,6 +1036,17 @@ mod tests {
         assert_eq!(t.num_cold(), 3);
         assert_matches_flat(&t, &flat(&recs));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn segment_without_a_data_source_is_an_error_both_ways() {
+        // No code path builds one; if one ever does, neither accessor may
+        // invent an empty segment for `evict` to write over the lost one.
+        let seg = SealedSegment::from_tib(flat(&sample_records()));
+        *lock(&seg.state) = SegState::default();
+        let eof = |e| matches!(e, StoreError::Wire(WireError::UnexpectedEof));
+        assert!(seg.encoded_block().is_err_and(eof));
+        assert!(seg.tib().is_err_and(eof));
     }
 
     #[test]

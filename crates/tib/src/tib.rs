@@ -110,7 +110,7 @@ impl FlowSet {
 }
 
 /// The top `k` of per-flow totals by `(bytes, flow)` descending — the
-/// documented [`Tib::top_k_flows`] tie-break — using O(f) selection, then
+/// documented [`TibRead::top_k_flows`] tie-break — using O(f) selection, then
 /// sorting only those `k`. Shared by the single-arena and tiered engines so
 /// both produce bit-identical rankings.
 pub(crate) fn select_top_k(totals: &HashMap<FlowId, (u64, u64)>, k: usize) -> Vec<(u64, FlowId)> {
@@ -357,38 +357,6 @@ impl Tib {
         }
     }
 
-    /// `getFlows(linkID, timeRange)`: flows that traversed a matching link
-    /// during the range (deduplicated, insertion order).
-    pub fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
-        if range == TimeRange::ANY {
-            // Served straight from the maintained flow lists.
-            if let Some(flows) = self.pattern_flows(link) {
-                return flows.to_vec();
-            }
-        }
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        let push = |rec: &TibRecord| {
-            if seen.insert(rec.flow) {
-                out.push(rec.flow);
-            }
-        };
-        if !link.is_any() {
-            self.for_each_match(link, range, push);
-        } else if let Some(ids) = self.range_ids(range) {
-            // Record ids are insertion order, so a sorted candidate-id
-            // walk preserves the documented ordering.
-            let recs = ids.iter().filter_map(|&id| self.overlapping(id, &range));
-            recs.for_each(push);
-        } else {
-            // Broad range: one pass over the arena beats collecting and
-            // sorting nearly every id.
-            let recs = self.records.iter().filter(|r| r.overlaps(&range));
-            recs.for_each(push);
-        }
-        out
-    }
-
     /// The buckets that can hold a record overlapping `range`, with their
     /// indexes: those that start no later than the range ends and, when
     /// they start before it does, still have a record alive at its start
@@ -418,65 +386,21 @@ impl Tib {
         Some(ids)
     }
 
-    /// `getPaths(flowID, linkID, timeRange)`: distinct paths of `flow` that
-    /// include a matching link within the range.
-    pub fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        if let Some(ids) = self.by_flow.get(&flow) {
-            for &id in ids {
-                let rec = &self.records[id as usize];
-                if !rec.overlaps(&range) {
-                    continue;
-                }
-                let matches = link.is_any() || rec.path.links().any(|l| link.matches(l));
-                if matches && seen.insert(rec.path.clone()) {
-                    out.push(rec.path.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// `getCount(Flow, timeRange)`: (bytes, pkts) of a flow within the
-    /// range; `path = None` sums across all paths, `Some` restricts to one
-    /// path (the paper's `Flow` is a `(flowID, Path)` pair).
-    pub fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
-        if path.is_none() && range == TimeRange::ANY {
-            // All-time flow totals are maintained incrementally.
-            return self.flow_totals.get(&flow).copied().unwrap_or((0, 0));
-        }
-        let mut bytes = 0;
-        let mut pkts = 0;
-        if let Some(ids) = self.by_flow.get(&flow) {
-            for &id in ids {
-                let rec = &self.records[id as usize];
-                if !rec.overlaps(&range) {
-                    continue;
-                }
-                if let Some(p) = path {
-                    if rec.path != *p {
-                        continue;
-                    }
-                }
-                bytes += rec.bytes;
-                pkts += rec.pkts;
-            }
-        }
-        (bytes, pkts)
-    }
-
-    /// `getDuration(Flow, timeRange)`: active span of a flow within the
-    /// range (max etime − min stime over matching records, clamped).
-    pub fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
-        match self.duration_bounds(flow, path, range) {
-            Some((lo, hi)) if lo < hi => hi - lo,
-            _ => Nanos::ZERO,
-        }
+    /// The records of `flow` that overlap `range` — on `path`, when one is
+    /// given — in insertion order.
+    fn flow_records<'a>(
+        &'a self,
+        flow: FlowId,
+        path: Option<&'a Path>,
+        range: TimeRange,
+    ) -> impl Iterator<Item = &'a TibRecord> {
+        let ids = self.by_flow.get(&flow).map_or(&[][..], |ids| &ids[..]);
+        let recs = ids.iter().map(|&id| &self.records[id as usize]);
+        recs.filter(move |r| r.overlaps(&range) && path.is_none_or(|p| r.path == *p))
     }
 
     /// The clamped `(min stime, max etime)` bounds behind
-    /// [`get_duration`](Self::get_duration), or `None` when no record of
+    /// [`TibRead::get_duration`], or `None` when no record of
     /// the flow matches. Exposed because — unlike the duration itself —
     /// the bounds merge across stores: the tiered engine min/maxes them
     /// over every segment before taking the difference.
@@ -487,23 +411,12 @@ impl Tib {
         range: TimeRange,
     ) -> Option<(Nanos, Nanos)> {
         let mut bounds: Option<(Nanos, Nanos)> = None;
-        if let Some(ids) = self.by_flow.get(&flow) {
-            for &id in ids {
-                let rec = &self.records[id as usize];
-                if !rec.overlaps(&range) {
-                    continue;
-                }
-                if let Some(p) = path {
-                    if rec.path != *p {
-                        continue;
-                    }
-                }
-                let (s, e) = range.clamp(rec.stime, rec.etime).expect("overlap checked");
-                bounds = Some(match bounds {
-                    Some((lo, hi)) => (lo.min(s), hi.max(e)),
-                    None => (s, e),
-                });
-            }
+        for rec in self.flow_records(flow, path, range) {
+            let (s, e) = range.clamp(rec.stime, rec.etime).expect("overlap checked");
+            bounds = Some(match bounds {
+                Some((lo, hi)) => (lo.min(s), hi.max(e)),
+                None => (s, e),
+            });
         }
         bounds
     }
@@ -526,32 +439,6 @@ impl Tib {
         // Inclusive last stime; saturate for the topmost u64 bucket.
         let end = start.saturating_add(self.bucket_width - 1);
         range.start.is_none_or(|s| s.0 <= start) && range.end.is_none_or(|e| end <= e.0)
-    }
-
-    /// Per-flow byte/packet totals over matching links — the building block
-    /// of the flow-size-distribution and load-imbalance queries (§4.2).
-    pub fn link_flow_counts(
-        &self,
-        link: LinkPattern,
-        range: TimeRange,
-    ) -> HashMap<FlowId, (u64, u64)> {
-        if link.is_any() && range == TimeRange::ANY {
-            // The live aggregate IS the answer.
-            return self.flow_totals.clone();
-        }
-        sum_flow_counts(|f| TibRead::for_each_flow_count(self, link, range, f))
-    }
-
-    /// Top-`k` flows by byte count within a range (§2.3's top-k example).
-    ///
-    /// Ties are broken by flow id (descending), making the result
-    /// deterministic regardless of construction order.
-    pub fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        if range == TimeRange::ANY {
-            // Served from the live aggregate: no per-record work at all.
-            return select_top_k(&self.flow_totals, k);
-        }
-        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 
     /// Approximate resident bytes of records + indexes (§5.3).
@@ -596,9 +483,11 @@ impl Tib {
 /// [`TieredTib`](crate::segment::TieredTib), and the lock-free
 /// [`SealedView`](crate::segment::SealedView) reader snapshot all
 /// implement it, so query evaluators (`execute_on_tib`, the standing
-/// engine, the rpc plane) are written once against this trait.
+/// engine, the rpc plane) are written once against this trait. It is the
+/// only query API any of the three has: [`Tib`]'s inherent methods build
+/// and measure the store, they do not ask it.
 ///
-/// Semantics are exactly the documented [`Tib`] method semantics —
+/// Semantics are the ones documented on the methods below —
 /// insertion-order outputs, closed `TimeRange`s, `(bytes, flow)`
 /// descending top-k tie-break. `prop_equivalence` pins every
 /// implementation to the same linear-scan reference.
@@ -611,16 +500,21 @@ pub trait TibRead {
     /// paths should prefer the aggregate queries below.
     fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord));
 
-    /// See [`Tib::get_flows`].
+    /// `getFlows(linkID, timeRange)`: flows that traversed a matching link
+    /// during the range (deduplicated, insertion order).
     fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId>;
 
-    /// See [`Tib::get_paths`].
+    /// `getPaths(flowID, linkID, timeRange)`: distinct paths of `flow` that
+    /// include a matching link within the range.
     fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path>;
 
-    /// See [`Tib::get_count`].
+    /// `getCount(Flow, timeRange)`: (bytes, pkts) of a flow within the
+    /// range; `path = None` sums across all paths, `Some` restricts to one
+    /// path (the paper's `Flow` is a `(flowID, Path)` pair).
     fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64);
 
-    /// See [`Tib::get_duration`].
+    /// `getDuration(Flow, timeRange)`: active span of a flow within the
+    /// range (max etime − min stime over matching records, clamped).
     fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos;
 
     /// The traversal the aggregate queries share: calls `f(flow, bytes,
@@ -641,11 +535,22 @@ pub trait TibRead {
         f: &mut dyn FnMut(FlowId, u64, u64),
     );
 
-    /// See [`Tib::link_flow_counts`].
-    fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)>;
+    /// Per-flow byte/packet totals over matching links — the building block
+    /// of the flow-size-distribution and load-imbalance queries (§4.2).
+    /// Provided as the sum of [`for_each_flow_count`](Self::for_each_flow_count);
+    /// an engine with running totals overrides it (and `top_k_flows`) to
+    /// answer the all-time case from them.
+    fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {
+        sum_flow_counts(|f| self.for_each_flow_count(link, range, f))
+    }
 
-    /// See [`Tib::top_k_flows`].
-    fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)>;
+    /// Top-`k` flows by byte count within a range (§2.3's top-k example).
+    ///
+    /// Ties are broken by flow id (descending), making the result
+    /// deterministic regardless of construction order.
+    fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
+        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
+    }
 
     /// Every visible record, cloned, in insertion order (snapshots,
     /// replays, diffs — not a hot-path call).
@@ -668,19 +573,61 @@ impl TibRead for Tib {
     }
 
     fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
-        Tib::get_flows(self, link, range)
+        if range == TimeRange::ANY {
+            // Served straight from the maintained flow lists.
+            if let Some(flows) = self.pattern_flows(link) {
+                return flows.to_vec();
+            }
+        }
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        let push = |rec: &TibRecord| {
+            if seen.insert(rec.flow) {
+                out.push(rec.flow);
+            }
+        };
+        if !link.is_any() {
+            self.for_each_match(link, range, push);
+        } else if let Some(ids) = self.range_ids(range) {
+            // Record ids are insertion order, so a sorted candidate-id
+            // walk preserves the documented ordering.
+            let recs = ids.iter().filter_map(|&id| self.overlapping(id, &range));
+            recs.for_each(push);
+        } else {
+            // Broad range: one pass over the arena beats collecting and
+            // sorting nearly every id.
+            let recs = self.records.iter().filter(|r| r.overlaps(&range));
+            recs.for_each(push);
+        }
+        out
     }
 
     fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
-        Tib::get_paths(self, flow, link, range)
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        for rec in self.flow_records(flow, None, range) {
+            let matches = link.is_any() || rec.path.links().any(|l| link.matches(l));
+            if matches && seen.insert(rec.path.clone()) {
+                out.push(rec.path.clone());
+            }
+        }
+        out
     }
 
     fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
-        Tib::get_count(self, flow, path, range)
+        if path.is_none() && range == TimeRange::ANY {
+            // All-time flow totals are maintained incrementally.
+            return self.flow_totals.get(&flow).copied().unwrap_or((0, 0));
+        }
+        let recs = self.flow_records(flow, path, range);
+        recs.fold((0, 0), |(b, p), rec| (b + rec.bytes, p + rec.pkts))
     }
 
     fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
-        Tib::get_duration(self, flow, path, range)
+        match self.duration_bounds(flow, path, range) {
+            Some((lo, hi)) if lo < hi => hi - lo,
+            _ => Nanos::ZERO,
+        }
     }
 
     fn for_each_flow_count(
@@ -717,15 +664,19 @@ impl TibRead for Tib {
     }
 
     fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {
-        Tib::link_flow_counts(self, link, range)
+        if link.is_any() && range == TimeRange::ANY {
+            // The live aggregate IS the answer.
+            return self.flow_totals.clone();
+        }
+        sum_flow_counts(|f| self.for_each_flow_count(link, range, f))
     }
 
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        Tib::top_k_flows(self, k, range)
-    }
-
-    fn records_vec(&self) -> Vec<TibRecord> {
-        self.records.clone()
+        if range == TimeRange::ANY {
+            // Served from the live aggregate: no per-record work at all.
+            return select_top_k(&self.flow_totals, k);
+        }
+        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 }
 

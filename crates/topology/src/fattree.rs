@@ -162,11 +162,6 @@ impl FatTree {
         j / self.half()
     }
 
-    /// The offset of core `j` within its aggregate's core group.
-    pub fn core_offset(&self, j: usize) -> usize {
-        j % self.half()
-    }
-
     /// Core index for aggregate position `a`, offset `c`.
     pub fn core_index(&self, a: usize, c: usize) -> usize {
         a * self.half() + c
@@ -199,15 +194,6 @@ impl FatTree {
         let half = self.half();
         let i = host.index();
         (i / (half * half), (i / half) % half, i % half)
-    }
-
-    /// Pod of a ToR or aggregate switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a core switch.
-    pub fn pod_of(&self, sw: SwitchId) -> usize {
-        self.topo.switch(sw).pod.expect("core switches have no pod") as usize
     }
 }
 

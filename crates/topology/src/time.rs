@@ -35,11 +35,6 @@ impl Nanos {
         Nanos(us * MICROS)
     }
 
-    /// Returns the time as (truncated) whole milliseconds.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / MILLIS
-    }
-
     /// Returns the time as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / SECONDS as f64

@@ -53,18 +53,6 @@ impl FlowReport {
     pub fn fct(&self) -> Option<Nanos> {
         self.completed_at.map(|t| t.saturating_sub(self.start))
     }
-
-    /// Goodput in bits/s over the flow's active life (up to `now` for
-    /// unfinished flows).
-    pub fn goodput_bps(&self, now: Nanos) -> f64 {
-        let end = self.completed_at.unwrap_or(now);
-        let dur = end.saturating_sub(self.start).as_secs_f64();
-        if dur <= 0.0 {
-            0.0
-        } else {
-            self.acked as f64 * 8.0 / dur
-        }
-    }
 }
 
 /// Fleet-level TCP engine (all hosts share it; dispatch is by flow ID).
@@ -116,19 +104,9 @@ impl TcpEngine {
         token::pack(idx, token::Kind::Start, 0)
     }
 
-    /// Number of registered flows.
-    pub fn num_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Direct access to a flow entry.
     pub fn flow(&self, idx: u32) -> &FlowEntry {
         &self.flows[idx as usize]
-    }
-
-    /// Looks up a flow index by ID.
-    pub fn index_of(&self, flow: &FlowId) -> Option<u32> {
-        self.by_id.get(flow).copied()
     }
 
     /// Summary for one flow.

@@ -26,15 +26,27 @@
 //! `needle`. An entry that tolerated no finding in the run is stale and
 //! fails the gate, so the list cannot outlive the code it excuses.
 //!
-//! `--loc` runs the other check instead: it prints library lines of code
+//! `--loc` runs another check instead: it prints library lines of code
 //! per crate — ROADMAP's tracked number: every line of `crates/*/src` and
 //! the facade's `src/`, `bin/` directories excluded — and fails when the
 //! total exceeds the ceiling committed in `lint_loc_ceiling.txt`. Lower
 //! the ceiling in the change that lowers the count.
 //!
-//! Usage: `lint_gate [--root DIR] [--allow FILE] [--loc]` (defaults:
-//! `crates`, `lint_allow.txt`), run from the repository root as in CI.
+//! `--uncalled` runs the third: every `pub fn` declared in those same
+//! library lines (unit-test tails excluded) whose name occurs, as a whole
+//! word, exactly once in the `.rs` files under `crates/`, `src/`, `tests/`,
+//! `examples/` and `benchmark/src` — that once being its declaration — is a
+//! finding: public surface that no code, test, example or doc line mentions.
+//! It goes by name, not by path, so it cannot see an unused `len` among ten
+//! used ones; what it does see is certain. Trait methods carry no `pub` and
+//! are never candidates. Tolerate one with an allowlist line whose needle is
+//! `fn <name>(`; such lines belong to this check alone, and go stale here.
+//!
+//! Usage: `lint_gate [--root DIR] [--allow FILE] [--loc | --uncalled]`
+//! (defaults: `crates`, `lint_allow.txt`), run from the repository root as
+//! in CI.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -147,8 +159,10 @@ fn scan_source(file: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
-/// Parses the allowlist: `path needle…` per line, `#` comments.
-fn parse_allowlist(text: &str) -> Vec<(String, String)> {
+/// Parses the allowlist: `path needle…` per line, `#` comments. A needle
+/// that starts with `fn ` excuses an uncalled function and every other one
+/// a banned pattern; a run keeps the entries of the check it makes.
+fn parse_allowlist(text: &str, uncalled: bool) -> Vec<(String, String)> {
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -156,6 +170,7 @@ fn parse_allowlist(text: &str) -> Vec<(String, String)> {
             let (path, needle) = l.split_once(char::is_whitespace)?;
             Some((path.to_string(), needle.trim().to_string()))
         })
+        .filter(|(_, needle)| needle.starts_with("fn ") == uncalled)
         .collect()
 }
 
@@ -203,21 +218,89 @@ fn library_sources(root: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// The `.rs` files under `dir` that are library code: `bin/` directories
+/// are not descended into.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    collect_rs_where(dir, &|d| d.file_name().is_none_or(|n| n != "bin"), out);
+}
+
+/// The `.rs` files under `dir`, descending into the directories `enter`
+/// accepts.
+fn collect_rs_where(dir: &Path, enter: &dyn Fn(&Path) -> bool, out: &mut Vec<PathBuf>) {
     let Ok(rd) = std::fs::read_dir(dir) else {
         return;
     };
     for entry in rd.flatten() {
         let p = entry.path();
         if p.is_dir() {
-            if p.file_name().is_some_and(|n| n == "bin") {
-                continue;
+            if enter(&p) {
+                collect_rs_where(&p, enter, out);
             }
-            collect_rs(&p, out);
         } else if p.extension().is_some_and(|e| e == "rs") {
             out.push(p);
         }
     }
+}
+
+/// Is `c` part of a Rust identifier?
+fn is_word(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The name of the function a source line declares `pub`, if it does.
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let mut rest = line.trim_start().strip_prefix("pub ")?;
+    for qualifier in ["const ", "async ", "unsafe "] {
+        rest = rest.strip_prefix(qualifier).unwrap_or(rest);
+    }
+    let rest = rest.strip_prefix("fn ")?;
+    Some(&rest[..rest.find(|c| !is_word(c)).unwrap_or(rest.len())])
+}
+
+/// The `pub fn`s of one library file (up to its unit-test tail) whose name
+/// `uses` counts once.
+fn scan_uncalled(file: &str, source: &str, uses: &HashMap<&str, usize>) -> Vec<Finding> {
+    source
+        .lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .enumerate()
+        .filter(|(_, l)| pub_fn_name(l).is_some_and(|name| uses.get(name) == Some(&1)))
+        .map(|(i, l)| Finding {
+            file: file.to_string(),
+            line_no: i + 1,
+            pattern: "uncalled pub fn",
+            line: l.to_string(),
+        })
+        .collect()
+}
+
+/// `--uncalled`: the findings of [`scan_uncalled`] over `library` (the
+/// crates' library files) and the facade, names counted over every `.rs`
+/// file of the directories in the module docs.
+fn uncalled_findings(root: &Path, mut library: Vec<PathBuf>) -> Vec<Finding> {
+    collect_rs(Path::new("src"), &mut library);
+    // Bins, benches and tests call too.
+    let mut everywhere = Vec::new();
+    for dir in ["src", "tests", "examples", "benchmark/src"] {
+        collect_rs_where(dir.as_ref(), &|_| true, &mut everywhere);
+    }
+    collect_rs_where(root, &|_| true, &mut everywhere);
+    let texts: Vec<String> = everywhere
+        .iter()
+        .filter_map(|p| std::fs::read_to_string(p).ok())
+        .collect();
+    let mut uses: HashMap<&str, usize> = HashMap::new();
+    for word in texts.iter().flat_map(|t| t.split(|c| !is_word(c))) {
+        *uses.entry(word).or_insert(0) += 1;
+    }
+    let mut findings = Vec::new();
+    for path in library {
+        if let Ok(source) = std::fs::read_to_string(&path) {
+            let file = path.to_string_lossy().replace('\\', "/");
+            findings.extend(scan_uncalled(&file, &source, &uses));
+        }
+    }
+    findings
 }
 
 /// The committed library-LoC ceiling, next to the allowlist.
@@ -283,12 +366,14 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from("crates");
     let mut allow_path = PathBuf::from("lint_allow.txt");
     let mut loc = false;
+    let mut uncalled = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = PathBuf::from(args.next().unwrap_or_default()),
             "--allow" => allow_path = PathBuf::from(args.next().unwrap_or_default()),
             "--loc" => loc = true,
+            "--uncalled" => uncalled = true,
             other => {
                 eprintln!("lint_gate: unknown argument `{other}`");
                 return ExitCode::FAILURE;
@@ -301,7 +386,7 @@ fn main() -> ExitCode {
     }
 
     let allow = match std::fs::read_to_string(&allow_path) {
-        Ok(t) => parse_allowlist(&t),
+        Ok(t) => parse_allowlist(&t, uncalled),
         Err(e) => {
             eprintln!(
                 "lint_gate: cannot read allowlist {}: {e}",
@@ -319,20 +404,27 @@ fn main() -> ExitCode {
 
     let mut bad = 0usize;
     let mut scanned = 0usize;
-    let mut used = vec![false; allow.len()];
-    for path in files {
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            eprintln!("lint_gate: unreadable {}", path.display());
-            bad += 1;
-            continue;
-        };
-        scanned += 1;
-        let file = path.to_string_lossy().replace('\\', "/");
-        for f in scan_source(&file, &source) {
-            if !is_allowed(&f, &allow, &mut used) {
-                eprintln!("{f}");
+    let mut findings = Vec::new();
+    if uncalled {
+        scanned = files.len();
+        findings = uncalled_findings(&root, files);
+    } else {
+        for path in files {
+            let Ok(source) = std::fs::read_to_string(&path) else {
+                eprintln!("lint_gate: unreadable {}", path.display());
                 bad += 1;
-            }
+                continue;
+            };
+            scanned += 1;
+            let file = path.to_string_lossy().replace('\\', "/");
+            findings.extend(scan_source(&file, &source));
+        }
+    }
+    let mut used = vec![false; allow.len()];
+    for f in findings {
+        if !is_allowed(&f, &allow, &mut used) {
+            eprintln!("{f}");
+            bad += 1;
         }
     }
     for line in stale_entries(&allow, &used) {
@@ -397,6 +489,7 @@ mod tests {
     fn allowlist_matches_path_and_needle() {
         let allow = parse_allowlist(
             "# comment\ncrates/tib/src/tib.rs expect(\"overlap checked\")\n\ncrates/bench/src/lib.rs println!\n",
+            false,
         );
         assert_eq!(allow.len(), 2);
         let f = scan_source(
@@ -417,6 +510,7 @@ mod tests {
     fn allowlist_entry_without_a_finding_is_stale() {
         let allow = parse_allowlist(
             "crates/tib/src/tib.rs expect(\"overlap checked\")\ncrates/simnet/src/pool.rs expect(\"spawn shard worker\")\n",
+            false,
         );
         let mut used = vec![false; allow.len()];
         assert_eq!(stale_entries(&allow, &used).len(), 2, "nothing scanned yet");
@@ -429,5 +523,40 @@ mod tests {
             stale_entries(&allow, &used),
             ["crates/simnet/src/pool.rs expect(\"spawn shard worker\")"]
         );
+    }
+
+    #[test]
+    fn pub_fn_names() {
+        assert_eq!(
+            pub_fn_name("    pub fn insert(&mut self) {"),
+            Some("insert")
+        );
+        assert_eq!(
+            pub_fn_name("pub const fn as_secs(self) -> u64 {"),
+            Some("as_secs")
+        );
+        assert_eq!(pub_fn_name("pub fn generic<T: Ord>(x: T)"), Some("generic"));
+        assert_eq!(pub_fn_name("    fn private(&self)"), None);
+        assert_eq!(pub_fn_name("    pub(crate) fn inner(&self)"), None);
+        assert_eq!(pub_fn_name("// pub fn in_a_comment()"), None);
+        assert_eq!(pub_fn_name("pub struct NotAFn;"), None);
+    }
+
+    #[test]
+    fn uncalled_is_a_name_seen_once_outside_the_test_tail() {
+        let src = "pub fn used() {}\npub fn lonely() {}\nfn private() {}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        let uses = HashMap::from([("used", 3), ("lonely", 1), ("private", 1), ("helper", 1)]);
+        let f = scan_uncalled("crates/x/src/lib.rs", src, &uses);
+        assert_eq!(f.len(), 1);
+        assert_eq!(
+            (f[0].line_no, f[0].line.as_str()),
+            (2, "pub fn lonely() {}")
+        );
+        // The allowlist splits by check: `fn ` needles are this one's.
+        let list = "crates/x/src/lib.rs fn lonely(\ncrates/x/src/lib.rs println!\n";
+        let allow = parse_allowlist(list, true);
+        assert_eq!(allow, [("crates/x/src/lib.rs".into(), "fn lonely(".into())]);
+        assert!(is_allowed(&f[0], &allow, &mut [false]));
+        assert_eq!(parse_allowlist(list, false).len(), 1);
     }
 }

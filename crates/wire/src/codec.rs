@@ -11,8 +11,6 @@ pub enum WireError {
     InvalidTag(u32),
     /// A varint exceeded 64 bits.
     VarintOverflow,
-    /// A string was not valid UTF-8.
-    InvalidUtf8,
     /// Input remained after the top-level value was decoded.
     TrailingBytes(usize),
     /// A declared length exceeded the remaining input (corrupt frame).
@@ -27,7 +25,6 @@ impl fmt::Display for WireError {
             WireError::UnexpectedEof => write!(f, "unexpected end of input"),
             WireError::InvalidTag(t) => write!(f, "invalid tag {t}"),
             WireError::VarintOverflow => write!(f, "varint overflows 64 bits"),
-            WireError::InvalidUtf8 => write!(f, "invalid UTF-8 in string"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
             WireError::LengthOverrun => write!(f, "declared length exceeds input"),
             WireError::BadChecksum => write!(f, "frame checksum mismatch"),
@@ -101,16 +98,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a little-endian u64.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an IEEE-754 f64.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Writes a LEB128 varint.
     pub fn put_varint(&mut self, mut v: u64) {
         loop {
@@ -124,25 +111,9 @@ impl Encoder {
         }
     }
 
-    /// Writes a zig-zag-encoded signed varint.
-    pub fn put_signed(&mut self, v: i64) {
-        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
-    }
-
     /// Writes raw bytes with no length prefix.
     pub fn put_raw(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
-    }
-
-    /// Writes length-prefixed bytes.
-    pub fn put_bytes(&mut self, data: &[u8]) {
-        self.put_varint(data.len() as u64);
-        self.put_raw(data);
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
     }
 }
 
@@ -204,16 +175,6 @@ impl<'a> Decoder<'a> {
         Ok(u32::from_le_bytes(self.take_array()?))
     }
 
-    /// Reads a little-endian u64.
-    pub fn get_u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take_array()?))
-    }
-
-    /// Reads an IEEE-754 f64.
-    pub fn get_f64(&mut self) -> WireResult<f64> {
-        Ok(f64::from_le_bytes(self.take_array()?))
-    }
-
     /// Reads a LEB128 varint.
     pub fn get_varint(&mut self) -> WireResult<u64> {
         let mut v: u64 = 0;
@@ -234,29 +195,9 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads a zig-zag-encoded signed varint.
-    pub fn get_signed(&mut self) -> WireResult<i64> {
-        let v = self.get_varint()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
-    }
-
     /// Reads `n` raw bytes.
     pub fn get_raw(&mut self, n: usize) -> WireResult<&'a [u8]> {
         self.take(n)
-    }
-
-    /// Reads length-prefixed bytes.
-    pub fn get_bytes(&mut self) -> WireResult<&'a [u8]> {
-        let n = self.get_varint()? as usize;
-        if n > self.remaining() {
-            return Err(WireError::LengthOverrun);
-        }
-        self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> WireResult<&'a str> {
-        std::str::from_utf8(self.get_bytes()?).map_err(|_| WireError::InvalidUtf8)
     }
 
     /// Reads a declared collection length, bounding it by the remaining
@@ -361,48 +302,6 @@ impl Decode for usize {
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         let v = dec.get_varint()?;
         usize::try_from(v).map_err(|_| WireError::VarintOverflow)
-    }
-}
-
-impl Encode for i64 {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_signed(*self);
-    }
-}
-
-impl Decode for i64 {
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        dec.get_signed()
-    }
-}
-
-impl Encode for f64 {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_f64(*self);
-    }
-}
-
-impl Decode for f64 {
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        dec.get_f64()
-    }
-}
-
-impl Encode for String {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(self);
-    }
-}
-
-impl Decode for String {
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(dec.get_str()?.to_owned())
-    }
-}
-
-impl Encode for str {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(self);
     }
 }
 
@@ -521,17 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn signed_zigzag() {
-        for v in [0i64, -1, 1, -64, 63, i64::MIN, i64::MAX] {
-            rt(v);
-        }
-        // Small magnitudes stay small on the wire.
-        let mut e = Encoder::new();
-        e.put_signed(-1);
-        assert_eq!(e.len(), 1);
-    }
-
-    #[test]
     fn overlong_varint_rejected() {
         // 11 continuation bytes: overflow.
         let bytes = [0x80u8; 11];
@@ -540,34 +428,11 @@ mod tests {
     }
 
     #[test]
-    fn strings_and_bytes() {
-        rt(String::from("hello, 世界"));
-        rt(String::new());
-        let mut e = Encoder::new();
-        e.put_bytes(b"abc");
-        let mut d = Decoder::new(e.bytes());
-        assert_eq!(d.get_bytes().unwrap(), b"abc");
-    }
-
-    #[test]
-    fn bad_utf8_rejected() {
-        let mut e = Encoder::new();
-        e.put_bytes(&[0xff, 0xfe]);
-        let bytes = e.into_bytes();
-        assert_eq!(from_bad_str(&bytes), Err(WireError::InvalidUtf8));
-    }
-
-    fn from_bad_str(bytes: &[u8]) -> WireResult<String> {
-        crate::from_bytes::<String>(bytes)
-    }
-
-    #[test]
     fn containers() {
         rt(Some(42u32));
         rt(Option::<u32>::None);
         rt(vec![1u64, 2, 3]);
         rt(Vec::<u64>::new());
-        rt((7u32, String::from("x")));
         rt((1u8, 2u16, 3u64));
         rt(vec![(1u32, 2u32), (3, 4)]);
     }
@@ -602,12 +467,5 @@ mod tests {
         let mut e = Encoder::new();
         e.put_u32(0x0102_0304);
         assert_eq!(e.bytes(), &[0x04, 0x03, 0x02, 0x01]);
-    }
-
-    #[test]
-    fn f64_roundtrip() {
-        for v in [0.0f64, -1.5, std::f64::consts::PI, f64::MAX] {
-            rt(v);
-        }
     }
 }

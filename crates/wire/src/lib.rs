@@ -8,8 +8,8 @@
 //! estimated.
 //!
 //! The format is deliberately simple: little-endian fixed-width integers,
-//! LEB128 varints for counts, zig-zag for signed values, and length-prefixed
-//! frames with a CRC-32 trailer.
+//! LEB128 varints for counts and 64-bit values, and length-prefixed frames
+//! with a CRC-32 trailer. It has exactly the primitives some message uses.
 
 pub mod codec;
 pub mod crc;

@@ -101,11 +101,11 @@ fn parse_owned(input: &[u8]) -> WireResult<(Frame, usize)> {
 
 #[test]
 fn build_and_to_wire_match_the_old_bytes() {
-    let values: Vec<Vec<(u64, String)>> = vec![
+    let values: Vec<Vec<(u64, Vec<u8>)>> = vec![
         vec![],
         vec![(7, "x".into())],
         (0..300)
-            .map(|i| (i * 1_000_003, format!("flow-{i}")))
+            .map(|i| (i * 1_000_003, format!("flow-{i}").into_bytes()))
             .collect(),
     ];
     for (typ, v) in [0u16, 7, 0xBEEF].into_iter().zip(&values) {

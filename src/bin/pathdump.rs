@@ -4,7 +4,7 @@
 //! starts a comment) and answers over a single working TIB, which can be
 //! populated three ways: explicit `rec` injection, a deterministic
 //! `replay` of a simulated web-traffic run (every host's TIB merged in
-//! host/arena order), or `load`ing a TIB2 snapshot. Every insert also
+//! host/arena order), or `load`ing a snapshot. Every insert also
 //! drives the standing-query engine, so `watch`es registered before a
 //! replay fire as the replayed records stream in.
 //!
@@ -19,7 +19,7 @@ use pathdump_apps::Testbed;
 use pathdump_core::standing::{StandingPredicate, StandingQuery, StandingQueryEngine};
 use pathdump_core::{execute_on_tib, Query, Response, WorldConfig};
 use pathdump_simnet::SimConfig;
-use pathdump_tib::{diff_snapshots, load, save_tiered, TibDiff, TibRead, TieredTib};
+use pathdump_tib::{diff_snapshots, load_tiered, save_tiered, TibDiff, TibRead, TieredTib};
 use pathdump_topology::{
     FlowId, HostId, Ip, LinkPattern, Nanos, Path, SwitchId, TimeRange, MILLIS, SECONDS,
 };
@@ -310,7 +310,7 @@ impl Cli {
                     .into_iter()
                     .map(|(f, (bytes, _))| (bytes, f))
                     .collect();
-                // Same total order as `Tib::top_k_flows`.
+                // Same total order as `TibRead::top_k_flows`.
                 counts.sort_unstable_by(|a, b| b.cmp(a));
                 counts.truncate(k);
                 Ok(counts
@@ -353,7 +353,7 @@ impl Cli {
             ["diff", src, dst, sport, t] => {
                 let flow = parse_flow(src, dst, sport)?;
                 let t = parse_time(t, "t", MILLIS)?;
-                let d = self.tib.diff_at(t);
+                let d = TibDiff::at(&self.tib, t);
                 match d.for_flow(flow) {
                     None => Ok(format!("flow {flow}: unchanged across {t:?}")),
                     Some(delta) => {
@@ -371,12 +371,12 @@ impl Cli {
             }
             ["load", file] => {
                 let bytes = std::fs::read(file).map_err(|e| e.to_string())?;
-                // The flat loader accepts both TIB2 and TIB3 (flattened).
-                let loaded = load(&bytes).map_err(|e| format!("{e:?}"))?;
+                let records = load_tiered(&bytes)
+                    .map_err(|e| format!("{e:?}"))?
+                    .records_vec();
                 // Rebuild through the single insert path so registered
                 // watches observe every record (incremental contract).
                 self.tib = TieredTib::new();
-                let records: Vec<_> = loaded.records().to_vec();
                 let n = records.len();
                 for rec in records {
                     self.insert(rec);
