@@ -241,7 +241,22 @@ fn assert_all_queries_match<T: TibRead>(
     k: usize,
     width: u64,
 ) -> Result<(), TestCaseError> {
-    for link in patterns() {
+    let flows: Vec<FlowId> = (1..=4).map(flow).collect();
+    assert_queries_match(tib, raw, range, k, width, &patterns(), &flows)
+}
+
+/// Every Host API query of `tib` against the linear scan of `raw`, over
+/// the given link patterns and flows.
+fn assert_queries_match<T: TibRead>(
+    tib: &T,
+    raw: &[TibRecord],
+    range: TimeRange,
+    k: usize,
+    width: u64,
+    links: &[LinkPattern],
+    flows: &[FlowId],
+) -> Result<(), TestCaseError> {
+    for &link in links {
         prop_assert_eq!(
             tib.get_flows(link, range),
             ref_get_flows(raw, link, range),
@@ -273,8 +288,7 @@ fn assert_all_queries_match<T: TibRead>(
             width
         );
     }
-    for sport in 1..=4u16 {
-        let f = flow(sport);
+    for &f in flows {
         prop_assert_eq!(
             tib.get_count(f, None, range),
             ref_get_count(raw, f, range),
@@ -306,6 +320,117 @@ fn assert_all_queries_match<T: TibRead>(
         width
     );
     Ok(())
+}
+
+// --- the wide population: many flows, sparse switch ids ---
+
+/// Distinct flows the wide generator can draw: more than two 64-bit words
+/// of a per-flow bitmap.
+const WIDE_FLOWS: usize = 139;
+
+/// Paths over switch ids with gaps, up to `SwitchId(u16::MAX)` — a store
+/// that indexes switches densely has holes and a last slot to get right —
+/// plus a 0-switch and a 1-switch path (no links: only the flow and
+/// all-links queries see their records) and the loopy path.
+fn wide_pool() -> Vec<Path> {
+    [
+        &[0u16, 2, 4][..],
+        &[0, 3, 4],
+        &[1, 3, 5],
+        &[0, 700, u16::MAX],
+        &[u16::MAX, 9, 0],
+        &[40_000, 3],
+        &[],
+        &[5],
+        &[0, 2, 0, 2, 4],
+    ]
+    .iter()
+    .map(|ids| Path::new(ids.iter().map(|&i| SwitchId(i)).collect()))
+    .collect()
+}
+
+/// Patterns over every switch of [`wide_pool`], and over ids no path has:
+/// a gap inside the populated span, the slot below the last, an exact link
+/// nothing traverses.
+fn wide_patterns() -> Vec<LinkPattern> {
+    const ABSENT: [u16; 2] = [300, u16::MAX - 1];
+    let mut v = vec![LinkPattern::ANY];
+    for s in [0, 1, 2, 3, 4, 5, 9, 700, 40_000, u16::MAX]
+        .into_iter()
+        .chain(ABSENT)
+    {
+        v.push(LinkPattern::into(SwitchId(s)));
+        v.push(LinkPattern::out_of(SwitchId(s)));
+    }
+    for (f, t) in [
+        (0, 2),
+        (3, 4),
+        (0, 700),
+        (700, u16::MAX),
+        (u16::MAX, 9),
+        (40_000, 3),
+        (3, 40_000),
+        (4, 0),
+    ] {
+        v.push(LinkPattern::exact(SwitchId(f), SwitchId(t)));
+    }
+    v
+}
+
+fn wide_flows() -> Vec<FlowId> {
+    (1..=WIDE_FLOWS as u16 + 1).map(flow).collect()
+}
+
+/// At least 130 distinct flows from 200 or more tuples. The first three
+/// records are fixed: flow 1, then flow 2 through switch 3, then flow 1 on
+/// a second path that enters switch 3 — so switch 3 lists flow 2 *before*
+/// flow 1 while the store lists flow 1 first. After them two records in
+/// three bring the next flow of a scrambled sequence (89 is coprime to
+/// 139, so the sequence repeats no flow) and the third revisits a drawn one.
+fn wide_records(recs: &[RecTuple]) -> Vec<TibRecord> {
+    let pool = wide_pool();
+    let mut fresh = 0usize;
+    let mut out = Vec::with_capacity(recs.len());
+    for (i, &(sport, pidx, t0, dur, bytes)) in recs.iter().enumerate() {
+        let (fnum, pidx) = match i {
+            0 => (1, 0),
+            1 => (2, 2),
+            2 => (1, 1),
+            _ if i % 3 == 2 => (1 + sport as usize % WIDE_FLOWS, pidx),
+            _ => {
+                fresh += 1;
+                (1 + fresh * 89 % WIDE_FLOWS, pidx)
+            }
+        };
+        out.push(TibRecord {
+            flow: flow(fnum as u16),
+            path: pool[pidx % pool.len()].clone(),
+            stime: Nanos(t0 % 120),
+            etime: Nanos(t0 % 120 + dur % 50),
+            bytes: 1 + bytes % 1000,
+            pkts: 1 + bytes % 7,
+        });
+    }
+    out
+}
+
+/// Replays `raw` into a tiered store; `acts` as in [`tiered_build`], drawn
+/// from a wider range so that seals stay few (every segment that met
+/// `SwitchId(u16::MAX)` carries a full-width switch table).
+fn wide_tiered(raw: &[TibRecord], acts: &[u8], width: u64, dir: &std::path::Path) -> TieredTib {
+    let mut tib = TieredTib::with_bucket_width(Nanos(width));
+    for (i, rec) in raw.iter().enumerate() {
+        tib.insert(rec.clone());
+        match acts.get(i).copied().unwrap_or(0) {
+            3 => tib.seal(),
+            4 => {
+                tib.seal();
+                tib.evict_cold(1, dir).expect("evict");
+            }
+            _ => {}
+        }
+    }
+    tib
 }
 
 /// Per-case unique eviction directory (proptest cases share a thread).
@@ -429,5 +554,63 @@ proptest! {
         prop_assert_eq!(tib.read_failures(), 0);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
+    }
+}
+
+proptest! {
+    // Few cases: each builds four stores of 200+ records and scans the
+    // reference once per query, flow and pattern.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The cases above draw 4 flows over switches 0–5: a flow index never
+    /// leaves the first word of a bitmap and a table indexed by switch id
+    /// has no hole. This one runs the wide population (see
+    /// [`wide_records`]) through the flat engine, the tiered engine under
+    /// seal / evict — mid-build and complete — and the `SealedView` a
+    /// reader holds, each against the linear scan.
+    #[test]
+    fn wide_population_matches_linear_scan(
+        recs in proptest::collection::vec(
+            (0u16..1000, 0usize..9, 0u64..140, 0u64..60, 0u64..2000), 200..216),
+        acts in proptest::collection::vec(0u8..60, 216),
+        width in 1u64..200,
+        a in 0u64..140,
+        b in 0u64..140,
+        k in 0usize..160,
+    ) {
+        let raw = wide_records(&recs);
+        let (links, flows) = (wide_patterns(), wide_flows());
+        let distinct: std::collections::HashSet<FlowId> = raw.iter().map(|r| r.flow).collect();
+        prop_assert!(distinct.len() >= 130, "{} distinct flows", distinct.len());
+
+        let mut flat = Tib::with_bucket_width(Nanos(width));
+        raw.iter().for_each(|r| flat.insert(r.clone()));
+        for range in ranges(a, b) {
+            assert_queries_match(&flat, &raw, range, k, width, &links, &flows)?;
+        }
+        drop(flat);
+
+        let mid = a as usize % raw.len() + 1;
+        for upto in [mid, raw.len()] {
+            let dir = evict_dir();
+            let mut tib = wide_tiered(&raw[..upto], &acts, width, &dir);
+            prop_assert_eq!(tib.records_vec(), raw[..upto].to_vec(), "insertion order");
+            for range in ranges(a, b) {
+                assert_queries_match(&tib, &raw[..upto], range, k, width, &links, &flows)?;
+            }
+            // A reader's view is the sealed prefix: part of the store
+            // before this seal, all of it after.
+            for _ in 0..2 {
+                let view = tib.reader().snapshot();
+                let sealed = &raw[..view.num_records()];
+                for range in ranges(a, b) {
+                    assert_queries_match(&*view, sealed, range, k, width, &links, &flows)?;
+                }
+                tib.seal();
+            }
+            prop_assert_eq!(tib.reader().snapshot().num_records(), upto);
+            prop_assert_eq!(tib.read_failures(), 0);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
