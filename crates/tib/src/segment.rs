@@ -55,11 +55,11 @@
 //! continues with degraded durability.
 
 use crate::record::TibRecord;
-use crate::tib::{select_top_k, sum_flow_counts, FlowSet, Tib, TibRead};
+use crate::tib::{select_top_k, FlowTable, Tib, TibRead};
 use crate::wal::{self, WalStore};
-use pathdump_topology::{FlowId, LinkPattern, Nanos, Path, TimeRange};
+use pathdump_topology::{FlowId, FnvBuild, LinkPattern, Nanos, Path, TimeRange};
 use pathdump_wire::{from_bytes, to_bytes, WireError, WireResult};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::{Path as FsPath, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -367,12 +367,11 @@ pub struct TieredTib {
     bucket_width: Nanos,
     /// Auto-seal the head when it reaches this many records.
     seal_after: Option<usize>,
-    /// Global insertion-ordered distinct flows (never touched by
-    /// seal/evict — serves `get_flows(ANY, ANY)` with no segment access).
-    flows_any: FlowSet,
-    /// Global all-time per-flow `(bytes, pkts)` (serves all-time
-    /// `get_count`/`top_k_flows`/`link_flow_counts` likewise).
-    flow_totals: HashMap<FlowId, (u64, u64)>,
+    /// Store-wide flow table, never touched by seal/evict: its
+    /// first-appearance order serves `get_flows(ANY, ANY)` and its totals
+    /// the all-time `get_count`/`top_k_flows`/`link_flow_counts` with no
+    /// segment access.
+    flows: FlowTable,
     wal: Option<Box<dyn WalStore>>,
     wal_errors: u64,
     /// The published reader view, swapped on every seal.
@@ -405,8 +404,7 @@ impl TieredTib {
             sealed_len: 0,
             bucket_width: width,
             seal_after: None,
-            flows_any: FlowSet::default(),
-            flow_totals: HashMap::new(),
+            flows: FlowTable::default(),
             wal: None,
             wal_errors: 0,
             published: Arc::new(Mutex::new(Arc::new(SealedView::default()))),
@@ -500,10 +498,7 @@ impl TieredTib {
                 self.wal_errors += 1;
             }
         }
-        self.flows_any.insert(rec.flow);
-        let t = self.flow_totals.entry(rec.flow).or_insert((0, 0));
-        t.0 += rec.bytes;
-        t.1 += rec.pkts;
+        self.flows.add(rec.flow, rec.bytes, rec.pkts);
         self.head.insert(rec);
         if let Some(n) = self.seal_after {
             if self.head.len() >= n {
@@ -606,10 +601,7 @@ impl TieredTib {
     /// original insertion order).
     pub(crate) fn push_sealed_block(&mut self, encoded: Arc<Vec<u8>>, records: &[TibRecord]) {
         for rec in records {
-            self.flows_any.insert(rec.flow);
-            let t = self.flow_totals.entry(rec.flow).or_insert((0, 0));
-            t.0 += rec.bytes;
-            t.1 += rec.pkts;
+            self.flows.add(rec.flow, rec.bytes, rec.pkts);
         }
         self.sealed_len += records.len();
         self.sealed.push(Arc::new(SealedSegment::from_encoded(
@@ -626,10 +618,13 @@ impl TieredTib {
         self.sealed.iter().map(|s| s.encoded_block()).collect()
     }
 
-    /// Approximate resident bytes across tiers (cold segments count only
+    /// Approximate resident bytes: the store-wide flow table (which no
+    /// seal or eviction shrinks) and every tier (cold segments count only
     /// their cached blocks, if any).
     pub fn approx_bytes(&self) -> usize {
-        self.head.approx_bytes() + self.sealed.iter().map(|s| s.approx_bytes()).sum::<usize>()
+        let tiers =
+            self.head.approx_bytes() + self.sealed.iter().map(|s| s.approx_bytes()).sum::<usize>();
+        self.flows.approx_bytes() + tiers
     }
 }
 
@@ -663,7 +658,7 @@ fn fold_dedup<T: Clone + Eq + std::hash::Hash>(
     range: &TimeRange,
     list: impl Fn(&Tib) -> Vec<T>,
 ) -> Vec<T> {
-    let mut seen: HashSet<T> = HashSet::new();
+    let mut seen: HashSet<T, FnvBuild> = HashSet::default();
     let mut out = Vec::new();
     each_tib(segs, open, range, &mut |t| {
         out.extend(list(t).into_iter().filter(|x| seen.insert(x.clone())));
@@ -722,7 +717,7 @@ impl TibRead for TieredTib {
     fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
         if link.is_any() && range == TimeRange::ANY {
             // Global aggregate: no segment access, no cold reloads.
-            return self.flows_any.order.clone();
+            return self.flows.order.clone();
         }
         let flows = |t: &Tib| t.get_flows(link, range);
         fold_dedup(&self.sealed, &[&self.head], &range, flows)
@@ -735,7 +730,7 @@ impl TibRead for TieredTib {
 
     fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
         if path.is_none() && range == TimeRange::ANY {
-            return self.flow_totals.get(&flow).copied().unwrap_or((0, 0));
+            return self.flows.count(flow);
         }
         fold_count(&self.sealed, &[&self.head], flow, path, range)
     }
@@ -752,27 +747,17 @@ impl TibRead for TieredTib {
     ) {
         if link.is_any() && range == TimeRange::ANY {
             // Global aggregate: no segment access, no cold reloads.
-            for (flow, &(bytes, pkts)) in &self.flow_totals {
-                f(*flow, bytes, pkts);
-            }
-            return;
+            return self.flows.counts().for_each(|(flow, (b, p))| f(flow, b, p));
         }
         let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
         each_tib(&self.sealed, &[&self.head], &range, each);
     }
 
-    fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {
-        if link.is_any() && range == TimeRange::ANY {
-            return self.flow_totals.clone();
-        }
-        sum_flow_counts(|f| self.for_each_flow_count(link, range, f))
-    }
-
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
         if range == TimeRange::ANY {
-            return select_top_k(&self.flow_totals, k);
+            return select_top_k(self.flows.counts(), k);
         }
-        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
+        select_top_k(self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 }
 

@@ -8,24 +8,35 @@
 //! record's `(stime, etime)` again, 16 bytes per id. Every walk of an id
 //! list tests the range there and fetches the 72-byte record only when it
 //! overlaps, so a ranged query touches the records it counts and no
-//! others. Four families of indexes are maintained on `insert`:
+//! others.
 //!
-//! - **Posting lists** — `by_flow` (flow → ids) and `by_link`
-//!   (directed link → ids) serve the exact-match Host API lookups
-//!   (`getPaths`, `getCount`, `getDuration`, exact-link `getFlows`).
-//! - **Switch indexes** — `by_switch_in` / `by_switch_out` map a switch
-//!   to the ids (and the deduplicated flow list) of every record whose
-//!   path enters / leaves it, so wildcard link patterns `<?, Sj>` and
-//!   `<Si, ?>` resolve in one lookup instead of iterating every
-//!   `by_link` key.
-//! - **Live aggregates** — `flow_totals` (running per-flow
-//!   `(bytes, pkts)`) and `flows_any` (insertion-ordered deduplicated
-//!   flow list) answer `top_k_flows`, `link_flow_counts(ANY, ANY)` and
-//!   `get_flows(ANY, ANY)` without touching a single record.
+//! The **flow table** (`flows`) is the store's dictionary: one FNV map
+//! `FlowId → u32` beside two dense columns, `order` (the flows by first
+//! appearance) and `totals` (each flow's running `(bytes, pkts)`); a flow's
+//! *index* is its position in both. `insert` probes that map once. What
+//! else the store keeps per flow — `by_flow`'s posting lists, a bucket's
+//! pre-sums, a switch's "already listed" bit — is keyed by the index, and
+//! the all-time answers (`get_flows(ANY, ANY)`, `get_count(.., ANY)`,
+//! `top_k_flows(k, ANY)`, the `(ANY, ANY)` traversal) read the columns. A
+//! [`TieredTib`](crate::segment::TieredTib) keeps one more such table
+//! across its segments. Three families of indexes hang off it:
+//!
+//! - **Posting lists** — `by_flow` (flow index → ids; a flow's first id is
+//!   held inline) and `by_link` (directed link → ids, an FNV map) serve the
+//!   exact-match Host API lookups (`getPaths`, `getCount`, `getDuration`,
+//!   exact-link `getFlows`).
+//! - **Switch tables** — `by_switch_in` / `by_switch_out` are `Vec`s
+//!   indexed by `SwitchId.0`, grown to the largest id seen (an unused slot
+//!   costs three empty `Vec`s). A slot holds the ids of every record whose
+//!   path enters / leaves the switch, the deduplicated flows among them in
+//!   the order they first came by, and one bit per flow index that says a
+//!   flow is already in that list. Wildcard link patterns `<?, Sj>` and
+//!   `<Si, ?>` resolve in one array access instead of iterating every
+//!   `by_link` key, and filing a record hashes nothing here.
 //! - **Time buckets** — records land in fixed-width stime buckets
 //!   (default [`DEFAULT_BUCKET_WIDTH`], ~O(√n) buckets at the paper's
 //!   240K-records-per-hour Table-1 scale); each bucket carries its own
-//!   per-flow totals and the max etime of its records. A `timeRange`
+//!   totals per flow index and the max etime of its records. A `timeRange`
 //!   aggregate sums whole buckets that lie inside the range and
 //!   clamp-scans only the boundary buckets.
 //!
@@ -65,10 +76,21 @@
 //! | `get_flows(exact, ANY)`        | O(posting list of the link)         |
 //! | `get_flows(wildcard, ANY)`     | O(distinct flows at the switch) — a memcpy |
 //! | `get_flows(pattern, range)`, `link_flow_counts(pattern, range)` | O(posting list), one sequential pass over the ids and their 16-byte spans; records fetched = matches |
-//! | `get_flows(ANY, ANY)`          | O(f) — a memcpy of `flows_any`      |
-//! | `link_flow_counts(ANY, ANY)`   | O(f) — a clone of `flow_totals`     |
+//! | `get_flows(ANY, ANY)`          | O(f) — a memcpy of the table's `order` |
+//! | `link_flow_counts(ANY, ANY)`   | O(f) — builds the returned map from the columns (it was a clone of a map the store kept) |
 //! | `link_flow_counts(ANY, range)` | O(b + flows in buckets overlapping the range) |
 //! | `top_k_flows(k, ANY)`          | O(f) select + O(k log k) sort       |
+//!
+//! The all-time traversal (`for_each_flow_count(ANY, ANY)`) visits flows in
+//! first-appearance order and a pre-summed bucket in its FNV map's order:
+//! both are now the same from run to run, which `RandomState` was not. The
+//! contract is still "no particular order".
+//!
+//! Every map probed per record hashes with FNV (`pathdump_topology::FnvBuild`).
+//! On a 5-tuple that is open to hash flooding by whoever chooses the
+//! tuples; the trajectory memory ([`crate::memory`]) and the datapath's
+//! exact-match cache key the same tuples the same way and accept the same
+//! exposure.
 //!
 //! Indexes mirror the Host API's access patterns (Table 1): by flow ID,
 //! by traversed link, by switch, by time, plus live aggregates for the
@@ -76,9 +98,17 @@
 //! load imbalance).
 
 use crate::record::TibRecord;
-use pathdump_topology::{FlowId, LinkDir, LinkPattern, Nanos, Path, SwitchId, TimeRange};
-use std::collections::hash_map::Entry;
+use pathdump_topology::{FlowId, FnvBuild, LinkDir, LinkPattern, Nanos, Path, TimeRange};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::mem::size_of;
+
+/// A hash map off SipHash: every map the store probes per record.
+type FMap<K, V> = HashMap<K, V, FnvBuild>;
+
+/// Bytes of a map's slots, used or not: an entry and a control byte each.
+fn map_bytes<K, V>(map: &FMap<K, V>) -> usize {
+    map.capacity() * (size_of::<(K, V)>() + 1)
+}
 
 /// Default stime bucket width: 8 seconds. At the paper's Table-1 scale
 /// (240K records spread over "roughly an hour of flows at a server") this
@@ -86,26 +116,55 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// O(√n) bucket headers plus the two boundary buckets' records.
 pub const DEFAULT_BUCKET_WIDTH: Nanos = Nanos(8 * pathdump_topology::SECONDS);
 
-/// An insertion-ordered set of flow ids: the `order` vec is the query
-/// answer (a memcpy away), the `seen` set enforces dedup on insert.
-/// Crate-visible so the tiered engine ([`crate::segment`]) can maintain
-/// the same global first-appearance order across sealed segments.
+/// The store's flow dictionary and its all-time aggregates in one: a
+/// flow's **index** is its rank by first appearance, `order[index]` the
+/// flow (so `order` is `get_flows(ANY, ANY)`, a memcpy away) and
+/// `totals[index]` its running `(bytes, pkts)`. One probe of `index` per
+/// insert; everything else the store keeps per flow is keyed by the `u32`.
+/// Crate-visible so the tiered engine ([`crate::segment`]) keeps the same
+/// table across sealed segments.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct FlowSet {
+pub(crate) struct FlowTable {
+    index: FMap<FlowId, u32>,
     pub(crate) order: Vec<FlowId>,
-    seen: HashSet<FlowId>,
+    totals: Vec<(u64, u64)>,
 }
 
-impl FlowSet {
-    pub(crate) fn insert(&mut self, flow: FlowId) {
-        if self.seen.insert(flow) {
+impl FlowTable {
+    /// Adds one record's counts to `flow`, interning it on first sight;
+    /// returns the flow's index.
+    pub(crate) fn add(&mut self, flow: FlowId, bytes: u64, pkts: u64) -> u32 {
+        let next = self.order.len() as u32;
+        let idx = *self.index.entry(flow).or_insert(next);
+        if idx == next {
             self.order.push(flow);
+            self.totals.push((0, 0));
         }
+        let t = &mut self.totals[idx as usize];
+        t.0 += bytes;
+        t.1 += pkts;
+        idx
     }
 
+    /// All-time `(bytes, pkts)` of `flow`; zero for one never seen.
+    pub(crate) fn count(&self, flow: FlowId) -> (u64, u64) {
+        self.index
+            .get(&flow)
+            .map_or((0, 0), |&i| self.totals[i as usize])
+    }
+
+    /// `(flow, (bytes, pkts))` of every flow, in first-appearance order:
+    /// the all-time traversal, and what all-time `top_k_flows` selects from.
+    pub(crate) fn counts(&self) -> impl Iterator<Item = (FlowId, (u64, u64))> + '_ {
+        self.order.iter().copied().zip(self.totals.iter().copied())
+    }
+
+    /// Resident bytes, at capacity: this is the part of a store that only
+    /// grows.
     pub(crate) fn approx_bytes(&self) -> usize {
-        // Vec entry + hash-set entry (pointer-ish overhead included).
-        self.order.len() * (std::mem::size_of::<FlowId>() * 2 + 16)
+        map_bytes(&self.index)
+            + self.order.capacity() * size_of::<FlowId>()
+            + self.totals.capacity() * size_of::<(u64, u64)>()
     }
 }
 
@@ -113,11 +172,14 @@ impl FlowSet {
 /// documented [`TibRead::top_k_flows`] tie-break — using O(f) selection, then
 /// sorting only those `k`. Shared by the single-arena and tiered engines so
 /// both produce bit-identical rankings.
-pub(crate) fn select_top_k(totals: &HashMap<FlowId, (u64, u64)>, k: usize) -> Vec<(u64, FlowId)> {
+pub(crate) fn select_top_k(
+    totals: impl IntoIterator<Item = (FlowId, (u64, u64))>,
+    k: usize,
+) -> Vec<(u64, FlowId)> {
     if k == 0 {
         return Vec::new();
     }
-    let mut v: Vec<(u64, FlowId)> = totals.iter().map(|(f, &(bytes, _))| (bytes, *f)).collect();
+    let mut v: Vec<(u64, FlowId)> = totals.into_iter().map(|(f, t)| (t.0, f)).collect();
     if v.len() > k {
         v.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
         v.truncate(k);
@@ -127,7 +189,8 @@ pub(crate) fn select_top_k(totals: &HashMap<FlowId, (u64, u64)>, k: usize) -> Ve
 }
 
 /// Per-flow totals of one [`TibRead::for_each_flow_count`] traversal —
-/// what every engine's `link_flow_counts` is, past its all-time shortcut.
+/// what every engine's `link_flow_counts` is. The map is the public return
+/// type, so it is the one `std`-hashed map this file builds.
 pub(crate) fn sum_flow_counts(
     visit: impl FnOnce(&mut dyn FnMut(FlowId, u64, u64)),
 ) -> HashMap<FlowId, (u64, u64)> {
@@ -140,6 +203,30 @@ pub(crate) fn sum_flow_counts(
     out
 }
 
+/// A flow's record ids, in insertion order. Most flows of a segment have
+/// one record, which is held inline: no allocation until the second.
+#[derive(Clone, Debug)]
+enum Postings {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Postings {
+    fn push(&mut self, id: u32) {
+        match self {
+            Postings::One(first) => *self = Postings::Many(vec![*first, id]),
+            Postings::Many(ids) => ids.push(id),
+        }
+    }
+
+    fn ids(&self) -> &[u32] {
+        match self {
+            Postings::One(id) => std::slice::from_ref(id),
+            Postings::Many(ids) => ids,
+        }
+    }
+}
+
 /// Per-switch secondary index: every record whose path enters (or
 /// leaves) the switch, plus the deduplicated flows among them.
 #[derive(Clone, Debug, Default)]
@@ -147,7 +234,34 @@ struct SwitchIndex {
     /// Record ids in insertion order, deduplicated per record.
     ids: Vec<u32>,
     /// Distinct flows in insertion order (the `<?, Sj>` ANY-range answer).
-    flows: FlowSet,
+    flows: Vec<FlowId>,
+    /// Bit `i` is set once the flow of index `i` is in `flows`.
+    listed: Vec<u64>,
+}
+
+impl SwitchIndex {
+    /// Files record `id` of the flow `(fidx, flow)` under this switch.
+    fn push(&mut self, id: u32, fidx: u32, flow: FlowId) {
+        self.ids.push(id);
+        let (word, bit) = (fidx as usize / 64, 1u64 << (fidx % 64));
+        if word >= self.listed.len() {
+            self.listed.resize(word + 1, 0);
+        }
+        let listed = &mut self.listed[word];
+        if *listed & bit == 0 {
+            *listed |= bit;
+            self.flows.push(flow);
+        }
+    }
+}
+
+/// The slot of switch `sw` in a table indexed by switch id, grown on
+/// demand (empty slots cost `size_of::<SwitchIndex>()` each).
+fn slot(table: &mut Vec<SwitchIndex>, sw: u16) -> &mut SwitchIndex {
+    if table.len() <= sw as usize {
+        table.resize_with(sw as usize + 1, SwitchIndex::default);
+    }
+    &mut table[sw as usize]
 }
 
 /// One fixed-width stime bucket with its incremental aggregates.
@@ -155,8 +269,8 @@ struct SwitchIndex {
 struct Bucket {
     /// Ids of records whose stime falls in this bucket (insertion order).
     ids: Vec<u32>,
-    /// Per-flow `(bytes, pkts)` pre-summed over this bucket's records.
-    flow_totals: HashMap<FlowId, (u64, u64)>,
+    /// Flow index → `(bytes, pkts)` pre-summed over this bucket's records.
+    flow_totals: FMap<u32, (u64, u64)>,
     /// Latest etime among this bucket's records (bounds the lookback a
     /// range query needs: a bucket left of the range can only contribute
     /// when some record in it is still alive at the range start).
@@ -170,12 +284,13 @@ pub struct Tib {
     /// `(stime, etime)` of `records[id]`: the dense column an index walk
     /// tests, so that an id outside the range costs no record fetch.
     times: Vec<(Nanos, Nanos)>,
-    by_flow: HashMap<FlowId, Vec<u32>>,
-    by_link: HashMap<LinkDir, Vec<u32>>,
-    by_switch_in: HashMap<SwitchId, SwitchIndex>,
-    by_switch_out: HashMap<SwitchId, SwitchIndex>,
-    flows_any: FlowSet,
-    flow_totals: HashMap<FlowId, (u64, u64)>,
+    flows: FlowTable,
+    /// Flow index → the flow's record ids.
+    by_flow: Vec<Postings>,
+    by_link: FMap<LinkDir, Vec<u32>>,
+    /// `SwitchId.0` → the records entering / leaving the switch.
+    by_switch_in: Vec<SwitchIndex>,
+    by_switch_out: Vec<SwitchIndex>,
     /// stime bucket index (`stime / bucket_width`) → bucket.
     buckets: BTreeMap<u64, Bucket>,
     bucket_width: u64,
@@ -205,12 +320,11 @@ impl Tib {
         Tib {
             records: Vec::new(),
             times: Vec::new(),
-            by_flow: HashMap::new(),
-            by_link: HashMap::new(),
-            by_switch_in: HashMap::new(),
-            by_switch_out: HashMap::new(),
-            flows_any: FlowSet::default(),
-            flow_totals: HashMap::new(),
+            flows: FlowTable::default(),
+            by_flow: Vec::new(),
+            by_link: FMap::default(),
+            by_switch_in: Vec::new(),
+            by_switch_out: Vec::new(),
             buckets: BTreeMap::new(),
             bucket_width: width.0,
         }
@@ -236,44 +350,35 @@ impl Tib {
         self.records.is_empty()
     }
 
-    /// Inserts one record, updating all indexes and aggregates.
+    /// Inserts one record, updating all indexes and aggregates: one probe
+    /// of the flow table, one of `by_link` per link, one of the bucket's
+    /// pre-sums — the switch tables are indexed, not hashed.
     pub fn insert(&mut self, rec: TibRecord) {
         let id = self.records.len() as u32;
-        self.by_flow.entry(rec.flow).or_default().push(id);
+        let fidx = self.flows.add(rec.flow, rec.bytes, rec.pkts);
+        match self.by_flow.get_mut(fidx as usize) {
+            Some(postings) => postings.push(id),
+            None => self.by_flow.push(Postings::One(id)),
+        }
         // Paths are usually simple, but routing-loop scenarios produce
-        // repeated switches; dedup per record with small linear scans.
-        let mut seen_in: Vec<SwitchId> = Vec::new();
-        let mut seen_out: Vec<SwitchId> = Vec::new();
-        for link in rec.path.links() {
-            match self.by_link.entry(link) {
-                Entry::Occupied(mut e) => e.get_mut().push(id),
-                Entry::Vacant(e) => {
-                    e.insert(vec![id]);
-                }
+        // repeated switches; a record is filed once per switch, so skip a
+        // switch one of the path's earlier links already left / entered.
+        let hops = &rec.path.0;
+        for (i, link) in rec.path.links().enumerate() {
+            self.by_link.entry(link).or_default().push(id);
+            if !hops[..i].contains(&link.from) {
+                slot(&mut self.by_switch_out, link.from.0).push(id, fidx, rec.flow);
             }
-            if !seen_out.contains(&link.from) {
-                seen_out.push(link.from);
-                let idx = self.by_switch_out.entry(link.from).or_default();
-                idx.ids.push(id);
-                idx.flows.insert(rec.flow);
-            }
-            if !seen_in.contains(&link.to) {
-                seen_in.push(link.to);
-                let idx = self.by_switch_in.entry(link.to).or_default();
-                idx.ids.push(id);
-                idx.flows.insert(rec.flow);
+            if !hops[1..=i].contains(&link.to) {
+                slot(&mut self.by_switch_in, link.to.0).push(id, fidx, rec.flow);
             }
         }
-        self.flows_any.insert(rec.flow);
-        let t = self.flow_totals.entry(rec.flow).or_insert((0, 0));
-        t.0 += rec.bytes;
-        t.1 += rec.pkts;
         let bucket = self
             .buckets
             .entry(rec.stime.0 / self.bucket_width)
             .or_default();
         bucket.ids.push(id);
-        let bt = bucket.flow_totals.entry(rec.flow).or_insert((0, 0));
+        let bt = bucket.flow_totals.entry(fidx).or_insert((0, 0));
         bt.0 += rec.bytes;
         bt.1 += rec.pkts;
         bucket.max_etime = bucket.max_etime.max(rec.etime);
@@ -300,11 +405,11 @@ impl Tib {
                 .map_or(&EMPTY[..], |v| &v[..]),
             (Some(f), None) => self
                 .by_switch_out
-                .get(&f)
+                .get(f.0 as usize)
                 .map_or(&EMPTY[..], |idx| &idx.ids[..]),
             (None, Some(t)) => self
                 .by_switch_in
-                .get(&t)
+                .get(t.0 as usize)
                 .map_or(&EMPTY[..], |idx| &idx.ids[..]),
             (None, None) => unreachable!("ANY handled by callers"),
         }
@@ -314,16 +419,16 @@ impl Tib {
     /// (ANY and half-wildcard patterns; exact links have none).
     fn pattern_flows(&self, link: LinkPattern) -> Option<&[FlowId]> {
         match (link.from, link.to) {
-            (None, None) => Some(&self.flows_any.order),
+            (None, None) => Some(&self.flows.order),
             (Some(f), None) => Some(
                 self.by_switch_out
-                    .get(&f)
-                    .map_or(&[][..], |idx| &idx.flows.order),
+                    .get(f.0 as usize)
+                    .map_or(&[][..], |idx| &idx.flows),
             ),
             (None, Some(t)) => Some(
                 self.by_switch_in
-                    .get(&t)
-                    .map_or(&[][..], |idx| &idx.flows.order),
+                    .get(t.0 as usize)
+                    .map_or(&[][..], |idx| &idx.flows),
             ),
             (Some(_), Some(_)) => None,
         }
@@ -394,7 +499,8 @@ impl Tib {
         path: Option<&'a Path>,
         range: TimeRange,
     ) -> impl Iterator<Item = &'a TibRecord> {
-        let ids = self.by_flow.get(&flow).map_or(&[][..], |ids| &ids[..]);
+        let fidx = self.flows.index.get(&flow);
+        let ids = fidx.map_or(&[][..], |&i| self.by_flow[i as usize].ids());
         let recs = ids.iter().map(|&id| &self.records[id as usize]);
         recs.filter(move |r| r.overlaps(&range) && path.is_none_or(|p| r.path == *p))
     }
@@ -441,40 +547,41 @@ impl Tib {
         range.start.is_none_or(|s| s.0 <= start) && range.end.is_none_or(|e| end <= e.0)
     }
 
-    /// Approximate resident bytes of records + indexes (§5.3).
+    /// Approximate resident bytes of records + indexes (§5.3). The switch
+    /// tables count every slot up to the largest switch id seen, empty ones
+    /// included.
     pub fn approx_bytes(&self) -> usize {
         let recs: usize = self
             .records
             .iter()
-            .map(|r| std::mem::size_of::<TibRecord>() + r.path.len() * 2)
+            .map(|r| size_of::<TibRecord>() + r.path.len() * 2)
             .sum();
-        let times = self.times.len() * std::mem::size_of::<(Nanos, Nanos)>();
-        let flows = self.by_flow.len() * (std::mem::size_of::<FlowId>() + 16);
+        let times = self.times.len() * size_of::<(Nanos, Nanos)>();
+        let postings: usize = self
+            .by_flow
+            .iter()
+            .map(|p| size_of::<Postings>() + p.ids().len() * 4)
+            .sum();
         let links: usize = self
             .by_link
             .values()
-            .map(|v| std::mem::size_of::<LinkDir>() + v.len() * 4)
+            .map(|v| size_of::<LinkDir>() + v.len() * 4)
             .sum();
         let switches: usize = self
             .by_switch_in
-            .values()
-            .chain(self.by_switch_out.values())
-            .map(|idx| {
-                std::mem::size_of::<SwitchId>() + idx.ids.len() * 4 + idx.flows.approx_bytes()
+            .iter()
+            .chain(&self.by_switch_out)
+            .map(|s| {
+                let lists = s.ids.len() * 4 + s.flows.len() * size_of::<FlowId>();
+                size_of::<SwitchIndex>() + lists + s.listed.len() * 8
             })
             .sum();
-        let aggregates = self.flows_any.approx_bytes()
-            + self.flow_totals.len() * (std::mem::size_of::<FlowId>() + 16 + 16);
         let buckets: usize = self
             .buckets
             .values()
-            .map(|b| {
-                std::mem::size_of::<Bucket>()
-                    + b.ids.len() * 4
-                    + b.flow_totals.len() * (std::mem::size_of::<FlowId>() + 16 + 16)
-            })
+            .map(|b| size_of::<Bucket>() + b.ids.len() * 4 + map_bytes(&b.flow_totals))
             .sum();
-        recs + times + flows + links + switches + aggregates + buckets
+        recs + times + self.flows.approx_bytes() + postings + links + switches + buckets
     }
 }
 
@@ -549,7 +656,7 @@ pub trait TibRead {
     /// Ties are broken by flow id (descending), making the result
     /// deterministic regardless of construction order.
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
+        select_top_k(self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 
     /// Every visible record, cloned, in insertion order (snapshots,
@@ -579,7 +686,7 @@ impl TibRead for Tib {
                 return flows.to_vec();
             }
         }
-        let mut seen = HashSet::new();
+        let mut seen: HashSet<FlowId, FnvBuild> = HashSet::default();
         let mut out = Vec::new();
         let push = |rec: &TibRecord| {
             if seen.insert(rec.flow) {
@@ -603,11 +710,11 @@ impl TibRead for Tib {
     }
 
     fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
-        let mut seen = HashSet::new();
+        let mut seen: HashSet<&Path, FnvBuild> = HashSet::default();
         let mut out = Vec::new();
         for rec in self.flow_records(flow, None, range) {
             let matches = link.is_any() || rec.path.links().any(|l| link.matches(l));
-            if matches && seen.insert(rec.path.clone()) {
+            if matches && seen.insert(&rec.path) {
                 out.push(rec.path.clone());
             }
         }
@@ -617,7 +724,7 @@ impl TibRead for Tib {
     fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
         if path.is_none() && range == TimeRange::ANY {
             // All-time flow totals are maintained incrementally.
-            return self.flow_totals.get(&flow).copied().unwrap_or((0, 0));
+            return self.flows.count(flow);
         }
         let recs = self.flow_records(flow, path, range);
         recs.fold((0, 0), |(b, p), rec| (b + rec.bytes, p + rec.pkts))
@@ -641,17 +748,14 @@ impl TibRead for Tib {
             return;
         }
         if range == TimeRange::ANY {
-            for (flow, &(bytes, pkts)) in &self.flow_totals {
-                f(*flow, bytes, pkts);
-            }
-            return;
+            return self.flows.counts().for_each(|(flow, (b, p))| f(flow, b, p));
         }
         // All links, ranged: whole-bucket sums for buckets inside the
         // range, clamp-scans for boundary/lookback buckets.
         for (k, bucket) in self.live_buckets(&range) {
             if self.bucket_contained(k, &range) {
-                for (flow, &(bytes, pkts)) in &bucket.flow_totals {
-                    f(*flow, bytes, pkts);
+                for (&fidx, &(bytes, pkts)) in &bucket.flow_totals {
+                    f(self.flows.order[fidx as usize], bytes, pkts);
                 }
             } else {
                 for &id in &bucket.ids {
@@ -663,20 +767,12 @@ impl TibRead for Tib {
         }
     }
 
-    fn link_flow_counts(&self, link: LinkPattern, range: TimeRange) -> HashMap<FlowId, (u64, u64)> {
-        if link.is_any() && range == TimeRange::ANY {
-            // The live aggregate IS the answer.
-            return self.flow_totals.clone();
-        }
-        sum_flow_counts(|f| self.for_each_flow_count(link, range, f))
-    }
-
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
         if range == TimeRange::ANY {
             // Served from the live aggregate: no per-record work at all.
-            return select_top_k(&self.flow_totals, k);
+            return select_top_k(self.flows.counts(), k);
         }
-        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
+        select_top_k(self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 }
 
@@ -876,6 +972,20 @@ mod tests {
         let a = t.approx_bytes();
         t.insert(rec(1, &[0, 8, 4], 0, 1, 1));
         assert!(t.approx_bytes() > a);
+    }
+
+    #[test]
+    fn size_accounting_counts_empty_switch_slots() {
+        // One record on the last switch id: both tables are indexed by id,
+        // so the out table spans all 65 536 slots, used or not.
+        let mut t = Tib::new();
+        t.insert(rec(1, &[u16::MAX, 3], 0, 1, 1));
+        let table = 65_536 * size_of::<SwitchIndex>();
+        assert!(t.approx_bytes() > table, "{} <= {table}", t.approx_bytes());
+        assert!(
+            t.approx_bytes() < 2 * table,
+            "the in table stops at switch 3"
+        );
     }
 
     #[test]

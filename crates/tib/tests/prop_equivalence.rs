@@ -421,14 +421,7 @@ fn wide_tiered(raw: &[TibRecord], acts: &[u8], width: u64, dir: &std::path::Path
     let mut tib = TieredTib::with_bucket_width(Nanos(width));
     for (i, rec) in raw.iter().enumerate() {
         tib.insert(rec.clone());
-        match acts.get(i).copied().unwrap_or(0) {
-            3 => tib.seal(),
-            4 => {
-                tib.seal();
-                tib.evict_cold(1, dir).expect("evict");
-            }
-            _ => {}
-        }
+        act(&mut tib, acts.get(i).copied().unwrap_or(0), dir);
     }
     tib
 }
@@ -467,16 +460,20 @@ fn tiered_build(
         };
         tib.insert(rec.clone());
         raw.push(rec);
-        match acts.get(i).copied().unwrap_or(0) {
-            3 => tib.seal(),
-            4 => {
-                tib.seal();
-                tib.evict_cold(1, dir).expect("evict");
-            }
-            _ => {}
-        }
+        act(&mut tib, acts.get(i).copied().unwrap_or(0), dir);
     }
     (tib, raw)
+}
+
+/// One step of the interleaving: `3` seals, `4` seals and evicts
+/// all-but-one segment cold, anything else leaves the store alone.
+fn act(tib: &mut TieredTib, action: u8, dir: &std::path::Path) {
+    if action == 3 || action == 4 {
+        tib.seal();
+    }
+    if action == 4 {
+        tib.evict_cold(1, dir).expect("evict");
+    }
 }
 
 proptest! {

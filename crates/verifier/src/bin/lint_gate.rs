@@ -16,6 +16,11 @@
 //!   they all parse outside input with: `crates/wire/src/**` and
 //!   `crates/core/src/query.rs`. A panic in any of these takes down the
 //!   datapath, the simulation, or the query plane.
+//! - `HashMap::new()`, `HashSet::new()` and `RandomState` are banned in the
+//!   store's per-record files, `crates/tib/src/tib.rs` and `segment.rs`:
+//!   each builds a SipHash table, and an insert there is budgeted in
+//!   nanoseconds. Maps and sets take `FnvBuild` (`…::default()`); the one
+//!   allowlisted site builds the `HashMap` that `link_flow_counts` returns.
 //! - `println!` is banned in all library code (benches and bins own stdout;
 //!   libraries must not pollute it — `BENCH_tib.json` is parsed from files,
 //!   and dpswitch pipelines stdout).
@@ -81,6 +86,12 @@ const HOT_PATHS: &[&str] = &[
     "crates/wire/src/",
     "crates/core/src/query.rs",
 ];
+
+/// Files that may not build a `std`-hashed table (see the module docs).
+const NO_SIPHASH: &[&str] = &["crates/tib/src/tib.rs", "crates/tib/src/segment.rs"];
+
+/// What builds one.
+const SIPHASH: &[&str] = &["HashMap::new()", "HashSet::new()", "RandomState"];
 
 /// One banned-pattern hit.
 #[derive(Debug, PartialEq, Eq)]
@@ -150,6 +161,13 @@ fn scan_source(file: &str, source: &str) -> Vec<Finding> {
             }
             if has_bounded(line, "expect(") {
                 hit("expect(");
+            }
+        }
+        if NO_SIPHASH.contains(&file) {
+            for pattern in SIPHASH {
+                if has_bounded(line, pattern) {
+                    hit(pattern);
+                }
             }
         }
         if has_bounded(line, "println!") {
@@ -464,6 +482,27 @@ mod tests {
         let f = scan_source("crates/topology/src/graph.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].pattern, "println!");
+    }
+
+    #[test]
+    fn store_files_may_not_build_siphash_tables() {
+        let src = "use std::collections::hash_map::RandomState;\nfn f() {\n    let a = HashMap::new();\n    let b: HashSet<u32> = HashSet::new();\n    let c: FMap<u32, u32> = FMap::default();\n    let d: HashSet<u32, FnvBuild> = HashSet::default();\n}\n#[cfg(test)]\nmod tests {\n    fn g() { let t = HashMap::new(); }\n}\n";
+        let f = scan_source("crates/tib/src/segment.rs", src);
+        let hits: Vec<_> = f.iter().map(|f| (f.line_no, f.pattern)).collect();
+        assert_eq!(
+            hits,
+            [
+                (1, "RandomState"),
+                (3, "HashMap::new()"),
+                (4, "HashSet::new()")
+            ]
+        );
+        // The rule is the store's: the same source elsewhere is clean.
+        assert!(scan_source("crates/core/src/cluster.rs", src).is_empty());
+        // The one tolerated site, by its allowlist line.
+        let allow = parse_allowlist("crates/tib/src/tib.rs HashMap::new()\n", false);
+        let f = scan_source("crates/tib/src/tib.rs", "let mut out = HashMap::new();\n");
+        assert!(is_allowed(&f[0], &allow, &mut [false]));
     }
 
     #[test]

@@ -81,6 +81,22 @@ fn get_flows_get_paths_get_count_get_duration() {
     assert!(d > Nanos::ZERO && d < Nanos::from_secs(60));
 }
 
+/// The store hashes with FNV inside, but `link_flow_counts` still returns
+/// the `std` map with the default hasher that callers name in their own
+/// signatures (`HashMap<FlowId, (u64, u64)>`): the annotation is the pin.
+/// Its all-time, all-links answer is built from the store's flow table.
+#[test]
+fn link_flow_counts_keeps_its_std_hash_map_type() {
+    let (tb, flow, _, dst) = loaded();
+    let tib = &tb.sim.world.agents[dst.index()].tib;
+    let counts: std::collections::HashMap<FlowId, (u64, u64)> =
+        tib.link_flow_counts(LinkPattern::ANY, TimeRange::ANY);
+    assert_eq!(counts[&flow], tib.get_count(flow, None, TimeRange::ANY));
+    let flows = tib.get_flows(LinkPattern::ANY, TimeRange::ANY);
+    assert_eq!(counts.len(), flows.len());
+    assert!(flows.iter().all(|f| counts.contains_key(f)));
+}
+
 #[test]
 fn get_poor_tcp_flows_via_world() {
     let mut tb = Testbed::default_k4();
