@@ -777,6 +777,15 @@ mod tests {
         (0..n_hosts).map(|h| tib_with(h, records)).collect()
     }
 
+    /// The oracle: every queried host's local answer folded flat.
+    fn flat_fold(tibs: &[Tib], q: &Query, hosts: &[usize]) -> Response {
+        let mut acc = Response::empty_for(q);
+        for &h in hosts {
+            acc.merge(execute_on_tib(&tibs[h], q));
+        }
+        acc
+    }
+
     #[test]
     fn lossless_tree_matches_multilevel_oracle() {
         let data = tibs(30, 40);
@@ -788,10 +797,11 @@ mod tests {
         };
         let oracle = cluster.multilevel_query(&hosts, &q, &[7, 4, 4]);
 
-        let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), data);
+        let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), data.clone());
         let id = plane.submit(&q, &hosts, &[7, 4, 4]);
         let out = plane.run(id).expect("completes");
         assert_eq!(out.response, oracle.response);
+        assert_eq!(out.response, flat_fold(&data, &q, &hosts));
         assert!(out.coverage.is_complete());
         assert_eq!(out.coverage.answered.len(), 30);
         assert!(out.coverage.partitions(&(0..30u32).collect::<Vec<_>>()));
@@ -809,7 +819,7 @@ mod tests {
             max_queries_inflight: 2, // force queueing
             ..RpcConfig::default()
         };
-        let mut plane = TreePlane::new(Loopback::default(), cfg, data);
+        let mut plane = TreePlane::new(Loopback::default(), cfg, data.clone());
         let queries = [
             Query::TopK {
                 k: 5,
@@ -841,6 +851,7 @@ mod tests {
             let out = plane.take_outcome(id).expect("completed");
             let oracle = cluster.multilevel_query(&hosts, q, &[3, 2, 2]);
             assert_eq!(out.response, oracle.response, "query {q:?}");
+            assert_eq!(out.response, flat_fold(&data, q, &hosts), "query {q:?}");
             assert!(out.coverage.is_complete());
             assert!(out.deadline_met);
         }
@@ -848,16 +859,15 @@ mod tests {
 
     #[test]
     fn empty_host_set_completes_immediately() {
-        let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs(4, 5));
-        let id = plane.submit(
-            &Query::TopK {
-                k: 3,
-                range: TimeRange::ANY,
-            },
-            &[],
-            &[7, 4, 4],
-        );
+        let data = tibs(4, 5);
+        let q = Query::TopK {
+            k: 3,
+            range: TimeRange::ANY,
+        };
+        let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), data.clone());
+        let id = plane.submit(&q, &[], &[7, 4, 4]);
         let out = plane.run(id).expect("completes");
+        assert_eq!(out.response, flat_fold(&data, &q, &[]));
         assert_eq!(
             out.response,
             Response::TopK {
@@ -877,10 +887,11 @@ mod tests {
             range: TimeRange::ANY,
         };
         let oracle = cluster.multilevel_query(&[0], &q, &[7, 4, 4]);
-        let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), data);
+        let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), data.clone());
         let id = plane.submit(&q, &[0], &[7, 4, 4]);
         let out = plane.run(id).expect("completes");
         assert_eq!(out.response, oracle.response);
+        assert_eq!(out.response, flat_fold(&data, &q, &[0]));
         assert_eq!(out.coverage.answered, vec![0]);
     }
 
@@ -901,10 +912,11 @@ mod tests {
             max_children_inflight: 2,
             ..RpcConfig::default()
         };
-        let mut plane = TreePlane::new(Loopback::default(), cfg, data);
+        let mut plane = TreePlane::new(Loopback::default(), cfg, data.clone());
         let id = plane.submit(&q, &hosts, &[20]);
         let out = plane.run(id).expect("completes");
         assert_eq!(out.response, oracle.response);
+        assert_eq!(out.response, flat_fold(&data, &q, &hosts));
         assert!(out.coverage.is_complete());
     }
 }

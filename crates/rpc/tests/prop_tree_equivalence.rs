@@ -15,10 +15,14 @@
 //! Inputs are kept deliberately small: the vendored proptest stub does not
 //! shrink failures.
 
-use pathdump_core::{build_tree, Cluster, MgmtNet, Query, TreeNode};
-use pathdump_rpc::{Channel, Loopback, PlaneStats, RpcConfig, TreePlane};
+use pathdump_core::{build_tree, execute_on_tib, Cluster, MgmtNet, Query, Response, TreeNode};
+use pathdump_rpc::{
+    Channel, Coverage, Loopback, PlaneStats, ReplyMsg, RequestMsg, RpcConfig, TreePlane,
+    FRAME_RPC_REPLY, FRAME_RPC_REQUEST,
+};
 use pathdump_tib::{Tib, TibRecord};
 use pathdump_topology::{FlowId, Ip, LinkPattern, Nanos, Path, SwitchId, TimeRange};
+use pathdump_wire::Frame;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -53,6 +57,18 @@ fn mk_tibs(seed: u64, n_hosts: usize) -> Vec<Tib> {
             t
         })
         .collect()
+}
+
+/// The oracle: the flat fold of every queried host's local answer. The
+/// merge is a semilattice on every variant (`merge_differential` pins that
+/// every split and rotation equals the left fold), so any tree over the
+/// same hosts must equal it.
+fn flat_fold(tibs: &[Tib], q: &Query, hosts: &[usize]) -> Response {
+    let mut acc = Response::empty_for(q);
+    for &h in hosts {
+        acc.merge(execute_on_tib(&tibs[h], q));
+    }
+    acc
 }
 
 /// Query spec: variant selector plus raw parameter material.
@@ -164,7 +180,7 @@ fn check_equivalence(
     let cluster = Cluster::new(tibs.clone(), MgmtNet::default());
     let oracle = cluster.multilevel_query(&hosts, &q, fanouts);
 
-    let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs);
+    let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs.clone());
     let id = plane.submit(&q, &hosts, fanouts);
     let Some(out) = plane.run(id) else {
         return Err(proptest::test_runner::TestCaseError::fail(format!(
@@ -176,6 +192,14 @@ fn check_equivalence(
         &out.response,
         &oracle.response,
         "plane vs oracle diverged: q={:?} hosts={:?} fanouts={:?}",
+        q,
+        hosts,
+        fanouts
+    );
+    prop_assert_eq!(
+        &out.response,
+        &flat_fold(&tibs, &q, &hosts),
+        "plane vs flat fold diverged: q={:?} hosts={:?} fanouts={:?}",
         q,
         hosts,
         fanouts
@@ -240,10 +264,11 @@ fn fig12_size_topk_is_quiet_on_the_wire() {
     let oracle =
         Cluster::new(tibs.clone(), MgmtNet::default()).multilevel_query(&hosts, &q, &fanouts);
 
-    let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs);
+    let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs.clone());
     let id = plane.submit(&q, &hosts, &fanouts);
     let out = plane.run(id).expect("completes");
     assert_eq!(out.response, oracle.response);
+    assert_eq!(out.response, flat_fold(&tibs, &q, &hosts));
     assert!(out.coverage.is_complete() && out.deadline_met);
     assert_eq!(plane.stats(), PlaneStats::default());
     assert_eq!(lossless_frames(&hosts, &fanouts), 62);
@@ -252,6 +277,210 @@ fn fig12_size_topk_is_quiet_on_the_wire() {
     assert!(
         reply_bytes > 150_000,
         "replies of {reply_bytes} bytes are not Fig 12's size"
+    );
+}
+
+/// `n` records of distinct flows from one source subnet per host, on one
+/// three-switch path.
+fn tib_with(host: usize, n: usize) -> Tib {
+    let mut t = Tib::new();
+    for i in 0..n {
+        t.insert(TibRecord {
+            flow: FlowId::tcp(
+                Ip::new(10, host as u8, 0, 2),
+                1000 + i as u16,
+                Ip::new(10, 99, 0, 2),
+                80,
+            ),
+            path: Path::new(vec![SwitchId(0), SwitchId(8), SwitchId(4)]),
+            stime: Nanos(i as u64),
+            etime: Nanos(i as u64 + 10),
+            bytes: (host * 1000 + i * 17) as u64,
+            pkts: 1,
+        });
+    }
+    t
+}
+
+/// One complete query's answer and the bytes it put on the channel.
+fn traffic_of<C: Channel>(
+    plane: &mut TreePlane<C>,
+    q: &Query,
+    hosts: &[usize],
+    fanouts: &[usize],
+) -> (Response, u64) {
+    let before = plane.channel().bytes_sent();
+    let id = plane.submit(q, hosts, fanouts);
+    let out = plane.run(id).expect("completes");
+    assert!(out.coverage.is_complete(), "{:?}", out.coverage);
+    (out.response, plane.channel().bytes_sent() - before)
+}
+
+/// Direct (every host a root of its own one-node tree) and the paper's
+/// `[7, 4, 4]` tree answer four query shapes with the flat fold, and
+/// direct puts exactly one request and one reply frame per host on the
+/// wire, nothing else.
+#[test]
+fn direct_and_tree_agree_on_results() {
+    let tibs: Vec<Tib> = (0..30).map(|h| tib_with(h, 50)).collect();
+    let hosts: Vec<usize> = (0..30).collect();
+    let cfg = RpcConfig {
+        max_children_inflight: hosts.len(),
+        ..RpcConfig::default()
+    };
+    let mut plane = TreePlane::new(Loopback::default(), cfg, tibs.clone());
+    let queries = [
+        Query::FlowSizeDist {
+            link: LinkPattern::ANY,
+            range: TimeRange::ANY,
+            bin_bytes: 1000,
+        },
+        Query::TopK {
+            k: 20,
+            range: TimeRange::ANY,
+        },
+        Query::GetFlows {
+            link: LinkPattern::exact(SwitchId(0), SwitchId(8)),
+            range: TimeRange::ANY,
+        },
+        Query::TrafficMatrix {
+            range: TimeRange::ANY,
+        },
+    ];
+    for q in &queries {
+        let frames_before = plane.channel().frames_sent();
+        let bytes_before = plane.channel().bytes_sent();
+        let child_deadline = plane.now() + cfg.deadline - cfg.hop_slack;
+        let id = plane.submit(q, &hosts, &[hosts.len()]);
+        let direct = plane.run(id).expect("completes");
+        let per_host: u64 = hosts
+            .iter()
+            .map(|&h| {
+                let request = RequestMsg {
+                    req_id: id,
+                    deadline: child_deadline,
+                    query: q.clone(),
+                    subtree: TreeNode {
+                        host: h,
+                        children: Vec::new(),
+                    },
+                };
+                let reply = ReplyMsg {
+                    req_id: id,
+                    response: execute_on_tib(&tibs[h], q),
+                    coverage: Coverage::answered_one(h as u32),
+                };
+                (Frame::build(FRAME_RPC_REQUEST, &request).len()
+                    + Frame::build(FRAME_RPC_REPLY, &reply).len()) as u64
+            })
+            .sum();
+        assert_eq!(
+            plane.channel().frames_sent() - frames_before,
+            2 * hosts.len() as u64,
+            "query {q:?}"
+        );
+        assert_eq!(
+            plane.channel().bytes_sent() - bytes_before,
+            per_host,
+            "query {q:?}"
+        );
+        let (tree, tree_bytes) = traffic_of(&mut plane, q, &hosts, &[7, 4, 4]);
+        assert_eq!(direct.response, tree, "query {q:?}");
+        assert_eq!(direct.response, flat_fold(&tibs, q, &hosts), "query {q:?}");
+        assert!(direct.coverage.is_complete() && direct.elapsed > Nanos::ZERO);
+        assert!(tree_bytes > 0);
+    }
+    assert_eq!(plane.stats(), PlaneStats::default());
+}
+
+/// Deliberately tied top-k inputs: the same flow on several hosts with
+/// different byte totals (so merges see duplicates), and distinct flows
+/// with equal totals (so the k-th slot is decided by tie-breaking alone).
+/// Direct and two tree shapes give the *exact* same entries, equal to the
+/// flat fold, and the top of the answer keeps each flow's max.
+#[test]
+fn topk_ties_agree_across_mechanisms() {
+    let flow = |s: u16| FlowId::tcp(Ip::new(10, 0, 0, 2), s, Ip::new(10, 99, 0, 2), 80);
+    let path = Path::new(vec![SwitchId(0), SwitchId(8), SwitchId(4)]);
+    let mut tibs: Vec<Tib> = (0..12).map(|_| Tib::new()).collect();
+    let mut put = |host: usize, sport: u16, bytes: u64| {
+        tibs[host].insert(TibRecord {
+            flow: flow(sport),
+            path: path.clone(),
+            stime: Nanos(1),
+            etime: Nanos(10),
+            bytes,
+            pkts: 1,
+        });
+    };
+    // Flow 2 on three hosts with three different totals (non-adjacent
+    // duplicates after a descending sort), flows 5/6 competing for the
+    // last slots, and a four-way byte tie at 500 across hosts.
+    put(0, 2, 9900);
+    put(3, 2, 9700);
+    put(7, 2, 9650);
+    put(1, 5, 9800);
+    put(2, 6, 9600);
+    for (host, sport) in [(4, 10), (5, 11), (6, 12), (8, 13)] {
+        put(host, sport, 500);
+    }
+    // Background flows so every host answers something.
+    for h in 0..12 {
+        put(h, 100 + h as u16, 10 + h as u64);
+    }
+    let hosts: Vec<usize> = (0..12).collect();
+    let cfg = RpcConfig {
+        max_children_inflight: hosts.len(),
+        ..RpcConfig::default()
+    };
+    let mut plane = TreePlane::new(Loopback::default(), cfg, tibs.clone());
+    for k in [1u32, 2, 3, 4, 5, 6, 8] {
+        let q = Query::TopK {
+            k,
+            range: TimeRange::ANY,
+        };
+        let (direct, _) = traffic_of(&mut plane, &q, &hosts, &[12]);
+        let (tree, _) = traffic_of(&mut plane, &q, &hosts, &[7, 4, 4]);
+        assert_eq!(direct, tree, "k={k}");
+        let (deep, _) = traffic_of(&mut plane, &q, &hosts, &[3, 2, 2]);
+        assert_eq!(direct, deep, "k={k} deep tree");
+        assert_eq!(direct, flat_fold(&tibs, &q, &hosts), "k={k} flat fold");
+        if k == 3 {
+            assert_eq!(
+                direct,
+                Response::TopK {
+                    k: 3,
+                    entries: vec![(9900, flow(2)), (9800, flow(5)), (9600, flow(6))]
+                }
+            );
+        }
+    }
+    assert_eq!(plane.stats(), PlaneStats::default());
+}
+
+/// With a large k relative to per-host data, every interior node discards
+/// the pairs beyond k, while direct ships every host's full top-k to the
+/// controller: tree traffic — acks and source-routed subtrees included —
+/// stays under 1.6 × direct's.
+#[test]
+fn topk_tree_reduces_traffic() {
+    let tibs: Vec<Tib> = (0..60).map(|h| tib_with(h, 400)).collect();
+    let hosts: Vec<usize> = (0..60).collect();
+    let cfg = RpcConfig {
+        max_children_inflight: hosts.len(),
+        ..RpcConfig::default()
+    };
+    let mut plane = TreePlane::new(Loopback::default(), cfg, tibs);
+    let q = Query::TopK {
+        k: 200,
+        range: TimeRange::ANY,
+    };
+    let (direct, direct_bytes) = traffic_of(&mut plane, &q, &hosts, &[60]);
+    let (tree, tree_bytes) = traffic_of(&mut plane, &q, &hosts, &[7, 4, 4]);
+    assert_eq!(direct, tree);
+    assert!(
+        (tree_bytes as f64) < direct_bytes as f64 * 1.6,
+        "tree {tree_bytes} vs direct {direct_bytes}"
     );
 }
 
@@ -295,7 +524,7 @@ proptest! {
             max_queries_inflight: inflight,
             ..RpcConfig::default()
         };
-        let mut plane = TreePlane::new(Loopback::default(), cfg, tibs);
+        let mut plane = TreePlane::new(Loopback::default(), cfg, tibs.clone());
         let queries: Vec<Query> = specs.iter().map(|&s| mk_query(s)).collect();
         let ids: Vec<_> = queries.iter().map(|q| plane.submit(q, &hosts, fanouts)).collect();
         plane.run_until_idle();
@@ -307,6 +536,7 @@ proptest! {
             };
             let oracle = cluster.multilevel_query(&hosts, q, fanouts);
             prop_assert_eq!(&out.response, &oracle.response, "q={:?}", q);
+            prop_assert_eq!(&out.response, &flat_fold(&tibs, q, &hosts), "q={:?}", q);
             prop_assert!(out.coverage.is_complete());
             prop_assert!(out.deadline_met);
         }
