@@ -1,8 +1,10 @@
 //! Figure 11: flow-size-distribution query — end-to-end response time and
 //! management-network traffic, direct vs multi-level, vs number of hosts.
+//! Both run on the rpc plane, each host's execution and merges charged at
+//! their measured wall time.
 
-use pathdump_bench::{banner, fmt_bytes, row, synth_tib, Args};
-use pathdump_core::{Cluster, MgmtNet, Query};
+use pathdump_bench::{banner, direct_and_tree, fmt_bytes, row, synth_tib, Args};
+use pathdump_core::Query;
 use pathdump_topology::{FatTree, FatTreeParams, HostId, LinkDir, LinkPattern, TimeRange};
 
 fn main() {
@@ -24,7 +26,6 @@ fn main() {
     let tibs: Vec<_> = (0..max_hosts)
         .map(|h| synth_tib(&ft, HostId(h as u32), records, args.seed))
         .collect();
-    let cluster = Cluster::new(tibs, MgmtNet::default());
     // Query: FSD of one heavily used link (an agg->core link), 10KB bins
     // (the paper's binsize = 10000).
     let link = LinkDir::new(ft.agg(0, 0), ft.core(0));
@@ -40,17 +41,16 @@ fn main() {
         "direct traffic".into(),
         "multi traffic".into(),
     ]);
-    for &n in &[28usize, 56, 84, 112] {
-        let hosts: Vec<usize> = (0..n.min(max_hosts)).collect();
-        let d = cluster.direct_query(&hosts, &q);
-        let m = cluster.multilevel_query(&hosts, &q, &[7, 4, 4]);
-        assert_eq!(d.response, m.response, "mechanisms must agree");
+    let sizes = [28usize, 56, 84, 112].map(|n| n.min(max_hosts));
+    for (n, [(d, d_bytes), (m, m_bytes)]) in
+        sizes.into_iter().zip(direct_and_tree(tibs, &q, &sizes))
+    {
         row(&[
             format!("{n}"),
             format!("{:.3}", d.elapsed.as_secs_f64() * 1e3),
             format!("{:.3}", m.elapsed.as_secs_f64() * 1e3),
-            fmt_bytes(d.wire_bytes),
-            fmt_bytes(m.wire_bytes),
+            fmt_bytes(d_bytes),
+            fmt_bytes(m_bytes),
         ]);
     }
     println!(

@@ -5,6 +5,8 @@
 //! (the file name says which) and prints the same rows/series the paper
 //! reports, plus a `paper:` reference line with the paper's own number.
 
+use pathdump_core::Query;
+use pathdump_rpc::{Channel, Loopback, Measured, PlaneStats, QueryOutcome, RpcConfig, TreePlane};
 use pathdump_tib::{Tib, TibRecord};
 use pathdump_topology::{FatTree, FlowId, HostId, Nanos, UpDownRouting};
 use rand::rngs::SmallRng;
@@ -142,6 +144,50 @@ pub fn synth_tib(ft: &FatTree, host: HostId, n: usize, seed: u64) -> Tib {
         });
     }
     tib
+}
+
+/// Figures 11/12: `q` over hosts `0..n` for each `n` in `sizes`, direct
+/// (every host a root) and down the `[7, 4, 4]` tree, on the lossless rpc
+/// plane with measured compute; each outcome with the bytes it sent.
+/// Panics unless both answers are complete and equal and the plane stayed
+/// quiet — `rto` is far above a 24 K-record leaf's top-k + 160 KB reply,
+/// and one cached reply per agent bounds memory.
+pub fn direct_and_tree(
+    tibs: Vec<Tib>,
+    q: &Query,
+    sizes: &[usize],
+) -> Vec<[(QueryOutcome, u64); 2]> {
+    let cfg = RpcConfig {
+        rto: Nanos::from_secs(1),
+        deadline: Nanos::from_secs(10),
+        max_children_inflight: tibs.len(),
+        reply_cache_cap: 1,
+        ..RpcConfig::default()
+    };
+    let mut plane = TreePlane::with_compute(Loopback::default(), cfg, tibs, Measured);
+    let mut run = |hosts: &[usize], fanouts: &[usize]| {
+        let before = plane.channel().bytes_sent();
+        let id = plane.submit(q, hosts, fanouts);
+        let out = plane.run(id).expect("deadlines guarantee completion");
+        assert!(out.coverage.is_complete(), "{:?}", out.coverage);
+        assert_eq!(
+            plane.stats(),
+            PlaneStats::default(),
+            "a lossless run is quiet"
+        );
+        (out, plane.channel().bytes_sent() - before)
+    };
+    let mut pairs = Vec::new();
+    for &n in sizes {
+        let hosts: Vec<usize> = (0..n).collect();
+        let pair = [run(&hosts, &[n]), run(&hosts, &[7, 4, 4])];
+        assert_eq!(
+            pair[0].0.response, pair[1].0.response,
+            "mechanisms must agree"
+        );
+        pairs.push(pair);
+    }
+    pairs
 }
 
 /// Mean over a slice.

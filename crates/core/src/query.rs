@@ -211,9 +211,9 @@ impl Response {
 /// input the result is that of concatenate, sort, keep each flow's first
 /// entry, truncate. A flow's first entry in merged order is its max. The
 /// dedup must be *global* (a set), not adjacent-only, or a flow that hosts
-/// report with different byte counts occupies two of the k slots and
-/// `multilevel_query` (which merges the duplicates while adjacent, deeper
-/// in the tree) disagrees with `direct_query` on the k-th entry. The
+/// report with different byte counts occupies two of the k slots and a
+/// multi-level tree (which merges the duplicates while adjacent, deeper
+/// down) disagrees with a direct fan-in on the k-th entry. The
 /// per-flow max makes the merge associative, commutative and idempotent,
 /// so any merge tree yields the same top-k.
 fn merge_top_k(k: usize, a: &mut Vec<(u64, FlowId)>, mut b: Vec<(u64, FlowId)>) {

@@ -48,8 +48,8 @@ pub trait Channel {
 /// The deterministic in-memory reference backend: every frame is delivered
 /// exactly once, uncorrupted, after the [`MgmtNet`] latency + serialization
 /// delay (the paper's dedicated 1 GbE management channel). This is the
-/// lossless channel the tree-equivalence differential suite pins against
-/// `Cluster::multilevel_query`.
+/// lossless channel on which the tree-equivalence differential suite pins
+/// every answer to the flat fold of the queried hosts' local answers.
 #[derive(Debug)]
 pub struct Loopback {
     net: MgmtNet,

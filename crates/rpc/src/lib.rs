@@ -1,17 +1,19 @@
 //! The distributed query plane: agent servers answering queries over a
 //! pluggable [`Channel`], organized into the paper's fan-out/fan-in
-//! aggregation tree (§3.2) — promoted from the in-process latency formula
-//! of `pathdump_core::Cluster` to a message-passing request/response
-//! protocol with every production failure mode modeled and tested.
+//! aggregation tree (§3.2) — a message-passing request/response protocol
+//! with every production failure mode modeled and tested. It is the one
+//! implementation of that tree: the direct mechanism of §5.2 is the same
+//! plane with every host a root (`fanouts = [n]`).
 //!
 //! # Architecture
 //!
 //! The plane is **poll-driven over virtual time** (no executor, no
 //! threads): [`TreePlane::step`] advances a virtual clock to the next
 //! channel delivery or protocol timer and runs every state machine due at
-//! that instant. Determinism is total — same channel, same seed, same
-//! submissions ⇒ same outcome, byte for byte — which is what lets the
-//! chaos suite make *exact* assertions about degraded queries.
+//! that instant. Under the default [`Free`] compute, determinism is total
+//! — same channel, same seed, same submissions ⇒ same outcome, byte for
+//! byte — which is what lets the chaos suite make *exact* assertions about
+//! degraded queries.
 //!
 //! A query fans out down the aggregation tree (built by
 //! `pathdump_core::cluster::build_tree`, shipped inside each request as a
@@ -21,6 +23,9 @@
 //! ride the `pathdump_wire` codec (length-delimited, CRC-32 trailer), so
 //! corruption is detected at the frame boundary and surfaces as a retry,
 //! never as a wrong answer.
+//!
+//! A [`Compute`] charges each node's own work — its local execution and
+//! every merge — to the clock before its reply leaves ([`compute`]).
 //!
 //! # Channel contract
 //!
@@ -38,8 +43,8 @@
 //!   never assumes FIFO.
 //!
 //! Two backends ship: [`Loopback`] (lossless, fixed latency model — the
-//! differential reference pinned bit-identical to
-//! `Cluster::multilevel_query`) and [`FaultyChannel`] (seeded
+//! differential reference whose answers are pinned equal to the flat fold
+//! of every host's local answer) and [`FaultyChannel`] (seeded
 //! drop/duplicate/reorder/delay/corrupt/dead-peer injection — every
 //! degradation path is a first-class test target).
 //!
@@ -93,10 +98,12 @@
 //! guarantees:
 //!
 //! - the three classes partition the queried host set exactly (every host
-//!   appears in exactly one class);
+//!   appears in exactly one class; an index with no host behind it is
+//!   missed);
 //! - an answered host's *complete* local answer was merged — there are no
-//!   partially-merged hosts, so the degraded response equals the oracle
-//!   (`Cluster::direct_query`) evaluated over exactly `coverage.answered`;
+//!   partially-merged hosts, so the degraded response equals the fold of
+//!   `execute_on_tib` (with `Response::merge`) over exactly
+//!   `coverage.answered`;
 //! - a host below a missed/timed-out interior node is itself counted
 //!   missed/timed-out (it was unreachable through the tree), and interior
 //!   agents fold their children's coverage into their reply, so the
@@ -109,12 +116,14 @@
 //! dropped, not re-classified: coverage is the state at finalize time.
 
 pub mod channel;
+pub mod compute;
 pub mod coverage;
 pub mod fault;
 pub mod msg;
 pub mod plane;
 
 pub use channel::{Channel, Delivery, Loopback, NodeId, CONTROLLER};
+pub use compute::{Compute, Free, Measured};
 pub use coverage::Coverage;
 pub use fault::{FaultLog, FaultPlan, FaultyChannel};
 pub use msg::{AckMsg, ReplyMsg, RequestMsg, FRAME_RPC_ACK, FRAME_RPC_REPLY, FRAME_RPC_REQUEST};

@@ -1,11 +1,13 @@
 //! The poll-driven aggregation-tree query plane.
 //!
 //! [`TreePlane`] owns one [`AgentServer`](self) state machine per host plus
-//! the controller, all exchanging wire frames over one [`Channel`]. See the
-//! crate docs for the protocol semantics (timeouts, retries, deadlines,
-//! backpressure, coverage).
+//! the controller, all exchanging wire frames over one [`Channel`], with
+//! each node's own work charged by a [`Compute`]. See the crate docs for
+//! the protocol semantics (timeouts, retries, deadlines, backpressure,
+//! coverage).
 
 use crate::channel::{Channel, Delivery, NodeId, CONTROLLER};
+use crate::compute::{Compute, Free};
 use crate::coverage::Coverage;
 use crate::msg::{AckMsg, ReplyMsg, RequestMsg, FRAME_RPC_ACK, FRAME_RPC_REPLY, FRAME_RPC_REQUEST};
 use pathdump_core::{build_tree, execute_on_tib, Query, Response, TreeNode};
@@ -140,6 +142,9 @@ struct Agg {
     parent: Option<NodeId>,
     query: Query,
     finalize_at: Nanos,
+    /// When the node's work on this query so far is paid for: its reply
+    /// leaves no earlier. Always `now` under [`Free`].
+    busy_until: Nanos,
     acc: Response,
     cov: Coverage,
     children: Vec<ChildCall>,
@@ -185,10 +190,12 @@ enum TimerKind {
 /// The fan-out/fan-in aggregation-tree driver: all agent state machines,
 /// the controller, and the virtual clock. Each agent answers from its own
 /// `T` — the flat [`Tib`] or any other [`TibRead`] store, such as the
-/// agents' `TieredTib`.
-pub struct TreePlane<C: Channel, T: TibRead = Tib> {
+/// agents' `TieredTib` — and `K` charges each node's query execution and
+/// merges to the clock.
+pub struct TreePlane<C: Channel, T: TibRead = Tib, K: Compute = Free> {
     cfg: RpcConfig,
     channel: C,
+    compute: K,
     tibs: Vec<T>,
     agents: Vec<Node>,
     controller: Node,
@@ -215,12 +222,21 @@ fn same_variant(a: &Response, b: &Response) -> bool {
 }
 
 impl<C: Channel, T: TibRead> TreePlane<C, T> {
-    /// A plane over per-host TIBs (index = host = channel address).
+    /// A plane over per-host TIBs (index = host = channel address) whose
+    /// nodes compute for free.
     pub fn new(channel: C, cfg: RpcConfig, tibs: Vec<T>) -> Self {
+        TreePlane::with_compute(channel, cfg, tibs, Free)
+    }
+}
+
+impl<C: Channel, T: TibRead, K: Compute> TreePlane<C, T, K> {
+    /// A plane whose nodes' work is charged by `compute`.
+    pub fn with_compute(channel: C, cfg: RpcConfig, tibs: Vec<T>, compute: K) -> Self {
         let agents = (0..tibs.len()).map(|_| Node::default()).collect();
         TreePlane {
             cfg: cfg.sanitized(),
             channel,
+            compute,
             tibs,
             agents,
             controller: Node::default(),
@@ -255,16 +271,19 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
 
     /// Submits `query` over `hosts` with the given tree fan-outs. The
     /// query is admitted immediately if an in-flight slot is free,
-    /// otherwise it queues (bounded pipelining). Invalid host indexes are
-    /// ignored, and a repeated index is queried once.
+    /// otherwise it queues (bounded pipelining). A repeated index is
+    /// queried once; an index with no host behind it is reported missed and
+    /// kept out of the tree, where it would take the hosts below it down.
     pub fn submit(&mut self, query: &Query, hosts: &[usize], fanouts: &[usize]) -> QueryId {
-        let hosts: Vec<usize> = hosts
+        let routable: Vec<usize> = hosts
             .iter()
             .copied()
             .filter(|&h| h < self.tibs.len())
             .collect();
-        let roots = build_tree(&hosts, fanouts);
-        let mut host_ids: Vec<u32> = hosts.iter().map(|&h| h as u32).collect();
+        let roots = build_tree(&routable, fanouts);
+        // An index past `u32` is no host either: `u32::MAX` labels it.
+        let label = |&h: &usize| u32::try_from(h).unwrap_or(u32::MAX);
+        let mut host_ids: Vec<u32> = hosts.iter().map(label).collect();
         host_ids.sort_unstable();
         host_ids.dedup();
         let id = self.next_req;
@@ -341,6 +360,9 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
                 return;
             };
             let id = pending.id;
+            let n_hosts = self.tibs.len();
+            let unroutable = pending.hosts.iter().filter(|&&h| h as usize >= n_hosts);
+            let missed: Vec<u32> = unroutable.copied().collect();
             self.admitted.insert(
                 id,
                 Admitted {
@@ -361,16 +383,20 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
             let mut agg = Agg {
                 parent: None,
                 finalize_at: self.now + self.cfg.deadline,
+                busy_until: self.now,
                 acc: Response::empty_for(&pending.query),
                 query: pending.query,
-                cov: Coverage::new(),
+                cov: Coverage {
+                    missed,
+                    ..Coverage::new()
+                },
                 children,
                 queued,
                 inflight: 0,
             };
             self.pump(CONTROLLER, id, &mut agg);
             if agg.terminal() {
-                // Zero hosts: complete on the spot.
+                // No routable host: complete on the spot.
                 self.complete_controller(id, agg);
             } else {
                 self.controller.aggs.insert(id, agg);
@@ -485,7 +511,11 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
             // so its reply doubles as the ack.
             self.send_ack(to, from, msg.req_id);
         }
-        let local = execute_on_tib(&self.tibs[me], &msg.query);
+        // Forward, then execute: the child requests below leave at `now`
+        // and only the reply waits for the local answer.
+        let (local, cost) = self
+            .compute
+            .run(|| execute_on_tib(&self.tibs[me], &msg.query));
         let children: Vec<ChildCall> = msg
             .subtree
             .children
@@ -500,6 +530,7 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
             parent: Some(from),
             query: msg.query,
             finalize_at: msg.deadline,
+            busy_until: self.now + cost,
             acc: local,
             cov: Coverage::answered_one(me as u32),
             children,
@@ -542,13 +573,14 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
             self.stats.protocol_errors += 1;
             return;
         }
-        agg.acc.merge(msg.response);
-        agg.cov.absorb(msg.coverage);
         agg.children[idx].state = ChildState::Done;
         agg.inflight -= 1;
         let Some(mut agg) = node.aggs.remove(&msg.req_id) else {
             return;
         };
+        let ((), cost) = self.compute.run(|| agg.acc.merge(msg.response));
+        agg.busy_until = agg.busy_until.max(self.now) + cost;
+        agg.cov.absorb(msg.coverage);
         self.pump(to, msg.req_id, &mut agg);
         if agg.terminal() {
             self.finalize(to, msg.req_id, agg);
@@ -721,7 +753,8 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
             cache.pop_first();
         }
         cache.insert(req_id, wire.clone());
-        self.channel.send(owner, parent, wire, self.now);
+        let departs = agg.busy_until.max(self.now);
+        self.channel.send(owner, parent, wire, departs);
     }
 
     fn complete_controller(&mut self, req_id: u64, mut agg: Agg) {
@@ -729,7 +762,7 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
         let Some(adm) = self.admitted.remove(&req_id) else {
             return; // only admitted queries aggregate at the controller
         };
-        let elapsed = self.now - adm.admitted_at;
+        let elapsed = agg.busy_until.max(self.now) - adm.admitted_at;
         self.outcomes.insert(
             req_id,
             QueryOutcome {
@@ -749,7 +782,6 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
 mod tests {
     use super::*;
     use crate::channel::Loopback;
-    use pathdump_core::{Cluster, MgmtNet};
     use pathdump_tib::TibRecord;
     use pathdump_topology::{FlowId, Ip, Path, SwitchId, TimeRange};
 
@@ -789,18 +821,14 @@ mod tests {
     #[test]
     fn lossless_tree_matches_multilevel_oracle() {
         let data = tibs(30, 40);
-        let cluster = Cluster::new(data.clone(), MgmtNet::default());
         let hosts: Vec<usize> = (0..30).collect();
         let q = Query::TopK {
             k: 25,
             range: TimeRange::ANY,
         };
-        let oracle = cluster.multilevel_query(&hosts, &q, &[7, 4, 4]);
-
         let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), data.clone());
         let id = plane.submit(&q, &hosts, &[7, 4, 4]);
         let out = plane.run(id).expect("completes");
-        assert_eq!(out.response, oracle.response);
         assert_eq!(out.response, flat_fold(&data, &q, &hosts));
         assert!(out.coverage.is_complete());
         assert_eq!(out.coverage.answered.len(), 30);
@@ -813,7 +841,6 @@ mod tests {
     #[test]
     fn pipelined_queries_all_complete() {
         let data = tibs(12, 20);
-        let cluster = Cluster::new(data.clone(), MgmtNet::default());
         let hosts: Vec<usize> = (0..12).collect();
         let cfg = RpcConfig {
             max_queries_inflight: 2, // force queueing
@@ -849,8 +876,6 @@ mod tests {
         plane.run_until_idle();
         for (q, id) in queries.iter().zip(ids) {
             let out = plane.take_outcome(id).expect("completed");
-            let oracle = cluster.multilevel_query(&hosts, q, &[3, 2, 2]);
-            assert_eq!(out.response, oracle.response, "query {q:?}");
             assert_eq!(out.response, flat_fold(&data, q, &hosts), "query {q:?}");
             assert!(out.coverage.is_complete());
             assert!(out.deadline_met);
@@ -882,15 +907,12 @@ mod tests {
     #[test]
     fn single_host_tree() {
         let data = tibs(1, 10);
-        let cluster = Cluster::new(data.clone(), MgmtNet::default());
         let q = Query::TrafficMatrix {
             range: TimeRange::ANY,
         };
-        let oracle = cluster.multilevel_query(&[0], &q, &[7, 4, 4]);
         let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), data.clone());
         let id = plane.submit(&q, &[0], &[7, 4, 4]);
         let out = plane.run(id).expect("completes");
-        assert_eq!(out.response, oracle.response);
         assert_eq!(out.response, flat_fold(&data, &q, &[0]));
         assert_eq!(out.coverage.answered, vec![0]);
     }
@@ -901,13 +923,11 @@ mod tests {
         // the controller may never have more than 2 outstanding calls, yet
         // everything completes and matches the oracle.
         let data = tibs(20, 10);
-        let cluster = Cluster::new(data.clone(), MgmtNet::default());
         let hosts: Vec<usize> = (0..20).collect();
         let q = Query::TopK {
             k: 10,
             range: TimeRange::ANY,
         };
-        let oracle = cluster.multilevel_query(&hosts, &q, &[20]);
         let cfg = RpcConfig {
             max_children_inflight: 2,
             ..RpcConfig::default()
@@ -915,7 +935,6 @@ mod tests {
         let mut plane = TreePlane::new(Loopback::default(), cfg, data.clone());
         let id = plane.submit(&q, &hosts, &[20]);
         let out = plane.run(id).expect("completes");
-        assert_eq!(out.response, oracle.response);
         assert_eq!(out.response, flat_fold(&data, &q, &hosts));
         assert!(out.coverage.is_complete());
     }

@@ -21,6 +21,10 @@
 //!   each builds a SipHash table, and an insert there is budgeted in
 //!   nanoseconds. Maps and sets take `FnvBuild` (`…::default()`); the one
 //!   allowlisted site builds the `HashMap` that `link_flow_counts` returns.
+//! - `Instant` and `SystemTime` are banned in `crates/rpc/src/` outside
+//!   `compute.rs`: the plane reads wall time only through its compute
+//!   seam, which is what lets the chaos suite replay a run exactly
+//!   (`rerun.elapsed == run.elapsed`).
 //! - `println!` is banned in all library code (benches and bins own stdout;
 //!   libraries must not pollute it — `BENCH_tib.json` is parsed from files,
 //!   and dpswitch pipelines stdout).
@@ -92,6 +96,15 @@ const NO_SIPHASH: &[&str] = &["crates/tib/src/tib.rs", "crates/tib/src/segment.r
 
 /// What builds one.
 const SIPHASH: &[&str] = &["HashMap::new()", "HashSet::new()", "RandomState"];
+
+/// The rpc plane, which may not read a wall clock (see the module docs)…
+const NO_WALL_CLOCK: &str = "crates/rpc/src/";
+
+/// …except in its compute seam.
+const WALL_CLOCK_SEAM: &str = "crates/rpc/src/compute.rs";
+
+/// What reads one.
+const WALL_CLOCK: &[&str] = &["Instant", "SystemTime"];
 
 /// One banned-pattern hit.
 #[derive(Debug, PartialEq, Eq)]
@@ -165,6 +178,13 @@ fn scan_source(file: &str, source: &str) -> Vec<Finding> {
         }
         if NO_SIPHASH.contains(&file) {
             for pattern in SIPHASH {
+                if has_bounded(line, pattern) {
+                    hit(pattern);
+                }
+            }
+        }
+        if file.starts_with(NO_WALL_CLOCK) && file != WALL_CLOCK_SEAM {
+            for pattern in WALL_CLOCK {
                 if has_bounded(line, pattern) {
                     hit(pattern);
                 }
@@ -503,6 +523,17 @@ mod tests {
         let allow = parse_allowlist("crates/tib/src/tib.rs HashMap::new()\n", false);
         let f = scan_source("crates/tib/src/tib.rs", "let mut out = HashMap::new();\n");
         assert!(is_allowed(&f[0], &allow, &mut [false]));
+    }
+
+    #[test]
+    fn rpc_plane_reads_wall_time_only_through_the_compute_seam() {
+        let src = "use std::time::Instant;\nfn f() {\n    let t = std::time::SystemTime::now();\n    // Instant in a comment\n}\n";
+        let f = scan_source("crates/rpc/src/plane.rs", src);
+        let hits: Vec<_> = f.iter().map(|f| (f.line_no, f.pattern)).collect();
+        assert_eq!(hits, [(1, "Instant"), (3, "SystemTime")]);
+        // The seam itself, and code outside the plane, may read the clock.
+        assert!(scan_source("crates/rpc/src/compute.rs", src).is_empty());
+        assert!(scan_source("crates/core/src/agent.rs", src).is_empty());
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Distributed top-k demo (§2.3, §5.2): the same top-k query executed via
-//! the direct mechanism, via the 4-level aggregation tree, and via the
-//! message-passing **rpc plane** (per-hop timeouts, acks, retries) — all
-//! three bit-identical — plus a degraded run with a dead aggregator
-//! showing exact per-host coverage.
+//! Distributed top-k demo (§2.3, §5.2): the same top-k query executed over
+//! the message-passing **rpc plane** (per-hop timeouts, acks, retries) via
+//! the direct mechanism and via the 4-level aggregation tree — bit-identical,
+//! each host's execution and merges charged at their measured wall time —
+//! plus a degraded run with a dead aggregator showing exact per-host
+//! coverage.
 //!
 //! Run with: `cargo run --release --example distributed_topk`
 
 use pathdump::prelude::*;
+use pathdump::rpc::Measured;
 use pathdump_bench_shim::synth_tib;
 
 /// Thin local copy of the bench TIB synthesizer (examples cannot depend on
@@ -64,27 +66,39 @@ fn main() {
     let tibs: Vec<Tib> = (0..hosts)
         .map(|h| synth_tib(&ft, HostId(h as u32), records, 7))
         .collect();
-    let cluster = Cluster::new(tibs.clone(), MgmtNet::default());
     let q = Query::TopK {
         k: 1000,
         range: TimeRange::ANY,
     };
     let idx: Vec<usize> = (0..hosts).collect();
-    let d = cluster.direct_query(&idx, &q);
-    let m = cluster.multilevel_query(&idx, &q, &[7, 4, 4]);
-    assert_eq!(d.response, m.response, "both mechanisms agree");
-    println!("\ntop-1000 flows across {hosts} hosts:");
-    println!(
-        "  direct     : {:>9.3} ms response, {:>8} bytes on the wire",
-        d.elapsed.as_secs_f64() * 1e3,
-        d.wire_bytes
-    );
-    println!(
-        "  multi-level: {:>9.3} ms response, {:>8} bytes on the wire",
-        m.elapsed.as_secs_f64() * 1e3,
-        m.wire_bytes
-    );
-    if let Response::TopK { entries, .. } = &d.response {
+    // Real frames on a modeled channel, per-hop timers; direct is the
+    // one-level tree with every child in flight at once. The `rto` leaves
+    // room for a leaf's measured execution before its reply leaves.
+    let cfg = RpcConfig {
+        rto: Nanos::from_secs(1),
+        deadline: Nanos::from_secs(10),
+        max_children_inflight: hosts,
+        ..RpcConfig::default()
+    };
+    let mut plane = TreePlane::with_compute(Loopback::default(), cfg, tibs.clone(), Measured);
+    println!("\ntop-1000 flows across {hosts} hosts over the rpc plane:");
+    let mut answers = Vec::new();
+    for (name, fanouts) in [("direct     ", &[hosts][..]), ("multi-level", &[7, 4, 4])] {
+        let (bytes, frames) = (plane.channel().bytes_sent(), plane.channel().frames_sent());
+        let id = plane.submit(&q, &idx, fanouts);
+        let out = plane.run(id).expect("lossless plane completes");
+        println!(
+            "  {name}: {:>9.3} ms response, {:>8} bytes / {} frames on the wire, {}/{} hosts answered",
+            out.elapsed.as_secs_f64() * 1e3,
+            plane.channel().bytes_sent() - bytes,
+            plane.channel().frames_sent() - frames,
+            out.coverage.answered.len(),
+            hosts,
+        );
+        answers.push(out.response);
+    }
+    assert_eq!(answers[0], answers[1], "both mechanisms agree bit-for-bit");
+    if let Response::TopK { entries, .. } = &answers[0] {
         println!("\nheaviest 5 flows:");
         for (bytes, flow) in entries.iter().take(5) {
             println!("  {bytes:>10} B  {flow}");
@@ -93,22 +107,6 @@ fn main() {
     println!(
         "\nthe tree discards (n-1)*k key-value pairs during aggregation and \
          spreads merge work over interior hosts (§5.2)."
-    );
-
-    // The same query over the rpc plane: real frames on a modeled channel,
-    // per-hop timers instead of an in-process latency formula.
-    let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs.clone());
-    let id = plane.submit(&q, &idx, &[7, 4, 4]);
-    let rpc_out = plane.run(id).expect("lossless plane completes");
-    assert_eq!(rpc_out.response, m.response, "rpc plane agrees bit-for-bit");
-    println!(
-        "\nrpc plane  : {:>9.3} ms virtual response, {:>8} bytes / {} frames on the wire, \
-         {}/{} hosts answered",
-        rpc_out.elapsed.as_secs_f64() * 1e3,
-        plane.channel().bytes_sent(),
-        plane.channel().frames_sent(),
-        rpc_out.coverage.answered.len(),
-        hosts,
     );
 
     // Degrade it: kill one root-level aggregator. The query still returns

@@ -11,12 +11,13 @@
 //! - [`transport`]: simplified TCP with retransmission counters and the
 //!   web workload generator;
 //! - [`tib`]: trajectory memory + the indexed, queryable store;
-//! - [`core`]: host agents, alarms, the controller, direct & multi-level
-//!   distributed queries;
+//! - [`core`]: host agents, alarms, the controller, queries and their
+//!   merge rules, the aggregation tree's shape and the management-network
+//!   model;
 //! - [`rpc`]: the distributed query plane — agent servers answering
 //!   queries over a pluggable channel through a fan-out/fan-in
-//!   aggregation tree, with timeouts, retries and exact per-host
-//!   coverage for degraded queries;
+//!   aggregation tree (direct queries are the one-level tree), with
+//!   timeouts, retries and exact per-host coverage for degraded queries;
 //! - [`apps`]: the §4 debugging applications;
 //! - [`verifier`]: static dataplane verification (loops, blackholes,
 //!   reachability) and intent models for runtime conformance;
@@ -64,8 +65,8 @@ pub mod prelude {
         FatTreeCherryPick, FatTreeReconstructor, Vl2CherryPick, Vl2Reconstructor,
     };
     pub use pathdump_core::{
-        Alarm, Cluster, Fabric, Invariant, MgmtNet, PathDumpWorld, Query, Reason, Response,
-        StandingEvent, StandingPredicate, StandingQuery, StandingQueryEngine, WatchId, WorldConfig,
+        Alarm, Fabric, Invariant, MgmtNet, PathDumpWorld, Query, Reason, Response, StandingEvent,
+        StandingPredicate, StandingQuery, StandingQueryEngine, WatchId, WorldConfig,
     };
     pub use pathdump_rpc::{
         Channel, Coverage, FaultPlan, FaultyChannel, Loopback, QueryOutcome, RpcConfig, TreePlane,

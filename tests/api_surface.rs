@@ -1,5 +1,6 @@
 //! Cross-crate integration: the Table 1 API surface, exercised end-to-end
-//! through the facade crate, plus direct/multi-level mechanism agreement.
+//! through the facade crate, plus direct/multi-level mechanism agreement on
+//! the rpc plane.
 
 use pathdump::prelude::*;
 use pathdump_apps::Testbed;
@@ -127,7 +128,8 @@ fn get_poor_tcp_flows_via_world() {
 #[test]
 fn direct_and_multilevel_mechanisms_agree_on_live_data() {
     let (tb, _, _, _) = loaded();
-    // Move the populated TIBs into a query cluster and compare mechanisms.
+    // Copy the populated TIBs into a query plane and compare mechanisms:
+    // direct is the one-level tree, every host a root.
     let tibs: Vec<Tib> = tb
         .sim
         .world
@@ -142,7 +144,11 @@ fn direct_and_multilevel_mechanisms_agree_on_live_data() {
         })
         .collect();
     let n = tibs.len();
-    let cluster = Cluster::new(tibs, MgmtNet::default());
+    let cfg = RpcConfig {
+        max_children_inflight: n,
+        ..RpcConfig::default()
+    };
+    let mut plane = TreePlane::new(Loopback::default(), cfg, tibs);
     let hosts: Vec<usize> = (0..n).collect();
     for q in [
         Query::TopK {
@@ -158,10 +164,17 @@ fn direct_and_multilevel_mechanisms_agree_on_live_data() {
             range: TimeRange::ANY,
         },
     ] {
-        let d = cluster.direct_query(&hosts, &q);
-        let m = cluster.multilevel_query(&hosts, &q, &[7, 4, 4]);
-        assert_eq!(d.response, m.response, "query {q:?}");
-        assert!(d.wire_bytes > 0 && m.wire_bytes > 0);
+        let mut run = |fanouts: &[usize]| {
+            let before = plane.channel().bytes_sent();
+            let id = plane.submit(&q, &hosts, fanouts);
+            let out = plane.run(id).expect("lossless plane completes");
+            assert!(out.coverage.is_complete());
+            (out.response, plane.channel().bytes_sent() - before)
+        };
+        let (d, d_bytes) = run(&[n]);
+        let (m, m_bytes) = run(&[7, 4, 4]);
+        assert_eq!(d, m, "query {q:?}");
+        assert!(d_bytes > 0 && m_bytes > 0);
     }
 }
 
