@@ -5,7 +5,7 @@
 //! `pathdump-wire` codec, so the Figure 11/12 traffic numbers come from
 //! real encoded frames.
 
-use pathdump_topology::{FlowId, FnvBuild, Ip, LinkPattern, Nanos, Path, TimeRange};
+use pathdump_topology::{FlowId, FlowKey, FnvBuild, Ip, LinkPattern, Nanos, Path, TimeRange};
 use pathdump_wire::{Decode, Decoder, Encode, Encoder, WireError, WireResult};
 use std::collections::HashSet;
 
@@ -213,9 +213,10 @@ impl Response {
 /// dedup must be *global* (a set), not adjacent-only, or a flow that hosts
 /// report with different byte counts occupies two of the k slots and a
 /// multi-level tree (which merges the duplicates while adjacent, deeper
-/// down) disagrees with a direct fan-in on the k-th entry. The
-/// per-flow max makes the merge associative, commutative and idempotent,
-/// so any merge tree yields the same top-k.
+/// down) disagrees with a direct fan-in on the k-th entry; the set hashes a
+/// flow as the two packed words of [`FlowKey`]. The per-flow max makes the
+/// merge associative, commutative and idempotent, so any merge tree yields
+/// the same top-k.
 fn merge_top_k(k: usize, a: &mut Vec<(u64, FlowId)>, mut b: Vec<(u64, FlowId)>) {
     for side in [&mut *a, &mut b] {
         if !side.is_sorted_by(|x, y| x >= y) {
@@ -234,7 +235,7 @@ fn merge_top_k(k: usize, a: &mut Vec<(u64, FlowId)>, mut b: Vec<(u64, FlowId)>) 
             (None, None) => break,
         };
         *(if own { &mut i } else { &mut j }) += 1;
-        if seen.insert(e.1) {
+        if seen.insert(FlowKey(e.1)) {
             out.push(e);
         }
     }
@@ -650,6 +651,32 @@ mod tests {
         let right = merge_all(&[2, 3]);
         left.merge(right);
         assert_eq!(left, flat, "tree-shaped merge");
+    }
+
+    #[test]
+    fn merge_topk_keeps_tcp_and_protocol_6_apart() {
+        // `Protocol::Tcp` and `Protocol::Other(6)` share a protocol number
+        // but are two flows: the dedup must not fold one into the other.
+        let tcp = flow(1);
+        let other6 = FlowId {
+            proto: pathdump_topology::Protocol::Other(6),
+            ..tcp
+        };
+        let mut t = Response::TopK {
+            k: 2,
+            entries: vec![(5, tcp)],
+        };
+        t.merge(Response::TopK {
+            k: 2,
+            entries: vec![(4, other6)],
+        });
+        assert_eq!(
+            t,
+            Response::TopK {
+                k: 2,
+                entries: vec![(5, tcp), (4, other6)],
+            }
+        );
     }
 
     #[test]

@@ -43,10 +43,9 @@
 //! the map's hasher, capacity or insertion history.
 
 use crate::record::PendingRecord;
-use pathdump_topology::{FlowId, Nanos, Protocol, SECONDS};
+use pathdump_topology::{FlowId, FlowKey, Nanos, SECONDS};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 // The datapath-hot-path hasher now lives in `pathdump_topology::fnv`
 // (shared with the cherrypick decode memo); re-exported here so existing
@@ -67,25 +66,6 @@ pub struct MemKey {
 /// Tags a stored path keeps inline before moving to the heap. Double the
 /// parser's `MAX_TAGS`, so wire-parsed keys never allocate.
 const INLINE_TAGS: usize = 8;
-
-/// Map key: the flow, hashed as two packed words.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct FlowKey(FlowId);
-
-impl Hash for FlowKey {
-    #[inline]
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let f = &self.0;
-        state.write_u64(((f.src_ip.0 as u64) << 32) | f.dst_ip.0 as u64);
-        // Discriminant-tagged: `Tcp` and `Other(6)` are distinct flows.
-        let proto = match f.proto {
-            Protocol::Tcp => 0u64,
-            Protocol::Udp => 1,
-            Protocol::Other(n) => 0x100 | n as u64,
-        };
-        state.write_u64(((f.src_port as u64) << 48) | ((f.dst_port as u64) << 32) | proto);
-    }
-}
 
 /// A tag stack in push order. `Inline` slots at index `>= len` are zero,
 /// so the derived whole-array compare agrees with logical equality and the

@@ -757,7 +757,8 @@ impl TibRead for TieredTib {
         if range == TimeRange::ANY {
             return select_top_k(self.flows.counts(), k);
         }
-        select_top_k(self.link_flow_counts(LinkPattern::ANY, range), k)
+        let counts = self.link_flow_counts(LinkPattern::ANY, range);
+        select_top_k(counts.iter().map(|(&f, &t)| (f, t)), k)
     }
 }
 

@@ -79,7 +79,7 @@
 //! | `get_flows(ANY, ANY)`          | O(f) — a memcpy of the table's `order` |
 //! | `link_flow_counts(ANY, ANY)`   | O(f) — builds the returned map from the columns (it was a clone of a map the store kept) |
 //! | `link_flow_counts(ANY, range)` | O(b + flows in buckets overlapping the range) |
-//! | `top_k_flows(k, ANY)`          | O(f) select + O(k log k) sort       |
+//! | `top_k_flows(k, ANY)`          | O(f) select over `u64` keys + O(k) per radix pass (one per 11-bit digit the counts differ in) + a sort of each run of equal counts |
 //!
 //! The all-time traversal (`for_each_flow_count(ANY, ANY)`) visits flows in
 //! first-appearance order and a pre-summed bucket in its FNV map's order:
@@ -99,6 +99,7 @@
 
 use crate::record::TibRecord;
 use pathdump_topology::{FlowId, FnvBuild, LinkDir, LinkPattern, Nanos, Path, TimeRange};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::mem::size_of;
 
@@ -155,7 +156,7 @@ impl FlowTable {
 
     /// `(flow, (bytes, pkts))` of every flow, in first-appearance order:
     /// the all-time traversal, and what all-time `top_k_flows` selects from.
-    pub(crate) fn counts(&self) -> impl Iterator<Item = (FlowId, (u64, u64))> + '_ {
+    pub(crate) fn counts(&self) -> impl Iterator<Item = (FlowId, (u64, u64))> + Clone + '_ {
         self.order.iter().copied().zip(self.totals.iter().copied())
     }
 
@@ -169,23 +170,72 @@ impl FlowTable {
 }
 
 /// The top `k` of per-flow totals by `(bytes, flow)` descending — the
-/// documented [`TibRead::top_k_flows`] tie-break — using O(f) selection, then
-/// sorting only those `k`. Shared by the single-arena and tiered engines so
-/// both produce bit-identical rankings.
+/// documented [`TibRead::top_k_flows`] tie-break — without a comparison
+/// sort of whole entries: O(f) selection of the k-th largest byte count
+/// over plain `u64` keys, a second pass that keeps only the entries with at
+/// least that many bytes, a radix ranking of those by bytes, then each run
+/// of equal byte counts ordered by flow and the cut to `k`. Shared by every
+/// engine so all produce bit-identical rankings.
 pub(crate) fn select_top_k(
-    totals: impl IntoIterator<Item = (FlowId, (u64, u64))>,
+    totals: impl Iterator<Item = (FlowId, (u64, u64))> + Clone,
     k: usize,
 ) -> Vec<(u64, FlowId)> {
     if k == 0 {
         return Vec::new();
     }
-    let mut v: Vec<(u64, FlowId)> = totals.into_iter().map(|(f, t)| (t.0, f)).collect();
-    if v.len() > k {
-        v.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
-        v.truncate(k);
+    let mut keys: Vec<u64> = totals.clone().map(|(_, t)| t.0).collect();
+    let kth = match keys.len().checked_sub(k) {
+        Some(at) if at > 0 => *keys.select_nth_unstable(at).1,
+        _ => 0,
+    };
+    // At least `k` survive; only ties at the k-th count can add more.
+    let mut v: Vec<(u64, FlowId)> = Vec::with_capacity(k.min(keys.len()));
+    v.extend(totals.filter(|&(_, t)| t.0 >= kth).map(|(f, t)| (t.0, f)));
+    radix_sort_descending(&mut v);
+    for run in v.chunk_by_mut(|a, b| a.0 == b.0) {
+        run.sort_unstable_by_key(|e| Reverse(e.1));
     }
-    v.sort_unstable_by(|a, b| b.cmp(a));
+    v.truncate(k);
     v
+}
+
+/// Bits per radix digit: 2 048 counters, 16 KB, stay in L1.
+const RADIX_BITS: u32 = 11;
+
+/// Stable LSD radix sort of `v` by bytes, descending. A digit that is the
+/// same in every key orders nothing and is skipped, so a byte count below
+/// 8 GB costs at most three passes.
+fn radix_sort_descending(v: &mut Vec<(u64, FlowId)>) {
+    let mask = (1u64 << RADIX_BITS) - 1;
+    let (any, all) = v.iter().fold((0, u64::MAX), |(o, a), e| (o | e.0, a & e.0));
+    let varying = any ^ all;
+    if varying == 0 {
+        return;
+    }
+    let mut from = std::mem::take(v);
+    let mut to = from.clone();
+    for shift in (0..u64::BITS).step_by(RADIX_BITS as usize) {
+        if (varying >> shift) & mask == 0 {
+            continue;
+        }
+        // The complement's digit: ascending by it is descending by bytes.
+        let digit = |e: &(u64, FlowId)| ((!e.0 >> shift) & mask) as usize;
+        let mut starts = [0usize; 1 << RADIX_BITS];
+        for e in &from {
+            starts[digit(e)] += 1;
+        }
+        let mut sum = 0;
+        for s in starts.iter_mut() {
+            (*s, sum) = (sum, sum + *s);
+        }
+        for e in &from {
+            let slot = &mut starts[digit(e)];
+            to[*slot] = *e;
+            *slot += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    *v = from;
 }
 
 /// Per-flow totals of one [`TibRead::for_each_flow_count`] traversal —
@@ -656,7 +706,8 @@ pub trait TibRead {
     /// Ties are broken by flow id (descending), making the result
     /// deterministic regardless of construction order.
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        select_top_k(self.link_flow_counts(LinkPattern::ANY, range), k)
+        let counts = self.link_flow_counts(LinkPattern::ANY, range);
+        select_top_k(counts.iter().map(|(&f, &t)| (f, t)), k)
     }
 
     /// Every visible record, cloned, in insertion order (snapshots,
@@ -772,7 +823,8 @@ impl TibRead for Tib {
             // Served from the live aggregate: no per-record work at all.
             return select_top_k(self.flows.counts(), k);
         }
-        select_top_k(self.link_flow_counts(LinkPattern::ANY, range), k)
+        let counts = self.link_flow_counts(LinkPattern::ANY, range);
+        select_top_k(counts.iter().map(|(&f, &t)| (f, t)), k)
     }
 }
 

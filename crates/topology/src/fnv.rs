@@ -4,7 +4,8 @@
 //! attacker-controlled in this reproduction. Lives here so every edge
 //! crate shares one implementation (topology is the root dependency).
 
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::ids::{FlowId, Protocol};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The hasher. Byte streams go through the classic per-byte FNV-1a loop;
 /// word-sized writes — which is what derived `Hash` impls over ids, tags,
@@ -81,6 +82,29 @@ impl Hasher for FnvHasher {
 /// Build-hasher alias for [`FnvHasher`].
 pub type FnvBuild = BuildHasherDefault<FnvHasher>;
 
+/// A [`FlowId`] as a hash key of two packed words — addresses, then ports
+/// and protocol — so [`FnvHasher`] mixes it in two multiplies instead of
+/// one per field. The protocol is packed by discriminant, not by
+/// [`Protocol::number`]: `Tcp` and `Other(6)` are distinct flows and hash
+/// apart. The per-flow maps of the trajectory memory and the top-k merge's
+/// dedup set both key on it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FlowKey(pub FlowId);
+
+impl Hash for FlowKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let f = &self.0;
+        state.write_u64(((f.src_ip.0 as u64) << 32) | f.dst_ip.0 as u64);
+        let proto = match f.proto {
+            Protocol::Tcp => 0u64,
+            Protocol::Udp => 1,
+            Protocol::Other(n) => 0x100 | n as u64,
+        };
+        state.write_u64(((f.src_port as u64) << 48) | ((f.dst_port as u64) << 32) | proto);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,6 +123,18 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 1000, "no collisions on small dense inputs");
+    }
+
+    #[test]
+    fn flow_key_tags_the_protocol_by_discriminant() {
+        use crate::ids::Ip;
+        let tcp = FlowId::tcp(Ip(1), 2, Ip(3), 4);
+        let other6 = FlowId {
+            proto: Protocol::Other(6),
+            ..tcp
+        };
+        assert_eq!(tcp.proto.number(), other6.proto.number());
+        assert_ne!(hash_of(&FlowKey(tcp)), hash_of(&FlowKey(other6)));
     }
 
     #[test]

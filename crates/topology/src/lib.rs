@@ -24,7 +24,7 @@ pub mod vl2;
 
 pub use coloring::color_bipartite_multigraph;
 pub use fattree::{FatTree, FatTreeParams};
-pub use fnv::{FnvBuild, FnvHasher};
+pub use fnv::{FlowKey, FnvBuild, FnvHasher};
 pub use graph::{HostMeta, Peer, SwitchMeta, Tier, Topology};
 pub use ids::{FlowId, HostId, Ip, LinkDir, LinkPattern, PortNo, Protocol, SwitchId};
 pub use path::{Flow, Path};

@@ -154,7 +154,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// The next `N` bytes as an array, for the fixed-width reads.
-    fn take_array<const N: usize>(&mut self) -> WireResult<[u8; N]> {
+    pub(crate) fn take_array<const N: usize>(&mut self) -> WireResult<[u8; N]> {
         let mut out = [0u8; N];
         out.copy_from_slice(self.take(N)?);
         Ok(out)
@@ -163,11 +163,6 @@ impl<'a> Decoder<'a> {
     /// Reads one byte.
     pub fn get_u8(&mut self) -> WireResult<u8> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian u16.
-    pub fn get_u16(&mut self) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian u32.

@@ -76,24 +76,35 @@ impl Decode for Protocol {
     }
 }
 
+/// Bytes of an encoded [`FlowId`]: two little-endian `u32` addresses, two
+/// little-endian `u16` ports and the protocol number.
+const FLOW_ID_LEN: usize = 13;
+
+/// A flow id is one fixed 13-byte block, written and read in one piece
+/// (a top-k reply carries ten thousand of them).
 impl Encode for FlowId {
     fn encode(&self, enc: &mut Encoder) {
-        self.src_ip.encode(enc);
-        self.dst_ip.encode(enc);
-        enc.put_u16(self.src_port);
-        enc.put_u16(self.dst_port);
-        self.proto.encode(enc);
+        let mut b = [0u8; FLOW_ID_LEN];
+        b[0..4].copy_from_slice(&self.src_ip.0.to_le_bytes());
+        b[4..8].copy_from_slice(&self.dst_ip.0.to_le_bytes());
+        b[8..10].copy_from_slice(&self.src_port.to_le_bytes());
+        b[10..12].copy_from_slice(&self.dst_port.to_le_bytes());
+        b[12] = self.proto.number();
+        enc.put_raw(&b);
     }
 }
 
 impl Decode for FlowId {
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        let b: [u8; FLOW_ID_LEN] = dec.take_array()?;
+        let u32_at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+        let u16_at = |i: usize| u16::from_le_bytes([b[i], b[i + 1]]);
         Ok(FlowId {
-            src_ip: Ip::decode(dec)?,
-            dst_ip: Ip::decode(dec)?,
-            src_port: dec.get_u16()?,
-            dst_port: dec.get_u16()?,
-            proto: Protocol::decode(dec)?,
+            src_ip: Ip(u32_at(0)),
+            dst_ip: Ip(u32_at(4)),
+            src_port: u16_at(8),
+            dst_port: u16_at(10),
+            proto: Protocol::from_number(b[12]),
         })
     }
 }
