@@ -747,7 +747,7 @@ impl TibRead for TieredTib {
     ) {
         if link.is_any() && range == TimeRange::ANY {
             // Global aggregate: no segment access, no cold reloads.
-            return self.flows.counts().for_each(|(flow, (b, p))| f(flow, b, p));
+            return self.flows.counts().for_each(|(&id, &(b, p))| f(id, b, p));
         }
         let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
         each_tib(&self.sealed, &[&self.head], &range, each);
@@ -757,8 +757,7 @@ impl TibRead for TieredTib {
         if range == TimeRange::ANY {
             return select_top_k(self.flows.counts(), k);
         }
-        let counts = self.link_flow_counts(LinkPattern::ANY, range);
-        select_top_k(counts.iter().map(|(&f, &t)| (f, t)), k)
+        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 }
 

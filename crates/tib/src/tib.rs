@@ -156,8 +156,8 @@ impl FlowTable {
 
     /// `(flow, (bytes, pkts))` of every flow, in first-appearance order:
     /// the all-time traversal, and what all-time `top_k_flows` selects from.
-    pub(crate) fn counts(&self) -> impl Iterator<Item = (FlowId, (u64, u64))> + Clone + '_ {
-        self.order.iter().copied().zip(self.totals.iter().copied())
+    pub(crate) fn counts(&self) -> impl Iterator<Item = (&FlowId, &(u64, u64))> + Clone {
+        self.order.iter().zip(&self.totals)
     }
 
     /// Resident bytes, at capacity: this is the part of a store that only
@@ -176,21 +176,22 @@ impl FlowTable {
 /// least that many bytes, a radix ranking of those by bytes, then each run
 /// of equal byte counts ordered by flow and the cut to `k`. Shared by every
 /// engine so all produce bit-identical rankings.
-pub(crate) fn select_top_k(
-    totals: impl Iterator<Item = (FlowId, (u64, u64))> + Clone,
+pub(crate) fn select_top_k<'a>(
+    totals: impl IntoIterator<Item = (&'a FlowId, &'a (u64, u64))> + Clone,
     k: usize,
 ) -> Vec<(u64, FlowId)> {
     if k == 0 {
         return Vec::new();
     }
-    let mut keys: Vec<u64> = totals.clone().map(|(_, t)| t.0).collect();
+    let mut keys: Vec<u64> = totals.clone().into_iter().map(|(_, t)| t.0).collect();
     let kth = match keys.len().checked_sub(k) {
         Some(at) if at > 0 => *keys.select_nth_unstable(at).1,
         _ => 0,
     };
     // At least `k` survive; only ties at the k-th count can add more.
     let mut v: Vec<(u64, FlowId)> = Vec::with_capacity(k.min(keys.len()));
-    v.extend(totals.filter(|&(_, t)| t.0 >= kth).map(|(f, t)| (t.0, f)));
+    let kept = totals.into_iter().filter(|(_, t)| t.0 >= kth);
+    v.extend(kept.map(|(&f, t)| (t.0, f)));
     radix_sort_descending(&mut v);
     for run in v.chunk_by_mut(|a, b| a.0 == b.0) {
         run.sort_unstable_by_key(|e| Reverse(e.1));
@@ -706,8 +707,7 @@ pub trait TibRead {
     /// Ties are broken by flow id (descending), making the result
     /// deterministic regardless of construction order.
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        let counts = self.link_flow_counts(LinkPattern::ANY, range);
-        select_top_k(counts.iter().map(|(&f, &t)| (f, t)), k)
+        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 
     /// Every visible record, cloned, in insertion order (snapshots,
@@ -799,7 +799,7 @@ impl TibRead for Tib {
             return;
         }
         if range == TimeRange::ANY {
-            return self.flows.counts().for_each(|(flow, (b, p))| f(flow, b, p));
+            return self.flows.counts().for_each(|(&id, &(b, p))| f(id, b, p));
         }
         // All links, ranged: whole-bucket sums for buckets inside the
         // range, clamp-scans for boundary/lookback buckets.
@@ -823,8 +823,7 @@ impl TibRead for Tib {
             // Served from the live aggregate: no per-record work at all.
             return select_top_k(self.flows.counts(), k);
         }
-        let counts = self.link_flow_counts(LinkPattern::ANY, range);
-        select_top_k(counts.iter().map(|(&f, &t)| (f, t)), k)
+        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
     }
 }
 
