@@ -5,8 +5,10 @@
 //! `pathdump-wire` codec, so the Figure 11/12 traffic numbers come from
 //! real encoded frames.
 
-use pathdump_topology::{FlowId, FlowKey, FnvBuild, Ip, LinkPattern, Nanos, Path, TimeRange};
-use pathdump_wire::{Decode, Decoder, Encode, Encoder, WireError, WireResult};
+use pathdump_topology::{
+    FlowId, FlowKey, FnvBuild, Ip, LinkPattern, Nanos, Path, Protocol, TimeRange,
+};
+use pathdump_wire::{read_varint, Decode, Decoder, Encode, Encoder, WireError, WireResult};
 use std::collections::HashSet;
 
 /// A query executable on a host agent (the Host API of Table 1 plus the
@@ -109,6 +111,28 @@ pub enum Response {
     },
     /// Top-k (merged and re-truncated to `k`; "(n−1)·k key-value pairs are
     /// discarded during aggregation", §5.2).
+    ///
+    /// The largest message on the management network, so its wire form
+    /// (tag 5) is table-coded rather than `k` and a list of
+    /// `(varint bytes, 13-byte flow id)`:
+    ///
+    /// - `k`, then the entry count. An empty list stops here.
+    /// - The distinct source addresses in first-appearance order, a count
+    ///   and 4 bytes each, then the distinct `(dst_ip, dst_port, proto)`
+    ///   triples the same way, 7 bytes each (protocol by number, as in a
+    ///   flow id). A host's reply names its own address once and ≈ 127
+    ///   sources, so 12 of a flow id's 13 bytes repeat across a reply;
+    ///   the tables carry them once. They come first so the decoder knows
+    ///   every size before it allocates.
+    /// - Per entry: the zigzag varint of `bytes − previous bytes`
+    ///   (wrapping; the first is against 0), the source index (varint), the
+    ///   source port (2 bytes, little-endian) and the destination index
+    ///   (varint). In the descending order the store and the merge emit, a
+    ///   difference is a byte or two where the count is three; zigzag keeps
+    ///   any order exact, including the unsorted input `merge` re-sorts.
+    ///
+    /// A count larger than the remaining input allows, or an index beyond
+    /// its table, is a `WireError`.
     TopK {
         /// k.
         k: u32,
@@ -406,7 +430,7 @@ impl Encode for Response {
             Response::TopK { k, entries } => {
                 enc.put_u8(5);
                 k.encode(enc);
-                entries.encode(enc);
+                encode_top_k(entries, enc);
             }
             Response::Matrix(v) => {
                 enc.put_u8(6);
@@ -430,20 +454,216 @@ impl Decode for Response {
                 bin_bytes: dec.get_varint()?,
                 bins: Vec::<(u64, u64)>::decode(dec)?,
             },
-            5 => {
-                let k = u32::decode(dec)?;
-                let n = dec.get_len()?;
-                // An entry is a varint and a 13-byte flow id: 14 bytes or more.
-                let mut entries = Vec::with_capacity(n.min(dec.remaining() / 14));
-                for _ in 0..n {
-                    entries.push(<(u64, FlowId)>::decode(dec)?);
-                }
-                Response::TopK { k, entries }
-            }
+            5 => Response::TopK {
+                k: u32::decode(dec)?,
+                entries: decode_top_k(dec)?,
+            },
             6 => Response::Matrix(Vec::<((Ip, Ip), u64)>::decode(dec)?),
             t => return Err(WireError::InvalidTag(t as u32)),
         })
     }
+}
+
+/// The `(dst_ip, dst_port, proto)` of a flow packed as the little-endian
+/// bytes of its wire table entry: address in bytes 0–3, port in 4–5,
+/// protocol number in 6.
+fn dst_key(f: &FlowId) -> u64 {
+    u64::from(f.dst_ip.0) | u64::from(f.dst_port) << 32 | u64::from(f.proto.number()) << 48
+}
+
+/// Numbers distinct keys in first-appearance order: one table of a top-k
+/// reply. Open addressing over a power-of-two array of `(key, index)`
+/// slots at most a quarter full, so a lookup is a multiply and, nearly
+/// always, one load; a table of one key — a leaf's destinations — answers
+/// before hashing.
+struct Interner {
+    /// The distinct keys; a key's index is its position.
+    keys: Vec<u64>,
+    /// `(key, index)` per slot; a free slot's key is [`Interner::FREE`].
+    slots: Vec<(u64, u32)>,
+    /// `64 − log2(slots.len())`: the hash is the top bits of a multiply.
+    shift: u32,
+}
+
+impl Interner {
+    /// No key: addresses are 32 bits and destination triples 56.
+    const FREE: u64 = u64::MAX;
+
+    fn new() -> Self {
+        Interner {
+            keys: Vec::new(),
+            slots: vec![(Self::FREE, 0); 64],
+            shift: 64 - 6,
+        }
+    }
+
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    fn index(&mut self, key: u64) -> u32 {
+        if self.keys.len() == 1 && self.keys[0] == key {
+            return 0;
+        }
+        let mask = self.slots.len() - 1;
+        let mut s = self.home(key);
+        loop {
+            match self.slots[s] {
+                (k, i) if k == key => return i,
+                (Self::FREE, _) => return self.insert(key, s),
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// Files `key` in the free slot `s`; doubles the slots past a quarter.
+    #[cold]
+    fn insert(&mut self, key: u64, s: usize) -> u32 {
+        let i = self.keys.len() as u32;
+        self.keys.push(key);
+        self.slots[s] = (key, i);
+        if self.keys.len() * 4 > self.slots.len() {
+            self.shift -= 1;
+            self.slots = vec![(Self::FREE, 0); self.slots.len() * 2];
+            let mask = self.slots.len() - 1;
+            for (i, &k) in self.keys.iter().enumerate() {
+                let mut s = self.home(k);
+                while self.slots[s].0 != Self::FREE {
+                    s = (s + 1) & mask;
+                }
+                self.slots[s] = (k, i as u32);
+            }
+        }
+        i
+    }
+}
+
+/// Writes a top-k entry list in the table-coded layout documented on
+/// [`Response::TopK`]. The entries go to a second buffer while the tables
+/// fill, and follow the tables.
+fn encode_top_k(entries: &[(u64, FlowId)], enc: &mut Encoder) {
+    enc.put_varint(entries.len() as u64);
+    if entries.is_empty() {
+        return;
+    }
+    let (mut srcs, mut dsts) = (Interner::new(), Interner::new());
+    let mut body = Encoder::with_capacity(entries.len() * 6);
+    let mut prev = 0u64;
+    for (bytes, f) in entries {
+        let step = bytes.wrapping_sub(prev) as i64;
+        prev = *bytes;
+        body.put_varint(((step << 1) ^ (step >> 63)) as u64);
+        let (s, d) = (srcs.index(u64::from(f.src_ip.0)), dsts.index(dst_key(f)));
+        let [p0, p1] = f.src_port.to_le_bytes();
+        if (s | d) < 0x80 {
+            // Both indices one byte: the rest of the entry is one block.
+            body.put_raw(&[s as u8, p0, p1, d as u8]);
+        } else {
+            body.put_varint(u64::from(s));
+            body.put_raw(&[p0, p1]);
+            body.put_varint(u64::from(d));
+        }
+    }
+    enc.put_varint(srcs.keys.len() as u64);
+    for s in &srcs.keys {
+        enc.put_raw(&s.to_le_bytes()[..4]);
+    }
+    enc.put_varint(dsts.keys.len() as u64);
+    for d in &dsts.keys {
+        enc.put_raw(&d.to_le_bytes()[..7]);
+    }
+    enc.put_raw(body.bytes());
+}
+
+/// The fewest bytes an entry takes: three one-byte varints and the port.
+const MIN_ENTRY: usize = 5;
+
+/// A count of items of `width` bytes that must fit in the input left
+/// after `reserved` bytes — checked before anything is allocated for them.
+fn get_count(dec: &mut Decoder<'_>, width: usize, reserved: usize) -> WireResult<usize> {
+    let n = dec.get_varint()?;
+    if n > (dec.remaining().saturating_sub(reserved) / width) as u64 {
+        return Err(WireError::LengthOverrun);
+    }
+    Ok(n as usize)
+}
+
+/// Item `i` of a table.
+fn item<T: Copy>(table: &[T], i: u64) -> WireResult<T> {
+    if i >= table.len() as u64 {
+        return Err(WireError::InvalidTag(i.min(u64::from(u32::MAX)) as u32));
+    }
+    Ok(table[i as usize])
+}
+
+/// Reads what [`encode_top_k`] writes. The tables are read first, so every
+/// size is known before the one allocation per table and for the entries;
+/// the entries are then walked as a slice, the three fields after each
+/// count as one 4-byte block when both indices take one byte.
+fn decode_top_k(dec: &mut Decoder<'_>) -> WireResult<Vec<(u64, FlowId)>> {
+    let n = get_count(dec, MIN_ENTRY, 0)?;
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let reserved = n * MIN_ENTRY;
+    let n_src = get_count(dec, 4, reserved)?;
+    let srcs: Vec<Ip> = dec
+        .get_raw(4 * n_src)?
+        .chunks_exact(4)
+        .map(|b| Ip(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+        .collect();
+    let n_dst = get_count(dec, 7, reserved)?;
+    let dsts: Vec<(Ip, u16, Protocol)> = dec
+        .get_raw(7 * n_dst)?
+        .chunks_exact(7)
+        .map(|b| {
+            (
+                Ip(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+                u16::from_le_bytes([b[4], b[5]]),
+                Protocol::from_number(b[6]),
+            )
+        })
+        .collect();
+    let input = dec.unread();
+    let mut pos = 0;
+    let mut entries = Vec::with_capacity(n);
+    let mut bytes = 0u64;
+    for _ in 0..n {
+        let z = read_varint(input, &mut pos)?;
+        bytes = bytes.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
+        let (s, src_port, d) = match input.get(pos..pos + 4) {
+            Some(&[s, p0, p1, d]) if (s | d) < 0x80 => {
+                pos += 4;
+                (u64::from(s), u16::from_le_bytes([p0, p1]), u64::from(d))
+            }
+            _ => {
+                let s = read_varint(input, &mut pos)?;
+                let Some(&[p0, p1]) = input.get(pos..pos + 2) else {
+                    return Err(WireError::UnexpectedEof);
+                };
+                pos += 2;
+                (
+                    s,
+                    u16::from_le_bytes([p0, p1]),
+                    read_varint(input, &mut pos)?,
+                )
+            }
+        };
+        let src_ip = item(&srcs, s)?;
+        let (dst_ip, dst_port, proto) = item(&dsts, d)?;
+        entries.push((
+            bytes,
+            FlowId {
+                src_ip,
+                dst_ip,
+                src_port,
+                dst_port,
+                proto,
+            },
+        ));
+    }
+    dec.get_raw(pos)?;
+    Ok(entries)
 }
 
 #[cfg(test)]

@@ -215,21 +215,19 @@ fn check_equivalence(
     Ok(())
 }
 
-/// Fig 12's size: 28 hosts under fan-outs `[7, 4]` (6 interior nodes, 22
-/// leaves), every host answering `TopK { k: 10_000 }` from 10 000 flows,
-/// so each reply is ≈ 160 KB and needs 1.3 ms of the modelled 1 Gb/s link
-/// — more than half an `rto`. A reply that is merely large must not look
-/// like a lost one.
-#[test]
-fn fig12_size_topk_is_quiet_on_the_wire() {
-    const FLOWS: usize = 10_000;
+/// 28 hosts under fan-outs `[7, 4]` (6 interior nodes, 22 leaves), each
+/// answering `TopK { k: flows }` with all of its `flows` flows, every byte
+/// count distinct: the flat fold's answer, complete and in time, and a quiet
+/// wire — 62 frames, no retry, duplicate or cached reply. A reply that is
+/// merely large must not look like a lost one.
+fn assert_top_k_quiet(flows: usize) {
     let hosts: Vec<usize> = (0..28).collect();
     let fanouts = [7, 4];
     let tibs: Vec<Tib> = hosts
         .iter()
         .map(|&h| {
             let mut t = Tib::new();
-            for i in 0..FLOWS {
+            for i in 0..flows {
                 t.insert(TibRecord {
                     flow: FlowId::tcp(
                         Ip::new(10, h as u8, 0, 2),
@@ -240,7 +238,7 @@ fn fig12_size_topk_is_quiet_on_the_wire() {
                     path: Path::new(vec![SwitchId(0), SwitchId(8), SwitchId(4)]),
                     stime: Nanos(i as u64),
                     etime: Nanos(i as u64 + 10),
-                    bytes: (1 + h * FLOWS + i * 29 % FLOWS) as u64,
+                    bytes: (1 + h * flows + i * 29 % flows) as u64,
                     pkts: 1,
                 });
             }
@@ -248,9 +246,15 @@ fn fig12_size_topk_is_quiet_on_the_wire() {
         })
         .collect();
     let q = Query::TopK {
-        k: FLOWS as u32,
+        k: flows as u32,
         range: TimeRange::ANY,
     };
+    for (h, tib) in tibs.iter().enumerate() {
+        let Response::TopK { entries, .. } = execute_on_tib(tib, &q) else {
+            panic!("host {h} did not answer a top-k");
+        };
+        assert_eq!(entries.len(), flows, "host {h}'s reply");
+    }
     let mut plane = TreePlane::new(Loopback::default(), RpcConfig::default(), tibs.clone());
     let id = plane.submit(&q, &hosts, &fanouts);
     let out = plane.run(id).expect("completes");
@@ -259,11 +263,24 @@ fn fig12_size_topk_is_quiet_on_the_wire() {
     assert_eq!(plane.stats(), PlaneStats::default());
     assert_eq!(lossless_frames(&hosts, &fanouts), 62);
     assert_eq!(plane.channel().frames_sent(), 62);
-    let reply_bytes = plane.channel().bytes_sent() / hosts.len() as u64;
-    assert!(
-        reply_bytes > 150_000,
-        "replies of {reply_bytes} bytes are not Fig 12's size"
-    );
+}
+
+/// Fig 12's size: every host's reply carries the figure's k = 10 000
+/// entries — ≈ 50 KB table-coded, and ≈ 160 KB, 1.3 ms of the modelled
+/// 1 Gb/s link and more than half an `rto`, in the 13-byte flow-id layout.
+#[test]
+fn fig12_size_topk_is_quiet_on_the_wire() {
+    assert_top_k_quiet(10_000);
+}
+
+/// k = 20 000: ≈ 100 KB per leaf reply table-coded. In the 13-byte flow-id
+/// layout it was ≈ 325 KB, past the ≈ 225 KB at which a leaf's reply (a
+/// leaf does not ack) outlasts the parent's `rto` and draws a retry and a
+/// cached duplicate on a lossless channel. The bytes threshold is where it
+/// was; what moved is the k that reaches it (ROADMAP item 6(c)).
+#[test]
+fn top_k_at_the_old_retry_threshold_is_quiet() {
+    assert_top_k_quiet(20_000);
 }
 
 /// `n` records of distinct flows from one source subnet per host, on one

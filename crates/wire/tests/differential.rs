@@ -1,12 +1,13 @@
 //! The wire crate's rewritten routines against the code they replaced,
 //! which lives on here as the reference: slice-by-16 `crc32` against the
 //! byte-at-a-time loop, `Frame::build` / `Frame::parse` against the old
-//! copying `to_wire` / `from_wire`, and the one-block `FlowId` codec against
-//! the field-by-field one it replaced, on the messages that carry flow ids:
-//! top-k replies, WAL record frames, and requests carrying `GetPaths` /
-//! `GetCount`. Same bytes out, same value or the same `WireError` back —
-//! at every truncation — on every input tried. Deterministic (exhaustive
-//! over small sizes, seeded for large ones) rather than property-based: the
+//! copying `to_wire` / `from_wire`, the one-block `FlowId` codec against
+//! the field-by-field one it replaced on WAL record frames and requests
+//! carrying `GetPaths` / `GetCount`, and the table-coded top-k reply against
+//! the same layout written field by field (tables found by linear search).
+//! Same bytes out, same value or the same `WireError` back — at every
+//! truncation — on every input tried. Deterministic (exhaustive over small
+//! sizes, seeded for large ones) rather than property-based: the
 //! interesting inputs are the length and alignment boundaries, and those
 //! can all be listed.
 
@@ -166,10 +167,11 @@ fn parse_matches_the_old_parser_on_every_cut_and_bit_flip() {
 }
 
 // ---------------------------------------------------------------------------
-// The codec as it was: a flow id written and read one field at a time, a
-// varint one byte at a time — and the messages that carry flow ids spelled
-// out over those two, so that the reference shares no code with the
-// library's `Encode` / `Decode` impls.
+// The codec spelled out: a flow id written and read one field at a time, a
+// varint one byte at a time, a top-k reply's tables kept as lists searched
+// from the front — and the messages that carry flow ids spelled out over
+// those, so that the reference shares no code with the library's `Encode` /
+// `Decode` impls.
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
@@ -234,6 +236,10 @@ impl OldEnc {
         }
     }
 
+    /// `k`, the entry count, and unless that is 0: the source table, the
+    /// destination table, then per entry the zigzagged step from the
+    /// previous count, the source index, the source port and the
+    /// destination index.
     fn top_k(&mut self, r: &Response) {
         let Response::TopK { k, entries } = r else {
             panic!("not a top-k response: {r:?}");
@@ -241,9 +247,34 @@ impl OldEnc {
         self.u8(5);
         self.varint(u64::from(*k));
         self.varint(entries.len() as u64);
-        for (bytes, flow) in entries {
-            self.varint(*bytes);
-            self.flow(flow);
+        if entries.is_empty() {
+            return;
+        }
+        let mut srcs: Vec<Ip> = Vec::new();
+        let mut dsts: Vec<(Ip, u16, u8)> = Vec::new();
+        let mut indices = Vec::new();
+        for (_, f) in entries {
+            let dst = (f.dst_ip, f.dst_port, f.proto.number());
+            indices.push((position(&mut srcs, f.src_ip), position(&mut dsts, dst)));
+        }
+        self.varint(srcs.len() as u64);
+        for ip in &srcs {
+            self.0.extend_from_slice(&ip.0.to_le_bytes());
+        }
+        self.varint(dsts.len() as u64);
+        for (ip, port, proto) in &dsts {
+            self.0.extend_from_slice(&ip.0.to_le_bytes());
+            self.0.extend_from_slice(&port.to_le_bytes());
+            self.u8(*proto);
+        }
+        let mut prev = 0u64;
+        for ((bytes, f), (s, d)) in entries.iter().zip(indices) {
+            let step = bytes.wrapping_sub(prev) as i64;
+            prev = *bytes;
+            self.varint(((step << 1) ^ (step >> 63)) as u64);
+            self.varint(s as u64);
+            self.0.extend_from_slice(&f.src_port.to_le_bytes());
+            self.varint(d as u64);
         }
     }
 
@@ -300,6 +331,17 @@ impl OldEnc {
         for (node, parent) in order {
             self.varint(node.host as u64);
             self.varint(parent);
+        }
+    }
+}
+
+/// The index of `x` in `table`, appended first if it is not there.
+fn position<T: PartialEq>(table: &mut Vec<T>, x: T) -> usize {
+    match table.iter().position(|y| *y == x) {
+        Some(i) => i,
+        None => {
+            table.push(x);
+            table.len() - 1
         }
     }
 }
@@ -413,16 +455,69 @@ impl<'a> OldDec<'a> {
         (0..n).map(|_| self.narrow()).collect()
     }
 
+    /// A count of items of at least `width` bytes each that must fit in
+    /// what is left of the input after `reserved` bytes.
+    fn count(&mut self, width: usize, reserved: usize) -> WireResult<usize> {
+        let n = self.varint()?;
+        let left = (self.input.len() - self.pos).saturating_sub(reserved);
+        if n > (left / width) as u64 {
+            return Err(WireError::LengthOverrun);
+        }
+        Ok(n as usize)
+    }
+
+    /// Entry `i` of a table.
+    fn lookup<T: Copy>(table: &[T], i: u64) -> WireResult<T> {
+        if i >= table.len() as u64 {
+            return Err(WireError::InvalidTag(u32::try_from(i).unwrap_or(u32::MAX)));
+        }
+        Ok(table[i as usize])
+    }
+
     fn top_k(&mut self) -> WireResult<Response> {
         match self.u8()? {
             5 => {}
             t => return Err(WireError::InvalidTag(t as u32)),
         }
         let k = self.narrow()?;
-        let n = self.len()?;
+        // An entry takes five bytes or more: three varints and a port.
+        let n = self.count(5, 0)?;
         let mut entries = Vec::new();
+        if n == 0 {
+            return Ok(Response::TopK { k, entries });
+        }
+        let n_src = self.count(4, 5 * n)?;
+        let mut srcs = Vec::new();
+        for _ in 0..n_src {
+            srcs.push(Ip(self.u32()?));
+        }
+        let n_dst = self.count(7, 5 * n)?;
+        let mut dsts = Vec::new();
+        for _ in 0..n_dst {
+            let ip = Ip(self.u32()?);
+            let port = self.u16()?;
+            dsts.push((ip, port, Protocol::from_number(self.u8()?)));
+        }
+        let mut bytes = 0u64;
         for _ in 0..n {
-            entries.push((self.varint()?, self.flow()?));
+            let z = self.varint()?;
+            let step = ((z >> 1) as i64) ^ -((z & 1) as i64);
+            bytes = bytes.wrapping_add(step as u64);
+            let s = self.varint()?;
+            let src_port = self.u16()?;
+            let d = self.varint()?;
+            let src_ip = Self::lookup(&srcs, s)?;
+            let (dst_ip, dst_port, proto) = Self::lookup(&dsts, d)?;
+            entries.push((
+                bytes,
+                FlowId {
+                    src_ip,
+                    dst_ip,
+                    src_port,
+                    dst_port,
+                    proto,
+                },
+            ));
         }
         Ok(Response::TopK { k, entries })
     }
@@ -515,9 +610,21 @@ fn same_at_every_cut<T: Decode + PartialEq + std::fmt::Debug>(
     old: Vec<u8>,
     old_decode: impl Fn(&[u8]) -> WireResult<T>,
 ) {
+    let cuts = 0..=new.len();
+    same_at_cuts(value, new, old, old_decode, cuts);
+}
+
+/// [`same_at_every_cut`] at the listed cuts only.
+fn same_at_cuts<T: Decode + PartialEq + std::fmt::Debug>(
+    value: &T,
+    new: Vec<u8>,
+    old: Vec<u8>,
+    old_decode: impl Fn(&[u8]) -> WireResult<T>,
+    cuts: impl IntoIterator<Item = usize>,
+) {
     assert_eq!(new, old, "bytes of {value:?}");
     assert!(from_bytes::<T>(&new).is_ok(), "{value:?}");
-    for cut in 0..=new.len() {
+    for cut in cuts {
         assert_eq!(
             from_bytes::<T>(&new[..cut]),
             old_decode(&new[..cut]),
@@ -560,6 +667,27 @@ fn flows() -> Vec<FlowId> {
     v
 }
 
+/// `n` entries over `n_src` sources and `n_dst` destinations, in the
+/// store's `(bytes, flow)`-descending order unless `sorted` is false.
+fn wide_entries(n: u32, n_src: u32, n_dst: u32, sorted: bool) -> Vec<(u64, FlowId)> {
+    let mut v: Vec<(u64, FlowId)> = (0..n)
+        .map(|i| {
+            let flow = FlowId {
+                src_ip: Ip(0x0A00_0000 + i * 7_919 % n_src),
+                dst_ip: Ip(0x0B00_0000 + i % n_dst),
+                src_port: i as u16,
+                dst_port: (i % n_dst) as u16,
+                proto: [Protocol::Tcp, Protocol::Udp][(i % n_dst) as usize % 2],
+            };
+            (u64::from(i % 97) * 1_000_003, flow)
+        })
+        .collect();
+    if sorted {
+        v.sort_unstable_by(|a, b| b.cmp(a));
+    }
+    v
+}
+
 #[test]
 fn top_k_replies_match_the_field_by_field_codec() {
     let fl = flows();
@@ -569,11 +697,27 @@ fn top_k_replies_match_the_field_by_field_codec() {
             .map(|i| (byte_counts[i % byte_counts.len()], fl[i % fl.len()]))
             .collect()
     };
-    for (k, n) in [(0u32, 0usize), (1, 1), (10_000, 7), (u32::MAX, 50)] {
-        let response = Response::TopK {
-            k,
-            entries: entries(n),
-        };
+    let mut extremes = Vec::new();
+    for a in [0, 1, u64::MAX - 1, u64::MAX] {
+        for b in [0, 1, u64::MAX - 1, u64::MAX] {
+            let i = extremes.len();
+            extremes.push((a, fl[i % fl.len()]));
+            extremes.push((b, fl[(i + 1) % fl.len()]));
+        }
+    }
+    let cases = [
+        (0u32, entries(0)),
+        (1, entries(1)),
+        (10_000, entries(7)),
+        (u32::MAX, entries(50)),
+        (32, extremes),
+        // Two-byte indices: more than 128 sources, then destinations too.
+        (300, wide_entries(300, 200, 1, true)),
+        (300, wide_entries(300, 150, 140, true)),
+        (300, wide_entries(300, 129, 3, false)),
+    ];
+    for (k, entries) in cases {
+        let response = Response::TopK { k, entries };
         same_at_every_cut(
             &response,
             to_bytes(&response),
@@ -602,6 +746,45 @@ fn top_k_replies_match_the_field_by_field_codec() {
             framed,
             old_to_wire(&Frame::new(0x11, old_bytes(|e| e.reply(&reply))))
         );
+    }
+}
+
+/// More than 16 384 sources, so source indices take three bytes: the same
+/// bytes, and the same value or error at a spread of cuts (every cut of a
+/// 100 KB reply would decode 100 KB ten thousand times over).
+#[test]
+fn top_k_replies_with_three_byte_indices_match_the_field_by_field_codec() {
+    for sorted in [true, false] {
+        let entries = wide_entries(20_000, 16_500, 2, sorted);
+        let mut sources: Vec<Ip> = entries.iter().map(|e| e.1.src_ip).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        assert_eq!(sources.len(), 16_500);
+        let response = Response::TopK { k: 20_000, entries };
+        let new = to_bytes(&response);
+        let len = new.len();
+        let cuts = (0..=64)
+            .chain(len - 64..=len)
+            .chain((1..64).map(|i| i * len / 64));
+        same_at_cuts(
+            &response,
+            new,
+            old_bytes(|e| e.top_k(&response)),
+            |b| OldDec::whole(b, |d| d.top_k()),
+            cuts,
+        );
+        let reply = ReplyMsg {
+            req_id: 3,
+            response,
+            coverage: Coverage::default(),
+        };
+        let wire = Frame::build(0x11, &reply);
+        assert_eq!(
+            wire,
+            old_to_wire(&Frame::new(0x11, old_bytes(|e| e.reply(&reply))))
+        );
+        let (_, payload, _) = Frame::parse(&wire).unwrap();
+        assert_eq!(from_bytes::<ReplyMsg>(payload), Ok(reply));
     }
 }
 
