@@ -642,11 +642,8 @@ fn decode_top_k(dec: &mut Decoder<'_>) -> WireResult<Vec<(u64, FlowId)>> {
                     return Err(WireError::UnexpectedEof);
                 };
                 pos += 2;
-                (
-                    s,
-                    u16::from_le_bytes([p0, p1]),
-                    read_varint(input, &mut pos)?,
-                )
+                let d = read_varint(input, &mut pos)?;
+                (s, u16::from_le_bytes([p0, p1]), d)
             }
         };
         let src_ip = item(&srcs, s)?;
