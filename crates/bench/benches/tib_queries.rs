@@ -56,6 +56,20 @@ fn bench_tib(c: &mut Criterion) {
         b.iter(|| tib.top_k_flows(10_000, TimeRange::ANY))
     });
     group.finish();
+    drop(tib);
+
+    // The `query_topk` shape: 28 hosts' stores of 24 000 flows, each
+    // asked in turn, so no call finds the previous one's lines in cache.
+    let stores: Vec<_> = (0..28)
+        .map(|h| synth_tib(&ft, HostId(h), 24_000, 1))
+        .collect();
+    let mut next = stores.iter().cycle();
+    let mut group = c.benchmark_group("tib_28x24k");
+    group.sample_size(20);
+    group.bench_function("top_k_10000", |b| {
+        b.iter(|| next.next().unwrap().top_k_flows(10_000, TimeRange::ANY))
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_tib);

@@ -757,7 +757,7 @@ impl TibRead for TieredTib {
         if range == TimeRange::ANY {
             return select_top_k(self.flows.counts(), k);
         }
-        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
+        select_top_k(self.link_flow_counts(LinkPattern::ANY, range).iter(), k)
     }
 }
 

@@ -79,7 +79,7 @@
 //! | `get_flows(ANY, ANY)`          | O(f) — a memcpy of the table's `order` |
 //! | `link_flow_counts(ANY, ANY)`   | O(f) — builds the returned map from the columns (it was a clone of a map the store kept) |
 //! | `link_flow_counts(ANY, range)` | O(b + flows in buckets overlapping the range) |
-//! | `top_k_flows(k, ANY)`          | O(f) select over `u64` keys + O(k) per radix pass (one per 11-bit digit the counts differ in) + a sort of each run of equal counts |
+//! | `top_k_flows(k, ANY)`          | O(f) select over 16-byte `(bytes, &flow)` keys + O(k) per radix pass (one per 13-bit digit the counts differ in) + a sort of each run of equal counts |
 //!
 //! The all-time traversal (`for_each_flow_count(ANY, ANY)`) visits flows in
 //! first-appearance order and a pre-summed bucket in its FNV map's order:
@@ -156,7 +156,7 @@ impl FlowTable {
 
     /// `(flow, (bytes, pkts))` of every flow, in first-appearance order:
     /// the all-time traversal, and what all-time `top_k_flows` selects from.
-    pub(crate) fn counts(&self) -> impl Iterator<Item = (&FlowId, &(u64, u64))> + Clone {
+    pub(crate) fn counts(&self) -> impl ExactSizeIterator<Item = (&FlowId, &(u64, u64))> {
         self.order.iter().zip(&self.totals)
     }
 
@@ -169,74 +169,95 @@ impl FlowTable {
     }
 }
 
+/// What [`select_top_k`] ranks: a flow's byte count and the flow, borrowed
+/// from the totals — 16 bytes, where an answer entry is 24.
+type Key<'a> = (u64, &'a FlowId);
+
 /// The top `k` of per-flow totals by `(bytes, flow)` descending — the
 /// documented [`TibRead::top_k_flows`] tie-break — without a comparison
-/// sort of whole entries: O(f) selection of the k-th largest byte count
-/// over plain `u64` keys, a second pass that keeps only the entries with at
-/// least that many bytes, a radix ranking of those by bytes, then each run
-/// of equal byte counts ordered by flow and the cut to `k`. Shared by every
-/// engine so all produce bit-identical rankings.
+/// sort: the totals walked once into [`Key`]s, an O(f) selection that puts
+/// the top `m = min(k, f)` first, an LSD radix ranking of those by bytes
+/// ([`TOP_K_DIGIT_BITS`] at a time), then each flow id copied once into
+/// the answer and each run of equal counts ordered by flow.
+///
+/// The tie rule at the cut: the selection compares whole keys, flow after
+/// bytes, so when more flows tie at the k-th count than fit, the cut falls
+/// inside the tie by flow, where the final order puts it. The first `m`
+/// keys are the answer, so nothing is appended and nothing truncated.
+/// Shared by every engine so all produce bit-identical rankings.
 pub(crate) fn select_top_k<'a>(
-    totals: impl IntoIterator<Item = (&'a FlowId, &'a (u64, u64))> + Clone,
+    totals: impl ExactSizeIterator<Item = (&'a FlowId, &'a (u64, u64))>,
     k: usize,
 ) -> Vec<(u64, FlowId)> {
     if k == 0 {
         return Vec::new();
     }
-    let mut keys: Vec<u64> = totals.clone().into_iter().map(|(_, t)| t.0).collect();
-    let kth = match keys.len().checked_sub(k) {
-        Some(at) if at > 0 => *keys.select_nth_unstable(at).1,
-        _ => 0,
-    };
-    // At least `k` survive; only ties at the k-th count can add more.
-    let mut v: Vec<(u64, FlowId)> = Vec::with_capacity(k.min(keys.len()));
-    let kept = totals.into_iter().filter(|(_, t)| t.0 >= kth);
-    v.extend(kept.map(|(&f, t)| (t.0, f)));
-    radix_sort_descending(&mut v);
-    for run in v.chunk_by_mut(|a, b| a.0 == b.0) {
-        run.sort_unstable_by_key(|e| Reverse(e.1));
+    let n = totals.len();
+    let m = k.min(n);
+    let mut keys: Vec<Key> = Vec::with_capacity(n.max(2 * m));
+    keys.extend(totals.map(|(f, t)| (t.0, f)));
+    if m < n {
+        keys.select_nth_unstable_by(m - 1, |a, b| b.cmp(a));
     }
-    v.truncate(k);
+    // The ranking's second buffer: the keys that lost, topped up to `m`
+    // inside the one allocation.
+    keys.extend_from_within(..(2 * m).saturating_sub(n));
+    let (top, spare) = keys.split_at_mut(m);
+    let ranked = radix_sort_descending(top, &mut spare[..m]);
+    let mut v: Vec<(u64, FlowId)> = ranked.iter().map(|&(b, f)| (b, *f)).collect();
+    // Runs are few and short: jump from one tie to the next rather than
+    // visit every entry as a run of its own.
+    let mut at = 0;
+    while let Some(i) = v[at..].windows(2).position(|w| w[0].0 == w[1].0) {
+        let start = at + i;
+        let bytes = v[start].0;
+        at = start + 2 + v[start + 2..].iter().take_while(|e| e.0 == bytes).count();
+        v[start..at].sort_unstable_by_key(|e| Reverse(e.1));
+    }
     v
 }
 
-/// Bits per radix digit: 2 048 counters, 16 KB, stay in L1.
-const RADIX_BITS: u32 = 11;
+/// Bits per radix digit of [`select_top_k`]'s ranking: 8 192 `u32`
+/// counters, 32 KB, stay in L1, and the 25 bits in which counts of up to
+/// 32 MB differ take two passes (three at 11 bits).
+pub const TOP_K_DIGIT_BITS: u32 = 13;
 
-/// Stable LSD radix sort of `v` by bytes, descending. A digit that is the
-/// same in every key orders nothing and is skipped, so a byte count below
-/// 8 GB costs at most three passes.
-fn radix_sort_descending(v: &mut Vec<(u64, FlowId)>) {
-    let mask = (1u64 << RADIX_BITS) - 1;
-    let (any, all) = v.iter().fold((0, u64::MAX), |(o, a), e| (o | e.0, a & e.0));
-    let varying = any ^ all;
-    if varying == 0 {
-        return;
-    }
-    let mut from = std::mem::take(v);
-    let mut to = from.clone();
-    for shift in (0..u64::BITS).step_by(RADIX_BITS as usize) {
+/// Stable LSD radix sort of `from` by bytes, descending, ping-ponging with
+/// `to` (as long); returns whichever ends sorted. A digit that is the same
+/// in every key orders nothing and is skipped.
+fn radix_sort_descending<'s, 'a>(
+    mut from: &'s mut [Key<'a>],
+    mut to: &'s mut [Key<'a>],
+) -> &'s [Key<'a>] {
+    let mask = (1u64 << TOP_K_DIGIT_BITS) - 1;
+    let (any, all) = from
+        .iter()
+        .fold((0, u64::MAX), |(o, a), e| (o | e.0, a & e.0));
+    // Bits set in some key and clear in another; none for no keys.
+    let varying = any & !all;
+    for shift in (0..u64::BITS).step_by(TOP_K_DIGIT_BITS as usize) {
         if (varying >> shift) & mask == 0 {
             continue;
         }
         // The complement's digit: ascending by it is descending by bytes.
-        let digit = |e: &(u64, FlowId)| ((!e.0 >> shift) & mask) as usize;
-        let mut starts = [0usize; 1 << RADIX_BITS];
-        for e in &from {
+        let digit = |e: &Key| ((!e.0 >> shift) & mask) as usize;
+        // `u32` slots: a store numbers its flows with `u32`s already.
+        let mut starts = [0u32; 1 << TOP_K_DIGIT_BITS];
+        for e in from.iter() {
             starts[digit(e)] += 1;
         }
         let mut sum = 0;
         for s in starts.iter_mut() {
             (*s, sum) = (sum, sum + *s);
         }
-        for e in &from {
+        for e in from.iter() {
             let slot = &mut starts[digit(e)];
-            to[*slot] = *e;
+            to[*slot as usize] = *e;
             *slot += 1;
         }
         std::mem::swap(&mut from, &mut to);
     }
-    *v = from;
+    from
 }
 
 /// Per-flow totals of one [`TibRead::for_each_flow_count`] traversal —
@@ -707,7 +728,7 @@ pub trait TibRead {
     /// Ties are broken by flow id (descending), making the result
     /// deterministic regardless of construction order.
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
+        select_top_k(self.link_flow_counts(LinkPattern::ANY, range).iter(), k)
     }
 
     /// Every visible record, cloned, in insertion order (snapshots,
@@ -823,7 +844,7 @@ impl TibRead for Tib {
             // Served from the live aggregate: no per-record work at all.
             return select_top_k(self.flows.counts(), k);
         }
-        select_top_k(&self.link_flow_counts(LinkPattern::ANY, range), k)
+        select_top_k(self.link_flow_counts(LinkPattern::ANY, range).iter(), k)
     }
 }
 

@@ -1,0 +1,49 @@
+//! The per-thread counting allocator behind the allocation pins
+//! (`insert_allocs.rs`, `top_k_allocs.rs`). The counter is per-thread, as
+//! in `crates/dpswitch/tests/zero_alloc_run_once.rs`: the libtest harness
+//! allocates on its own thread at its own pace.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts an allocating entry point against the current thread.
+/// `try_with` so allocations during TLS teardown stay safe (uncounted).
+fn bump() {
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocating calls made on this thread so far.
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.with(|c| c.get())
+}
+
+/// System allocator wrapper counting every allocating entry point.
+struct CountingAlloc;
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;

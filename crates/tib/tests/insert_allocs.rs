@@ -4,55 +4,13 @@
 //! store before the flow table made three or more per record (two
 //! per-record dedup `Vec`s and a fresh posting `Vec` for every new flow).
 //!
-//! The counter is per-thread, as in
-//! `crates/dpswitch/tests/zero_alloc_run_once.rs`: the libtest harness
-//! allocates on its own thread at its own pace.
+//! Counted with the per-thread allocator in `counting_alloc/`.
 
+mod counting_alloc;
+
+use counting_alloc::thread_alloc_count;
 use pathdump_tib::{Tib, TibRecord, TieredTib};
 use pathdump_topology::{FlowId, Ip, Nanos, Path, SwitchId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Counts an allocating entry point against the current thread.
-/// `try_with` so allocations during TLS teardown stay safe (uncounted).
-fn bump() {
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn thread_alloc_count() -> u64 {
-    THREAD_ALLOCS.with(|c| c.get())
-}
-
-/// System allocator wrapper counting every allocating entry point.
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const RECORDS: usize = 20_000;
 

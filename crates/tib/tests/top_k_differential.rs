@@ -14,13 +14,17 @@
 //! The byte counts lean on what a ranking by digits could get wrong and a
 //! comparison sort cannot: dense ties (bytes in 1..8, several records per
 //! flow), so that the flow id decides most places; 0, `u64::MAX` and their
-//! neighbours; and totals that differ only in bits 11–21 or only in the top
-//! byte, so that a ranking that skips the digits every key shares must skip
-//! exactly those.
+//! neighbours; totals that differ only in the second digit, only in the
+//! top one or only in the two bits either side of the first digit boundary
+//! — each derived from the shipped `TOP_K_DIGIT_BITS` — so that a ranking
+//! that skips the digits every key shares must skip exactly those; and
+//! three tied levels of one flow each, so that every `k` the gate names
+//! cuts through a tie, with tied flows on both sides of the selection's
+//! cut (at 12 000 flows, `k` = 10 000 lands among 1 500 tied).
 //!
 //! Inputs are kept small: the vendored proptest stub does not shrink.
 
-use pathdump_tib::{Tib, TibRead, TibRecord, TieredTib, DEFAULT_BUCKET_WIDTH};
+use pathdump_tib::{Tib, TibRead, TibRecord, TieredTib, DEFAULT_BUCKET_WIDTH, TOP_K_DIGIT_BITS};
 use pathdump_topology::{FlowId, Ip, Nanos, Path, SwitchId, TimeRange};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -90,21 +94,36 @@ enum Bytes {
     DenseTies,
     /// 0, `u64::MAX` and their neighbours, one record per flow.
     Extremes,
-    /// Totals that differ only in bits 11–21.
+    /// Totals that differ only in the second radix digit.
     MidDigit,
-    /// Totals that differ only in the top byte.
-    TopByte,
+    /// Totals that differ only in the highest radix digit, which is partial
+    /// unless the digit width divides 64.
+    TopDigit,
     /// Any magnitude: a random word shifted right by a random amount.
     Wide,
+    /// Totals that differ only in the top bit of the first digit and the
+    /// bottom bit of the second.
+    Straddle,
+    /// Three levels, one flow per record: a low one and the middle one an
+    /// eighth of the flows each, a high one the rest. Each level is a tie
+    /// the cut at `k` = 1, n − 1 or 10 000 of 12 000 falls inside.
+    TieAtCut,
 }
 
-const FAMILIES: [Bytes; 5] = [
+const FAMILIES: [Bytes; 7] = [
     Bytes::DenseTies,
     Bytes::Extremes,
     Bytes::MidDigit,
-    Bytes::TopByte,
+    Bytes::TopDigit,
     Bytes::Wide,
+    Bytes::Straddle,
+    Bytes::TieAtCut,
 ];
+
+/// Where the shipped ranking's digits start: `d`, `2d`, … and the last,
+/// partial one.
+const D: u32 = TOP_K_DIGIT_BITS;
+const TOP_SHIFT: u32 = (u64::BITS - 1) / D * D;
 
 /// The flow and byte count of record `i` drawn from `x`. Every family but
 /// the dense one gives each record a flow of its own, so that a total is
@@ -117,9 +136,25 @@ fn flow_and_bytes(fam: Bytes, i: usize, x: u64) -> (FlowId, u64) {
             let v = [0, 1, 2, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1];
             (own, v[(x % v.len() as u64) as usize])
         }
-        Bytes::MidDigit => (own, 0x0155 | (((x >> 8) % 2048) << 11) | (0xAB << 22)),
-        Bytes::TopByte => (own, 0x00C0_FFEE_1234 | ((x % 256) << 56)),
+        Bytes::MidDigit => {
+            let low = 0x0155 & ((1 << D) - 1);
+            (own, low | ((x >> 8) % (1 << D)) << D | (0xAB << (2 * D)))
+        }
+        Bytes::TopDigit => {
+            let low = 0x00C0_FFEE_1234 & ((1 << TOP_SHIFT) - 1);
+            (own, low | (x >> TOP_SHIFT) << TOP_SHIFT)
+        }
         Bytes::Wide => (own, x >> (x % 64)),
+        Bytes::Straddle => (own, 0x0155_0000_0000 | (x % 4) << (D - 1)),
+        Bytes::TieAtCut => {
+            let at = 0x1234_5678;
+            let bytes = match x % 8 {
+                0 => at - 1,
+                1 => at,
+                _ => at + (1 << 30),
+            };
+            (own, bytes)
+        }
     }
 }
 
@@ -251,7 +286,7 @@ proptest! {
     #[test]
     fn top_k_matches_the_old_body(
         recs in proptest::collection::vec((0usize..4, 0u64..120, 0u64..50, any::<u64>()), 0..40),
-        fam in 0usize..5,
+        fam in 0usize..FAMILIES.len(),
         acts in proptest::collection::vec(0u8..5, 40),
         split in 0usize..48,
         width_sel in 0usize..3,
@@ -278,6 +313,17 @@ fn entropy(seed: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
+/// The named case of family `FAMILIES[fi]` at `n` records.
+fn named_records(fi: usize, n: usize) -> Vec<TibRecord> {
+    let xs = entropy(fi as u64 * 1_000 + n as u64, n);
+    let recs: Vec<RecTuple> = xs
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| (i, x % 120, x % 50, x))
+        .collect();
+    records(FAMILIES[fi], &recs)
+}
+
 /// Every family spelled out, whatever the generator happens to draw, and
 /// at the size of the benchmark's answer: 12 000 flows, so that `k` =
 /// 10 000 selects and the ranking sorts thousands of survivors.
@@ -285,13 +331,7 @@ fn entropy(seed: u64, n: usize) -> Vec<u64> {
 fn named_cases_match_the_old_body() {
     for (fi, &fam) in FAMILIES.iter().enumerate() {
         for n in [1usize, 2, 17, 40, 12_000] {
-            let xs = entropy(fi as u64 * 1_000 + n as u64, n);
-            let recs: Vec<RecTuple> = xs
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (i, x % 120, x % 50, x))
-                .collect();
-            let raw = records(fam, &recs);
+            let raw = named_records(fi, n);
             // Seal every `every` records and evict on every third seal:
             // small stores often, the large one into six segments.
             let every = if n > 100 { 2_000 } else { 2 };
@@ -315,4 +355,19 @@ fn named_cases_match_the_old_body() {
             }
         }
     }
+}
+
+/// The tie family's large named case does what it is there for: the
+/// 9 999th, 10 000th and 10 001st counts are equal, so `k` = 10 000 cuts a
+/// tie with tied flows on both sides.
+#[test]
+fn tie_family_straddles_the_cut() {
+    let fi = FAMILIES
+        .iter()
+        .position(|f| matches!(f, Bytes::TieAtCut))
+        .unwrap();
+    let totals = scan_totals(&named_records(fi, 12_000), TimeRange::ANY);
+    let mut bytes: Vec<u64> = totals.values().map(|t| t.0).collect();
+    bytes.sort_unstable_by(|a, b| b.cmp(a));
+    assert_eq!(bytes[9_998], bytes[10_000]);
 }
