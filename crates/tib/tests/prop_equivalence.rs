@@ -1,6 +1,7 @@
 //! Query-engine equivalence: the bucketed/aggregate [`Tib`] — and the
-//! tiered [`TieredTib`] under arbitrary insert/seal/evict interleavings —
-//! must answer every Host API query identically to a naive linear scan
+//! tiered [`TieredTib`] under arbitrary insert/seal/evict interleavings,
+//! alone and with a live arena read behind it through
+//! [`TieredTib::with_live`] — must answer every Host API query identically to a naive linear scan
 //! over the raw records, for arbitrary record sets, time ranges, link
 //! patterns, and bucket widths (so bucket-boundary and lookback paths
 //! are exercised).
@@ -519,8 +520,9 @@ proptest! {
 
     /// The tiered engine under arbitrary insert/seal/evict/query
     /// interleavings: queried mid-build (against the raw prefix — sealed
-    /// and cold segments answering alongside a part-filled head) and at
-    /// the end, it must be bit-identical to the linear-scan reference.
+    /// and cold segments answering alongside a part-filled head), at the
+    /// end, and mid-build with the remaining records as a live tier, it
+    /// must be bit-identical to the linear-scan reference.
     /// Recovery equivalence (kill + snapshot/WAL replay) lives in
     /// `crash_recovery.rs`.
     #[test]
@@ -549,6 +551,15 @@ proptest! {
             assert_all_queries_match(&tib, &raw, range, k, width)?;
         }
         prop_assert_eq!(tib.read_failures(), 0);
+        // The mid-build store with the rest of the records read as a live
+        // tier behind its head: the union, in insertion order.
+        let mut live = Tib::with_bucket_width(Nanos(width));
+        raw[mid..].iter().for_each(|r| live.insert(r.clone()));
+        let view = tib_mid.with_live(&live);
+        prop_assert_eq!(view.records_vec(), raw.clone(), "live insertion order");
+        for range in ranges(a, b) {
+            assert_all_queries_match(&view, &raw, range, k, width)?;
+        }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
     }
