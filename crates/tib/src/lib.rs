@@ -15,8 +15,9 @@
 //! sealed prefixes concurrently with ingest ([`TibReader`]). All three
 //! engines ([`Tib`], [`TieredTib`], [`SealedView`]) and the agent's
 //! [`LiveView`] of a store plus its trajectory memory answer the same eight
-//! queries through the [`TibRead`] trait and through nothing else, pinned
-//! bit-identical across engines by `tests/prop_equivalence.rs`;
+//! queries through the [`TibRead`] trait and through nothing else — the
+//! three tiered views through one shared body — and
+//! `tests/prop_equivalence.rs` pins all four to the same linear scan;
 //! [`TibDiff::between`] compares any two of them.
 //!
 //! Persistence is the snapshot envelope of `snapshot.rs`: one writer
@@ -39,8 +40,7 @@ pub use diff::{diff_snapshots, PathDelta, TibDiff};
 pub use memory::{canonical_order, MemKey, TrajectoryMemory};
 pub use record::{PendingRecord, TibRecord};
 pub use segment::{
-    LiveView, RecoveryReport, SealedSegment, SealedView, StoreError, StoreResult, TibReader,
-    TieredTib,
+    LiveView, RecoveryReport, SealedView, StoreError, StoreResult, TibReader, TieredTib,
 };
 pub use snapshot::{load_tiered, save_tiered, save_tiered_into, SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V3};
 pub use tib::{Tib, TibRead, DEFAULT_BUCKET_WIDTH, TOP_K_DIGIT_BITS};

@@ -9,7 +9,7 @@
 //!   Every insert lands here (after the optional WAL append).
 //! - **Sealed segments** — when the head reaches the seal threshold (or
 //!   [`TieredTib::seal`] is called) it is frozen wholesale into an
-//!   immutable [`SealedSegment`]: the already-built indexes become the
+//!   immutable sealed segment: the already-built indexes become the
 //!   segment's pre-summed per-segment indexes, and its `(min stime, max
 //!   etime)` hull prunes ranged queries.
 //! - **Cold segments** — [`TieredTib::evict_cold`] writes a sealed
@@ -22,7 +22,9 @@
 //! [`TieredTib`] implements [`TibRead`] **bit-identically** to a single
 //! [`Tib`] holding the same records in the same insertion order — pinned
 //! by `prop_equivalence` across arbitrary insert/seal/evict/query
-//! interleavings. Segments fold in seal order (then the head), so
+//! interleavings. It shares one `TibRead` body with [`SealedView`] and
+//! [`LiveView`]; each view only names the tiers it covers. Segments fold
+//! in seal order (then the open arenas), so
 //! insertion-order outputs concatenate with global dedup; count maps sum;
 //! duration merges via [`Tib::duration_bounds`]. Whole-store aggregates
 //! (`get_flows(ANY, ANY)`, all-time `get_count`/`top_k_flows`/
@@ -126,9 +128,7 @@ struct SegState {
 
 /// One immutable sealed segment of the tiered store.
 #[derive(Debug)]
-pub struct SealedSegment {
-    /// Records in the segment (fixed at seal).
-    len: usize,
+struct SealedSegment {
     /// `(min stime, max etime)` hull; `None` only for an empty segment
     /// decoded from a (degenerate but well-formed) snapshot.
     span: Option<(Nanos, Nanos)>,
@@ -145,7 +145,6 @@ impl SealedSegment {
     /// Seals a head arena wholesale: its indexes become the segment's.
     fn from_tib(tib: Tib) -> Self {
         SealedSegment {
-            len: tib.len(),
             span: tib.span(),
             bucket_width: tib.bucket_width(),
             state: Mutex::new(SegState {
@@ -170,7 +169,6 @@ impl SealedSegment {
             });
         }
         SealedSegment {
-            len: records.len(),
             span,
             bucket_width,
             state: Mutex::new(SegState {
@@ -181,16 +179,6 @@ impl SealedSegment {
             reloads: AtomicU64::new(0),
             read_failures: AtomicU64::new(0),
         }
-    }
-
-    /// Records in the segment.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for a (degenerate) empty segment.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Can any record in this segment overlap `range`? (Hull test — a
@@ -204,7 +192,7 @@ impl SealedSegment {
     }
 
     /// True when the segment currently has no in-memory index.
-    pub fn is_cold(&self) -> bool {
+    fn is_cold(&self) -> bool {
         lock(&self.state).tib.is_none()
     }
 
@@ -302,7 +290,9 @@ impl SealedSegment {
 
 /// An immutable snapshot of the sealed prefix: every record sealed at
 /// publish time, none of the head. Obtained from a [`TibReader`]; query
-/// it via [`TibRead`] with no coordination with the writer.
+/// it via [`TibRead`] with no coordination with the writer. It reads its
+/// segments only: the store's all-time table covers the head too, so no
+/// query takes its shortcut.
 #[derive(Debug, Clone, Default)]
 pub struct SealedView {
     segments: Vec<Arc<SealedSegment>>,
@@ -319,15 +309,10 @@ impl SealedView {
 /// A [`TieredTib`] and, behind it, a borrowed arena of records that are
 /// not in the store yet — the host agent's trajectory memory, for the
 /// alarm-time queries of §3.2. Built by [`TieredTib::with_live`]. Every
-/// answer is the union's: the store's all-time running aggregates do not
-/// cover the extra tier, so no query takes their shortcut.
+/// answer is the union's: the store's all-time table does not cover the
+/// extra tier, so no query takes its shortcut.
 #[derive(Debug)]
-pub struct LiveView<'a> {
-    sealed: &'a [Arc<SealedSegment>],
-    /// The store's head, then the borrowed arena.
-    open: [&'a Tib; 2],
-    len: usize,
-}
+pub struct LiveView<'a>(Tiers<'a>);
 
 /// A cloneable, `Send + Sync` handle for querying the sealed prefix
 /// concurrently with ingest. [`snapshot`](Self::snapshot) costs one
@@ -531,11 +516,12 @@ impl TieredTib {
     /// This store with `live` read as one more tier after the head: what
     /// the store would answer had `live`'s records been inserted last.
     pub fn with_live<'a>(&'a self, live: &'a Tib) -> LiveView<'a> {
-        LiveView {
-            sealed: &self.sealed,
-            open: [&self.head, live],
+        LiveView(Tiers {
+            open: [Some(&self.head), Some(live)],
+            all_time: None,
             len: self.len() + live.len(),
-        }
+            ..self.tiers()
+        })
     }
 
     /// A concurrent-read handle over the sealed prefix. Clones of it
@@ -629,114 +615,139 @@ impl TieredTib {
 }
 
 // ---------------------------------------------------------------------
-// The query fold: segments in seal order, then the open (unsealed) arenas.
-// Shared between `SealedView` (segments only), `TieredTib` (segments +
-// head) and `LiveView` (segments + head + the agent's live records).
+// The query fold: one `TibRead` body for the three tiered views, each of
+// which only says which tiers it covers.
 // ---------------------------------------------------------------------
 
-/// Calls `f` on each tier a query over `range` reads, in insertion order:
-/// the sealed segments whose hull overlaps the range (one that fails to
-/// load is counted and skipped), then every open arena.
-fn each_tib(
-    segs: &[Arc<SealedSegment>],
-    open: &[&Tib],
-    range: &TimeRange,
-    f: &mut dyn FnMut(&Tib),
-) {
-    for seg in segs.iter().filter(|s| s.overlaps(range)) {
-        if let Some(t) = seg.tib_or_skip() {
-            f(&t);
-        }
+/// What a tiered read covers, borrowed: the sealed segments in seal order,
+/// then the open arenas (a store's head, then a live arena), and the
+/// store-wide flow table. A read takes the table's all-time shortcut only
+/// when the table covers exactly its tiers: [`TieredTib`] passes its own,
+/// [`SealedView`] (no head) and [`LiveView`] (one tier more) pass none.
+#[derive(Clone, Copy, Debug)]
+struct Tiers<'a> {
+    sealed: &'a [Arc<SealedSegment>],
+    open: [Option<&'a Tib>; 2],
+    all_time: Option<&'a FlowTable>,
+    len: usize,
+}
+
+impl<'a> Tiers<'a> {
+    /// The all-time table, when it may answer a query over `range`.
+    fn table_for(&self, range: TimeRange) -> Option<&'a FlowTable> {
+        self.all_time.filter(|_| range == TimeRange::ANY)
     }
-    open.iter().for_each(|t| f(t));
-}
 
-/// Insertion-order lists concatenate with global dedup.
-fn fold_dedup<T: Clone + Eq + std::hash::Hash>(
-    segs: &[Arc<SealedSegment>],
-    open: &[&Tib],
-    range: &TimeRange,
-    list: impl Fn(&Tib) -> Vec<T>,
-) -> Vec<T> {
-    let mut seen: HashSet<T, FnvBuild> = HashSet::default();
-    let mut out = Vec::new();
-    each_tib(segs, open, range, &mut |t| {
-        out.extend(list(t).into_iter().filter(|x| seen.insert(x.clone())));
-    });
-    out
-}
-
-fn fold_count(
-    segs: &[Arc<SealedSegment>],
-    open: &[&Tib],
-    flow: FlowId,
-    path: Option<&Path>,
-    range: TimeRange,
-) -> (u64, u64) {
-    let mut sum = (0, 0);
-    each_tib(segs, open, &range, &mut |t| {
-        let (b, p) = t.get_count(flow, path, range);
-        sum.0 += b;
-        sum.1 += p;
-    });
-    sum
-}
-
-fn fold_duration(
-    segs: &[Arc<SealedSegment>],
-    open: &[&Tib],
-    flow: FlowId,
-    path: Option<&Path>,
-    range: TimeRange,
-) -> Nanos {
-    let mut bounds: Option<(Nanos, Nanos)> = None;
-    each_tib(segs, open, &range, &mut |t| {
-        if let Some((s, e)) = t.duration_bounds(flow, path, range) {
-            bounds = Some(match bounds {
-                Some((lo, hi)) => (lo.min(s), hi.max(e)),
-                None => (s, e),
-            });
+    /// Calls `f` on each tier a query over `range` reads, in insertion
+    /// order: the sealed segments whose hull overlaps the range (one that
+    /// fails to load is counted and skipped), then the open arenas.
+    fn each(&self, range: &TimeRange, mut f: impl FnMut(&Tib)) {
+        for seg in self.sealed.iter().filter(|s| s.overlaps(range)) {
+            if let Some(t) = seg.tib_or_skip() {
+                f(&t);
+            }
         }
-    });
-    match bounds {
-        Some((lo, hi)) if lo < hi => hi - lo,
-        _ => Nanos::ZERO,
+        self.open.iter().flatten().for_each(|t| f(t));
+    }
+
+    /// Insertion-order lists concatenate with global dedup.
+    fn dedup<T>(&self, range: &TimeRange, list: impl Fn(&Tib) -> Vec<T>) -> Vec<T>
+    where
+        T: Clone + Eq + std::hash::Hash,
+    {
+        let mut seen: HashSet<T, FnvBuild> = HashSet::default();
+        let mut out = Vec::new();
+        self.each(range, |t| {
+            out.extend(list(t).into_iter().filter(|x| seen.insert(x.clone())));
+        });
+        out
     }
 }
 
-impl TibRead for TieredTib {
+/// A view of the tiered store, answering [`TibRead`] over its [`Tiers`].
+trait Tiered {
+    fn tiers(&self) -> Tiers<'_>;
+}
+
+impl Tiered for TieredTib {
+    fn tiers(&self) -> Tiers<'_> {
+        Tiers {
+            sealed: &self.sealed,
+            open: [Some(&self.head), None],
+            all_time: Some(&self.flows),
+            len: self.len(),
+        }
+    }
+}
+
+impl Tiered for SealedView {
+    fn tiers(&self) -> Tiers<'_> {
+        Tiers {
+            sealed: &self.segments,
+            open: [None; 2],
+            all_time: None,
+            len: self.len,
+        }
+    }
+}
+
+impl Tiered for LiveView<'_> {
+    fn tiers(&self) -> Tiers<'_> {
+        self.0
+    }
+}
+
+impl<V: Tiered> TibRead for V {
     fn num_records(&self) -> usize {
-        self.len()
+        self.tiers().len
     }
 
     fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
-        let each = &mut |t: &Tib| t.records().iter().for_each(&mut *f);
-        each_tib(&self.sealed, &[&self.head], &TimeRange::ANY, each);
+        let each = |t: &Tib| t.records().iter().for_each(&mut *f);
+        self.tiers().each(&TimeRange::ANY, each);
     }
 
     fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
-        if link.is_any() && range == TimeRange::ANY {
+        let tiers = self.tiers();
+        match tiers.table_for(range) {
             // Global aggregate: no segment access, no cold reloads.
-            return self.flows.order.clone();
+            Some(table) if link.is_any() => table.order.clone(),
+            _ => tiers.dedup(&range, |t| t.get_flows(link, range)),
         }
-        let flows = |t: &Tib| t.get_flows(link, range);
-        fold_dedup(&self.sealed, &[&self.head], &range, flows)
     }
 
     fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
         let paths = |t: &Tib| t.get_paths(flow, link, range);
-        fold_dedup(&self.sealed, &[&self.head], &range, paths)
+        self.tiers().dedup(&range, paths)
     }
 
     fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
-        if path.is_none() && range == TimeRange::ANY {
-            return self.flows.count(flow);
+        let tiers = self.tiers();
+        match tiers.table_for(range) {
+            Some(table) if path.is_none() => table.count(flow),
+            _ => {
+                let mut sum = (0, 0);
+                tiers.each(&range, |t| {
+                    let (b, p) = t.get_count(flow, path, range);
+                    sum = (sum.0 + b, sum.1 + p);
+                });
+                sum
+            }
         }
-        fold_count(&self.sealed, &[&self.head], flow, path, range)
     }
 
+    /// Per-tier bounds merge into one hull ([`Tib::duration_bounds`]).
     fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
-        fold_duration(&self.sealed, &[&self.head], flow, path, range)
+        let mut bounds: Option<(Nanos, Nanos)> = None;
+        self.tiers().each(&range, |t| {
+            if let Some((s, e)) = t.duration_bounds(flow, path, range) {
+                bounds = Some(bounds.map_or((s, e), |(lo, hi)| (lo.min(s), hi.max(e))));
+            }
+        });
+        match bounds {
+            Some((lo, hi)) if lo < hi => hi - lo,
+            _ => Nanos::ZERO,
+        }
     }
 
     fn for_each_flow_count(
@@ -745,97 +756,19 @@ impl TibRead for TieredTib {
         range: TimeRange,
         f: &mut dyn FnMut(FlowId, u64, u64),
     ) {
-        if link.is_any() && range == TimeRange::ANY {
+        let tiers = self.tiers();
+        match tiers.table_for(range) {
             // Global aggregate: no segment access, no cold reloads.
-            return self.flows.counts().for_each(|(&id, &(b, p))| f(id, b, p));
+            Some(table) if link.is_any() => table.counts().for_each(|(&id, &(b, p))| f(id, b, p)),
+            _ => tiers.each(&range, |t| t.for_each_flow_count(link, range, f)),
         }
-        let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
-        each_tib(&self.sealed, &[&self.head], &range, each);
     }
 
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
-        if range == TimeRange::ANY {
-            return select_top_k(self.flows.counts(), k);
+        match self.tiers().table_for(range) {
+            Some(table) => select_top_k(table.counts(), k),
+            None => select_top_k(self.link_flow_counts(LinkPattern::ANY, range).iter(), k),
         }
-        select_top_k(self.link_flow_counts(LinkPattern::ANY, range).iter(), k)
-    }
-}
-
-impl TibRead for SealedView {
-    fn num_records(&self) -> usize {
-        self.len
-    }
-
-    fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
-        let each = &mut |t: &Tib| t.records().iter().for_each(&mut *f);
-        each_tib(&self.segments, &[], &TimeRange::ANY, each);
-    }
-
-    fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
-        fold_dedup(&self.segments, &[], &range, |t| t.get_flows(link, range))
-    }
-
-    fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
-        fold_dedup(&self.segments, &[], &range, |t| {
-            t.get_paths(flow, link, range)
-        })
-    }
-
-    fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
-        fold_count(&self.segments, &[], flow, path, range)
-    }
-
-    fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
-        fold_duration(&self.segments, &[], flow, path, range)
-    }
-
-    fn for_each_flow_count(
-        &self,
-        link: LinkPattern,
-        range: TimeRange,
-        f: &mut dyn FnMut(FlowId, u64, u64),
-    ) {
-        let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
-        each_tib(&self.segments, &[], &range, each);
-    }
-}
-
-impl TibRead for LiveView<'_> {
-    fn num_records(&self) -> usize {
-        self.len
-    }
-
-    fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
-        let each = &mut |t: &Tib| t.records().iter().for_each(&mut *f);
-        each_tib(self.sealed, &self.open, &TimeRange::ANY, each);
-    }
-
-    fn get_flows(&self, link: LinkPattern, range: TimeRange) -> Vec<FlowId> {
-        let flows = |t: &Tib| t.get_flows(link, range);
-        fold_dedup(self.sealed, &self.open, &range, flows)
-    }
-
-    fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
-        let paths = |t: &Tib| t.get_paths(flow, link, range);
-        fold_dedup(self.sealed, &self.open, &range, paths)
-    }
-
-    fn get_count(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> (u64, u64) {
-        fold_count(self.sealed, &self.open, flow, path, range)
-    }
-
-    fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
-        fold_duration(self.sealed, &self.open, flow, path, range)
-    }
-
-    fn for_each_flow_count(
-        &self,
-        link: LinkPattern,
-        range: TimeRange,
-        f: &mut dyn FnMut(FlowId, u64, u64),
-    ) {
-        let each = &mut |t: &Tib| t.for_each_flow_count(link, range, f);
-        each_tib(self.sealed, &self.open, &range, each);
     }
 }
 

@@ -217,7 +217,7 @@ pub(crate) fn select_top_k<'a>(
     v
 }
 
-/// Bits per radix digit of [`select_top_k`]'s ranking: 8 192 `u32`
+/// Bits per radix digit of `select_top_k`'s ranking: 8 192 `u32`
 /// counters, 32 KB, stay in L1, and the 25 bits in which counts of up to
 /// 32 MB differ take two passes (three at 11 bits).
 pub const TOP_K_DIGIT_BITS: u32 = 13;
@@ -659,12 +659,15 @@ impl Tib {
 
 /// The read side of the Host API (Table 1), abstracted over storage
 /// engines: the single-arena [`Tib`], the tiered
-/// [`TieredTib`](crate::segment::TieredTib), and the lock-free
-/// [`SealedView`](crate::segment::SealedView) reader snapshot all
-/// implement it, so query evaluators (`execute_on_tib`, the standing
-/// engine, the rpc plane) are written once against this trait. It is the
-/// only query API any of the three has: [`Tib`]'s inherent methods build
-/// and measure the store, they do not ask it.
+/// [`TieredTib`](crate::segment::TieredTib), the lock-free
+/// [`SealedView`](crate::segment::SealedView) reader snapshot and the
+/// agent's [`LiveView`](crate::segment::LiveView) of a store plus its
+/// trajectory memory all implement it, so query evaluators
+/// (`execute_on_tib`, the standing engine, the rpc plane) are written once
+/// against this trait. The three tiered views share one body, which folds
+/// per-tier [`Tib`] answers. It is the only query API any of the four has:
+/// [`Tib`]'s inherent methods build and measure the store, they do not ask
+/// it.
 ///
 /// Semantics are the ones documented on the methods below —
 /// insertion-order outputs, closed `TimeRange`s, `(bytes, flow)`
