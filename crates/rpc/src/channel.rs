@@ -75,6 +75,19 @@ impl Loopback {
     pub fn net(&self) -> MgmtNet {
         self.net
     }
+
+    /// Counts one frame of `len` bytes handed to `send`.
+    pub(crate) fn count(&mut self, len: usize) {
+        self.frames += 1;
+        self.bytes += len as u64;
+    }
+
+    /// Queues `d` for delivery at `d.at`, after every frame already queued
+    /// for that instant.
+    pub(crate) fn enqueue(&mut self, d: Delivery) {
+        self.queue.insert((d.at, self.seq), d);
+        self.seq += 1;
+    }
 }
 
 impl Default for Loopback {
@@ -85,20 +98,14 @@ impl Default for Loopback {
 
 impl Channel for Loopback {
     fn send(&mut self, from: NodeId, to: NodeId, bytes: Vec<u8>, now: Nanos) {
-        self.frames += 1;
-        self.bytes += bytes.len() as u64;
+        self.count(bytes.len());
         let at = now + self.net.transfer(bytes.len());
-        let key = (at, self.seq);
-        self.seq += 1;
-        self.queue.insert(
-            key,
-            Delivery {
-                from,
-                to,
-                at,
-                bytes,
-            },
-        );
+        self.enqueue(Delivery {
+            from,
+            to,
+            at,
+            bytes,
+        });
     }
 
     fn next_delivery_at(&self) -> Option<Nanos> {

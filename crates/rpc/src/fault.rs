@@ -1,12 +1,11 @@
 //! The fault-injecting channel harness: every degradation path of a real
 //! management network, reproducible from a seed.
 
-use crate::channel::{Channel, Delivery, NodeId};
+use crate::channel::{Channel, Delivery, Loopback, NodeId};
 use pathdump_core::MgmtNet;
 use pathdump_topology::Nanos;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// What to inject, with what probability. All draws come from one seeded
 /// RNG in send order, so a fault pattern is a pure function of the seed
@@ -64,18 +63,14 @@ pub struct FaultLog {
 }
 
 /// A [`Channel`] that perturbs frames per a [`FaultPlan`] before queueing
-/// them on the same deterministic timeline as [`Loopback`]
-/// (`crate::channel::Loopback`).
+/// them on a [`Loopback`]'s deterministic timeline.
 #[derive(Debug)]
 pub struct FaultyChannel {
-    net: MgmtNet,
     plan: FaultPlan,
     rng: SmallRng,
     log: FaultLog,
-    queue: BTreeMap<(Nanos, u64), Delivery>,
-    seq: u64,
-    frames: u64,
-    bytes: u64,
+    /// Counts every frame sent and delivers the ones that survive.
+    timeline: Loopback,
 }
 
 impl FaultyChannel {
@@ -83,14 +78,10 @@ impl FaultyChannel {
     pub fn new(net: MgmtNet, plan: FaultPlan) -> Self {
         let rng = SmallRng::seed_from_u64(plan.seed);
         FaultyChannel {
-            net,
             plan,
             rng,
             log: FaultLog::default(),
-            queue: BTreeMap::new(),
-            seq: 0,
-            frames: 0,
-            bytes: 0,
+            timeline: Loopback::new(net),
         }
     }
 
@@ -112,18 +103,11 @@ impl FaultyChannel {
         }
         extra
     }
-
-    fn enqueue(&mut self, d: Delivery) {
-        let key = (d.at, self.seq);
-        self.seq += 1;
-        self.queue.insert(key, d);
-    }
 }
 
 impl Channel for FaultyChannel {
     fn send(&mut self, from: NodeId, to: NodeId, bytes: Vec<u8>, now: Nanos) {
-        self.frames += 1;
-        self.bytes += bytes.len() as u64;
+        self.timeline.count(bytes.len());
         if self.plan.dead.contains(&from) || self.plan.dead.contains(&to) {
             self.log.dead_dropped += 1;
             return;
@@ -145,7 +129,7 @@ impl Channel for FaultyChannel {
             payload[at] ^= 1 << bit;
             self.log.corrupted += 1;
         }
-        let base = self.net.transfer(payload.len());
+        let base = self.timeline.net().transfer(payload.len());
         let extra = self.extra_delay(from, to);
         if extra.0 > 0 {
             self.log.delayed += 1;
@@ -159,14 +143,14 @@ impl Channel for FaultyChannel {
         };
         if dup {
             self.log.duplicated += 1;
-            self.enqueue(Delivery {
+            self.timeline.enqueue(Delivery {
                 from,
                 to,
                 at: at + dup_extra,
                 bytes: payload.clone(),
             });
         }
-        self.enqueue(Delivery {
+        self.timeline.enqueue(Delivery {
             from,
             to,
             at,
@@ -175,23 +159,19 @@ impl Channel for FaultyChannel {
     }
 
     fn next_delivery_at(&self) -> Option<Nanos> {
-        self.queue.keys().next().map(|(t, _)| *t)
+        self.timeline.next_delivery_at()
     }
 
     fn recv_due(&mut self, now: Nanos) -> Option<Delivery> {
-        let key = *self.queue.keys().next()?;
-        if key.0 > now {
-            return None;
-        }
-        self.queue.remove(&key)
+        self.timeline.recv_due(now)
     }
 
     fn frames_sent(&self) -> u64 {
-        self.frames
+        self.timeline.frames_sent()
     }
 
     fn bytes_sent(&self) -> u64 {
-        self.bytes
+        self.timeline.bytes_sent()
     }
 }
 
