@@ -39,9 +39,8 @@
 //! slot/verdict buffers) the steady state allocates nothing.
 
 use crate::parse::{parse_into, strip_vlans_prefix, ParseError, Parsed, MAX_TAGS};
-use pathdump_tib::memory::FnvBuild;
 use pathdump_tib::TrajectoryMemory;
-use pathdump_topology::{FlowId, Nanos};
+use pathdump_topology::{FlowId, FnvBuild, Nanos};
 use std::collections::HashMap;
 
 /// Forwarding action for one frame.

@@ -21,7 +21,7 @@
 //! — convenient at the edges, but poison on the per-packet path: comparing
 //! a stored key would chase a heap pointer per probe (a cache miss that
 //! profiling shows dominates the whole PathDump datapath overhead). A
-//! stored path therefore keeps up to [`INLINE_TAGS`] tags next to its
+//! stored path therefore keeps up to `INLINE_TAGS` tags next to its
 //! counters; only deeper stacks — beyond anything the bounded parser
 //! emits — live in a boxed slice. The per-packet hit path hashes the flow
 //! as two packed `u64` words (one FNV mix per word instead of one per
@@ -43,14 +43,9 @@
 //! the map's hasher, capacity or insertion history.
 
 use crate::record::PendingRecord;
-use pathdump_topology::{FlowId, FlowKey, Nanos, SECONDS};
+use pathdump_topology::{FlowId, FlowKey, FnvBuild, Nanos, SECONDS};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-
-// The datapath-hot-path hasher now lives in `pathdump_topology::fnv`
-// (shared with the cherrypick decode memo); re-exported here so existing
-// `pathdump_tib::memory::{FnvHasher, FnvBuild}` imports keep working.
-pub use pathdump_topology::{FnvBuild, FnvHasher};
 
 /// Key of a per-path flow record: flow ID plus raw trajectory samples.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -407,7 +402,7 @@ impl TrajectoryMemory {
 
     /// Iterates over live record keys (the agent uses this to answer
     /// queries whose window includes not-yet-exported data, §3.2 "the
-    /// server agent [can] look up the trajectory memory"). Keys are
+    /// server agent \[can\] look up the trajectory memory"). Keys are
     /// materialized from the inline storage form, so the iterator yields
     /// them by value.
     pub fn live_keys(&self) -> impl Iterator<Item = MemKey> + '_ {
