@@ -5,7 +5,7 @@
 //! alarms for flows with repeated retransmissions; per alarm the controller
 //! pulls the victim flow's path(s) from the destination TIB (a *failure
 //! signature*) and feeds the accumulated signatures to the MAX-COVERAGE
-//! algorithm of Kompella et al. [23] — "implemented as only about 50 lines
+//! algorithm of Kompella et al. \[23\] — "implemented as only about 50 lines
 //! of Python" in the paper, a few dozen lines of Rust here.
 
 use pathdump_core::{PathDumpWorld, Query, Reason, Response};

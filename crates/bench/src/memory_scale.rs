@@ -11,7 +11,7 @@
 //!
 //! Shape: one flow in four is sprayed over four one-tag paths, the rest
 //! use one, so both the inline and the multi-path entry forms are
-//! measured. FINs are timed in batches of [`FIN_BATCH`] flows — one clock
+//! measured. FINs are timed in batches of `FIN_BATCH` flows — one clock
 //! read per batch — and the batch is re-inserted untimed, so the live
 //! count stays within a batch of its nominal size.
 

@@ -1,5 +1,5 @@
 //! CherryPick: per-packet trajectory tracing with near-optimal header space
-//! (§3.1 of the PathDump paper; originally SOSR'15 [36]).
+//! (§3.1 of the PathDump paper; originally SOSR'15 \[36\]).
 //!
 //! The pieces, bottom-up:
 //! - [`ids`]: the 12-bit link-identifier spaces, shared across pods;

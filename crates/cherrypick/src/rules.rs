@@ -6,7 +6,7 @@
 //!   density" (fat-tree);
 //! - "We need two rules per ingress port ... thus still keeping low switch
 //!   rule overheads" (VL2);
-//! - core-link IDs can be assigned by edge coloring [13] so that pods share
+//! - core-link IDs can be assigned by edge coloring \[13\] so that pods share
 //!   a small ID space.
 
 use pathdump_topology::coloring::verify_coloring;

@@ -500,7 +500,7 @@ impl HostAgent {
 
     /// Executes a TIB query locally; `include_live` additionally reads the
     /// not-yet-exported trajectory-memory records (§3.2: alarm-driven
-    /// debugging "trigger[s] the access to the memory for debugging at even
+    /// debugging "trigger\[s\] the access to the memory for debugging at even
     /// finer-grained time scales") as one more tier of the store: the
     /// answer is what the TIB would say had they been exported just now.
     /// (`Response::merge` joins answers of *different hosts* — per-flow max,

@@ -3,7 +3,7 @@
 //!
 //! A [`StandingQueryEngine`] holds registered [`StandingQuery`] watches
 //! and re-evaluates them **incrementally** as each [`TibRecord`] lands in
-//! the host's [`Tib`] — riding the store's running per-flow totals and
+//! the host's [`Tib`](pathdump_tib::Tib) — riding the store's running per-flow totals and
 //! bucketed time index, never rescanning the record arena on the insert
 //! path. Registration may scan once (seeding per-watch state and the
 //! event-time clock from records inserted before the watch existed); the
@@ -259,7 +259,7 @@ impl StandingQueryEngine {
         self.watches.len() != before
     }
 
-    /// The incremental step: call once per [`Tib::insert`], **after** the
+    /// The incremental step: call once per [`Tib::insert`](pathdump_tib::Tib::insert), **after** the
     /// record is in the store. Updates per-watch state in O(1), decides
     /// via cheap monotonicity checks whether each predicate could have
     /// flipped, and re-derives it from the TIB's aggregates only then.

@@ -7,7 +7,7 @@
 //! event carries a **causal key** instead: root events (harness
 //! injections) take keys from a facade-level counter, and every event
 //! created while dispatching event `E` derives its key from `E`'s key plus
-//! a per-dispatch birth index (see [`KeyGen`]). Causal keys are a pure
+//! a per-dispatch birth index (see `KeyGen`). Causal keys are a pure
 //! function of the simulation's causal history, not of push order, which
 //! is what lets `tests/golden.rs` pin results across refactors of the loop
 //! — the recorded digests come from a simulator that scheduled the same

@@ -4,12 +4,12 @@
 //!
 //! # One event loop
 //!
-//! [`Simulator::run_until`] pops one [`EventQueue`] in `(time, causal
+//! [`Simulator::run_until`] pops one `EventQueue` in `(time, causal
 //! key)` order and calls the handler of each event directly on the
 //! simulator's own state. For the duration of a run call (or a
-//! `send_from`) that state is split in two: [`Net`], the read-only half
+//! `send_from`) that state is split in two: `Net`, the read-only half
 //! every handler consults (configuration, topology, route tables, tag
-//! policy), and [`Ctx`], the `&mut` half they change (switches, NICs, RNG
+//! policy), and `Ctx`, the `&mut` half they change (switches, NICs, RNG
 //! streams, counters, the queue, the [`World`]).
 //!
 //! # Determinism
@@ -19,7 +19,7 @@
 //! digests were recorded from the two-engine simulator this loop replaced.
 //! What makes results what they are:
 //!
-//! 1. **Causal event keys** ([`crate::event::KeyGen`]): same-time events
+//! 1. **Causal event keys** (`KeyGen`): same-time events
 //!    sort on a key derived from the creating event's key plus a birth
 //!    index — a function of causal history, not of the order pushes
 //!    happened to reach the heap (see `event.rs`).
@@ -28,7 +28,7 @@
 //!    [`HostApi::rng`]), so a draw at one switch never shifts the sequence
 //!    another switch sees.
 //! 3. **Drops are recorded where they happen**, in processing order, by
-//!    [`SimStats::log_drop`]; a logged drop also takes a birth index, so
+//!    `SimStats::log_drop`; a logged drop also takes a birth index, so
 //!    the keys of the events its handler creates afterwards are the
 //!    recorded ones.
 //!

@@ -1,13 +1,13 @@
 //! Bipartite multigraph edge coloring.
 //!
 //! CherryPick "efficiently assigns IDs to core links by applying an
-//! edge-coloring technique" (§3.1, citing Cole–Ost–Schirra [13]). By Kőnig's
+//! edge-coloring technique" (§3.1, citing Cole–Ost–Schirra \[13\]). By Kőnig's
 //! theorem a bipartite multigraph is edge-colorable with exactly Δ colors
 //! (the maximum degree); two links sharing a switch never share a color, so
 //! a color can serve as a locally-unambiguous link identifier.
 //!
 //! We implement the classic alternating-path (Kőnig) algorithm in `O(V · E)`
-//! — far from the `O(E log Δ)` of [13], but exact and plenty fast for
+//! — far from the `O(E log Δ)` of \[13\], but exact and plenty fast for
 //! datacenter-scale graphs (tens of thousands of links).
 
 /// Colors the edges of a bipartite multigraph with Δ colors.

@@ -5,7 +5,7 @@
 //! paths — together with builders for the two structured topologies the paper
 //! evaluates on (**fat-tree** and **VL2**), up–down routing with ECMP and
 //! per-packet spraying, and the bipartite edge-coloring used by CherryPick to
-//! assign core-link identifiers (reference [13] of the paper).
+//! assign core-link identifiers (reference \[13\] of the paper).
 //!
 //! Everything here is "ground truth": the static view of the network that
 //! each PathDump edge device stores (§2.2 of the paper) and that the

@@ -1,6 +1,6 @@
 //! Workload generation: the web traffic model of the paper's experiments.
 //!
-//! §4.2/§4.3 generate traffic "based on the web traffic model in [10]"
+//! §4.2/§4.3 generate traffic "based on the web traffic model in \[10\]"
 //! (pFabric's web-search workload, itself from production datacenter
 //! measurements): a heavy-tailed flow-size distribution where most flows
 //! are mice but most *bytes* live in elephant flows, with Poisson flow

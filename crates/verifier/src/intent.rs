@@ -2,7 +2,7 @@
 //! into per-destination next-hop DAGs for fast runtime conformance checks.
 //!
 //! An [`IntentModel`] is only constructible from tables that pass
-//! [`verify`](crate::verify::verify) clean — so every per-destination graph
+//! [`verify`] clean — so every per-destination graph
 //! is a DAG and every maximal walk terminates at the destination. That
 //! invariant is what lets membership checks, path enumeration, and path /
 //! link-membership counting all run without cycle guards.

@@ -20,7 +20,7 @@
 //!
 //! # Soundness of the memoized DFS
 //!
-//! [`verify`] explores, for each destination ToR `d`, the candidate
+//! [`verify()`] explores, for each destination ToR `d`, the candidate
 //! multigraph `G_d` whose edges at switch `u` are exactly the ECMP candidate
 //! ports `routes.candidates_to_tor(u, d)`. Forwarding in this model is
 //! **memoryless**: the candidate set at `u` depends only on `(u, d)`, never
