@@ -17,8 +17,9 @@
 //!
 //! A query fans out down the aggregation tree (built by
 //! `pathdump_core::cluster::build_tree`, shipped inside each request as a
-//! source-routed subtree) and partial [`Response`](pathdump_core::Response) merges stream back up:
-//! every interior agent executes the query locally, merges child replies
+//! source-routed subtree) and partial
+//! [`Response`](pathdump_core::Response) merges stream back up: every
+//! interior agent executes the query locally, merges child replies
 //! as they arrive, and sends one merged reply to its parent. All frames
 //! ride the `pathdump_wire` codec (length-delimited, CRC-32 trailer), so
 //! corruption is detected at the frame boundary and surfaces as a retry,
