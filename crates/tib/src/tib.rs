@@ -106,9 +106,21 @@ use std::mem::size_of;
 /// A hash map off SipHash: every map the store probes per record.
 type FMap<K, V> = HashMap<K, V, FnvBuild>;
 
-/// Bytes of a map's slots, used or not: an entry and a control byte each.
+/// Bytes of a map's table, used or not: `capacity · 8/7` slots (a power of
+/// two; `capacity + 1` below eight) of an entry and a control byte each,
+/// plus one trailing group of control bytes.
 fn map_bytes<K, V>(map: &FMap<K, V>) -> usize {
-    map.capacity() * (size_of::<(K, V)>() + 1)
+    let slots = match map.capacity() {
+        0 => return 0,
+        cap @ 1..=7 => cap + 1,
+        cap => cap / 7 * 8,
+    };
+    slots * (size_of::<(K, V)>() + 1) + 16
+}
+
+/// Bytes of a `Vec`'s buffer, used or not.
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * size_of::<T>()
 }
 
 /// Default stime bucket width: 8 seconds. At the paper's Table-1 scale
@@ -163,9 +175,7 @@ impl FlowTable {
     /// Resident bytes, at capacity: this is the part of a store that only
     /// grows.
     pub(crate) fn approx_bytes(&self) -> usize {
-        map_bytes(&self.index)
-            + self.order.capacity() * size_of::<FlowId>()
-            + self.totals.capacity() * size_of::<(u64, u64)>()
+        map_bytes(&self.index) + vec_bytes(&self.order) + vec_bytes(&self.totals)
     }
 }
 
@@ -619,41 +629,45 @@ impl Tib {
         range.start.is_none_or(|s| s.0 <= start) && range.end.is_none_or(|e| end <= e.0)
     }
 
-    /// Approximate resident bytes of records + indexes (§5.3). The switch
-    /// tables count every slot up to the largest switch id seen, empty ones
-    /// included.
+    /// Approximate resident bytes of records + indexes (§5.3): every
+    /// buffer at its capacity, each record's `Path` block included. The
+    /// switch tables count every slot up to the largest switch id seen,
+    /// empty ones included; the bucket tree counts its entries, not its
+    /// nodes' slack.
     pub fn approx_bytes(&self) -> usize {
-        let recs: usize = self
-            .records
-            .iter()
-            .map(|r| size_of::<TibRecord>() + r.path.len() * 2)
-            .sum();
-        let times = self.times.len() * size_of::<(Nanos, Nanos)>();
+        let paths: usize = self.records.iter().map(|r| vec_bytes(&r.path.0)).sum();
         let postings: usize = self
             .by_flow
             .iter()
-            .map(|p| size_of::<Postings>() + p.ids().len() * 4)
+            .map(|p| match p {
+                Postings::One(_) => 0,
+                Postings::Many(ids) => vec_bytes(ids),
+            })
             .sum();
-        let links: usize = self
-            .by_link
-            .values()
-            .map(|v| size_of::<LinkDir>() + v.len() * 4)
-            .sum();
+        let links: usize = self.by_link.values().map(vec_bytes).sum();
         let switches: usize = self
             .by_switch_in
             .iter()
             .chain(&self.by_switch_out)
-            .map(|s| {
-                let lists = s.ids.len() * 4 + s.flows.len() * size_of::<FlowId>();
-                size_of::<SwitchIndex>() + lists + s.listed.len() * 8
-            })
+            .map(|s| vec_bytes(&s.ids) + vec_bytes(&s.flows) + vec_bytes(&s.listed))
             .sum();
         let buckets: usize = self
             .buckets
             .values()
-            .map(|b| size_of::<Bucket>() + b.ids.len() * 4 + map_bytes(&b.flow_totals))
+            .map(|b| size_of::<(u64, Bucket)>() + vec_bytes(&b.ids) + map_bytes(&b.flow_totals))
             .sum();
-        recs + times + self.flows.approx_bytes() + postings + links + switches + buckets
+        vec_bytes(&self.records)
+            + paths
+            + vec_bytes(&self.times)
+            + self.flows.approx_bytes()
+            + vec_bytes(&self.by_flow)
+            + postings
+            + map_bytes(&self.by_link)
+            + links
+            + vec_bytes(&self.by_switch_in)
+            + vec_bytes(&self.by_switch_out)
+            + switches
+            + buckets
     }
 }
 

@@ -9,7 +9,6 @@ use pathdump_tib::TibRecord;
 use pathdump_topology::{FatTree, FatTreeParams, FlowId, HostId, Nanos, Path, UpDownRouting};
 
 pub const HOUR_NS: u64 = 3_600_000_000_000;
-pub const TEN_MINUTES_NS: u64 = 600_000_000_000;
 
 /// SplitMix64, seeded per host.
 struct Rng(u64);

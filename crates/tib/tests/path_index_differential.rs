@@ -23,12 +23,15 @@
 mod fsd_population;
 mod link_indexed;
 
-use fsd_population::{FsdPopulation, HOUR_NS, TEN_MINUTES_NS};
+use fsd_population::{FsdPopulation, HOUR_NS};
 use link_indexed::LinkIndexedTib;
 use pathdump_tib::{Tib, TibRead, TibRecord, TieredTib};
 use pathdump_topology::{FlowId, Ip, LinkPattern, Nanos, Path, SwitchId, TimeRange};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
+
+/// The window of a `query_fsd` query.
+const TEN_MINUTES_NS: u64 = 600_000_000_000;
 
 /// What a differential run asks: patterns, ranges, flows (each with the
 /// paths to ask `get_count`/`get_duration` about) and top-k sizes.
