@@ -12,8 +12,8 @@ use pathdump_topology::{
 fn bench_tib(c: &mut Criterion) {
     let ft = FatTree::build(FatTreeParams { k: 8 });
     let tib = synth_tib(&ft, HostId(0), 240_000, 1);
-    let flow = tib.records()[1000].flow;
-    let path = tib.records()[1000].path.clone();
+    let probe = tib.records_vec().swap_remove(1000);
+    let (flow, path) = (probe.flow, probe.path);
     let link = LinkDir::new(ft.agg(0, 0), ft.core(0));
     let tor = ft.topology().host(HostId(0)).tor;
 

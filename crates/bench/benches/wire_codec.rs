@@ -12,7 +12,7 @@ use pathdump_topology::{FatTree, FatTreeParams, HostId, TimeRange};
 fn bench_codec(c: &mut Criterion) {
     let ft = FatTree::build(FatTreeParams { k: 8 });
     let tib = synth_tib(&ft, HostId(0), 10_000, 1);
-    let records: Vec<TibRecord> = tib.records().to_vec();
+    let records: Vec<TibRecord> = tib.records_vec();
     let encoded = pathdump_wire::to_bytes(&records);
     let topk = Response::TopK {
         k: 10_000,

@@ -4,7 +4,7 @@
 
 use pathdump_bench::{banner, fmt_bytes, row, synth_tib, Args};
 use pathdump_cherrypick::{fattree_rule_counts, TrajectoryCache};
-use pathdump_tib::{MemKey, TrajectoryMemory};
+use pathdump_tib::{MemKey, TibRead, TrajectoryMemory};
 use pathdump_topology::{FatTree, FatTreeParams, FlowId, HostId, Ip, Nanos};
 use std::time::Instant;
 
@@ -22,7 +22,7 @@ fn main() {
     // --- storage: TIB snapshot (disk) ---
     let ft = FatTree::build(FatTreeParams { k: 8 });
     let tib = synth_tib(&ft, HostId(0), records, args.seed);
-    let snap = pathdump_wire::encoded_len(tib.records());
+    let snap = pathdump_wire::encoded_len(&tib);
     println!("\nTIB disk footprint ({records} records, binary snapshot):");
     row(&[
         "records".into(),
@@ -51,7 +51,7 @@ fn main() {
         );
     }
     let mut cache = TrajectoryCache::new(4096);
-    for rec in tib.records().iter().take(4096) {
+    for rec in tib.records_vec().iter().take(4096) {
         cache.insert(
             pathdump_cherrypick::CacheKey {
                 src_ip: rec.flow.src_ip,

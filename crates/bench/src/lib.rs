@@ -212,6 +212,7 @@ pub fn stderr(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathdump_tib::TibRead;
     use pathdump_topology::FatTreeParams;
 
     #[test]
@@ -220,13 +221,13 @@ mod tests {
         let a = synth_tib(&ft, HostId(3), 500, 42);
         let b = synth_tib(&ft, HostId(3), 500, 42);
         assert_eq!(a.len(), 500);
-        assert_eq!(a.records(), b.records());
-        for rec in a.records() {
+        assert_eq!(a.records_vec(), b.records_vec());
+        for rec in a.records_vec() {
             assert_eq!(rec.path.last(), Some(ft.topology().host(HostId(3)).tor));
             assert!(rec.bytes > 0);
         }
         let c = synth_tib(&ft, HostId(4), 500, 42);
-        assert_ne!(a.records(), c.records(), "per-host variation");
+        assert_ne!(a.records_vec(), c.records_vec(), "per-host variation");
     }
 
     #[test]

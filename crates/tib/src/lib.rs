@@ -9,10 +9,11 @@
 //! indexed store, which answers the Host API queries of Table 1.
 //!
 //! Storage is tiered ([`TieredTib`], `segment.rs`): a mutable head
-//! [`Tib`] arena seals into immutable time-partitioned segments, cold
-//! segments evict to disk with lazy reload, a per-host WAL (`wal.rs`)
-//! bounds crash loss to the unflushed tail, and readers query published
-//! sealed prefixes concurrently with ingest ([`TibReader`]). All three
+//! [`Tib`] (fixed-width rows indexed by path) seals into immutable
+//! time-partitioned segments, cold segments evict to disk with lazy
+//! reload, a per-host WAL (`wal.rs`) bounds crash loss to the unflushed
+//! tail, and readers query published sealed prefixes concurrently with
+//! ingest ([`TibReader`]). All three
 //! engines ([`Tib`], [`TieredTib`], [`SealedView`]) and the agent's
 //! [`LiveView`] of a store plus its trajectory memory answer the same eight
 //! queries through the [`TibRead`] trait and through nothing else — the

@@ -5,13 +5,17 @@
 //!
 //! # Tiers
 //!
-//! - **Head** — today's [`Tib`] arena + indexes, the only mutable tier.
-//!   Every insert lands here (after the optional WAL append).
+//! - **Head** — a [`Tib`]: fixed-width rows, the head's own path
+//!   dictionary and its path-level indexes (see the `tib` module docs),
+//!   the only mutable tier. Every insert lands here (after the optional
+//!   WAL append).
 //! - **Sealed segments** — when the head reaches the seal threshold (or
 //!   [`TieredTib::seal`] is called) it is frozen wholesale into an
 //!   immutable sealed segment: the already-built indexes become the
 //!   segment's pre-summed per-segment indexes, and its `(min stime, max
-//!   etime)` hull prunes ranged queries.
+//!   etime)` hull prunes ranged queries. Path ids are per segment — the
+//!   same path may have another id in the next one — so segments fold
+//!   answers, never ids.
 //! - **Cold segments** — [`TieredTib::evict_cold`] writes a sealed
 //!   segment's compact record block to disk and drops the in-memory
 //!   index; a ranged query that reaches into it lazily reloads and
@@ -204,7 +208,7 @@ impl SealedSegment {
             return Ok(Arc::clone(enc));
         }
         let enc = if let Some(tib) = &st.tib {
-            Arc::new(to_bytes(tib.records()))
+            Arc::new(to_bytes(&**tib))
         } else if let Some(path) = &st.file {
             Arc::new(std::fs::read(path)?)
         } else {
@@ -423,8 +427,8 @@ impl TieredTib {
         self.len() == 0
     }
 
-    /// The mutable head segment (today's arena), for callers that want
-    /// the unsealed tail specifically.
+    /// The mutable head segment, for callers that want the unsealed tail
+    /// specifically.
     pub fn head(&self) -> &Tib {
         &self.head
     }
@@ -703,7 +707,7 @@ impl<V: Tiered> TibRead for V {
     }
 
     fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
-        let each = |t: &Tib| t.records().iter().for_each(&mut *f);
+        let each = |t: &Tib| t.for_each_record(&mut *f);
         self.tiers().each(&TimeRange::ANY, each);
     }
 
@@ -873,7 +877,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(t.records_vec(), flat.records().to_vec());
+        assert_eq!(t.records_vec(), flat.records_vec());
     }
 
     #[test]
@@ -998,7 +1002,7 @@ mod tests {
             after_seal.get_count(flow(1), None, TimeRange::between(Nanos(0), Nanos(120))),
             prefix.get_count(flow(1), None, TimeRange::between(Nanos(0), Nanos(120)))
         );
-        assert_eq!(after_seal.records_vec(), prefix.records().to_vec());
+        assert_eq!(after_seal.records_vec(), prefix.records_vec());
         // Later inserts stay invisible until the next seal.
         for r in &recs[4..] {
             t.insert(r.clone());

@@ -81,7 +81,7 @@ pub fn save_tiered_into(tib: &TieredTib, out: &mut Vec<u8>) -> StoreResult<()> {
         enc.put_varint(block.len() as u64);
         enc.put_raw(block);
     }
-    tib.head().records().encode(&mut enc);
+    tib.head().encode(&mut enc);
     *out = enc.into_bytes();
     Ok(())
 }

@@ -3,42 +3,60 @@
 //!
 //! # Storage layout
 //!
-//! Records are kept in one insertion-ordered arena (`records`, ids are
-//! arena offsets). Beside it sits the **time column** `times`: each
-//! record's `(stime, etime)` again, 16 bytes per id. Every walk of an id
-//! list tests the range there and fetches the 72-byte record only when it
-//! overlaps, so a ranged query touches the records it counts and no
-//! others.
+//! The store indexes **paths, not links**. A host sees a few hundred
+//! distinct paths however many records it keeps, so what is filed per link
+//! or per switch is filed per path, once, and each record is filed under
+//! its one path.
 //!
-//! The **flow table** (`flows`) is the store's dictionary: one FNV map
-//! `FlowId → u32` beside two dense columns, `order` (the flows by first
-//! appearance) and `totals` (each flow's running `(bytes, pkts)`); a flow's
-//! *index* is its position in both. `insert` probes that map once. What
-//! else the store keeps per flow — `by_flow`'s posting lists, a bucket's
-//! pre-sums, a switch's "already listed" bit — is keyed by the index, and
-//! the all-time answers (`get_flows(ANY, ANY)`, `get_count(.., ANY)`,
-//! `top_k_flows(k, ANY)`, the `(ANY, ANY)` traversal) read the columns. A
-//! [`TieredTib`](crate::segment::TieredTib) keeps one more such table
-//! across its segments. Three families of indexes hang off it:
+//! - **Rows** — a record is one fixed-width row `(flow, path id, stime,
+//!   etime, bytes, pkts)`, 56 bytes, in insertion order (ids are row
+//!   offsets). No `Path` and no heap block per record: [`TibRecord`] is the
+//!   API and wire type, materialised from a row when asked for.
+//! - **Path dictionary** (`paths`) — `path id → Path`, interned on insert
+//!   by one FNV probe over the hops; an id is the path's rank by first
+//!   appearance in this store. Store-local: the same path has other ids in
+//!   other stores and in other segments of a
+//!   [`TieredTib`](crate::segment::TieredTib).
+//! - **Flow table** (`flows`) — the store's other dictionary: one FNV map
+//!   `FlowId → u32` beside two dense columns, `order` (the flows by first
+//!   appearance) and `totals` (each flow's running `(bytes, pkts)`); a
+//!   flow's *index* is its position in both. What else the store keeps per
+//!   flow — `by_flow`'s posting lists, a bucket's pre-sums, a switch's
+//!   flow list — is keyed by the index, and the all-time answers
+//!   (`get_flows(ANY, ANY)`, `get_count(.., ANY)`, `top_k_flows(k, ANY)`,
+//!   the `(ANY, ANY)` traversal) read the columns. A tiered store keeps one
+//!   more such table across its segments.
 //!
-//! - **Posting lists** — `by_flow` (flow index → ids; a flow's first id is
-//!   held inline) and `by_link` (directed link → ids, an FNV map) serve the
-//!   exact-match Host API lookups (`getPaths`, `getCount`, `getDuration`,
-//!   exact-link `getFlows`).
-//! - **Switch tables** — `by_switch_in` / `by_switch_out` are `Vec`s
-//!   indexed by `SwitchId.0`, grown to the largest id seen (an unused slot
-//!   costs three empty `Vec`s). A slot holds the ids of every record whose
-//!   path enters / leaves the switch, the deduplicated flows among them in
-//!   the order they first came by, and one bit per flow index that says a
-//!   flow is already in that list. Wildcard link patterns `<?, Sj>` and
-//!   `<Si, ?>` resolve in one array access instead of iterating every
-//!   `by_link` key, and filing a record hashes nothing here.
+//! Four families of indexes hang off them:
+//!
+//! - **Path postings** — `by_path`: per path one list, one push per
+//!   record, each entry `(id, stime, etime)` with the record's span
+//!   **inline**. A ranged pattern walk reads its paths' lists sequentially
+//!   and fetches a row only for a match.
+//! - **Path-level link and switch indexes** — `by_link` (directed link →
+//!   path ids, an FNV map) and `by_switch_in` / `by_switch_out` (`Vec`s
+//!   indexed by `SwitchId.0`, grown to the largest id seen) list the
+//!   paths that cross a link or enter / leave a switch. They change only
+//!   when a new path is interned. A switch slot also keeps the distinct
+//!   flow indexes of its records in the order they first came by, with one
+//!   bit per flow index that says a flow is listed: the `<?, Sj>` /
+//!   `<Si, ?>` all-time answer, and the one per-record update a switch
+//!   sees.
+//! - **Flow postings** — `by_flow`: flow index → record ids (a flow's
+//!   first id held inline) for `getPaths`, `getCount` and `getDuration`.
 //! - **Time buckets** — records land in fixed-width stime buckets
 //!   (default [`DEFAULT_BUCKET_WIDTH`], ~O(√n) buckets at the paper's
 //!   240K-records-per-hour Table-1 scale); each bucket carries its own
 //!   totals per flow index and the max etime of its records. A `timeRange`
 //!   aggregate sums whole buckets that lie inside the range and
 //!   clamp-scans only the boundary buckets.
+//!
+//! **Loop dedupe.** Routing-loop paths repeat a switch, and may repeat a
+//! link. A record matches a pattern once however often its path crosses
+//! it, so a path is listed once per link and once per switch: when it is
+//! interned, its id is pushed unless it is already the list's last (its
+//! repeats come back to back). That runs once per path, not per record; a
+//! record's own switch updates only set a flow's bit, which is idempotent.
 //!
 //! # Time-boundary convention
 //!
@@ -68,16 +86,17 @@
 //! `etime < stime` could be double-counted by whole-bucket aggregation
 //! while failing the closed-interval overlap check.
 //!
-//! # Query complexity (n records, f distinct flows, b buckets)
+//! # Query complexity (n records, f distinct flows, b buckets, m matches)
 //!
 //! | query                          | cost                                |
 //! |--------------------------------|-------------------------------------|
-//! | `get_paths/get_count/get_duration` | O(records of the flow)          |
-//! | `get_flows(exact, ANY)`        | O(posting list of the link)         |
-//! | `get_flows(wildcard, ANY)`     | O(distinct flows at the switch) — a memcpy |
-//! | `get_flows(pattern, range)`, `link_flow_counts(pattern, range)` | O(posting list), one sequential pass over the ids and their 16-byte spans; records fetched = matches |
+//! | `get_paths/get_count/get_duration` | O(records of the flow); paths compared by id |
+//! | `get_flows(exact, ANY)`        | O(records on the link's paths) + a sort of their ids |
+//! | `get_flows(wildcard, ANY)`     | O(distinct flows at the switch) — a gather of the switch's flow indexes |
+//! | `link_flow_counts(pattern, range)`, `for_each_flow_count` | O(records on the pattern's paths): one sequential pass over their postings and inline spans; rows fetched = m |
+//! | `get_flows(pattern, range)`    | the same pass, then a sort of the m ids back into insertion order |
 //! | `get_flows(ANY, ANY)`          | O(f) — a memcpy of the table's `order` |
-//! | `link_flow_counts(ANY, ANY)`   | O(f) — builds the returned map from the columns (it was a clone of a map the store kept) |
+//! | `link_flow_counts(ANY, ANY)`   | O(f) — builds the returned map from the columns |
 //! | `link_flow_counts(ANY, range)` | O(b + flows in buckets overlapping the range) |
 //! | `top_k_flows(k, ANY)`          | O(f) select over 16-byte `(bytes, &flow)` keys + O(k) per radix pass (one per 13-bit digit the counts differ in) + a sort of each run of equal counts |
 //!
@@ -98,7 +117,8 @@
 //! load imbalance).
 
 use crate::record::TibRecord;
-use pathdump_topology::{FlowId, FnvBuild, LinkDir, LinkPattern, Nanos, Path, TimeRange};
+use pathdump_topology::{FlowId, FnvBuild, LinkDir, LinkPattern, Nanos, Path, SwitchId, TimeRange};
+use pathdump_wire::{Encode, Encoder};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::mem::size_of;
@@ -309,22 +329,81 @@ impl Postings {
     }
 }
 
-/// Per-switch secondary index: every record whose path enters (or
-/// leaves) the switch, plus the deduplicated flows among them.
+/// A record as the store keeps it: fixed width, with its path's id in the
+/// path dictionary. The flow is held whole, not as its index in the flow
+/// table: a pattern walk fetches a row per match, and an index would cost
+/// it a second, dependent fetch.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    flow: FlowId,
+    path: u32,
+    stime: Nanos,
+    etime: Nanos,
+    bytes: u64,
+    pkts: u64,
+}
+
+/// One entry of a path's posting list: a record id with the record's span
+/// inline, so that a ranged walk decides a match without fetching the row.
+#[derive(Clone, Copy, Debug)]
+struct Posting {
+    id: u32,
+    stime: Nanos,
+    etime: Nanos,
+}
+
+/// The store's path dictionary: a path's id is its rank by first
+/// appearance, `paths[id]` the path. Store-local: the same path may have
+/// another id in another store, or in another segment of a tiered one.
+#[derive(Clone, Debug, Default)]
+struct PathDict {
+    ids: FMap<Path, u32>,
+    paths: Vec<Path>,
+}
+
+impl PathDict {
+    /// The id of `path`, interning it on first sight; the flag says it was
+    /// new.
+    fn intern(&mut self, path: &Path) -> (u32, bool) {
+        if let Some(&id) = self.ids.get(path) {
+            return (id, false);
+        }
+        let id = self.paths.len() as u32;
+        self.ids.insert(path.clone(), id);
+        self.paths.push(path.clone());
+        (id, true)
+    }
+
+    fn approx_bytes(&self) -> usize {
+        let hops: usize = self.paths.iter().map(|p| vec_bytes(&p.0)).sum();
+        map_bytes(&self.ids) + vec_bytes(&self.paths) + 2 * hops
+    }
+}
+
+/// Pushes path `id` unless it is already the list's last: a path's links
+/// are filed when it is interned, so its repeats come back to back.
+fn push_once(list: &mut Vec<u32>, id: u32) {
+    if list.last() != Some(&id) {
+        list.push(id);
+    }
+}
+
+/// Per-switch secondary index: the paths that enter (or leave) the switch
+/// and the distinct flows of the records on them.
 #[derive(Clone, Debug, Default)]
 struct SwitchIndex {
-    /// Record ids in insertion order, deduplicated per record.
-    ids: Vec<u32>,
-    /// Distinct flows in insertion order (the `<?, Sj>` ANY-range answer).
-    flows: Vec<FlowId>,
+    /// Ids of the paths through the switch, each once.
+    paths: Vec<u32>,
+    /// Distinct flow indexes in first-appearance order (the `<?, Sj>`
+    /// ANY-range answer).
+    flows: Vec<u32>,
     /// Bit `i` is set once the flow of index `i` is in `flows`.
     listed: Vec<u64>,
 }
 
 impl SwitchIndex {
-    /// Files record `id` of the flow `(fidx, flow)` under this switch.
-    fn push(&mut self, id: u32, fidx: u32, flow: FlowId) {
-        self.ids.push(id);
+    /// Lists flow `fidx` here unless it already is.
+    fn list(&mut self, fidx: u32) {
         let (word, bit) = (fidx as usize / 64, 1u64 << (fidx % 64));
         if word >= self.listed.len() {
             self.listed.resize(word + 1, 0);
@@ -332,7 +411,7 @@ impl SwitchIndex {
         let listed = &mut self.listed[word];
         if *listed & bit == 0 {
             *listed |= bit;
-            self.flows.push(flow);
+            self.flows.push(fidx);
         }
     }
 }
@@ -344,6 +423,11 @@ fn slot(table: &mut Vec<SwitchIndex>, sw: u16) -> &mut SwitchIndex {
         table.resize_with(sw as usize + 1, SwitchIndex::default);
     }
     &mut table[sw as usize]
+}
+
+/// The slot of switch `sw`, if the table reaches it.
+fn at(table: &[SwitchIndex], sw: SwitchId) -> Option<&SwitchIndex> {
+    table.get(sw.0 as usize)
 }
 
 /// One fixed-width stime bucket with its incremental aggregates.
@@ -362,15 +446,16 @@ struct Bucket {
 /// The per-host TIB.
 #[derive(Clone, Debug)]
 pub struct Tib {
-    records: Vec<TibRecord>,
-    /// `(stime, etime)` of `records[id]`: the dense column an index walk
-    /// tests, so that an id outside the range costs no record fetch.
-    times: Vec<(Nanos, Nanos)>,
+    rows: Vec<Row>,
     flows: FlowTable,
+    paths: PathDict,
     /// Flow index → the flow's record ids.
     by_flow: Vec<Postings>,
+    /// Path id → the path's records and their spans.
+    by_path: Vec<Vec<Posting>>,
+    /// Directed link → the ids of the paths that cross it, each once.
     by_link: FMap<LinkDir, Vec<u32>>,
-    /// `SwitchId.0` → the records entering / leaving the switch.
+    /// `SwitchId.0` → the paths entering / leaving the switch.
     by_switch_in: Vec<SwitchIndex>,
     by_switch_out: Vec<SwitchIndex>,
     /// stime bucket index (`stime / bucket_width`) → bucket.
@@ -400,10 +485,11 @@ impl Tib {
     pub fn with_bucket_width(width: Nanos) -> Self {
         assert!(width.0 > 0, "bucket width must be positive");
         Tib {
-            records: Vec::new(),
-            times: Vec::new(),
+            rows: Vec::new(),
             flows: FlowTable::default(),
+            paths: PathDict::default(),
             by_flow: Vec::new(),
+            by_path: Vec::new(),
             by_link: FMap::default(),
             by_switch_in: Vec::new(),
             by_switch_out: Vec::new(),
@@ -424,37 +510,46 @@ impl Tib {
 
     /// Number of records stored.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.rows.len()
     }
 
     /// Returns true when no records are stored.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.rows.is_empty()
     }
 
     /// Inserts one record, updating all indexes and aggregates: one probe
-    /// of the flow table, one of `by_link` per link, one of the bucket's
-    /// pre-sums — the switch tables are indexed, not hashed.
+    /// of the flow table, one of the path dictionary, one of the bucket's
+    /// pre-sums, one push to the flow's and one to the path's posting list.
+    /// A path seen for the first time is filed under its links and
+    /// switches; after that, the switch tables only learn new flows.
     pub fn insert(&mut self, rec: TibRecord) {
-        let id = self.records.len() as u32;
+        let id = self.rows.len() as u32;
         let fidx = self.flows.add(rec.flow, rec.bytes, rec.pkts);
         match self.by_flow.get_mut(fidx as usize) {
             Some(postings) => postings.push(id),
             None => self.by_flow.push(Postings::One(id)),
         }
-        // Paths are usually simple, but routing-loop scenarios produce
-        // repeated switches; a record is filed once per switch, so skip a
-        // switch one of the path's earlier links already left / entered.
-        let hops = &rec.path.0;
-        for (i, link) in rec.path.links().enumerate() {
-            self.by_link.entry(link).or_default().push(id);
-            if !hops[..i].contains(&link.from) {
-                slot(&mut self.by_switch_out, link.from.0).push(id, fidx, rec.flow);
-            }
-            if !hops[1..=i].contains(&link.to) {
-                slot(&mut self.by_switch_in, link.to.0).push(id, fidx, rec.flow);
+        let (pid, new) = self.paths.intern(&rec.path);
+        if new {
+            self.by_path.push(Vec::new());
+            for link in rec.path.links() {
+                push_once(self.by_link.entry(link).or_default(), pid);
+                push_once(&mut slot(&mut self.by_switch_out, link.from.0).paths, pid);
+                push_once(&mut slot(&mut self.by_switch_in, link.to.0).paths, pid);
             }
         }
+        // A loopy path visits a switch more than once; listing a flow is
+        // idempotent, so the repeat costs a bit test.
+        for link in rec.path.links() {
+            self.by_switch_out[link.from.0 as usize].list(fidx);
+            self.by_switch_in[link.to.0 as usize].list(fidx);
+        }
+        self.by_path[pid as usize].push(Posting {
+            id,
+            stime: rec.stime,
+            etime: rec.etime,
+        });
         let bucket = self
             .buckets
             .entry(rec.stime.0 / self.bucket_width)
@@ -464,82 +559,64 @@ impl Tib {
         bt.0 += rec.bytes;
         bt.1 += rec.pkts;
         bucket.max_etime = bucket.max_etime.max(rec.etime);
-        self.times.push((rec.stime, rec.etime));
-        self.records.push(rec);
+        self.rows.push(Row {
+            flow: rec.flow,
+            path: pid,
+            stime: rec.stime,
+            etime: rec.etime,
+            bytes: rec.bytes,
+            pkts: rec.pkts,
+        });
     }
 
-    /// Raw access to every record (scans, snapshots).
-    pub fn records(&self) -> &[TibRecord] {
-        &self.records
-    }
-
-    /// The record ids matching a non-ANY link pattern, in insertion
-    /// order. Exact patterns read one `by_link` posting list (a record
-    /// may appear more than once if a loopy path repeats the link);
-    /// half-wildcards read one pre-deduplicated switch index.
-    fn pattern_ids(&self, link: LinkPattern) -> &[u32] {
+    /// The ids of the paths matching a non-ANY link pattern, each once:
+    /// exact patterns read one `by_link` list, half-wildcards one switch
+    /// slot.
+    fn pattern_paths(&self, link: LinkPattern) -> &[u32] {
         debug_assert!(!link.is_any());
-        static EMPTY: [u32; 0] = [];
-        match (link.from, link.to) {
-            (Some(f), Some(t)) => self
-                .by_link
-                .get(&LinkDir::new(f, t))
-                .map_or(&EMPTY[..], |v| &v[..]),
-            (Some(f), None) => self
-                .by_switch_out
-                .get(f.0 as usize)
-                .map_or(&EMPTY[..], |idx| &idx.ids[..]),
-            (None, Some(t)) => self
-                .by_switch_in
-                .get(t.0 as usize)
-                .map_or(&EMPTY[..], |idx| &idx.ids[..]),
+        let paths = match (link.from, link.to) {
+            (Some(f), Some(t)) => self.by_link.get(&LinkDir::new(f, t)),
+            (Some(f), None) => at(&self.by_switch_out, f).map(|s| &s.paths),
+            (None, Some(t)) => at(&self.by_switch_in, t).map(|s| &s.paths),
             (None, None) => unreachable!("ANY handled by callers"),
-        }
+        };
+        paths.map_or(&[], |v| &v[..])
     }
 
     /// The pre-deduplicated flow list for a pattern, when one exists
     /// (ANY and half-wildcard patterns; exact links have none).
-    fn pattern_flows(&self, link: LinkPattern) -> Option<&[FlowId]> {
-        match (link.from, link.to) {
-            (None, None) => Some(&self.flows.order),
-            (Some(f), None) => Some(
-                self.by_switch_out
-                    .get(f.0 as usize)
-                    .map_or(&[][..], |idx| &idx.flows),
-            ),
-            (None, Some(t)) => Some(
-                self.by_switch_in
-                    .get(t.0 as usize)
-                    .map_or(&[][..], |idx| &idx.flows),
-            ),
-            (Some(_), Some(_)) => None,
-        }
+    fn pattern_flows(&self, link: LinkPattern) -> Option<Vec<FlowId>> {
+        let slot = match (link.from, link.to) {
+            (None, None) => return Some(self.flows.order.clone()),
+            (Some(f), None) => at(&self.by_switch_out, f),
+            (None, Some(t)) => at(&self.by_switch_in, t),
+            (Some(_), Some(_)) => return None,
+        };
+        let flows = slot.map_or(&[][..], |s| &s.flows);
+        Some(
+            flows
+                .iter()
+                .map(|&i| self.flows.order[i as usize])
+                .collect(),
+        )
     }
 
-    /// `records[id]` when its span overlaps `range`, decided on the time
-    /// column alone.
-    fn overlapping(&self, id: u32, range: &TimeRange) -> Option<&TibRecord> {
-        let (stime, etime) = self.times[id as usize];
-        range
-            .overlaps(stime, etime)
-            .then(|| &self.records[id as usize])
+    /// `rows[id]` when its span overlaps `range`.
+    fn overlapping(&self, id: u32, range: &TimeRange) -> Option<&Row> {
+        let row = &self.rows[id as usize];
+        range.overlaps(row.stime, row.etime).then_some(row)
     }
 
-    /// Visits, in insertion order and once each, the records that match a
-    /// non-ANY pattern and overlap `range`: one sequential pass over the
-    /// posting list and the 16-byte spans of its ids. An exact posting
-    /// list repeats an id when a loopy path repeats the link; `insert`
-    /// pushes a record's repeats back to back, so an id equal to the one
-    /// before it is skipped.
-    fn for_each_match(&self, link: LinkPattern, range: TimeRange, mut f: impl FnMut(&TibRecord)) {
-        let mut prev = None;
-        for &id in self.pattern_ids(link) {
-            if prev == Some(id) {
-                continue;
-            }
-            prev = Some(id);
-            if let Some(rec) = self.overlapping(id, &range) {
-                f(rec);
+    /// Visits, once each and path by path, the records that match a
+    /// non-ANY pattern and overlap `range`: one sequential pass over each
+    /// matching path's postings, whose inline spans decide the overlap, so
+    /// a row is fetched only for a match.
+    fn for_each_match(&self, link: LinkPattern, range: TimeRange, mut f: impl FnMut(u32, &Row)) {
+        for &pid in self.pattern_paths(link) {
+            for p in &self.by_path[pid as usize] {
+                if range.overlaps(p.stime, p.etime) {
+                    f(p.id, &self.rows[p.id as usize]);
+                }
             }
         }
     }
@@ -555,36 +632,52 @@ impl Tib {
         upto.filter(move |(_, b)| b.max_etime >= lo)
     }
 
-    /// Candidate record ids for a time range, ascending: every id of its
-    /// live buckets. Returns `None` when the candidates are not
-    /// meaningfully fewer than the arena — the caller should then scan it
-    /// directly instead of paying for an id copy and sort that selects
-    /// almost nothing out.
-    fn range_ids(&self, range: TimeRange) -> Option<Vec<u32>> {
-        let candidates: usize = self.live_buckets(&range).map(|(_, b)| b.ids.len()).sum();
-        if candidates * 2 > self.records.len() {
-            return None;
-        }
-        let mut ids: Vec<u32> = Vec::with_capacity(candidates);
-        for (_, bucket) in self.live_buckets(&range) {
-            ids.extend_from_slice(&bucket.ids);
+    /// The ids of the records that overlap `range` and match `link`,
+    /// ascending — insertion order. A pattern gathers its paths' matches
+    /// and sorts them. ANY reads the live buckets' ids, sorted, unless
+    /// they are not meaningfully fewer than the store: then one pass over
+    /// the rows beats collecting and sorting nearly every id.
+    fn matching_ids(&self, link: LinkPattern, range: TimeRange) -> Vec<u32> {
+        let mut ids = Vec::new();
+        if !link.is_any() {
+            self.for_each_match(link, range, |id, _| ids.push(id));
+        } else {
+            let candidates: usize = self.live_buckets(&range).map(|(_, b)| b.ids.len()).sum();
+            if candidates * 2 > self.rows.len() {
+                let rows = self.rows.iter().enumerate();
+                let hits = rows.filter(|(_, r)| range.overlaps(r.stime, r.etime));
+                return hits.map(|(id, _)| id as u32).collect();
+            }
+            ids.reserve(candidates);
+            for (_, bucket) in self.live_buckets(&range) {
+                let hits = bucket
+                    .ids
+                    .iter()
+                    .filter(|&&id| self.overlapping(id, &range).is_some());
+                ids.extend(hits);
+            }
         }
         ids.sort_unstable();
-        Some(ids)
+        ids
     }
 
-    /// The records of `flow` that overlap `range` — on `path`, when one is
-    /// given — in insertion order.
-    fn flow_records<'a>(
+    /// The rows of `flow` that overlap `range` — on `path`, when one is
+    /// given — in insertion order. A path the store never saw matches no
+    /// record.
+    fn flow_rows<'a>(
         &'a self,
         flow: FlowId,
-        path: Option<&'a Path>,
+        path: Option<&Path>,
         range: TimeRange,
-    ) -> impl Iterator<Item = &'a TibRecord> {
-        let fidx = self.flows.index.get(&flow);
-        let ids = fidx.map_or(&[][..], |&i| self.by_flow[i as usize].ids());
-        let recs = ids.iter().map(|&id| &self.records[id as usize]);
-        recs.filter(move |r| r.overlaps(&range) && path.is_none_or(|p| r.path == *p))
+    ) -> impl Iterator<Item = &'a Row> {
+        let pid = path.map(|p| self.paths.ids.get(p).copied());
+        let ids = match (self.flows.index.get(&flow), pid) {
+            (Some(&i), None | Some(Some(_))) => self.by_flow[i as usize].ids(),
+            _ => &[],
+        };
+        let pid = pid.flatten();
+        let rows = ids.iter().map(|&id| &self.rows[id as usize]);
+        rows.filter(move |r| range.overlaps(r.stime, r.etime) && pid.is_none_or(|p| r.path == p))
     }
 
     /// The clamped `(min stime, max etime)` bounds behind
@@ -599,8 +692,8 @@ impl Tib {
         range: TimeRange,
     ) -> Option<(Nanos, Nanos)> {
         let mut bounds: Option<(Nanos, Nanos)> = None;
-        for rec in self.flow_records(flow, path, range) {
-            let (s, e) = range.clamp(rec.stime, rec.etime).expect("overlap checked");
+        for row in self.flow_rows(flow, path, range) {
+            let (s, e) = range.clamp(row.stime, row.etime).expect("overlap checked");
             bounds = Some(match bounds {
                 Some((lo, hi)) => (lo.min(s), hi.max(e)),
                 None => (s, e),
@@ -614,8 +707,8 @@ impl Tib {
     /// overlaps this hull, so the tiered engine prunes whole sealed
     /// segments (avoiding cold reloads) with one comparison.
     pub fn span(&self) -> Option<(Nanos, Nanos)> {
-        let lo = self.times.iter().map(|t| t.0).min()?;
-        let hi = self.times.iter().map(|t| t.1).max()?;
+        let lo = self.rows.iter().map(|r| r.stime).min()?;
+        let hi = self.rows.iter().map(|r| r.etime).max()?;
         Some((lo, hi))
     }
 
@@ -630,12 +723,10 @@ impl Tib {
     }
 
     /// Approximate resident bytes of records + indexes (§5.3): every
-    /// buffer at its capacity, each record's `Path` block included. The
-    /// switch tables count every slot up to the largest switch id seen,
-    /// empty ones included; the bucket tree counts its entries, not its
-    /// nodes' slack.
+    /// buffer at its capacity. The switch tables count every slot up to
+    /// the largest switch id seen, empty ones included; the bucket tree
+    /// counts its entries, not its nodes' slack.
     pub fn approx_bytes(&self) -> usize {
-        let paths: usize = self.records.iter().map(|r| vec_bytes(&r.path.0)).sum();
         let postings: usize = self
             .by_flow
             .iter()
@@ -644,30 +735,42 @@ impl Tib {
                 Postings::Many(ids) => vec_bytes(ids),
             })
             .sum();
+        let paths: usize = self.by_path.iter().map(vec_bytes).sum();
         let links: usize = self.by_link.values().map(vec_bytes).sum();
         let switches: usize = self
             .by_switch_in
             .iter()
             .chain(&self.by_switch_out)
-            .map(|s| vec_bytes(&s.ids) + vec_bytes(&s.flows) + vec_bytes(&s.listed))
+            .map(|s| vec_bytes(&s.paths) + vec_bytes(&s.flows) + vec_bytes(&s.listed))
             .sum();
         let buckets: usize = self
             .buckets
             .values()
             .map(|b| size_of::<(u64, Bucket)>() + vec_bytes(&b.ids) + map_bytes(&b.flow_totals))
             .sum();
-        vec_bytes(&self.records)
-            + paths
-            + vec_bytes(&self.times)
+        vec_bytes(&self.rows)
             + self.flows.approx_bytes()
+            + self.paths.approx_bytes()
             + vec_bytes(&self.by_flow)
             + postings
+            + vec_bytes(&self.by_path)
+            + paths
             + map_bytes(&self.by_link)
             + links
             + vec_bytes(&self.by_switch_in)
             + vec_bytes(&self.by_switch_out)
             + switches
             + buckets
+    }
+}
+
+/// A store encodes as its record slice would — `varint count`, then each
+/// record in insertion order — which is a sealed segment's block and the
+/// tail of a snapshot.
+impl Encode for Tib {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_varint(self.len() as u64);
+        self.for_each_record(&mut |rec| rec.encode(enc));
     }
 }
 
@@ -762,9 +865,28 @@ impl TibRead for Tib {
         self.len()
     }
 
+    /// Materialises each row into one reused record: the path is copied
+    /// into the record's own buffer, so the walk allocates once.
     fn for_each_record(&self, f: &mut dyn FnMut(&TibRecord)) {
-        for rec in &self.records {
-            f(rec);
+        let Some(first) = self.rows.first() else {
+            return;
+        };
+        let mut rec = TibRecord {
+            flow: first.flow,
+            path: Path::default(),
+            stime: first.stime,
+            etime: first.etime,
+            bytes: first.bytes,
+            pkts: first.pkts,
+        };
+        for row in &self.rows {
+            rec.flow = row.flow;
+            rec.path
+                .0
+                .clone_from(&self.paths.paths[row.path as usize].0);
+            (rec.stime, rec.etime) = (row.stime, row.etime);
+            (rec.bytes, rec.pkts) = (row.bytes, row.pkts);
+            f(&rec);
         }
     }
 
@@ -772,39 +894,27 @@ impl TibRead for Tib {
         if range == TimeRange::ANY {
             // Served straight from the maintained flow lists.
             if let Some(flows) = self.pattern_flows(link) {
-                return flows.to_vec();
+                return flows;
             }
         }
         let mut seen: HashSet<FlowId, FnvBuild> = HashSet::default();
-        let mut out = Vec::new();
-        let push = |rec: &TibRecord| {
-            if seen.insert(rec.flow) {
-                out.push(rec.flow);
-            }
-        };
-        if !link.is_any() {
-            self.for_each_match(link, range, push);
-        } else if let Some(ids) = self.range_ids(range) {
-            // Record ids are insertion order, so a sorted candidate-id
-            // walk preserves the documented ordering.
-            let recs = ids.iter().filter_map(|&id| self.overlapping(id, &range));
-            recs.for_each(push);
-        } else {
-            // Broad range: one pass over the arena beats collecting and
-            // sorting nearly every id.
-            let recs = self.records.iter().filter(|r| r.overlaps(&range));
-            recs.for_each(push);
-        }
-        out
+        let ids = self.matching_ids(link, range);
+        let flows = ids.iter().map(|&id| self.rows[id as usize].flow);
+        flows.filter(|&flow| seen.insert(flow)).collect()
     }
 
     fn get_paths(&self, flow: FlowId, link: LinkPattern, range: TimeRange) -> Vec<Path> {
-        let mut seen: HashSet<&Path, FnvBuild> = HashSet::default();
+        // Each path is tested once, by id; only those that match go out.
+        let mut seen: Vec<u32> = Vec::new();
         let mut out = Vec::new();
-        for rec in self.flow_records(flow, None, range) {
-            let matches = link.is_any() || rec.path.links().any(|l| link.matches(l));
-            if matches && seen.insert(&rec.path) {
-                out.push(rec.path.clone());
+        for row in self.flow_rows(flow, None, range) {
+            if seen.contains(&row.path) {
+                continue;
+            }
+            seen.push(row.path);
+            let path = &self.paths.paths[row.path as usize];
+            if link.is_any() || path.links().any(|l| link.matches(l)) {
+                out.push(path.clone());
             }
         }
         out
@@ -815,8 +925,8 @@ impl TibRead for Tib {
             // All-time flow totals are maintained incrementally.
             return self.flows.count(flow);
         }
-        let recs = self.flow_records(flow, path, range);
-        recs.fold((0, 0), |(b, p), rec| (b + rec.bytes, p + rec.pkts))
+        let rows = self.flow_rows(flow, path, range);
+        rows.fold((0, 0), |(b, p), row| (b + row.bytes, p + row.pkts))
     }
 
     fn get_duration(&self, flow: FlowId, path: Option<&Path>, range: TimeRange) -> Nanos {
@@ -833,8 +943,8 @@ impl TibRead for Tib {
         f: &mut dyn FnMut(FlowId, u64, u64),
     ) {
         if !link.is_any() {
-            self.for_each_match(link, range, |rec| f(rec.flow, rec.bytes, rec.pkts));
-            return;
+            let visit = |_, row: &Row| f(row.flow, row.bytes, row.pkts);
+            return self.for_each_match(link, range, visit);
         }
         if range == TimeRange::ANY {
             return self.flows.counts().for_each(|(&id, &(b, p))| f(id, b, p));
@@ -848,8 +958,8 @@ impl TibRead for Tib {
                 }
             } else {
                 for &id in &bucket.ids {
-                    if let Some(rec) = self.overlapping(id, &range) {
-                        f(rec.flow, rec.bytes, rec.pkts);
+                    if let Some(row) = self.overlapping(id, &range) {
+                        f(row.flow, row.bytes, row.pkts);
                     }
                 }
             }

@@ -69,7 +69,7 @@ fn tib2_file_loads_as_head_only_store() {
     assert_eq!(store.bucket_width(), WIDTH);
     assert_eq!(store.len(), legacy_records().len());
     assert_eq!(store.records_vec(), legacy_records());
-    assert_eq!(store.head().records(), &legacy_records()[..]);
+    assert_eq!(store.head().records_vec(), legacy_records());
 
     assert!(
         load_tiered(&LEGACY[..LEGACY.len() - 3]).is_err(),

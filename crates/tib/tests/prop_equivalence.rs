@@ -622,3 +622,125 @@ proptest! {
         }
     }
 }
+
+// --- path ids across seals ---
+
+/// The `n`-th (mod `len!`) permutation of `0..len`, by its factorial-base
+/// digits.
+fn nth_permutation(mut n: usize, len: usize) -> Vec<usize> {
+    let mut left: Vec<usize> = (0..len).collect();
+    let mut out = Vec::with_capacity(len);
+    while !left.is_empty() {
+        out.push(left.remove(n % left.len()));
+        n /= left.len() + 1;
+    }
+    out
+}
+
+/// `get_count` / `get_duration` restricted to one path, by linear scan.
+fn ref_on_path(raw: &[TibRecord], f: FlowId, p: &Path, range: TimeRange) -> ((u64, u64), Nanos) {
+    let on: Vec<TibRecord> = raw.iter().filter(|r| r.path == *p).cloned().collect();
+    (
+        ref_get_count(&on, f, range),
+        ref_get_duration(&on, f, range),
+    )
+}
+
+/// The path-restricted queries and `get_paths` under every pattern, which
+/// the families above ask only unrestricted and under ANY: the store
+/// compares paths by id, and a segment's ids are its own.
+fn assert_path_queries_match<T: TibRead>(
+    tib: &T,
+    raw: &[TibRecord],
+    range: TimeRange,
+) -> Result<(), TestCaseError> {
+    let mut pool = path_pool();
+    pool.push(Path::new(vec![SwitchId(9), SwitchId(4)])); // never stored
+    for f in (1..=4).map(flow) {
+        for p in &pool {
+            let (count, duration) = ref_on_path(raw, f, p, range);
+            prop_assert_eq!(
+                tib.get_count(f, Some(p), range),
+                count,
+                "get_count on {:?}",
+                p
+            );
+            prop_assert_eq!(
+                tib.get_duration(f, Some(p), range),
+                duration,
+                "get_duration on {:?}",
+                p
+            );
+        }
+        for link in patterns() {
+            prop_assert_eq!(
+                tib.get_paths(f, link, range),
+                ref_get_paths(raw, f, link, range),
+                "get_paths({:?}, {:?})",
+                link,
+                range
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every segment meets the pool's paths first in an order of its own
+    /// (a generated permutation), so the same `Path` has a different id in
+    /// each segment, and each segment's records follow on those paths.
+    /// With every segment evicted cold, the queries reload them from their
+    /// files and rebuild each dictionary in the file's order — again per
+    /// segment — and must match the linear scan; once more through the
+    /// `SealedView` a reader holds, after a second eviction.
+    #[test]
+    fn path_ids_per_segment_survive_evict_and_cold_reload(
+        segments in proptest::collection::vec(
+            (0usize..120, proptest::collection::vec(
+                (0u16..6, 0usize..5, 0u64..140, 0u64..60, 0u64..2000), 0..8)),
+            2..5),
+        width in 1u64..200,
+        a in 0u64..140,
+        b in 0u64..140,
+        k in 0usize..8,
+    ) {
+        let pool = path_pool();
+        let dir = evict_dir();
+        let mut tib = TieredTib::with_bucket_width(Nanos(width));
+        let mut raw = Vec::new();
+        for (perm, recs) in &segments {
+            let first_seen = nth_permutation(*perm, pool.len());
+            let leads = first_seen.iter().map(|&p| (*perm as u16, p, *perm as u64, 7, p as u64));
+            for (sport, pidx, t0, dur, bytes) in leads.chain(recs.iter().copied()) {
+                let rec = TibRecord {
+                    flow: flow(1 + sport % 4),
+                    path: pool[pidx % pool.len()].clone(),
+                    stime: Nanos(t0 % 120),
+                    etime: Nanos(t0 % 120 + dur % 50),
+                    bytes: 1 + bytes % 1000,
+                    pkts: 1 + bytes % 7,
+                };
+                tib.insert(rec.clone());
+                raw.push(rec);
+            }
+            tib.seal();
+        }
+        prop_assert_eq!(tib.evict_cold(0, &dir).expect("evict"), segments.len());
+        for range in ranges(a, b) {
+            assert_all_queries_match(&tib, &raw, range, k, width)?;
+            assert_path_queries_match(&tib, &raw, range)?;
+        }
+        prop_assert_eq!(tib.cold_reloads(), segments.len() as u64, "queries reloaded every segment");
+        prop_assert_eq!(tib.records_vec(), raw.clone(), "insertion order");
+        prop_assert_eq!(tib.evict_cold(0, &dir).expect("evict"), segments.len());
+        let view = tib.reader().snapshot();
+        for range in ranges(a, b) {
+            assert_all_queries_match(&*view, &raw, range, k, width)?;
+            assert_path_queries_match(&*view, &raw, range)?;
+        }
+        prop_assert_eq!(tib.read_failures(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -86,10 +86,10 @@ fn bytes_per_record(
 }
 
 /// Held bytes per record of `insert_allocs`' population.
-const INSERT_ALLOCS_BYTES_PER_RECORD: usize = 621;
+const INSERT_ALLOCS_BYTES_PER_RECORD: usize = 362;
 
 /// Held bytes per record of the `query_fsd` population.
-const FSD_BYTES_PER_RECORD: usize = 537;
+const FSD_BYTES_PER_RECORD: usize = 331;
 
 #[test]
 fn insert_allocs_population_bytes_per_record() {
