@@ -117,7 +117,7 @@
 //! load imbalance).
 
 use crate::record::TibRecord;
-use pathdump_topology::{FlowId, FnvBuild, LinkDir, LinkPattern, Nanos, Path, SwitchId, TimeRange};
+use pathdump_topology::{FlowId, FnvBuild, LinkDir, LinkPattern, Nanos, Path, TimeRange};
 use pathdump_wire::{Encode, Encoder};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -425,11 +425,6 @@ fn slot(table: &mut Vec<SwitchIndex>, sw: u16) -> &mut SwitchIndex {
     &mut table[sw as usize]
 }
 
-/// The slot of switch `sw`, if the table reaches it.
-fn at(table: &[SwitchIndex], sw: SwitchId) -> Option<&SwitchIndex> {
-    table.get(sw.0 as usize)
-}
-
 /// One fixed-width stime bucket with its incremental aggregates.
 #[derive(Clone, Debug, Default)]
 struct Bucket {
@@ -576,8 +571,8 @@ impl Tib {
         debug_assert!(!link.is_any());
         let paths = match (link.from, link.to) {
             (Some(f), Some(t)) => self.by_link.get(&LinkDir::new(f, t)),
-            (Some(f), None) => at(&self.by_switch_out, f).map(|s| &s.paths),
-            (None, Some(t)) => at(&self.by_switch_in, t).map(|s| &s.paths),
+            (Some(f), None) => self.by_switch_out.get(f.0 as usize).map(|s| &s.paths),
+            (None, Some(t)) => self.by_switch_in.get(t.0 as usize).map(|s| &s.paths),
             (None, None) => unreachable!("ANY handled by callers"),
         };
         paths.map_or(&[], |v| &v[..])
@@ -588,8 +583,8 @@ impl Tib {
     fn pattern_flows(&self, link: LinkPattern) -> Option<Vec<FlowId>> {
         let slot = match (link.from, link.to) {
             (None, None) => return Some(self.flows.order.clone()),
-            (Some(f), None) => at(&self.by_switch_out, f),
-            (None, Some(t)) => at(&self.by_switch_in, t),
+            (Some(f), None) => self.by_switch_out.get(f.0 as usize),
+            (None, Some(t)) => self.by_switch_in.get(t.0 as usize),
             (Some(_), Some(_)) => return None,
         };
         let flows = slot.map_or(&[][..], |s| &s.flows);
