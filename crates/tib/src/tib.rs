@@ -374,6 +374,7 @@ impl PathDict {
         (id, true)
     }
 
+    /// Every path's hops are held twice: as a key of `ids` and in `paths`.
     fn approx_bytes(&self) -> usize {
         let hops: usize = self.paths.iter().map(|p| vec_bytes(&p.0)).sum();
         map_bytes(&self.ids) + vec_bytes(&self.paths) + 2 * hops
