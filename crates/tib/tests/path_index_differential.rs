@@ -10,7 +10,12 @@
 //! - loopy paths, which repeat a link and a switch: a record is one match
 //!   however often its path crosses the pattern;
 //! - a path that revisits a switch without repeating a link, so that the
-//!   per-link lists hold it once each but a switch list must dedupe it.
+//!   per-link lists hold it once each but a switch list must dedupe it;
+//! - a few flows with dozens of records each, several of one flow in one
+//!   narrow stime bucket, asked over ranges that hold whole buckets and
+//!   ranges that cut through them: a flow's records must be found, in
+//!   order, however many there are, and a ranged aggregate must count every
+//!   record of a bucket inside the range once.
 //!
 //! Lists (`get_flows`, `get_paths`, the record walk) compare in order;
 //! `for_each_flow_count`, which has no order contract, compares by its
@@ -256,8 +261,39 @@ fn small_ranges(a: u64, b: u64) -> Vec<TimeRange> {
     ]
 }
 
+/// `small_ranges`, plus ranges over whole `width`-wide buckets: one from
+/// the first stime of `a`'s bucket to the last of `b`'s (at least two
+/// buckets later), which holds every bucket in between, and one that
+/// starts there and ends mid-bucket.
+fn bucket_ranges(width: u64, a: u64, b: u64) -> Vec<TimeRange> {
+    let lo = a.min(b) / width * width;
+    let hi = (a.max(b) / width + 3) * width - 1;
+    let mut ranges = small_ranges(a, b);
+    ranges.push(TimeRange::between(Nanos(lo), Nanos(hi)));
+    ranges.push(TimeRange::between(Nanos(lo), Nanos(hi - width / 2)));
+    ranges
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Three flows, 80 to 160 records over stimes below 200 and at most 25
+    /// buckets (width 8 to 48), so some flow has two records in one
+    /// bucket; every flow's records, on simple and loopy paths alike, are
+    /// asked for by path, count and duration.
+    #[test]
+    fn repeating_flows_match_the_link_indexed_store(
+        recs in proptest::collection::vec(
+            (0u16..3, 0usize..8, 0u64..200, 0u64..24, 0u64..2000), 80..160),
+        width in 8u64..48,
+        seal_every in 1usize..40,
+        a in 0u64..200,
+        b in 0u64..200,
+    ) {
+        let raw = small_records(&recs, &small_pool());
+        let q = Questions::over(&raw, bucket_ranges(width, a, b), 1);
+        check(&raw, Nanos(width), seal_every, &q);
+    }
 
     /// Loopy paths and switch revisits, a handful of flows with several
     /// records each on several paths, bucket widths from 1 to 200 ns.
