@@ -12,8 +12,8 @@
 //! - **Sealed segments** — when the head reaches the seal threshold (or
 //!   [`TieredTib::seal`] is called) it is frozen wholesale into an
 //!   immutable sealed segment: the already-built indexes become the
-//!   segment's pre-summed per-segment indexes, and its `(min stime, max
-//!   etime)` hull prunes ranged queries. Path ids are per segment — the
+//!   segment's, and its `(min stime, max etime)` hull, kept by the head as
+//!   it grew, prunes ranged queries. Path ids are per segment — the
 //!   same path may have another id in the next one — so segments fold
 //!   answers, never ids.
 //! - **Cold segments** — [`TieredTib::evict_cold`] writes a sealed

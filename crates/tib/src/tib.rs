@@ -8,10 +8,11 @@
 //! or per switch is filed per path, once, and each record is filed under
 //! its one path.
 //!
-//! - **Rows** — a record is one fixed-width row `(flow, path id, stime,
-//!   etime, bytes, pkts)`, 56 bytes, in insertion order (ids are row
-//!   offsets). No `Path` and no heap block per record: [`TibRecord`] is the
-//!   API and wire type, materialised from a row when asked for.
+//! - **Rows** — a record is one fixed-width row `(flow, path id, next,
+//!   stime, etime, bytes, pkts)`, 56 bytes, in insertion order (ids are row
+//!   offsets; `next` is the id of the flow's next record). No `Path` and no
+//!   heap block per record: [`TibRecord`] is the API and wire type,
+//!   materialised from a row when asked for.
 //! - **Path dictionary** (`paths`) — `path id → Path`, interned on insert
 //!   by one FNV probe over the hops; an id is the path's rank by first
 //!   appearance in this store. Store-local: the same path has other ids in
@@ -21,8 +22,8 @@
 //!   `FlowId → u32` beside two dense columns, `order` (the flows by first
 //!   appearance) and `totals` (each flow's running `(bytes, pkts)`); a
 //!   flow's *index* is its position in both. What else the store keeps per
-//!   flow — `by_flow`'s posting lists, a bucket's pre-sums, a switch's
-//!   flow list — is keyed by the index, and the all-time answers
+//!   flow — the ends of its chain in `by_flow`, a switch's flow list — is
+//!   keyed by the index, and the all-time answers
 //!   (`get_flows(ANY, ANY)`, `get_count(.., ANY)`, `top_k_flows(k, ANY)`,
 //!   the `(ANY, ANY)` traversal) read the columns. A tiered store keeps one
 //!   more such table across its segments.
@@ -42,14 +43,19 @@
 //!   bit per flow index that says a flow is listed: the `<?, Sj>` /
 //!   `<Si, ?>` all-time answer, and the one per-record update a switch
 //!   sees.
-//! - **Flow postings** — `by_flow`: flow index → record ids (a flow's
-//!   first id held inline) for `getPaths`, `getCount` and `getDuration`.
+//! - **Flow chains** — a flow's records are a chain through the rows:
+//!   `by_flow` maps a flow index to its first and last record ids, and each
+//!   row's `next` links to the flow's next record. `getPaths`, `getCount`
+//!   and `getDuration` walk the chain in insertion order; a flow costs no
+//!   allocation of its own, however many records it has.
 //! - **Time buckets** — records land in fixed-width stime buckets
 //!   (default [`DEFAULT_BUCKET_WIDTH`], ~O(√n) buckets at the paper's
-//!   240K-records-per-hour Table-1 scale); each bucket carries its own
-//!   totals per flow index and the max etime of its records. A `timeRange`
-//!   aggregate sums whole buckets that lie inside the range and
-//!   clamp-scans only the boundary buckets.
+//!   240K-records-per-hour Table-1 scale); each bucket keeps its record ids
+//!   and the max etime of its records. A `timeRange` query over every link
+//!   walks the ids of the buckets that can hold an overlapping record and
+//!   checks each record's own span. No counts are pre-summed per bucket:
+//!   a flow's records rarely share one (PathDump writes one record per flow
+//!   and path), so the rows are the only copy.
 //!
 //! **Loop dedupe.** Routing-loop paths repeat a switch, and may repeat a
 //! link. A record matches a pattern once however often its path crosses
@@ -72,38 +78,35 @@
 //!   `[k·w, (k+1)·w)`, i.e. a record whose stime is an exact multiple of
 //!   the width starts the *next* bucket (`stime / width` rounds down).
 //!
-//! The translation happens in exactly two places: `bucket_contained`
-//! converts bucket `k`'s half-open span to its inclusive last stime
-//! (`k·w + w − 1`) before comparing against the closed range, and
-//! `live_buckets` maps the inclusive range end to the *inclusive* last
-//! bucket index `end / w`. Everything else re-checks candidates against
-//! their own span, so bucket pruning only ever has to be a superset.
+//! The translation happens in exactly one place: `live_buckets` maps the
+//! inclusive range end to the *inclusive* last bucket index `end / w`.
+//! Everything else re-checks candidates against their own span, so bucket
+//! pruning only ever has to be a superset.
 //! `prop_equivalence`'s boundary-aligned case pins these edges (records
 //! and range endpoints exactly on width multiples) against the
 //! linear-scan reference.
 //!
-//! Records are assumed well-formed (`stime <= etime`); a record with
-//! `etime < stime` could be double-counted by whole-bucket aggregation
-//! while failing the closed-interval overlap check.
+//! With no whole-bucket sums, a ranged answer checks every candidate's own
+//! span, so it holds even for a record with `etime < stime`.
 //!
 //! # Query complexity (n records, f distinct flows, b buckets, m matches)
 //!
 //! | query                          | cost                                |
 //! |--------------------------------|-------------------------------------|
-//! | `get_paths/get_count/get_duration` | O(records of the flow); paths compared by id |
+//! | `get_paths/get_count/get_duration` | O(records of the flow): a walk down its chain; paths compared by id |
 //! | `get_flows(exact, ANY)`        | O(records on the link's paths) + a sort of their ids |
 //! | `get_flows(wildcard, ANY)`     | O(distinct flows at the switch) — a gather of the switch's flow indexes |
 //! | `link_flow_counts(pattern, range)`, `for_each_flow_count` | O(records on the pattern's paths): one sequential pass over their postings and inline spans; rows fetched = m |
 //! | `get_flows(pattern, range)`    | the same pass, then a sort of the m ids back into insertion order |
 //! | `get_flows(ANY, ANY)`          | O(f) — a memcpy of the table's `order` |
 //! | `link_flow_counts(ANY, ANY)`   | O(f) — builds the returned map from the columns |
-//! | `link_flow_counts(ANY, range)` | O(b + flows in buckets overlapping the range) |
+//! | `link_flow_counts(ANY, range)` | O(b + records in the live buckets) |
 //! | `top_k_flows(k, ANY)`          | O(f) select over 16-byte `(bytes, &flow)` keys + O(k) per radix pass (one per 13-bit digit the counts differ in) + a sort of each run of equal counts |
 //!
 //! The all-time traversal (`for_each_flow_count(ANY, ANY)`) visits flows in
-//! first-appearance order and a pre-summed bucket in its FNV map's order:
-//! both are now the same from run to run, which `RandomState` was not. The
-//! contract is still "no particular order".
+//! first-appearance order, and a ranged one visits records bucket by bucket
+//! or path by path: the same from run to run. The contract is still "no
+//! particular order".
 //!
 //! Every map probed per record hashes with FNV (`pathdump_topology::FnvBuild`).
 //! On a 5-tuple that is open to hash flooding by whoever chooses the
@@ -305,43 +308,25 @@ pub(crate) fn sum_flow_counts(
     out
 }
 
-/// A flow's record ids, in insertion order. Most flows of a segment have
-/// one record, which is held inline: no allocation until the second.
-#[derive(Clone, Debug)]
-enum Postings {
-    One(u32),
-    Many(Vec<u32>),
-}
-
-impl Postings {
-    fn push(&mut self, id: u32) {
-        match self {
-            Postings::One(first) => *self = Postings::Many(vec![*first, id]),
-            Postings::Many(ids) => ids.push(id),
-        }
-    }
-
-    fn ids(&self) -> &[u32] {
-        match self {
-            Postings::One(id) => std::slice::from_ref(id),
-            Postings::Many(ids) => ids,
-        }
-    }
-}
-
 /// A record as the store keeps it: fixed width, with its path's id in the
-/// path dictionary. The flow is held whole, not as its index in the flow
-/// table: a pattern walk fetches a row per match, and an index would cost
-/// it a second, dependent fetch.
+/// path dictionary and the id of its flow's next record. The flow is held
+/// whole, not as its index in the flow table: a pattern walk fetches a row
+/// per match, and an index would cost it a second, dependent fetch.
 #[derive(Clone, Copy, Debug)]
 struct Row {
     flow: FlowId,
     path: u32,
+    /// The id of the flow's next record; the flow's last record holds its
+    /// own id.
+    next: u32,
     stime: Nanos,
     etime: Nanos,
     bytes: u64,
     pkts: u64,
 }
+
+// `next` sits in what was the padding after `path`.
+const _: () = assert!(size_of::<Row>() == 56);
 
 /// One entry of a path's posting list: a record id with the record's span
 /// inline, so that a ranged walk decides a match without fetching the row.
@@ -426,13 +411,11 @@ fn slot(table: &mut Vec<SwitchIndex>, sw: u16) -> &mut SwitchIndex {
     &mut table[sw as usize]
 }
 
-/// One fixed-width stime bucket with its incremental aggregates.
+/// One fixed-width stime bucket.
 #[derive(Clone, Debug, Default)]
 struct Bucket {
     /// Ids of records whose stime falls in this bucket (insertion order).
     ids: Vec<u32>,
-    /// Flow index → `(bytes, pkts)` pre-summed over this bucket's records.
-    flow_totals: FMap<u32, (u64, u64)>,
     /// Latest etime among this bucket's records (bounds the lookback a
     /// range query needs: a bucket left of the range can only contribute
     /// when some record in it is still alive at the range start).
@@ -445,8 +428,9 @@ pub struct Tib {
     rows: Vec<Row>,
     flows: FlowTable,
     paths: PathDict,
-    /// Flow index → the flow's record ids.
-    by_flow: Vec<Postings>,
+    /// Flow index → the ids of the flow's first and last records: the
+    /// ends of its chain through `Row::next`.
+    by_flow: Vec<(u32, u32)>,
     /// Path id → the path's records and their spans.
     by_path: Vec<Vec<Posting>>,
     /// Directed link → the ids of the paths that cross it, each once.
@@ -457,6 +441,8 @@ pub struct Tib {
     /// stime bucket index (`stime / bucket_width`) → bucket.
     buckets: BTreeMap<u64, Bucket>,
     bucket_width: u64,
+    /// `(min stime, max etime)` over the rows; `None` while there are none.
+    span: Option<(Nanos, Nanos)>,
 }
 
 impl Default for Tib {
@@ -491,6 +477,7 @@ impl Tib {
             by_switch_out: Vec::new(),
             buckets: BTreeMap::new(),
             bucket_width: width.0,
+            span: None,
         }
     }
 
@@ -515,16 +502,20 @@ impl Tib {
     }
 
     /// Inserts one record, updating all indexes and aggregates: one probe
-    /// of the flow table, one of the path dictionary, one of the bucket's
-    /// pre-sums, one push to the flow's and one to the path's posting list.
-    /// A path seen for the first time is filed under its links and
-    /// switches; after that, the switch tables only learn new flows.
+    /// of the flow table, one of the path dictionary, one of the bucket
+    /// tree, a link from the flow's last row and one push to the path's
+    /// posting list. A path seen for the first time is filed under its
+    /// links and switches; after that, the switch tables only learn new
+    /// flows.
     pub fn insert(&mut self, rec: TibRecord) {
         let id = self.rows.len() as u32;
         let fidx = self.flows.add(rec.flow, rec.bytes, rec.pkts);
         match self.by_flow.get_mut(fidx as usize) {
-            Some(postings) => postings.push(id),
-            None => self.by_flow.push(Postings::One(id)),
+            Some((_, last)) => {
+                self.rows[*last as usize].next = id;
+                *last = id;
+            }
+            None => self.by_flow.push((id, id)),
         }
         let (pid, new) = self.paths.intern(&rec.path);
         if new {
@@ -551,13 +542,15 @@ impl Tib {
             .entry(rec.stime.0 / self.bucket_width)
             .or_default();
         bucket.ids.push(id);
-        let bt = bucket.flow_totals.entry(fidx).or_insert((0, 0));
-        bt.0 += rec.bytes;
-        bt.1 += rec.pkts;
         bucket.max_etime = bucket.max_etime.max(rec.etime);
+        self.span = Some(match self.span {
+            Some((lo, hi)) => (lo.min(rec.stime), hi.max(rec.etime)),
+            None => (rec.stime, rec.etime),
+        });
         self.rows.push(Row {
             flow: rec.flow,
             path: pid,
+            next: id,
             stime: rec.stime,
             etime: rec.etime,
             bytes: rec.bytes,
@@ -603,11 +596,22 @@ impl Tib {
         range.overlaps(row.stime, row.etime).then_some(row)
     }
 
-    /// Visits, once each and path by path, the records that match a
-    /// non-ANY pattern and overlap `range`: one sequential pass over each
-    /// matching path's postings, whose inline spans decide the overlap, so
-    /// a row is fetched only for a match.
+    /// Visits, once each, the records that match `link` and overlap
+    /// `range`. ANY walks the live buckets' ids, a row fetched per
+    /// candidate. A pattern goes path by path: one sequential pass over
+    /// each matching path's postings, whose inline spans decide the
+    /// overlap, so a row is fetched only for a match.
     fn for_each_match(&self, link: LinkPattern, range: TimeRange, mut f: impl FnMut(u32, &Row)) {
+        if link.is_any() {
+            for bucket in self.live_buckets(&range) {
+                for &id in &bucket.ids {
+                    if let Some(row) = self.overlapping(id, &range) {
+                        f(id, row);
+                    }
+                }
+            }
+            return;
+        }
         for &pid in self.pattern_paths(link) {
             for p in &self.by_path[pid as usize] {
                 if range.overlaps(p.stime, p.etime) {
@@ -617,15 +621,15 @@ impl Tib {
         }
     }
 
-    /// The buckets that can hold a record overlapping `range`, with their
-    /// indexes: those that start no later than the range ends and, when
-    /// they start before it does, still have a record alive at its start
-    /// (the `max_etime` lookback).
-    fn live_buckets(&self, range: &TimeRange) -> impl Iterator<Item = (u64, &Bucket)> {
+    /// The buckets that can hold a record overlapping `range`: those that
+    /// start no later than the range ends and, when they start before it
+    /// does, still have a record alive at its start (the `max_etime`
+    /// lookback).
+    fn live_buckets(&self, range: &TimeRange) -> impl Iterator<Item = &Bucket> {
         let hi = range.end.map_or(u64::MAX, |e| e.0 / self.bucket_width);
         let lo = range.start.unwrap_or(Nanos::ZERO);
-        let upto = self.buckets.range(..=hi).map(|(&k, b)| (k, b));
-        upto.filter(move |(_, b)| b.max_etime >= lo)
+        let upto = self.buckets.range(..=hi).map(|(_, b)| b);
+        upto.filter(move |b| b.max_etime >= lo)
     }
 
     /// The ids of the records that overlap `range` and match `link`,
@@ -635,31 +639,23 @@ impl Tib {
     /// the rows beats collecting and sorting nearly every id.
     fn matching_ids(&self, link: LinkPattern, range: TimeRange) -> Vec<u32> {
         let mut ids = Vec::new();
-        if !link.is_any() {
-            self.for_each_match(link, range, |id, _| ids.push(id));
-        } else {
-            let candidates: usize = self.live_buckets(&range).map(|(_, b)| b.ids.len()).sum();
+        if link.is_any() {
+            let candidates: usize = self.live_buckets(&range).map(|b| b.ids.len()).sum();
             if candidates * 2 > self.rows.len() {
                 let rows = self.rows.iter().enumerate();
                 let hits = rows.filter(|(_, r)| range.overlaps(r.stime, r.etime));
                 return hits.map(|(id, _)| id as u32).collect();
             }
             ids.reserve(candidates);
-            for (_, bucket) in self.live_buckets(&range) {
-                let hits = bucket
-                    .ids
-                    .iter()
-                    .filter(|&&id| self.overlapping(id, &range).is_some());
-                ids.extend(hits);
-            }
         }
+        self.for_each_match(link, range, |id, _| ids.push(id));
         ids.sort_unstable();
         ids
     }
 
     /// The rows of `flow` that overlap `range` — on `path`, when one is
-    /// given — in insertion order. A path the store never saw matches no
-    /// record.
+    /// given — in insertion order: a walk down the flow's chain. A path the
+    /// store never saw matches no record.
     fn flow_rows<'a>(
         &'a self,
         flow: FlowId,
@@ -667,12 +663,17 @@ impl Tib {
         range: TimeRange,
     ) -> impl Iterator<Item = &'a Row> {
         let pid = path.map(|p| self.paths.ids.get(p).copied());
-        let ids = match (self.flows.index.get(&flow), pid) {
-            (Some(&i), None | Some(Some(_))) => self.by_flow[i as usize].ids(),
-            _ => &[],
+        let mut at = match (self.flows.index.get(&flow), pid) {
+            (Some(&i), None | Some(Some(_))) => Some(self.by_flow[i as usize].0),
+            _ => None,
         };
+        let rows = std::iter::from_fn(move || {
+            let id = at?;
+            let row = &self.rows[id as usize];
+            at = (row.next != id).then_some(row.next);
+            Some(row)
+        });
         let pid = pid.flatten();
-        let rows = ids.iter().map(|&id| &self.rows[id as usize]);
         rows.filter(move |r| range.overlaps(r.stime, r.etime) && pid.is_none_or(|p| r.path == p))
     }
 
@@ -699,23 +700,12 @@ impl Tib {
     }
 
     /// The hull `(min stime, max etime)` over every stored record, or
-    /// `None` when empty. A record can only overlap a `TimeRange` that
-    /// overlaps this hull, so the tiered engine prunes whole sealed
-    /// segments (avoiding cold reloads) with one comparison.
+    /// `None` when empty, kept up to date on insert. A record can only
+    /// overlap a `TimeRange` that overlaps this hull, so the tiered engine
+    /// prunes whole sealed segments (avoiding cold reloads) with one
+    /// comparison.
     pub fn span(&self) -> Option<(Nanos, Nanos)> {
-        let lo = self.rows.iter().map(|r| r.stime).min()?;
-        let hi = self.rows.iter().map(|r| r.etime).max()?;
-        Some((lo, hi))
-    }
-
-    /// True when the stime span `[k·w, (k+1)·w)` of bucket `k` lies fully
-    /// inside `range` — every record in it then overlaps the range (its
-    /// stime does), so its pre-summed aggregates apply wholesale.
-    fn bucket_contained(&self, k: u64, range: &TimeRange) -> bool {
-        let start = k * self.bucket_width;
-        // Inclusive last stime; saturate for the topmost u64 bucket.
-        let end = start.saturating_add(self.bucket_width - 1);
-        range.start.is_none_or(|s| s.0 <= start) && range.end.is_none_or(|e| end <= e.0)
+        self.span
     }
 
     /// Approximate resident bytes of records + indexes (§5.3): every
@@ -723,14 +713,6 @@ impl Tib {
     /// the largest switch id seen, empty ones included; the bucket tree
     /// counts its entries, not its nodes' slack.
     pub fn approx_bytes(&self) -> usize {
-        let postings: usize = self
-            .by_flow
-            .iter()
-            .map(|p| match p {
-                Postings::One(_) => 0,
-                Postings::Many(ids) => vec_bytes(ids),
-            })
-            .sum();
         let paths: usize = self.by_path.iter().map(vec_bytes).sum();
         let links: usize = self.by_link.values().map(vec_bytes).sum();
         let switches: usize = self
@@ -742,13 +724,12 @@ impl Tib {
         let buckets: usize = self
             .buckets
             .values()
-            .map(|b| size_of::<(u64, Bucket)>() + vec_bytes(&b.ids) + map_bytes(&b.flow_totals))
+            .map(|b| size_of::<(u64, Bucket)>() + vec_bytes(&b.ids))
             .sum();
         vec_bytes(&self.rows)
             + self.flows.approx_bytes()
             + self.paths.approx_bytes()
             + vec_bytes(&self.by_flow)
-            + postings
             + vec_bytes(&self.by_path)
             + paths
             + map_bytes(&self.by_link)
@@ -816,8 +797,8 @@ pub trait TibRead {
     /// pkts)` with **partial sums** whose per-flow totals are, by
     /// definition, [`link_flow_counts`](Self::link_flow_counts) — one visit
     /// per record that matches `link` and overlaps `range`, or one per flow
-    /// of a pre-summed aggregate (a time bucket inside the range, the
-    /// running totals) that stands in for its records. A flow may therefore
+    /// of a pre-summed aggregate (the running totals, for every link and
+    /// all time) that stands in for its records. A flow may therefore
     /// be visited any number of times, in no particular order, and the
     /// caller sums. Keep `f` cheap — ideally a push: the walk reads each
     /// matching record through an index, loads that do not depend on one
@@ -938,28 +919,10 @@ impl TibRead for Tib {
         range: TimeRange,
         f: &mut dyn FnMut(FlowId, u64, u64),
     ) {
-        if !link.is_any() {
-            let visit = |_, row: &Row| f(row.flow, row.bytes, row.pkts);
-            return self.for_each_match(link, range, visit);
-        }
-        if range == TimeRange::ANY {
+        if link.is_any() && range == TimeRange::ANY {
             return self.flows.counts().for_each(|(&id, &(b, p))| f(id, b, p));
         }
-        // All links, ranged: whole-bucket sums for buckets inside the
-        // range, clamp-scans for boundary/lookback buckets.
-        for (k, bucket) in self.live_buckets(&range) {
-            if self.bucket_contained(k, &range) {
-                for (&fidx, &(bytes, pkts)) in &bucket.flow_totals {
-                    f(self.flows.order[fidx as usize], bytes, pkts);
-                }
-            } else {
-                for &id in &bucket.ids {
-                    if let Some(row) = self.overlapping(id, &range) {
-                        f(row.flow, row.bytes, row.pkts);
-                    }
-                }
-            }
-        }
+        self.for_each_match(link, range, |_, row| f(row.flow, row.bytes, row.pkts));
     }
 
     fn top_k_flows(&self, k: usize, range: TimeRange) -> Vec<(u64, FlowId)> {
