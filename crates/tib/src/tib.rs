@@ -86,9 +86,6 @@
 //! and range endpoints exactly on width multiples) against the
 //! linear-scan reference.
 //!
-//! With no whole-bucket sums, a ranged answer checks every candidate's own
-//! span, so it holds even for a record with `etime < stime`.
-//!
 //! # Query complexity (n records, f distinct flows, b buckets, m matches)
 //!
 //! | query                          | cost                                |
@@ -325,7 +322,7 @@ struct Row {
     pkts: u64,
 }
 
-// `next` sits in what was the padding after `path`.
+// The chain costs no row bytes: `next` fills the padding after `path`.
 const _: () = assert!(size_of::<Row>() == 56);
 
 /// One entry of a path's posting list: a record id with the record's span
