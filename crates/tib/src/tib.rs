@@ -587,12 +587,6 @@ impl Tib {
         )
     }
 
-    /// `rows[id]` when its span overlaps `range`.
-    fn overlapping(&self, id: u32, range: &TimeRange) -> Option<&Row> {
-        let row = &self.rows[id as usize];
-        range.overlaps(row.stime, row.etime).then_some(row)
-    }
-
     /// Visits, once each, the records that match `link` and overlap
     /// `range`. ANY walks the live buckets' ids, a row fetched per
     /// candidate. A pattern goes path by path: one sequential pass over
@@ -602,7 +596,8 @@ impl Tib {
         if link.is_any() {
             for bucket in self.live_buckets(&range) {
                 for &id in &bucket.ids {
-                    if let Some(row) = self.overlapping(id, &range) {
+                    let row = &self.rows[id as usize];
+                    if range.overlaps(row.stime, row.etime) {
                         f(id, row);
                     }
                 }
