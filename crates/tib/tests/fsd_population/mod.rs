@@ -1,9 +1,9 @@
 //! The `query_fsd` benchmark's store shape, for the store tests: one host
-//! of a k = 8 fat-tree, each record one flow from a uniformly drawn other
+//! of a k-ary fat-tree (the benchmark's is k = 8), each record one flow from a uniformly drawn other
 //! host over one of its real shortest paths into this host, 90 % mice and
 //! 10 % elephants, start times uniform over an hour (so insertion order is
 //! not stime order) and durations of 1 ms to 10 s. Such a host sees a few
-//! hundred distinct paths.
+//! hundred distinct paths at k = 8 and some thousands at k = 16.
 
 use pathdump_tib::TibRecord;
 use pathdump_topology::{FatTree, FatTreeParams, FlowId, HostId, Nanos, Path, UpDownRouting};
@@ -34,8 +34,8 @@ pub struct FsdPopulation {
 }
 
 impl FsdPopulation {
-    pub fn new(host: u32, seed: u64) -> Self {
-        let ft = FatTree::build(FatTreeParams { k: 8 });
+    pub fn new(host: u32, seed: u64, k: u16) -> Self {
+        let ft = FatTree::build(FatTreeParams { k });
         let host = HostId(host);
         let n = ft.topology().num_hosts() as u32;
         let paths = (0..n)

@@ -193,7 +193,7 @@ fn check(raw: &[TibRecord], width: Nanos, seal_every: usize, q: &Questions) {
 
 #[test]
 fn fsd_shape_matches_the_link_indexed_store() {
-    let mut pop = FsdPopulation::new(0, 7);
+    let mut pop = FsdPopulation::new(0, 7, 8);
     let raw: Vec<TibRecord> = (0..3_000).map(|_| pop.draw()).collect();
     let stimes: Vec<Nanos> = raw.iter().map(|r| r.stime).collect();
     assert!(

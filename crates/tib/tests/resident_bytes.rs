@@ -6,10 +6,13 @@
 //! store's alone: a record's `Path` is either kept by the store or freed by
 //! it.
 //!
-//! Two populations: `insert_allocs`' (one record per flow over 16
-//! five-switch paths, one stime bucket) and the `query_fsd` benchmark's
-//! (`fsd_population/`: 24 000 records over a few hundred k = 8 paths,
-//! spread over an hour of buckets).
+//! Each population is pinned twice: in a flat `Tib` and in a `TieredTib`
+//! that seals along the way, the store agents hold. The populations are
+//! `insert_allocs`' (one record per flow over 16 five-switch paths, one
+//! stime bucket) and the `query_fsd` benchmark's (`fsd_population/`:
+//! 24 000 records over a few hundred k = 8 paths, spread over an hour of
+//! buckets), the latter also on a k = 16 fat-tree, where a host's flows
+//! cross more switches over thousands of distinct paths.
 
 mod counting_alloc;
 mod fsd_population;
@@ -67,13 +70,14 @@ fn assert_reported(what: &str, reported: usize, held: usize) {
     );
 }
 
-/// Held bytes per record, and `approx_bytes`' agreement, for a flat store
-/// and a tiered one sealing every `seal_after` records.
+/// Held bytes per record of a flat store and of a tiered one sealing every
+/// `seal_after` records — the store agents hold — with `approx_bytes`'
+/// agreement checked for each.
 fn bytes_per_record(
     n: usize,
     seal_after: usize,
     population: impl Fn() -> Box<dyn FnMut() -> TibRecord>,
-) -> usize {
+) -> BytesPerRecord {
     let (flat, held) = built(Tib::new(), n, population(), |t, r| t.insert(r));
     assert_eq!(flat.len(), n);
     assert_reported("Tib", flat.approx_bytes(), held);
@@ -82,34 +86,70 @@ fn bytes_per_record(
     let (tiered, tiered_held) = built(tiered, n, population(), |t, r| t.insert(r));
     assert_eq!(tiered.len(), n);
     assert_reported("TieredTib", tiered.approx_bytes(), tiered_held);
-    held / n
+    BytesPerRecord {
+        flat: held / n,
+        tiered: tiered_held / n,
+    }
+}
+
+/// Held bytes per record of a flat `Tib` and of a sealing `TieredTib`.
+#[derive(Debug)]
+struct BytesPerRecord {
+    flat: usize,
+    tiered: usize,
+}
+
+impl BytesPerRecord {
+    /// Both stores are at or under their pins.
+    fn assert_within(&self, what: &str, pin: BytesPerRecord) {
+        println!("{what}: {self:?} B/record, pinned at {pin:?}");
+        assert!(
+            self.flat <= pin.flat && self.tiered <= pin.tiered,
+            "{what}: {self:?} B/record, pinned at {pin:?}"
+        );
+    }
 }
 
 /// Held bytes per record of `insert_allocs`' population.
-const INSERT_ALLOCS_BYTES_PER_RECORD: usize = 295;
+const INSERT_ALLOCS_BYTES_PER_RECORD: BytesPerRecord = BytesPerRecord {
+    flat: 295,
+    tiered: 383,
+};
 
-/// Held bytes per record of the `query_fsd` population.
-const FSD_BYTES_PER_RECORD: usize = 268;
+/// Held bytes per record of the `query_fsd` population (k = 8).
+const FSD_BYTES_PER_RECORD: BytesPerRecord = BytesPerRecord {
+    flat: 268,
+    tiered: 360,
+};
+
+/// Held bytes per record of the same generator on a k = 16 fat-tree: more
+/// switches and more distinct paths per host.
+const FSD_K16_BYTES_PER_RECORD: BytesPerRecord = BytesPerRecord {
+    flat: 404,
+    tiered: 606,
+};
 
 #[test]
 fn insert_allocs_population_bytes_per_record() {
     let per = bytes_per_record(20_000, 5_000, || Box::new(insert_allocs_records()));
-    println!("insert_allocs population: {per} B/record");
-    assert!(
-        per <= INSERT_ALLOCS_BYTES_PER_RECORD,
-        "{per} B/record, pinned at {INSERT_ALLOCS_BYTES_PER_RECORD}"
-    );
+    per.assert_within("insert_allocs population", INSERT_ALLOCS_BYTES_PER_RECORD);
+}
+
+/// 24 000 records of a `k`-ary fat-tree host, sealed every 6 000.
+fn fsd_bytes_per_record(k: u16) -> BytesPerRecord {
+    bytes_per_record(24_000, 6_000, || {
+        let mut pop = FsdPopulation::new(0, 1, k);
+        Box::new(move || pop.draw())
+    })
 }
 
 #[test]
 fn fsd_population_bytes_per_record() {
-    let per = bytes_per_record(24_000, 6_000, || {
-        let mut pop = FsdPopulation::new(0, 1);
-        Box::new(move || pop.draw())
-    });
-    println!("query_fsd population: {per} B/record");
-    assert!(
-        per <= FSD_BYTES_PER_RECORD,
-        "{per} B/record, pinned at {FSD_BYTES_PER_RECORD}"
-    );
+    fsd_bytes_per_record(8).assert_within("query_fsd population", FSD_BYTES_PER_RECORD);
+}
+
+#[test]
+fn fsd_population_at_k16_bytes_per_record() {
+    fsd_bytes_per_record(16)
+        .assert_within("query_fsd population, k = 16", FSD_K16_BYTES_PER_RECORD);
 }
