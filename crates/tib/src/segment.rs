@@ -12,10 +12,10 @@
 //! - **Sealed segments** — when the head reaches the seal threshold (or
 //!   [`TieredTib::seal`] is called) it is frozen wholesale into an
 //!   immutable sealed segment: the already-built indexes become the
-//!   segment's, and its `(min stime, max etime)` hull, kept by the head as
-//!   it grew, prunes ranged queries. Path ids are per segment — the
-//!   same path may have another id in the next one — so segments fold
-//!   answers, never ids.
+//!   segment's, shrunk to their exact size, and its `(min stime, max
+//!   etime)` hull, kept by the head as it grew, prunes ranged queries.
+//!   Path ids are per segment — the same path may have another id in the
+//!   next one — so segments fold answers, never ids.
 //! - **Cold segments** — [`TieredTib::evict_cold`] writes a sealed
 //!   segment's compact record block to disk and drops the in-memory
 //!   index; a ranged query that reaches into it lazily reloads and
@@ -221,7 +221,8 @@ impl SealedSegment {
     }
 
     /// The segment's queryable index, lazily reloading (and re-caching)
-    /// a cold segment from its encoded block or disk file.
+    /// a cold segment from its encoded block or disk file; a rebuilt index
+    /// is shrunk to its exact size, as `seal` shrinks the head.
     fn tib(&self) -> StoreResult<Arc<Tib>> {
         let mut st = lock(&self.state);
         if let Some(tib) = &st.tib {
@@ -241,6 +242,7 @@ impl SealedSegment {
         for rec in records {
             tib.insert(rec);
         }
+        tib.shrink_to_fit();
         let tib = Arc::new(tib);
         st.tib = Some(Arc::clone(&tib));
         self.reloads.fetch_add(1, Ordering::Relaxed);
@@ -497,12 +499,15 @@ impl TieredTib {
     }
 
     /// Seals the head into an immutable segment (no-op on an empty head)
-    /// and publishes the new sealed prefix to readers.
+    /// and publishes the new sealed prefix to readers. The head sheds its
+    /// growth slack first: a sealed index never grows again, so it holds
+    /// every buffer and map at its exact size.
     pub fn seal(&mut self) {
         if self.head.is_empty() {
             return;
         }
-        let head = std::mem::replace(&mut self.head, Tib::with_bucket_width(self.bucket_width));
+        let mut head = std::mem::replace(&mut self.head, Tib::with_bucket_width(self.bucket_width));
+        head.shrink_to_fit();
         self.sealed_len += head.len();
         self.sealed.push(Arc::new(SealedSegment::from_tib(head)));
         self.publish();

@@ -38,11 +38,15 @@
 //!   path ids, an FNV map) and `by_switch_in` / `by_switch_out` (`Vec`s
 //!   indexed by `SwitchId.0`, grown to the largest id seen) list the
 //!   paths that cross a link or enter / leave a switch. They change only
-//!   when a new path is interned. A switch slot also keeps the distinct
-//!   flow indexes of its records in the order they first came by, with one
-//!   bit per flow index that says a flow is listed: the `<?, Sj>` /
-//!   `<Si, ?>` all-time answer, and the one per-record update a switch
-//!   sees.
+//!   when a new path is interned. A switch slot also keeps the flow
+//!   indexes of its records in the order they first came by: the
+//!   `<?, Sj>` / `<Si, ?>` all-time answer, and the one per-record update a
+//!   switch sees. A flow is listed when its record crosses the switch and
+//!   its previous record — one load down its chain — did not; a record on
+//!   its flow's previous path touches no switch at all. A flow that leaves
+//!   a switch and comes back is listed twice, and the slot says so: the
+//!   answer then keeps first appearances only. Nothing here grows with
+//!   switches × flows.
 //! - **Flow chains** — a flow's records are a chain through the rows:
 //!   `by_flow` maps a flow index to its first and last record ids, and each
 //!   row's `next` links to the flow's next record. `getPaths`, `getCount`
@@ -61,8 +65,9 @@
 //! link. A record matches a pattern once however often its path crosses
 //! it, so a path is listed once per link and once per switch: when it is
 //! interned, its id is pushed unless it is already the list's last (its
-//! repeats come back to back). That runs once per path, not per record; a
-//! record's own switch updates only set a flow's bit, which is idempotent.
+//! repeats come back to back). That runs once per path, not per record. A
+//! record lists its flow at a switch the same way — unless it is already
+//! the list's last — so a loopy record lists its flow once per switch.
 //!
 //! # Time-boundary convention
 //!
@@ -92,7 +97,7 @@
 //! |--------------------------------|-------------------------------------|
 //! | `get_paths/get_count/get_duration` | O(records of the flow): a walk down its chain; paths compared by id |
 //! | `get_flows(exact, ANY)`        | O(records on the link's paths) + a sort of their ids |
-//! | `get_flows(wildcard, ANY)`     | O(distinct flows at the switch) — a gather of the switch's flow indexes |
+//! | `get_flows(wildcard, ANY)`     | O(flows listed at the switch) — a gather of the switch's flow indexes; when a flow came back to the switch, plus an O(f / 64) bitmap that keeps first appearances |
 //! | `link_flow_counts(pattern, range)`, `for_each_flow_count` | O(records on the pattern's paths): one sequential pass over their postings and inline spans; rows fetched = m |
 //! | `get_flows(pattern, range)`    | the same pass, then a sort of the m ids back into insertion order |
 //! | `get_flows(ANY, ANY)`          | O(f) — a memcpy of the table's `order` |
@@ -372,29 +377,30 @@ fn push_once(list: &mut Vec<u32>, id: u32) {
 }
 
 /// Per-switch secondary index: the paths that enter (or leave) the switch
-/// and the distinct flows of the records on them.
+/// and the flows of the records on them.
 #[derive(Clone, Debug, Default)]
 struct SwitchIndex {
     /// Ids of the paths through the switch, each once.
     paths: Vec<u32>,
-    /// Distinct flow indexes in first-appearance order (the `<?, Sj>`
-    /// ANY-range answer).
+    /// The flow indexes of the records through the switch, in the order
+    /// the flows first came by (the `<?, Sj>` ANY-range answer once
+    /// deduplicated). A flow is listed when its record crosses the switch
+    /// and its previous record did not, so a flow that leaves the switch
+    /// and comes back is listed again.
     flows: Vec<u32>,
-    /// Bit `i` is set once the flow of index `i` is in `flows`.
-    listed: Vec<u64>,
+    /// Set once a flow is listed on a record other than its first: only
+    /// then can `flows` hold a flow twice.
+    repeats: bool,
 }
 
 impl SwitchIndex {
-    /// Lists flow `fidx` here unless it already is.
-    fn list(&mut self, fidx: u32) {
-        let (word, bit) = (fidx as usize / 64, 1u64 << (fidx % 64));
-        if word >= self.listed.len() {
-            self.listed.resize(word + 1, 0);
-        }
-        let listed = &mut self.listed[word];
-        if *listed & bit == 0 {
-            *listed |= bit;
+    /// Lists flow `fidx` unless it is the list's last (a loopy path's
+    /// repeats of the switch come back to back); `seen` says the flow had
+    /// a record before this one.
+    fn list(&mut self, fidx: u32, seen: bool) {
+        if self.flows.last() != Some(&fidx) {
             self.flows.push(fidx);
+            self.repeats |= seen;
         }
     }
 }
@@ -502,18 +508,23 @@ impl Tib {
     /// of the flow table, one of the path dictionary, one of the bucket
     /// tree, a link from the flow's last row and one push to the path's
     /// posting list. A path seen for the first time is filed under its
-    /// links and switches; after that, the switch tables only learn new
-    /// flows.
+    /// links and switches; after that, the switch tables only learn flows
+    /// that change path.
     pub fn insert(&mut self, rec: TibRecord) {
         let id = self.rows.len() as u32;
         let fidx = self.flows.add(rec.flow, rec.bytes, rec.pkts);
-        match self.by_flow.get_mut(fidx as usize) {
+        let prev = match self.by_flow.get_mut(fidx as usize) {
             Some((_, last)) => {
-                self.rows[*last as usize].next = id;
+                let prev = &mut self.rows[*last as usize];
+                prev.next = id;
                 *last = id;
+                Some(prev.path)
             }
-            None => self.by_flow.push((id, id)),
-        }
+            None => {
+                self.by_flow.push((id, id));
+                None
+            }
+        };
         let (pid, new) = self.paths.intern(&rec.path);
         if new {
             self.by_path.push(Vec::new());
@@ -523,11 +534,20 @@ impl Tib {
                 push_once(&mut slot(&mut self.by_switch_in, link.to.0).paths, pid);
             }
         }
-        // A loopy path visits a switch more than once; listing a flow is
-        // idempotent, so the repeat costs a bit test.
-        for link in rec.path.links() {
-            self.by_switch_out[link.from.0 as usize].list(fidx);
-            self.by_switch_in[link.to.0 as usize].list(fidx);
+        // A switch lists the flow unless the flow's previous record left
+        // (or entered) it too, and so had it listed already; a record on
+        // the previous record's path lists nothing.
+        if prev != Some(pid) {
+            let prev = prev.map(|p| &self.paths.paths[p as usize]);
+            let seen = prev.is_some();
+            for link in rec.path.links() {
+                if !prev.is_some_and(|p| p.links().any(|l| l.from == link.from)) {
+                    self.by_switch_out[link.from.0 as usize].list(fidx, seen);
+                }
+                if !prev.is_some_and(|p| p.links().any(|l| l.to == link.to)) {
+                    self.by_switch_in[link.to.0 as usize].list(fidx, seen);
+                }
+            }
         }
         self.by_path[pid as usize].push(Posting {
             id,
@@ -569,8 +589,11 @@ impl Tib {
         paths.map_or(&[], |v| &v[..])
     }
 
-    /// The pre-deduplicated flow list for a pattern, when one exists
-    /// (ANY and half-wildcard patterns; exact links have none).
+    /// The all-time flow list for a pattern, when one is kept (ANY and
+    /// half-wildcard patterns; exact links have none). A switch's list is
+    /// gathered as it stands unless a flow may be on it twice: then only
+    /// each flow's first appearance is kept, through one bitmap over the
+    /// flow indexes.
     fn pattern_flows(&self, link: LinkPattern) -> Option<Vec<FlowId>> {
         let slot = match (link.from, link.to) {
             (None, None) => return Some(self.flows.order.clone()),
@@ -578,13 +601,21 @@ impl Tib {
             (None, Some(t)) => self.by_switch_in.get(t.0 as usize),
             (Some(_), Some(_)) => return None,
         };
-        let flows = slot.map_or(&[][..], |s| &s.flows);
-        Some(
-            flows
-                .iter()
-                .map(|&i| self.flows.order[i as usize])
-                .collect(),
-        )
+        let (flows, repeats) = slot.map_or((&[][..], false), |s| (&s.flows[..], s.repeats));
+        let order = &self.flows.order;
+        if !repeats {
+            return Some(flows.iter().map(|&i| order[i as usize]).collect());
+        }
+        let mut listed = vec![0u64; order.len().div_ceil(64)];
+        let mut out = Vec::with_capacity(flows.len());
+        for &i in flows {
+            let (word, bit) = (&mut listed[i as usize / 64], 1u64 << (i % 64));
+            if *word & bit == 0 {
+                *word |= bit;
+                out.push(order[i as usize]);
+            }
+        }
+        Some(out)
     }
 
     /// Visits, once each, the records that match `link` and overlap
@@ -701,9 +732,11 @@ impl Tib {
     }
 
     /// Approximate resident bytes of records + indexes (§5.3): every
-    /// buffer at its capacity. The switch tables count every slot up to
-    /// the largest switch id seen, empty ones included; the bucket tree
-    /// counts its entries, not its nodes' slack.
+    /// buffer at its capacity, growth slack included (a sealed segment has
+    /// none, see `shrink_to_fit`). The switch tables count every slot up
+    /// to the largest switch id seen, empty ones included, and each slot's
+    /// path and flow lists; the bucket tree counts its entries, not its
+    /// nodes' slack.
     pub fn approx_bytes(&self) -> usize {
         let paths: usize = self.by_path.iter().map(vec_bytes).sum();
         let links: usize = self.by_link.values().map(vec_bytes).sum();
@@ -711,7 +744,7 @@ impl Tib {
             .by_switch_in
             .iter()
             .chain(&self.by_switch_out)
-            .map(|s| vec_bytes(&s.paths) + vec_bytes(&s.flows) + vec_bytes(&s.listed))
+            .map(|s| vec_bytes(&s.paths) + vec_bytes(&s.flows))
             .sum();
         let buckets: usize = self
             .buckets
@@ -730,6 +763,32 @@ impl Tib {
             + vec_bytes(&self.by_switch_out)
             + switches
             + buckets
+    }
+
+    /// Drops the growth slack of every buffer and map, so that a store
+    /// that is done growing — a sealed segment — holds its contents at
+    /// their exact size. The bucket tree's nodes keep theirs.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.rows.shrink_to_fit();
+        self.flows.index.shrink_to_fit();
+        self.flows.order.shrink_to_fit();
+        self.flows.totals.shrink_to_fit();
+        self.paths.ids.shrink_to_fit();
+        self.paths.paths.shrink_to_fit();
+        self.by_flow.shrink_to_fit();
+        self.by_path.iter_mut().for_each(Vec::shrink_to_fit);
+        self.by_path.shrink_to_fit();
+        self.by_link.values_mut().for_each(Vec::shrink_to_fit);
+        self.by_link.shrink_to_fit();
+        for s in self.by_switch_in.iter_mut().chain(&mut self.by_switch_out) {
+            s.paths.shrink_to_fit();
+            s.flows.shrink_to_fit();
+        }
+        self.by_switch_in.shrink_to_fit();
+        self.by_switch_out.shrink_to_fit();
+        for b in self.buckets.values_mut() {
+            b.ids.shrink_to_fit();
+        }
     }
 }
 

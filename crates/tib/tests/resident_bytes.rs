@@ -112,21 +112,21 @@ impl BytesPerRecord {
 
 /// Held bytes per record of `insert_allocs`' population.
 const INSERT_ALLOCS_BYTES_PER_RECORD: BytesPerRecord = BytesPerRecord {
-    flat: 295,
-    tiered: 383,
+    flat: 290,
+    tiered: 278,
 };
 
 /// Held bytes per record of the `query_fsd` population (k = 8).
 const FSD_BYTES_PER_RECORD: BytesPerRecord = BytesPerRecord {
-    flat: 268,
-    tiered: 360,
+    flat: 246,
+    tiered: 278,
 };
 
 /// Held bytes per record of the same generator on a k = 16 fat-tree: more
 /// switches and more distinct paths per host.
 const FSD_K16_BYTES_PER_RECORD: BytesPerRecord = BytesPerRecord {
-    flat: 404,
-    tiered: 606,
+    flat: 314,
+    tiered: 411,
 };
 
 #[test]
