@@ -45,8 +45,7 @@
 //!   its previous record — one load down its chain — did not; a record on
 //!   its flow's previous path touches no switch at all. A flow that leaves
 //!   a switch and comes back is listed twice, and the slot says so: the
-//!   answer then keeps first appearances only. Nothing here grows with
-//!   switches × flows.
+//!   answer then keeps first appearances only.
 //! - **Flow chains** — a flow's records are a chain through the rows:
 //!   `by_flow` maps a flow index to its first and last record ids, and each
 //!   row's `next` links to the flow's next record. `getPaths`, `getCount`
@@ -368,8 +367,9 @@ impl PathDict {
     }
 }
 
-/// Pushes path `id` unless it is already the list's last: a path's links
-/// are filed when it is interned, so its repeats come back to back.
+/// Pushes `id` unless it is already the list's last: a path's links are
+/// filed when it is interned, and a record's flow when it is inserted, so
+/// the repeats of a loopy path come back to back.
 fn push_once(list: &mut Vec<u32>, id: u32) {
     if list.last() != Some(&id) {
         list.push(id);
@@ -391,18 +391,6 @@ struct SwitchIndex {
     /// Set once a flow is listed on a record other than its first: only
     /// then can `flows` hold a flow twice.
     repeats: bool,
-}
-
-impl SwitchIndex {
-    /// Lists flow `fidx` unless it is the list's last (a loopy path's
-    /// repeats of the switch come back to back); `seen` says the flow had
-    /// a record before this one.
-    fn list(&mut self, fidx: u32, seen: bool) {
-        if self.flows.last() != Some(&fidx) {
-            self.flows.push(fidx);
-            self.repeats |= seen;
-        }
-    }
 }
 
 /// The slot of switch `sw` in a table indexed by switch id, grown on
@@ -539,13 +527,16 @@ impl Tib {
         // the previous record's path lists nothing.
         if prev != Some(pid) {
             let prev = prev.map(|p| &self.paths.paths[p as usize]);
-            let seen = prev.is_some();
             for link in rec.path.links() {
                 if !prev.is_some_and(|p| p.links().any(|l| l.from == link.from)) {
-                    self.by_switch_out[link.from.0 as usize].list(fidx, seen);
+                    let out = &mut self.by_switch_out[link.from.0 as usize];
+                    push_once(&mut out.flows, fidx);
+                    out.repeats |= prev.is_some();
                 }
                 if !prev.is_some_and(|p| p.links().any(|l| l.to == link.to)) {
-                    self.by_switch_in[link.to.0 as usize].list(fidx, seen);
+                    let into = &mut self.by_switch_in[link.to.0 as usize];
+                    push_once(&mut into.flows, fidx);
+                    into.repeats |= prev.is_some();
                 }
             }
         }
