@@ -619,46 +619,4 @@ mod tests {
             .iter()
             .all(|r| r.install_id == 1 && r.host == src));
     }
-
-    #[test]
-    fn execute_merges_across_hosts() {
-        let ft = FatTree::build(FatTreeParams { k: 4 });
-        let mut sim = setup(&ft);
-        let pairs = [
-            (ft.host(0, 0, 0), ft.host(1, 0, 0), 5000u16),
-            (ft.host(0, 0, 1), ft.host(2, 0, 0), 5001),
-            (ft.host(0, 1, 0), ft.host(3, 0, 0), 5002),
-        ];
-        let specs: Vec<FlowSpec> = pairs
-            .iter()
-            .map(|&(src, dst, sport)| FlowSpec {
-                flow: flow_of(&ft, src, dst, sport),
-                src,
-                dst,
-                size: 50_000,
-                start: Nanos::ZERO,
-            })
-            .collect();
-        pathdump_transport::install_flows(&mut sim, &specs, |w| &mut w.tcp);
-        sim.run_until(Nanos::from_secs(20));
-        assert!(sim.world.tcp.all_complete());
-        sim.world.flush_all(Nanos::from_secs(20));
-        let all_hosts: Vec<HostId> = (0..16).map(HostId).collect();
-        let resp = sim.world.execute(
-            &all_hosts,
-            &Query::GetFlows {
-                link: LinkPattern::ANY,
-                range: TimeRange::ANY,
-            },
-            false,
-        );
-        let Response::Flows(flows) = resp else {
-            panic!("wrong response shape");
-        };
-        // All 3 data flows plus their 3 ACK flows.
-        for (_, _, sport) in pairs {
-            assert!(flows.iter().any(|f| f.src_port == sport));
-        }
-        assert!(flows.len() >= 6);
-    }
 }
