@@ -7,6 +7,7 @@
 //! instead of "all 10 switches in the four paths".
 
 use pathdump_core::{PathDumpWorld, Query, Response};
+use pathdump_rpc::execute;
 use pathdump_topology::{FlowId, LinkDir, LinkPattern, Path, SwitchId, TimeRange};
 use std::collections::HashSet;
 
@@ -46,17 +47,17 @@ pub fn diagnose(
     expected: Vec<Path>,
     range: TimeRange,
 ) -> BlackholeReport {
-    let observed = match world.fabric.topology().host_by_ip(flow.dst_ip).map(|dst| {
-        world.execute_on_host(
-            dst,
-            &Query::GetPaths {
-                flow,
-                link: LinkPattern::ANY,
-                range,
-            },
-            true,
-        )
-    }) {
+    let q = Query::GetPaths {
+        flow,
+        link: LinkPattern::ANY,
+        range,
+    };
+    let observed = match world
+        .fabric
+        .topology()
+        .host_by_ip(flow.dst_ip)
+        .map(|dst| execute(world, &[dst], &q, true).response)
+    {
         Some(Response::Paths(p)) => p,
         _ => Vec::new(),
     };

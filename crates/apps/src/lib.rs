@@ -3,7 +3,8 @@
 //! Each module is one of the paper's applications, built strictly on the
 //! Host/Controller API plus alarms — no application reads simulator ground
 //! truth (that is reserved for tests, which verify the applications'
-//! verdicts against it):
+//! verdicts against it). Every query goes through the `rpc` plane's
+//! [`execute`](pathdump_rpc::execute), one host or many:
 //!
 //! | Module | Paper section | What it does |
 //! |---|---|---|

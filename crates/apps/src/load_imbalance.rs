@@ -9,6 +9,7 @@
 //! destination TIB.
 
 use pathdump_core::{PathDumpWorld, Query, Response};
+use pathdump_rpc::execute;
 use pathdump_topology::{FlowId, HostId, LinkDir, LinkPattern, Path, TimeRange};
 
 /// The imbalance-rate metric of §4.2: `λ = (Lmax / L̄ − 1) × 100 (%)`
@@ -80,15 +81,12 @@ pub fn flow_size_distributions(
     links
         .iter()
         .map(|&link| {
-            let resp = world.execute(
-                hosts,
-                &Query::FlowSizeDist {
-                    link: LinkPattern::exact(link.from, link.to),
-                    range,
-                    bin_bytes,
-                },
-                false,
-            );
+            let q = Query::FlowSizeDist {
+                link: LinkPattern::exact(link.from, link.to),
+                range,
+                bin_bytes,
+            };
+            let resp = execute(world, hosts, &q, false).response;
             let Response::Hist { bin_bytes, bins } = resp else {
                 unreachable!("FlowSizeDist returns Hist");
             };
@@ -112,30 +110,24 @@ pub fn per_path_bytes(
     let Some(dst) = world.fabric.topology().host_by_ip(flow.dst_ip) else {
         return Vec::new();
     };
-    let resp = world.execute_on_host(
-        dst,
-        &Query::GetPaths {
-            flow,
-            link: LinkPattern::ANY,
-            range,
-        },
-        true,
-    );
+    let q = Query::GetPaths {
+        flow,
+        link: LinkPattern::ANY,
+        range,
+    };
+    let resp = execute(world, &[dst], &q, true).response;
     let Response::Paths(paths) = resp else {
         unreachable!("GetPaths returns Paths");
     };
     paths
         .into_iter()
         .map(|p| {
-            let resp = world.execute_on_host(
-                dst,
-                &Query::GetCount {
-                    flow,
-                    path: Some(p.clone()),
-                    range,
-                },
-                true,
-            );
+            let q = Query::GetCount {
+                flow,
+                path: Some(p.clone()),
+                range,
+            };
+            let resp = execute(world, &[dst], &q, true).response;
             let Response::Count { bytes, .. } = resp else {
                 unreachable!("GetCount returns Count");
             };

@@ -12,6 +12,7 @@
 //! the shortest path is the most penalized).
 
 use pathdump_core::{Alarm, PathDumpWorld, Query, Reason, Response};
+use pathdump_rpc::execute;
 use pathdump_topology::{FlowId, Ip, LinkPattern, Nanos, Path, TimeRange};
 use std::collections::HashMap;
 
@@ -84,27 +85,21 @@ pub fn diagnose(
     let dur_s = (window.1.saturating_sub(window.0)).as_secs_f64().max(1e-9);
     let mut evidence = Vec::new();
     for &flow in flows {
-        let bytes = match world.execute_on_host(
-            dst_host,
-            &Query::GetCount {
-                flow,
-                path: None,
-                range,
-            },
-            true,
-        ) {
+        let q = Query::GetCount {
+            flow,
+            path: None,
+            range,
+        };
+        let bytes = match execute(world, &[dst_host], &q, true).response {
             Response::Count { bytes, .. } => bytes,
             _ => 0,
         };
-        let paths = match world.execute_on_host(
-            dst_host,
-            &Query::GetPaths {
-                flow,
-                link: LinkPattern::ANY,
-                range,
-            },
-            true,
-        ) {
+        let q = Query::GetPaths {
+            flow,
+            link: LinkPattern::ANY,
+            range,
+        };
+        let paths = match execute(world, &[dst_host], &q, true).response {
             Response::Paths(p) => p,
             _ => Vec::new(),
         };

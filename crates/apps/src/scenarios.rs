@@ -115,6 +115,7 @@ impl Testbed {
 mod tests {
     use super::*;
     use pathdump_core::TibRead;
+    use pathdump_rpc::execute;
     use pathdump_topology::{LinkPattern, TimeRange};
 
     #[test]
@@ -138,7 +139,8 @@ mod tests {
                 assert!(!rec.path.is_empty());
             }
         }
-        let _ = tb.sim.world.execute(
+        let _ = execute(
+            &mut tb.sim.world,
             &[HostId(0)],
             &pathdump_core::Query::GetFlows {
                 link: LinkPattern::ANY,

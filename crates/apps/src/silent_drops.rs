@@ -9,6 +9,7 @@
 //! of Python" in the paper, a few dozen lines of Rust here.
 
 use pathdump_core::{PathDumpWorld, Query, Reason, Response};
+use pathdump_rpc::execute;
 use pathdump_topology::{HostId, LinkDir, Nanos, Path, TimeRange};
 use std::collections::{HashMap, HashSet};
 
@@ -153,15 +154,12 @@ impl SilentDropLocalizer {
             let Some(dst) = world.fabric.topology().host_by_ip(alarm.flow.dst_ip) else {
                 continue;
             };
-            let resp = world.execute_on_host(
-                dst,
-                &Query::GetPaths {
-                    flow: alarm.flow,
-                    link: pathdump_topology::LinkPattern::ANY,
-                    range: TimeRange::since(since),
-                },
-                true,
-            );
+            let q = Query::GetPaths {
+                flow: alarm.flow,
+                link: pathdump_topology::LinkPattern::ANY,
+                range: TimeRange::since(since),
+            };
+            let resp = execute(world, &[dst], &q, true).response;
             if let Response::Paths(paths) = resp {
                 for p in paths {
                     self.coverage.add_signature(p);

@@ -3,6 +3,7 @@
 //! source diagnosis — all thin compositions over the Host/Controller API.
 
 use pathdump_core::{PathDumpWorld, Query, Response, TibRead};
+use pathdump_rpc::execute;
 use pathdump_topology::{FlowId, HostId, Ip, LinkDir, LinkPattern, TimeRange};
 use std::collections::HashMap;
 
@@ -14,7 +15,7 @@ pub fn top_k_flows(
     k: u32,
     range: TimeRange,
 ) -> Vec<(u64, FlowId)> {
-    match world.execute(hosts, &Query::TopK { k, range }, false) {
+    match execute(world, hosts, &Query::TopK { k, range }, false).response {
         Response::TopK { entries, .. } => entries,
         _ => unreachable!("TopK returns TopK"),
     }
@@ -27,7 +28,8 @@ pub fn heavy_hitters(
     min_bytes: u64,
     range: TimeRange,
 ) -> Vec<FlowId> {
-    match world.execute(hosts, &Query::HeavyHitters { min_bytes, range }, false) {
+    let q = Query::HeavyHitters { min_bytes, range };
+    match execute(world, hosts, &q, false).response {
         Response::Flows(f) => f,
         _ => unreachable!("HeavyHitters returns Flows"),
     }
@@ -39,7 +41,7 @@ pub fn traffic_matrix(
     hosts: &[HostId],
     range: TimeRange,
 ) -> Vec<((Ip, Ip), u64)> {
-    match world.execute(hosts, &Query::TrafficMatrix { range }, false) {
+    match execute(world, hosts, &Query::TrafficMatrix { range }, false).response {
         Response::Matrix(m) => m,
         _ => unreachable!("TrafficMatrix returns Matrix"),
     }
@@ -72,29 +74,23 @@ pub fn flows_on_link(
     link: LinkDir,
     range: TimeRange,
 ) -> Vec<(u64, FlowId)> {
-    let flows = match world.execute(
-        hosts,
-        &Query::GetFlows {
-            link: LinkPattern::exact(link.from, link.to),
-            range,
-        },
-        false,
-    ) {
+    let q = Query::GetFlows {
+        link: LinkPattern::exact(link.from, link.to),
+        range,
+    };
+    let flows = match execute(world, hosts, &q, false).response {
         Response::Flows(f) => f,
         _ => unreachable!(),
     };
     let mut with_bytes: Vec<(u64, FlowId)> = flows
         .into_iter()
         .map(|flow| {
-            let bytes = match world.execute(
-                hosts,
-                &Query::GetCount {
-                    flow,
-                    path: None,
-                    range,
-                },
-                false,
-            ) {
+            let q = Query::GetCount {
+                flow,
+                path: None,
+                range,
+            };
+            let bytes = match execute(world, hosts, &q, false).response {
                 Response::Count { bytes, .. } => bytes,
                 _ => 0,
             };
@@ -133,14 +129,11 @@ pub fn isolation_violations(
     group_b: &[Ip],
     range: TimeRange,
 ) -> Vec<FlowId> {
-    let flows = match world.execute(
-        hosts,
-        &Query::GetFlows {
-            link: LinkPattern::ANY,
-            range,
-        },
-        false,
-    ) {
+    let q = Query::GetFlows {
+        link: LinkPattern::ANY,
+        range,
+    };
+    let flows = match execute(world, hosts, &q, false).response {
         Response::Flows(f) => f,
         _ => unreachable!(),
     };

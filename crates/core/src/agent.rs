@@ -507,7 +507,8 @@ impl HostAgent {
     /// added bins — and would split a flow into its exported and live halves.)
     ///
     /// `GetPoorTcp` is answered empty here — that signal lives in the
-    /// transport engine and is supplied by the world wrapper.
+    /// transport engine and is supplied by the world's
+    /// [`HostView`](crate::world::HostView).
     pub fn execute(&mut self, fabric: &Fabric, q: &Query, include_live: bool) -> Response {
         if !include_live {
             return execute_on_tib(&self.tib, q);
@@ -543,8 +544,25 @@ impl HostAgent {
     }
 }
 
+/// What the query plane asks of a host: its local answer to one query.
+///
+/// Every [`TibRead`] store answers through [`execute_on_tib`]; the world's
+/// [`HostView`](crate::world::HostView) adds the live trajectory memory and
+/// the transport monitor. `&mut`, because a live answer decodes through
+/// the agent's trajectory cache.
+pub trait HostService {
+    /// The host's local answer to `q`.
+    fn answer(&mut self, q: &Query) -> Response;
+}
+
+impl<T: TibRead + ?Sized> HostService for T {
+    fn answer(&mut self, q: &Query) -> Response {
+        execute_on_tib(self, q)
+    }
+}
+
 /// Executes a query against one TIB (the pure storage-level evaluator,
-/// shared by agents and by the Figure 11/12 cluster harness).
+/// shared by agents and by every [`TibRead`] store the query plane serves).
 ///
 /// Aggregation is pushed down into the TIB's incremental aggregates:
 /// `TopK`, `FlowSizeDist`, `TrafficMatrix` and `HeavyHitters` over an

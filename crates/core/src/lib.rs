@@ -19,11 +19,11 @@ pub mod query;
 pub mod standing;
 pub mod world;
 
-pub use agent::{execute_on_tib, AgentConfig, Fabric, HostAgent, Invariant};
+pub use agent::{execute_on_tib, AgentConfig, Fabric, HostAgent, HostService, Invariant};
 // The storage engine types downstream crates need to talk to `HostAgent::tib`.
 pub use alarm::{Alarm, Reason};
 pub use cluster::{build_tree, MgmtNet, TreeNode, MAX_TREE_DEPTH};
 pub use pathdump_tib::{TibRead, TieredTib};
 pub use query::{Query, Response};
 pub use standing::{StandingEvent, StandingPredicate, StandingQuery, StandingQueryEngine, WatchId};
-pub use world::{InstalledResult, LoopDetection, PathDumpWorld, WorldConfig};
+pub use world::{HostView, InstalledResult, LoopDetection, PathDumpWorld, WorldConfig};

@@ -5,8 +5,12 @@
 //! This is Figure 1 assembled: packet stream → OVS hook (agent) → TIB;
 //! TCP performance monitoring → alarms; suspiciously long paths → punts →
 //! controller.
+//!
+//! A controller query leaves through `pathdump_rpc::execute`, which runs
+//! the aggregation tree over [`PathDumpWorld::host_views`]; each host
+//! answers through its [`HostView`], as the tick's installed queries do.
 
-use crate::agent::{AgentConfig, Fabric, HostAgent, Invariant};
+use crate::agent::{AgentConfig, Fabric, HostAgent, HostService, Invariant};
 use crate::alarm::{Alarm, Reason};
 use crate::query::{Query, Response};
 use pathdump_simnet::{CtrlApi, HostApi, Packet, Punt, World};
@@ -61,7 +65,7 @@ pub struct LoopDetection {
 }
 
 /// An installed periodic query (`install()` of the Controller API).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Installed {
     id: u64,
     hosts: Vec<HostId>,
@@ -82,7 +86,43 @@ pub struct InstalledResult {
     pub response: Response,
 }
 
-/// The composite world.
+/// One host as the query plane sees it: its agent, the fabric its paths
+/// decode against, and the transport monitor. Its
+/// [`answer`](HostService::answer) is the one per-host query dispatch.
+pub struct HostView<'a> {
+    host: HostId,
+    agent: &'a mut HostAgent,
+    fabric: &'a Fabric,
+    tcp: &'a TcpEngine,
+    include_live: bool,
+}
+
+impl HostService for HostView<'_> {
+    /// `getPoorTCPFlows` from the transport monitor; every other query from
+    /// the agent's TIB, plus its live trajectory memory if the view reads
+    /// it.
+    fn answer(&mut self, q: &Query) -> Response {
+        match q {
+            Query::GetPoorTcp { threshold } => {
+                Response::Flows(poor_tcp(self.tcp, self.host, *threshold))
+            }
+            q => self.agent.execute(self.fabric, q, self.include_live),
+        }
+    }
+}
+
+/// The unfinished flows sourced at `host` whose consecutive
+/// retransmissions exceed `threshold`.
+fn poor_tcp(tcp: &TcpEngine, host: HostId, threshold: u32) -> Vec<FlowId> {
+    tcp.reports()
+        .filter(|r| r.src == host && r.completed_at.is_none())
+        .filter(|r| r.consecutive_retrans > threshold)
+        .map(|r| r.flow)
+        .collect()
+}
+
+/// The composite world. Controller queries run over its
+/// [`host_views`](PathDumpWorld::host_views) through `pathdump_rpc::execute`.
 pub struct PathDumpWorld {
     /// Transport engine (all flows).
     pub tcp: TcpEngine,
@@ -220,36 +260,21 @@ impl PathDumpWorld {
         self.installed.retain(|i| i.id != id);
     }
 
-    /// Controller API `execute(List<HostID>, Query)`: immediate one-shot
-    /// execution (direct query to each host), merged.
-    pub fn execute(&mut self, hosts: &[HostId], query: &Query, include_live: bool) -> Response {
-        let mut merged = Response::empty_for(query);
-        for h in hosts {
-            merged.merge(self.execute_on_host(*h, query, include_live));
-        }
-        merged
-    }
-
-    /// Executes a query on one host, with transport-side extensions
-    /// (`getPoorTCPFlows`).
-    pub fn execute_on_host(&mut self, host: HostId, query: &Query, include_live: bool) -> Response {
-        match query {
-            Query::GetPoorTcp { threshold } => {
-                let flows = self
-                    .tcp
-                    .reports()
-                    .filter(|r| r.src == host)
-                    .filter(|r| r.completed_at.is_none())
-                    .filter(|r| r.consecutive_retrans > *threshold)
-                    .map(|r| r.flow)
-                    .collect();
-                Response::Flows(flows)
-            }
-            q => {
-                let fabric = Arc::clone(&self.fabric);
-                self.agents[host.index()].execute(&fabric, q, include_live)
-            }
-        }
+    /// Every host as the query plane sees it (index = host), reading the
+    /// live trajectory memory too when `include_live` is set.
+    pub fn host_views(&mut self, include_live: bool) -> Vec<HostView<'_>> {
+        let (fabric, tcp) = (&*self.fabric, &self.tcp);
+        self.agents
+            .iter_mut()
+            .enumerate()
+            .map(|(i, agent)| HostView {
+                host: HostId(i as u32),
+                agent,
+                fabric,
+                tcp,
+                include_live,
+            })
+            .collect()
     }
 
     /// Drains the alarm bus.
@@ -274,15 +299,7 @@ impl PathDumpWorld {
 
         // 2. Active TCP monitoring (the tcpretrans substitute): alert on
         //    flows sourced here with excessive consecutive retransmissions.
-        let threshold = self.cfg.retrans_threshold;
-        let poor: Vec<FlowId> = self
-            .tcp
-            .reports()
-            .filter(|r| r.src == host && r.completed_at.is_none())
-            .filter(|r| r.consecutive_retrans > threshold)
-            .map(|r| r.flow)
-            .collect();
-        for flow in poor {
+        for flow in poor_tcp(&self.tcp, host, self.cfg.retrans_threshold) {
             let due = match self.last_poor_alarm.get(&flow) {
                 Some(last) => now.saturating_sub(*last) >= self.cfg.alarm_cooldown,
                 None => true,
@@ -299,25 +316,17 @@ impl PathDumpWorld {
             }
         }
 
-        // 3. Installed periodic queries.
-        let installed: Vec<Installed> = self
-            .installed
-            .iter()
-            .filter(|i| i.hosts.contains(&host))
-            .cloned()
-            .collect();
-        for inst in installed {
-            let resp = self.execute_on_host(host, &inst.query, false);
-            let non_empty = match &resp {
-                Response::Flows(v) => !v.is_empty(),
-                Response::Paths(v) => !v.is_empty(),
-                Response::Hist { bins, .. } => !bins.is_empty(),
-                Response::TopK { entries, .. } => !entries.is_empty(),
-                Response::Matrix(v) => !v.is_empty(),
-                Response::Count { pkts, .. } => *pkts > 0,
-                Response::Duration(d) => d.0 > 0,
-            };
-            if non_empty {
+        // 3. Installed periodic queries, over the exported TIB only.
+        let mut view = HostView {
+            host,
+            agent: &mut self.agents[host.index()],
+            fabric: &self.fabric,
+            tcp: &self.tcp,
+            include_live: false,
+        };
+        for inst in self.installed.iter().filter(|i| i.hosts.contains(&host)) {
+            let resp = view.answer(&inst.query);
+            if resp != Response::empty_for(&inst.query) {
                 if let Some(reason) = inst.alarm_reason {
                     if let Response::Flows(flows) = &resp {
                         for f in flows {

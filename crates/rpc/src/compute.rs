@@ -1,10 +1,10 @@
 //! The compute clock: what a node's own work costs in virtual time.
 //!
-//! The plane runs every local `execute_on_tib` and every child merge
-//! through a [`Compute`] and holds the node's reply until that work is paid
-//! for. [`Free`], the default, charges nothing; [`Measured`] charges wall
-//! time, so it is for figures, not for runs that must replay exactly. This
-//! is the only module of the plane that reads a wall clock.
+//! The plane runs every host's local `HostService::answer` and every child
+//! merge through a [`Compute`] and holds the node's reply until that work
+//! is paid for. [`Free`], the default, charges nothing; [`Measured`]
+//! charges wall time, so it is for figures, not for runs that must replay
+//! exactly. This is the only module of the plane that reads a wall clock.
 
 use pathdump_topology::Nanos;
 use std::time::Instant;

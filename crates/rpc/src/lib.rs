@@ -3,7 +3,9 @@
 //! aggregation tree (§3.2) — a message-passing request/response protocol
 //! with every production failure mode modeled and tested. It is the one
 //! implementation of that tree: the direct mechanism of §5.2 is the same
-//! plane with every host a root (`fanouts = [n]`).
+//! plane with every host a root (`fanouts = [n]`), and the Controller
+//! API's `execute(hosts, query)` on a simulated world ([`execute`]) is that
+//! direct query over the world's hosts.
 //!
 //! # Architecture
 //!
@@ -19,8 +21,9 @@
 //! `pathdump_core::cluster::build_tree`, shipped inside each request as a
 //! source-routed subtree) and partial
 //! [`Response`](pathdump_core::Response) merges stream back up: every
-//! interior agent executes the query locally, merges child replies
-//! as they arrive, and sends one merged reply to its parent. All frames
+//! agent answers the query locally through its
+//! [`HostService::answer`](pathdump_core::HostService::answer), merges child
+//! replies as they arrive, and sends one merged reply to its parent. All frames
 //! ride the `pathdump_wire` codec (length-delimited, CRC-32 trailer), so
 //! corruption is detected at the frame boundary and surfaces as a retry,
 //! never as a wrong answer.
@@ -103,8 +106,8 @@
 //!   missed);
 //! - an answered host's *complete* local answer was merged — there are no
 //!   partially-merged hosts, so the degraded response equals the fold of
-//!   `execute_on_tib` (with `Response::merge`) over exactly
-//!   `coverage.answered`;
+//!   each host's `HostService::answer` (with `Response::merge`) over
+//!   exactly `coverage.answered`;
 //! - a host below a missed/timed-out interior node is itself counted
 //!   missed/timed-out (it was unreachable through the tree), and interior
 //!   agents fold their children's coverage into their reply, so the
@@ -128,4 +131,4 @@ pub use compute::{Compute, Free, Measured};
 pub use coverage::Coverage;
 pub use fault::{FaultLog, FaultPlan, FaultyChannel};
 pub use msg::{AckMsg, ReplyMsg, RequestMsg, FRAME_RPC_ACK, FRAME_RPC_REPLY, FRAME_RPC_REQUEST};
-pub use plane::{PlaneStats, QueryId, QueryOutcome, RpcConfig, TreePlane};
+pub use plane::{execute, PlaneStats, QueryId, QueryOutcome, RpcConfig, TreePlane};

@@ -6,13 +6,13 @@
 //! the protocol semantics (timeouts, retries, deadlines, backpressure,
 //! coverage).
 
-use crate::channel::{Channel, Delivery, NodeId, CONTROLLER};
+use crate::channel::{Channel, Delivery, Loopback, NodeId, CONTROLLER};
 use crate::compute::{Compute, Free};
 use crate::coverage::Coverage;
 use crate::msg::{AckMsg, ReplyMsg, RequestMsg, FRAME_RPC_ACK, FRAME_RPC_REPLY, FRAME_RPC_REQUEST};
-use pathdump_core::{build_tree, execute_on_tib, Query, Response, TreeNode};
-use pathdump_tib::{Tib, TibRead};
-use pathdump_topology::Nanos;
+use pathdump_core::{build_tree, HostService, PathDumpWorld, Query, Response, TreeNode};
+use pathdump_tib::Tib;
+use pathdump_topology::{HostId, Nanos};
 use pathdump_wire::{from_bytes, Frame, WireError, WireResult};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -188,11 +188,11 @@ enum TimerKind {
 }
 
 /// The fan-out/fan-in aggregation-tree driver: all agent state machines,
-/// the controller, and the virtual clock. Each agent answers from its own
-/// `T` — the flat [`Tib`] or any other [`TibRead`] store, such as the
-/// agents' `TieredTib` — and `K` charges each node's query execution and
-/// merges to the clock.
-pub struct TreePlane<C: Channel, T: TibRead = Tib, K: Compute = Free> {
+/// the controller, and the virtual clock. Each agent answers through its
+/// own `T`'s [`HostService::answer`] — a store such as the flat [`Tib`] or
+/// the agents' `TieredTib`, or a world's [`HostView`](pathdump_core::HostView)
+/// — and `K` charges each node's query execution and merges to the clock.
+pub struct TreePlane<C: Channel, T: HostService = Tib, K: Compute = Free> {
     cfg: RpcConfig,
     channel: C,
     compute: K,
@@ -205,6 +205,46 @@ pub struct TreePlane<C: Channel, T: TibRead = Tib, K: Compute = Free> {
     now: Nanos,
     next_req: u64,
     stats: PlaneStats,
+}
+
+/// The Controller API's `execute(hosts, query)` on a world: one direct
+/// query (every host a root) over a lossless [`Loopback`], each host
+/// answering through its [`HostView`](pathdump_core::HostView). A repeated
+/// host is asked once, and a host with no agent is reported in
+/// `coverage.missed`.
+pub fn execute(
+    world: &mut PathDumpWorld,
+    hosts: &[HostId],
+    query: &Query,
+    include_live: bool,
+) -> QueryOutcome {
+    let cfg = RpcConfig {
+        rto: Nanos::from_secs(1),
+        deadline: Nanos::from_secs(10),
+        max_children_inflight: hosts.len(),
+        ..RpcConfig::default()
+    };
+    let mut plane = TreePlane::new(Loopback::default(), cfg, world.host_views(include_live));
+    let index: Vec<usize> = hosts.iter().map(|h| h.index()).collect();
+    let id = plane.submit(query, &index, &[index.len().max(1)]);
+    // The controller's deadline completes every admitted query; a plane
+    // that went idle first would have heard from no host.
+    plane.run(id).unwrap_or_else(|| {
+        let mut timed_out: Vec<u32> = hosts.iter().map(|h| h.0).collect();
+        timed_out.sort_unstable();
+        timed_out.dedup();
+        QueryOutcome {
+            response: Response::empty_for(query),
+            coverage: Coverage {
+                timed_out: timed_out.clone(),
+                ..Coverage::new()
+            },
+            hosts: timed_out,
+            elapsed: plane.now(),
+            queued_wait: Nanos::ZERO,
+            deadline_met: false,
+        }
+    })
 }
 
 fn subtree_hosts(node: &TreeNode, out: &mut Vec<u32>) {
@@ -221,7 +261,7 @@ fn same_variant(a: &Response, b: &Response) -> bool {
     std::mem::discriminant(a) == std::mem::discriminant(b)
 }
 
-impl<C: Channel, T: TibRead> TreePlane<C, T> {
+impl<C: Channel, T: HostService> TreePlane<C, T> {
     /// A plane over per-host TIBs (index = host = channel address) whose
     /// nodes compute for free.
     pub fn new(channel: C, cfg: RpcConfig, tibs: Vec<T>) -> Self {
@@ -229,7 +269,7 @@ impl<C: Channel, T: TibRead> TreePlane<C, T> {
     }
 }
 
-impl<C: Channel, T: TibRead, K: Compute> TreePlane<C, T, K> {
+impl<C: Channel, T: HostService, K: Compute> TreePlane<C, T, K> {
     /// A plane whose nodes' work is charged by `compute`.
     pub fn with_compute(channel: C, cfg: RpcConfig, tibs: Vec<T>, compute: K) -> Self {
         let agents = (0..tibs.len()).map(|_| Node::default()).collect();
@@ -513,9 +553,7 @@ impl<C: Channel, T: TibRead, K: Compute> TreePlane<C, T, K> {
         }
         // Forward, then execute: the child requests below leave at `now`
         // and only the reply waits for the local answer.
-        let (local, cost) = self
-            .compute
-            .run(|| execute_on_tib(&self.tibs[me], &msg.query));
+        let (local, cost) = self.compute.run(|| self.tibs[me].answer(&msg.query));
         let children: Vec<ChildCall> = msg
             .subtree
             .children
@@ -781,7 +819,7 @@ impl<C: Channel, T: TibRead, K: Compute> TreePlane<C, T, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::Loopback;
+    use pathdump_core::execute_on_tib;
     use pathdump_tib::TibRecord;
     use pathdump_topology::{FlowId, Ip, Path, SwitchId, TimeRange};
 

@@ -37,29 +37,33 @@ fn main() {
     // Host API: getPaths — which path did flow 1 take?
     let f0 = tb.flow(flows[0].0, flows[0].1, flows[0].2);
     let dst = flows[0].1;
-    let resp = tb.sim.world.execute_on_host(
-        dst,
+    let resp = pathdump::rpc::execute(
+        &mut tb.sim.world,
+        &[dst],
         &Query::GetPaths {
             flow: f0,
             link: LinkPattern::ANY,
             range: TimeRange::ANY,
         },
         false,
-    );
+    )
+    .response;
     if let Response::Paths(paths) = &resp {
         println!("getPaths({f0}) at {dst} -> {paths:?}");
     }
 
     // Host API: getCount — bytes/packets of that flow.
-    let resp = tb.sim.world.execute_on_host(
-        dst,
+    let resp = pathdump::rpc::execute(
+        &mut tb.sim.world,
+        &[dst],
         &Query::GetCount {
             flow: f0,
             path: None,
             range: TimeRange::ANY,
         },
         false,
-    );
+    )
+    .response;
     if let Response::Count { bytes, pkts } = resp {
         println!("getCount({f0}) -> {bytes} bytes, {pkts} packets");
     }
@@ -68,14 +72,16 @@ fn main() {
     // link of one ToR).
     let tor = tb.ft.tor(1, 0);
     let all_hosts: Vec<HostId> = (0..16).map(HostId).collect();
-    let resp = tb.sim.world.execute(
+    let resp = pathdump::rpc::execute(
+        &mut tb.sim.world,
         &all_hosts,
         &Query::GetFlows {
             link: LinkPattern::into(tor),
             range: TimeRange::ANY,
         },
         false,
-    );
+    )
+    .response;
     if let Response::Flows(fl) = resp {
         println!(
             "getFlows(<?, {tor}>) across all hosts -> {} flows",

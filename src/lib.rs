@@ -18,6 +18,7 @@
 //!   queries over a pluggable channel through a fan-out/fan-in
 //!   aggregation tree (direct queries are the one-level tree), with
 //!   timeouts, retries and exact per-host coverage for degraded queries;
+//!   its `execute` is the Controller API every application queries with;
 //! - [`apps`]: the §4 debugging applications;
 //! - [`verifier`]: static dataplane verification (loops, blackholes,
 //!   reachability) and intent models for runtime conformance;

@@ -21,29 +21,33 @@ fn get_flows_get_paths_get_count_get_duration() {
     let (mut tb, flow, src, dst) = loaded();
     // getFlows over the destination ToR's incoming links.
     let tor = tb.ft.topology().host(dst).tor;
-    let resp = tb.sim.world.execute_on_host(
-        dst,
+    let resp = pathdump::rpc::execute(
+        &mut tb.sim.world,
+        &[dst],
         &Query::GetFlows {
             link: LinkPattern::into(tor),
             range: TimeRange::ANY,
         },
         false,
-    );
+    )
+    .response;
     let Response::Flows(flows) = resp else {
         panic!()
     };
     assert!(flows.contains(&flow));
 
     // getPaths returns a real shortest path.
-    let resp = tb.sim.world.execute_on_host(
-        dst,
+    let resp = pathdump::rpc::execute(
+        &mut tb.sim.world,
+        &[dst],
         &Query::GetPaths {
             flow,
             link: LinkPattern::ANY,
             range: TimeRange::ANY,
         },
         false,
-    );
+    )
+    .response;
     let Response::Paths(paths) = resp else {
         panic!()
     };
@@ -51,15 +55,17 @@ fn get_flows_get_paths_get_count_get_duration() {
     assert!(tb.ft.all_paths(src, dst).contains(&paths[0]));
 
     // getCount covers the transferred bytes.
-    let resp = tb.sim.world.execute_on_host(
-        dst,
+    let resp = pathdump::rpc::execute(
+        &mut tb.sim.world,
+        &[dst],
         &Query::GetCount {
             flow,
             path: Some(paths[0].clone()),
             range: TimeRange::ANY,
         },
         false,
-    );
+    )
+    .response;
     let Response::Count { bytes, pkts } = resp else {
         panic!()
     };
@@ -67,15 +73,17 @@ fn get_flows_get_paths_get_count_get_duration() {
     assert!(pkts >= 400_000 / 1460);
 
     // getDuration is positive and below the run length.
-    let resp = tb.sim.world.execute_on_host(
-        dst,
+    let resp = pathdump::rpc::execute(
+        &mut tb.sim.world,
+        &[dst],
         &Query::GetDuration {
             flow,
             path: None,
             range: TimeRange::ANY,
         },
         false,
-    );
+    )
+    .response;
     let Response::Duration(d) = resp else {
         panic!()
     };
@@ -115,10 +123,13 @@ fn get_poor_tcp_flows_via_world() {
     let flow = tb.flow(src, dst, 4250);
     tb.add_flow(src, dst, 4250, 100_000, Nanos::ZERO);
     tb.sim.run_until(Nanos::from_secs(8));
-    let resp = tb
-        .sim
-        .world
-        .execute_on_host(src, &Query::GetPoorTcp { threshold: 2 }, false);
+    let resp = pathdump::rpc::execute(
+        &mut tb.sim.world,
+        &[src],
+        &Query::GetPoorTcp { threshold: 2 },
+        false,
+    )
+    .response;
     let Response::Flows(flows) = resp else {
         panic!()
     };

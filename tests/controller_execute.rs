@@ -35,9 +35,17 @@ fn fold(world: &mut PathDumpWorld, hosts: &[HostId], q: &Query, live: bool) -> R
     acc
 }
 
-/// The system under test: the controller's `execute`.
+/// The system under test: the controller's `execute`, which on the
+/// lossless plane it runs must hear every listed host in time.
 fn controller(world: &mut PathDumpWorld, hosts: &[HostId], q: &Query, live: bool) -> Response {
-    world.execute(hosts, q, live)
+    let out = pathdump::rpc::execute(world, hosts, q, live);
+    let mut asked: Vec<u32> = hosts.iter().map(|h| h.0).collect();
+    asked.sort_unstable();
+    asked.dedup();
+    assert!(out.coverage.is_complete(), "{q:?}: {:?}", out.coverage);
+    assert_eq!(out.coverage.answered, asked);
+    assert!(out.deadline_met);
+    out.response
 }
 
 /// The blackholed sender, its flow and a healthy flow with its receiver.
@@ -205,6 +213,59 @@ fn execute_equals_the_per_host_fold_after_flush() {
     };
     assert!(flows.contains(&p.healthy));
     assert_eq!(check_all(&mut p), 0, "nothing is left in trajectory memory");
+}
+
+/// A host listed twice is asked once: a summed answer does not double.
+#[test]
+fn a_repeated_host_is_asked_once() {
+    let mut p = population();
+    p.tb.run_and_flush(Nanos::from_secs(8));
+    let dst = p.healthy_dst;
+    for q in [
+        Query::GetCount {
+            flow: p.healthy,
+            path: None,
+            range: TimeRange::ANY,
+        },
+        Query::FlowSizeDist {
+            link: LinkPattern::ANY,
+            range: TimeRange::ANY,
+            bin_bytes: 10_000,
+        },
+        Query::TrafficMatrix {
+            range: TimeRange::ANY,
+        },
+    ] {
+        let once = controller(&mut p.tb.sim.world, &[dst], &q, false);
+        assert_ne!(once, Response::empty_for(&q), "{q:?}");
+        let twice = controller(&mut p.tb.sim.world, &[dst, dst], &q, false);
+        assert_eq!(twice, once, "{q:?}");
+    }
+}
+
+/// A host id with no agent behind it is reported missed, with nothing in
+/// the answer for it, and the hosts beside it still answer.
+#[test]
+fn a_host_without_an_agent_is_missed() {
+    let mut p = population();
+    p.tb.run_and_flush(Nanos::from_secs(8));
+    let dst = p.healthy_dst;
+    let q = Query::GetCount {
+        flow: p.healthy,
+        path: None,
+        range: TimeRange::ANY,
+    };
+    let alone = pathdump::rpc::execute(&mut p.tb.sim.world, &[HostId(16)], &q, false);
+    assert_eq!(alone.response, Response::empty_for(&q));
+    assert_eq!(alone.coverage.missed, vec![16]);
+    assert!(alone.coverage.answered.is_empty());
+    let beside = pathdump::rpc::execute(&mut p.tb.sim.world, &[HostId(99), dst], &q, false);
+    assert_eq!(beside.coverage.missed, vec![99]);
+    assert_eq!(beside.coverage.answered, vec![dst.0]);
+    assert_eq!(
+        beside.response,
+        fold(&mut p.tb.sim.world, &[dst], &q, false)
+    );
 }
 
 /// Moved here from the world's unit tests.
