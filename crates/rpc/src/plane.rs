@@ -262,8 +262,8 @@ fn same_variant(a: &Response, b: &Response) -> bool {
 }
 
 impl<C: Channel, T: HostService> TreePlane<C, T> {
-    /// A plane over per-host TIBs (index = host = channel address) whose
-    /// nodes compute for free.
+    /// A plane over one host service per host (index = host = channel
+    /// address) whose nodes compute for free.
     pub fn new(channel: C, cfg: RpcConfig, tibs: Vec<T>) -> Self {
         TreePlane::with_compute(channel, cfg, tibs, Free)
     }
