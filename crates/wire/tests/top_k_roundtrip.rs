@@ -1,7 +1,8 @@
-//! Value-level round trips of top-k replies, the largest message on the
-//! management network: every `Response::TopK` decodes back to itself, bare
-//! and inside a framed `ReplyMsg`; every cut of the encoding is an error;
-//! no single-bit flip panics the decoder.
+//! Value-level round trips of the flow lists on the management network:
+//! top-k replies, the largest message, and flow-list replies
+//! (`Response::Flows`: GetFlows, HeavyHitters, GetPoorTcp). Every reply
+//! decodes back to itself, bare and inside a framed `ReplyMsg`; every cut
+//! of the encoding is an error; no single-bit flip panics the decoder.
 //!
 //! The families are the boundaries a compact encoding of the entry list has
 //! to get right: entries in and out of the store's order and with a flow
@@ -10,8 +11,10 @@
 //! equal counts; more than 128 and more than 16 384 distinct sources (an
 //! index of two and of three varint bytes); one destination and
 //! all-distinct destinations; every protocol form; `k = 0` and an empty
-//! list. A proptest mixes them (its depth is `PROPTEST_CASES`; CI runs
-//! 512).
+//! list. Flow lists mirror them without the counts: empty, one source, one
+//! destination and both; more than 128 and 16 384 distinct sources and
+//! destinations; every protocol form; the same flow repeated. A proptest
+//! per reply mixes them (its depth is `PROPTEST_CASES`; CI runs 512).
 
 use pathdump_core::Response;
 use pathdump_rpc::{Coverage, ReplyMsg, FRAME_RPC_REPLY};
@@ -99,6 +102,11 @@ fn sorted(mut entries: Vec<(u64, FlowId)>) -> Vec<(u64, FlowId)> {
 
 fn top_k(k: u32, entries: Vec<(u64, FlowId)>) -> Response {
     Response::TopK { k, entries }
+}
+
+/// The flows of `entries`, in their order.
+fn flows(entries: Vec<(u64, FlowId)>) -> Response {
+    Response::Flows(entries.into_iter().map(|e| e.1).collect())
 }
 
 fn reply(response: Response) -> ReplyMsg {
@@ -340,6 +348,106 @@ fn empty_lists_and_zero_k_round_trip() {
     check(&top_k(0, vec![(0, flow(0, 0, 0))]));
 }
 
+#[test]
+fn empty_flow_lists_and_one_source_or_destination_round_trip() {
+    check(&Response::Flows(vec![]));
+    check(&Response::Flows(vec![flow(0, 0, 0)]));
+    check(&Response::Flows(vec![flow(u32::MAX, u16::MAX, 5)]));
+    let mut m = Mix(7);
+    // One source (a GetPoorTcp reply), one destination (a host's GetFlows
+    // into itself), both, and neither.
+    for (sources, dests) in [(1, 40), (127, 1), (1, 1), (127, 40)] {
+        let list = random_entries(&mut m, 2_000, sources, dests);
+        check(&flows(list.clone()));
+        check(&flows(sorted(list)));
+    }
+    // One source and one destination, differing only in the source port.
+    let ports: Vec<_> = (0..3_000u32)
+        .map(|i| flow(0x0A00_0001, i as u16, 0))
+        .collect();
+    check(&Response::Flows(ports));
+}
+
+#[test]
+fn flow_lists_with_two_and_three_byte_indices_round_trip() {
+    let mut m = Mix(8);
+    for sources in [128u32, 129, 300, 16_384, 16_385] {
+        // Every source once, in a seeded order, then some again; one
+        // destination and then two.
+        for dests in [1, 2] {
+            let mut list: Vec<_> = (0..sources)
+                .map(|s| flow(0x0A00_0000 + s * 3, s as u16, s % dests))
+                .collect();
+            for i in 0..list.len() {
+                let j = m.below(i as u64 + 1) as usize;
+                list.swap(i, j);
+            }
+            let again: Vec<_> = list.iter().step_by(7).copied().collect();
+            list.extend(again);
+            check(&Response::Flows(list));
+        }
+    }
+    for dests in [128u32, 129, 16_384, 16_385] {
+        for sources in [1, 3] {
+            let list: Vec<_> = (0..dests)
+                .map(|d| flow(0x0A00_0001 + d % sources, d as u16, d))
+                .collect();
+            check(&Response::Flows(list));
+        }
+    }
+    // Both tables past 128 and past 16 384.
+    let both: Vec<_> = (0..17_000u32)
+        .map(|i| flow(0x0A00_0000 + i, i as u16, i.wrapping_mul(7) % 16_500))
+        .collect();
+    check(&Response::Flows(both));
+}
+
+#[test]
+fn every_protocol_round_trips_in_a_flow_list() {
+    let mut list = Vec::new();
+    for &proto in &PROTOS {
+        // Flows that differ only in their protocol.
+        for src in [Ip::new(10, 0, 0, 2), Ip(u32::MAX)] {
+            list.push(FlowId {
+                src_ip: src,
+                dst_ip: Ip::new(10, 1, 0, 2),
+                src_port: 4_000,
+                dst_port: 53,
+                proto,
+            });
+        }
+    }
+    check(&Response::Flows(list.clone()));
+    let one_source: Vec<_> = list.iter().step_by(2).copied().collect();
+    check(&Response::Flows(one_source));
+    for &proto in &PROTOS {
+        let f = |s: u16| FlowId {
+            src_ip: Ip(0),
+            dst_ip: Ip(u32::MAX),
+            src_port: s,
+            dst_port: u16::MAX,
+            proto,
+        };
+        check(&Response::Flows((0..300).map(f).collect()));
+    }
+}
+
+#[test]
+fn repeated_flows_round_trip_in_a_flow_list() {
+    let f = flow(0x0A00_0001, 40_000, 0);
+    let g = flow(0x0A00_0002, 40_000, 0);
+    let h = flow(0x0A00_0001, 40_000, 1);
+    check(&Response::Flows(vec![f, f]));
+    check(&Response::Flows(vec![f, g, f, h, f, g, h, h]));
+    check(&Response::Flows(vec![f; 5_000]));
+    let mut m = Mix(9);
+    let pool = random_entries(&mut m, 40, 10, 2);
+    let repeated: Vec<_> = (0..2_000)
+        .map(|_| pool[m.below(pool.len() as u64) as usize].1)
+        .collect();
+    check(&Response::Flows(repeated));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -371,6 +479,44 @@ proptest! {
         }
         let k = [0, n as u32, 10_000, u32::MAX][m.below(4) as usize];
         let r = top_k(k, entries);
+        let bare = to_bytes(&r);
+        prop_assert_eq!(from_bytes::<Response>(&bare), Ok(r.clone()));
+        let msg = reply(r);
+        let wire = Frame::build(FRAME_RPC_REPLY, &msg);
+        let back = Frame::parse(&wire).and_then(|(_, p, _)| from_bytes::<ReplyMsg>(p));
+        prop_assert_eq!(back, Ok(msg.clone()));
+        let cut = cut_sel % bare.len();
+        prop_assert!(from_bytes::<Response>(&bare[..cut]).is_err(), "cut {}", cut);
+        let payload = to_bytes(&msg);
+        let cut = cut_sel % payload.len();
+        prop_assert!(from_bytes::<ReplyMsg>(&payload[..cut]).is_err(), "cut {}", cut);
+        let mut bad = payload;
+        let bit = flip_sel % (bad.len() * 8);
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let _ = from_bytes::<ReplyMsg>(&bad);
+    }
+
+    /// Flow lists mixed at random, with one source, one destination or
+    /// neither: round trips bare, in a message and in a frame; one cut is
+    /// an error; one bit flip does not panic.
+    #[test]
+    fn arbitrary_flow_lists_round_trip(
+        seed in any::<u64>(),
+        n in 0usize..400,
+        sources in 1u32..300,
+        dests in 1u32..300,
+        shape in 0u8..4,
+        cut_sel in any::<usize>(),
+        flip_sel in any::<usize>(),
+    ) {
+        let mut m = Mix(seed);
+        let (sources, dests) = match shape {
+            0 => (1, dests),
+            1 => (sources, 1),
+            2 => (1, 1),
+            _ => (sources, dests),
+        };
+        let r = flows(random_entries(&mut m, n, sources, dests));
         let bare = to_bytes(&r);
         prop_assert_eq!(from_bytes::<Response>(&bare), Ok(r.clone()));
         let msg = reply(r);
