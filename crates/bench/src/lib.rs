@@ -150,7 +150,7 @@ pub fn synth_tib(ft: &FatTree, host: HostId, n: usize, seed: u64) -> Tib {
 /// (every host a root) and down the `[7, 4, 4]` tree, on the lossless rpc
 /// plane with measured compute; each outcome with the bytes it sent.
 /// Panics unless both answers are complete and equal and the plane stayed
-/// quiet — `rto` is far above a 24 K-record leaf's top-k + 160 KB reply,
+/// quiet — `rto` is far above a 24 K-record leaf's top-k + ≈ 45 KB reply,
 /// and one cached reply per agent bounds memory.
 pub fn direct_and_tree(
     tibs: Vec<Tib>,

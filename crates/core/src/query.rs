@@ -89,6 +89,30 @@ pub enum Query {
 #[derive(Clone, PartialEq, Debug)]
 pub enum Response {
     /// Flow list (deduplicated on merge).
+    ///
+    /// Every flow list on the management network, this one and
+    /// [`Response::TopK`]'s, travels as one table-coded block (tag 0 here)
+    /// rather than a count and 13-byte flow ids:
+    ///
+    /// - The entry count. An empty list stops here.
+    /// - The distinct source addresses in first-appearance order, a count
+    ///   and 4 bytes each, then the distinct `(dst_ip, dst_port, proto)`
+    ///   triples the same way, 7 bytes each (protocol by number, as in a
+    ///   flow id). 12 of a flow id's 13 bytes repeat across a reply; the
+    ///   tables carry them once. They come first so the decoder knows every
+    ///   size, and which indices an entry carries, before it allocates.
+    /// - Per entry: the source index (varint), the source port (2 bytes,
+    ///   little-endian) and the destination index (varint). A top-k entry
+    ///   starts with its byte count.
+    ///
+    /// **An index into a table of one entry is not written.** A host's
+    /// top-k or GetFlows reply names one destination when its flows reach
+    /// one service of it, and its GetPoorTcp reply one source, so their
+    /// entries are a port and one index; an entry of a one-source,
+    /// one-destination list is its port.
+    ///
+    /// A count larger than the remaining input allows, or an index beyond
+    /// its table, is a `WireError`.
     Flows(Vec<FlowId>),
     /// Path list (deduplicated on merge).
     Paths(Vec<Path>),
@@ -112,27 +136,13 @@ pub enum Response {
     /// Top-k (merged and re-truncated to `k`; "(n−1)·k key-value pairs are
     /// discarded during aggregation", §5.2).
     ///
-    /// The largest message on the management network, so its wire form
-    /// (tag 5) is table-coded rather than `k` and a list of
-    /// `(varint bytes, 13-byte flow id)`:
-    ///
-    /// - `k`, then the entry count. An empty list stops here.
-    /// - The distinct source addresses in first-appearance order, a count
-    ///   and 4 bytes each, then the distinct `(dst_ip, dst_port, proto)`
-    ///   triples the same way, 7 bytes each (protocol by number, as in a
-    ///   flow id). A host's reply names its own address once and ≈ 127
-    ///   sources, so 12 of a flow id's 13 bytes repeat across a reply;
-    ///   the tables carry them once. They come first so the decoder knows
-    ///   every size before it allocates.
-    /// - Per entry: the zigzag varint of `bytes − previous bytes`
-    ///   (wrapping; the first is against 0), the source index (varint), the
-    ///   source port (2 bytes, little-endian) and the destination index
-    ///   (varint). In the descending order the store and the merge emit, a
-    ///   difference is a byte or two where the count is three; zigzag keeps
-    ///   any order exact, including the unsorted input `merge` re-sorts.
-    ///
-    /// A count larger than the remaining input allows, or an index beyond
-    /// its table, is a `WireError`.
+    /// The largest message on the management network. Its wire form
+    /// (tag 5) is `k`, then the flow-list block documented on
+    /// [`Response::Flows`], each entry led by the zigzag varint of
+    /// `bytes − previous bytes` (wrapping; the first is against 0). In the
+    /// descending order the store and the merge emit, a difference is a
+    /// byte or two where the count is three; zigzag keeps any order exact,
+    /// including the unsorted input `merge` re-sorts.
     TopK {
         /// k.
         k: u32,
@@ -407,7 +417,7 @@ impl Encode for Response {
         match self {
             Response::Flows(v) => {
                 enc.put_u8(0);
-                v.encode(enc);
+                encode_flow_list(v, enc);
             }
             Response::Paths(v) => {
                 enc.put_u8(1);
@@ -430,7 +440,7 @@ impl Encode for Response {
             Response::TopK { k, entries } => {
                 enc.put_u8(5);
                 k.encode(enc);
-                encode_top_k(entries, enc);
+                encode_flow_list(entries, enc);
             }
             Response::Matrix(v) => {
                 enc.put_u8(6);
@@ -443,7 +453,7 @@ impl Encode for Response {
 impl Decode for Response {
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         Ok(match dec.get_u8()? {
-            0 => Response::Flows(Vec::<FlowId>::decode(dec)?),
+            0 => Response::Flows(decode_flow_list(dec)?),
             1 => Response::Paths(Vec::<Path>::decode(dec)?),
             2 => Response::Count {
                 bytes: dec.get_varint()?,
@@ -456,7 +466,7 @@ impl Decode for Response {
             },
             5 => Response::TopK {
                 k: u32::decode(dec)?,
-                entries: decode_top_k(dec)?,
+                entries: decode_flow_list(dec)?,
             },
             6 => Response::Matrix(Vec::<((Ip, Ip), u64)>::decode(dec)?),
             t => return Err(WireError::InvalidTag(t as u32)),
@@ -471,11 +481,10 @@ fn dst_key(f: &FlowId) -> u64 {
     u64::from(f.dst_ip.0) | u64::from(f.dst_port) << 32 | u64::from(f.proto.number()) << 48
 }
 
-/// Numbers distinct keys in first-appearance order: one table of a top-k
-/// reply. Open addressing over a power-of-two array of `(key, index)`
+/// Numbers distinct keys in first-appearance order: one table of a flow
+/// list. Open addressing over a power-of-two array of `(key, index)`
 /// slots at most a quarter full, so a lookup is a multiply and, nearly
-/// always, one load; a table of one key — a leaf's destinations — answers
-/// before hashing.
+/// always, one load.
 struct Interner {
     /// The distinct keys; a key's index is its position.
     keys: Vec<u64>,
@@ -502,9 +511,6 @@ impl Interner {
     }
 
     fn index(&mut self, key: u64) -> u32 {
-        if self.keys.len() == 1 && self.keys[0] == key {
-            return 0;
-        }
         let mask = self.slots.len() - 1;
         let mut s = self.home(key);
         loop {
@@ -538,30 +544,98 @@ impl Interner {
     }
 }
 
-/// Writes a top-k entry list in the table-coded layout documented on
-/// [`Response::TopK`]. The entries go to a second buffer while the tables
-/// fill, and follow the tables.
-fn encode_top_k(entries: &[(u64, FlowId)], enc: &mut Encoder) {
+/// An entry of a table-coded flow list: a flow alone
+/// ([`Response::Flows`]) or with its byte count ([`Response::TopK`]).
+trait Listed {
+    /// Whether an entry starts with its byte count.
+    const COUNTED: bool;
+    fn flow(&self) -> &FlowId;
+    /// The byte count; 0 where there is none.
+    fn bytes(&self) -> u64;
+    fn with(bytes: u64, flow: FlowId) -> Self;
+}
+
+impl Listed for FlowId {
+    const COUNTED: bool = false;
+    fn flow(&self) -> &FlowId {
+        self
+    }
+    fn bytes(&self) -> u64 {
+        0
+    }
+    fn with(_: u64, flow: FlowId) -> Self {
+        flow
+    }
+}
+
+impl Listed for (u64, FlowId) {
+    const COUNTED: bool = true;
+    fn flow(&self) -> &FlowId {
+        &self.1
+    }
+    fn bytes(&self) -> u64 {
+        self.0
+    }
+    fn with(bytes: u64, flow: FlowId) -> Self {
+        (bytes, flow)
+    }
+}
+
+/// Writes a flow list in the table-coded block documented on
+/// [`Response::Flows`]. A pre-scan against entry 0, which stops once both
+/// a source and a destination differ, says which tables have more than
+/// one entry; only those are interned and indexed. The entries go to a
+/// second buffer while the tables fill, and follow the tables.
+fn encode_flow_list<E: Listed>(entries: &[E], enc: &mut Encoder) {
     enc.put_varint(entries.len() as u64);
-    if entries.is_empty() {
+    let Some(first) = entries.first() else {
         return;
+    };
+    let (src0, dst0) = (u64::from(first.flow().src_ip.0), dst_key(first.flow()));
+    let (mut many_src, mut many_dst) = (false, false);
+    for e in entries {
+        many_src |= u64::from(e.flow().src_ip.0) != src0;
+        many_dst |= dst_key(e.flow()) != dst0;
+        if many_src && many_dst {
+            break;
+        }
     }
     let (mut srcs, mut dsts) = (Interner::new(), Interner::new());
+    srcs.index(src0);
+    dsts.index(dst0);
     let mut body = Encoder::with_capacity(entries.len() * 6);
     let mut prev = 0u64;
-    for (bytes, f) in entries {
-        let step = bytes.wrapping_sub(prev) as i64;
-        prev = *bytes;
-        body.put_varint(((step << 1) ^ (step >> 63)) as u64);
-        let (s, d) = (srcs.index(u64::from(f.src_ip.0)), dsts.index(dst_key(f)));
+    for e in entries {
+        let f = e.flow();
+        if E::COUNTED {
+            let step = e.bytes().wrapping_sub(prev) as i64;
+            prev = e.bytes();
+            body.put_varint(((step << 1) ^ (step >> 63)) as u64);
+        }
+        let s = if many_src {
+            srcs.index(u64::from(f.src_ip.0))
+        } else {
+            0
+        };
+        let d = if many_dst { dsts.index(dst_key(f)) } else { 0 };
         let [p0, p1] = f.src_port.to_le_bytes();
         if (s | d) < 0x80 {
-            // Both indices one byte: the rest of the entry is one block.
-            body.put_raw(&[s as u8, p0, p1, d as u8]);
+            // Every written index one byte: the rest of the entry is one
+            // block.
+            match (many_src, many_dst) {
+                (true, true) => body.put_raw(&[s as u8, p0, p1, d as u8]),
+                (true, false) => body.put_raw(&[s as u8, p0, p1]),
+                (false, true) => body.put_raw(&[p0, p1, d as u8]),
+                (false, false) => body.put_raw(&[p0, p1]),
+            }
         } else {
-            body.put_varint(u64::from(s));
+            if many_src {
+                body.put_varint(u64::from(s));
+            }
             body.put_raw(&[p0, p1]);
-            body.put_varint(u64::from(d));
+            if many_dst {
+                body.put_varint(u64::from(d));
+            }
         }
     }
     enc.put_varint(srcs.keys.len() as u64);
@@ -575,8 +649,8 @@ fn encode_top_k(entries: &[(u64, FlowId)], enc: &mut Encoder) {
     enc.put_raw(body.bytes());
 }
 
-/// The fewest bytes an entry takes: three one-byte varints and the port.
-const MIN_ENTRY: usize = 5;
+/// The fewest bytes an entry takes: its port, with both indices implied.
+const MIN_ENTRY: usize = 2;
 
 /// A count of items of `width` bytes that must fit in the input left
 /// after `reserved` bytes — checked before anything is allocated for them.
@@ -596,16 +670,18 @@ fn item<T: Copy>(table: &[T], i: u64) -> WireResult<T> {
     Ok(table[i as usize])
 }
 
-/// Reads what [`encode_top_k`] writes. The tables are read first, so every
-/// size is known before the one allocation per table and for the entries;
-/// the entries are then walked as a slice, the three fields after each
-/// count as one 4-byte block when both indices take one byte.
-fn decode_top_k(dec: &mut Decoder<'_>) -> WireResult<Vec<(u64, FlowId)>> {
-    let n = get_count(dec, MIN_ENTRY, 0)?;
+/// Reads what [`encode_flow_list`] writes. The tables are read first, so
+/// every size, and which indices an entry carries, is known before the one
+/// allocation per table and for the entries; the entries are then walked
+/// as a slice, the fields after each count as one block of 2 to 4 bytes
+/// when every written index takes one byte.
+fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
+    let min_entry = MIN_ENTRY + usize::from(E::COUNTED);
+    let n = get_count(dec, min_entry, 0)?;
     if n == 0 {
         return Ok(Vec::new());
     }
-    let reserved = n * MIN_ENTRY;
+    let reserved = n * min_entry;
     let n_src = get_count(dec, 4, reserved)?;
     let srcs: Vec<Ip> = dec
         .get_raw(4 * n_src)?
@@ -624,40 +700,67 @@ fn decode_top_k(dec: &mut Decoder<'_>) -> WireResult<Vec<(u64, FlowId)>> {
             )
         })
         .collect();
+    let (many_src, many_dst) = (n_src != 1, n_dst != 1);
     let input = dec.unread();
     let mut pos = 0;
     let mut entries = Vec::with_capacity(n);
     let mut bytes = 0u64;
     for _ in 0..n {
-        let z = read_varint(input, &mut pos)?;
-        bytes = bytes.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
-        let (s, src_port, d) = match input.get(pos..pos + 4) {
-            Some(&[s, p0, p1, d]) if (s | d) < 0x80 => {
-                pos += 4;
+        if E::COUNTED {
+            let z = read_varint(input, &mut pos)?;
+            bytes = bytes.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
+        }
+        let block = match (many_src, many_dst) {
+            (true, true) => match input.get(pos..pos + 4) {
+                Some(&[s, p0, p1, d]) if (s | d) < 0x80 => Some((s, p0, p1, d, 4)),
+                _ => None,
+            },
+            (true, false) => match input.get(pos..pos + 3) {
+                Some(&[s, p0, p1]) if s < 0x80 => Some((s, p0, p1, 0, 3)),
+                _ => None,
+            },
+            (false, true) => match input.get(pos..pos + 3) {
+                Some(&[p0, p1, d]) if d < 0x80 => Some((0, p0, p1, d, 3)),
+                _ => None,
+            },
+            (false, false) => match input.get(pos..pos + 2) {
+                Some(&[p0, p1]) => Some((0, p0, p1, 0, 2)),
+                _ => None,
+            },
+        };
+        let (s, src_port, d) = match block {
+            Some((s, p0, p1, d, len)) => {
+                pos += len;
                 (u64::from(s), u16::from_le_bytes([p0, p1]), u64::from(d))
             }
-            _ => {
-                let s = read_varint(input, &mut pos)?;
+            None => {
+                let s = if many_src {
+                    read_varint(input, &mut pos)?
+                } else {
+                    0
+                };
                 let Some(&[p0, p1]) = input.get(pos..pos + 2) else {
                     return Err(WireError::UnexpectedEof);
                 };
                 pos += 2;
-                let d = read_varint(input, &mut pos)?;
+                let d = if many_dst {
+                    read_varint(input, &mut pos)?
+                } else {
+                    0
+                };
                 (s, u16::from_le_bytes([p0, p1]), d)
             }
         };
         let src_ip = item(&srcs, s)?;
         let (dst_ip, dst_port, proto) = item(&dsts, d)?;
-        entries.push((
-            bytes,
-            FlowId {
-                src_ip,
-                dst_ip,
-                src_port,
-                dst_port,
-                proto,
-            },
-        ));
+        let flow = FlowId {
+            src_ip,
+            dst_ip,
+            src_port,
+            dst_port,
+            proto,
+        };
+        entries.push(E::with(bytes, flow));
     }
     dec.get_raw(pos)?;
     Ok(entries)
