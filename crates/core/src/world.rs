@@ -104,21 +104,11 @@ impl HostService for HostView<'_> {
     fn answer(&mut self, q: &Query) -> Response {
         match q {
             Query::GetPoorTcp { threshold } => {
-                Response::Flows(poor_tcp(self.tcp, self.host, *threshold))
+                Response::Flows(self.tcp.poor_flows(self.host, *threshold))
             }
             q => self.agent.execute(self.fabric, q, self.include_live),
         }
     }
-}
-
-/// The unfinished flows sourced at `host` whose consecutive
-/// retransmissions exceed `threshold`.
-fn poor_tcp(tcp: &TcpEngine, host: HostId, threshold: u32) -> Vec<FlowId> {
-    tcp.reports()
-        .filter(|r| r.src == host && r.completed_at.is_none())
-        .filter(|r| r.consecutive_retrans > threshold)
-        .map(|r| r.flow)
-        .collect()
 }
 
 /// The composite world. Controller queries run over its
@@ -299,7 +289,7 @@ impl PathDumpWorld {
 
         // 2. Active TCP monitoring (the tcpretrans substitute): alert on
         //    flows sourced here with excessive consecutive retransmissions.
-        for flow in poor_tcp(&self.tcp, host, self.cfg.retrans_threshold) {
+        for flow in self.tcp.poor_flows(host, self.cfg.retrans_threshold) {
             let due = match self.last_poor_alarm.get(&flow) {
                 Some(last) => now.saturating_sub(*last) >= self.cfg.alarm_cooldown,
                 None => true,

@@ -134,12 +134,13 @@ impl TcpEngine {
         (0..self.flows.len() as u32).map(|i| self.report(i))
     }
 
-    /// The paper's `getPoorTCPFlows(threshold)`: flows whose consecutive
-    /// retransmissions currently exceed `threshold`.
-    pub fn poor_flows(&self, threshold: u32) -> Vec<FlowId> {
+    /// The paper's `getPoorTCPFlows(threshold)` on `host`: the unfinished
+    /// flows it sends whose consecutive retransmissions currently exceed
+    /// `threshold`.
+    pub fn poor_flows(&self, host: HostId, threshold: u32) -> Vec<FlowId> {
         self.flows
             .iter()
-            .filter(|e| e.sender.completed_at.is_none())
+            .filter(|e| e.spec.src == host && e.sender.completed_at.is_none())
             .filter(|e| e.sender.consecutive_retrans > threshold)
             .map(|e| e.spec.flow)
             .collect()

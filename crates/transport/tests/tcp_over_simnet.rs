@@ -133,7 +133,7 @@ fn blackhole_stalls_flow_and_raises_consecutive_retrans() {
         r.consecutive_retrans
     );
     assert_eq!(
-        s.world.engine.poor_flows(2),
+        s.world.engine.poor_flows(sp.src, 2),
         vec![sp.flow],
         "getPoorTCPFlows must flag the victim"
     );
