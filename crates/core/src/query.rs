@@ -603,41 +603,13 @@ fn encode_flow_list<E: Listed>(entries: &[E], enc: &mut Encoder) {
     let (mut srcs, mut dsts) = (Interner::new(), Interner::new());
     srcs.index(src0);
     dsts.index(dst0);
-    let mut body = Encoder::with_capacity(entries.len() * 6);
-    let mut prev = 0u64;
-    for e in entries {
-        let f = e.flow();
-        if E::COUNTED {
-            let step = e.bytes().wrapping_sub(prev) as i64;
-            prev = e.bytes();
-            body.put_varint(((step << 1) ^ (step >> 63)) as u64);
-        }
-        let s = if many_src {
-            srcs.index(u64::from(f.src_ip.0))
-        } else {
-            0
-        };
-        let d = if many_dst { dsts.index(dst_key(f)) } else { 0 };
-        let [p0, p1] = f.src_port.to_le_bytes();
-        if (s | d) < 0x80 {
-            // Every written index one byte: the rest of the entry is one
-            // block.
-            match (many_src, many_dst) {
-                (true, true) => body.put_raw(&[s as u8, p0, p1, d as u8]),
-                (true, false) => body.put_raw(&[s as u8, p0, p1]),
-                (false, true) => body.put_raw(&[p0, p1, d as u8]),
-                (false, false) => body.put_raw(&[p0, p1]),
-            }
-        } else {
-            if many_src {
-                body.put_varint(u64::from(s));
-            }
-            body.put_raw(&[p0, p1]);
-            if many_dst {
-                body.put_varint(u64::from(d));
-            }
-        }
-    }
+    let (s, d) = (&mut srcs, &mut dsts);
+    let body = match (many_src, many_dst) {
+        (true, true) => encode_entries::<E, true, true>(entries, s, d),
+        (true, false) => encode_entries::<E, true, false>(entries, s, d),
+        (false, true) => encode_entries::<E, false, true>(entries, s, d),
+        (false, false) => encode_entries::<E, false, false>(entries, s, d),
+    };
     enc.put_varint(srcs.keys.len() as u64);
     for s in &srcs.keys {
         enc.put_raw(&s.to_le_bytes()[..4]);
@@ -647,6 +619,52 @@ fn encode_flow_list<E: Listed>(entries: &[E], enc: &mut Encoder) {
         enc.put_raw(&d.to_le_bytes()[..7]);
     }
     enc.put_raw(body.bytes());
+}
+
+/// The entries of a flow list, one loop per shape: `SRC` and `DST` say
+/// whether an entry carries its source and its destination index, so that
+/// the block after each count is a copy of a fixed size.
+fn encode_entries<E: Listed, const SRC: bool, const DST: bool>(
+    entries: &[E],
+    srcs: &mut Interner,
+    dsts: &mut Interner,
+) -> Encoder {
+    let mut body = Encoder::with_capacity(entries.len() * 6);
+    let mut prev = 0u64;
+    for e in entries {
+        let f = e.flow();
+        if E::COUNTED {
+            let step = e.bytes().wrapping_sub(prev) as i64;
+            prev = e.bytes();
+            body.put_varint(((step << 1) ^ (step >> 63)) as u64);
+        }
+        let s = if SRC {
+            srcs.index(u64::from(f.src_ip.0))
+        } else {
+            0
+        };
+        let d = if DST { dsts.index(dst_key(f)) } else { 0 };
+        let [p0, p1] = f.src_port.to_le_bytes();
+        if (s | d) < 0x80 {
+            // Every written index one byte: the rest of the entry is one
+            // block.
+            match (SRC, DST) {
+                (true, true) => body.put_raw(&[s as u8, p0, p1, d as u8]),
+                (true, false) => body.put_raw(&[s as u8, p0, p1]),
+                (false, true) => body.put_raw(&[p0, p1, d as u8]),
+                (false, false) => body.put_raw(&[p0, p1]),
+            }
+        } else {
+            if SRC {
+                body.put_varint(u64::from(s));
+            }
+            body.put_raw(&[p0, p1]);
+            if DST {
+                body.put_varint(u64::from(d));
+            }
+        }
+    }
+    body
 }
 
 /// The fewest bytes an entry takes: its port, with both indices implied.
@@ -700,8 +718,25 @@ fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
             )
         })
         .collect();
-    let (many_src, many_dst) = (n_src != 1, n_dst != 1);
     let input = dec.unread();
+    let (entries, used) = match (n_src != 1, n_dst != 1) {
+        (true, true) => decode_entries::<E, true, true>(input, n, &srcs, &dsts)?,
+        (true, false) => decode_entries::<E, true, false>(input, n, &srcs, &dsts)?,
+        (false, true) => decode_entries::<E, false, true>(input, n, &srcs, &dsts)?,
+        (false, false) => decode_entries::<E, false, false>(input, n, &srcs, &dsts)?,
+    };
+    dec.get_raw(used)?;
+    Ok(entries)
+}
+
+/// Reads what [`encode_entries`] writes: `n` entries from the front of
+/// `input`, and the bytes they took.
+fn decode_entries<E: Listed, const SRC: bool, const DST: bool>(
+    input: &[u8],
+    n: usize,
+    srcs: &[Ip],
+    dsts: &[(Ip, u16, Protocol)],
+) -> WireResult<(Vec<E>, usize)> {
     let mut pos = 0;
     let mut entries = Vec::with_capacity(n);
     let mut bytes = 0u64;
@@ -710,7 +745,7 @@ fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
             let z = read_varint(input, &mut pos)?;
             bytes = bytes.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
         }
-        let block = match (many_src, many_dst) {
+        let block = match (SRC, DST) {
             (true, true) => match input.get(pos..pos + 4) {
                 Some(&[s, p0, p1, d]) if (s | d) < 0x80 => Some((s, p0, p1, d, 4)),
                 _ => None,
@@ -734,7 +769,7 @@ fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
                 (u64::from(s), u16::from_le_bytes([p0, p1]), u64::from(d))
             }
             None => {
-                let s = if many_src {
+                let s = if SRC {
                     read_varint(input, &mut pos)?
                 } else {
                     0
@@ -743,7 +778,7 @@ fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
                     return Err(WireError::UnexpectedEof);
                 };
                 pos += 2;
-                let d = if many_dst {
+                let d = if DST {
                     read_varint(input, &mut pos)?
                 } else {
                     0
@@ -751,8 +786,8 @@ fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
                 (s, u16::from_le_bytes([p0, p1]), d)
             }
         };
-        let src_ip = item(&srcs, s)?;
-        let (dst_ip, dst_port, proto) = item(&dsts, d)?;
+        let src_ip = item(srcs, s)?;
+        let (dst_ip, dst_port, proto) = item(dsts, d)?;
         let flow = FlowId {
             src_ip,
             dst_ip,
@@ -762,8 +797,7 @@ fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
         };
         entries.push(E::with(bytes, flow));
     }
-    dec.get_raw(pos)?;
-    Ok(entries)
+    Ok((entries, pos))
 }
 
 #[cfg(test)]
