@@ -549,19 +549,15 @@ impl Interner {
 trait Listed {
     /// Whether an entry starts with its byte count.
     const COUNTED: bool;
-    fn flow(&self) -> &FlowId;
-    /// The byte count; 0 where there is none.
-    fn bytes(&self) -> u64;
+    /// The byte count (0 where there is none) and the flow.
+    fn parts(&self) -> (u64, &FlowId);
     fn with(bytes: u64, flow: FlowId) -> Self;
 }
 
 impl Listed for FlowId {
     const COUNTED: bool = false;
-    fn flow(&self) -> &FlowId {
-        self
-    }
-    fn bytes(&self) -> u64 {
-        0
+    fn parts(&self) -> (u64, &FlowId) {
+        (0, self)
     }
     fn with(_: u64, flow: FlowId) -> Self {
         flow
@@ -570,11 +566,8 @@ impl Listed for FlowId {
 
 impl Listed for (u64, FlowId) {
     const COUNTED: bool = true;
-    fn flow(&self) -> &FlowId {
-        &self.1
-    }
-    fn bytes(&self) -> u64 {
-        self.0
+    fn parts(&self) -> (u64, &FlowId) {
+        (self.0, &self.1)
     }
     fn with(bytes: u64, flow: FlowId) -> Self {
         (bytes, flow)
@@ -591,11 +584,13 @@ fn encode_flow_list<E: Listed>(entries: &[E], enc: &mut Encoder) {
     let Some(first) = entries.first() else {
         return;
     };
-    let (src0, dst0) = (u64::from(first.flow().src_ip.0), dst_key(first.flow()));
+    let f0 = first.parts().1;
+    let (src0, dst0) = (u64::from(f0.src_ip.0), dst_key(f0));
     let (mut many_src, mut many_dst) = (false, false);
     for e in entries {
-        many_src |= u64::from(e.flow().src_ip.0) != src0;
-        many_dst |= dst_key(e.flow()) != dst0;
+        let f = e.parts().1;
+        many_src |= u64::from(f.src_ip.0) != src0;
+        many_dst |= dst_key(f) != dst0;
         if many_src && many_dst {
             break;
         }
@@ -632,10 +627,10 @@ fn encode_entries<E: Listed, const SRC: bool, const DST: bool>(
     let mut body = Encoder::with_capacity(entries.len() * 6);
     let mut prev = 0u64;
     for e in entries {
-        let f = e.flow();
+        let (bytes, f) = e.parts();
         if E::COUNTED {
-            let step = e.bytes().wrapping_sub(prev) as i64;
-            prev = e.bytes();
+            let step = bytes.wrapping_sub(prev) as i64;
+            prev = bytes;
             body.put_varint(((step << 1) ^ (step >> 63)) as u64);
         }
         let s = if SRC {
@@ -647,13 +642,9 @@ fn encode_entries<E: Listed, const SRC: bool, const DST: bool>(
         let [p0, p1] = f.src_port.to_le_bytes();
         if (s | d) < 0x80 {
             // Every written index one byte: the rest of the entry is one
-            // block.
-            match (SRC, DST) {
-                (true, true) => body.put_raw(&[s as u8, p0, p1, d as u8]),
-                (true, false) => body.put_raw(&[s as u8, p0, p1]),
-                (false, true) => body.put_raw(&[p0, p1, d as u8]),
-                (false, false) => body.put_raw(&[p0, p1]),
-            }
+            // block, of a size fixed by the shape.
+            let block = [s as u8, p0, p1, d as u8];
+            body.put_raw(&block[usize::from(!SRC)..3 + usize::from(DST)]);
         } else {
             if SRC {
                 body.put_varint(u64::from(s));
@@ -737,6 +728,8 @@ fn decode_entries<E: Listed, const SRC: bool, const DST: bool>(
     srcs: &[Ip],
     dsts: &[(Ip, u16, Protocol)],
 ) -> WireResult<(Vec<E>, usize)> {
+    // The block after each count when every written index takes one byte.
+    let width = 2 + usize::from(SRC) + usize::from(DST);
     let mut pos = 0;
     let mut entries = Vec::with_capacity(n);
     let mut bytes = 0u64;
@@ -745,30 +738,18 @@ fn decode_entries<E: Listed, const SRC: bool, const DST: bool>(
             let z = read_varint(input, &mut pos)?;
             bytes = bytes.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
         }
-        let block = match (SRC, DST) {
-            (true, true) => match input.get(pos..pos + 4) {
-                Some(&[s, p0, p1, d]) if (s | d) < 0x80 => Some((s, p0, p1, d, 4)),
-                _ => None,
-            },
-            (true, false) => match input.get(pos..pos + 3) {
-                Some(&[s, p0, p1]) if s < 0x80 => Some((s, p0, p1, 0, 3)),
-                _ => None,
-            },
-            (false, true) => match input.get(pos..pos + 3) {
-                Some(&[p0, p1, d]) if d < 0x80 => Some((0, p0, p1, d, 3)),
-                _ => None,
-            },
-            (false, false) => match input.get(pos..pos + 2) {
-                Some(&[p0, p1]) => Some((0, p0, p1, 0, 2)),
-                _ => None,
-            },
-        };
+        let block = input.get(pos..pos + width).map(|b| {
+            let p = usize::from(SRC);
+            let s = if SRC { b[0] } else { 0 };
+            let d = if DST { b[width - 1] } else { 0 };
+            (s, u16::from_le_bytes([b[p], b[p + 1]]), d)
+        });
         let (s, src_port, d) = match block {
-            Some((s, p0, p1, d, len)) => {
-                pos += len;
-                (u64::from(s), u16::from_le_bytes([p0, p1]), u64::from(d))
+            Some((s, port, d)) if (s | d) < 0x80 => {
+                pos += width;
+                (u64::from(s), port, u64::from(d))
             }
-            None => {
+            _ => {
                 let s = if SRC {
                     read_varint(input, &mut pos)?
                 } else {
