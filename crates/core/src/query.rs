@@ -89,30 +89,6 @@ pub enum Query {
 #[derive(Clone, PartialEq, Debug)]
 pub enum Response {
     /// Flow list (deduplicated on merge).
-    ///
-    /// Every flow list on the management network, this one and
-    /// [`Response::TopK`]'s, travels as one table-coded block (tag 0 here)
-    /// rather than a count and 13-byte flow ids:
-    ///
-    /// - The entry count. An empty list stops here.
-    /// - The distinct source addresses in first-appearance order, a count
-    ///   and 4 bytes each, then the distinct `(dst_ip, dst_port, proto)`
-    ///   triples the same way, 7 bytes each (protocol by number, as in a
-    ///   flow id). 12 of a flow id's 13 bytes repeat across a reply; the
-    ///   tables carry them once. They come first so the decoder knows every
-    ///   size, and which indices an entry carries, before it allocates.
-    /// - Per entry: the source index (varint), the source port (2 bytes,
-    ///   little-endian) and the destination index (varint). A top-k entry
-    ///   starts with its byte count.
-    ///
-    /// **An index into a table of one entry is not written.** A host's
-    /// top-k or GetFlows reply names one destination when its flows reach
-    /// one service of it, and its GetPoorTcp reply one source, so their
-    /// entries are a port and one index; an entry of a one-source,
-    /// one-destination list is its port.
-    ///
-    /// A count larger than the remaining input allows, or an index beyond
-    /// its table, is a `WireError`.
     Flows(Vec<FlowId>),
     /// Path list (deduplicated on merge).
     Paths(Vec<Path>),
@@ -136,13 +112,32 @@ pub enum Response {
     /// Top-k (merged and re-truncated to `k`; "(n−1)·k key-value pairs are
     /// discarded during aggregation", §5.2).
     ///
-    /// The largest message on the management network. Its wire form
-    /// (tag 5) is `k`, then the flow-list block documented on
-    /// [`Response::Flows`], each entry led by the zigzag varint of
-    /// `bytes − previous bytes` (wrapping; the first is against 0). In the
-    /// descending order the store and the merge emit, a difference is a
-    /// byte or two where the count is three; zigzag keeps any order exact,
-    /// including the unsorted input `merge` re-sorts.
+    /// The largest message on the management network, so its wire form
+    /// (tag 5) is table-coded rather than `k` and a list of
+    /// `(varint bytes, 13-byte flow id)`:
+    ///
+    /// - `k`, then the entry count. An empty list stops here.
+    /// - The distinct source addresses in first-appearance order, a count
+    ///   and 4 bytes each, then the distinct `(dst_ip, dst_port, proto)`
+    ///   triples the same way, 7 bytes each (protocol by number, as in a
+    ///   flow id). A host's reply names its own address once and ≈ 127
+    ///   sources, so 12 of a flow id's 13 bytes repeat across a reply;
+    ///   the tables carry them once. They come first so the decoder knows
+    ///   every size, and whether an entry carries a destination index,
+    ///   before it allocates.
+    /// - Per entry: the zigzag varint of `bytes − previous bytes`
+    ///   (wrapping; the first is against 0), the source index (varint), the
+    ///   source port (2 bytes, little-endian) and the destination index
+    ///   (varint). In the descending order the store and the merge emit, a
+    ///   difference is a byte or two where the count is three; zigzag keeps
+    ///   any order exact, including the unsorted input `merge` re-sorts.
+    ///
+    /// **A destination table of one entry leaves the destination index
+    /// out** of every entry: a host's own reply names one destination, so
+    /// its entries are a count step, a source index and a port.
+    ///
+    /// A count larger than the remaining input allows, or an index beyond
+    /// its table, is a `WireError`.
     TopK {
         /// k.
         k: u32,
@@ -417,7 +412,7 @@ impl Encode for Response {
         match self {
             Response::Flows(v) => {
                 enc.put_u8(0);
-                encode_flow_list(v, enc);
+                v.encode(enc);
             }
             Response::Paths(v) => {
                 enc.put_u8(1);
@@ -440,7 +435,7 @@ impl Encode for Response {
             Response::TopK { k, entries } => {
                 enc.put_u8(5);
                 k.encode(enc);
-                encode_flow_list(entries, enc);
+                encode_top_k(entries, enc);
             }
             Response::Matrix(v) => {
                 enc.put_u8(6);
@@ -453,7 +448,7 @@ impl Encode for Response {
 impl Decode for Response {
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         Ok(match dec.get_u8()? {
-            0 => Response::Flows(decode_flow_list(dec)?),
+            0 => Response::Flows(Vec::<FlowId>::decode(dec)?),
             1 => Response::Paths(Vec::<Path>::decode(dec)?),
             2 => Response::Count {
                 bytes: dec.get_varint()?,
@@ -466,7 +461,7 @@ impl Decode for Response {
             },
             5 => Response::TopK {
                 k: u32::decode(dec)?,
-                entries: decode_flow_list(dec)?,
+                entries: decode_top_k(dec)?,
             },
             6 => Response::Matrix(Vec::<((Ip, Ip), u64)>::decode(dec)?),
             t => return Err(WireError::InvalidTag(t as u32)),
@@ -481,8 +476,8 @@ fn dst_key(f: &FlowId) -> u64 {
     u64::from(f.dst_ip.0) | u64::from(f.dst_port) << 32 | u64::from(f.proto.number()) << 48
 }
 
-/// Numbers distinct keys in first-appearance order: one table of a flow
-/// list. Open addressing over a power-of-two array of `(key, index)`
+/// Numbers distinct keys in first-appearance order: one table of a top-k
+/// reply. Open addressing over a power-of-two array of `(key, index)`
 /// slots at most a quarter full, so a lookup is a multiply and, nearly
 /// always, one load.
 struct Interner {
@@ -544,66 +539,24 @@ impl Interner {
     }
 }
 
-/// An entry of a table-coded flow list: a flow alone
-/// ([`Response::Flows`]) or with its byte count ([`Response::TopK`]).
-trait Listed {
-    /// Whether an entry starts with its byte count.
-    const COUNTED: bool;
-    /// The byte count (0 where there is none) and the flow.
-    fn parts(&self) -> (u64, &FlowId);
-    fn with(bytes: u64, flow: FlowId) -> Self;
-}
-
-impl Listed for FlowId {
-    const COUNTED: bool = false;
-    fn parts(&self) -> (u64, &FlowId) {
-        (0, self)
-    }
-    fn with(_: u64, flow: FlowId) -> Self {
-        flow
-    }
-}
-
-impl Listed for (u64, FlowId) {
-    const COUNTED: bool = true;
-    fn parts(&self) -> (u64, &FlowId) {
-        (self.0, &self.1)
-    }
-    fn with(bytes: u64, flow: FlowId) -> Self {
-        (bytes, flow)
-    }
-}
-
-/// Writes a flow list in the table-coded block documented on
-/// [`Response::Flows`]. A pre-scan against entry 0, which stops once both
-/// a source and a destination differ, says which tables have more than
-/// one entry; only those are interned and indexed. The entries go to a
-/// second buffer while the tables fill, and follow the tables.
-fn encode_flow_list<E: Listed>(entries: &[E], enc: &mut Encoder) {
+/// Writes a top-k entry list in the table-coded layout documented on
+/// [`Response::TopK`]. A pre-scan, which stops at the first destination
+/// that differs from entry 0's, says whether the destination table has
+/// more than one entry; only then are destinations interned and indexed.
+/// The entries go to a second buffer while the tables fill, and follow the
+/// tables.
+fn encode_top_k(entries: &[(u64, FlowId)], enc: &mut Encoder) {
     enc.put_varint(entries.len() as u64);
-    let Some(first) = entries.first() else {
+    let Some((_, f0)) = entries.first() else {
         return;
     };
-    let f0 = first.parts().1;
-    let (src0, dst0) = (u64::from(f0.src_ip.0), dst_key(f0));
-    let (mut many_src, mut many_dst) = (false, false);
-    for e in entries {
-        let f = e.parts().1;
-        many_src |= u64::from(f.src_ip.0) != src0;
-        many_dst |= dst_key(f) != dst0;
-        if many_src && many_dst {
-            break;
-        }
-    }
+    let dst0 = dst_key(f0);
     let (mut srcs, mut dsts) = (Interner::new(), Interner::new());
-    srcs.index(src0);
     dsts.index(dst0);
-    let (s, d) = (&mut srcs, &mut dsts);
-    let body = match (many_src, many_dst) {
-        (true, true) => encode_entries::<E, true, true>(entries, s, d),
-        (true, false) => encode_entries::<E, true, false>(entries, s, d),
-        (false, true) => encode_entries::<E, false, true>(entries, s, d),
-        (false, false) => encode_entries::<E, false, false>(entries, s, d),
+    let body = if entries.iter().any(|(_, f)| dst_key(f) != dst0) {
+        encode_entries::<true>(entries, &mut srcs, &mut dsts)
+    } else {
+        encode_entries::<false>(entries, &mut srcs, &mut dsts)
     };
     enc.put_varint(srcs.keys.len() as u64);
     for s in &srcs.keys {
@@ -616,39 +569,30 @@ fn encode_flow_list<E: Listed>(entries: &[E], enc: &mut Encoder) {
     enc.put_raw(body.bytes());
 }
 
-/// The entries of a flow list, one loop per shape: `SRC` and `DST` say
-/// whether an entry carries its source and its destination index, so that
-/// the block after each count is a copy of a fixed size.
-fn encode_entries<E: Listed, const SRC: bool, const DST: bool>(
-    entries: &[E],
+/// The entries of a top-k reply, one loop per shape: `DST` says whether an
+/// entry carries its destination index, so that the block after each count
+/// is a copy of a fixed size.
+fn encode_entries<const DST: bool>(
+    entries: &[(u64, FlowId)],
     srcs: &mut Interner,
     dsts: &mut Interner,
 ) -> Encoder {
     let mut body = Encoder::with_capacity(entries.len() * 6);
     let mut prev = 0u64;
-    for e in entries {
-        let (bytes, f) = e.parts();
-        if E::COUNTED {
-            let step = bytes.wrapping_sub(prev) as i64;
-            prev = bytes;
-            body.put_varint(((step << 1) ^ (step >> 63)) as u64);
-        }
-        let s = if SRC {
-            srcs.index(u64::from(f.src_ip.0))
-        } else {
-            0
-        };
+    for (bytes, f) in entries {
+        let step = bytes.wrapping_sub(prev) as i64;
+        prev = *bytes;
+        body.put_varint(((step << 1) ^ (step >> 63)) as u64);
+        let s = srcs.index(u64::from(f.src_ip.0));
         let d = if DST { dsts.index(dst_key(f)) } else { 0 };
         let [p0, p1] = f.src_port.to_le_bytes();
         if (s | d) < 0x80 {
             // Every written index one byte: the rest of the entry is one
             // block, of a size fixed by the shape.
             let block = [s as u8, p0, p1, d as u8];
-            body.put_raw(&block[usize::from(!SRC)..3 + usize::from(DST)]);
+            body.put_raw(&block[..3 + usize::from(DST)]);
         } else {
-            if SRC {
-                body.put_varint(u64::from(s));
-            }
+            body.put_varint(u64::from(s));
             body.put_raw(&[p0, p1]);
             if DST {
                 body.put_varint(u64::from(d));
@@ -658,8 +602,9 @@ fn encode_entries<E: Listed, const SRC: bool, const DST: bool>(
     body
 }
 
-/// The fewest bytes an entry takes: its port, with both indices implied.
-const MIN_ENTRY: usize = 2;
+/// The fewest bytes an entry takes: two one-byte varints and the port,
+/// the destination index implied.
+const MIN_ENTRY: usize = 4;
 
 /// A count of items of `width` bytes that must fit in the input left
 /// after `reserved` bytes — checked before anything is allocated for them.
@@ -679,18 +624,17 @@ fn item<T: Copy>(table: &[T], i: u64) -> WireResult<T> {
     Ok(table[i as usize])
 }
 
-/// Reads what [`encode_flow_list`] writes. The tables are read first, so
-/// every size, and which indices an entry carries, is known before the one
-/// allocation per table and for the entries; the entries are then walked
-/// as a slice, the fields after each count as one block of 2 to 4 bytes
-/// when every written index takes one byte.
-fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
-    let min_entry = MIN_ENTRY + usize::from(E::COUNTED);
-    let n = get_count(dec, min_entry, 0)?;
+/// Reads what [`encode_top_k`] writes. The tables are read first, so every
+/// size, and whether an entry carries a destination index, is known before
+/// the one allocation per table and for the entries; the entries are then
+/// walked as a slice, the fields after each count as one block of 3 or 4
+/// bytes when every written index takes one byte.
+fn decode_top_k(dec: &mut Decoder<'_>) -> WireResult<Vec<(u64, FlowId)>> {
+    let n = get_count(dec, MIN_ENTRY, 0)?;
     if n == 0 {
         return Ok(Vec::new());
     }
-    let reserved = n * min_entry;
+    let reserved = n * MIN_ENTRY;
     let n_src = get_count(dec, 4, reserved)?;
     let srcs: Vec<Ip> = dec
         .get_raw(4 * n_src)?
@@ -710,11 +654,10 @@ fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
         })
         .collect();
     let input = dec.unread();
-    let (entries, used) = match (n_src != 1, n_dst != 1) {
-        (true, true) => decode_entries::<E, true, true>(input, n, &srcs, &dsts)?,
-        (true, false) => decode_entries::<E, true, false>(input, n, &srcs, &dsts)?,
-        (false, true) => decode_entries::<E, false, true>(input, n, &srcs, &dsts)?,
-        (false, false) => decode_entries::<E, false, false>(input, n, &srcs, &dsts)?,
+    let (entries, used) = if n_dst == 1 {
+        decode_entries::<false>(input, n, &srcs, &dsts)?
+    } else {
+        decode_entries::<true>(input, n, &srcs, &dsts)?
     };
     dec.get_raw(used)?;
     Ok(entries)
@@ -722,27 +665,23 @@ fn decode_flow_list<E: Listed>(dec: &mut Decoder<'_>) -> WireResult<Vec<E>> {
 
 /// Reads what [`encode_entries`] writes: `n` entries from the front of
 /// `input`, and the bytes they took.
-fn decode_entries<E: Listed, const SRC: bool, const DST: bool>(
+fn decode_entries<const DST: bool>(
     input: &[u8],
     n: usize,
     srcs: &[Ip],
     dsts: &[(Ip, u16, Protocol)],
-) -> WireResult<(Vec<E>, usize)> {
+) -> WireResult<(Vec<(u64, FlowId)>, usize)> {
     // The block after each count when every written index takes one byte.
-    let width = 2 + usize::from(SRC) + usize::from(DST);
+    let width = 3 + usize::from(DST);
     let mut pos = 0;
     let mut entries = Vec::with_capacity(n);
     let mut bytes = 0u64;
     for _ in 0..n {
-        if E::COUNTED {
-            let z = read_varint(input, &mut pos)?;
-            bytes = bytes.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
-        }
+        let z = read_varint(input, &mut pos)?;
+        bytes = bytes.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
         let block = input.get(pos..pos + width).map(|b| {
-            let p = usize::from(SRC);
-            let s = if SRC { b[0] } else { 0 };
-            let d = if DST { b[width - 1] } else { 0 };
-            (s, u16::from_le_bytes([b[p], b[p + 1]]), d)
+            let d = if DST { b[3] } else { 0 };
+            (b[0], u16::from_le_bytes([b[1], b[2]]), d)
         });
         let (s, src_port, d) = match block {
             Some((s, port, d)) if (s | d) < 0x80 => {
@@ -750,11 +689,7 @@ fn decode_entries<E: Listed, const SRC: bool, const DST: bool>(
                 (u64::from(s), port, u64::from(d))
             }
             _ => {
-                let s = if SRC {
-                    read_varint(input, &mut pos)?
-                } else {
-                    0
-                };
+                let s = read_varint(input, &mut pos)?;
                 let Some(&[p0, p1]) = input.get(pos..pos + 2) else {
                     return Err(WireError::UnexpectedEof);
                 };
@@ -769,14 +704,16 @@ fn decode_entries<E: Listed, const SRC: bool, const DST: bool>(
         };
         let src_ip = item(srcs, s)?;
         let (dst_ip, dst_port, proto) = item(dsts, d)?;
-        let flow = FlowId {
-            src_ip,
-            dst_ip,
-            src_port,
-            dst_port,
-            proto,
-        };
-        entries.push(E::with(bytes, flow));
+        entries.push((
+            bytes,
+            FlowId {
+                src_ip,
+                dst_ip,
+                src_port,
+                dst_port,
+                proto,
+            },
+        ));
     }
     Ok((entries, pos))
 }

@@ -3,9 +3,8 @@
 //! byte-at-a-time loop, `Frame::build` / `Frame::parse` against the old
 //! copying `to_wire` / `from_wire`, the one-block `FlowId` codec against
 //! the field-by-field one it replaced on WAL record frames and requests
-//! carrying `GetPaths` / `GetCount`, and the table-coded flow lists (top-k
-//! and flow-list replies) against the same layout written field by field
-//! (tables found by linear search).
+//! carrying `GetPaths` / `GetCount`, and the table-coded top-k reply against
+//! the same layout written field by field (tables found by linear search).
 //! Same bytes out, same value or the same `WireError` back — at every
 //! truncation — on every input tried. Deterministic (exhaustive over small
 //! sizes, seeded for large ones) rather than property-based: the
@@ -169,7 +168,7 @@ fn parse_matches_the_old_parser_on_every_cut_and_bit_flip() {
 
 // ---------------------------------------------------------------------------
 // The codec spelled out: a flow id written and read one field at a time, a
-// varint one byte at a time, a flow list's tables kept as lists searched
+// varint one byte at a time, a top-k reply's tables kept as lists searched
 // from the front — and the messages that carry flow ids spelled out over
 // those, so that the reference shares no code with the library's `Encode` /
 // `Decode` impls.
@@ -237,25 +236,17 @@ impl OldEnc {
         }
     }
 
-    /// A flow list: for a top-k reply the tag and `k`, for a flow-list
-    /// reply the tag; then the entry count, and unless that is 0: the
-    /// source table, the destination table, then per entry the zigzagged
-    /// step from the previous count (top-k only), the source index, the
-    /// source port and the destination index, an index left out when its
-    /// table has one entry.
-    fn flow_list(&mut self, r: &Response) {
-        let entries: Vec<(Option<u64>, FlowId)> = match r {
-            Response::TopK { k, entries } => {
-                self.u8(5);
-                self.varint(u64::from(*k));
-                entries.iter().map(|&(b, f)| (Some(b), f)).collect()
-            }
-            Response::Flows(v) => {
-                self.u8(0);
-                v.iter().map(|&f| (None, f)).collect()
-            }
-            r => panic!("not a flow list: {r:?}"),
+    /// `k`, the entry count, and unless that is 0: the source table, the
+    /// destination table, then per entry the zigzagged step from the
+    /// previous count, the source index, the source port and the
+    /// destination index, left out when the destination table has one
+    /// entry.
+    fn top_k(&mut self, r: &Response) {
+        let Response::TopK { k, entries } = r else {
+            panic!("not a top-k response: {r:?}");
         };
+        self.u8(5);
+        self.varint(u64::from(*k));
         self.varint(entries.len() as u64);
         if entries.is_empty() {
             return;
@@ -263,7 +254,7 @@ impl OldEnc {
         let mut srcs: Vec<Ip> = Vec::new();
         let mut dsts: Vec<(Ip, u16, u8)> = Vec::new();
         let mut indices = Vec::new();
-        for (_, f) in &entries {
+        for (_, f) in entries {
             let dst = (f.dst_ip, f.dst_port, f.proto.number());
             indices.push((position(&mut srcs, f.src_ip), position(&mut dsts, dst)));
         }
@@ -279,14 +270,10 @@ impl OldEnc {
         }
         let mut prev = 0u64;
         for ((bytes, f), (s, d)) in entries.iter().zip(indices) {
-            if let Some(bytes) = *bytes {
-                let step = bytes.wrapping_sub(prev) as i64;
-                prev = bytes;
-                self.varint(((step << 1) ^ (step >> 63)) as u64);
-            }
-            if srcs.len() > 1 {
-                self.varint(s as u64);
-            }
+            let step = bytes.wrapping_sub(prev) as i64;
+            prev = *bytes;
+            self.varint(((step << 1) ^ (step >> 63)) as u64);
+            self.varint(s as u64);
             self.0.extend_from_slice(&f.src_port.to_le_bytes());
             if dsts.len() > 1 {
                 self.varint(d as u64);
@@ -296,7 +283,7 @@ impl OldEnc {
 
     fn reply(&mut self, m: &ReplyMsg) {
         self.varint(m.req_id);
-        self.flow_list(&m.response);
+        self.top_k(&m.response);
         self.u32s(&m.coverage.answered);
         self.u32s(&m.coverage.missed);
         self.u32s(&m.coverage.timed_out);
@@ -490,60 +477,58 @@ impl<'a> OldDec<'a> {
         Ok(table[i as usize])
     }
 
-    fn flow_list(&mut self) -> WireResult<Response> {
-        let k = match self.u8()? {
-            0 => None,
-            5 => Some(self.narrow()?),
+    fn top_k(&mut self) -> WireResult<Response> {
+        match self.u8()? {
+            5 => {}
             t => return Err(WireError::InvalidTag(t as u32)),
-        };
-        // An entry takes its port, and a top-k entry a count before it.
-        let min = 2 + usize::from(k.is_some());
-        let n = self.count(min, 0)?;
+        }
+        let k = self.narrow()?;
+        // An entry takes four bytes or more: two varints and a port, the
+        // destination index implied.
+        let n = self.count(4, 0)?;
         let mut entries = Vec::new();
-        if n > 0 {
-            let n_src = self.count(4, min * n)?;
-            let mut srcs = Vec::new();
-            for _ in 0..n_src {
-                srcs.push(Ip(self.u32()?));
-            }
-            let n_dst = self.count(7, min * n)?;
-            let mut dsts = Vec::new();
-            for _ in 0..n_dst {
-                let ip = Ip(self.u32()?);
-                let port = self.u16()?;
-                dsts.push((ip, port, Protocol::from_number(self.u8()?)));
-            }
-            let mut bytes = 0u64;
-            for _ in 0..n {
-                if k.is_some() {
-                    let z = self.varint()?;
-                    let step = ((z >> 1) as i64) ^ -((z & 1) as i64);
-                    bytes = bytes.wrapping_add(step as u64);
-                }
-                let s = if n_src == 1 { 0 } else { self.varint()? };
-                let src_port = self.u16()?;
-                let d = if n_dst == 1 { 0 } else { self.varint()? };
-                let src_ip = Self::lookup(&srcs, s)?;
-                let (dst_ip, dst_port, proto) = Self::lookup(&dsts, d)?;
-                let flow = FlowId {
+        if n == 0 {
+            return Ok(Response::TopK { k, entries });
+        }
+        let n_src = self.count(4, 4 * n)?;
+        let mut srcs = Vec::new();
+        for _ in 0..n_src {
+            srcs.push(Ip(self.u32()?));
+        }
+        let n_dst = self.count(7, 4 * n)?;
+        let mut dsts = Vec::new();
+        for _ in 0..n_dst {
+            let ip = Ip(self.u32()?);
+            let port = self.u16()?;
+            dsts.push((ip, port, Protocol::from_number(self.u8()?)));
+        }
+        let mut bytes = 0u64;
+        for _ in 0..n {
+            let z = self.varint()?;
+            let step = ((z >> 1) as i64) ^ -((z & 1) as i64);
+            bytes = bytes.wrapping_add(step as u64);
+            let s = self.varint()?;
+            let src_port = self.u16()?;
+            let d = if n_dst == 1 { 0 } else { self.varint()? };
+            let src_ip = Self::lookup(&srcs, s)?;
+            let (dst_ip, dst_port, proto) = Self::lookup(&dsts, d)?;
+            entries.push((
+                bytes,
+                FlowId {
                     src_ip,
                     dst_ip,
                     src_port,
                     dst_port,
                     proto,
-                };
-                entries.push((bytes, flow));
-            }
+                },
+            ));
         }
-        Ok(match k {
-            Some(k) => Response::TopK { k, entries },
-            None => Response::Flows(entries.into_iter().map(|e| e.1).collect()),
-        })
+        Ok(Response::TopK { k, entries })
     }
 
     fn reply(&mut self) -> WireResult<ReplyMsg> {
         let req_id = self.varint()?;
-        let response = self.flow_list()?;
+        let response = self.top_k()?;
         let coverage = Coverage {
             answered: self.u32s()?,
             missed: self.u32s()?,
@@ -740,8 +725,8 @@ fn top_k_replies_match_the_field_by_field_codec() {
         same_at_every_cut(
             &response,
             to_bytes(&response),
-            old_bytes(|e| e.flow_list(&response)),
-            |b| OldDec::whole(b, |d| d.flow_list()),
+            old_bytes(|e| e.top_k(&response)),
+            |b| OldDec::whole(b, |d| d.top_k()),
         );
         let reply = ReplyMsg {
             req_id: 0x1234_5678,
@@ -788,8 +773,8 @@ fn top_k_replies_with_three_byte_indices_match_the_field_by_field_codec() {
         same_at_cuts(
             &response,
             new,
-            old_bytes(|e| e.flow_list(&response)),
-            |b| OldDec::whole(b, |d| d.flow_list()),
+            old_bytes(|e| e.top_k(&response)),
+            |b| OldDec::whole(b, |d| d.top_k()),
             cuts,
         );
         let reply = ReplyMsg {
@@ -807,43 +792,36 @@ fn top_k_replies_with_three_byte_indices_match_the_field_by_field_codec() {
     }
 }
 
-/// Flow-list replies, and top-k replies from one source, in each shape of
-/// the one-entry rule: {one, many} sources × {one, many} destinations,
-/// indices of one, two and three bytes.
+/// Top-k replies in each table shape: {one, many} sources × {one, many}
+/// destinations, indices of one, two and three bytes. Only a
+/// one-destination reply leaves an index out.
 #[test]
-fn flow_list_replies_match_the_field_by_field_codec() {
+fn top_k_replies_in_each_table_shape_match_the_field_by_field_codec() {
     let fl = flows();
-    let one_source: Vec<FlowId> = fl
+    let one_source = fl
         .iter()
-        .map(|f| FlowId {
-            src_ip: fl[0].src_ip,
-            ..*f
+        .map(|f| {
+            let flow = FlowId {
+                src_ip: fl[0].src_ip,
+                ..*f
+            };
+            (1_000, flow)
         })
         .collect();
-    let wide = |n, n_src, n_dst| -> Vec<FlowId> {
-        wide_entries(n, n_src, n_dst, false)
-            .into_iter()
-            .map(|e| e.1)
-            .collect()
-    };
-    let lists = [
-        vec![],
-        vec![fl[0]],
-        vec![fl[5], fl[5], fl[5]],
-        fl.clone(),
-        one_source.clone(),
-        wide(300, 1, 1),
-        wide(300, 200, 1),
-        wide(300, 1, 150),
-        wide(300, 150, 140),
+    let cases = [
+        one_source,
+        wide_entries(300, 1, 1, true),
+        wide_entries(300, 200, 1, false),
+        wide_entries(300, 1, 150, true),
+        wide_entries(300, 150, 140, false),
     ];
-    for list in lists {
-        let response = Response::Flows(list);
+    for entries in cases {
+        let response = Response::TopK { k: 300, entries };
         same_at_every_cut(
             &response,
             to_bytes(&response),
-            old_bytes(|e| e.flow_list(&response)),
-            |b| OldDec::whole(b, |d| d.flow_list()),
+            old_bytes(|e| e.top_k(&response)),
+            |b| OldDec::whole(b, |d| d.top_k()),
         );
         let reply = ReplyMsg {
             req_id: 0x1234_5678,
@@ -866,22 +844,9 @@ fn flow_list_replies_match_the_field_by_field_codec() {
             old_to_wire(&Frame::new(0x11, old_bytes(|e| e.reply(&reply))))
         );
     }
-    let top_k = [
-        one_source.iter().map(|&f| (1_000, f)).collect(),
-        wide_entries(300, 1, 150, true),
-        wide_entries(300, 1, 1, true),
-    ];
-    for entries in top_k {
-        let response = Response::TopK { k: 300, entries };
-        same_at_every_cut(
-            &response,
-            to_bytes(&response),
-            old_bytes(|e| e.flow_list(&response)),
-            |b| OldDec::whole(b, |d| d.flow_list()),
-        );
-    }
     // Three-byte indices in both tables, at a spread of cuts.
-    let response = Response::Flows(wide(20_000, 16_500, 16_400));
+    let entries = wide_entries(20_000, 16_500, 16_400, false);
+    let response = Response::TopK { k: 20_000, entries };
     let new = to_bytes(&response);
     let len = new.len();
     let cuts = (0..=64)
@@ -890,8 +855,8 @@ fn flow_list_replies_match_the_field_by_field_codec() {
     same_at_cuts(
         &response,
         new,
-        old_bytes(|e| e.flow_list(&response)),
-        |b| OldDec::whole(b, |d| d.flow_list()),
+        old_bytes(|e| e.top_k(&response)),
+        |b| OldDec::whole(b, |d| d.top_k()),
         cuts,
     );
 }

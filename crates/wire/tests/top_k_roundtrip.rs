@@ -454,27 +454,22 @@ fn varint_len(v: u64) -> usize {
     1 + (63 - (v | 1).leading_zeros() as usize) / 7
 }
 
-/// The size of a flow-list reply by its documented layout: the tag, `k`
-/// for top-k, the entry count, the two tables (a count, then 4 B per
-/// source and 7 B per destination), and per entry the zigzagged count step
-/// (top-k), the source index, the 2-byte port and the destination index.
-/// An index into a one-entry table counts only if `implied` is false.
+/// The size of a top-k reply by its documented layout: the tag, `k`, the
+/// entry count, the two tables (a count, then 4 B per source and 7 B per
+/// destination), and per entry the zigzagged count step, the source index,
+/// the 2-byte port and the destination index. The destination index of a
+/// one-destination reply counts only if `implied` is false.
 fn layout_size(r: &Response, implied: bool) -> usize {
-    let (head, entries): (usize, Vec<(Option<u64>, FlowId)>) = match r {
-        Response::TopK { k, entries } => (
-            1 + varint_len(u64::from(*k)),
-            entries.iter().map(|&(b, f)| (Some(b), f)).collect(),
-        ),
-        Response::Flows(v) => (1, v.iter().map(|&f| (None, f)).collect()),
-        r => panic!("not a flow list: {r:?}"),
+    let Response::TopK { k, entries } = r else {
+        panic!("not a top-k reply: {r:?}");
     };
-    let mut size = head + varint_len(entries.len() as u64);
+    let mut size = 1 + varint_len(u64::from(*k)) + varint_len(entries.len() as u64);
     if entries.is_empty() {
         return size;
     }
     let (mut srcs, mut dsts) = (HashMap::new(), HashMap::new());
     let mut indices = Vec::new();
-    for (_, f) in &entries {
+    for (_, f) in entries {
         let n = srcs.len();
         let s = *srcs.entry(f.src_ip).or_insert(n);
         let n = dsts.len();
@@ -485,15 +480,10 @@ fn layout_size(r: &Response, implied: bool) -> usize {
     size += varint_len(dsts.len() as u64) + 7 * dsts.len();
     let mut prev = 0u64;
     for ((bytes, _), (s, d)) in entries.iter().zip(indices) {
-        if let Some(b) = *bytes {
-            let step = b.wrapping_sub(prev) as i64;
-            prev = b;
-            size += varint_len(((step << 1) ^ (step >> 63)) as u64);
-        }
-        if !implied || srcs.len() > 1 {
-            size += varint_len(s);
-        }
-        size += 2;
+        let step = bytes.wrapping_sub(prev) as i64;
+        prev = *bytes;
+        size += varint_len(((step << 1) ^ (step >> 63)) as u64);
+        size += varint_len(s) + 2;
         if !implied || dsts.len() > 1 {
             size += varint_len(d);
         }
@@ -501,9 +491,10 @@ fn layout_size(r: &Response, implied: bool) -> usize {
     size
 }
 
-/// Exact sizes, one reply of each shape: {one, many} sources × {one, many}
-/// destinations, top-k and flow list, 10 000 entries each. Every implied
-/// index is one byte per entry less than writing it.
+/// Exact sizes, one top-k reply of each shape: {one, many} sources ×
+/// {one, many} destinations, 10 000 entries each. An implied destination
+/// index is one byte per entry less than writing it. A flow-list reply of
+/// the same flows is a count and 13-byte flow ids whatever its shape.
 #[test]
 fn reply_sizes_follow_the_layout() {
     // Entry `i` of a shape: 1 000 000 − i bytes (a one-byte step after
@@ -519,23 +510,20 @@ fn reply_sizes_follow_the_layout() {
     let mut sizes = Vec::new();
     for (sources, dests) in [(1, 1), (127, 1), (1, 40), (127, 40)] {
         let entries = shape(sources, dests);
-        let implied = 10_000 * (usize::from(sources == 1) + usize::from(dests == 1));
-        for r in [top_k(10_000, entries.clone()), flows(entries)] {
-            let len = to_bytes(&r).len();
-            assert_eq!(len, layout_size(&r, true), "{sources} × {dests}");
-            assert_eq!(len + implied, layout_size(&r, false), "{sources} × {dests}");
-            sizes.push(len);
-        }
+        let r = top_k(10_000, entries.clone());
+        let len = to_bytes(&r).len();
+        let implied = if dests == 1 { 10_000 } else { 0 };
+        assert_eq!(len, layout_size(&r, true), "{sources} × {dests}");
+        assert_eq!(len + implied, layout_size(&r, false), "{sources} × {dests}");
+        sizes.push(len);
+        assert_eq!(to_bytes(&flows(entries)).len(), 1 + 2 + 13 * 10_000);
     }
     // A leaf's top-k reply (127 sources, one destination): tag 1, k 2,
     // count 2, sources 1 + 4·127, destination 1 + 7, count steps 3 + 9 999,
     // then a source index and a port per entry, 3·10 000. Writing the
     // destination index too took 50 524 bytes.
-    assert_eq!(sizes[2], 1 + 2 + 2 + 1 + 508 + 1 + 7 + 3 + 9_999 + 30_000);
-    assert_eq!(
-        sizes,
-        [30_020, 20_016, 40_524, 30_520, 40_293, 30_289, 50_797, 40_793]
-    );
+    assert_eq!(sizes[1], 1 + 2 + 2 + 1 + 508 + 1 + 7 + 3 + 9_999 + 30_000);
+    assert_eq!(sizes, [40_020, 40_524, 50_293, 50_797]);
 }
 
 proptest! {
