@@ -792,30 +792,16 @@ fn top_k_replies_with_three_byte_indices_match_the_field_by_field_codec() {
     }
 }
 
-/// Top-k replies in each table shape: {one, many} sources × {one, many}
-/// destinations, indices of one, two and three bytes. Only a
-/// one-destination reply leaves an index out.
+/// The table shapes the other top-k cases leave out: one source with one
+/// destination (the destination index implied, the source index written)
+/// and with two-byte destination indices, and three-byte indices in both
+/// tables.
 #[test]
-fn top_k_replies_in_each_table_shape_match_the_field_by_field_codec() {
-    let fl = flows();
-    let one_source = fl
-        .iter()
-        .map(|f| {
-            let flow = FlowId {
-                src_ip: fl[0].src_ip,
-                ..*f
-            };
-            (1_000, flow)
-        })
-        .collect();
-    let cases = [
-        one_source,
+fn one_source_and_wide_table_top_k_replies_match_the_field_by_field_codec() {
+    for entries in [
         wide_entries(300, 1, 1, true),
-        wide_entries(300, 200, 1, false),
         wide_entries(300, 1, 150, true),
-        wide_entries(300, 150, 140, false),
-    ];
-    for entries in cases {
+    ] {
         let response = Response::TopK { k: 300, entries };
         same_at_every_cut(
             &response,
