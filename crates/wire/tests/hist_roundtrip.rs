@@ -1,0 +1,306 @@
+//! Value-level round trips of histogram replies (`Response::Hist`, the
+//! flow-size-distribution answer of Figure 11). Every reply decodes back to
+//! itself, bare and inside a framed `ReplyMsg`; every cut of the encoding
+//! is an error; no single-bit flip panics the decoder.
+//!
+//! The families are the boundaries a compact encoding of the bins has to
+//! get right: no bin and one bin; dense keys `0..n`, the shape a host's
+//! answer has; gaps between keys at the widths where a zigzag varint of
+//! the step grows a byte (63/64, 8 191/8 192 and 2^20 ± 1), both ways;
+//! keys out of the ascending order the store and the merge emit, and the
+//! same key repeated; keys and counts at 0, 1, `u64::MAX − 1` and
+//! `u64::MAX` side by side, so that a step between neighbours wraps both
+//! ways; and a reply of the size a merge of many hosts reaches. A proptest
+//! mixes them (its depth is `PROPTEST_CASES`; CI runs 512).
+
+use pathdump_core::Response;
+use pathdump_rpc::{Coverage, ReplyMsg, FRAME_RPC_REPLY};
+use pathdump_wire::{from_bytes, to_bytes, Frame};
+use proptest::prelude::*;
+
+/// SplitMix64, so every family is the same on every run.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+const MAX: u64 = u64::MAX;
+
+/// Keys and counts at both ends of `u64`.
+const EXTREMES: [u64; 4] = [0, 1, MAX - 1, MAX];
+
+/// Steps between neighbouring keys on both sides of each width at which a
+/// zigzag varint grows a byte.
+const GAPS: [u64; 7] = [63, 64, 8_191, 8_192, (1 << 20) - 1, 1 << 20, (1 << 20) + 1];
+
+/// Bin widths: the paper's, the degenerate ones and the largest.
+const WIDTHS: [u64; 4] = [10_000, 0, 1, MAX];
+
+fn hist(bin_bytes: u64, bins: Vec<(u64, u64)>) -> Response {
+    Response::Hist { bin_bytes, bins }
+}
+
+/// A count of any magnitude: a random value shifted right by a random
+/// amount, so one-byte and ten-byte varints are both common.
+fn any_count(m: &mut Mix) -> u64 {
+    let s = m.below(64);
+    m.next() >> s
+}
+
+/// Keys `0..n`, each with a count, as a host's answer has them.
+fn dense(m: &mut Mix, n: u64) -> Vec<(u64, u64)> {
+    (0..n).map(|key| (key, 1 + m.below(300))).collect()
+}
+
+/// Ascending keys whose steps cycle through [`GAPS`].
+fn gapped(start: u64) -> Vec<(u64, u64)> {
+    let mut key = start;
+    let mut bins = vec![(key, 1)];
+    for (i, &g) in GAPS.iter().cycle().take(3 * GAPS.len()).enumerate() {
+        key += g;
+        bins.push((key, i as u64));
+    }
+    bins
+}
+
+fn shuffled(m: &mut Mix, mut bins: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    for i in (1..bins.len()).rev() {
+        bins.swap(i, m.below(i as u64 + 1) as usize);
+    }
+    bins
+}
+
+fn reply(response: Response) -> ReplyMsg {
+    ReplyMsg {
+        req_id: 0xDEAD_BEEF,
+        response,
+        coverage: Coverage {
+            answered: vec![0, 5, 300],
+            missed: vec![7],
+            timed_out: vec![70_000],
+        },
+    }
+}
+
+/// Every cut of an encoding of `len` bytes if it is short; the first and
+/// last 32 and 32 in between if it is long.
+fn cuts(len: usize) -> Vec<usize> {
+    if len <= 2048 {
+        return (0..len).collect();
+    }
+    let mut v: Vec<usize> = (0..32).chain(len - 32..len).collect();
+    v.extend((1..=32).map(|i| i * (len - 64) / 33 + 32));
+    v
+}
+
+/// Every bit of a short encoding; 64 seeded bits of a long one.
+fn bits(len: usize) -> Vec<usize> {
+    if len * 8 <= 4096 {
+        return (0..len * 8).collect();
+    }
+    let mut m = Mix(len as u64);
+    (0..64).map(|_| m.below(len as u64 * 8) as usize).collect()
+}
+
+/// Round trips bare, in a `ReplyMsg` and in its frame; every cut of the
+/// frame, and [`cuts`] of the bare and message encodings, are errors; no
+/// flip of [`bits`] panics either decoder.
+fn check(r: &Response) {
+    let bare = to_bytes(r);
+    assert_eq!(from_bytes::<Response>(&bare).as_ref(), Ok(r), "bare");
+    let msg = reply(r.clone());
+    let payload = to_bytes(&msg);
+    assert_eq!(from_bytes::<ReplyMsg>(&payload).as_ref(), Ok(&msg), "msg");
+    let wire = Frame::build(FRAME_RPC_REPLY, &msg);
+    let (typ, p, used) = Frame::parse(&wire).expect("a built frame parses");
+    assert_eq!((typ, used), (FRAME_RPC_REPLY, wire.len()));
+    assert_eq!(from_bytes::<ReplyMsg>(p).as_ref(), Ok(&msg), "framed");
+
+    for cut in 0..wire.len() {
+        let back = Frame::parse(&wire[..cut]).and_then(|(_, p, _)| from_bytes::<ReplyMsg>(p));
+        assert!(back.is_err(), "cut {cut} of a {}-byte frame", wire.len());
+    }
+    for cut in cuts(bare.len()) {
+        assert!(
+            from_bytes::<Response>(&bare[..cut]).is_err(),
+            "cut {cut} of {}",
+            bare.len()
+        );
+    }
+    for cut in cuts(payload.len()) {
+        assert!(
+            from_bytes::<ReplyMsg>(&payload[..cut]).is_err(),
+            "cut {cut} of {}",
+            payload.len()
+        );
+    }
+    let mut bad = bare;
+    for bit in bits(bad.len()) {
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let _ = from_bytes::<Response>(&bad);
+        bad[bit / 8] ^= 1 << (bit % 8);
+    }
+    let mut bad = payload;
+    for bit in bits(bad.len()) {
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let _ = from_bytes::<ReplyMsg>(&bad);
+        bad[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+#[test]
+fn empty_and_one_bin_replies_round_trip() {
+    for &w in &WIDTHS {
+        check(&hist(w, vec![]));
+        for &key in &EXTREMES {
+            for &count in &EXTREMES {
+                check(&hist(w, vec![(key, count)]));
+            }
+        }
+        check(&hist(w, vec![(64, 3)]));
+    }
+}
+
+#[test]
+fn dense_keys_round_trip() {
+    let mut m = Mix(1);
+    for n in [2, 127, 128, 129, 1_000] {
+        check(&hist(10_000, dense(&mut m, n)));
+    }
+}
+
+#[test]
+fn gaps_at_the_zigzag_width_boundaries_round_trip() {
+    for start in [0, 1, 1 << 40, MAX - 30 * (1 << 20)] {
+        let up = gapped(start);
+        check(&hist(10_000, up.clone()));
+        // The same steps downwards.
+        let down: Vec<_> = up.into_iter().rev().collect();
+        check(&hist(10_000, down));
+    }
+    // Each step alone, from 0 and back to 0.
+    for &g in &GAPS {
+        check(&hist(1, vec![(0, 1), (g, 2)]));
+        check(&hist(1, vec![(g, 1), (0, 2)]));
+    }
+}
+
+#[test]
+fn descending_shuffled_and_repeated_keys_round_trip() {
+    let mut m = Mix(2);
+    let asc = dense(&mut m, 500);
+    let desc: Vec<_> = asc.iter().rev().copied().collect();
+    check(&hist(10_000, desc));
+    check(&hist(10_000, shuffled(&mut m, asc.clone())));
+    let sparse: Vec<_> = (0..300u64)
+        .map(|i| (i * i * 1_009, any_count(&mut m)))
+        .collect();
+    check(&hist(10_000, shuffled(&mut m, sparse)));
+    // One key repeated, adjacent and apart, with equal and other counts.
+    check(&hist(10_000, vec![(5, 1), (5, 1), (5, 9), (0, 1), (5, 2)]));
+    let repeated: Vec<_> = (0..2_000)
+        .map(|_| (m.below(20), any_count(&mut m)))
+        .collect();
+    check(&hist(10_000, repeated));
+    check(&hist(10_000, vec![(MAX, 1); 300]));
+}
+
+#[test]
+fn extreme_keys_and_counts_round_trip() {
+    // Every ordered pair of extremes side by side, as keys and as counts:
+    // the step between neighbouring keys takes every value from `0 - MAX`
+    // to `MAX - 0`.
+    let mut bins = Vec::new();
+    for &a in &EXTREMES {
+        for &b in &EXTREMES {
+            let c = EXTREMES[bins.len() % EXTREMES.len()];
+            bins.push((a, c));
+            bins.push((b, MAX - c));
+        }
+    }
+    for &w in &WIDTHS {
+        check(&hist(w, bins.clone()));
+    }
+    let mut sorted = bins;
+    sorted.sort_unstable();
+    check(&hist(10_000, sorted));
+}
+
+#[test]
+fn a_merged_size_reply_round_trips() {
+    // Keys mostly dense with the occasional jump, as a merge of many hosts'
+    // answers has them, counts up to a few thousand.
+    let mut m = Mix(3);
+    let mut key = 0u64;
+    let bins: Vec<_> = (0..3_000)
+        .map(|_| {
+            key += if m.below(10) == 0 {
+                1 + m.below(5_000)
+            } else {
+                1
+            };
+            (key, 1 + m.below(4_000))
+        })
+        .collect();
+    check(&hist(10_000, bins.clone()));
+    check(&hist(10_000, shuffled(&mut m, bins)));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The families mixed at random: round trips bare, in a message and in
+    /// a frame; one cut is an error; one bit flip does not panic.
+    #[test]
+    fn arbitrary_hist_replies_round_trip(
+        seed in any::<u64>(),
+        n in 0u64..400,
+        family in 0u8..5,
+        width in 0usize..4,
+        cut_sel in any::<usize>(),
+        flip_sel in any::<usize>(),
+    ) {
+        let mut m = Mix(seed);
+        let mut bins = match family {
+            0 => dense(&mut m, n),
+            1 => gapped(m.below(1 << 40)),
+            2 => (0..n).map(|_| (any_count(&mut m), any_count(&mut m))).collect(),
+            3 => (0..n).map(|_| (m.below(8), m.below(3))).collect(),
+            _ => (0..n)
+                .map(|_| (EXTREMES[m.below(4) as usize], EXTREMES[m.below(4) as usize]))
+                .collect(),
+        };
+        match m.below(3) {
+            0 => bins.sort_unstable(),
+            1 => bins.reverse(),
+            _ => {}
+        }
+        let r = hist(WIDTHS[width], bins);
+        let bare = to_bytes(&r);
+        prop_assert_eq!(from_bytes::<Response>(&bare), Ok(r.clone()));
+        let msg = reply(r);
+        let wire = Frame::build(FRAME_RPC_REPLY, &msg);
+        let back = Frame::parse(&wire).and_then(|(_, p, _)| from_bytes::<ReplyMsg>(p));
+        prop_assert_eq!(back, Ok(msg.clone()));
+        let cut = cut_sel % bare.len();
+        prop_assert!(from_bytes::<Response>(&bare[..cut]).is_err(), "cut {}", cut);
+        let payload = to_bytes(&msg);
+        let cut = cut_sel % payload.len();
+        prop_assert!(from_bytes::<ReplyMsg>(&payload[..cut]).is_err(), "cut {}", cut);
+        let mut bad = payload;
+        let bit = flip_sel % (bad.len() * 8);
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let _ = from_bytes::<ReplyMsg>(&bad);
+    }
+}
