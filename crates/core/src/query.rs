@@ -102,6 +102,19 @@ pub enum Response {
     /// Duration (max on merge).
     Duration(Nanos),
     /// Histogram: bin index → flow count (summed per bin on merge).
+    ///
+    /// Its wire form (tag 4) writes each bin key as its step from the
+    /// previous one:
+    ///
+    /// - `bin_bytes` (varint), then the bin count (varint).
+    /// - Per bin: the zigzag varint of `key − previous key` (wrapping; the
+    ///   first is against 0), then the count (varint). In the ascending
+    ///   order the store and the merge emit, neighbouring bins are mostly
+    ///   one apart and a step takes one byte; zigzag keeps any order,
+    ///   repeated keys and `u64::MAX` exact, as for top-k byte counts.
+    ///
+    /// A bin count larger than the remaining input allows (two bytes per
+    /// bin) is a `WireError`.
     Hist {
         /// Bin width in bytes.
         bin_bytes: u64,
@@ -430,7 +443,13 @@ impl Encode for Response {
             Response::Hist { bin_bytes, bins } => {
                 enc.put_u8(4);
                 enc.put_varint(*bin_bytes);
-                bins.encode(enc);
+                enc.put_varint(bins.len() as u64);
+                let mut prev = 0;
+                for &(key, count) in bins {
+                    enc.put_varint(zigzag_step(prev, key));
+                    enc.put_varint(count);
+                    prev = key;
+                }
             }
             Response::TopK { k, entries } => {
                 enc.put_u8(5);
@@ -455,10 +474,18 @@ impl Decode for Response {
                 pkts: dec.get_varint()?,
             },
             3 => Response::Duration(Nanos::decode(dec)?),
-            4 => Response::Hist {
-                bin_bytes: dec.get_varint()?,
-                bins: Vec::<(u64, u64)>::decode(dec)?,
-            },
+            4 => {
+                let bin_bytes = dec.get_varint()?;
+                // A bin takes two bytes or more: its step and its count.
+                let n = get_count(dec, 2, 0)?;
+                let mut bins = Vec::with_capacity(n);
+                let mut key = 0;
+                for _ in 0..n {
+                    key = unzigzag_step(key, dec.get_varint()?);
+                    bins.push((key, dec.get_varint()?));
+                }
+                Response::Hist { bin_bytes, bins }
+            }
             5 => Response::TopK {
                 k: u32::decode(dec)?,
                 entries: decode_top_k(dec)?,
@@ -467,6 +494,20 @@ impl Decode for Response {
             t => return Err(WireError::InvalidTag(t as u32)),
         })
     }
+}
+
+/// The zigzag varint value of the step from `prev` to `next`: wrapping, so
+/// any order and both ends of `u64` stay exact, and a step of ±n takes
+/// about `2n` whatever its sign.
+fn zigzag_step(prev: u64, next: u64) -> u64 {
+    let step = next.wrapping_sub(prev) as i64;
+    ((step << 1) ^ (step >> 63)) as u64
+}
+
+/// The value that the zigzag step `z` leads to from `prev`: the inverse of
+/// [`zigzag_step`].
+fn unzigzag_step(prev: u64, z: u64) -> u64 {
+    prev.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
 }
 
 /// The `(dst_ip, dst_port, proto)` of a flow packed as the little-endian
@@ -580,9 +621,8 @@ fn encode_entries<const DST: bool>(
     let mut body = Encoder::with_capacity(entries.len() * 6);
     let mut prev = 0u64;
     for (bytes, f) in entries {
-        let step = bytes.wrapping_sub(prev) as i64;
+        body.put_varint(zigzag_step(prev, *bytes));
         prev = *bytes;
-        body.put_varint(((step << 1) ^ (step >> 63)) as u64);
         let s = srcs.index(u64::from(f.src_ip.0));
         let d = if DST { dsts.index(dst_key(f)) } else { 0 };
         let [p0, p1] = f.src_port.to_le_bytes();
@@ -678,7 +718,7 @@ fn decode_entries<const DST: bool>(
     let mut bytes = 0u64;
     for _ in 0..n {
         let z = read_varint(input, &mut pos)?;
-        bytes = bytes.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
+        bytes = unzigzag_step(bytes, z);
         let block = input.get(pos..pos + width).map(|b| {
             let d = if DST { b[3] } else { 0 };
             (b[0], u16::from_le_bytes([b[1], b[2]]), d)

@@ -3,8 +3,9 @@
 //! byte-at-a-time loop, `Frame::build` / `Frame::parse` against the old
 //! copying `to_wire` / `from_wire`, the one-block `FlowId` codec against
 //! the field-by-field one it replaced on WAL record frames and requests
-//! carrying `GetPaths` / `GetCount`, and the table-coded top-k reply against
-//! the same layout written field by field (tables found by linear search).
+//! carrying `GetPaths` / `GetCount`, and the table-coded top-k reply and the
+//! delta-coded histogram reply against the same layouts written field by
+//! field (tables found by linear search).
 //! Same bytes out, same value or the same `WireError` back — at every
 //! truncation — on every input tried. Deterministic (exhaustive over small
 //! sizes, seeded for large ones) rather than property-based: the
@@ -281,9 +282,30 @@ impl OldEnc {
         }
     }
 
+    /// The bin width, the bin count, then per bin the zigzagged step from
+    /// the previous key (the first against 0) and the count.
+    fn hist(&mut self, r: &Response) {
+        let Response::Hist { bin_bytes, bins } = r else {
+            panic!("not a histogram response: {r:?}");
+        };
+        self.u8(4);
+        self.varint(*bin_bytes);
+        self.varint(bins.len() as u64);
+        let mut prev = 0u64;
+        for &(key, count) in bins {
+            let step = key.wrapping_sub(prev) as i64;
+            prev = key;
+            self.varint(((step << 1) ^ (step >> 63)) as u64);
+            self.varint(count);
+        }
+    }
+
     fn reply(&mut self, m: &ReplyMsg) {
         self.varint(m.req_id);
-        self.top_k(&m.response);
+        match m.response {
+            Response::Hist { .. } => self.hist(&m.response),
+            _ => self.top_k(&m.response),
+        }
         self.u32s(&m.coverage.answered);
         self.u32s(&m.coverage.missed);
         self.u32s(&m.coverage.timed_out);
@@ -526,9 +548,31 @@ impl<'a> OldDec<'a> {
         Ok(Response::TopK { k, entries })
     }
 
+    fn hist(&mut self) -> WireResult<Response> {
+        match self.u8()? {
+            4 => {}
+            t => return Err(WireError::InvalidTag(t as u32)),
+        }
+        let bin_bytes = self.varint()?;
+        // A bin takes two bytes or more: its step and its count.
+        let n = self.count(2, 0)?;
+        let mut bins = Vec::new();
+        let mut key = 0u64;
+        for _ in 0..n {
+            let z = self.varint()?;
+            let step = ((z >> 1) as i64) ^ -((z & 1) as i64);
+            key = key.wrapping_add(step as u64);
+            bins.push((key, self.varint()?));
+        }
+        Ok(Response::Hist { bin_bytes, bins })
+    }
+
     fn reply(&mut self) -> WireResult<ReplyMsg> {
         let req_id = self.varint()?;
-        let response = self.top_k()?;
+        let response = match self.input.get(self.pos) {
+            Some(4) => self.hist()?,
+            _ => self.top_k()?,
+        };
         let coverage = Coverage {
             answered: self.u32s()?,
             missed: self.u32s()?,
@@ -845,6 +889,97 @@ fn one_source_and_wide_table_top_k_replies_match_the_field_by_field_codec() {
         |b| OldDec::whole(b, |d| d.top_k()),
         cuts,
     );
+}
+
+/// Bins over both ends of `u64`: every ordered pair of 0, 1, `MAX − 1` and
+/// `MAX` side by side as keys, with counts at the same extremes.
+fn extreme_bins() -> Vec<(u64, u64)> {
+    let ends = [0, 1, u64::MAX - 1, u64::MAX];
+    let mut bins = Vec::new();
+    for a in ends {
+        for b in ends {
+            let c = ends[bins.len() % ends.len()];
+            bins.push((a, c));
+            bins.push((b, u64::MAX - c));
+        }
+    }
+    bins
+}
+
+#[test]
+fn hist_replies_match_the_field_by_field_codec() {
+    let dense: Vec<(u64, u64)> = (0..300).map(|k| (k, 1 + k % 7)).collect();
+    let mut gapped = vec![(0u64, 1u64)];
+    for g in [63, 64, 8_191, 8_192, (1 << 20) - 1, 1 << 20, (1 << 20) + 1] {
+        let key = gapped.last().unwrap().0 + g;
+        gapped.push((key, g));
+    }
+    let cases = [
+        (10_000u64, vec![]),
+        (10_000, vec![(0, 1)]),
+        (0, vec![(u64::MAX, u64::MAX)]),
+        (10_000, dense.clone()),
+        (1, gapped.clone()),
+        (1, gapped.into_iter().rev().collect()),
+        (u64::MAX, dense.iter().rev().copied().collect()),
+        (10_000, vec![(5, 1), (5, 1), (5, 9), (0, 1), (5, 2)]),
+        (10_000, extreme_bins()),
+    ];
+    for (bin_bytes, bins) in cases {
+        let response = Response::Hist { bin_bytes, bins };
+        same_at_every_cut(
+            &response,
+            to_bytes(&response),
+            old_bytes(|e| e.hist(&response)),
+            |b| OldDec::whole(b, |d| d.hist()),
+        );
+        let reply = ReplyMsg {
+            req_id: 0x1234_5678,
+            response,
+            coverage: Coverage {
+                answered: vec![0, 3, 200],
+                missed: vec![1],
+                timed_out: vec![2, 70_000],
+            },
+        };
+        same_at_every_cut(
+            &reply,
+            to_bytes(&reply),
+            old_bytes(|e| e.reply(&reply)),
+            |b| OldDec::whole(b, |d| d.reply()),
+        );
+        let framed = Frame::build(0x11, &reply);
+        assert_eq!(
+            framed,
+            old_to_wire(&Frame::new(0x11, old_bytes(|e| e.reply(&reply))))
+        );
+    }
+}
+
+/// Exact sizes of 3 000-bin replies, from the documented layout: the tag,
+/// `bin_bytes` 10 000 (two varint bytes), the bin count (two), then per bin
+/// the zigzagged key step and the count, one byte each unless noted.
+#[test]
+fn hist_reply_sizes_follow_the_layout() {
+    let size = |bins: Vec<(u64, u64)>| {
+        to_bytes(&Response::Hist {
+            bin_bytes: 10_000,
+            bins,
+        })
+        .len()
+    };
+    let head = 1 + 2 + 2;
+    // Dense keys 0..3 000: a step of 0 and then of 1, zigzagged 0 and 2.
+    let dense: Vec<(u64, u64)> = (0..3_000).map(|k| (k, 1 + k % 100)).collect();
+    assert_eq!(size(dense.clone()), head + 3_000 * 2);
+    // Sparse keys 0, 1 000, 2 000, …: a step of 1 000 zigzags to 2 000,
+    // two bytes.
+    let sparse: Vec<(u64, u64)> = (0..3_000).map(|i| (i * 1_000, 1)).collect();
+    assert_eq!(size(sparse), head + 1 + 1 + 2_999 * (2 + 1));
+    // Dense keys descending: the first step, 2 999, zigzags to 5 998 (two
+    // bytes); every later step of −1 zigzags to 1.
+    let unsorted: Vec<(u64, u64)> = dense.into_iter().rev().collect();
+    assert_eq!(size(unsorted), head + 2 + 1 + 2_999 * 2);
 }
 
 #[test]
