@@ -86,8 +86,9 @@ pub struct PlaneStats {
     pub hedges: u64,
     /// Frames that failed CRC/decode and were dropped.
     pub decode_failures: u64,
-    /// Well-formed frames that violated the protocol (unknown type,
-    /// mismatched response variant, request addressed to the controller).
+    /// Well-formed frames that violated the protocol (unknown type, a
+    /// response whose shape disagrees with its query, request addressed to
+    /// the controller), and local answers of the wrong shape.
     pub protocol_errors: u64,
     /// Duplicate requests answered from the reply cache.
     pub cache_replies: u64,
@@ -257,8 +258,15 @@ fn subtree_hosts(node: &TreeNode, out: &mut Vec<u32>) {
     }
 }
 
-fn same_variant(a: &Response, b: &Response) -> bool {
-    std::mem::discriminant(a) == std::mem::discriminant(b)
+/// Whether `r` has the shape of an answer to `q`: its variant, and for a
+/// histogram its bin width and for a top-k its `k`. An answer of another
+/// shape cannot be merged into `q`'s.
+fn fits(q: &Query, r: &Response) -> bool {
+    match (Response::empty_for(q), r) {
+        (Response::Hist { bin_bytes, .. }, Response::Hist { bin_bytes: b, .. }) => bin_bytes == *b,
+        (Response::TopK { k, .. }, Response::TopK { k: k2, .. }) => k == *k2,
+        (e, r) => std::mem::discriminant(&e) == std::mem::discriminant(r),
+    }
 }
 
 impl<C: Channel, T: HostService> TreePlane<C, T> {
@@ -554,6 +562,18 @@ impl<C: Channel, T: HostService, K: Compute> TreePlane<C, T, K> {
         // Forward, then execute: the child requests below leave at `now`
         // and only the reply waits for the local answer.
         let (local, cost) = self.compute.run(|| self.tibs[me].answer(&msg.query));
+        // A local answer of the wrong shape is left out like a child's, and
+        // the host is reported missed, not answered.
+        let (acc, cov) = if fits(&msg.query, &local) {
+            (local, Coverage::answered_one(me as u32))
+        } else {
+            self.stats.protocol_errors += 1;
+            let missed = Coverage {
+                missed: vec![me as u32],
+                ..Coverage::new()
+            };
+            (Response::empty_for(&msg.query), missed)
+        };
         let children: Vec<ChildCall> = msg
             .subtree
             .children
@@ -569,8 +589,8 @@ impl<C: Channel, T: HostService, K: Compute> TreePlane<C, T, K> {
             query: msg.query,
             finalize_at: msg.deadline,
             busy_until: self.now + cost,
-            acc: local,
-            cov: Coverage::answered_one(me as u32),
+            acc,
+            cov,
             children,
             queued,
             inflight: 0,
@@ -607,7 +627,7 @@ impl<C: Channel, T: HostService, K: Compute> TreePlane<C, T, K> {
             self.stats.late_replies += 1;
             return;
         }
-        if !same_variant(&agg.acc, &msg.response) {
+        if !fits(&agg.query, &msg.response) {
             self.stats.protocol_errors += 1;
             return;
         }
