@@ -4,7 +4,8 @@
 //! tree: its CRC, its frame, and its merge into the parent's answer.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use pathdump_bench::synth_tib;
+use pathdump_bench::report::CRC_CASE_BYTES;
+use pathdump_bench::{codec_topk_reply, synth_tib};
 use pathdump_core::Response;
 use pathdump_tib::{TibRead, TibRecord};
 use pathdump_topology::{FatTree, FatTreeParams, HostId, TimeRange};
@@ -14,10 +15,7 @@ fn bench_codec(c: &mut Criterion) {
     let tib = synth_tib(&ft, HostId(0), 10_000, 1);
     let records: Vec<TibRecord> = tib.records_vec();
     let encoded = pathdump_wire::to_bytes(&records);
-    let topk = Response::TopK {
-        k: 10_000,
-        entries: tib.top_k_flows(10_000, TimeRange::ANY),
-    };
+    let topk = codec_topk_reply();
     let topk_bytes = pathdump_wire::to_bytes(&topk);
 
     let mut group = c.benchmark_group("wire");
@@ -47,7 +45,7 @@ fn bench_codec(c: &mut Criterion) {
     // What a 10 000-entry reply is charged per tree edge besides its
     // codec: the checksum (once by the sender, once by the receiver) and
     // the frame around it, built in place and parsed without a copy.
-    let body = vec![0xA5u8; 160 * 1024];
+    let body = vec![0xA5u8; CRC_CASE_BYTES];
     group.throughput(Throughput::Bytes(body.len() as u64));
     group.bench_function("crc32_160k", |b| {
         b.iter(|| pathdump_wire::crc::crc32(&body))

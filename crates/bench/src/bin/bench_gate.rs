@@ -40,6 +40,13 @@
 //! * `ingest_events_per_sec` — the host agent's per-packet ingest rate
 //!   (`ingest_scale`; higher better). An absolute timing, so it runs in
 //!   the widened [`DRIFT_SCALE`] band, on every runner.
+//! * `topk_codec_over_crc` — the top-k reply's encode plus decode time per
+//!   byte over the CRC's (`report::codec_over_crc`; lower better). Each
+//!   `wire_codec` run gives one same-run ratio and the gate takes the
+//!   median of `--runs` of them, since the cases of one run are sampled
+//!   seconds apart. No baseline: held under the absolute
+//!   [`CODEC_OVER_CRC_CEILING`], so an encoder that does its work twice
+//!   fails on any machine. No absolute codec timing is gated.
 //!
 //! Usage: `cargo run --release -p pathdump_bench --bin bench_gate
 //! [-- --baseline PATH] [--tolerance F] [--runs N] [--handicap F]`.
@@ -58,12 +65,13 @@
 //! changes, refresh the baseline with `bench_trajectory` and commit it;
 //! `--tolerance` widens every band proportionally for a one-off run.
 
+use pathdump_bench::codec_topk_reply;
 use pathdump_bench::ingest_scale::{build_stream, run_ingest, IngestParams};
 use pathdump_bench::memory_scale::{evict_ratio, run_memory_curve, EVICT_RATIO_CEILING};
 use pathdump_bench::report::{
-    failing_checks, json_number, recorded_ingest_events_per_sec, recorded_median_ns,
-    recorded_simnet_events_per_sec, recorded_tib_scale_number, run_cargo_bench,
-    strip_path_min_speedup, Direction, GateCheck,
+    codec_over_crc, failing_checks, json_number, recorded_ingest_events_per_sec,
+    recorded_median_ns, recorded_simnet_events_per_sec, recorded_tib_scale_number, run_cargo_bench,
+    strip_path_min_speedup, Direction, GateCheck, CODEC_OVER_CRC_CEILING,
 };
 use pathdump_bench::simnet_scale::{run_scale_with, ScaleParams};
 use pathdump_bench::tib_scale::{run_tib_scale, TibScaleParams, TibScaleResult};
@@ -238,6 +246,23 @@ fn main() {
         })
         * args.handicap;
 
+    eprintln!("bench_gate: running wire_codec ({} runs)...", args.runs);
+    let reply_bytes = pathdump_wire::to_bytes(&codec_topk_reply()).len();
+    let mut codec_ratios: Vec<f64> = (0..args.runs.max(1))
+        .map(|_| {
+            let run = run_cargo_bench("wire_codec").unwrap_or_else(|e| {
+                eprintln!("FAIL: {e}");
+                std::process::exit(1);
+            });
+            codec_over_crc(&run, reply_bytes).unwrap_or_else(|| {
+                eprintln!("FAIL: wire_codec bench lacks a top-k codec or crc32_160k median");
+                std::process::exit(1);
+            })
+        })
+        .collect();
+    codec_ratios.sort_by(f64::total_cmp);
+    let cur_codec = codec_ratios[codec_ratios.len() / 2] * args.handicap;
+
     let mut checks = vec![
         GateCheck {
             metric: "events_per_sec",
@@ -370,6 +395,17 @@ fn main() {
         eprintln!(
             "FAIL: evict_flow costs {cur_evict_ratio:.2}x more at 64k live records than at 1k \
              (ceiling {EVICT_RATIO_CEILING}x): a FIN must not scale with the memory"
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "  {:<28} ceiling  {:>14.1}  current {:>14.3}",
+        "topk_codec_over_crc", CODEC_OVER_CRC_CEILING, cur_codec
+    );
+    if cur_codec > CODEC_OVER_CRC_CEILING {
+        eprintln!(
+            "FAIL: the top-k reply codec costs {cur_codec:.2}x the CRC per byte \
+             (ceiling {CODEC_OVER_CRC_CEILING}x)"
         );
         std::process::exit(1);
     }

@@ -5,10 +5,10 @@
 //! (the file name says which) and prints the same rows/series the paper
 //! reports, plus a `paper:` reference line with the paper's own number.
 
-use pathdump_core::Query;
+use pathdump_core::{Query, Response};
 use pathdump_rpc::{Channel, Loopback, Measured, PlaneStats, QueryOutcome, RpcConfig, TreePlane};
-use pathdump_tib::{Tib, TibRecord};
-use pathdump_topology::{FatTree, FlowId, HostId, Nanos, UpDownRouting};
+use pathdump_tib::{Tib, TibRead, TibRecord};
+use pathdump_topology::{FatTree, FatTreeParams, FlowId, HostId, Nanos, TimeRange, UpDownRouting};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -144,6 +144,19 @@ pub fn synth_tib(ft: &FatTree, host: HostId, n: usize, seed: u64) -> Tib {
         });
     }
     tib
+}
+
+/// The top-k reply `wire_codec` encodes and decodes, and whose bytes
+/// `bench_gate` divides its codec time by: host 0's top 10 000 flows of a
+/// 10 000-record synthetic store on a k = 8 fat tree, one leaf's Figure 12
+/// answer.
+pub fn codec_topk_reply() -> Response {
+    let ft = FatTree::build(FatTreeParams { k: 8 });
+    let tib = synth_tib(&ft, HostId(0), 10_000, 1);
+    Response::TopK {
+        k: 10_000,
+        entries: tib.top_k_flows(10_000, TimeRange::ANY),
+    }
 }
 
 /// Figures 11/12: `q` over hosts `0..n` for each `n` in `sizes`, direct

@@ -140,6 +140,27 @@ fn number_after(doc: &str, key: &str, from: usize) -> Option<(f64, usize)> {
     rest[..end].parse::<f64>().ok().map(|v| (v, at))
 }
 
+/// Bytes the `wire/crc32_160k` case checksums.
+pub const CRC_CASE_BYTES: usize = 160 * 1024;
+
+/// Acceptance ceiling on the median of five [`codec_over_crc`] readings.
+/// On a 2-CPU shared VM, single runs of the table-coded top-k codec read
+/// 6.7–10.0 and medians of five 8.3–9.0; with an encoder that does its
+/// work twice, single runs read 9.4–14.5 and medians of five 12.0–13.2.
+pub const CODEC_OVER_CRC_CEILING: f64 = 10.5;
+
+/// The top-k reply codec's time per byte over the CRC's, from one
+/// `wire_codec` run: `wire/encode_topk_response` plus
+/// `wire/decode_topk_response` over the reply's `reply_bytes`, divided by
+/// `wire/crc32_160k` over [`CRC_CASE_BYTES`]. Both come from the same run,
+/// so box-speed drift cancels. `None` if a case is missing.
+pub fn codec_over_crc(entries: &[Entry], reply_bytes: usize) -> Option<f64> {
+    let codec = median_of(entries, "wire/encode_topk_response")?
+        + median_of(entries, "wire/decode_topk_response")?;
+    let crc = median_of(entries, "wire/crc32_160k")?;
+    Some(codec / reply_bytes as f64 / (crc / CRC_CASE_BYTES as f64))
+}
+
 /// The first `"key": <number>` anywhere in the document.
 pub fn json_number(doc: &str, key: &str) -> Option<f64> {
     number_after(doc, key, 0).map(|(v, _)| v)
@@ -230,6 +251,24 @@ pub fn failing_checks(checks: &[GateCheck], tolerance: f64) -> Vec<GateCheck> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn codec_over_crc_is_per_byte() {
+        let entry = |name: &str, median_ns: f64| Entry {
+            bench: "wire_codec",
+            name: name.to_string(),
+            median_ns,
+            samples: 30,
+        };
+        let mut run = vec![
+            entry("wire/encode_topk_response", 30_000.0),
+            entry("wire/decode_topk_response", 10_000.0),
+        ];
+        assert_eq!(codec_over_crc(&run, 40_000), None);
+        // 1 ns/B of codec against 0.25 ns/B of CRC.
+        run.push(entry("wire/crc32_160k", 0.25 * CRC_CASE_BYTES as f64));
+        assert_eq!(codec_over_crc(&run, 40_000), Some(4.0));
+    }
 
     #[test]
     fn duration_parsing() {
