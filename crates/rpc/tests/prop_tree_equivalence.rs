@@ -266,7 +266,7 @@ fn assert_top_k_quiet(flows: usize) {
 }
 
 /// Fig 12's size: every host's reply carries the figure's k = 10 000
-/// entries — ≈ 50 KB table-coded, and ≈ 160 KB, 1.3 ms of the modelled
+/// entries — ≈ 44 KB table-coded, and ≈ 160 KB, 1.3 ms of the modelled
 /// 1 Gb/s link and more than half an `rto`, in the 13-byte flow-id layout.
 #[test]
 fn fig12_size_topk_is_quiet_on_the_wire() {
