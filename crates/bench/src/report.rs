@@ -143,9 +143,9 @@ fn number_after(doc: &str, key: &str, from: usize) -> Option<(f64, usize)> {
 /// Bytes the `wire/crc32_160k` case checksums.
 pub const CRC_CASE_BYTES: usize = 160 * 1024;
 
-/// Acceptance ceiling on the median of five [`codec_over_crc`] readings.
-/// On a 2-CPU shared VM, single runs of the table-coded top-k codec read
-/// 6.7–10.0 and medians of five 8.3–9.0; with an encoder that does its
+/// Ceiling on `bench_gate`'s median of `--runs` (default 5) readings of
+/// [`codec_over_crc`]. On a 2-CPU shared VM, single runs of the top-k codec
+/// read 6.7–10.0 and medians of five 8.3–9.0; with an encoder that does its
 /// work twice, single runs read 9.4–14.5 and medians of five 12.0–13.2.
 pub const CODEC_OVER_CRC_CEILING: f64 = 10.5;
 

@@ -891,24 +891,20 @@ fn one_source_and_wide_table_top_k_replies_match_the_field_by_field_codec() {
     );
 }
 
-/// Bins over both ends of `u64`: every ordered pair of 0, 1, `MAX − 1` and
-/// `MAX` side by side as keys, with counts at the same extremes.
-fn extreme_bins() -> Vec<(u64, u64)> {
-    let ends = [0, 1, u64::MAX - 1, u64::MAX];
-    let mut bins = Vec::new();
-    for a in ends {
-        for b in ends {
-            let c = ends[bins.len() % ends.len()];
-            bins.push((a, c));
-            bins.push((b, u64::MAX - c));
-        }
-    }
-    bins
-}
-
 #[test]
 fn hist_replies_match_the_field_by_field_codec() {
     let dense: Vec<(u64, u64)> = (0..300).map(|k| (k, 1 + k % 7)).collect();
+    // Every ordered pair of 0, 1, `MAX − 1` and `MAX` side by side as keys,
+    // with counts at the same extremes: the key steps wrap both ways.
+    let ends = [0, 1, u64::MAX - 1, u64::MAX];
+    let mut extremes = Vec::new();
+    for a in ends {
+        for b in ends {
+            let c = ends[extremes.len() % ends.len()];
+            extremes.push((a, c));
+            extremes.push((b, u64::MAX - c));
+        }
+    }
     let mut gapped = vec![(0u64, 1u64)];
     for g in [63, 64, 8_191, 8_192, (1 << 20) - 1, 1 << 20, (1 << 20) + 1] {
         let key = gapped.last().unwrap().0 + g;
@@ -923,7 +919,7 @@ fn hist_replies_match_the_field_by_field_codec() {
         (1, gapped.into_iter().rev().collect()),
         (u64::MAX, dense.iter().rev().copied().collect()),
         (10_000, vec![(5, 1), (5, 1), (5, 9), (0, 1), (5, 2)]),
-        (10_000, extreme_bins()),
+        (10_000, extremes),
     ];
     for (bin_bytes, bins) in cases {
         let response = Response::Hist { bin_bytes, bins };
