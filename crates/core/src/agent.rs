@@ -8,6 +8,13 @@
 //! Installed invariants (path conformance, §2.3/§4.1) are checked the
 //! moment a new path appears, raising alarms in real time.
 //!
+//! Invariants are not standing watches. An invariant fires at packet time,
+//! on the first sight of a path in the trajectory memory, and the agent's
+//! `(flow, reason)` epoch deduplicates its `PC_FAIL` alarms. A standing
+//! watch sees a path only once its record is finalized into the TIB, and
+//! raises once per false → true flip. Moving invariants into the standing
+//! engine would delay and recount those alarms.
+//!
 //! One agent is one datapath thread feeding one [`TrajectoryMemory`], as
 //! in the paper. Flow-sharding the memory update across cores does not
 //! pay: it is under a sixth of the agent's per-packet cost, and the

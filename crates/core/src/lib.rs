@@ -26,4 +26,4 @@ pub use cluster::{build_tree, MgmtNet, TreeNode, MAX_TREE_DEPTH};
 pub use pathdump_tib::{TibRead, TieredTib};
 pub use query::{Query, Response};
 pub use standing::{StandingEvent, StandingPredicate, StandingQuery, StandingQueryEngine, WatchId};
-pub use world::{HostView, InstalledResult, LoopDetection, PathDumpWorld, WorldConfig};
+pub use world::{HostView, LoopDetection, PathDumpWorld, WorldConfig};

@@ -1,6 +1,6 @@
 //! The composite simulation world: PathDump agents on every host, the TCP
-//! engine, the active monitoring module, the controller's trap handler
-//! (routing-loop detection), and installed periodic queries.
+//! engine, the active monitoring module, and the controller's trap handler
+//! (routing-loop detection).
 //!
 //! This is Figure 1 assembled: packet stream → OVS hook (agent) → TIB;
 //! TCP performance monitoring → alarms; suspiciously long paths → punts →
@@ -8,7 +8,8 @@
 //!
 //! A controller query leaves through `pathdump_rpc::execute`, which runs
 //! the aggregation tree over [`PathDumpWorld::host_views`]; each host
-//! answers through its [`HostView`], as the tick's installed queries do.
+//! answers through its [`HostView`]. A standing query registers once per
+//! host through [`PathDumpWorld::watch`] and raises as records land.
 
 use crate::agent::{AgentConfig, Fabric, HostAgent, HostService, Invariant};
 use crate::alarm::{Alarm, Reason};
@@ -23,30 +24,23 @@ use std::sync::Arc;
 const CORE_TOKEN_BIT: u64 = 1 << 63;
 /// The per-host periodic tick token.
 const TICK_TOKEN: u64 = CORE_TOKEN_BIT | 1;
+/// Per-host tick period: the trajectory-memory eviction scan and the TCP
+/// monitor poll (paper: 200 ms).
+const TICK_PERIOD: Nanos = Nanos(200 * MILLIS);
+/// Consecutive retransmissions that make a flow `POOR_PERF` at the tick's
+/// monitor poll.
+const RETRANS_THRESHOLD: u32 = 2;
+/// Minimum spacing between `POOR_PERF` alarms for the same flow: one
+/// 200 ms tick.
+const ALARM_COOLDOWN: Nanos = Nanos(200 * MILLIS);
 
-/// World configuration.
-#[derive(Clone, Copy, Debug)]
+/// World configuration: the settings each host's agent is built with. The
+/// tick's period and its monitor's thresholds are fixed (200 ms, as in the
+/// paper).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct WorldConfig {
     /// Agent settings.
     pub agent: AgentConfig,
-    /// Per-host tick period: trajectory-memory eviction scan, monitor poll,
-    /// installed-query execution (paper: 200 ms).
-    pub tick_period: Nanos,
-    /// Consecutive-retransmission threshold for `POOR_PERF` alarms.
-    pub retrans_threshold: u32,
-    /// Minimum spacing between `POOR_PERF` alarms for the same flow.
-    pub alarm_cooldown: Nanos,
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        WorldConfig {
-            agent: AgentConfig::default(),
-            tick_period: Nanos(200 * MILLIS),
-            retrans_threshold: 2,
-            alarm_cooldown: Nanos(200 * MILLIS),
-        }
-    }
 }
 
 /// A routing-loop detection produced by the trap handler (§4.5).
@@ -64,30 +58,9 @@ pub struct LoopDetection {
     pub visits: u32,
 }
 
-/// An installed periodic query (`install()` of the Controller API).
-#[derive(Debug)]
-struct Installed {
-    id: u64,
-    hosts: Vec<HostId>,
-    query: Query,
-    alarm_reason: Option<Reason>,
-}
-
-/// A log entry from an installed query execution.
-#[derive(Clone, Debug)]
-pub struct InstalledResult {
-    /// Which installation produced it.
-    pub install_id: u64,
-    /// Executing host.
-    pub host: HostId,
-    /// When.
-    pub at: Nanos,
-    /// The local response.
-    pub response: Response,
-}
-
 /// One host as the query plane sees it: its agent, the fabric its paths
-/// decode against, and the transport monitor. Its
+/// decode against, and the transport monitor. Only
+/// [`PathDumpWorld::host_views`] builds one, for a controller query; its
 /// [`answer`](HostService::answer) is the one per-host query dispatch.
 pub struct HostView<'a> {
     host: HostId,
@@ -120,7 +93,6 @@ pub struct PathDumpWorld {
     pub agents: Vec<HostAgent>,
     /// The fabric (topology + reconstructor), shared.
     pub fabric: Arc<Fabric>,
-    cfg: WorldConfig,
     /// Alarm bus (drained by debugging applications).
     pub alarms: Vec<Alarm>,
     /// Every punt the controller received.
@@ -134,12 +106,6 @@ pub struct PathDumpWorld {
     trap_history: HashMap<u64, (Vec<u16>, u32)>,
     /// Last POOR_PERF alarm per flow (cooldown).
     last_poor_alarm: HashMap<FlowId, Nanos>,
-    installed: Vec<Installed>,
-    next_install_id: u64,
-    /// Bounded log of installed-query results.
-    pub installed_results: Vec<InstalledResult>,
-    /// Cap on `installed_results`.
-    pub installed_results_cap: usize,
 }
 
 impl PathDumpWorld {
@@ -153,22 +119,12 @@ impl PathDumpWorld {
             tcp: TcpEngine::new(tcp_cfg),
             agents,
             fabric: Arc::new(fabric),
-            cfg,
             alarms: Vec::new(),
             punts: Vec::new(),
             loop_detections: Vec::new(),
             trap_history: HashMap::new(),
             last_poor_alarm: HashMap::new(),
-            installed: Vec::new(),
-            next_install_id: 1,
-            installed_results: Vec::new(),
-            installed_results_cap: 100_000,
         }
-    }
-
-    /// The world configuration.
-    pub fn config(&self) -> &WorldConfig {
-        &self.cfg
     }
 
     /// Schedules the initial per-host ticks; call once after building the
@@ -193,7 +149,9 @@ impl PathDumpWorld {
     }
 
     /// Controller API `watch(List<HostID>, StandingQuery)`: registers a
-    /// standing predicate on each host's agent. Raises (including a
+    /// standing predicate once on each distinct host's agent, in
+    /// first-appearance order. A host with no agent gets no watch and is
+    /// absent from the returned list. Raises (including a
     /// registration-time raise if the predicate already holds) surface on
     /// the world alarm bus through the regular per-tick drain.
     pub fn watch(
@@ -202,15 +160,24 @@ impl PathDumpWorld {
         q: crate::standing::StandingQuery,
         now: Nanos,
     ) -> Vec<(HostId, crate::standing::WatchId)> {
-        hosts
-            .iter()
-            .map(|h| (*h, self.agents[h.index()].watch(q.clone(), now)))
-            .collect()
+        let mut ids = Vec::new();
+        for &h in hosts {
+            if ids.iter().any(|(seen, _)| *seen == h) {
+                continue;
+            }
+            if let Some(agent) = self.agents.get_mut(h.index()) {
+                ids.push((h, agent.watch(q.clone(), now)));
+            }
+        }
+        ids
     }
 
-    /// Removes a standing query from one host. Returns whether it existed.
+    /// Removes a standing query from one host. Returns whether it existed;
+    /// false for a host with no agent.
     pub fn unwatch(&mut self, host: HostId, id: crate::standing::WatchId) -> bool {
-        self.agents[host.index()].unwatch(id)
+        self.agents
+            .get_mut(host.index())
+            .is_some_and(|a| a.unwatch(id))
     }
 
     /// Drains raise/clear flip events from every host's standing engine,
@@ -223,31 +190,6 @@ impl PathDumpWorld {
             }
         }
         out
-    }
-
-    /// Controller API `install(List<HostID>, Query, Period)`: the query
-    /// runs at every tick on each host; non-empty results are logged and,
-    /// when `alarm_reason` is set, raised as alarms.
-    pub fn install_query(
-        &mut self,
-        hosts: &[HostId],
-        query: Query,
-        alarm_reason: Option<Reason>,
-    ) -> u64 {
-        let id = self.next_install_id;
-        self.next_install_id += 1;
-        self.installed.push(Installed {
-            id,
-            hosts: hosts.to_vec(),
-            query,
-            alarm_reason,
-        });
-        id
-    }
-
-    /// Controller API `uninstall`.
-    pub fn uninstall_query(&mut self, id: u64) {
-        self.installed.retain(|i| i.id != id);
     }
 
     /// Every host as the query plane sees it (index = host), reading the
@@ -289,9 +231,9 @@ impl PathDumpWorld {
 
         // 2. Active TCP monitoring (the tcpretrans substitute): alert on
         //    flows sourced here with excessive consecutive retransmissions.
-        for flow in self.tcp.poor_flows(host, self.cfg.retrans_threshold) {
+        for flow in self.tcp.poor_flows(host, RETRANS_THRESHOLD) {
             let due = match self.last_poor_alarm.get(&flow) {
-                Some(last) => now.saturating_sub(*last) >= self.cfg.alarm_cooldown,
+                Some(last) => now.saturating_sub(*last) >= ALARM_COOLDOWN,
                 None => true,
             };
             if due {
@@ -306,43 +248,8 @@ impl PathDumpWorld {
             }
         }
 
-        // 3. Installed periodic queries, over the exported TIB only.
-        let mut view = HostView {
-            host,
-            agent: &mut self.agents[host.index()],
-            fabric: &self.fabric,
-            tcp: &self.tcp,
-            include_live: false,
-        };
-        for inst in self.installed.iter().filter(|i| i.hosts.contains(&host)) {
-            let resp = view.answer(&inst.query);
-            if resp != Response::empty_for(&inst.query) {
-                if let Some(reason) = inst.alarm_reason {
-                    if let Response::Flows(flows) = &resp {
-                        for f in flows {
-                            self.alarms.push(Alarm {
-                                flow: *f,
-                                reason,
-                                paths: Vec::new(),
-                                host,
-                                at: now,
-                            });
-                        }
-                    }
-                }
-                if self.installed_results.len() < self.installed_results_cap {
-                    self.installed_results.push(InstalledResult {
-                        install_id: inst.id,
-                        host,
-                        at: now,
-                        response: resp,
-                    });
-                }
-            }
-        }
-
         // Re-arm the tick.
-        api.set_timer(self.cfg.tick_period, TICK_TOKEN);
+        api.set_timer(TICK_PERIOD, TICK_TOKEN);
     }
 }
 
@@ -579,43 +486,5 @@ mod tests {
         let cfg = SimConfig::for_tests();
         assert!(det.at >= cfg.punt_latency);
         assert!(det.at < Nanos::from_secs(1));
-    }
-
-    #[test]
-    fn installed_query_raises_alarms() {
-        let ft = FatTree::build(FatTreeParams { k: 4 });
-        let mut sim = setup(&ft);
-        let (src, dst) = (ft.host(0, 0, 0), ft.host(1, 0, 0));
-        // Install the §2.3 TCP monitoring query on the sender.
-        sim.world.install_query(
-            &[src],
-            Query::GetPoorTcp { threshold: 2 },
-            Some(Reason::PoorPerf),
-        );
-        for a in 0..2 {
-            sim.set_directed_fault(
-                ft.tor(0, 0),
-                ft.agg(0, a),
-                pathdump_simnet::FaultState {
-                    blackhole: true,
-                    ..pathdump_simnet::FaultState::HEALTHY
-                },
-            );
-        }
-        let spec = FlowSpec {
-            flow: flow_of(&ft, src, dst, 4300),
-            src,
-            dst,
-            size: 50_000,
-            start: Nanos::ZERO,
-        };
-        pathdump_transport::install_flows(&mut sim, &[spec], |w| &mut w.tcp);
-        sim.run_until(Nanos::from_secs(5));
-        assert!(!sim.world.installed_results.is_empty());
-        assert!(sim
-            .world
-            .installed_results
-            .iter()
-            .all(|r| r.install_id == 1 && r.host == src));
     }
 }

@@ -189,31 +189,76 @@ fn direct_and_multilevel_mechanisms_agree_on_live_data() {
     }
 }
 
+/// A watch that holds while `flow` is the largest on its host.
+fn top1_watch(flow: FlowId) -> StandingQuery {
+    StandingQuery::new(StandingPredicate::TopKMember { flow, k: 1 })
+}
+
 #[test]
-fn install_and_uninstall_lifecycle() {
+fn watch_and_unwatch_lifecycle() {
     let mut tb = Testbed::default_k4();
     let (src, dst) = (tb.ft.host(0, 0, 0), tb.ft.host(1, 0, 0));
-    for a in 0..2 {
-        tb.sim.set_directed_fault(
-            tb.ft.tor(0, 0),
-            tb.ft.agg(0, a),
-            FaultState {
-                blackhole: true,
-                ..FaultState::HEALTHY
-            },
-        );
-    }
-    let id = tb.sim.world.install_query(
-        &[src],
-        Query::GetPoorTcp { threshold: 2 },
-        Some(Reason::PoorPerf),
-    );
+    let flow = tb.flow(src, dst, 4260);
+    let now = tb.sim.now();
+    let ids = tb.sim.world.watch(&[dst], top1_watch(flow), now);
+    assert_eq!(ids.len(), 1);
     tb.add_flow(src, dst, 4260, 50_000, Nanos::ZERO);
     tb.sim.run_until(Nanos::from_secs(4));
-    let before = tb.sim.world.installed_results.len();
-    assert!(before > 0, "installed query must have produced results");
-    tb.sim.world.uninstall_query(id);
-    tb.sim.run_until(Nanos::from_secs(8));
-    let after = tb.sim.world.installed_results.len();
-    assert_eq!(before, after, "uninstalled query must stop executing");
+    let events = tb.sim.world.drain_standing_events();
+    assert_eq!(events.len(), 1, "one raise when the flow lands: {events:?}");
+    let (host, ev) = &events[0];
+    assert!(ev.raised);
+    assert_eq!((*host, ev.alarm.flow), (dst, flow));
+
+    let (host, id) = ids[0];
+    assert!(tb.sim.world.unwatch(host, id));
+    assert!(!tb.sim.world.unwatch(host, id), "a removed watch is gone");
+    // A larger flow would push the watched one out of the top 1 and
+    // clear the watch, had it not been removed.
+    tb.add_flow(tb.ft.host(2, 0, 0), dst, 4261, 200_000, Nanos::ZERO);
+    tb.run_and_flush(Nanos::from_secs(8));
+    let events = tb.sim.world.drain_standing_events();
+    assert!(
+        events.is_empty(),
+        "an unwatched query must stop: {events:?}"
+    );
+}
+
+#[test]
+fn a_repeated_host_is_watched_once() {
+    let mut tb = Testbed::default_k4();
+    let (src, dst) = (tb.ft.host(0, 0, 0), tb.ft.host(1, 0, 0));
+    let flow = tb.flow(src, dst, 4270);
+    let now = tb.sim.now();
+    let ids = tb.sim.world.watch(&[dst, dst], top1_watch(flow), now);
+    assert_eq!(ids.len(), 1, "one watch per distinct host: {ids:?}");
+    tb.add_flow(src, dst, 4270, 50_000, Nanos::ZERO);
+    tb.sim.run_until(Nanos::from_secs(4));
+    assert_eq!(tb.sim.world.drain_standing_events().len(), 1);
+    let raised = tb
+        .sim
+        .world
+        .drain_alarms()
+        .into_iter()
+        .filter(|a| a.reason == Reason::InvariantViolated)
+        .count();
+    assert_eq!(raised, 1, "one flip raises one alarm");
+}
+
+#[test]
+fn a_host_without_an_agent_is_not_watched() {
+    let mut tb = Testbed::default_k4();
+    let dst = tb.ft.host(1, 0, 0);
+    let ghost = HostId(tb.sim.world.agents.len() as u32);
+    let flow = tb.flow(tb.ft.host(0, 0, 0), dst, 4280);
+    let now = tb.sim.now();
+    let ids = tb
+        .sim
+        .world
+        .watch(&[ghost, dst, ghost], top1_watch(flow), now);
+    let hosts: Vec<HostId> = ids.iter().map(|(h, _)| *h).collect();
+    assert_eq!(hosts, vec![dst], "only hosts with an agent are watched");
+    let id = ids[0].1;
+    assert!(!tb.sim.world.unwatch(ghost, id));
+    assert!(tb.sim.world.unwatch(dst, id));
 }

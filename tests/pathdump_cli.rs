@@ -9,10 +9,14 @@ use std::process::{Command, Stdio};
 
 #[test]
 fn cli_smoke_script() {
-    let script = include_str!("data/cli_smoke.cmds");
-    // The snapshot paths in the script are relative to the workspace root.
-    let _ = std::fs::remove_file("target/tmp_cli_smoke_a.tib2");
-    let _ = std::fs::remove_file("target/tmp_cli_smoke_b.tib2");
+    // The script saves its snapshots under `target/`, relative to the
+    // workspace root. Here they go to this test's scratch directory, which
+    // exists wherever the target directory is.
+    let tmp = env!("CARGO_TARGET_TMPDIR");
+    let moved = |s: &str| s.replace("target/tmp_cli_smoke_", &format!("{tmp}/tmp_cli_smoke_"));
+    let script = moved(include_str!("data/cli_smoke.cmds"));
+    let _ = std::fs::remove_file(format!("{tmp}/tmp_cli_smoke_a.tib2"));
+    let _ = std::fs::remove_file(format!("{tmp}/tmp_cli_smoke_b.tib2"));
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_pathdump"))
         .stdin(Stdio::piped())
@@ -69,9 +73,11 @@ fn cli_smoke_script() {
         // flow 7004 (recorded after that save) is gone
         "loaded 4 records from target/tmp_cli_smoke_a.tib2",
         "0 bytes 0 pkts",
-    ] {
+    ]
+    .map(moved)
+    {
         assert!(
-            stdout.contains(expected),
+            stdout.contains(&expected),
             "missing `{expected}` in CLI output:\n{stdout}"
         );
     }
