@@ -8,7 +8,10 @@
 use pathdump_topology::{
     FlowId, FlowKey, FnvBuild, Ip, LinkPattern, Nanos, Path, Protocol, TimeRange,
 };
-use pathdump_wire::{read_varint, Decode, Decoder, Encode, Encoder, WireError, WireResult};
+use pathdump_wire::{
+    read_varint, unzigzag_step, zigzag_step, Decode, Decoder, Encode, Encoder, WireError,
+    WireResult,
+};
 use std::collections::HashSet;
 
 /// A query executable on a host agent (the Host API of Table 1 plus the
@@ -494,20 +497,6 @@ impl Decode for Response {
             t => return Err(WireError::InvalidTag(t as u32)),
         })
     }
-}
-
-/// The zigzag varint value of the step from `prev` to `next`: wrapping, so
-/// any order and both ends of `u64` stay exact, and a step of ±n takes
-/// about `2n` whatever its sign.
-fn zigzag_step(prev: u64, next: u64) -> u64 {
-    let step = next.wrapping_sub(prev) as i64;
-    ((step << 1) ^ (step >> 63)) as u64
-}
-
-/// The value that the zigzag step `z` leads to from `prev`: the inverse of
-/// [`zigzag_step`].
-fn unzigzag_step(prev: u64, z: u64) -> u64 {
-    prev.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
 }
 
 /// The `(dst_ip, dst_port, proto)` of a flow packed as the little-endian

@@ -226,6 +226,21 @@ pub fn read_varint(input: &[u8], pos: &mut usize) -> WireResult<u64> {
     }
 }
 
+/// The zigzag varint value of the step from `prev` to `next`: wrapping, so
+/// any order and both ends of `u64` stay exact, and a step of ±n takes
+/// about `2n` whatever its sign. Delta-coded fields (reply keys and
+/// counts, WAL start times) write this with [`Encoder::put_varint`].
+pub fn zigzag_step(prev: u64, next: u64) -> u64 {
+    let step = next.wrapping_sub(prev) as i64;
+    ((step << 1) ^ (step >> 63)) as u64
+}
+
+/// The value that the zigzag step `z` leads to from `prev`: the inverse of
+/// [`zigzag_step`].
+pub fn unzigzag_step(prev: u64, z: u64) -> u64 {
+    prev.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
+}
+
 /// Types that can serialize themselves onto an [`Encoder`].
 pub trait Encode {
     /// Appends the wire representation of `self`.

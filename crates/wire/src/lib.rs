@@ -16,7 +16,10 @@ pub mod crc;
 pub mod frame;
 pub mod types;
 
-pub use codec::{read_varint, Decode, Decoder, Encode, Encoder, WireError, WireResult};
+pub use codec::{
+    read_varint, unzigzag_step, zigzag_step, Decode, Decoder, Encode, Encoder, WireError,
+    WireResult,
+};
 pub use frame::{Frame, FRAME_OVERHEAD};
 
 /// Encodes a value into a fresh byte vector.
