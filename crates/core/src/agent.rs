@@ -227,6 +227,8 @@ pub struct HostAgent {
     scratch: MemKey,
     /// Reusable cache probe key, for the same reason.
     cache_scratch: CacheKey,
+    /// Reusable buffer of one batch's decoded records.
+    finalized: Vec<TibRecord>,
 }
 
 impl HostAgent {
@@ -261,6 +263,7 @@ impl HostAgent {
                 dscp_sample: None,
                 tags: Vec::with_capacity(4),
             },
+            finalized: Vec::new(),
         }
     }
 
@@ -420,40 +423,37 @@ impl HostAgent {
         }
     }
 
+    /// Trajectory construction for one evicted batch (Figure 2), then one
+    /// group commit: the decodable records go to the store as one batch —
+    /// one WAL frame, one append — and a record that does not decode is
+    /// counted in `recon_failures`. The standing engine steps once per
+    /// record, right after that record's insert (skipped entirely with no
+    /// watches), so it observes every record exactly once across seal
+    /// boundaries.
     fn finalize_batch(&mut self, fabric: &Fabric, batch: Vec<PendingRecord>, now: Nanos) {
+        let mut records = std::mem::take(&mut self.finalized);
         for rec in &batch {
-            self.finalize(fabric, rec, now);
-        }
-    }
-
-    /// Trajectory construction for one evicted record (Figure 2).
-    fn finalize(&mut self, fabric: &Fabric, rec: &PendingRecord, now: Nanos) {
-        match self.construct(fabric, &rec.flow, rec.dscp_sample, &rec.tags) {
-            Ok(path) => {
-                let record = TibRecord {
+            match self.construct(fabric, &rec.flow, rec.dscp_sample, &rec.tags) {
+                Ok(path) => records.push(TibRecord {
                     flow: rec.flow,
                     path,
                     stime: rec.stime,
                     etime: rec.etime,
                     bytes: rec.bytes,
                     pkts: rec.pkts,
-                };
-                // Incremental standing-query step over the record that
-                // just landed (skipped entirely with no watches). The
-                // record is cloned *before* insert: the tiered store may
-                // seal on insert, so "last record of the head" is not a
-                // stable way to re-find it — this guarantees the engine
-                // observes every record exactly once across seal
-                // boundaries.
-                let feed = (!self.standing.is_empty()).then(|| record.clone());
-                self.tib.insert(record);
-                if let Some(r) = feed {
-                    self.standing.on_record(&self.tib, &r, now);
-                    self.drain_standing_flips();
-                }
+                }),
+                Err(_) => self.note_infeasible(rec.flow, now),
             }
-            Err(_) => self.note_infeasible(rec.flow, now),
         }
+        let standing = &mut self.standing;
+        self.tib.insert_batch(&records, |tib, rec| {
+            if !standing.is_empty() {
+                standing.on_record(tib, rec, now);
+            }
+        });
+        self.drain_standing_flips();
+        records.clear();
+        self.finalized = records;
     }
 
     /// Trajectory construction: trajectory-cache probe (srcIP + link IDs,

@@ -45,4 +45,4 @@ pub use segment::{
 };
 pub use snapshot::{load_tiered, save_tiered, save_tiered_into, SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_V3};
 pub use tib::{Tib, TibRead, DEFAULT_BUCKET_WIDTH, TOP_K_DIGIT_BITS};
-pub use wal::{FileWal, VecWal, WalReplay, WalStore, WAL_FRAME_RECORD};
+pub use wal::{FileWal, VecWal, WalReplay, WalStore, WAL_FRAME_BATCH, WAL_FRAME_RECORD};

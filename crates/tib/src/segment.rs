@@ -51,8 +51,9 @@
 //!
 //! # Durability
 //!
-//! With a WAL attached ([`TieredTib::attach_wal`]), every insert appends
-//! a CRC-framed record ([`crate::wal`]) before it becomes queryable.
+//! With a WAL attached ([`TieredTib::attach_wal`]), every insert batch
+//! appends one CRC-framed batch ([`crate::wal`]), in one write, before any
+//! of its records becomes queryable.
 //! [`TieredTib::checkpoint`] writes a TIB3 snapshot (see
 //! [`crate::snapshot`]) and resets the log; [`TieredTib::recover`] loads
 //! a snapshot and replays a WAL over it, tolerating a torn tail but no
@@ -364,6 +365,8 @@ pub struct TieredTib {
     /// segment access.
     flows: FlowTable,
     wal: Option<Box<dyn WalStore>>,
+    /// The frame of the batch being appended, reused across batches.
+    wal_buf: Vec<u8>,
     wal_errors: u64,
     /// The published reader view, swapped on every seal.
     published: Arc<Mutex<Arc<SealedView>>>,
@@ -397,6 +400,7 @@ impl TieredTib {
             seal_after: None,
             flows: FlowTable::default(),
             wal: None,
+            wal_buf: Vec::new(),
             wal_errors: 0,
             published: Arc::new(Mutex::new(Arc::new(SealedView::default()))),
         }
@@ -479,22 +483,43 @@ impl TieredTib {
         }
     }
 
-    /// Inserts one record: WAL append first (when attached), then the
-    /// global aggregates, then the head arena; finally the auto-seal
-    /// check. The record is observable to queries exactly once,
-    /// regardless of seal boundaries.
+    /// Inserts one record: [`TieredTib::insert_batch`] of a batch of one,
+    /// so its WAL frame is the [`WAL_FRAME_RECORD`](crate::wal::WAL_FRAME_RECORD)
+    /// a per-record log always held.
     pub fn insert(&mut self, rec: TibRecord) {
+        self.insert_batch(std::slice::from_ref(&rec), |_, _| {});
+    }
+
+    /// Inserts an eviction batch (group commit): with a WAL attached, the
+    /// whole batch is framed into a buffer the store keeps
+    /// ([`wal::frame_batch`]) and appended in one write *before* any of its
+    /// records becomes queryable; a failed append is counted in
+    /// [`TieredTib::wal_errors`] and ingest continues. Then each record, in
+    /// order, goes to the global aggregates and the head arena, the
+    /// auto-seal check runs, and `each` sees the store and the record just
+    /// filed — so a per-record observer (the standing engine) steps exactly
+    /// once per record, across seal boundaries. An empty batch writes
+    /// nothing.
+    pub fn insert_batch(&mut self, batch: &[TibRecord], mut each: impl FnMut(&Self, &TibRecord)) {
+        if batch.is_empty() {
+            return;
+        }
         if let Some(w) = self.wal.as_mut() {
-            if w.append(&wal::frame_record(&rec)).is_err() {
+            self.wal_buf.clear();
+            wal::frame_batch(batch, &mut self.wal_buf);
+            if w.append(&self.wal_buf).is_err() {
                 self.wal_errors += 1;
             }
         }
-        self.flows.add(rec.flow, rec.bytes, rec.pkts);
-        self.head.insert(rec);
-        if let Some(n) = self.seal_after {
-            if self.head.len() >= n {
-                self.seal();
+        for rec in batch {
+            self.flows.add(rec.flow, rec.bytes, rec.pkts);
+            self.head.insert_ref(rec);
+            if let Some(n) = self.seal_after {
+                if self.head.len() >= n {
+                    self.seal();
+                }
             }
+            each(self, rec);
         }
     }
 
@@ -578,9 +603,7 @@ impl TieredTib {
         let snapshot_records = store.len();
         let replayed = wal::replay(wal_bytes)?;
         let wal_records = replayed.records.len();
-        for rec in replayed.records {
-            store.insert(rec);
-        }
+        store.insert_batch(&replayed.records, |_, _| {});
         Ok((
             store,
             RecoveryReport {

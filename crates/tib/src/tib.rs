@@ -499,6 +499,12 @@ impl Tib {
     /// links and switches; after that, the switch tables only learn flows
     /// that change path.
     pub fn insert(&mut self, rec: TibRecord) {
+        self.insert_ref(&rec);
+    }
+
+    /// [`Tib::insert`] of a borrowed record: the store keeps no part of
+    /// it, so a batch is filed without a copy.
+    pub(crate) fn insert_ref(&mut self, rec: &TibRecord) {
         let id = self.rows.len() as u32;
         let fidx = self.flows.add(rec.flow, rec.bytes, rec.pkts);
         let prev = match self.by_flow.get_mut(fidx as usize) {

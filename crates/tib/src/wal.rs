@@ -1,10 +1,11 @@
 //! Per-host write-ahead log for the tiered TIB.
 //!
-//! Every [`TieredTib::insert`](crate::segment::TieredTib::insert) with a
-//! WAL attached appends one frame *before* the record becomes queryable,
-//! so a *process* crash loses at most the frame being appended (see
-//! [`FileWal`] for what a power loss can take): recovery loads the last
-//! snapshot and replays the WAL over it
+//! Every [`TieredTib::insert_batch`](crate::segment::TieredTib::insert_batch)
+//! with a WAL attached appends the whole batch as one frame, in one
+//! append, *before* any of its records becomes queryable, so a *process*
+//! crash loses at most the batch being appended (see [`FileWal`] for what
+//! a power loss can take): recovery loads the last snapshot and replays
+//! the WAL over it
 //! ([`TieredTib::recover`](crate::segment::TieredTib::recover)). After a
 //! successful snapshot ([`checkpoint`](crate::segment::TieredTib::checkpoint))
 //! the log is reset — it only ever holds the records inserted since.
@@ -12,33 +13,152 @@
 //! # Framing
 //!
 //! Frames reuse the wire codec's [`Frame`] layout verbatim
-//! (`len:u32 | typ:u16 | payload | crc:u32`, CRC over `typ + payload`)
-//! with `typ` = [`WAL_FRAME_RECORD`] and the payload a wire-encoded
-//! [`TibRecord`] — the exact bytes the rpc plane ships, so the codec
-//! robustness suite's truncation/corruption guarantees carry over.
+//! (`len:u32 | typ:u16 | payload | crc:u32`, CRC over `typ + payload`).
+//! [`frame_batch`] is the one writer, and it writes one of two types:
+//!
+//! - [`WAL_FRAME_RECORD`], for a batch of one record: the payload is the
+//!   wire-encoded [`TibRecord`] — the exact bytes the rpc plane ships, so
+//!   the codec robustness suite's truncation/corruption guarantees carry
+//!   over. A log written one record at a time is a run of these.
+//! - [`WAL_FRAME_BATCH`], for a batch of two or more, table-coded as a
+//!   top-k reply is: each flow id is written once, and each record names
+//!   its flow by index into that table.
+//!   - A varint flow count, then each distinct flow id once (13 bytes),
+//!     in first-appearance order.
+//!   - A varint record count.
+//!   - Per record: the varint flow index, left out when the table has one
+//!     entry (a FIN batch is one flow's records, one per path it used);
+//!     the path as a record writes it; the zigzag varint of the step of
+//!     `stime` from the previous record's (the first from 0); the varint
+//!     duration `etime − stime`; varint `bytes`; varint `pkts`.
+//!
+//! [`replay`] flattens both types, in log order.
 //!
 //! # Torn-tail tolerance (and what is NOT tolerated)
 //!
 //! A crash mid-append leaves a *prefix* of a valid frame at the end of
 //! the log. [`replay`] stops at the first [`WireError::UnexpectedEof`]
 //! and reports the dropped byte count — that is the explicitly-tolerated
-//! truncation. Everything else is corruption and fails the replay hard:
-//! a CRC mismatch ([`WireError::BadChecksum`]), an unknown frame type, a
-//! payload that does not decode, or trailing payload bytes. Snapshot
-//! loading ([`crate::snapshot`]) tolerates no truncation at all; the
-//! crash-recovery suite pins the distinction.
+//! truncation. A torn batch frame loses exactly its batch: the CRC covers
+//! the frame whole, so none of its records replays, and none of them was
+//! queryable before the append returned. Everything else is corruption
+//! and fails the replay hard: a CRC mismatch ([`WireError::BadChecksum`]),
+//! an unknown frame type, a payload that does not decode, a count larger
+//! than the payload could hold, a flow index outside the table, or
+//! trailing payload bytes. Snapshot loading ([`crate::snapshot`])
+//! tolerates no truncation at all; the crash-recovery suite pins the
+//! distinction.
 
 use crate::record::TibRecord;
-use pathdump_wire::{from_bytes, Frame, WireError, WireResult};
+use pathdump_topology::{FlowId, FnvBuild, Nanos, Path};
+use pathdump_wire::types::FLOW_ID_LEN;
+use pathdump_wire::{
+    from_bytes, unzigzag_step, zigzag_step, Decode, Decoder, Encode, Encoder, Frame, WireError,
+    WireResult,
+};
+use std::collections::HashMap;
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::{Path as FsPath, PathBuf};
 
-/// Frame type tag of a WAL record append.
+/// Frame type tag of a WAL append of one record.
 pub const WAL_FRAME_RECORD: u16 = 0x0A17;
 
-/// Encodes one record as a WAL frame (the bytes an append writes).
+/// Frame type tag of a WAL append of a batch of two or more records.
+pub const WAL_FRAME_BATCH: u16 = 0x0A18;
+
+/// The fewest bytes a batch-frame record takes past its flow index: a
+/// one-byte path length and four one-byte varints.
+const MIN_BATCH_RECORD: usize = 5;
+
+/// Encodes one record as a WAL frame: [`frame_batch`] of a one-record
+/// batch.
 pub fn frame_record(rec: &TibRecord) -> Vec<u8> {
-    Frame::build(WAL_FRAME_RECORD, rec)
+    let mut out = Vec::new();
+    frame_batch(std::slice::from_ref(rec), &mut out);
+    out
+}
+
+/// Appends to `out` the one frame that logs `batch` (see the module docs
+/// for the two layouts). A one-record batch is the [`WAL_FRAME_RECORD`]
+/// frame of that record, byte for byte.
+pub fn frame_batch(batch: &[TibRecord], out: &mut Vec<u8>) {
+    if let [rec] = batch {
+        return Frame::build_into(out, WAL_FRAME_RECORD, |enc| rec.encode(enc));
+    }
+    Frame::build_into(out, WAL_FRAME_BATCH, |enc| encode_batch(batch, enc));
+}
+
+/// The batch payload: the flow table, numbered in first-appearance order
+/// through a map, then the records.
+fn encode_batch(batch: &[TibRecord], enc: &mut Encoder) {
+    let mut index: HashMap<FlowId, u64, FnvBuild> = HashMap::default();
+    let mut flows = Vec::new();
+    for r in batch {
+        index.entry(r.flow).or_insert_with(|| {
+            flows.push(r.flow);
+            flows.len() as u64 - 1
+        });
+    }
+    enc.put_varint(flows.len() as u64);
+    flows.iter().for_each(|f| f.encode(enc));
+    enc.put_varint(batch.len() as u64);
+    let mut prev = 0;
+    for r in batch {
+        if flows.len() != 1 {
+            enc.put_varint(index[&r.flow]);
+        }
+        r.path.encode(enc);
+        enc.put_varint(zigzag_step(prev, r.stime.0));
+        prev = r.stime.0;
+        enc.put_varint(r.etime.0 - r.stime.0);
+        enc.put_varint(r.bytes);
+        enc.put_varint(r.pkts);
+    }
+}
+
+/// A count of items of at least `width` bytes each, checked against the
+/// input left before anything is allocated for them.
+fn get_count(dec: &mut Decoder<'_>, width: usize) -> WireResult<usize> {
+    let n = dec.get_varint()?;
+    if n > (dec.remaining() / width) as u64 {
+        return Err(WireError::LengthOverrun);
+    }
+    Ok(n as usize)
+}
+
+/// Reads what [`encode_batch`] writes, appending the records to `out`.
+fn decode_batch(payload: &[u8], out: &mut Vec<TibRecord>) -> WireResult<()> {
+    let mut dec = Decoder::new(payload);
+    let n_flows = get_count(&mut dec, FLOW_ID_LEN)?;
+    let flows = (0..n_flows)
+        .map(|_| FlowId::decode(&mut dec))
+        .collect::<WireResult<Vec<_>>>()?;
+    let indexed = n_flows != 1;
+    let n = get_count(&mut dec, MIN_BATCH_RECORD + usize::from(indexed))?;
+    out.reserve(n);
+    let mut stime = 0;
+    for _ in 0..n {
+        let i = if indexed { dec.get_varint()? } else { 0 };
+        let flow = *usize::try_from(i)
+            .ok()
+            .and_then(|i| flows.get(i))
+            .ok_or(WireError::InvalidTag(i.min(u64::from(u32::MAX)) as u32))?;
+        let path = Path::decode(&mut dec)?;
+        stime = unzigzag_step(stime, dec.get_varint()?);
+        // As for a lone record: an etime past 64 bits is corruption.
+        let etime = stime
+            .checked_add(dec.get_varint()?)
+            .ok_or(WireError::VarintOverflow)?;
+        out.push(TibRecord {
+            flow,
+            path,
+            stime: Nanos(stime),
+            etime: Nanos(etime),
+            bytes: dec.get_varint()?,
+            pkts: dec.get_varint()?,
+        });
+    }
+    dec.finish()
 }
 
 /// The outcome of a successful WAL replay.
@@ -51,8 +171,9 @@ pub struct WalReplay {
     pub dropped_tail: usize,
 }
 
-/// Replays a WAL byte stream. A torn tail (the stream ending mid-frame)
-/// is tolerated and reported via [`WalReplay::dropped_tail`]; any other
+/// Replays a WAL byte stream: the records of every frame, batch frames
+/// flattened, in log order. A torn tail (the stream ending mid-frame) is
+/// tolerated and reported via [`WalReplay::dropped_tail`]; any other
 /// malformation — bad CRC, unknown frame type, undecodable payload — is
 /// an error (see the module docs for why the two are different).
 pub fn replay(bytes: &[u8]) -> WireResult<WalReplay> {
@@ -65,10 +186,11 @@ pub fn replay(bytes: &[u8]) -> WireResult<WalReplay> {
             Err(WireError::UnexpectedEof) => break,
             parsed => parsed?,
         };
-        if typ != WAL_FRAME_RECORD {
-            return Err(WireError::InvalidTag(u32::from(typ)));
+        match typ {
+            WAL_FRAME_RECORD => records.push(from_bytes::<TibRecord>(payload)?),
+            WAL_FRAME_BATCH => decode_batch(payload, &mut records)?,
+            _ => return Err(WireError::InvalidTag(u32::from(typ))),
         }
-        records.push(from_bytes::<TibRecord>(payload)?);
         rest = &rest[used..];
     }
     Ok(WalReplay {
@@ -82,7 +204,7 @@ pub fn replay(bytes: &[u8]) -> WireResult<WalReplay> {
 /// the engine is storage-agnostic ([`VecWal`] for tests and crash
 /// simulation, [`FileWal`] for real per-host logs).
 pub trait WalStore: std::fmt::Debug + Send {
-    /// Appends pre-framed bytes (one whole frame per call).
+    /// Appends pre-framed bytes (one whole frame per call: one batch).
     fn append(&mut self, frame: &[u8]) -> std::io::Result<()>;
 
     /// Discards the log contents (called after a successful snapshot —
@@ -135,12 +257,14 @@ impl WalStore for VecWal {
     }
 }
 
-/// A file-backed WAL. Each append is one `write_all` straight to the file
-/// descriptor (no user-space buffer; the `flush` after it is a no-op on
-/// `File`), so once `append` returns the frame is in the OS page cache: it
-/// **survives a kill of this process, not a power loss or kernel crash** —
-/// nothing calls `sync_data`, and whatever the kernel had not written back
-/// is gone, possibly more than the torn tail [`replay`] tolerates. Reset
+/// A file-backed WAL. Each append — one batch's frame — is one `write_all`
+/// straight to the file descriptor (no user-space buffer; the `flush`
+/// after it is a no-op on `File`), so once `append` returns the whole
+/// batch is in the OS page cache: it **survives a kill of this process,
+/// not a power loss or kernel crash**. A kill during the write tears at
+/// most that batch's frame, and [`replay`] drops the batch whole. Nothing
+/// calls `sync_data`, and whatever the kernel had not written back is
+/// gone, possibly more than the torn tail [`replay`] tolerates. Reset
 /// truncates in place. The file is created (or truncated) on open — pass
 /// its prior contents through [`replay`] *before* reopening when
 /// recovering.
@@ -153,7 +277,7 @@ pub struct FileWal {
 
 impl FileWal {
     /// Creates (truncating any previous log) a WAL at `path`.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
+    pub fn create(path: &FsPath) -> std::io::Result<Self> {
         let file = std::fs::OpenOptions::new()
             .write(true)
             .create(true)
@@ -167,7 +291,7 @@ impl FileWal {
     }
 
     /// The log's path.
-    pub fn path(&self) -> &Path {
+    pub fn path(&self) -> &FsPath {
         &self.path
     }
 }

@@ -14,10 +14,10 @@
 //! have been.
 //!
 //! The layout is written down in two places in this file and nowhere
-//! else: forwards in the private `seal`, which [`Frame::build`] (a value
-//! encoded straight into the frame's one buffer) and `to_wire` go through,
-//! and backwards in [`Frame::parse`], which hands the payload out as a
-//! slice of its input and which `from_wire` copies from.
+//! else: forwards in [`Frame::build_into`], which [`Frame::build`] (a
+//! value encoded straight into the frame's one buffer) and `to_wire` go
+//! through, and backwards in [`Frame::parse`], which hands the payload out
+//! as a slice of its input and which `from_wire` copies from.
 
 use crate::codec::{Encode, Encoder, WireError, WireResult};
 use crate::crc::crc32;
@@ -34,21 +34,6 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// One frame in one buffer: a length placeholder, `typ`, whatever
-/// `payload` writes, then the length patched in and the CRC appended.
-fn seal(typ: u16, payload_hint: usize, payload: impl FnOnce(&mut Encoder)) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(FRAME_OVERHEAD + payload_hint);
-    enc.put_u32(0);
-    enc.put_u16(typ);
-    payload(&mut enc);
-    let mut out = enc.into_bytes();
-    let body_len = out.len() - 4;
-    out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
 impl Frame {
     /// Builds a frame.
     pub fn new(typ: u16, payload: Vec<u8>) -> Self {
@@ -62,16 +47,35 @@ impl Frame {
 
     /// Serializes the frame.
     pub fn to_wire(&self) -> Vec<u8> {
-        seal(self.typ, self.payload.len(), |enc| {
-            enc.put_raw(&self.payload)
-        })
+        let mut out = Vec::with_capacity(self.wire_len());
+        Frame::build_into(&mut out, self.typ, |enc| enc.put_raw(&self.payload));
+        out
     }
 
     /// The wire bytes of a frame carrying `value`, encoded in place: byte
     /// for byte `Frame::new(typ, to_bytes(value)).to_wire()`, without the
     /// payload vector in between.
     pub fn build<T: Encode + ?Sized>(typ: u16, value: &T) -> Vec<u8> {
-        seal(typ, 0, |enc| value.encode(enc))
+        let mut out = Vec::with_capacity(FRAME_OVERHEAD);
+        Frame::build_into(&mut out, typ, |enc| value.encode(enc));
+        out
+    }
+
+    /// Appends one frame to `out`, encoded in place: a length placeholder,
+    /// `typ`, whatever `payload` writes, then the length patched in and the
+    /// CRC appended. A writer that frames into one buffer it keeps calls
+    /// this directly.
+    pub fn build_into(out: &mut Vec<u8>, typ: u16, payload: impl FnOnce(&mut Encoder)) {
+        let start = out.len();
+        let mut enc = Encoder::from_vec(std::mem::take(out));
+        enc.put_u32(0);
+        enc.put_u16(typ);
+        payload(&mut enc);
+        *out = enc.into_bytes();
+        let body_len = out.len() - start - 4;
+        out[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+        let crc = crc32(&out[start + 4..]);
+        out.extend_from_slice(&crc.to_le_bytes());
     }
 
     /// Parses one frame from the front of `input` without copying it:

@@ -78,7 +78,7 @@ impl Decode for Protocol {
 
 /// Bytes of an encoded [`FlowId`]: two little-endian `u32` addresses, two
 /// little-endian `u16` ports and the protocol number.
-const FLOW_ID_LEN: usize = 13;
+pub const FLOW_ID_LEN: usize = 13;
 
 /// A flow id is one fixed 13-byte block, written and read in one piece
 /// (a top-k reply carries ten thousand of them).
