@@ -141,11 +141,22 @@ impl PathDumpWorld {
         }
     }
 
-    /// Installs an invariant on a set of hosts (path conformance, §2.3).
-    pub fn install_invariant(&mut self, hosts: &[HostId], inv: Invariant) {
-        for h in hosts {
-            self.agents[h.index()].install_invariant(inv.clone());
+    /// Installs an invariant on a set of hosts (path conformance, §2.3):
+    /// once on each distinct host's agent, as [`PathDumpWorld::watch`]
+    /// registers. A host with no agent gets none. Returns the hosts that
+    /// got it, in first-appearance order.
+    pub fn install_invariant(&mut self, hosts: &[HostId], inv: Invariant) -> Vec<HostId> {
+        let mut installed = Vec::new();
+        for &h in hosts {
+            if installed.contains(&h) {
+                continue;
+            }
+            if let Some(agent) = self.agents.get_mut(h.index()) {
+                agent.install_invariant(inv.clone());
+                installed.push(h);
+            }
         }
+        installed
     }
 
     /// Controller API `watch(List<HostID>, StandingQuery)`: registers a
@@ -214,11 +225,13 @@ impl PathDumpWorld {
         std::mem::take(&mut self.alarms)
     }
 
-    /// Flushes every agent's trajectory memory into its TIB (end of run).
+    /// Flushes every agent's trajectory memory into its TIB (end of run),
+    /// moving the alarms the flush raised to the world bus as a tick does.
     pub fn flush_all(&mut self, now: Nanos) {
         let fabric = Arc::clone(&self.fabric);
         for a in &mut self.agents {
             a.flush(&fabric, now);
+            self.alarms.extend(a.drain_alarms());
         }
     }
 

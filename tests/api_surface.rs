@@ -262,3 +262,78 @@ fn a_host_without_an_agent_is_not_watched() {
     assert!(!tb.sim.world.unwatch(ghost, id));
     assert!(tb.sim.world.unwatch(dst, id));
 }
+
+/// A path-conformance invariant every fat-tree path breaks.
+fn one_hop_at_most() -> Invariant {
+    Invariant {
+        max_hops: Some(1),
+        ..Invariant::default()
+    }
+}
+
+/// `PC_FAIL` alarms raised on `host`, drained from the world bus.
+fn pc_fails_on(tb: &mut Testbed, host: HostId) -> usize {
+    tb.sim
+        .world
+        .drain_alarms()
+        .iter()
+        .filter(|a| a.reason == Reason::PcFail && a.host == host)
+        .count()
+}
+
+#[test]
+fn an_invariant_skips_a_host_without_an_agent() {
+    let mut tb = Testbed::default_k4();
+    let (src, dst) = (tb.ft.host(0, 0, 0), tb.ft.host(1, 0, 0));
+    let ghost = HostId(tb.sim.world.agents.len() as u32);
+    tb.sim
+        .world
+        .install_invariant(&[ghost, dst], one_hop_at_most());
+    tb.add_flow(src, dst, 4290, 50_000, Nanos::ZERO);
+    tb.run_and_flush(Nanos::from_secs(4));
+    assert_eq!(
+        pc_fails_on(&mut tb, dst),
+        1,
+        "the host with an agent checks"
+    );
+}
+
+#[test]
+fn an_invariant_is_installed_once_per_distinct_host() {
+    let mut tb = Testbed::default_k4();
+    let (src, dst) = (tb.ft.host(0, 0, 0), tb.ft.host(1, 0, 0));
+    let ghost = HostId(tb.sim.world.agents.len() as u32);
+    let hosts = tb
+        .sim
+        .world
+        .install_invariant(&[dst, ghost, src, dst], one_hop_at_most());
+    assert_eq!(hosts, vec![dst, src], "one install per distinct host");
+    tb.add_flow(src, dst, 4291, 50_000, Nanos::ZERO);
+    tb.run_and_flush(Nanos::from_secs(4));
+    assert_eq!(pc_fails_on(&mut tb, dst), 1);
+}
+
+/// A standing watch that first holds on a record exported only by the
+/// end-of-run flush raises on the world bus, not only in the event log.
+#[test]
+fn a_raise_during_the_final_flush_reaches_the_alarm_bus() {
+    let mut tb = Testbed::default_k4();
+    let (src, dst) = (tb.ft.host(0, 0, 0), tb.ft.host(1, 0, 0));
+    let flow = tb.flow(src, dst, 4292);
+    let now = tb.sim.now();
+    tb.sim.world.watch(&[dst], top1_watch(flow), now);
+    // Still running at 300 ms: its records reach the TIB at the flush.
+    tb.add_flow(src, dst, 4292, 50_000_000, Nanos::ZERO);
+    tb.run_and_flush(Nanos::from_millis(300));
+    let events = tb.sim.world.drain_standing_events();
+    assert_eq!(events.len(), 1, "{events:?}");
+    let raised: Vec<Alarm> = tb
+        .sim
+        .world
+        .drain_alarms()
+        .into_iter()
+        .filter(|a| a.reason == Reason::InvariantViolated)
+        .collect();
+    assert_eq!(raised.len(), 1, "the flush's raise is on the bus");
+    assert_eq!((raised[0].host, raised[0].flow), (dst, flow));
+}
