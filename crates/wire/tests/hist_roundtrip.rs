@@ -12,6 +12,14 @@
 //! `u64::MAX` side by side, so that a step between neighbours wraps both
 //! ways; and a reply of the size a merge of many hosts reaches. A proptest
 //! mixes them (its depth is `PROPTEST_CASES`; CI runs 512).
+//!
+//! Most bins of a flow-size distribution hold one flow, so the families
+//! also set a count of 1 against other counts wherever the key step's size
+//! changes: at each step where a step token grows a byte, at count 0, at
+//! the largest steps (magnitude 2^62 and more, 65 bits once a count flag
+//! rides along), in replies whose every bin holds one flow, in the shape a
+//! `query_fsd` host sends (a few dozen bins, four in five of them one
+//! flow), and in a proptest dominated by count 1.
 
 use pathdump_core::Response;
 use pathdump_rpc::{Coverage, ReplyMsg, FRAME_RPC_REPLY};
@@ -255,6 +263,153 @@ fn a_merged_size_reply_round_trips() {
         .collect();
     check(&hist(10_000, bins.clone()));
     check(&hist(10_000, shuffled(&mut m, bins)));
+}
+
+/// Steps on both sides of each width at which a key step, with a count
+/// flag beside it or not, grows a byte: ±31/±32/±33 and ±4 095/±4 096/
+/// ±4 097 for the step with a flag, ±63/±64 and ±8 191/±8 192 for the step
+/// alone.
+const STEPS: [u64; 10] = [31, 32, 33, 63, 64, 4_095, 4_096, 4_097, 8_191, 8_192];
+
+#[test]
+fn count_one_against_other_counts_at_each_step_width_round_trips() {
+    for &s in &STEPS {
+        for start in [0, 1 << 40, MAX - 9_000] {
+            for count in [0, 1, 2, 127, 128, MAX] {
+                // The step up and the step down, and the count on both bins
+                // or on the second alone.
+                check(&hist(10_000, vec![(start, count), (start + s, count)]));
+                check(&hist(10_000, vec![(start + s, 1), (start, count)]));
+                check(&hist(10_000, vec![(start + s, count), (start, 1)]));
+            }
+        }
+        // The same step over a run of bins, counts 1 and otherwise mixed.
+        let run: Vec<_> = (0..40u64)
+            .map(|i| (i * s, 1 + (i % 3 == 0) as u64))
+            .collect();
+        check(&hist(10_000, run.clone()));
+        check(&hist(10_000, run.into_iter().rev().collect()));
+    }
+}
+
+#[test]
+fn count_zero_round_trips() {
+    check(&hist(10_000, vec![(0, 0)]));
+    check(&hist(10_000, vec![(MAX, 0), (0, 0), (MAX, 1), (3, 0)]));
+    check(&hist(10_000, (0..500).map(|k| (k, k % 2)).collect()));
+}
+
+#[test]
+fn count_one_at_the_largest_steps_round_trips() {
+    // `u64::MAX` from 0 (a step of −1) and from `u64::MAX − 1` (+1).
+    check(&hist(10_000, vec![(MAX, 1)]));
+    check(&hist(10_000, vec![(MAX - 1, 1), (MAX, 1)]));
+    check(&hist(10_000, vec![(MAX - 1, 7), (MAX, 1), (0, 1)]));
+    // Steps of magnitude 2^62 and more zigzag to 2^63 and more: with the
+    // count flag beside it, the step needs all 65 bits.
+    let half = 1u64 << 63;
+    for key in [1 << 62, half - 1, half, half + 1, MAX - (1 << 62)] {
+        for count in [0, 1, 2, MAX] {
+            check(&hist(10_000, vec![(key, count)]));
+            check(&hist(10_000, vec![(key, count), (0, 1), (key, 1)]));
+        }
+    }
+}
+
+#[test]
+fn a_ten_byte_step_past_bit_64_is_an_error() {
+    // Tag 4, a bin width of 1, one bin, then a key step whose tenth byte
+    // sets bit 65 or higher: no layout of a step and a count reads that.
+    for last in [0x04u8, 0x08, 0x40, 0x7F] {
+        let mut bare = vec![4, 1, 1];
+        bare.extend([0xFF; 9]);
+        bare.extend([last, 1, 1]);
+        assert!(
+            from_bytes::<Response>(&bare).is_err(),
+            "tenth byte {last:#x}"
+        );
+    }
+}
+
+#[test]
+fn an_all_count_one_reply_round_trips() {
+    let mut m = Mix(4);
+    let dense: Vec<_> = (0..3_000u64).map(|k| (k, 1)).collect();
+    check(&hist(10_000, dense.clone()));
+    check(&hist(10_000, shuffled(&mut m, dense)));
+    let mut key = 0u64;
+    let sparse: Vec<_> = (0..3_000)
+        .map(|_| {
+            key += 1 + m.below(10_000);
+            (key, 1)
+        })
+        .collect();
+    check(&hist(10_000, sparse.clone()));
+    check(&hist(10_000, sparse.into_iter().rev().collect()));
+}
+
+/// A reply shaped like one `query_fsd` host's or subtree's: the small bins
+/// dense and full, then the sparse elephant bins, about four in five bins
+/// of the reply holding one flow.
+fn fsd_shaped(m: &mut Mix, n: usize) -> Vec<(u64, u64)> {
+    let dense = n / 6;
+    let mut bins: Vec<_> = (0..dense as u64).map(|k| (k, 2 + m.below(500))).collect();
+    let mut key = dense as u64;
+    while bins.len() < n {
+        key += 1 + m.below(60);
+        let count = if m.below(100) < 96 { 1 } else { 2 + m.below(3) };
+        bins.push((key, count));
+    }
+    bins
+}
+
+#[test]
+fn a_query_fsd_shaped_reply_round_trips() {
+    let mut m = Mix(5);
+    for n in [60, 72, 84] {
+        let bins = fsd_shaped(&mut m, n);
+        let ones = bins.iter().filter(|b| b.1 == 1).count();
+        assert!(ones * 10 >= n * 7, "{ones} of {n} bins hold one flow");
+        check(&hist(10_000, bins.clone()));
+        check(&hist(10_000, shuffled(&mut m, bins)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Replies in which at least four bins in five hold one flow, in any
+    /// key order: round trip bare, in a message and in a frame; every cut
+    /// is an error; no bit flip panics.
+    #[test]
+    fn mostly_count_one_replies_round_trip(
+        seed in any::<u64>(),
+        n in 0u64..200,
+        width in 0usize..4,
+        order in 0u8..3,
+    ) {
+        let mut m = Mix(seed);
+        let mut bins: Vec<_> = (0..n)
+            .map(|i| {
+                let key = match m.below(3) {
+                    0 => i,
+                    1 => m.below(1 << 20),
+                    _ => any_count(&mut m),
+                };
+                // Only every fifth bin may hold other than one flow.
+                let count = if i % 5 == 4 { any_count(&mut m) } else { 1 };
+                (key, count)
+            })
+            .collect();
+        match order {
+            0 => bins.sort_unstable(),
+            1 => bins.reverse(),
+            _ => {}
+        }
+        let ones = bins.iter().filter(|b| b.1 == 1).count();
+        prop_assert!(ones * 5 >= bins.len() * 4);
+        check(&hist(WIDTHS[width], bins));
+    }
 }
 
 proptest! {
