@@ -106,18 +106,23 @@ pub enum Response {
     Duration(Nanos),
     /// Histogram: bin index → flow count (summed per bin on merge).
     ///
-    /// Its wire form (tag 4) writes each bin key as its step from the
-    /// previous one:
+    /// Its wire form (tag 4) writes each bin as one token, its key step
+    /// and whether it holds one flow, and the count only when it does not:
     ///
     /// - `bin_bytes` (varint), then the bin count (varint).
-    /// - Per bin: the zigzag varint of `key − previous key` (wrapping; the
-    ///   first is against 0), then the count (varint). In the ascending
-    ///   order the store and the merge emit, neighbouring bins are mostly
-    ///   one apart and a step takes one byte; zigzag keeps any order,
-    ///   repeated keys and `u64::MAX` exact, as for top-k byte counts.
+    /// - Per bin: the token `2 × z + [count == 1]`, where `z` is the
+    ///   zigzag of `key − previous key` (wrapping; the first is against
+    ///   0), as an unsigned LEB128 of up to 65 bits; then, only when the
+    ///   token's low bit is clear, the count (varint).
     ///
-    /// A bin count larger than the remaining input allows (two bytes per
-    /// bin) is a `WireError`.
+    /// So a bin takes one byte when its count is 1 and its step is within
+    /// −32..=31, and one byte more for the count otherwise. In the
+    /// ascending order the store and the merge emit, neighbouring bins are
+    /// mostly one apart, and most bins of a flow-size distribution hold one
+    /// flow. Zigzag keeps any order, repeated keys and `u64::MAX` exact, as
+    /// for top-k byte counts; a token is at most 10 bytes, and a tenth byte
+    /// that sets a bit past bit 64 is a `WireError`, as is a bin count
+    /// larger than the remaining input allows (one byte per bin).
     Hist {
         /// Bin width in bytes.
         bin_bytes: u64,
@@ -449,8 +454,19 @@ impl Encode for Response {
                 enc.put_varint(bins.len() as u64);
                 let mut prev = 0;
                 for &(key, count) in bins {
-                    enc.put_varint(zigzag_step(prev, key));
-                    enc.put_varint(count);
+                    // The token's first byte holds the flag and six bits of
+                    // the step; the rest of the step is a varint after it.
+                    let z = zigzag_step(prev, key);
+                    let low = ((z & 0x3F) << 1) as u8 | u8::from(count == 1);
+                    if z >> 6 == 0 {
+                        enc.put_u8(low);
+                    } else {
+                        enc.put_u8(low | 0x80);
+                        enc.put_varint(z >> 6);
+                    }
+                    if count != 1 {
+                        enc.put_varint(count);
+                    }
                     prev = key;
                 }
             }
@@ -479,13 +495,24 @@ impl Decode for Response {
             3 => Response::Duration(Nanos::decode(dec)?),
             4 => {
                 let bin_bytes = dec.get_varint()?;
-                // A bin takes two bytes or more: its step and its count.
-                let n = get_count(dec, 2, 0)?;
+                // A bin takes one byte or more: its token.
+                let n = get_count(dec, 1, 0)?;
                 let mut bins = Vec::with_capacity(n);
                 let mut key = 0;
                 for _ in 0..n {
-                    key = unzigzag_step(key, dec.get_varint()?);
-                    bins.push((key, dec.get_varint()?));
+                    let low = dec.get_u8()?;
+                    let mut z = u64::from(low >> 1 & 0x3F);
+                    if low & 0x80 != 0 {
+                        // Bits 7 and up of the token: 58 bits of the step.
+                        let high = dec.get_varint()?;
+                        if high >> 58 != 0 {
+                            return Err(WireError::VarintOverflow);
+                        }
+                        z |= high << 6;
+                    }
+                    key = unzigzag_step(key, z);
+                    let count = if low & 1 == 1 { 1 } else { dec.get_varint()? };
+                    bins.push((key, count));
                 }
                 Response::Hist { bin_bytes, bins }
             }

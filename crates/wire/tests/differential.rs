@@ -282,8 +282,10 @@ impl OldEnc {
         }
     }
 
-    /// The bin width, the bin count, then per bin the zigzagged step from
-    /// the previous key (the first against 0) and the count.
+    /// The bin width, the bin count, then per bin one token, twice the
+    /// zigzagged step from the previous key (the first against 0) plus 1
+    /// when the count is 1, as a 65-bit LEB128; then the count unless it
+    /// is 1.
     fn hist(&mut self, r: &Response) {
         let Response::Hist { bin_bytes, bins } = r else {
             panic!("not a histogram response: {r:?}");
@@ -295,8 +297,20 @@ impl OldEnc {
         for &(key, count) in bins {
             let step = key.wrapping_sub(prev) as i64;
             prev = key;
-            self.varint(((step << 1) ^ (step >> 63)) as u64);
-            self.varint(count);
+            let z = ((step << 1) ^ (step >> 63)) as u64;
+            let mut token = 2 * u128::from(z) + u128::from(count == 1);
+            loop {
+                let byte = (token & 0x7F) as u8;
+                token >>= 7;
+                if token == 0 {
+                    self.0.push(byte);
+                    break;
+                }
+                self.0.push(byte | 0x80);
+            }
+            if count != 1 {
+                self.varint(count);
+            }
         }
     }
 
@@ -554,15 +568,31 @@ impl<'a> OldDec<'a> {
             t => return Err(WireError::InvalidTag(t as u32)),
         }
         let bin_bytes = self.varint()?;
-        // A bin takes two bytes or more: its step and its count.
-        let n = self.count(2, 0)?;
+        // A bin takes one byte or more: its token.
+        let n = self.count(1, 0)?;
         let mut bins = Vec::new();
         let mut key = 0u64;
         for _ in 0..n {
-            let z = self.varint()?;
+            // A token of up to 10 bytes and 65 bits.
+            let mut token = 0u128;
+            for shift in (0..70).step_by(7) {
+                let byte = self.u8()?;
+                token |= u128::from(byte & 0x7F) << shift;
+                if byte & 0x80 == 0 {
+                    break;
+                }
+                if shift == 63 {
+                    return Err(WireError::VarintOverflow);
+                }
+            }
+            if token >> 65 != 0 {
+                return Err(WireError::VarintOverflow);
+            }
+            let z = (token >> 1) as u64;
             let step = ((z >> 1) as i64) ^ -((z & 1) as i64);
             key = key.wrapping_add(step as u64);
-            bins.push((key, self.varint()?));
+            let count = if token & 1 == 1 { 1 } else { self.varint()? };
+            bins.push((key, count));
         }
         Ok(Response::Hist { bin_bytes, bins })
     }
@@ -952,9 +982,59 @@ fn hist_replies_match_the_field_by_field_codec() {
     }
 }
 
+/// Count-1 bins at every step size a token takes, up to the 65-bit token
+/// of a step of magnitude 2^62 or more, against the field-by-field codec;
+/// and the bytes of the largest token spelled out.
+#[test]
+fn count_one_hist_replies_match_the_field_by_field_codec() {
+    let half = 1u64 << 63;
+    let mut keys = vec![0u64, 31, 63, 64, 4_159, 8_255, 1 << 30, half, 0];
+    keys.extend([half - 1, 1 << 62, u64::MAX, 0, u64::MAX - (1 << 62)]);
+    let cases = [
+        keys.iter().map(|&k| (k, 1)).collect::<Vec<_>>(),
+        keys.iter().map(|&k| (k, k % 3)).collect(),
+        (0..500u64)
+            .map(|k| (k * 37, 1 + (k % 5 == 0) as u64))
+            .collect(),
+    ];
+    for bins in cases {
+        let response = Response::Hist {
+            bin_bytes: 10_000,
+            bins,
+        };
+        same_at_every_cut(
+            &response,
+            to_bytes(&response),
+            old_bytes(|e| e.hist(&response)),
+            |b| OldDec::whole(b, |d| d.hist()),
+        );
+    }
+    // Key 2^63 from 0: the step zigzags to `u64::MAX`, and with the count
+    // flag the token is 2^65 − 1: nine bytes of 0xFF, then 0x03.
+    let top = Response::Hist {
+        bin_bytes: 1,
+        bins: vec![(half, 1)],
+    };
+    let mut want = vec![4, 1, 1];
+    want.extend([0xFF; 9]);
+    want.push(0x03);
+    assert_eq!(to_bytes(&top), want);
+    // A tenth byte that sets bit 65 is an error both ways.
+    *want.last_mut().unwrap() = 0x07;
+    assert_eq!(
+        from_bytes::<Response>(&want),
+        Err(WireError::VarintOverflow)
+    );
+    assert_eq!(
+        OldDec::whole(&want, |d| d.hist()),
+        Err(WireError::VarintOverflow)
+    );
+}
+
 /// Exact sizes of 3 000-bin replies, from the documented layout: the tag,
 /// `bin_bytes` 10 000 (two varint bytes), the bin count (two), then per bin
-/// the zigzagged key step and the count, one byte each unless noted.
+/// the token of the key step and count flag, and the count unless it is 1,
+/// one byte each unless noted.
 #[test]
 fn hist_reply_sizes_follow_the_layout() {
     let size = |bins: Vec<(u64, u64)>| {
@@ -965,17 +1045,20 @@ fn hist_reply_sizes_follow_the_layout() {
         .len()
     };
     let head = 1 + 2 + 2;
-    // Dense keys 0..3 000: a step of 0 and then of 1, zigzagged 0 and 2.
+    // Dense keys 0..3 000: a step of 0 and then of 1, zigzagged 0 and 2,
+    // tokens up to 5. The 30 bins whose key is a multiple of 100 hold one
+    // flow and write no count.
     let dense: Vec<(u64, u64)> = (0..3_000).map(|k| (k, 1 + k % 100)).collect();
-    assert_eq!(size(dense.clone()), head + 3_000 * 2);
-    // Sparse keys 0, 1 000, 2 000, …: a step of 1 000 zigzags to 2 000,
-    // two bytes.
+    assert_eq!(size(dense.clone()), head + 3_000 * 2 - 30);
+    // Sparse keys 0, 1 000, 2 000, … holding one flow each: a step of
+    // 1 000 zigzags to 2 000, a token of 4 001, two bytes.
     let sparse: Vec<(u64, u64)> = (0..3_000).map(|i| (i * 1_000, 1)).collect();
-    assert_eq!(size(sparse), head + 1 + 1 + 2_999 * (2 + 1));
-    // Dense keys descending: the first step, 2 999, zigzags to 5 998 (two
-    // bytes); every later step of −1 zigzags to 1.
+    assert_eq!(size(sparse), head + 1 + 2_999 * 2);
+    // Dense keys descending: the first step, 2 999, zigzags to 5 998, a
+    // token of 11 996 (two bytes); every later step of −1 zigzags to 1.
+    // The first bin's count is 100; 30 later bins hold one flow.
     let unsorted: Vec<(u64, u64)> = dense.into_iter().rev().collect();
-    assert_eq!(size(unsorted), head + 2 + 1 + 2_999 * 2);
+    assert_eq!(size(unsorted), head + 2 + 1 + 2_999 * 2 - 30);
 }
 
 #[test]
