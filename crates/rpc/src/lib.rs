@@ -112,6 +112,10 @@
 //!   missed/timed-out (it was unreachable through the tree), and interior
 //!   agents fold their children's coverage into their reply, so the
 //!   controller's view is the exact per-host truth;
+//! - a reply is merged only when its coverage partitions exactly the
+//!   subtree its parent asked: one that drops or adds a host counts a
+//!   protocol error and its subtree ends missed or timed out, as a reply
+//!   of the wrong shape does;
 //! - `elapsed ≤ deadline` whenever `deadline_met` is reported, and
 //!   termination within the deadline holds under arbitrary channel
 //!   behavior (liveness comes from timers, not the channel).

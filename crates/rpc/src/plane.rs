@@ -87,8 +87,9 @@ pub struct PlaneStats {
     /// Frames that failed CRC/decode and were dropped.
     pub decode_failures: u64,
     /// Well-formed frames that violated the protocol (unknown type, a
-    /// response whose shape disagrees with its query, request addressed to
-    /// the controller), and local answers of the wrong shape.
+    /// response whose shape disagrees with its query, a reply whose
+    /// coverage is not exactly the subtree asked, request addressed to the
+    /// controller), and local answers of the wrong shape.
     pub protocol_errors: u64,
     /// Duplicate requests answered from the reply cache.
     pub cache_replies: u64,
@@ -627,7 +628,12 @@ impl<C: Channel, T: HostService, K: Compute> TreePlane<C, T, K> {
             self.stats.late_replies += 1;
             return;
         }
-        if !fits(&agg.query, &msg.response) {
+        // A reply must be an answer to the query over exactly the subtree
+        // asked: a coverage that drops or adds a host would take it out of
+        // the outcome or put it in.
+        let mut asked = Vec::new();
+        subtree_hosts(&agg.children[idx].subtree, &mut asked);
+        if !fits(&agg.query, &msg.response) || !msg.coverage.partitions(&asked) {
             self.stats.protocol_errors += 1;
             return;
         }
