@@ -503,9 +503,11 @@ impl Decode for Response {
                     let low = dec.get_u8()?;
                     let mut z = u64::from(low >> 1 & 0x3F);
                     if low & 0x80 != 0 {
-                        // Bits 7 and up of the token: 58 bits of the step.
+                        // Bits 7 and up of the token: 58 bits of the step,
+                        // in at most 9 more bytes.
+                        let left = dec.remaining();
                         let high = dec.get_varint()?;
-                        if high >> 58 != 0 {
+                        if high >> 58 != 0 || left - dec.remaining() > 9 {
                             return Err(WireError::VarintOverflow);
                         }
                         z |= high << 6;

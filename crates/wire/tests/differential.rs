@@ -1019,16 +1019,19 @@ fn count_one_hist_replies_match_the_field_by_field_codec() {
     want.extend([0xFF; 9]);
     want.push(0x03);
     assert_eq!(to_bytes(&top), want);
-    // A tenth byte that sets bit 65 is an error both ways.
+    // A tenth byte that sets bit 65, and an eleventh byte even when it
+    // adds no bit, are errors both ways.
     *want.last_mut().unwrap() = 0x07;
-    assert_eq!(
-        from_bytes::<Response>(&want),
-        Err(WireError::VarintOverflow)
-    );
-    assert_eq!(
-        OldDec::whole(&want, |d| d.hist()),
-        Err(WireError::VarintOverflow)
-    );
+    let mut long = vec![4, 1, 1, 0x81];
+    long.extend([0x80; 9]);
+    long.push(0);
+    for bad in [want, long] {
+        assert_eq!(from_bytes::<Response>(&bad), Err(WireError::VarintOverflow));
+        assert_eq!(
+            OldDec::whole(&bad, |d| d.hist()),
+            Err(WireError::VarintOverflow)
+        );
+    }
 }
 
 /// Exact sizes of 3 000-bin replies, from the documented layout: the tag,
