@@ -501,7 +501,7 @@ impl Decode for Response {
                 let mut key = 0;
                 for _ in 0..n {
                     let low = dec.get_u8()?;
-                    let mut z = u64::from(low >> 1 & 0x3F);
+                    let mut z = u64::from((low >> 1) & 0x3F);
                     if low & 0x80 != 0 {
                         // Bits 7 and up of the token: 58 bits of the step,
                         // in at most 9 more bytes.
