@@ -167,35 +167,31 @@ impl Invariant {
 pub struct AgentConfig {
     /// Trajectory-memory idle eviction timeout (paper: 5 s).
     pub idle_timeout: Nanos,
-    /// Trajectory-cache capacity (entries).
-    pub cache_capacity: usize,
-    /// Raise [`Reason::InfeasiblePath`] alarms on reconstruction failures.
-    pub alarm_on_infeasible: bool,
-    /// Identical-alarm suppression epoch: a (flow, reason) pair that
-    /// already alarmed within this span is not re-raised (a flow that
-    /// keeps tripping the same invariant — e.g. re-seen after a FIN
-    /// eviction, or reconstruction failing again at finalize — would
-    /// otherwise spam an identical alarm every batch, breaking the
-    /// standing engine's once-per-transition contract end-to-end).
-    pub alarm_epoch: Nanos,
 }
 
 impl Default for AgentConfig {
     fn default() -> Self {
         AgentConfig {
             idle_timeout: Nanos::from_secs(5),
-            cache_capacity: 4096,
-            alarm_on_infeasible: true,
-            alarm_epoch: Nanos::from_secs(5),
         }
     }
 }
+
+/// Trajectory-cache capacity (entries).
+const CACHE_CAPACITY: usize = 4096;
+
+/// Identical-alarm suppression epoch: a (flow, reason) pair that already
+/// alarmed within this span is not re-raised (a flow that keeps tripping
+/// the same invariant — e.g. re-seen after a FIN eviction, or
+/// reconstruction failing again at finalize — would otherwise spam an
+/// identical alarm every batch, breaking the standing engine's
+/// once-per-transition contract end-to-end).
+const ALARM_EPOCH: Nanos = Nanos::from_secs(5);
 
 /// The per-host agent state.
 #[derive(Debug)]
 pub struct HostAgent {
     host: HostId,
-    cfg: AgentConfig,
     /// Active per-path flow records.
     pub memory: TrajectoryMemory,
     /// Trajectory cache (srcIP + link IDs → path).
@@ -215,7 +211,7 @@ pub struct HostAgent {
     /// the alarm bus; this keeps the clears for operators).
     standing_events: Vec<StandingEvent>,
     /// Last raise time per (flow, reason code): the identical-alarm
-    /// suppression epoch (see [`AgentConfig::alarm_epoch`]).
+    /// suppression epoch (see `ALARM_EPOCH`).
     raised_epochs: std::collections::HashMap<(pathdump_topology::FlowId, u8), Nanos>,
     /// Reconstruction failures (infeasible trajectories seen).
     pub recon_failures: u64,
@@ -236,9 +232,8 @@ impl HostAgent {
     pub fn new(host: HostId, cfg: AgentConfig) -> Self {
         HostAgent {
             host,
-            cfg,
             memory: TrajectoryMemory::new(cfg.idle_timeout),
-            cache: TrajectoryCache::new(cfg.cache_capacity),
+            cache: TrajectoryCache::new(CACHE_CAPACITY),
             memo: DecodeMemo::default(),
             tib: TieredTib::new(),
             invariants: Vec::new(),
@@ -326,7 +321,7 @@ impl HostAgent {
         let key = (alarm.flow, alarm.reason.code());
         let now = alarm.at;
         if let Some(&last) = self.raised_epochs.get(&key) {
-            if now.saturating_sub(last) < self.cfg.alarm_epoch {
+            if now.saturating_sub(last) < ALARM_EPOCH {
                 return;
             }
         }
@@ -366,9 +361,8 @@ impl HostAgent {
         self.finalize_batch(fabric, evicted, now);
         // An entry older than the epoch suppresses nothing (`raise` would
         // ignore it), so it only costs memory.
-        let epoch = self.cfg.alarm_epoch;
         self.raised_epochs
-            .retain(|_, last| now.saturating_sub(*last) < epoch);
+            .retain(|_, last| now.saturating_sub(*last) < ALARM_EPOCH);
     }
 
     /// Flushes everything from trajectory memory into the TIB.
@@ -494,15 +488,13 @@ impl HostAgent {
 
     fn note_infeasible(&mut self, flow: pathdump_topology::FlowId, now: Nanos) {
         self.recon_failures += 1;
-        if self.cfg.alarm_on_infeasible {
-            self.raise(Alarm {
-                flow,
-                reason: Reason::InfeasiblePath,
-                paths: Vec::new(),
-                host: self.host,
-                at: now,
-            });
-        }
+        self.raise(Alarm {
+            flow,
+            reason: Reason::InfeasiblePath,
+            paths: Vec::new(),
+            host: self.host,
+            at: now,
+        });
     }
 
     /// Executes a TIB query locally; `include_live` additionally reads the
