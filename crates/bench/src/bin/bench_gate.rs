@@ -1,18 +1,13 @@
-//! The CI bench-regression gate: re-measures the three gated perf
-//! metrics and fails (nonzero exit) when any regresses more than the
-//! tolerance against the committed `BENCH_tib.json` baseline — the first
-//! *blocking* perf check in the pipeline, so a PR that halves the engine's
-//! throughput no longer sails through on green tests.
+//! The CI bench-regression gate: re-measures the gated perf metrics and
+//! fails (nonzero exit) when any regresses more than the tolerance against
+//! the committed `BENCH_tib.json` baseline, or crosses its fixed ceiling —
+//! so a PR that halves the engine's throughput no longer sails through on
+//! green tests.
 //!
 //! Gated metrics (see `pathdump_bench::report` for the comparison logic):
 //!
 //! * `events_per_sec` — the k=8 simnet workload, measured in-process
 //!   (median of `--runs` runs; higher better).
-//! * `strip_path_min_speedup` — the dpswitch zero-copy strip-path speedup
-//!   vs the fixed pre-PR-4 medians, re-derived from a fresh
-//!   `dpswitch_throughput` bench run (higher better). The committed
-//!   baseline was re-based at the batched-pipeline level (~2.8, up from
-//!   ~2.2), so the gate now holds the improved level.
 //! * `batched_over_frame_512` — the batched-parse case: the per-frame
 //!   512 B median over the batched one (`pathdump_frame/512` ÷
 //!   `pathdump/512`; higher better). A same-run ratio, so far less
@@ -20,10 +15,10 @@
 //!   minutes apart within the run, so it gets a slightly widened band
 //!   ([`BATCH_RATIO_SCALE`]) and fails when the batch pipeline becomes a
 //!   clear pessimization vs per-frame processing.
-//! * `pathdump_gap_512` — the tentpole acceptance ratio: the PathDump
-//!   512 B median over vanilla (`pathdump/512` ÷ `vanilla/512`; lower
-//!   better), gated against the committed ratio *and* held under the
-//!   absolute [`GAP_512_CEILING`], which survives baseline re-basing.
+//! * `pathdump_gap_512` — the strip path's cost: the PathDump 512 B
+//!   median over vanilla (`pathdump/512` ÷ `vanilla/512`; lower better),
+//!   gated against the committed ratio *and* held under the absolute
+//!   [`GAP_512_CEILING`], which survives baseline re-basing.
 //! * `get_flows_wildcard_into_tor` — the TIB wildcard-query median from a
 //!   fresh `tib_queries` bench run (lower better).
 //! * `tib_scale_ingest_per_sec` / `tib_scale_recovery_ms` — the tiered
@@ -37,9 +32,6 @@
 //!   better). A same-run ratio with no baseline: held under the absolute
 //!   [`EVICT_RATIO_CEILING`], so a FIN that walks the whole memory again
 //!   (≈ 150×) fails on any machine.
-//! * `ingest_events_per_sec` — the host agent's per-packet ingest rate
-//!   (`ingest_scale`; higher better). An absolute timing, so it runs in
-//!   the widened [`DRIFT_SCALE`] band, on every runner.
 //! * `topk_codec_over_crc` — the top-k reply's encode plus decode time per
 //!   byte over the CRC's (`report::codec_over_crc`; lower better). Each
 //!   `wire_codec` run gives one same-run ratio and the gate takes the
@@ -48,33 +40,33 @@
 //!   [`CODEC_OVER_CRC_CEILING`], so an encoder that does its work twice
 //!   fails on any machine. No absolute codec timing is gated.
 //!
-//! Usage: `cargo run --release -p pathdump_bench --bin bench_gate
-//! [-- --baseline PATH] [--tolerance F] [--runs N] [--handicap F]`.
-//! `--handicap 2` divides the measured performance by 2 before comparing —
-//! the knob used to demonstrate that the gate actually fails on an
-//! injected 2× slowdown.
+//! The host agent's per-packet cost and the strip path's absolute cost are
+//! held end to end, in alternating pairs, by the `ingest_steady` and
+//! `strip_64` workloads of the repository's `benchmark/` package.
 //!
-//! Caveat: `events_per_sec`, `strip_path_min_speedup`, the wildcard-query
-//! median and the ingest rate are absolute timings, so the committed
-//! baseline is **hardware-class-sensitive** — it must be produced on (or
-//! re-based to) the machine class that enforces it — and even on one
-//! machine their medians drift up to ~2x between timing windows on
-//! shared/virtualized runners. Those gates therefore run with a widened
-//! band ([`DRIFT_SCALE`] × the base tolerance); the same-run ratio gates
-//! keep the tight band and carry the precision. When the CI runner class
-//! changes, refresh the baseline with `bench_trajectory` and commit it;
-//! `--tolerance` widens every band proportionally for a one-off run.
+//! Usage: `cargo run --release -p pathdump_bench --bin bench_gate
+//! [-- --baseline PATH] [--tolerance F] [--runs N]`. An unknown flag, or a
+//! value that does not parse, exits 2.
+//!
+//! Caveat: `events_per_sec`, the wildcard-query median and the two
+//! `tib_scale` numbers are absolute timings, so the committed baseline is
+//! **hardware-class-sensitive** — it must be produced on (or re-based to)
+//! the machine class that enforces it — and even on one machine their
+//! medians drift up to ~2x between timing windows on shared/virtualized
+//! runners. Those gates therefore run with a widened band ([`DRIFT_SCALE`]
+//! × the base tolerance); the same-run ratio gates keep the tight band and
+//! carry the precision. When the CI runner class changes, refresh the
+//! baseline with `bench_trajectory` and commit it; `--tolerance` widens
+//! every band proportionally for a one-off run.
 
-use pathdump_bench::codec_topk_reply;
-use pathdump_bench::ingest_scale::{build_stream, run_ingest, IngestParams};
 use pathdump_bench::memory_scale::{evict_ratio, run_memory_curve, EVICT_RATIO_CEILING};
 use pathdump_bench::report::{
-    codec_over_crc, failing_checks, json_number, recorded_ingest_events_per_sec,
-    recorded_median_ns, recorded_simnet_events_per_sec, recorded_tib_scale_number, run_cargo_bench,
-    strip_path_min_speedup, Direction, GateCheck, CODEC_OVER_CRC_CEILING,
+    codec_over_crc, failing_checks, recorded_median_ns, recorded_simnet_events_per_sec,
+    recorded_tib_scale_number, run_cargo_bench, Direction, GateCheck, CODEC_OVER_CRC_CEILING,
 };
 use pathdump_bench::simnet_scale::{run_scale_with, ScaleParams};
 use pathdump_bench::tib_scale::{run_tib_scale, TibScaleParams, TibScaleResult};
+use pathdump_bench::{codec_topk_reply, exit_usage, flag_value};
 
 /// Hard ceiling on the PathDump-vs-vanilla 512 B gap — the PR-7
 /// acceptance criterion (was ~5.8× before the batched pipeline, ~3.1×
@@ -105,29 +97,23 @@ struct GateArgs {
     baseline: String,
     tolerance: f64,
     runs: usize,
-    handicap: f64,
 }
 
-fn parse_args() -> GateArgs {
+fn parse_args(mut flags: impl Iterator<Item = String>) -> Result<GateArgs, String> {
     let mut g = GateArgs {
         baseline: "BENCH_tib.json".to_string(),
         tolerance: 0.30,
         runs: 5,
-        handicap: 1.0,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut next = |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+    while let Some(a) = flags.next() {
         match a.as_str() {
-            "--baseline" => g.baseline = next("--baseline"),
-            "--tolerance" => g.tolerance = next("--tolerance").parse().expect("--tolerance"),
-            "--runs" => g.runs = next("--runs").parse().expect("--runs"),
-            "--handicap" => g.handicap = next("--handicap").parse().expect("--handicap"),
-            other => eprintln!("ignoring unknown flag {other}"),
+            "--baseline" => g.baseline = flag_value("--baseline", &mut flags)?,
+            "--tolerance" => g.tolerance = flag_value("--tolerance", &mut flags)?,
+            "--runs" => g.runs = flag_value("--runs", &mut flags)?,
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    assert!(g.handicap >= 1.0, "--handicap must be >= 1 (a slowdown)");
-    g
+    Ok(g)
 }
 
 /// Median events/sec of the k=8 workload.
@@ -141,7 +127,7 @@ fn measure_simnet_events_per_sec(runs: usize) -> f64 {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e));
     let doc = std::fs::read_to_string(&args.baseline).unwrap_or_else(|e| {
         eprintln!("FAIL: cannot read baseline {}: {e}", args.baseline);
         std::process::exit(1);
@@ -161,10 +147,6 @@ fn main() {
         recorded_simnet_events_per_sec(&doc),
         "simnet events_per_sec",
     );
-    let base_strip = need(
-        json_number(&doc, "strip_path_min_speedup"),
-        "strip_path_min_speedup",
-    );
     let base_wildcard = need(
         recorded_median_ns(&doc, "tib_240k/get_flows_wildcard_into_tor"),
         "get_flows_wildcard_into_tor median",
@@ -183,10 +165,6 @@ fn main() {
         recorded_ratio("dpswitch/pathdump/512", "dpswitch/vanilla/512"),
         "dpswitch pathdump/512 + vanilla/512 medians",
     );
-    let base_ingest = need(
-        recorded_ingest_events_per_sec(&doc),
-        "ingest events_per_sec",
-    );
     let base_tib_ingest = need(
         recorded_tib_scale_number(&doc, "ingest_events_per_sec"),
         "tib_scale ingest_events_per_sec",
@@ -202,17 +180,13 @@ fn main() {
 
     // Fresh measurements.
     eprintln!("bench_gate: measuring simnet k=8 ({} runs)...", args.runs);
-    let cur_eps = measure_simnet_events_per_sec(args.runs) / args.handicap;
+    let cur_eps = measure_simnet_events_per_sec(args.runs);
 
     eprintln!("bench_gate: running dpswitch_throughput...");
     let dpswitch = run_cargo_bench("dpswitch_throughput").unwrap_or_else(|e| {
         eprintln!("FAIL: {e}");
         std::process::exit(1);
     });
-    let cur_strip = strip_path_min_speedup(&dpswitch).unwrap_or_else(|| {
-        eprintln!("FAIL: dpswitch bench produced no pathdump strip medians");
-        std::process::exit(1);
-    }) / args.handicap;
     let dpswitch_median = |name: &str| -> f64 {
         dpswitch
             .iter()
@@ -225,11 +199,9 @@ fn main() {
     };
     // Same-run ratios: immune to box-speed drift between gate runs.
     let cur_batched_ratio = dpswitch_median("dpswitch/pathdump_frame/512")
-        / dpswitch_median("dpswitch/pathdump/512").max(1e-9)
-        / args.handicap;
+        / dpswitch_median("dpswitch/pathdump/512").max(1e-9);
     let cur_gap = dpswitch_median("dpswitch/pathdump/512")
-        / dpswitch_median("dpswitch/vanilla/512").max(1e-9)
-        * args.handicap;
+        / dpswitch_median("dpswitch/vanilla/512").max(1e-9);
 
     eprintln!("bench_gate: running tib_queries...");
     let tib = run_cargo_bench("tib_queries").unwrap_or_else(|e| {
@@ -243,8 +215,7 @@ fn main() {
         .unwrap_or_else(|| {
             eprintln!("FAIL: tib bench lacks get_flows_wildcard_into_tor");
             std::process::exit(1);
-        })
-        * args.handicap;
+        });
 
     eprintln!("bench_gate: running wire_codec ({} runs)...", args.runs);
     let reply_bytes = pathdump_wire::to_bytes(&codec_topk_reply()).len();
@@ -261,20 +232,13 @@ fn main() {
         })
         .collect();
     codec_ratios.sort_by(f64::total_cmp);
-    let cur_codec = codec_ratios[codec_ratios.len() / 2] * args.handicap;
+    let cur_codec = codec_ratios[codec_ratios.len() / 2];
 
     let mut checks = vec![
         GateCheck {
             metric: "events_per_sec",
             baseline: base_eps,
             current: cur_eps,
-            direction: Direction::HigherIsBetter,
-            tolerance_scale: DRIFT_SCALE,
-        },
-        GateCheck {
-            metric: "strip_path_min_speedup",
-            baseline: base_strip,
-            current: cur_strip,
             direction: Direction::HigherIsBetter,
             tolerance_scale: DRIFT_SCALE,
         },
@@ -313,47 +277,25 @@ fn main() {
     checks.push(GateCheck {
         metric: "tib_scale_ingest_per_sec",
         baseline: base_tib_ingest,
-        current: tib_median.ingest_events_per_sec / args.handicap,
+        current: tib_median.ingest_events_per_sec,
         direction: Direction::HigherIsBetter,
         tolerance_scale: DRIFT_SCALE,
     });
     checks.push(GateCheck {
         metric: "tib_scale_recovery_ms",
         baseline: base_tib_recovery,
-        current: tib_median.recovery_wall_ms * args.handicap,
+        current: tib_median.recovery_wall_ms,
         direction: Direction::LowerIsBetter,
         tolerance_scale: DRIFT_SCALE,
     });
 
-    eprintln!(
-        "bench_gate: measuring host-agent ingest ({} runs)...",
-        args.runs
-    );
-    let stream = build_stream(IngestParams::default_shape());
-    let mut rates: Vec<f64> = (0..args.runs.max(1))
-        .map(|_| run_ingest(&stream).events_per_sec)
-        .collect();
-    rates.sort_by(f64::total_cmp);
-    checks.push(GateCheck {
-        metric: "ingest_events_per_sec",
-        baseline: base_ingest,
-        current: rates[rates.len() / 2] / args.handicap,
-        direction: Direction::HigherIsBetter,
-        tolerance_scale: DRIFT_SCALE,
-    });
-
     eprintln!("bench_gate: measuring trajectory-memory FIN cost (1k/8k/64k live records)...");
-    let cur_evict_ratio = evict_ratio(&run_memory_curve(args.runs)) * args.handicap;
+    let cur_evict_ratio = evict_ratio(&run_memory_curve(args.runs));
 
     println!(
-        "bench_gate vs {} (tolerance {:.0}%{}):",
+        "bench_gate vs {} (tolerance {:.0}%):",
         args.baseline,
-        args.tolerance * 100.0,
-        if args.handicap > 1.0 {
-            format!(", injected {:.2}x handicap", args.handicap)
-        } else {
-            String::new()
-        }
+        args.tolerance * 100.0
     );
     for c in &checks {
         println!(

@@ -1,40 +1,43 @@
 //! Perf-trajectory capture: runs the four Criterion benches
 //! (`tib_queries`, `wire_codec`, `reconstruct`, `dpswitch_throughput`)
 //! via nested `cargo bench` invocations (parsing shared with `bench_gate`
-//! through `pathdump_bench::report`), runs the in-process simnet scale
-//! workload (k=8, see the `simnet_scale` module),
-//! and writes one `BENCH_tib.json` with a `benchmarks` array, a `simnet`
-//! section (events/sec and the CPU count of the box that measured
-//! them), an `ingest` section (the host agent's
-//! per-packet ingest rate — see `ingest_scale`; drift-banded by
-//! `bench_gate`), a `memory` section (trajectory-memory
-//! `evict_flow` ns/FIN and `update_wire` ns/packet at 1 k / 8 k / 64 k
-//! live records — see `memory_scale`; `bench_gate` holds the 64 k / 1 k
-//! FIN ratio under a fixed ceiling), `dpswitch`/`reconstruct`
-//! before-vs-after sections, a `standing` section (per-record overhead
-//! of the incremental standing-query engine at 0/4/16 registered
-//! watches — trend-watching only, see `standing_scale`), a `tib_scale`
-//! section (the tiered storage engine at 1M records: sealed-segment
-//! ingest rate, cold-segment ranged-query latency, crash-recovery wall
-//! — the ingest rate and recovery wall are drift-banded by
-//! `bench_gate`; the blocking 10M gate is the `tib_scale` bin), and a
-//! `verifier` section (static-analysis wall time over k=16 fat-tree
-//! and VL2 — trend-watching only, gated separately by `verifier_gate`)
-//! — the recorded perf trajectory CI uploads as an artifact and the
+//! through `pathdump_bench::report`) and the in-process workloads, and
+//! writes one `BENCH_tib.json` with:
+//!
+//! * a `benchmarks` array — every Criterion median; `bench_gate` reads its
+//!   dpswitch and wildcard-query baselines from here;
+//! * a `reconstruct` section — two same-run warm-over-cold decode ratios
+//!   and a note on reading them;
+//! * a `simnet` section — events/sec of the k=8 workload and the CPU count
+//!   of the box that measured them (see `simnet_scale`);
+//! * a `memory` section — trajectory-memory `evict_flow` ns/FIN and
+//!   `update_wire` ns/packet at 1 k / 8 k / 64 k live records (see
+//!   `memory_scale`; `bench_gate` holds the 64 k / 1 k FIN ratio under a
+//!   fixed ceiling);
+//! * a `standing` section — per-record overhead of the incremental
+//!   standing-query engine at 0/4/16 registered watches (trend-watching
+//!   only, see `standing_scale`);
+//! * a `tib_scale` section — the tiered storage engine at 1M records:
+//!   sealed-segment ingest rate, cold-segment ranged-query latency,
+//!   crash-recovery wall (the ingest rate and recovery wall are
+//!   drift-banded by `bench_gate`; the blocking 10M gate is the
+//!   `tib_scale` bin);
+//! * a `verifier` section — static-analysis wall time over k=16 fat-tree
+//!   and VL2 (trend-watching only, gated separately by `verifier_gate`).
+//!
+//! It is the recorded perf trajectory CI uploads as an artifact and the
 //! `bench_gate` job compares against.
 //!
 //! Usage: `cargo run --release -p pathdump_bench --bin bench_trajectory
 //! [-- --out PATH]` (default `BENCH_tib.json` in the working directory).
+//! An unknown flag exits 2.
 
-use pathdump_bench::ingest_scale::{build_stream, run_ingest, IngestParams, IngestResult};
 use pathdump_bench::memory_scale::{evict_ratio, run_memory_curve};
-use pathdump_bench::report::{
-    baseline_of, json_escape, median_of, run_cargo_bench, strip_path_min_speedup, Entry,
-    DPSWITCH_BASELINE_NS, RECONSTRUCT_BASELINE_NS,
-};
+use pathdump_bench::report::{json_escape, median_of, run_cargo_bench, Entry};
 use pathdump_bench::simnet_scale::{run_scale_with, ScaleParams, ScaleResult};
 use pathdump_bench::standing_scale::{self, StandingParams, StandingResult};
 use pathdump_bench::tib_scale::{run_tib_scale, TibScaleParams, TibScaleResult};
+use pathdump_bench::{exit_usage, flag_value};
 use pathdump_topology::{FatTree, FatTreeParams, RouteTables, UpDownRouting, Vl2, Vl2Params};
 use pathdump_verifier::{verify, IntentModel};
 
@@ -45,46 +48,8 @@ const BENCHES: [&str; 4] = [
     "dpswitch_throughput",
 ];
 
-/// Builds a before/after section for one bench: every current case, its
-/// pre-PR baseline where one exists, and the speedup.
-fn before_after_cases(entries: &[Entry], bench: &str, baseline: &[(&str, f64)]) -> String {
-    let mut rows = Vec::new();
-    for e in entries.iter().filter(|e| e.bench == bench) {
-        let row = match baseline_of(baseline, &e.name) {
-            Some(base) => format!(
-                "    {{\"name\": \"{}\", \"median_ns\": {}, \"baseline_ns\": {}, \"speedup_vs_baseline\": {:.3}}}",
-                json_escape(&e.name),
-                e.median_ns,
-                base,
-                base / e.median_ns.max(1e-9)
-            ),
-            None => format!(
-                "    {{\"name\": \"{}\", \"median_ns\": {}, \"baseline_ns\": null}}",
-                json_escape(&e.name),
-                e.median_ns
-            ),
-        };
-        rows.push(row);
-    }
-    rows.join(",\n")
-}
-
-/// The `dpswitch` section: before/after per case plus the gate number —
-/// the smallest pathdump (strip-path) speedup across sizes.
-fn dpswitch_section(entries: &[Entry]) -> String {
-    let gate = match strip_path_min_speedup(entries) {
-        Some(s) => format!("{s:.3}"),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\n  \"baseline\": \"pre-PR4 (two copies + two allocations per frame per pass)\",\n  \"strip_path_min_speedup\": {gate},\n  \"cases\": [\n{}\n    ]\n  }}",
-        before_after_cases(entries, "dpswitch_throughput", DPSWITCH_BASELINE_NS)
-    )
-}
-
-/// The `reconstruct` section: before/after per case plus the warm/cold
-/// ratios for the closed-form fast path and the memoized candidate-walk
-/// (punted ≥3-tag) decode.
+/// The `reconstruct` section: the warm/cold ratios for the closed-form
+/// fast path and the memoized candidate-walk (punted ≥3-tag) decode.
 ///
 /// The fast-path ratio is **expected to sit below 1** and is not a
 /// regression: `cold_decode`/`memo_warm_decode`/`cached_decode` measure
@@ -109,39 +74,10 @@ fn reconstruct_section(entries: &[Entry]) -> String {
                 punted >=3-tag candidate walk (walk_cold_decode vs \
                 walk_memo_decode).";
     format!(
-        "{{\n  \"baseline\": \"pre-PR4 (no decode memo)\",\n  \"note\": \"{}\",\n  \"warm_over_cold_candidate_walk\": {},\n  \"warm_over_cold_fast_path\": {},\n  \"cases\": [\n{}\n    ]\n  }}",
+        "{{\n  \"note\": \"{}\",\n  \"warm_over_cold_candidate_walk\": {},\n  \"warm_over_cold_fast_path\": {}\n  }}",
         json_escape(note),
         ratio("reconstruct/walk_cold_decode", "reconstruct/walk_memo_decode"),
-        ratio("reconstruct/cold_decode", "reconstruct/memo_warm_decode"),
-        before_after_cases(entries, "reconstruct", RECONSTRUCT_BASELINE_NS)
-    )
-}
-
-/// Runs the host-agent ingest workload (median of `runs`) and returns the
-/// `ingest` JSON object: one `HostAgent` case, drift-banded by
-/// `bench_gate` on every runner.
-fn ingest_section(runs: usize) -> String {
-    let p = IngestParams::default_shape();
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let stream = build_stream(p);
-    let mut rs: Vec<IngestResult> = (0..runs.max(1)).map(|_| run_ingest(&stream)).collect();
-    rs.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
-    let r = rs.swap_remove(rs.len() / 2);
-    eprintln!(
-        "ingest: {:.2}M events/s, {} TIB records ({cpus} cpu(s))",
-        r.events_per_sec / 1e6,
-        r.tib_records
-    );
-    format!(
-        "{{\n  \"flows\": {},\n  \"pkts_per_flow\": {},\n  \"cpus\": {cpus},\n  \"cases\": [\n    {{\"agent\": \"HostAgent\", \"events\": {}, \"tib_records\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}}}\n    ]\n  }}",
-        p.flows,
-        p.pkts_per_flow,
-        r.events,
-        r.tib_records,
-        r.wall_secs * 1e3,
-        r.events_per_sec
+        ratio("reconstruct/cold_decode", "reconstruct/memo_warm_decode")
     )
 }
 
@@ -328,8 +264,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            other => eprintln!("ignoring unknown flag {other}"),
+            "--out" => out_path = flag_value("--out", &mut args).unwrap_or_else(|e| exit_usage(&e)),
+            other => exit_usage(&format!("unknown flag {other}")),
         }
     }
 
@@ -348,9 +284,6 @@ fn main() {
 
     eprintln!("running simnet scale workload (k=8)...");
     let simnet = simnet_section(3);
-
-    eprintln!("running host-agent ingest workload...");
-    let ingest = ingest_section(3);
 
     eprintln!("running trajectory-memory FIN/update curve...");
     let memory = memory_section(5);
@@ -375,14 +308,10 @@ fn main() {
             e.samples
         ));
     }
-    json.push_str("  ],\n  \"dpswitch\": ");
-    json.push_str(&dpswitch_section(&entries));
-    json.push_str(",\n  \"reconstruct\": ");
+    json.push_str("  ],\n  \"reconstruct\": ");
     json.push_str(&reconstruct_section(&entries));
     json.push_str(",\n  \"simnet\": ");
     json.push_str(&simnet);
-    json.push_str(",\n  \"ingest\": ");
-    json.push_str(&ingest);
     json.push_str(",\n  \"memory\": ");
     json.push_str(&memory);
     json.push_str(",\n  \"standing\": ");
@@ -400,46 +329,5 @@ fn main() {
             entries.len()
         );
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn before_after_sections() {
-        let entries = vec![
-            Entry {
-                bench: "dpswitch_throughput",
-                name: "dpswitch/pathdump/64".into(),
-                median_ns: 350_007.0,
-                samples: 20,
-            },
-            Entry {
-                bench: "reconstruct",
-                name: "reconstruct/walk_cold_decode".into(),
-                median_ns: 250_000.0,
-                samples: 30,
-            },
-            Entry {
-                bench: "reconstruct",
-                name: "reconstruct/walk_memo_decode".into(),
-                median_ns: 1_250.0,
-                samples: 30,
-            },
-        ];
-        let dp = dpswitch_section(&entries);
-        // 700014 / 350007 = 2.0: the pathdump-64 case is the only strip
-        // median present, so it is also the minimum.
-        assert!(dp.contains("\"strip_path_min_speedup\": 2.000"), "{dp}");
-        assert!(dp.contains("\"baseline_ns\": 700014"), "{dp}");
-        let rc = reconstruct_section(&entries);
-        assert!(
-            rc.contains("\"warm_over_cold_candidate_walk\": 200.000"),
-            "{rc}"
-        );
-        assert!(rc.contains("\"warm_over_cold_fast_path\": null"), "{rc}");
-        assert!(rc.contains("\"baseline_ns\": null"), "{rc}");
     }
 }

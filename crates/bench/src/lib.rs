@@ -1,9 +1,19 @@
-//! Shared harness utilities for the table/figure reproduction binaries and
-//! the Criterion micro-benchmarks.
+//! Shared harness utilities for the table/figure reproduction binaries,
+//! the Criterion micro-benchmarks and the bench gates.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (the file name says which) and prints the same rows/series the paper
-//! reports, plus a `paper:` reference line with the paper's own number.
+//! Every `fig*`, `table2` and `overheads` binary in `src/bin/` regenerates
+//! one table or figure of the paper (the file name says which) and prints
+//! the same rows/series the paper reports, plus a `paper:` reference line
+//! with the paper's own number; those that take flags read them with
+//! [`Args::parse`].
+//!
+//! `bench_trajectory` records `BENCH_tib.json` and `bench_gate` holds fresh
+//! runs to it, both through [`report`]. Their in-process workloads are the
+//! k = 8 simulator ([`simnet_scale`]), the trajectory memory's FIN cost
+//! ([`memory_scale`]), the standing-query engine ([`standing_scale`]) and
+//! the tiered store ([`tib_scale`], also behind the blocking `tib_scale`
+//! bin). The host agent's per-packet cost is measured end to end by the
+//! `ingest_steady` workload of the repository's `benchmark/` package.
 
 use pathdump_core::{Query, Response};
 use pathdump_rpc::{Channel, Loopback, Measured, PlaneStats, QueryOutcome, RpcConfig, TreePlane};
@@ -12,7 +22,6 @@ use pathdump_topology::{FatTree, FatTreeParams, FlowId, HostId, Nanos, TimeRange
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-pub mod ingest_scale;
 pub mod memory_scale;
 pub mod report;
 pub mod simnet_scale;
@@ -36,41 +45,49 @@ pub struct Args {
 
 impl Args {
     /// Parses `--full`, `--runs N`, `--seed N`, `--max-secs S` from
-    /// `std::env::args`.
+    /// `std::env::args`. Any other flag, or a value that does not parse,
+    /// exits 2 naming it: a scale gate run with a mistyped `--max-secs`
+    /// would otherwise run with no budget and pass.
     pub fn parse() -> Args {
+        Args::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e))
+    }
+
+    /// [`Args::parse`] over the flags after the program name.
+    pub fn parse_from(flags: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut args = Args {
             full: false,
             runs: 0, // 0 = binary default
             seed: 1,
             max_secs: 0.0,
         };
-        let mut it = std::env::args().skip(1);
+        let mut it = flags.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--full" => args.full = true,
-                "--runs" => {
-                    args.runs = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--runs needs a number");
-                }
-                "--seed" => {
-                    args.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs a number");
-                }
-                "--max-secs" => {
-                    args.max_secs = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--max-secs needs a number");
-                }
-                other => eprintln!("ignoring unknown flag {other}"),
+                "--runs" => args.runs = flag_value("--runs", &mut it)?,
+                "--seed" => args.seed = flag_value("--seed", &mut it)?,
+                "--max-secs" => args.max_secs = flag_value("--max-secs", &mut it)?,
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        args
+        Ok(args)
     }
+}
+
+/// The value that follows `flag` in `it`, parsed; the error names the flag
+/// when the value is missing or does not parse.
+pub fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag}: cannot parse `{v}`"))
+}
+
+/// Prints a command-line error and exits 2, the status of a usage error.
+pub fn exit_usage(err: &str) -> ! {
+    eprintln!("error: {err}");
+    std::process::exit(2)
 }
 
 /// Prints a header block for a figure/table reproduction.
@@ -241,6 +258,30 @@ mod tests {
         }
         let c = synth_tib(&ft, HostId(4), 500, 42);
         assert_ne!(a.records_vec(), c.records_vec(), "per-host variation");
+    }
+
+    #[test]
+    fn args_reject_unknown_flags_and_bad_values() {
+        let parse = |flags: &[&str]| Args::parse_from(flags.iter().map(|f| f.to_string()));
+        let a = parse(&["--full", "--runs", "3", "--seed", "7", "--max-secs", "120"]).unwrap();
+        assert!(a.full);
+        assert_eq!((a.runs, a.seed, a.max_secs), (3, 7, 120.0));
+        let d = parse(&[]).unwrap();
+        assert_eq!((d.full, d.runs, d.seed, d.max_secs), (false, 0, 1, 0.0));
+        // A typo of CI's `--max-secs 120` must not run with no budget.
+        assert_eq!(
+            parse(&["--max-sec", "120"]).unwrap_err(),
+            "unknown flag --max-sec"
+        );
+        assert_eq!(
+            parse(&["--max-secs", "abc"]).unwrap_err(),
+            "--max-secs: cannot parse `abc`"
+        );
+        assert_eq!(parse(&["--runs"]).unwrap_err(), "--runs needs a value");
+        assert_eq!(
+            parse(&["--seed", "-1"]).unwrap_err(),
+            "--seed: cannot parse `-1`"
+        );
     }
 
     #[test]

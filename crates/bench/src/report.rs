@@ -83,41 +83,8 @@ pub fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Pre-PR-4 medians (the last `BENCH_tib.json` committed before the
-/// zero-copy ingest pipeline landed), used to report before/after speedups
-/// for the two hot paths that PR rebuilt. The `strip_path_min_speedup`
-/// gate metric is defined against these constants, so the gate measures
-/// the same ratio on every machine.
-pub const DPSWITCH_BASELINE_NS: &[(&str, f64)] = &[
-    ("dpswitch/vanilla/64", 476_714.0),
-    ("dpswitch/pathdump/64", 700_014.0),
-    ("dpswitch/vanilla/512", 571_882.0),
-    ("dpswitch/pathdump/512", 1_277_122.0),
-    ("dpswitch/vanilla/1500", 1_576_772.0),
-    ("dpswitch/pathdump/1500", 1_879_560.0),
-];
-pub const RECONSTRUCT_BASELINE_NS: &[(&str, f64)] = &[
-    ("reconstruct/cold_decode", 1_263.0),
-    ("reconstruct/cached_decode", 3_366.0),
-];
-
-pub fn baseline_of(table: &[(&str, f64)], name: &str) -> Option<f64> {
-    table.iter().find(|(n, _)| *n == name).map(|&(_, ns)| ns)
-}
-
 pub fn median_of(entries: &[Entry], name: &str) -> Option<f64> {
     entries.iter().find(|e| e.name == name).map(|e| e.median_ns)
-}
-
-/// The smallest pathdump (strip-path) speedup across frame sizes, against
-/// the fixed pre-PR-4 medians — the dpswitch gate metric.
-pub fn strip_path_min_speedup(entries: &[Entry]) -> Option<f64> {
-    let min = DPSWITCH_BASELINE_NS
-        .iter()
-        .filter(|(n, _)| n.contains("/pathdump/"))
-        .filter_map(|&(n, base)| median_of(entries, n).map(|cur| base / cur.max(1e-9)))
-        .fold(f64::INFINITY, f64::min);
-    min.is_finite().then_some(min)
 }
 
 // ---------------------------------------------------------------------------
@@ -161,11 +128,6 @@ pub fn codec_over_crc(entries: &[Entry], reply_bytes: usize) -> Option<f64> {
     Some(codec / reply_bytes as f64 / (crc / CRC_CASE_BYTES as f64))
 }
 
-/// The first `"key": <number>` anywhere in the document.
-pub fn json_number(doc: &str, key: &str) -> Option<f64> {
-    number_after(doc, key, 0).map(|(v, _)| v)
-}
-
 /// The `median_ns` recorded for benchmark case `name` in the `benchmarks`
 /// array.
 pub fn recorded_median_ns(doc: &str, name: &str) -> Option<f64> {
@@ -183,11 +145,6 @@ fn section_number(doc: &str, section: &str, key: &str) -> Option<f64> {
 /// The `events_per_sec` of the `simnet` section's one k=8 case.
 pub fn recorded_simnet_events_per_sec(doc: &str) -> Option<f64> {
     section_number(doc, "simnet", "events_per_sec")
-}
-
-/// The `events_per_sec` of the `ingest` section's one `HostAgent` case.
-pub fn recorded_ingest_events_per_sec(doc: &str) -> Option<f64> {
-    section_number(doc, "ingest", "events_per_sec")
 }
 
 /// A number recorded in the `tib_scale` section.
@@ -298,22 +255,12 @@ mod tests {
     {"bench": "tib_queries", "name": "tib_240k/get_flows_wildcard_into_tor", "median_ns": 269445, "samples": 20},
     {"bench": "tib_queries", "name": "tib_240k/top_k_10000", "median_ns": 2356684, "samples": 20}
   ],
-  "dpswitch": {
-  "strip_path_min_speedup": 2.035,
-  "cases": []
-  },
   "simnet": {
   "k": 8,
   "cpus": 1,
   "events": 499200,
   "wall_ms": 141.657,
   "events_per_sec": 3523996
-  },
-  "ingest": {
-  "cpus": 1,
-  "cases": [
-    {"agent": "HostAgent", "events": 32768, "tib_records": 2048, "wall_ms": 9.830, "events_per_sec": 3333469}
-    ]
   }
 }"#;
 
@@ -328,13 +275,8 @@ mod tests {
             Some(2356684.0)
         );
         assert_eq!(recorded_median_ns(DOC, "missing/case"), None);
-        assert_eq!(json_number(DOC, "strip_path_min_speedup"), Some(2.035));
         assert_eq!(recorded_simnet_events_per_sec(DOC), Some(3523996.0));
         assert_eq!(recorded_simnet_events_per_sec("{}"), None);
-        // The ingest lookup anchors inside the ingest section, past the
-        // simnet case that also carries "events_per_sec".
-        assert_eq!(recorded_ingest_events_per_sec(DOC), Some(3333469.0));
-        assert_eq!(recorded_ingest_events_per_sec("{}"), None);
     }
 
     /// The acceptance demonstration: an injected 2× slowdown must trip the
@@ -381,26 +323,5 @@ mod tests {
         };
         assert!(!drifty(200.0).regressed(0.30));
         assert!(drifty(250.0).regressed(0.30));
-    }
-
-    #[test]
-    fn strip_speedup_uses_min_across_sizes() {
-        let entries = vec![
-            Entry {
-                bench: "dpswitch_throughput",
-                name: "dpswitch/pathdump/64".into(),
-                median_ns: 350_007.0, // 2.0x
-                samples: 20,
-            },
-            Entry {
-                bench: "dpswitch_throughput",
-                name: "dpswitch/pathdump/512".into(),
-                median_ns: 1_277_122.0 / 4.0, // 4.0x
-                samples: 20,
-            },
-        ];
-        let s = strip_path_min_speedup(&entries).unwrap();
-        assert!((s - 2.0).abs() < 1e-6, "{s}");
-        assert_eq!(strip_path_min_speedup(&[]), None);
     }
 }

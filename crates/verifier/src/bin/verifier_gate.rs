@@ -3,8 +3,9 @@
 //! budget — pinning the "well under a second" promise of the memoized DFS.
 //!
 //! Usage: `verifier_gate [--max-secs F]` (default 5.0, generous for loaded
-//! CI runners; locally k=16 verifies in milliseconds). Exits non-zero on
-//! any violation or budget overrun.
+//! CI runners; locally k=16 verifies in milliseconds). Exits 1 on any
+//! violation or budget overrun, and 2 on an unknown flag or a budget that
+//! does not parse.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -46,16 +47,26 @@ fn check(name: &str, routing: &dyn UpDownRouting, budget_secs: f64) -> Result<f6
     Ok(secs)
 }
 
+/// A command-line error exits 2, so a mistyped budget cannot run the gate
+/// with the default one.
+fn usage_error(err: &str) -> ExitCode {
+    eprintln!("verifier_gate: {err}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let mut max_secs = 5.0f64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--max-secs" => max_secs = args.next().and_then(|v| v.parse().ok()).unwrap_or(max_secs),
-            other => {
-                eprintln!("verifier_gate: unknown argument `{other}`");
-                return ExitCode::FAILURE;
+            "--max-secs" => {
+                let v = args.next().unwrap_or_default();
+                match v.parse() {
+                    Ok(secs) => max_secs = secs,
+                    Err(_) => return usage_error(&format!("--max-secs: cannot parse `{v}`")),
+                }
             }
+            other => return usage_error(&format!("unknown argument `{other}`")),
         }
     }
 
