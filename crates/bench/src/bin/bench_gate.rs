@@ -1,7 +1,7 @@
 //! The CI bench-regression gate: re-measures the gated perf metrics and
 //! fails (nonzero exit) when any regresses more than the tolerance against
 //! the committed `BENCH_tib.json` baseline, or crosses its fixed ceiling —
-//! so a PR that halves the engine's throughput no longer sails through on
+//! so a change that halves the engine's throughput no longer sails through on
 //! green tests.
 //!
 //! Gated metrics (see `pathdump_bench::report` for the comparison logic):
