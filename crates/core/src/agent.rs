@@ -213,7 +213,8 @@ pub struct HostAgent {
     /// Last raise time per (flow, reason code): the identical-alarm
     /// suppression epoch (see `ALARM_EPOCH`).
     raised_epochs: std::collections::HashMap<(pathdump_topology::FlowId, u8), Nanos>,
-    /// Reconstruction failures (infeasible trajectories seen).
+    /// Reconstruction failures (infeasible trajectories seen), and records
+    /// the store refused because they end before they start.
     pub recon_failures: u64,
     /// Packets observed.
     pub packets_seen: u64,
@@ -419,11 +420,11 @@ impl HostAgent {
 
     /// Trajectory construction for one evicted batch (Figure 2), then one
     /// group commit: the decodable records go to the store as one batch —
-    /// one WAL frame, one append — and a record that does not decode is
-    /// counted in `recon_failures`. The standing engine steps once per
-    /// record, right after that record's insert (skipped entirely with no
-    /// watches), so it observes every record exactly once across seal
-    /// boundaries.
+    /// one WAL frame, one append — and a record that does not decode, or
+    /// that ends before it starts, is counted in `recon_failures`. The
+    /// standing engine steps once per record, right after that record's
+    /// insert (skipped entirely with no watches), so it observes every
+    /// record exactly once across seal boundaries.
     fn finalize_batch(&mut self, fabric: &Fabric, batch: Vec<PendingRecord>, now: Nanos) {
         let mut records = std::mem::take(&mut self.finalized);
         for rec in &batch {
@@ -440,11 +441,21 @@ impl HostAgent {
             }
         }
         let standing = &mut self.standing;
-        self.tib.insert_batch(&records, |tib, rec| {
+        let mut each = |tib: &TieredTib, rec: &TibRecord| {
             if !standing.is_empty() {
                 standing.on_record(tib, rec, now);
             }
-        });
+        };
+        if self.tib.insert_batch(&records, &mut each).is_err() {
+            // The store refuses a batch whole for a record that ends before
+            // it starts, as one whose packets came with a clock run
+            // backwards does: count those as failures and file the rest.
+            let before = records.len();
+            records.retain(|r| r.etime >= r.stime);
+            self.recon_failures += (before - records.len()) as u64;
+            let refiled = self.tib.insert_batch(&records, &mut each);
+            debug_assert!(refiled.is_ok(), "{refiled:?}");
+        }
         self.drain_standing_flips();
         records.clear();
         self.finalized = records;
@@ -695,6 +706,26 @@ mod tests {
     fn flow_of(ft: &FatTree, src: HostId, dst: HostId, sport: u16) -> FlowId {
         let t = ft.topology();
         FlowId::tcp(t.host(src).ip, sport, t.host(dst).ip, 80)
+    }
+
+    #[test]
+    fn a_record_that_ends_before_it_starts_is_counted_and_the_rest_filed() {
+        let (ft, fabric, policy) = fabric();
+        let (src, dst) = (ft.host(0, 0, 0), ft.host(1, 0, 0));
+        let mut agent = HostAgent::new(dst, AgentConfig::default());
+        let path = ft.all_paths(src, dst).remove(0);
+        let (early, late) = (flow_of(&ft, src, dst, 1000), flow_of(&ft, src, dst, 1001));
+        // `late`'s second packet comes with a clock run backwards, so its
+        // record ends before it starts; one flush evicts both flows.
+        for (flow, ms) in [(early, 1), (late, 5), (late, 2)] {
+            let pkt = pkt_on_path(&ft, &policy, flow, &path, 1000, false);
+            agent.on_packet(&fabric, &pkt, Nanos::from_millis(ms));
+        }
+        agent.flush(&fabric, Nanos::from_millis(6));
+        assert_eq!(agent.recon_failures, 1);
+        let filed = agent.tib.records_vec();
+        assert_eq!(filed.len(), 1);
+        assert_eq!(filed[0].flow, early);
     }
 
     #[test]

@@ -79,6 +79,8 @@ pub enum StoreError {
     Io(std::io::Error),
     /// Stored bytes did not decode (truncation, corruption).
     Wire(WireError),
+    /// A record to insert ends before it starts (`etime < stime`).
+    EndsBeforeStart(TibRecord),
 }
 
 impl std::fmt::Display for StoreError {
@@ -86,6 +88,7 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "segment store i/o: {e}"),
             StoreError::Wire(e) => write!(f, "segment store decode: {e}"),
+            StoreError::EndsBeforeStart(r) => write!(f, "record ends before it starts: {r:?}"),
         }
     }
 }
@@ -486,8 +489,15 @@ impl TieredTib {
     /// Inserts one record: [`TieredTib::insert_batch`] of a batch of one,
     /// so its WAL frame is the [`WAL_FRAME_RECORD`](crate::wal::WAL_FRAME_RECORD)
     /// a per-record log always held.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the record, if it ends before it starts
+    /// (`etime < stime`); nothing is logged or filed first.
     pub fn insert(&mut self, rec: TibRecord) {
-        self.insert_batch(std::slice::from_ref(&rec), |_, _| {});
+        if let Err(e) = self.insert_batch(std::slice::from_ref(&rec), |_, _| {}) {
+            panic!("{e}");
+        }
     }
 
     /// Inserts an eviction batch (group commit): with a WAL attached, the
@@ -500,7 +510,25 @@ impl TieredTib {
     /// filed — so a per-record observer (the standing engine) steps exactly
     /// once per record, across seal boundaries. An empty batch writes
     /// nothing.
-    pub fn insert_batch(&mut self, batch: &[TibRecord], mut each: impl FnMut(&Self, &TibRecord)) {
+    ///
+    /// A batch that holds a record ending before it starts is refused
+    /// whole with [`StoreError::EndsBeforeStart`], naming the first such
+    /// record: nothing of it is logged or filed. Logged, such a record
+    /// would fail the replay of the whole log.
+    pub fn insert_batch(
+        &mut self,
+        batch: &[TibRecord],
+        each: impl FnMut(&Self, &TibRecord),
+    ) -> StoreResult<()> {
+        if let Some(rec) = batch.iter().find(|r| r.etime < r.stime) {
+            return Err(StoreError::EndsBeforeStart(rec.clone()));
+        }
+        self.file_batch(batch, each);
+        Ok(())
+    }
+
+    /// [`TieredTib::insert_batch`] past its check on the records.
+    fn file_batch(&mut self, batch: &[TibRecord], mut each: impl FnMut(&Self, &TibRecord)) {
         if batch.is_empty() {
             return;
         }
@@ -603,7 +631,9 @@ impl TieredTib {
         let snapshot_records = store.len();
         let replayed = wal::replay(wal_bytes)?;
         let wal_records = replayed.records.len();
-        store.insert_batch(&replayed.records, |_, _| {});
+        // The log's decoder reads a duration, so no replayed record ends
+        // before it starts.
+        store.file_batch(&replayed.records, |_, _| {});
         Ok((
             store,
             RecoveryReport {

@@ -142,10 +142,12 @@ fn store_log(batches: &[Vec<TibRecord>]) -> (Vec<u8>, Vec<usize>) {
     let mut seen = Vec::new();
     let mut ends = Vec::new();
     for batch in batches {
-        store.insert_batch(batch, |s, r| {
-            assert_eq!(s.len(), seen.len() + 1, "one step per record, after it");
-            seen.push(r.clone());
-        });
+        store
+            .insert_batch(batch, |s, r| {
+                assert_eq!(s.len(), seen.len() + 1, "one step per record, after it");
+                seen.push(r.clone());
+            })
+            .expect("well-formed batch");
         ends.push(store.wal_len() as usize);
     }
     assert_eq!(seen, flat(batches));
