@@ -9,8 +9,8 @@ use pathdump_topology::{
     FlowId, FlowKey, FnvBuild, Ip, LinkPattern, Nanos, Path, Protocol, TimeRange,
 };
 use pathdump_wire::{
-    read_varint, unzigzag_step, zigzag_step, Decode, Decoder, Encode, Encoder, WireError,
-    WireResult,
+    exp_golomb_order, read_varint, unzigzag_step, zigzag_step, BitReader, BitWriter, Decode,
+    Decoder, Encode, Encoder, WireError, WireResult,
 };
 use std::collections::HashSet;
 
@@ -106,23 +106,28 @@ pub enum Response {
     Duration(Nanos),
     /// Histogram: bin index → flow count (summed per bin on merge).
     ///
-    /// Its wire form (tag 4) writes each bin as one token, its key step
-    /// and whether it holds one flow, and the count only when it does not:
+    /// Its wire form (tag 4) packs the bins into one bitstream of
+    /// exp-Golomb codes:
     ///
-    /// - `bin_bytes` (varint), then the bin count (varint).
-    /// - Per bin: the token `2 × z + [count == 1]`, where `z` is the
-    ///   zigzag of `key − previous key` (wrapping; the first is against
-    ///   0), as an unsigned LEB128 of up to 65 bits; then, only when the
-    ///   token's low bit is clear, the count (varint).
+    /// - `bin_bytes` (varint), then the bin count `n` (varint).
+    /// - A header byte: bit 6 set when the keys strictly ascend, bits 0–5 an
+    ///   order `k`; bit 7 is clear. The encoder picks the `k` that makes the
+    ///   reply smallest ([`exp_golomb_order`]).
+    /// - Per bin, most significant bit first: the order-`k` exp-Golomb code
+    ///   of the key's gap, `key − previous key − 1` when the keys ascend (the
+    ///   first key itself), else of the zigzag of the wrapping step from the
+    ///   previous key (the first against 0); then the order-0 exp-Golomb
+    ///   (Elias-gamma) code of `count − 1`, wrapping.
+    /// - Zero bits to the next byte boundary.
     ///
-    /// So a bin takes one byte when its count is 1 and its step is within
-    /// −32..=31, and one byte more for the count otherwise. In the
-    /// ascending order the store and the merge emit, neighbouring bins are
-    /// mostly one apart, and most bins of a flow-size distribution hold one
-    /// flow. Zigzag keeps any order, repeated keys and `u64::MAX` exact, as
-    /// for top-k byte counts; a token is at most 10 bytes, and a tenth byte
-    /// that sets a bit past bit 64 is a `WireError`, as is a bin count
-    /// larger than the remaining input allows (one byte per bin).
+    /// The store and the merge emit ascending keys, mostly a few apart,
+    /// and most bins of a flow-size distribution hold one flow, whose count
+    /// takes one bit. The zigzag and the wrapping keep any order, repeated
+    /// keys and both ends of `u64` exact; a code is at most 129 bits
+    /// (`u64::MAX` at order 0). The decoder returns a `WireError` for a
+    /// header with bit 7 set, a bin count larger than the bits left allow
+    /// (two per bin), a code with more than 64 leading zeros or a value
+    /// past `u64::MAX` (an ascending key included), and nonzero pad bits.
     Hist {
         /// Bin width in bytes.
         bin_bytes: u64,
@@ -452,23 +457,15 @@ impl Encode for Response {
                 enc.put_u8(4);
                 enc.put_varint(*bin_bytes);
                 enc.put_varint(bins.len() as u64);
-                let mut prev = 0;
-                for &(key, count) in bins {
-                    // The token's first byte holds the flag and six bits of
-                    // the step; the rest of the step is a varint after it.
-                    let z = zigzag_step(prev, key);
-                    let low = ((z & 0x3F) << 1) as u8 | u8::from(count == 1);
-                    if z >> 6 == 0 {
-                        enc.put_u8(low);
-                    } else {
-                        enc.put_u8(low | 0x80);
-                        enc.put_varint(z >> 6);
-                    }
-                    if count != 1 {
-                        enc.put_varint(count);
-                    }
-                    prev = key;
+                let ascending = bins.windows(2).all(|w| w[0].0 < w[1].0);
+                let k = exp_golomb_order(key_gaps(bins, ascending));
+                enc.put_u8(u8::from(ascending) << 6 | k as u8);
+                let mut bits = BitWriter::new(enc);
+                for (gap, &(_, count)) in key_gaps(bins, ascending).zip(bins) {
+                    bits.put_exp_golomb(gap, k);
+                    bits.put_exp_golomb(count.wrapping_sub(1), 0);
                 }
+                bits.finish();
             }
             Response::TopK { k, entries } => {
                 enc.put_u8(5);
@@ -495,27 +492,34 @@ impl Decode for Response {
             3 => Response::Duration(Nanos::decode(dec)?),
             4 => {
                 let bin_bytes = dec.get_varint()?;
-                // A bin takes one byte or more: its token.
-                let n = get_count(dec, 1, 0)?;
-                let mut bins = Vec::with_capacity(n);
-                let mut key = 0;
-                for _ in 0..n {
-                    let low = dec.get_u8()?;
-                    let mut z = u64::from((low >> 1) & 0x3F);
-                    if low & 0x80 != 0 {
-                        // Bits 7 and up of the token: 58 bits of the step,
-                        // in at most 9 more bytes.
-                        let left = dec.remaining();
-                        let high = dec.get_varint()?;
-                        if high >> 58 != 0 || left - dec.remaining() > 9 {
-                            return Err(WireError::VarintOverflow);
-                        }
-                        z |= high << 6;
-                    }
-                    key = unzigzag_step(key, z);
-                    let count = if low & 1 == 1 { 1 } else { dec.get_varint()? };
-                    bins.push((key, count));
+                let n = dec.get_varint()?;
+                let header = dec.get_u8()?;
+                if header >= 0x80 {
+                    return Err(WireError::InvalidTag(header.into()));
                 }
+                let (ascending, k) = (header & 0x40 != 0, u32::from(header & 0x3F));
+                let mut bits = BitReader::new(dec.unread());
+                // A bin takes two bits or more: a key code and a count code.
+                if n > (bits.bits_left() / 2) as u64 {
+                    return Err(WireError::LengthOverrun);
+                }
+                let mut bins = Vec::with_capacity(n as usize);
+                let mut key = 0u64;
+                for i in 0..n {
+                    let gap = bits.get_exp_golomb(k)?;
+                    key = match (ascending, i) {
+                        (false, _) => unzigzag_step(key, gap),
+                        (true, 0) => gap,
+                        // Past `u64::MAX`, an ascending key is corrupt.
+                        (true, _) => key
+                            .checked_add(gap)
+                            .and_then(|key| key.checked_add(1))
+                            .ok_or(WireError::VarintOverflow)?,
+                    };
+                    bins.push((key, bits.get_exp_golomb(0)?.wrapping_add(1)));
+                }
+                let used = bits.finish()?;
+                dec.get_raw(used)?;
                 Response::Hist { bin_bytes, bins }
             }
             5 => Response::TopK {
@@ -526,6 +530,23 @@ impl Decode for Response {
             t => return Err(WireError::InvalidTag(t as u32)),
         })
     }
+}
+
+/// The values a histogram reply codes its keys as (see [`Response::Hist`]):
+/// with `ascending`, each key less the one before it, less one (the first
+/// key itself); otherwise the zigzag of each wrapping step from the key
+/// before it (the first against 0).
+fn key_gaps(bins: &[(u64, u64)], ascending: bool) -> impl Iterator<Item = u64> + '_ {
+    let mut prev = if ascending { u64::MAX } else { 0 };
+    bins.iter().map(move |&(key, _)| {
+        let gap = if ascending {
+            key.wrapping_sub(prev).wrapping_sub(1)
+        } else {
+            zigzag_step(prev, key)
+        };
+        prev = key;
+        gap
+    })
 }
 
 /// The `(dst_ip, dst_port, proto)` of a flow packed as the little-endian

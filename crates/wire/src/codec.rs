@@ -17,6 +17,8 @@ pub enum WireError {
     LengthOverrun,
     /// Frame checksum mismatch.
     BadChecksum,
+    /// A bit-packed field ended in a byte whose pad bits were not zero.
+    NonzeroPadding,
 }
 
 impl fmt::Display for WireError {
@@ -28,6 +30,7 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
             WireError::LengthOverrun => write!(f, "declared length exceeds input"),
             WireError::BadChecksum => write!(f, "frame checksum mismatch"),
+            WireError::NonzeroPadding => write!(f, "nonzero pad bits after a bit-packed field"),
         }
     }
 }
@@ -228,8 +231,9 @@ pub fn read_varint(input: &[u8], pos: &mut usize) -> WireResult<u64> {
 
 /// The zigzag varint value of the step from `prev` to `next`: wrapping, so
 /// any order and both ends of `u64` stay exact, and a step of ±n takes
-/// about `2n` whatever its sign. Delta-coded fields (reply keys and
-/// counts, WAL start times) write this with [`Encoder::put_varint`].
+/// about `2n` whatever its sign. Delta-coded fields (top-k counts, WAL
+/// start times) write this with [`Encoder::put_varint`], and a histogram
+/// reply's keys out of ascending order with [`BitWriter::put_exp_golomb`].
 pub fn zigzag_step(prev: u64, next: u64) -> u64 {
     let step = next.wrapping_sub(prev) as i64;
     ((step << 1) ^ (step >> 63)) as u64
@@ -239,6 +243,222 @@ pub fn zigzag_step(prev: u64, next: u64) -> u64 {
 /// [`zigzag_step`].
 pub fn unzigzag_step(prev: u64, z: u64) -> u64 {
     prev.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
+}
+
+/// Writes exp-Golomb codes onto an [`Encoder`], most significant bit first.
+/// The order-`k` code of `v` is `v + 2^k` in binary behind as many zeros as
+/// it has bits past the `k + 1`th: `2·bits(v + 2^k) − k − 1` bits in all,
+/// one bit for 0 at order 0 and 129 for `u64::MAX`. [`BitWriter::finish`]
+/// zero-pads the last byte.
+pub struct BitWriter<'a> {
+    enc: &'a mut Encoder,
+    /// Pending bits in the low `len < 64`, the oldest highest; above them,
+    /// bits already written.
+    acc: u64,
+    len: u32,
+}
+
+impl<'a> BitWriter<'a> {
+    /// A writer that appends after what `enc` holds.
+    pub fn new(enc: &'a mut Encoder) -> Self {
+        BitWriter {
+            enc,
+            acc: 0,
+            len: 0,
+        }
+    }
+
+    /// The low `n <= 64` bits of `bits`, whose other bits are zero.
+    #[inline(always)]
+    fn put(&mut self, bits: u64, n: u32) {
+        let free = 64 - self.len;
+        if n < free {
+            self.acc = self.acc << n | bits;
+            self.len += n;
+        } else {
+            // Fill the pending word and write it; the rest of `bits` waits.
+            let rest = n - free;
+            let word = self.acc.checked_shl(free).unwrap_or(0) | bits >> rest;
+            self.enc.put_raw(&word.to_be_bytes());
+            (self.acc, self.len) = (bits, rest);
+        }
+    }
+
+    /// The order-`k` exp-Golomb code of `v`, for `k <= 63`.
+    #[inline(always)]
+    pub fn put_exp_golomb(&mut self, v: u64, k: u32) {
+        match v.checked_add(1 << k) {
+            // `x` of at most 32 bits: the code fits one `put`.
+            Some(x) if x >> 32 == 0 => {
+                let len = 64 - x.leading_zeros();
+                self.put(x, 2 * len - k - 1);
+            }
+            _ => self.put_long(u128::from(v) + (1 << k), k),
+        }
+    }
+
+    /// The code of `x − 2^k` when `x` has more than 32 bits: at most 64
+    /// zeros, then the up to 65 bits of `x` in two writes.
+    #[cold]
+    fn put_long(&mut self, x: u128, k: u32) {
+        let len = 128 - x.leading_zeros();
+        self.put(0, len - 1 - k);
+        self.put((x >> 64) as u64, len.saturating_sub(64));
+        self.put(x as u64, len.min(64));
+    }
+
+    /// Writes the pending bits, zero-padded to a byte.
+    pub fn finish(self) {
+        let bytes = self.len.div_ceil(8) as usize;
+        let last = self.acc.checked_shl(64 - self.len).unwrap_or(0);
+        self.enc.put_raw(&last.to_be_bytes()[..bytes]);
+    }
+}
+
+/// Reads what a [`BitWriter`] wrote from the front of a byte slice.
+pub struct BitReader<'a> {
+    input: &'a [u8],
+    /// Bits consumed.
+    pos: usize,
+    /// The `have < 64` bits after `pos`, highest first; zeros below them.
+    window: u64,
+    have: u32,
+}
+
+impl<'a> BitReader<'a> {
+    /// A reader at the first bit of `input`.
+    pub fn new(input: &'a [u8]) -> Self {
+        BitReader {
+            input,
+            pos: 0,
+            window: 0,
+            have: 0,
+        }
+    }
+
+    /// Bits not yet read.
+    pub fn bits_left(&self) -> usize {
+        self.input.len() * 8 - self.pos
+    }
+
+    /// An order-`k` exp-Golomb code, `k <= 63`. More than 64 leading zeros
+    /// (more than the code of `u64::MAX` at order 0 has), or a value past
+    /// `u64::MAX`, is a `VarintOverflow`; a code the input ends in is an
+    /// `UnexpectedEof`.
+    #[inline(always)]
+    pub fn get_exp_golomb(&mut self, k: u32) -> WireResult<u64> {
+        // The usual case, inlined into the caller's loop: the whole code is
+        // in the window, which one load fills with 57 bits or more.
+        if self.have < 57 {
+            let (byte, shift) = (self.pos / 8, self.pos % 8);
+            (self.window, self.have) = match self.input.get(byte..).and_then(|s| s.first_chunk()) {
+                // At most 63, so that no code shifts out the whole window.
+                Some(s) => (u64::from_be_bytes(*s) << shift, (64 - shift as u32).min(63)),
+                None => (peek(self.input, self.pos), self.bits_left() as u32),
+            };
+        }
+        if k == 0 && self.window >> 63 == 1 {
+            // The one-bit code of 0.
+            self.window <<= 1;
+            self.have -= 1;
+            self.pos += 1;
+            return Ok(0);
+        }
+        let len = 2 * self.window.leading_zeros() + k + 1;
+        if len > self.have {
+            let (v, pos) = get_long(self.input, self.pos, k)?;
+            (self.pos, self.have) = (pos, 0);
+            return Ok(v);
+        }
+        let v = (self.window >> (64 - len)) - (1 << k);
+        self.window <<= len;
+        self.have -= len;
+        self.pos += len as usize;
+        Ok(v)
+    }
+
+    /// The bytes read, the last one's pad included, once the pad bits are
+    /// checked to be zero.
+    pub fn finish(self) -> WireResult<usize> {
+        let used = self.pos.div_ceil(8);
+        let pad = used * 8 - self.pos;
+        if pad > 0 && self.input[used - 1] & ((1 << pad) - 1) != 0 {
+            return Err(WireError::NonzeroPadding);
+        }
+        Ok(used)
+    }
+}
+
+/// The 64 bits of `input` from bit `pos` on, zeros past its end.
+fn peek(input: &[u8], pos: usize) -> u64 {
+    let mut w = [0; 16];
+    let tail = input.get(pos / 8..).unwrap_or_default();
+    let n = tail.len().min(9);
+    w[..n].copy_from_slice(&tail[..n]);
+    (u128::from_be_bytes(w) << (pos % 8) >> 64) as u64
+}
+
+/// [`BitReader::get_exp_golomb`] of a code at bit `pos` of `input` that its
+/// window does not hold: the value and the bit after the code.
+#[cold]
+fn get_long(input: &[u8], mut pos: usize, k: u32) -> WireResult<(u64, usize)> {
+    let left = input.len() * 8 - pos;
+    let zeros = match peek(input, pos).leading_zeros() {
+        64 if left <= 64 => return Err(WireError::UnexpectedEof),
+        64 if input[(pos + 64) / 8] << ((pos + 64) % 8) < 0x80 => {
+            return Err(WireError::VarintOverflow);
+        }
+        z => z,
+    };
+    if 2 * zeros as usize + k as usize + 1 > left {
+        return Err(WireError::UnexpectedEof);
+    }
+    pos += zeros as usize + 1;
+    // The `zeros + k` bits after the leading one, in at most two reads.
+    let mut low = 0u128;
+    for n in [(zeros + k).saturating_sub(64), (zeros + k).min(64)] {
+        low = low << n | u128::from(peek(input, pos).checked_shr(64 - n).unwrap_or(0));
+        pos += n as usize;
+    }
+    let v = (1 << (zeros + k) | low) - (1 << k);
+    Ok((
+        u64::try_from(v).map_err(|_| WireError::VarintOverflow)?,
+        pos,
+    ))
+}
+
+/// The exp-Golomb order `k` that codes `values` in the fewest bits (the
+/// smallest such `k`), from two histograms over the values' bit lengths.
+///
+/// At order `k` a value of `b` bits costs `k + 1` bits if `b <= k`, and
+/// otherwise `2(b − k) + k − 1`, two more when its bits from the top down
+/// to bit `k` are all ones (adding `2^k` then carries into a new bit).
+/// Those bits are all ones exactly when `k >= c`, where `c < b` is the bit
+/// length of the value's complement within its `b` bits. So going from
+/// order `k − 1` to `k` costs one bit more for each value of fewer than `k`
+/// bits, one less for each other value, and two more for each value whose
+/// `c` is `k`.
+pub fn exp_golomb_order(values: impl Iterator<Item = u64>) -> u32 {
+    // Per bit length: values of it, and values whose complement has it.
+    let (mut lens, mut carries, mut longest) = ([0u32; 65], [0u32; 65], 0);
+    for v in values {
+        let b = 64 - v.leading_zeros();
+        let complement = !v & u64::MAX.checked_shr(64 - b).unwrap_or(0);
+        lens[b as usize] += 1;
+        carries[(64 - complement.leading_zeros()) as usize] += 1;
+        longest = longest.max(b as usize);
+    }
+    let n: i64 = lens.iter().map(|&c| i64::from(c)).sum();
+    // Past the longest value, every order costs one bit more per value.
+    let (mut cost, mut best, mut best_k, mut short) = (0, 0, 0, i64::from(lens[0]));
+    for k in 1..=longest.min(63) {
+        cost += short - (n - short) + 2 * i64::from(carries[k]);
+        short += i64::from(lens[k]);
+        if cost < best {
+            (best, best_k) = (cost, k as u32);
+        }
+    }
+    best_k
 }
 
 /// Types that can serialize themselves onto an [`Encoder`].

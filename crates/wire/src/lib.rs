@@ -8,8 +8,9 @@
 //! estimated.
 //!
 //! The format is deliberately simple: little-endian fixed-width integers,
-//! LEB128 varints for counts and 64-bit values, and length-prefixed frames
-//! with a CRC-32 trailer. It has exactly the primitives some message uses.
+//! LEB128 varints for counts and 64-bit values, exp-Golomb bit codes for the
+//! histogram reply's bins, and length-prefixed frames with a CRC-32
+//! trailer. It has exactly the primitives some message uses.
 
 pub mod codec;
 pub mod crc;
@@ -17,8 +18,8 @@ pub mod frame;
 pub mod types;
 
 pub use codec::{
-    read_varint, unzigzag_step, zigzag_step, Decode, Decoder, Encode, Encoder, WireError,
-    WireResult,
+    exp_golomb_order, read_varint, unzigzag_step, zigzag_step, BitReader, BitWriter, Decode,
+    Decoder, Encode, Encoder, WireError, WireResult,
 };
 pub use frame::{Frame, FRAME_OVERHEAD};
 

@@ -3,9 +3,10 @@
 //! byte-at-a-time loop, `Frame::build` / `Frame::parse` against the old
 //! copying `to_wire` / `from_wire`, the one-block `FlowId` codec against
 //! the field-by-field one it replaced on WAL record frames and requests
-//! carrying `GetPaths` / `GetCount`, and the table-coded top-k reply and the
-//! delta-coded histogram reply against the same layouts written field by
-//! field (tables found by linear search).
+//! carrying `GetPaths` / `GetCount`, the table-coded top-k reply against
+//! the same layout written field by field (tables found by linear search),
+//! and the bit-packed histogram reply against the same layout written and
+//! read one bit at a time (its exp-Golomb order found by trying them all).
 //! Same bytes out, same value or the same `WireError` back — at every
 //! truncation — on every input tried. Deterministic (exhaustive over small
 //! sizes, seeded for large ones) rather than property-based: the
@@ -282,10 +283,9 @@ impl OldEnc {
         }
     }
 
-    /// The bin width, the bin count, then per bin one token, twice the
-    /// zigzagged step from the previous key (the first against 0) plus 1
-    /// when the count is 1, as a 65-bit LEB128; then the count unless it
-    /// is 1.
+    /// The bin width, the bin count, the header byte (bit 6 when the keys
+    /// strictly ascend, the order `k` below it), then the bits of every
+    /// bin's key code and count code (see [`hist_bits`]).
     fn hist(&mut self, r: &Response) {
         let Response::Hist { bin_bytes, bins } = r else {
             panic!("not a histogram response: {r:?}");
@@ -293,25 +293,13 @@ impl OldEnc {
         self.u8(4);
         self.varint(*bin_bytes);
         self.varint(bins.len() as u64);
-        let mut prev = 0u64;
-        for &(key, count) in bins {
-            let step = key.wrapping_sub(prev) as i64;
-            prev = key;
-            let z = ((step << 1) ^ (step >> 63)) as u64;
-            let mut token = 2 * u128::from(z) + u128::from(count == 1);
-            loop {
-                let byte = (token & 0x7F) as u8;
-                token >>= 7;
-                if token == 0 {
-                    self.0.push(byte);
-                    break;
-                }
-                self.0.push(byte | 0x80);
-            }
-            if count != 1 {
-                self.varint(count);
-            }
-        }
+        let ascending = bins.windows(2).all(|w| w[0].0 < w[1].0);
+        // The order whose bits are fewest, the smallest on a tie.
+        let k = (0..64)
+            .min_by_key(|&k| hist_bits(bins, ascending, k).0.len())
+            .unwrap();
+        self.u8(u8::from(ascending) << 6 | k as u8);
+        self.0.extend(hist_bits(bins, ascending, k).bytes());
     }
 
     fn reply(&mut self, m: &ReplyMsg) {
@@ -372,6 +360,52 @@ impl OldEnc {
             self.varint(parent);
         }
     }
+}
+
+/// Bits, one `bool` each, in the order they go on the wire.
+#[derive(Default)]
+struct Bits(Vec<bool>);
+
+impl Bits {
+    /// The order-`k` exp-Golomb code of `v`: `x = v + 2^k` in binary,
+    /// behind one zero for each of its bits past the `k + 1`th.
+    fn exp_golomb(&mut self, v: u64, k: u32) {
+        let x = u128::from(v) + (1 << k);
+        let len = (0..=128).find(|&n| x >> n == 0).unwrap();
+        self.0.extend((k + 1..len).map(|_| false));
+        self.0.extend((0..len).rev().map(|i| x >> i & 1 == 1));
+    }
+
+    /// Eight bits a byte, the first the most significant, the last byte
+    /// padded with zeros.
+    fn bytes(&self) -> Vec<u8> {
+        let byte = |c: &[bool]| (0..8).fold(0, |b, i| b << 1 | u8::from(c.get(i) == Some(&true)));
+        self.0.chunks(8).map(byte).collect()
+    }
+}
+
+/// A histogram reply's bins at order `k`: per bin the key's code, of the
+/// key less the one before it less one (the first key itself) when the
+/// keys ascend, else of the zigzag of the wrapping step from the key
+/// before it (the first against 0); then the order-0 code of `count − 1`,
+/// wrapping.
+fn hist_bits(bins: &[(u64, u64)], ascending: bool, k: u32) -> Bits {
+    let mut bits = Bits::default();
+    let mut prev: Option<u64> = None;
+    for &(key, count) in bins {
+        let gap = match (ascending, prev) {
+            (true, None) => key,
+            (true, Some(p)) => key - p - 1,
+            (false, p) => {
+                let step = key.wrapping_sub(p.unwrap_or(0)) as i64;
+                ((step << 1) ^ (step >> 63)) as u64
+            }
+        };
+        bits.exp_golomb(gap, k);
+        bits.exp_golomb(count.wrapping_sub(1), 0);
+        prev = Some(key);
+    }
+    bits
 }
 
 /// The index of `x` in `table`, appended first if it is not there.
@@ -568,33 +602,64 @@ impl<'a> OldDec<'a> {
             t => return Err(WireError::InvalidTag(t as u32)),
         }
         let bin_bytes = self.varint()?;
-        // A bin takes one byte or more: its token.
-        let n = self.count(1, 0)?;
+        let n = self.varint()?;
+        let header = self.u8()?;
+        if header >= 0x80 {
+            return Err(WireError::InvalidTag(header as u32));
+        }
+        let (ascending, k) = (header & 0x40 != 0, u32::from(header & 0x3F));
+        let mut at = self.pos * 8;
+        // A bin takes two bits or more.
+        if n > ((self.input.len() * 8 - at) / 2) as u64 {
+            return Err(WireError::LengthOverrun);
+        }
         let mut bins = Vec::new();
-        let mut key = 0u64;
+        // The smallest key an ascending bin may take next.
+        let (mut key, mut next) = (0u64, 0u128);
         for _ in 0..n {
-            // A token of up to 10 bytes and 65 bits.
-            let mut token = 0u128;
-            for shift in (0..70).step_by(7) {
-                let byte = self.u8()?;
-                token |= u128::from(byte & 0x7F) << shift;
-                if byte & 0x80 == 0 {
-                    break;
-                }
-                if shift == 63 {
-                    return Err(WireError::VarintOverflow);
-                }
-            }
-            if token >> 65 != 0 {
-                return Err(WireError::VarintOverflow);
-            }
-            let z = (token >> 1) as u64;
-            let step = ((z >> 1) as i64) ^ -((z & 1) as i64);
-            key = key.wrapping_add(step as u64);
-            let count = if token & 1 == 1 { 1 } else { self.varint()? };
+            let gap = self.exp_golomb(&mut at, k)?;
+            key = if ascending {
+                u64::try_from(next + u128::from(gap)).map_err(|_| WireError::VarintOverflow)?
+            } else {
+                let step = ((gap >> 1) as i64) ^ -((gap & 1) as i64);
+                key.wrapping_add(step as u64)
+            };
+            next = u128::from(key) + 1;
+            let count = self.exp_golomb(&mut at, 0)?.wrapping_add(1);
             bins.push((key, count));
         }
+        while !at.is_multiple_of(8) {
+            if self.bit(&mut at)? {
+                return Err(WireError::NonzeroPadding);
+            }
+        }
+        self.pos = at / 8;
         Ok(Response::Hist { bin_bytes, bins })
+    }
+
+    /// The bit at bit offset `*at` of the input, the first of a byte its
+    /// most significant.
+    fn bit(&self, at: &mut usize) -> WireResult<bool> {
+        let byte = *self.input.get(*at / 8).ok_or(WireError::UnexpectedEof)?;
+        *at += 1;
+        Ok(byte >> (7 - (*at - 1) % 8) & 1 == 1)
+    }
+
+    /// An order-`k` exp-Golomb code from bit offset `*at`: zeros up to the
+    /// first one, at most 64 of them, then as many bits as zeros plus `k`.
+    fn exp_golomb(&self, at: &mut usize, k: u32) -> WireResult<u64> {
+        let mut zeros = 0;
+        while !self.bit(at)? {
+            zeros += 1;
+            if zeros > 64 {
+                return Err(WireError::VarintOverflow);
+            }
+        }
+        let mut x = 1u128;
+        for _ in 0..zeros + k {
+            x = x << 1 | u128::from(self.bit(at)?);
+        }
+        u64::try_from(x - (1 << k)).map_err(|_| WireError::VarintOverflow)
     }
 
     fn reply(&mut self) -> WireResult<ReplyMsg> {
@@ -922,7 +987,7 @@ fn one_source_and_wide_table_top_k_replies_match_the_field_by_field_codec() {
 }
 
 #[test]
-fn hist_replies_match_the_field_by_field_codec() {
+fn hist_replies_match_the_bit_by_bit_codec() {
     let dense: Vec<(u64, u64)> = (0..300).map(|k| (k, 1 + k % 7)).collect();
     // Every ordered pair of 0, 1, `MAX − 1` and `MAX` side by side as keys,
     // with counts at the same extremes: the key steps wrap both ways.
@@ -940,6 +1005,10 @@ fn hist_replies_match_the_field_by_field_codec() {
         let key = gapped.last().unwrap().0 + g;
         gapped.push((key, g));
     }
+    // The shape a `query_fsd` host sends: dense full bins, then sparse ones
+    // that mostly hold one flow.
+    let mut fsd: Vec<(u64, u64)> = (0..12).map(|k| (k, 40 + k * k)).collect();
+    fsd.extend((1..60u64).map(|i| (12 + i * 40 + i * 29 % 37, 1 + (i % 9 == 0) as u64)));
     let cases = [
         (10_000u64, vec![]),
         (10_000, vec![(0, 1)]),
@@ -949,7 +1018,10 @@ fn hist_replies_match_the_field_by_field_codec() {
         (1, gapped.into_iter().rev().collect()),
         (u64::MAX, dense.iter().rev().copied().collect()),
         (10_000, vec![(5, 1), (5, 1), (5, 9), (0, 1), (5, 2)]),
-        (10_000, extremes),
+        (10_000, extremes.clone()),
+        (10_000, fsd),
+        (10_000, vec![(u64::MAX - 1, 0), (u64::MAX, 0)]),
+        (10_000, vec![(0, 0), (1 << 63, u64::MAX), (u64::MAX, 1)]),
     ];
     for (bin_bytes, bins) in cases {
         let response = Response::Hist { bin_bytes, bins };
@@ -982,17 +1054,22 @@ fn hist_replies_match_the_field_by_field_codec() {
     }
 }
 
-/// Count-1 bins at every step size a token takes, up to the 65-bit token
-/// of a step of magnitude 2^62 or more, against the field-by-field codec;
-/// and the bytes of the largest token spelled out.
+/// Keys at every gap width the orders take, up to the 129-bit code of
+/// `u64::MAX` at order 0, against the bit-by-bit codec; the bytes of that
+/// code spelled out; and each way a bitstream can be malformed, rejected
+/// alike by both.
 #[test]
-fn count_one_hist_replies_match_the_field_by_field_codec() {
+fn hist_codes_at_their_longest_match_the_bit_by_bit_codec() {
     let half = 1u64 << 63;
     let mut keys = vec![0u64, 31, 63, 64, 4_159, 8_255, 1 << 30, half, 0];
     keys.extend([half - 1, 1 << 62, u64::MAX, 0, u64::MAX - (1 << 62)]);
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
     let cases = [
         keys.iter().map(|&k| (k, 1)).collect::<Vec<_>>(),
         keys.iter().map(|&k| (k, k % 3)).collect(),
+        sorted.iter().map(|&k| (k, k.wrapping_neg())).collect(),
         (0..500u64)
             .map(|k| (k * 37, 1 + (k % 5 == 0) as u64))
             .collect(),
@@ -1009,35 +1086,85 @@ fn count_one_hist_replies_match_the_field_by_field_codec() {
             |b| OldDec::whole(b, |d| d.hist()),
         );
     }
-    // Key 2^63 from 0: the step zigzags to `u64::MAX`, and with the count
-    // flag the token is 2^65 − 1: nine bytes of 0xFF, then 0x03.
+    // One bin, key 0 and count 0: ascending at order 0 (header 0x40), the
+    // key's code is one bit, and the count's, of `u64::MAX`, is 64 zeros,
+    // a one and 64 zeros. 130 bits, so six pad bits.
     let top = Response::Hist {
         bin_bytes: 1,
-        bins: vec![(half, 1)],
+        bins: vec![(0, 0)],
     };
-    let mut want = vec![4, 1, 1];
-    want.extend([0xFF; 9]);
-    want.push(0x03);
+    let mut want = vec![4, 1, 1, 0x40, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x40];
+    want.extend([0; 8]);
     assert_eq!(to_bytes(&top), want);
-    // A tenth byte that sets bit 65, and an eleventh byte even when it
-    // adds no bit, are errors both ways.
-    *want.last_mut().unwrap() = 0x07;
-    let mut long = vec![4, 1, 1, 0x81];
-    long.extend([0x80; 9]);
-    long.push(0);
-    for bad in [want, long] {
-        assert_eq!(from_bytes::<Response>(&bad), Err(WireError::VarintOverflow));
+    let both = |bytes: &[u8]| {
+        let lib = from_bytes::<Response>(bytes);
+        assert_eq!(lib, OldDec::whole(bytes, |d| d.hist()), "{bytes:x?}");
+        lib
+    };
+    // A 65th leading zero; a value past `u64::MAX`; a pad bit set; bit 7
+    // of the header set.
+    let mut zeros = want.clone();
+    zeros[12] = 0;
+    let mut past = want.clone();
+    past[20] = 0x40;
+    let mut pad = want.clone();
+    pad[20] = 0x01;
+    let mut header = want.clone();
+    header[3] = 0xC0;
+    assert_eq!(both(&zeros), Err(WireError::VarintOverflow));
+    assert_eq!(both(&past), Err(WireError::VarintOverflow));
+    assert_eq!(both(&pad), Err(WireError::NonzeroPadding));
+    assert_eq!(both(&header), Err(WireError::InvalidTag(0xC0)));
+    // An ascending key past `u64::MAX`: key `u64::MAX`, then a gap of 0.
+    let mut bits = Bits::default();
+    for (v, k) in [(u64::MAX, 0), (0, 0), (0, 0), (0, 0)] {
+        bits.exp_golomb(v, k);
+    }
+    let mut wrap = vec![4, 1, 2, 0x40];
+    wrap.extend(bits.bytes());
+    assert_eq!(both(&wrap), Err(WireError::VarintOverflow));
+    // More bins than two bits each can hold.
+    assert_eq!(both(&[4, 1, 5, 0x40, 0xFF]), Err(WireError::LengthOverrun));
+}
+
+/// The order picked from bit-length histograms is the one that trying
+/// every order finds, on values spread over every bit length and on
+/// values just below, at and above each carry boundary.
+#[test]
+fn exp_golomb_order_matches_trying_every_order() {
+    let cost = |values: &[u64], k: u32| {
+        let mut bits = Bits::default();
+        values.iter().for_each(|&v| bits.exp_golomb(v, k));
+        bits.0.len()
+    };
+    let mut seed = [0u8; 8];
+    for round in 0..400u64 {
+        fill(round, &mut seed);
+        let mix = u64::from_le_bytes(seed);
+        let values: Vec<u64> = (0..1 + mix % 40)
+            .map(|i| {
+                fill(round * 64 + i, &mut seed);
+                let v = u64::from_le_bytes(seed) >> (mix >> (i % 8 * 8) & 63);
+                match i % 3 {
+                    0 => v,
+                    1 => (u64::MAX >> (v % 64)) << (mix % 8),
+                    _ => ((u64::MAX >> (v % 64)) << (mix % 8)).wrapping_sub(1),
+                }
+            })
+            .collect();
+        let best = (0..64).min_by_key(|&k| cost(&values, k)).unwrap();
         assert_eq!(
-            OldDec::whole(&bad, |d| d.hist()),
-            Err(WireError::VarintOverflow)
+            pathdump_wire::exp_golomb_order(values.iter().copied()),
+            best,
+            "{values:?}"
         );
     }
+    assert_eq!(pathdump_wire::exp_golomb_order(std::iter::empty()), 0);
 }
 
 /// Exact sizes of 3 000-bin replies, from the documented layout: the tag,
-/// `bin_bytes` 10 000 (two varint bytes), the bin count (two), then per bin
-/// the token of the key step and count flag, and the count unless it is 1,
-/// one byte each unless noted.
+/// `bin_bytes` 10 000 (two varint bytes), the bin count (two) and the
+/// header, then the bits, padded to a byte.
 #[test]
 fn hist_reply_sizes_follow_the_layout() {
     let size = |bins: Vec<(u64, u64)>| {
@@ -1047,21 +1174,22 @@ fn hist_reply_sizes_follow_the_layout() {
         })
         .len()
     };
-    let head = 1 + 2 + 2;
-    // Dense keys 0..3 000: a step of 0 and then of 1, zigzagged 0 and 2,
-    // tokens up to 5. The 30 bins whose key is a multiple of 100 hold one
-    // flow and write no count.
+    let head = 1 + 2 + 2 + 1;
+    // Dense keys 0..3 000 ascend with gaps of 0: one bit each at order 0.
+    // A count `c` takes `2·bits(c) − 1`; over counts 1..=100 that is
+    // 1 + 2·3 + 4·5 + 8·7 + 16·9 + 32·11 + 37·13 = 1 060 bits.
     let dense: Vec<(u64, u64)> = (0..3_000).map(|k| (k, 1 + k % 100)).collect();
-    assert_eq!(size(dense.clone()), head + 3_000 * 2 - 30);
-    // Sparse keys 0, 1 000, 2 000, … holding one flow each: a step of
-    // 1 000 zigzags to 2 000, a token of 4 001, two bytes.
+    assert_eq!(size(dense.clone()), head + (3_000 + 30 * 1_060) / 8);
+    // Sparse keys 0, 1 000, 2 000, … holding one flow each: gaps of 999
+    // (10 bits) and a first of 0 take 11 bits each at order 10, and each
+    // count one bit; 36 000 bits.
     let sparse: Vec<(u64, u64)> = (0..3_000).map(|i| (i * 1_000, 1)).collect();
-    assert_eq!(size(sparse), head + 1 + 2_999 * 2);
-    // Dense keys descending: the first step, 2 999, zigzags to 5 998, a
-    // token of 11 996 (two bytes); every later step of −1 zigzags to 1.
-    // The first bin's count is 100; 30 later bins hold one flow.
+    assert_eq!(size(sparse), head + 36_000 / 8);
+    // Dense keys descending: zigzagged steps, the first 5 998 (13 bits),
+    // every later one 1. At order 1 a step of 1 takes two bits and 5 998
+    // takes 2·12 + 1 − 1 = 24; the counts as for `dense`. 37 822 bits.
     let unsorted: Vec<(u64, u64)> = dense.into_iter().rev().collect();
-    assert_eq!(size(unsorted), head + 2 + 1 + 2_999 * 2 - 30);
+    assert_eq!(size(unsorted), head + 37_822usize.div_ceil(8));
 }
 
 #[test]

@@ -3,27 +3,36 @@
 //! itself, bare and inside a framed `ReplyMsg`; every cut of the encoding
 //! is an error; no single-bit flip panics the decoder.
 //!
-//! The families are the boundaries a compact encoding of the bins has to
-//! get right: no bin and one bin; dense keys `0..n`, the shape a host's
-//! answer has; gaps between keys at the widths where a zigzag varint of
-//! the step grows a byte (63/64, 8 191/8 192 and 2^20 ± 1), both ways;
-//! keys out of the ascending order the store and the merge emit, and the
-//! same key repeated; keys and counts at 0, 1, `u64::MAX − 1` and
-//! `u64::MAX` side by side, so that a step between neighbours wraps both
-//! ways; and a reply of the size a merge of many hosts reaches. A proptest
-//! mixes them (its depth is `PROPTEST_CASES`; CI runs 512).
+//! A reply is one bitstream: a header byte with an ascending flag and an
+//! exp-Golomb order `k`, then per bin the order-`k` code of the key's gap
+//! (or of its zigzag step when the keys do not strictly ascend) and the
+//! order-0 code of `count − 1`, zero-padded to a byte. The families are the
+//! boundaries such an encoding has to get right.
 //!
-//! Most bins of a flow-size distribution hold one flow, so the families
-//! also set a count of 1 against other counts wherever the key step's size
-//! changes: at each step where a step token grows a byte, at count 0, at
-//! the largest steps (magnitude 2^62 and more, 65 bits once a count flag
-//! rides along), in replies whose every bin holds one flow, in the shape a
-//! `query_fsd` host sends (a few dozen bins, four in five of them one
-//! flow), and in a proptest dominated by count 1.
+//! - The shapes replies take: no bin and one bin; dense keys `0..n`, a
+//!   host's answer; the size a merge of many hosts reaches; the shape a
+//!   `query_fsd` host sends (a few dozen bins, four in five of them one
+//!   flow); replies whose every bin holds one flow.
+//! - The older layout's byte boundaries, kept as they were: gaps between
+//!   keys at the widths where a zigzag varint grows a byte (63/64,
+//!   8 191/8 192 and 2^20 ± 1) both ways, and steps at which a byte token
+//!   with a count flag grew.
+//! - Keys and counts at 0, 1, `u64::MAX − 1` and `u64::MAX` side by side,
+//!   so a step between neighbours wraps both ways; count 0 and count
+//!   `u64::MAX`, whose codes are the longest (129 and 127 bits).
+//! - The order at both ends: `k = 0` and the largest, `k = 63`, read back
+//!   from the header.
+//! - Codes at `2^k·(2^j − 1)` and one either side, for every `j` at
+//!   several orders `k`: where adding `2^k` carries into a new bit and the
+//!   code grows by two; `u64::MAX` at `k = 0` among them.
+//! - The ascending flag off: keys out of order and repeated keys, each
+//!   checked against the header.
+//!
+//! Proptests mix them (their depth is `PROPTEST_CASES`; CI runs 512).
 
 use pathdump_core::Response;
 use pathdump_rpc::{Coverage, ReplyMsg, FRAME_RPC_REPLY};
-use pathdump_wire::{from_bytes, to_bytes, Frame};
+use pathdump_wire::{from_bytes, read_varint, to_bytes, Frame};
 use proptest::prelude::*;
 
 /// SplitMix64, so every family is the same on every run.
@@ -372,6 +381,133 @@ fn a_query_fsd_shaped_reply_round_trips() {
         assert!(ones * 10 >= n * 7, "{ones} of {n} bins hold one flow");
         check(&hist(10_000, bins.clone()));
         check(&hist(10_000, shuffled(&mut m, bins)));
+    }
+}
+
+/// The ascending flag and the order `k` in the header of `r`'s encoding.
+fn header(r: &Response) -> (bool, u32) {
+    let bare = to_bytes(r);
+    let mut pos = 1;
+    read_varint(&bare, &mut pos).expect("bin width");
+    read_varint(&bare, &mut pos).expect("bin count");
+    (bare[pos] & 0x40 != 0, u32::from(bare[pos] & 0x3F))
+}
+
+/// Bins out of ascending order whose key codes are `codes`: each key is
+/// the step from the one before it (the first from 0) that zigzags to its
+/// code. Counts cycle through [`EXTREMES`].
+fn zigzag_coded(codes: &[u64]) -> Vec<(u64, u64)> {
+    let mut key = 0u64;
+    let bins: Vec<_> = codes
+        .iter()
+        .enumerate()
+        .map(|(i, &z)| {
+            key = key.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
+            (key, EXTREMES[i % EXTREMES.len()])
+        })
+        .collect();
+    assert!(bins.windows(2).any(|w| w[0].0 >= w[1].0));
+    bins
+}
+
+#[test]
+fn the_smallest_and_the_largest_order_round_trip() {
+    // Gaps of 0 take one bit at order 0.
+    let dense: Vec<_> = (0..200).map(|k| (k, 1)).collect();
+    // Two gaps of 2^63 − 1 take 64 bits each at order 63, 65 at order 62.
+    let top = vec![((1 << 63) - 1, 1), (MAX, 1)];
+    for (bins, k) in [(dense, 0), (top, 63), (vec![(MAX, 0)], 63)] {
+        let r = hist(10_000, bins);
+        assert_eq!(header(&r), (true, k));
+        check(&r);
+    }
+    // Out of order: steps of 0 zigzag to 0, and steps of −2^62 to
+    // 2^63 − 1.
+    let repeated = hist(10_000, vec![(7, 2); 100]);
+    assert_eq!(header(&repeated), (false, 0));
+    check(&repeated);
+    let swing: Vec<_> = (0..100u64).map(|i| (i.wrapping_mul(3 << 62), i)).collect();
+    let swing = hist(10_000, swing);
+    assert_eq!(header(&swing), (false, 63));
+    check(&swing);
+}
+
+#[test]
+fn codes_where_the_carry_grows_them_round_trip() {
+    for k in [0, 1, 2, 7, 31, 62, 63] {
+        // One code either side of and at each `2^k·(2^j − 1)`.
+        let mut edges = Vec::new();
+        for j in 1..=64 - k {
+            let v = (MAX >> (64 - j)) << k;
+            edges.extend([v.wrapping_sub(1), v, v.saturating_add(1)]);
+        }
+        // Codes of `2^k − 1`, twice as many as the edges and more, take
+        // one bit more at any other order, which pins the order at `k`.
+        let mut codes = vec![0, 0];
+        for (i, &e) in edges.iter().enumerate() {
+            codes.extend([(1u64 << k) - 1, (1u64 << k) - 1, e]);
+            if i % 8 == 0 {
+                codes.push((1u64 << k) - 1);
+            }
+        }
+        codes.extend(vec![(1u64 << k) - 1; 12]);
+        assert!(k > 0 || edges.contains(&MAX));
+        let r = hist(10_000, zigzag_coded(&codes));
+        assert_eq!(header(&r), (false, k), "order {k}");
+        check(&r);
+    }
+}
+
+#[test]
+fn count_zero_and_count_max_round_trip_at_every_order() {
+    for k in [0, 5, 40, 63] {
+        // Ascending keys `2^k − 1` apart pin order `k`.
+        let step = 1u64 << k;
+        let n = if k == 63 { 2 } else { 60 };
+        let bins: Vec<_> = (0..n)
+            .map(|i| {
+                (
+                    i * step + (step - 1),
+                    [0, MAX, MAX - 1, 1, 2][i as usize % 5],
+                )
+            })
+            .collect();
+        let r = hist(10_000, bins.clone());
+        assert_eq!(header(&r), (true, k), "order {k}");
+        check(&r);
+        let r = hist(10_000, bins.into_iter().rev().collect());
+        assert!(!header(&r).0);
+        check(&r);
+    }
+    check(&hist(0, vec![(0, 0), (MAX, MAX)]));
+    check(&hist(MAX, vec![(MAX, 0), (0, MAX)]));
+}
+
+#[test]
+fn the_ascending_flag_is_off_for_any_other_order() {
+    let mut m = Mix(6);
+    let asc: Vec<_> = (0..300u64).map(|k| (k * 3 + m.below(3), 1)).collect();
+    assert!(header(&hist(10_000, asc.clone())).0);
+    let mut descending = asc.clone();
+    descending.reverse();
+    let mut one_swap = asc.clone();
+    one_swap.swap(150, 151);
+    let mut one_repeat = asc.clone();
+    one_repeat[200].0 = one_repeat[199].0;
+    let mut last_repeat = asc.clone();
+    last_repeat.push(*asc.last().unwrap());
+    for bins in [
+        descending,
+        one_swap,
+        one_repeat,
+        last_repeat,
+        shuffled(&mut m, asc),
+        vec![(MAX, 1), (MAX, 1)],
+        vec![(1, 1), (0, 1)],
+    ] {
+        let r = hist(10_000, bins);
+        assert!(!header(&r).0, "{r:?}");
+        check(&r);
     }
 }
 
