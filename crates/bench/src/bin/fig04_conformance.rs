@@ -2,12 +2,13 @@
 
 use pathdump_apps::conformance::{violations, ConformancePolicy};
 use pathdump_apps::Testbed;
-use pathdump_bench::banner;
+use pathdump_bench::{banner, reject_args};
 use pathdump_core::WorldConfig;
 use pathdump_simnet::{Quirk, SimConfig};
 use pathdump_topology::Nanos;
 
 fn main() {
+    reject_args();
     banner(
         "Figure 4",
         "Path conformance check under failover",

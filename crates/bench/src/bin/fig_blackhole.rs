@@ -3,7 +3,7 @@
 
 use pathdump_apps::blackhole::diagnose;
 use pathdump_apps::Testbed;
-use pathdump_bench::banner;
+use pathdump_bench::{banner, reject_args};
 use pathdump_core::WorldConfig;
 use pathdump_simnet::{FaultState, LoadBalance, SimConfig};
 use pathdump_topology::{Nanos, SwitchId, TimeRange, UpDownRouting};
@@ -60,6 +60,7 @@ fn run_case(
 }
 
 fn main() {
+    reject_args();
     banner(
         "§4.4",
         "Blackhole diagnosis under packet spraying",

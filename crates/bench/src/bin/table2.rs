@@ -1,9 +1,10 @@
 //! Table 2: the debugging applications PathDump supports, with pointers to
 //! the module and test that demonstrates each row in this repository.
 
-use pathdump_bench::banner;
+use pathdump_bench::{banner, reject_args};
 
 fn main() {
+    reject_args();
     banner(
         "Table 2",
         "Debugging applications supported by PathDump",

@@ -74,6 +74,15 @@ impl Args {
     }
 }
 
+/// For a bin that takes no flags: any argument exits 2 naming it, as an
+/// unknown flag does in [`Args::parse`], so that a `--seed 2` is not run
+/// with the built-in values.
+pub fn reject_args() {
+    if let Some(a) = std::env::args().nth(1) {
+        exit_usage(&format!("unknown flag {a}"));
+    }
+}
+
 /// The value that follows `flag` in `it`, parsed; the error names the flag
 /// when the value is missing or does not parse.
 pub fn flag_value<T: std::str::FromStr>(
