@@ -320,7 +320,7 @@ pub struct BitReader<'a> {
     input: &'a [u8],
     /// Bits consumed.
     pos: usize,
-    /// The `have < 64` bits after `pos`, highest first; zeros below them.
+    /// The `have < 64` bits after `pos`, highest first, then zeros or later bits.
     window: u64,
     have: u32,
 }
