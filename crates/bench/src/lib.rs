@@ -7,13 +7,13 @@
 //! with the paper's own number; those that take flags read them with
 //! [`Args::parse`].
 //!
-//! `bench_trajectory` records `BENCH_tib.json` and `bench_gate` holds fresh
-//! runs to it, both through [`report`]. Their in-process workloads are the
-//! k = 8 simulator ([`simnet_scale`]), the trajectory memory's FIN cost
-//! ([`memory_scale`]), the standing-query engine ([`standing_scale`]) and
-//! the tiered store ([`tib_scale`], also behind the blocking `tib_scale`
-//! bin). The host agent's per-packet cost is measured end to end by the
-//! `ingest_steady` workload of the repository's `benchmark/` package.
+//! `bench_gate` holds eight measured metrics to the bounds it states,
+//! running the criterion benches through [`report`]. Its in-process
+//! workloads are the k = 8 simulator ([`simnet_scale`]), the trajectory
+//! memory's FIN cost ([`memory_scale`]) and the tiered store
+//! ([`tib_scale`], also behind the blocking `tib_scale` bin). The host
+//! agent's per-packet cost is measured end to end by the `ingest_steady`
+//! workload of the repository's `benchmark/` package.
 
 use pathdump_core::{Query, Response};
 use pathdump_rpc::{Channel, Loopback, Measured, PlaneStats, QueryOutcome, RpcConfig, TreePlane};
@@ -25,7 +25,6 @@ use rand::{Rng, SeedableRng};
 pub mod memory_scale;
 pub mod report;
 pub mod simnet_scale;
-pub mod standing_scale;
 pub mod tib_scale;
 
 /// Minimal CLI flags shared by the reproduction binaries.

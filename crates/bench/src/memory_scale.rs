@@ -1,13 +1,13 @@
 //! Trajectory-memory scaling benchmark: the cost of a FIN
 //! (`TrajectoryMemory::evict_flow`) and of a hit-path packet
-//! (`update_wire`) as the number of live records grows — the `memory`
-//! section of `BENCH_tib.json`.
+//! (`update_wire`) as the number of live records grows. `bench_gate`
+//! prints both per size.
 //!
 //! A FIN must cost what the flow's own records cost, not what the memory
 //! holds: the 64 k / 1 k ratio of `evict_flow` is the machine-independent
-//! number `bench_gate` holds under [`EVICT_RATIO_CEILING`] (a walk over
-//! every live record per FIN, the layout this replaced, scores ≈ 150; what
-//! is left above 1 is the larger table's cache misses).
+//! number `bench_gate` holds under a fixed ceiling (a walk over every live
+//! record per FIN, the layout this replaced, scores ≈ 150; what is left
+//! above 1 is the larger table's cache misses).
 //!
 //! Shape: one flow in four is sprayed over four one-tag paths, the rest
 //! use one, so both the inline and the multi-path entry forms are
@@ -20,12 +20,8 @@ use pathdump_topology::{FlowId, Ip, Nanos};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Live-record counts recorded in `BENCH_tib.json`.
+/// Live-record counts measured.
 pub const LIVE_SIZES: [usize; 3] = [1 << 10, 1 << 13, 1 << 16];
-
-/// Acceptance ceiling on `evict_flow` ns/FIN at 64 k live records over
-/// the same at 1 k.
-pub const EVICT_RATIO_CEILING: f64 = 2.0;
 
 /// Flows evicted per clock read.
 const FIN_BATCH: usize = 64;
@@ -121,7 +117,7 @@ pub fn run_memory_curve(runs: usize) -> Vec<MemoryResult> {
         .collect()
 }
 
-/// `evict_flow` ns/FIN at the largest recorded size over the smallest.
+/// `evict_flow` ns/FIN at the largest measured size over the smallest.
 pub fn evict_ratio(curve: &[MemoryResult]) -> f64 {
     match (curve.first(), curve.last()) {
         (Some(lo), Some(hi)) => hi.evict_flow_ns_per_fin / lo.evict_flow_ns_per_fin.max(1e-9),

@@ -1,8 +1,8 @@
 //! Simnet scale benchmark: a dataplane-heavy fat-tree workload
 //! (timer-driven periodic senders on every host, per-packet spraying)
-//! driven to completion, reporting events/sec and wall-clock — the
-//! `simnet` section of `BENCH_tib.json` and the k=16 smoke bin both build
-//! on this.
+//! driven to completion, reporting events/sec and wall-clock — what
+//! `bench_gate`'s `events_per_sec` row and the k=16 smoke bin both build
+//! on.
 //!
 //! The link rates are scaled up to 10 Gb/s (vs the figure-reproduction
 //! default of 100 Mb/s) so the event queue stays deep: at paper-figure
@@ -68,7 +68,7 @@ pub struct ScaleParams {
 }
 
 impl ScaleParams {
-    /// The default k=8 point recorded in `BENCH_tib.json`.
+    /// The default k=8 point `bench_gate` measures.
     pub fn k8_default() -> Self {
         ScaleParams {
             k: 8,

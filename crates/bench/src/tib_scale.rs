@@ -1,7 +1,7 @@
 //! Tiered-storage scale workload: drives millions of records through a
 //! [`TieredTib`] with auto-seal, cold eviction to disk, a WAL over the
-//! unflushed tail, and a crash-recovery replay — the `tib_scale` section
-//! of `BENCH_tib.json` and the blocking 10M-record CI gate (`tib_scale`
+//! unflushed tail, and a crash-recovery replay — `bench_gate`'s two
+//! `tib_scale` rows and the blocking 10M-record CI gate (`tib_scale`
 //! bin).
 //!
 //! Three measured phases:
@@ -52,8 +52,8 @@ impl TibScaleParams {
         }
     }
 
-    /// The smaller shape `bench_trajectory` records (and `bench_gate`
-    /// drift-bands) on every run.
+    /// The smaller 1M-record shape `bench_gate` bounds and prints on
+    /// every run.
     pub fn trajectory_shape() -> Self {
         TibScaleParams {
             records: 1_000_000,
