@@ -56,7 +56,7 @@ fn setup(watches: usize) -> (Tib, StandingQueryEngine) {
     let tib = Tib::new();
     let mut eng = StandingQueryEngine::new(HostId(0));
     for i in 0..watches {
-        let f = flow((i % 64) as u16);
+        let f = flow((i % FLOWS) as u16);
         let pred = match i % 4 {
             0 => StandingPredicate::TopKMember { flow: f, k: 8 },
             1 => StandingPredicate::RateAbove {
