@@ -36,31 +36,57 @@ fn batch(pkt_size: usize, flows: usize) -> FrameBatch {
     FrameBatch::new(frames(pkt_size, flows))
 }
 
-/// The pre-batch `run_once` semantics: restore each frame's 12 relocated
-/// MAC bytes, then call `DataPath::process` on it — the per-frame
-/// reference the `pathdump_frame` cases measure.
-fn run_once_per_frame(
-    dp: &mut DataPath,
-    originals: &[Vec<u8>],
-    scratch: &mut [Vec<u8>],
-    moved: &mut [usize],
-) -> usize {
-    let mut ok = 0;
-    for ((orig, buf), moved) in originals
-        .iter()
-        .zip(scratch.iter_mut())
-        .zip(moved.iter_mut())
-    {
-        if *moved != 0 {
-            buf[*moved..*moved + 12].copy_from_slice(&orig[*moved..*moved + 12]);
+/// The per-frame reference ring: `FrameBatch`'s layout (every frame
+/// once, back to back in one buffer, plus its first 28 bytes to undo the
+/// strip) driven frame by frame, so the `pathdump_frame` cases differ
+/// from the `pathdump` ones in batching only.
+struct FrameRing {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+    heads: Vec<[u8; 28]>,
+    moved: Vec<u8>,
+}
+
+impl FrameRing {
+    fn new(frames: &[Vec<u8>]) -> Self {
+        let mut ring = FrameRing {
+            bytes: Vec::new(),
+            ends: Vec::new(),
+            heads: Vec::new(),
+            moved: vec![0; frames.len()],
+        };
+        for frame in frames {
+            ring.bytes.extend_from_slice(frame);
+            ring.ends.push(ring.bytes.len());
+            let mut head = [0; 28];
+            let n = frame.len().min(28);
+            head[..n].copy_from_slice(&frame[..n]);
+            ring.heads.push(head);
         }
-        let v = dp.process(buf);
-        *moved = v.offset;
-        if !v.is_drop() {
-            ok += 1;
-        }
+        ring
     }
-    ok
+
+    /// The pre-batch `run_once` semantics: restore each frame's 12
+    /// relocated MAC bytes from its head, then call `DataPath::process`
+    /// on it.
+    fn run_once_per_frame(&mut self, dp: &mut DataPath) -> usize {
+        let mut ok = 0;
+        let mut start = 0;
+        for ((&end, head), moved) in self.ends.iter().zip(&self.heads).zip(&mut self.moved) {
+            let frame = &mut self.bytes[start..end];
+            start = end;
+            let m = usize::from(*moved);
+            if m != 0 {
+                frame[m..m + 12].copy_from_slice(&head[m..m + 12]);
+            }
+            let v = dp.process(frame);
+            *moved = v.offset as u8;
+            if !v.is_drop() {
+                ok += 1;
+            }
+        }
+        ok
+    }
 }
 
 fn bench_datapath(c: &mut Criterion) {
@@ -86,11 +112,9 @@ fn bench_datapath(c: &mut Criterion) {
             |b, &size| {
                 let mut dp = DataPath::new(Mode::PathDump);
                 dp.learn([0x02, 0, 0, 0, 0, 0x01], 1);
-                let originals = frames(size, 4096);
-                let mut scratch = originals.clone();
-                let mut moved = vec![0usize; originals.len()];
-                run_once_per_frame(&mut dp, &originals, &mut scratch, &mut moved);
-                b.iter(|| run_once_per_frame(&mut dp, &originals, &mut scratch, &mut moved));
+                let mut ring = FrameRing::new(&frames(size, 4096));
+                ring.run_once_per_frame(&mut dp);
+                b.iter(|| ring.run_once_per_frame(&mut dp));
             },
         );
     }

@@ -19,24 +19,22 @@
 //!
 //! # The batch contract
 //!
-//! [`DataPath::process_batch`] drives a whole ring of frames through the
-//! same pipeline in two phases: a streaming parse/classify/strip pass
-//! (per-frame verdicts land in a caller-supplied buffer, trajectory
-//! updates are queued into a reusable slot vector), then one tight pass
-//! over the trajectory memory. Counters fold in once per batch instead of
-//! once per frame, and the queued memory updates replay in frame order,
-//! so verdicts, counters and memory state are **bit-identical** to
-//! calling [`DataPath::process`] per frame — the equivalence the
-//! `prop_strip_equivalence` suite pins. The single-tag specialization
-//! fires inside `parse_into` (one u64 EtherType window) and
-//! `TrajectoryMemory::update_wire` (no tag-reversal loop) for 0/1-tag
-//! frames, the overwhelmingly common shapes.
+//! [`DataPath::process_batch`] takes any exact-size iterator of mutable
+//! frame slices and drives them through the same pipeline in two phases:
+//! a streaming parse/strip/classify pass (verdicts land in a
+//! caller-supplied buffer, trajectory updates queue in a reusable slot
+//! vector), then one pass that replays the queued updates on the
+//! trajectory memory in frame order. Counters fold in once per batch.
+//! Verdicts, counters and memory state are **bit-identical** to calling
+//! [`DataPath::process`] per frame, as `prop_strip_equivalence` pins.
 //!
-//! [`FrameBatch::run_once`] layers the NIC-ring model on top: between
-//! passes it restores only the 12 relocated MAC bytes of each stripped
-//! frame (`moved != 0`) rather than recopying whole buffers, then calls
-//! `process_batch` once. After the first pass (which sizes the reusable
-//! slot/verdict buffers) the steady state allocates nothing.
+//! [`FrameBatch`] is the NIC ring on top. Its frames sit back to back in
+//! one buffer, each with its first `12 + 4 * MAX_TAGS` = 28 bytes kept
+//! aside: the only bytes a strip can move. [`FrameBatch::run_once`]
+//! restores each stripped frame's 12 relocated MAC bytes from that head
+//! and hands the ring to `process_batch` in one call. Past the first pass
+//! it allocates nothing, and the `ring_oracle` suite pins it to the ring
+//! that held every frame twice, in two per-frame `Vec`s.
 
 use crate::parse::{parse_into, strip_vlans_prefix, ParseError, Parsed, MAX_TAGS};
 use pathdump_tib::TrajectoryMemory;
@@ -127,6 +125,12 @@ struct MemOp {
     tags: [u16; MAX_TAGS],
 }
 
+/// The VL2 sample a frame's DSCP field carries: bit 0 is the hop-parity
+/// bit, bits 1..6 hold the sample plus one (0 = no sample).
+fn dscp_sample(dscp: u8) -> Option<u8> {
+    ((dscp >> 1) & 0x1F).checked_sub(1)
+}
+
 impl DataPath {
     /// Builds a datapath in the given mode.
     pub fn new(mode: Mode) -> Self {
@@ -180,47 +184,38 @@ impl DataPath {
         let mut offset = 0;
         if self.mode == Mode::PathDump {
             // The per-packet PathDump work (Figure 2's "create/update
-            // per-path flow record with link IDs"): DSCP bit 0 is the
-            // hop-parity bit, bits 1..6 hold the VL2 sample; the tag
-            // stack goes to the memory straight from the parse scratch
-            // (update_wire reverses it into push order in its probe).
-            let sample_bits = (self.parsed.dscp >> 1) & 0x1F;
-            let dscp_sample = if sample_bits == 0 {
-                None
-            } else {
-                Some(sample_bits - 1)
-            };
+            // per-path flow record with link IDs"): the tag stack goes to
+            // the memory straight from the parse scratch (update_wire
+            // reverses it into push order in its probe).
             self.memory.update_wire(
                 &self.parsed.flow,
-                dscp_sample,
+                dscp_sample(self.parsed.dscp),
                 &self.parsed.tags,
                 self.parsed.payload_len as u32,
                 self.clock,
             );
             offset = strip_vlans_prefix(frame, self.parsed.tags.len());
         }
-        let len = frame.len() - offset;
-        // Flow classification (EMC), then L2 on a miss — the vanilla
-        // vSwitch fast path.
+        Verdict {
+            action: self.classify(&dst_mac),
+            offset,
+            len: frame.len() - offset,
+        }
+    }
+
+    /// Flow classification of the parsed frame (EMC), then L2 on a miss —
+    /// the vanilla vSwitch fast path.
+    fn classify(&mut self, dst_mac: &[u8; 6]) -> Action {
         let flow = self.parsed.flow;
         if let Some(&port) = self.emc.get(&flow) {
-            return Verdict {
-                action: Action::Forward(port),
-                offset,
-                len,
-            };
+            return Action::Forward(port);
         }
-        let action = match self.l2.get(&dst_mac) {
+        match self.l2.get(dst_mac) {
             Some(&port) => {
                 self.emc.insert(flow, port);
                 Action::Forward(port)
             }
             None => Action::Flood,
-        };
-        Verdict {
-            action,
-            offset,
-            len,
         }
     }
 
@@ -235,15 +230,20 @@ impl DataPath {
     /// of interleaved with parsing. Counters fold in once per batch.
     /// Observable state afterwards is bit-identical to calling
     /// [`Self::process`] on each frame in order.
-    pub fn process_batch(&mut self, frames: &mut [Vec<u8>], verdicts: &mut Vec<Verdict>) {
+    pub fn process_batch<'a>(
+        &mut self,
+        frames: impl ExactSizeIterator<Item = &'a mut [u8]>,
+        verdicts: &mut Vec<Verdict>,
+    ) {
+        let n = frames.len();
         verdicts.clear();
-        verdicts.reserve(frames.len());
+        verdicts.reserve(n);
         self.mem_ops.clear();
-        self.mem_ops.reserve(frames.len());
+        self.mem_ops.reserve(n);
         let mut bytes = 0u64;
         let mut errors = 0u64;
         let pathdump = self.mode == Mode::PathDump;
-        for frame in frames.iter_mut() {
+        for frame in frames {
             bytes += frame.len() as u64;
             if let Err(e) = parse_into(frame, &mut self.parsed) {
                 errors += 1;
@@ -257,14 +257,9 @@ impl DataPath {
             let dst_mac: [u8; 6] = frame[0..6].try_into().expect("length checked in parse");
             let mut offset = 0;
             if pathdump {
-                let sample_bits = (self.parsed.dscp >> 1) & 0x1F;
                 let mut op = MemOp {
                     flow: self.parsed.flow,
-                    dscp_sample: if sample_bits == 0 {
-                        None
-                    } else {
-                        Some(sample_bits - 1)
-                    },
+                    dscp_sample: dscp_sample(self.parsed.dscp),
                     payload_len: self.parsed.payload_len as u32,
                     tag_len: self.parsed.tags.len() as u8,
                     tags: [0; MAX_TAGS],
@@ -273,23 +268,10 @@ impl DataPath {
                 self.mem_ops.push(op);
                 offset = strip_vlans_prefix(frame, self.parsed.tags.len());
             }
-            let len = frame.len() - offset;
-            let flow = self.parsed.flow;
-            let action = if let Some(&port) = self.emc.get(&flow) {
-                Action::Forward(port)
-            } else {
-                match self.l2.get(&dst_mac) {
-                    Some(&port) => {
-                        self.emc.insert(flow, port);
-                        Action::Forward(port)
-                    }
-                    None => Action::Flood,
-                }
-            };
             verdicts.push(Verdict {
-                action,
+                action: self.classify(&dst_mac),
                 offset,
-                len,
+                len: frame.len() - offset,
             });
         }
         for op in &self.mem_ops {
@@ -301,21 +283,30 @@ impl DataPath {
                 self.clock,
             );
         }
-        self.packets += frames.len() as u64;
+        self.packets += n as u64;
         self.bytes += bytes;
         self.errors += errors;
     }
 }
 
-/// A reusable batch of frames for throughput experiments, with per-frame
-/// scratch buffers (modeling an NIC ring).
+/// Bytes of a frame a strip can overwrite: the MAC header relocates to
+/// at most offset `4 * MAX_TAGS`.
+const HEAD: usize = 12 + 4 * MAX_TAGS;
+
+/// A reusable batch of frames for throughput experiments, modeling an NIC
+/// ring: every frame is held once, back to back in one buffer, and its
+/// first 28 bytes are kept aside, because a strip changes nothing else.
 pub struct FrameBatch {
-    originals: Vec<Vec<u8>>,
-    scratch: Vec<Vec<u8>>,
+    /// Every frame, back to back.
+    bytes: Vec<u8>,
+    /// Each frame's end offset in `bytes`.
+    ends: Vec<usize>,
+    /// Each frame's pristine first bytes (zero-padded past a short frame).
+    heads: Vec<[u8; HEAD]>,
     /// Per-frame offset the previous pass's strip relocated the MAC
-    /// header to (0 = buffer still pristine). Restoring a frame only has
+    /// header to (0 = frame still pristine). Restoring a frame only has
     /// to undo that 12-byte relocation, not recopy the whole frame.
-    moved: Vec<usize>,
+    moved: Vec<u8>,
     /// Reusable per-pass verdict buffer for the batched pipeline.
     verdicts: Vec<Verdict>,
 }
@@ -323,56 +314,72 @@ pub struct FrameBatch {
 impl FrameBatch {
     /// Builds a batch from frames.
     pub fn new(frames: Vec<Vec<u8>>) -> Self {
-        let scratch = frames.clone();
-        let moved = vec![0; frames.len()];
-        let verdicts = Vec::with_capacity(frames.len());
+        let mut bytes = Vec::with_capacity(frames.iter().map(Vec::len).sum());
+        let mut ends = Vec::with_capacity(frames.len());
+        let mut heads = Vec::with_capacity(frames.len());
+        for frame in &frames {
+            bytes.extend_from_slice(frame);
+            ends.push(bytes.len());
+            let mut head = [0; HEAD];
+            let n = frame.len().min(HEAD);
+            head[..n].copy_from_slice(&frame[..n]);
+            heads.push(head);
+        }
         FrameBatch {
-            originals: frames,
-            scratch,
-            moved,
-            verdicts,
+            bytes,
+            ends,
+            heads,
+            moved: vec![0; frames.len()],
+            verdicts: Vec::with_capacity(frames.len()),
         }
     }
 
     /// Number of frames.
     pub fn len(&self) -> usize {
-        self.originals.len()
+        self.ends.len()
     }
 
     /// Returns true if the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.originals.is_empty()
+        self.ends.is_empty()
     }
 
     /// Total wire bytes in the batch.
     pub fn total_bytes(&self) -> u64 {
-        self.originals.iter().map(|f| f.len() as u64).sum()
+        self.bytes.len() as u64
     }
 
     /// Runs every frame through the datapath once (so tag-stripping runs
     /// each time), allocation- and copy-free in the steady state: the
-    /// in-place strip only relocates 12 bytes, so restoring a scratch
-    /// buffer from its original is a 12-byte copy rather than a
-    /// full-frame round-trip, and the whole ring then goes through
-    /// [`DataPath::process_batch`] in one call. Returns the number of
-    /// successfully forwarded frames.
+    /// in-place strip only relocates 12 bytes, so restoring a frame is a
+    /// 12-byte copy from its head rather than a full-frame round-trip,
+    /// and the whole ring then goes through [`DataPath::process_batch`]
+    /// in one call. Returns the number of successfully forwarded frames.
     pub fn run_once(&mut self, dp: &mut DataPath) -> usize {
-        for ((orig, buf), moved) in self
-            .originals
-            .iter()
-            .zip(self.scratch.iter_mut())
-            .zip(self.moved.iter())
-        {
-            // Undo the previous pass's MAC relocation: only bytes
-            // [moved, moved+12) differ from the original.
-            if *moved != 0 {
-                buf[*moved..*moved + 12].copy_from_slice(&orig[*moved..*moved + 12]);
-            }
-        }
-        dp.process_batch(&mut self.scratch, &mut self.verdicts);
+        let mut rest = &mut self.bytes[..];
+        let mut start = 0;
+        let frames =
+            self.ends
+                .iter()
+                .zip(&self.heads)
+                .zip(&self.moved)
+                .map(|((&end, head), &moved)| {
+                    let (frame, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+                    rest = tail;
+                    start = end;
+                    // Undo the previous pass's MAC relocation: only bytes
+                    // [moved, moved+12) differ from the original.
+                    let moved = usize::from(moved);
+                    if moved != 0 {
+                        frame[moved..moved + 12].copy_from_slice(&head[moved..moved + 12]);
+                    }
+                    frame
+                });
+        dp.process_batch(frames, &mut self.verdicts);
         let mut ok = 0;
         for (verdict, moved) in self.verdicts.iter().zip(self.moved.iter_mut()) {
-            *moved = verdict.offset;
+            // A strip moves the MACs by at most 4 * MAX_TAGS bytes.
+            *moved = verdict.offset as u8;
             if !verdict.is_drop() {
                 ok += 1;
             }

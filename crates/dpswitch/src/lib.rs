@@ -7,33 +7,18 @@
 //!   trajectory-memory update keyed by (flow, link IDs), and in-place
 //!   VLAN-stack stripping before the packet reaches the upper stack.
 //!
-//! # Zero-copy contract
-//!
-//! [`DataPath::process`] takes `&mut [u8]` and works **in place**: the
-//! frame is parsed where it sits ([`parse_into`] reuses a scratch, no
-//! allocation), and the VLAN stack is stripped by relocating the 12-byte
-//! MAC header forward over the tags ([`strip_vlans_prefix`]) instead of
-//! memmoving the packet tail or reallocating. The returned
-//! [`Verdict`] reports the stripped frame's span (`offset`, `len`) inside
-//! the buffer — `verdict.frame(&buf)` is what the upper stack receives.
-//! Steady-state processing (live flow records, warm EMC) performs zero
-//! heap allocations per frame; `FrameBatch::run_once` preserves that by
-//! restoring only the 12 relocated bytes between passes.
-//!
-//! # Batch contract
-//!
-//! [`DataPath::process_batch`] drives a whole ring through the pipeline
-//! in two phases — streaming parse/strip/classify into a caller-supplied
-//! verdict buffer, then one tight replay of the staged trajectory-memory
-//! updates — with counters folded in once per batch. Verdicts, counters,
-//! and memory state stay **bit-identical** to per-frame
-//! [`DataPath::process`] calls (pinned by `prop_strip_equivalence`). The
-//! 0/1-tag specialization (one u64 EtherType window in [`parse_into`],
-//! no tag-reversal loop in the memory probe) fires on the overwhelmingly
-//! common frame shapes. [`FrameBatch::run_once`] adds the NIC-ring
-//! model: between passes it restores only the 12 relocated MAC bytes per
-//! stripped frame, so the steady state allocates and copies nothing
-//! beyond those 12 bytes. Full details: the `datapath` module docs.
+//! [`DataPath::process`] works **in place** on `&mut [u8]`: the frame is
+//! parsed where it sits ([`parse_into`] reuses a scratch) and the VLAN
+//! stack is stripped by relocating the 12-byte MAC header forward over
+//! the tags ([`strip_vlans_prefix`]), so the returned [`Verdict`] names
+//! the stripped frame's span (`verdict.frame(&buf)`).
+//! [`DataPath::process_batch`] runs an iterator of frame slices through
+//! the same pipeline and replays their trajectory-memory updates in one
+//! pass, bit-identical to per-frame calls. [`FrameBatch`] is the NIC
+//! ring: one buffer holding each frame once, plus each frame's first
+//! 28 bytes to undo the strip between passes. Warm, the pipeline makes
+//! no heap allocation per frame. The `datapath` module docs give both
+//! contracts in full.
 //!
 //! The paper measures ≤4% throughput loss for the PathDump pipeline over
 //! vanilla DPDK vSwitch at 64–1500 B packet sizes with ~4K live flow

@@ -253,7 +253,7 @@ proptest! {
             let mut by_batch = frames;
             let single_verdicts: Vec<Verdict> =
                 by_frame.iter_mut().map(|f| single.process(f)).collect();
-            batched.process_batch(&mut by_batch, &mut verdicts);
+            batched.process_batch(by_batch.iter_mut().map(Vec::as_mut_slice), &mut verdicts);
             prop_assert_eq!(&verdicts, &single_verdicts, "batch {}: verdicts", w);
             for (i, (bf, sf)) in by_batch.iter().zip(by_frame.iter()).enumerate() {
                 prop_assert_eq!(

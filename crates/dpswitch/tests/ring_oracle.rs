@@ -70,7 +70,10 @@ impl RefFrameBatch {
                 buf[*moved..*moved + 12].copy_from_slice(&orig[*moved..*moved + 12]);
             }
         }
-        dp.process_batch(&mut self.scratch, &mut self.verdicts);
+        dp.process_batch(
+            self.scratch.iter_mut().map(Vec::as_mut_slice),
+            &mut self.verdicts,
+        );
         let mut ok = 0;
         for (verdict, moved) in self.verdicts.iter().zip(self.moved.iter_mut()) {
             *moved = verdict.offset;
