@@ -356,25 +356,28 @@ impl FrameBatch {
     /// and the whole ring then goes through [`DataPath::process_batch`]
     /// in one call. Returns the number of successfully forwarded frames.
     pub fn run_once(&mut self, dp: &mut DataPath) -> usize {
+        // Restore in a pass of its own: fused into the frame iterator,
+        // each parse read bytes stored just before it (a store-forwarding
+        // stall), and `strip_64` ran ≈ 14 % slower.
+        let mut start = 0;
+        for ((&end, head), &moved) in self.ends.iter().zip(&self.heads).zip(&self.moved) {
+            // Undo the previous pass's MAC relocation: only bytes
+            // [moved, moved+12) differ from the original.
+            let moved = usize::from(moved);
+            if moved != 0 {
+                self.bytes[start + moved..start + moved + 12]
+                    .copy_from_slice(&head[moved..moved + 12]);
+            }
+            start = end;
+        }
         let mut rest = &mut self.bytes[..];
         let mut start = 0;
-        let frames =
-            self.ends
-                .iter()
-                .zip(&self.heads)
-                .zip(&self.moved)
-                .map(|((&end, head), &moved)| {
-                    let (frame, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
-                    rest = tail;
-                    start = end;
-                    // Undo the previous pass's MAC relocation: only bytes
-                    // [moved, moved+12) differ from the original.
-                    let moved = usize::from(moved);
-                    if moved != 0 {
-                        frame[moved..moved + 12].copy_from_slice(&head[moved..moved + 12]);
-                    }
-                    frame
-                });
+        let frames = self.ends.iter().map(|&end| {
+            let (frame, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            rest = tail;
+            start = end;
+            frame
+        });
         dp.process_batch(frames, &mut self.verdicts);
         let mut ok = 0;
         for (verdict, moved) in self.verdicts.iter().zip(self.moved.iter_mut()) {
